@@ -22,10 +22,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/legacy_sim_engine.h"
-#include "bench/sim_core_workload.h"
 #include "src/chaos/chaos.h"
-#include "src/sim/engine.h"
 
 namespace varuna {
 namespace {
@@ -340,19 +337,6 @@ void Run(int argc, char** argv) {
   std::printf("wall clock: %.1f ms total, %.2f ms per campaign\n\n", wall.mean_ms,
               wall.mean_ms / n);
 
-  // Engine before/after: replay a storm sized to this sweep's per-campaign
-  // event volume on the frozen pre-change engine and on the current one, so
-  // every run of this bench re-derives the core speedup on this host.
-  const uint64_t storm_target =
-      static_cast<uint64_t>(executor_events > 0 ? executor_events / campaigns : 10'000);
-  const BenchStats legacy_storm = TimeIt(mode.Warmup(1), mode.Repeats(3), [&] {
-    SimCoreStorm<LegacySimEngine> storm(99, storm_target);
-    storm.Run();
-  });
-  const BenchStats current_storm = TimeIt(mode.Warmup(1), mode.Repeats(3), [&] {
-    SimCoreStorm<SimEngine> storm(99, storm_target);
-    storm.Run();
-  });
   const int head_to_head_seeds =
       IntFromArgs(argc, argv, "--h2h", mode.smoke ? 4 : 20);
   const RecoveryComparison recovery = RecoveryBeforeAfter(head_to_head_seeds);
@@ -360,13 +344,6 @@ void Run(int argc, char** argv) {
   PolicyAggregate policy_aggs[3];
   HeadToHead(head_to_head_seeds, &proactive_wins, policy_aggs);
 
-  Table engines({"engine (storm = 1 campaign of events)", "before ms", "after ms", "speedup"});
-  engines.AddRow({"legacy queue -> slot-pool 4-ary heap",
-                  Table::Num(legacy_storm.median_ms, 3), Table::Num(current_storm.median_ms, 3),
-                  Table::Num(legacy_storm.median_ms /
-                                 (current_storm.median_ms > 0.0 ? current_storm.median_ms : 1.0),
-                             2) + "x"});
-  std::printf("%s\n", engines.Render().c_str());
   std::printf("Every campaign passed SimEngine + ElasticTrainer + CheckpointStore\n"
               "invariant checks (violations abort the process).\n");
 
@@ -418,8 +395,6 @@ void Run(int argc, char** argv) {
       json.AddScalar(key + "_stalled_s", policy_aggs[p].stalled_s);
     }
     json.AddResult("sweep", wall);
-    json.AddResult("engine_storm_before", legacy_storm);
-    json.AddResult("engine_storm_after", current_storm);
     json.WriteTo(json_path);
   }
 }

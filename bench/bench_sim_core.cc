@@ -1,44 +1,31 @@
-// Simulation-core microbenchmark (the PR-5 fast-sim work): before/after
-// events/sec of the event engine on a chaos-campaign-shaped storm, plus the
-// real chaos-campaign sweep with the new SessionStats perf counters.
+// Simulation-core microbenchmark: events/sec of the slot-pool event engine on
+// a chaos-campaign-shaped storm, plus the real chaos-campaign sweep with the
+// SessionStats perf counters.
 //
 //   bench_sim_core [--smoke] [--json PATH]
 //
 // Columns:
-//   * storm/legacy  — the frozen pre-change engine (std::function callbacks,
-//     priority_queue + unordered_set of live ids) on the storm workload.
-//   * storm/current — the slot-pool + 4-ary-heap engine on the identical
-//     stream (same seed, bit-identical fire count).
-//   * sharded storm — the node-sharded engine at 1/2/4/8 shards on a
-//     contract-shaped storm; fingerprints are asserted bit-identical across
-//     shard counts before anything is timed, and the per-shard window/parcel
-//     counters land in the JSON.
-//   * chaos sweep   — end-to-end campaigns; ms/campaign, testbed events/sec
+//   * storm       — the slot-pool + 4-ary-heap engine on the synthetic storm
+//     (bench/sim_core_workload.h; fixed seed, deterministic fire count).
+//   * chaos sweep — end-to-end campaigns; ms/campaign, testbed events/sec
 //     and ring-cost-cache hit rate come from the SessionStats counters.
-#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/legacy_sim_engine.h"
 #include "bench/sim_core_workload.h"
 #include "src/chaos/chaos.h"
 #include "src/common/table.h"
-#include "src/common/thread_pool.h"
 #include "src/manager/elastic_trainer.h"
 #include "src/sim/engine.h"
-#include "src/sim/sharded_engine.h"
 
 namespace varuna {
 namespace {
 
 constexpr uint64_t kStormSeed = 2026;
 
-template <typename Engine>
 uint64_t StormFires(uint64_t target) {
-  SimCoreStorm<Engine> storm(kStormSeed, target);
+  SimCoreStorm storm(kStormSeed, target);
   return storm.Run();
 }
 
@@ -47,112 +34,26 @@ void Run(int argc, char** argv) {
   const uint64_t storm_target = mode.smoke ? 50'000 : 1'000'000;
   const int campaigns = mode.smoke ? 4 : 40;
 
-  std::printf("=== Simulation core: event engine before/after ===\n\n");
+  std::printf("=== Simulation core: event engine storm ===\n\n");
 
-  // Both engines must fire the identical deterministic stream.
-  const uint64_t legacy_fires = StormFires<LegacySimEngine>(storm_target);
-  const uint64_t current_fires = StormFires<SimEngine>(storm_target);
-  VARUNA_CHECK_EQ(legacy_fires, current_fires)
-      << "storm diverged between engine implementations";
-
-  const BenchStats legacy_wall = TimeIt(mode.Warmup(1), mode.Repeats(5), [&] {
-    (void)StormFires<LegacySimEngine>(storm_target);
-  });
-  const BenchStats current_wall = TimeIt(mode.Warmup(1), mode.Repeats(5), [&] {
-    (void)StormFires<SimEngine>(storm_target);
+  const uint64_t storm_fires = StormFires(storm_target);
+  const BenchStats storm_wall = TimeIt(mode.Warmup(1), mode.Repeats(5), [&] {
+    (void)StormFires(storm_target);
   });
   uint64_t heap_fallbacks = 0;
   {
-    SimCoreStorm<SimEngine> storm(kStormSeed, storm_target);
+    SimCoreStorm storm(kStormSeed, storm_target);
     storm.Run();
     heap_fallbacks = storm.engine().callback_heap_fallbacks();
   }
+  const double storm_eps = static_cast<double>(storm_fires) / (storm_wall.median_ms / 1e3);
 
-  const double legacy_eps = static_cast<double>(legacy_fires) / (legacy_wall.median_ms / 1e3);
-  const double current_eps =
-      static_cast<double>(current_fires) / (current_wall.median_ms / 1e3);
-  const double speedup = legacy_eps > 0.0 ? current_eps / legacy_eps : 0.0;
+  std::printf("events fired: %llu   median %.2f ms   %.2fM events/sec   "
+              "callback heap fallbacks: %llu\n\n",
+              static_cast<unsigned long long>(storm_fires), storm_wall.median_ms, storm_eps / 1e6,
+              static_cast<unsigned long long>(heap_fallbacks));
 
-  Table engine_table({"engine", "events fired", "median ms", "events/sec"});
-  engine_table.AddRow({"legacy (pre-change)", std::to_string(legacy_fires),
-                       Table::Num(legacy_wall.median_ms, 2), Table::Num(legacy_eps / 1e6, 2) + "M"});
-  engine_table.AddRow({"current (slot pool)", std::to_string(current_fires),
-                       Table::Num(current_wall.median_ms, 2), Table::Num(current_eps / 1e6, 2) + "M"});
-  std::printf("%s\n", engine_table.Render().c_str());
-  std::printf("speedup: %.2fx events/sec on the chaos-shaped storm "
-              "(callback heap fallbacks: %llu)\n\n",
-              speedup, static_cast<unsigned long long>(heap_fallbacks));
-
-  std::printf("=== Sharded storm: scaling by shard count ===\n\n");
-
-  constexpr int kStormNodes = 16;
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int pool_threads = static_cast<int>(std::min(8u, hw == 0 ? 1u : hw));
-  ThreadPool pool(pool_threads);
-
-  struct ShardRun {
-    int shards = 1;
-    uint64_t fires = 0;
-    BenchStats wall;
-    uint64_t windows = 0;
-    uint64_t parcels = 0;
-    double imbalance = 1.0;
-  };
-  const int shard_counts[] = {1, 2, 4, 8};
-  std::vector<ShardRun> shard_runs;
-  std::vector<uint64_t> max_shard_events;  // Per-shard fires at the widest split.
-  uint64_t reference_fp = 0;
-  uint64_t sharded_fires = 0;
-  SessionStats sharded_stats;  // The ShardedSimEngine observability snapshot.
-  for (const int shards : shard_counts) {
-    ShardedSimStorm probe(kStormSeed, storm_target, kStormNodes, shards, &pool);
-    ShardRun run;
-    run.shards = shards;
-    run.fires = probe.Run();
-    if (shards == 1) {
-      reference_fp = probe.Fingerprint();
-      sharded_fires = run.fires;
-    }
-    // Determinism contract: re-sharding may not change the replay.
-    VARUNA_CHECK_EQ(probe.Fingerprint(), reference_fp)
-        << "sharded storm diverged at " << shards << " shards";
-    VARUNA_CHECK_EQ(run.fires, sharded_fires);
-    run.windows = probe.engine().window_syncs();
-    run.parcels = probe.engine().cross_shard_parcels();
-    run.imbalance = probe.engine().shard_imbalance();
-    if (shards == shard_counts[3]) {
-      for (int shard = 0; shard < probe.engine().num_shards(); ++shard) {
-        max_shard_events.push_back(probe.engine().shard_events_processed(shard));
-      }
-      sharded_stats.sim_window_syncs = run.windows;
-      sharded_stats.sim_cross_shard_messages = run.parcels;
-      sharded_stats.sim_shard_imbalance = run.imbalance;
-    }
-    run.wall = TimeIt(mode.Warmup(1), mode.Repeats(5), [&] {
-      ShardedSimStorm storm(kStormSeed, storm_target, kStormNodes, shards, &pool);
-      (void)storm.Run();
-    });
-    shard_runs.push_back(run);
-  }
-
-  Table shard_table({"shards", "events fired", "median ms", "events/sec", "speedup",
-                     "windows", "parcels", "imbalance"});
-  const double serial_eps = static_cast<double>(shard_runs[0].fires) /
-                            (shard_runs[0].wall.median_ms / 1e3);
-  for (const ShardRun& run : shard_runs) {
-    const double eps = static_cast<double>(run.fires) / (run.wall.median_ms / 1e3);
-    shard_table.AddRow({std::to_string(run.shards), std::to_string(run.fires),
-                        Table::Num(run.wall.median_ms, 2), Table::Num(eps / 1e6, 2) + "M",
-                        Table::Num(serial_eps > 0.0 ? eps / serial_eps : 0.0, 2) + "x",
-                        std::to_string(run.windows), std::to_string(run.parcels),
-                        Table::Num(run.imbalance, 2)});
-  }
-  std::printf("%s\n", shard_table.Render().c_str());
-  std::printf("fingerprint bit-identical at every shard count; pool threads: %d "
-              "(scaling needs a multi-core host)\n\n",
-              pool.num_threads());
-
-  std::printf("=== Chaos campaign sweep on the new core (%d campaigns) ===\n\n", campaigns);
+  std::printf("=== Chaos campaign sweep (%d campaigns) ===\n\n", campaigns);
   int64_t executor_events = 0;
   int64_t ring_hits = 0;
   int64_t ring_misses = 0;
@@ -191,33 +92,9 @@ void Run(int argc, char** argv) {
   if (!json_path.empty()) {
     BenchJsonWriter json("bench_sim_core");
     AddBuildMetadata(&json);
-    json.AddScalar("storm_events", static_cast<double>(current_fires));
-    json.AddScalar("legacy_events_per_sec", legacy_eps);
-    json.AddScalar("events_per_sec", current_eps);
-    json.AddScalar("speedup_vs_legacy", speedup);
+    json.AddScalar("storm_events", static_cast<double>(storm_fires));
+    json.AddScalar("events_per_sec", storm_eps);
     json.AddScalar("callback_heap_fallbacks", static_cast<double>(heap_fallbacks));
-    json.AddScalar("pool_threads", static_cast<double>(pool.num_threads()));
-    json.AddScalar("sharded_storm_nodes", static_cast<double>(kStormNodes));
-    json.AddScalar("sharded_storm_events", static_cast<double>(sharded_fires));
-    for (const ShardRun& run : shard_runs) {
-      const std::string suffix = "_" + std::to_string(run.shards) + "_shards";
-      const double eps = static_cast<double>(run.fires) / (run.wall.median_ms / 1e3);
-      json.AddScalar("sharded_events_per_sec" + suffix, eps);
-      json.AddScalar("sharded_speedup" + suffix, serial_eps > 0.0 ? eps / serial_eps : 0.0);
-      json.AddScalar("window_syncs" + suffix, static_cast<double>(run.windows));
-      json.AddScalar("cross_shard_parcels" + suffix, static_cast<double>(run.parcels));
-      json.AddScalar("shard_imbalance" + suffix, run.imbalance);
-      json.AddResult("sharded_storm" + suffix, run.wall);
-    }
-    for (size_t shard = 0; shard < max_shard_events.size(); ++shard) {
-      json.AddScalar("shard_events_8_shards_" + std::to_string(shard),
-                     static_cast<double>(max_shard_events[shard]));
-    }
-    json.AddScalar("stats_sim_window_syncs",
-                   static_cast<double>(sharded_stats.sim_window_syncs));
-    json.AddScalar("stats_sim_cross_shard_messages",
-                   static_cast<double>(sharded_stats.sim_cross_shard_messages));
-    json.AddScalar("stats_sim_shard_imbalance", sharded_stats.sim_shard_imbalance);
     json.AddScalar("campaigns", n);
     json.AddScalar("campaign_ms", sweep_wall.mean_ms / n);
     json.AddScalar("executor_events", static_cast<double>(executor_events));
@@ -225,8 +102,7 @@ void Run(int argc, char** argv) {
     json.AddScalar("ring_cache_hits", static_cast<double>(ring_hits));
     json.AddScalar("ring_cache_misses", static_cast<double>(ring_misses));
     json.AddScalar("ring_cache_hit_rate", hit_rate);
-    json.AddResult("storm_legacy", legacy_wall);
-    json.AddResult("storm_current", current_wall);
+    json.AddResult("storm_current", storm_wall);
     json.AddResult("chaos_sweep", sweep_wall);
     json.WriteTo(json_path);
   }

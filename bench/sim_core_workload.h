@@ -1,29 +1,25 @@
 // The "storm" workload: a synthetic event stream shaped like a chaos
-// campaign's engine traffic, templated over the engine type so the legacy
-// (std::function + priority_queue) and current (slot pool + 4-ary heap)
-// engines run the exact same logical stream. Mix, per pump iteration:
+// campaign's engine traffic. Mix, per pump iteration:
 //   * one self-rescheduling continuation with an executor-sized capture
 //     (~24-32 bytes: the StartOp/FinishOp lambda shape),
 //   * every 4th iteration a cancellable filler event (heartbeat-timeout
 //     shape), and every 8th a Cancel() of a pseudo-random recent filler
 //     (roughly half still pending — exercising both live-cancel and
 //     stale-id no-op paths),
-//   * a RunUntil() boundary every `kEpochEvents` fires (mini-batch cadence).
-// Deterministic for a given seed, so both engines fire the same event count.
+//   * a RunUntil() window every 0.25 simulated seconds (mini-batch cadence).
+// Deterministic for a given seed: the same target always fires the same
+// event count.
 #ifndef BENCH_SIM_CORE_WORKLOAD_H_
 #define BENCH_SIM_CORE_WORKLOAD_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
-#include "src/sim/sharded_engine.h"
+#include "src/sim/engine.h"
 
 namespace varuna {
 
-template <typename Engine>
 class SimCoreStorm {
  public:
   SimCoreStorm(uint64_t seed, uint64_t target_fires) : rng_(seed), remaining_(target_fires) {
@@ -31,8 +27,7 @@ class SimCoreStorm {
   }
 
   // Runs the storm to completion; returns events fired (cancelled fillers
-  // don't fire, so this is < the scheduled count and identical across engine
-  // implementations for a given seed/target).
+  // don't fire, so this is < the scheduled count).
   uint64_t Run() {
     // A handful of independent pump chains keeps the queue populated the way
     // a P x D worker grid does.
@@ -48,7 +43,7 @@ class SimCoreStorm {
   }
 
   double checksum() const { return sink_; }
-  const Engine& engine() const { return engine_; }
+  const SimEngine& engine() const { return engine_; }
 
  private:
   void Pump() {
@@ -79,119 +74,12 @@ class SimCoreStorm {
     }
   }
 
-  Engine engine_;
+  SimEngine engine_;
   Rng rng_;
   uint64_t remaining_ = 0;
   std::vector<uint64_t> recent_;  // Ring of recent filler ids (0 = never issued).
   size_t recent_pos_ = 0;
   double sink_ = 0.0;
-};
-
-// The sharded storm: the same chaos-shaped traffic expressed against the
-// ShardedSimEngine workload contract — per-node Rng forks, node-local side
-// effects (each node folds an FNV chain), cross-node chatter through Send()
-// with delays at or above the lookahead floor, and periodic cancels hitting
-// both the live and the stale-id path. Fingerprint() digests every node's
-// chain in node order; the determinism contract makes it bit-identical at
-// every shard count, which the bench asserts before timing anything.
-class ShardedSimStorm {
- public:
-  // Cross-node send floor. A WAN-ish 1 ms keeps each conservative window
-  // dense (hundreds of events per shard per barrier with the pump cadence
-  // below), so the parallel phase has real work to amortize the barrier.
-  static constexpr double kLookahead = 1e-3;
-  // Independent pump chains per node: the queue depth a P x D worker grid
-  // sustains, and the knob that sets events-per-window density.
-  static constexpr int kChainsPerNode = 4;
-
-  ShardedSimStorm(uint64_t seed, uint64_t target_fires, int num_nodes, int num_shards,
-                  ThreadPool* pool)
-      : engine_(num_nodes, num_shards, kLookahead, pool) {
-    VARUNA_CHECK_GE(num_nodes, 1);
-    Rng root(seed);
-    nodes_.resize(static_cast<size_t>(num_nodes));
-    const uint64_t per_node = target_fires / static_cast<uint64_t>(num_nodes);
-    for (NodeState& node : nodes_) {
-      node.rng = root.Fork();  // Per-node stream: invariant under re-sharding.
-      node.remaining = per_node;
-    }
-  }
-
-  // Drains the storm completely (mini-batch-sized RunUntil windows) and
-  // returns total events fired across all shards.
-  uint64_t Run() {
-    for (int node = 0; node < engine_.num_nodes(); ++node) {
-      for (int chain = 0; chain < kChainsPerNode; ++chain) {
-        Pump(node);
-      }
-    }
-    while (engine_.pending_events() > 0) {
-      engine_.RunUntil(engine_.now() + 0.25);
-    }
-    return engine_.events_processed();
-  }
-
-  // Order-sensitive digest of every node-local side-effect stream.
-  uint64_t Fingerprint() const {
-    uint64_t digest = kChainSeed;
-    for (const NodeState& node : nodes_) {
-      digest = (digest ^ node.chain) * kChainPrime;
-    }
-    return digest;
-  }
-
-  const ShardedSimEngine& engine() const { return engine_; }
-
- private:
-  static constexpr uint64_t kChainSeed = 1469598103934665603ull;  // FNV-1a offset
-  static constexpr uint64_t kChainPrime = 1099511628211ull;       // FNV-1a prime
-
-  struct NodeState {
-    Rng rng{0};
-    uint64_t remaining = 0;
-    uint64_t pumps = 0;
-    uint64_t chain = kChainSeed;
-    ShardedSimEngine::LocalEventId doomed{};
-  };
-
-  void Fold(int node_id, uint64_t payload) {
-    NodeState& node = nodes_[static_cast<size_t>(node_id)];
-    node.chain = (node.chain ^ payload) * kChainPrime;
-  }
-
-  void Pump(int node_id) {
-    NodeState& node = nodes_[static_cast<size_t>(node_id)];
-    if (node.remaining == 0) {
-      return;
-    }
-    --node.remaining;
-    ++node.pumps;
-    const uint64_t draw = node.rng.NextUint64();
-    Fold(node_id, draw);
-    if ((node.pumps & 3) == 0) {
-      // Cross-node chatter. The delay honours the lookahead floor for every
-      // node pair, so the stream is valid at any shard count.
-      const int peer = static_cast<int>(draw % static_cast<uint64_t>(nodes_.size()));
-      const double delay = kLookahead * (1.0 + static_cast<double>(draw % 128) / 64.0);
-      engine_.Send(node_id, peer, delay,
-                   [this, peer, draw] { Fold(peer, draw * 0x9e3779b97f4a7c15ull); });
-    }
-    if (node.pumps % 5 == 0) {
-      // Heartbeat-timeout shape: armed, usually cancelled before firing.
-      node.doomed = engine_.ScheduleLocal(node_id, 500e-6,
-                                          [this, node_id] { Fold(node_id, 0xD00Dull); });
-    }
-    if (node.pumps % 7 == 0) {
-      engine_.Cancel(node.doomed);  // Often stale: both cancel paths run.
-    }
-    // Mean ~42 us between pumps: with kChainsPerNode chains per node each
-    // 1 ms window carries hundreds of events, spread across the shards.
-    const double delay = 10e-6 + static_cast<double>(draw % 64) * 1e-6;
-    engine_.ScheduleLocal(node_id, delay, [this, node_id] { Pump(node_id); });
-  }
-
-  ShardedSimEngine engine_;
-  std::vector<NodeState> nodes_;
 };
 
 }  // namespace varuna

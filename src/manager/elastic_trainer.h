@@ -193,13 +193,6 @@ struct SessionStats {
   uint64_t executor_scratch_growths = 0;  // observability: arena growths.
   uint64_t net_ring_cache_hits = 0;       // observability: ring-cost memo.
   uint64_t net_ring_cache_misses = 0;     // observability
-  // Sharded-simulation perf counters, snapshotted from a ShardedSimEngine by
-  // harnesses that drive one (bench_sim_core's sharded storm); sessions on
-  // the serial engine leave them zero. Never fingerprinted: shard count and
-  // window cadence are execution details the replay contract hides.
-  uint64_t sim_window_syncs = 0;          // observability: window barriers.
-  uint64_t sim_cross_shard_messages = 0;  // observability: mailbox parcels.
-  double sim_shard_imbalance = 0.0;       // observability: max/mean shard load.
   // --- Liveput policy counters (src/morph/liveput.h). ----------------------
   // fingerprint: morphs initiated by the liveput objective ahead of any
   // preemption — part of the replayed decision sequence.

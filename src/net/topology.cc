@@ -30,23 +30,6 @@ NodeId Topology::AddNode(const NodeSpec& spec) {
   return id;
 }
 
-double Topology::MinCrossShardLatency(const std::vector<int>& shard_of_node) const {
-  VARUNA_CHECK_EQ(static_cast<int>(shard_of_node.size()), num_nodes());
-  double min_latency = -1.0;
-  for (NodeId a = 0; a < num_nodes(); ++a) {
-    for (NodeId b = a + 1; b < num_nodes(); ++b) {
-      if (shard_of_node[static_cast<size_t>(a)] == shard_of_node[static_cast<size_t>(b)]) {
-        continue;
-      }
-      const double latency = PairClass(a, b).latency_s;
-      if (min_latency < 0.0 || latency < min_latency) {
-        min_latency = latency;
-      }
-    }
-  }
-  return min_latency < 0.0 ? 0.0 : min_latency;
-}
-
 std::vector<GpuId> Topology::GpusOfNode(NodeId node) const {
   std::vector<GpuId> gpus;
   for (GpuId g = 0; g < num_gpus(); ++g) {

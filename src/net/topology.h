@@ -104,8 +104,7 @@ class Topology {
   // (intra bandwidth/latency, NIC bandwidth) are bit-identical share a class.
   // Every pairwise link cost in this model is a function of the two endpoint
   // classes alone, so the classes are the vocabulary for canonical ring
-  // *shape* keys (Network's ring-cost memo) and for conservative-lookahead
-  // bounds (the sharded simulation engine). Classes are assigned densely in
+  // *shape* keys (Network's ring-cost memo). Classes are assigned densely in
   // AddNode order and, like everything else here, never invalidate.
   int num_link_classes() const { return static_cast<int>(link_class_specs_.size()); }
 
@@ -121,13 +120,6 @@ class Topology {
     VARUNA_CHECK_LT(link_class, num_link_classes());
     return nodes_[static_cast<size_t>(link_class_specs_[static_cast<size_t>(link_class)])];
   }
-
-  // Minimum link latency between any two nodes assigned to *different* shards
-  // under `shard_of_node` (one entry per node). This is the conservative
-  // lookahead bound for a node-sharded simulation: no cross-shard interaction
-  // can take effect sooner than this. Returns 0 when fewer than two shards
-  // are populated (no cross-shard pair exists).
-  double MinCrossShardLatency(const std::vector<int>& shard_of_node) const;
 
   // --- Hot-path accessors (per-message cost resolution) ---------------------
   // Unchecked GpuId -> NodeId map; callers pass ids they obtained from the

@@ -1,6 +1,5 @@
 #include "src/sim/engine.h"
 
-#include <limits>
 #include <utility>
 
 #include "src/common/check.h"
@@ -76,17 +75,6 @@ void SimEngine::HeapPopTop() {
   heap_meta_[i] = last_meta;
 }
 
-void SimEngine::PurgeTombstonesAtTop() {
-  while (!heap_when_.empty()) {
-    const HeapMeta& top = heap_meta_[0];
-    const Slot& slot = slots_[top.slot];
-    if (slot.live && slot.generation == top.generation) {
-      return;
-    }
-    HeapPopTop();
-  }
-}
-
 void SimEngine::FreeSlot(uint32_t slot) {
   Slot& s = slots_[slot];
   s.live = false;
@@ -101,16 +89,6 @@ SimEngine::EventId SimEngine::Schedule(SimTime delay, Callback callback) {
 }
 
 SimEngine::EventId SimEngine::ScheduleAt(SimTime when, Callback callback) {
-  return ScheduleInternal(when, next_seq_++, 0, std::move(callback));
-}
-
-SimEngine::EventId SimEngine::ScheduleAtKeyed(SimTime when, uint64_t key, uint32_t tag,
-                                              Callback callback) {
-  return ScheduleInternal(when, key, tag, std::move(callback));
-}
-
-SimEngine::EventId SimEngine::ScheduleInternal(SimTime when, uint64_t seq, uint32_t tag,
-                                               Callback callback) {
   VARUNA_CHECK_GE(when, now_);
   VARUNA_CHECK(static_cast<bool>(callback));
   if (!callback.is_inline()) {
@@ -126,10 +104,9 @@ SimEngine::EventId SimEngine::ScheduleInternal(SimTime when, uint64_t seq, uint3
   }
   Slot& s = slots_[slot];
   s.callback = std::move(callback);
-  s.tag = tag;
   s.live = true;
   ++live_count_;
-  HeapPush(when, HeapMeta{seq, slot, s.generation});
+  HeapPush(when, HeapMeta{next_seq_++, slot, s.generation});
   return (static_cast<EventId>(s.generation) << 32) | slot;
 }
 
@@ -162,7 +139,6 @@ bool SimEngine::Step() {
     VARUNA_CHECK_GE(when, now_) << "SimEngine time went backwards";
     now_ = when;
     ++events_processed_;
-    current_tag_ = slot.tag;
     // Move the callback out before invoking: the callback may Schedule() and
     // grow/reuse the pool, so the slot must be released first.
     Callback callback = std::move(slot.callback);
@@ -192,37 +168,6 @@ void SimEngine::RunUntil(SimTime until) {
   }
 }
 
-SimTime SimEngine::NextLiveWhen() {
-  PurgeTombstonesAtTop();
-  return heap_when_.empty() ? std::numeric_limits<SimTime>::infinity() : heap_when_[0];
-}
-
-void SimEngine::DrainTo(SimTime bound, bool inclusive) {
-  stopped_ = false;
-  for (;;) {
-    PurgeTombstonesAtTop();
-    if (heap_when_.empty()) {
-      return;
-    }
-    const SimTime when = heap_when_[0];
-    if (inclusive ? when > bound : when >= bound) {
-      return;
-    }
-    Step();
-    if (stopped_) {
-      return;
-    }
-  }
-}
-
-void SimEngine::AdvanceTo(SimTime when) {
-  VARUNA_CHECK_GE(when, now_);
-  // No live event may be skipped over: the earliest live event (if any) must
-  // sit at or after the new time.
-  VARUNA_CHECK_GE(NextLiveWhen(), when) << "AdvanceTo would skip a live event";
-  now_ = when;
-}
-
 void SimEngine::Reset() {
   heap_when_.clear();
   heap_meta_.clear();
@@ -233,7 +178,6 @@ void SimEngine::Reset() {
   events_processed_ = 0;
   callback_heap_fallbacks_ = 0;
   live_count_ = 0;
-  current_tag_ = 0;
   stopped_ = false;
 }
 

@@ -19,12 +19,6 @@
 //  * Callbacks are SmallCallback (src/sim/callback.h): captures up to 64
 //    bytes stay in the slot inline, so steady-state scheduling performs zero
 //    heap allocations once the pool and heap vectors are warm.
-//
-// Sharded use (src/sim/sharded_engine.h): a node-sharded simulation runs one
-// SimEngine per shard and needs (a) caller-supplied tie-break keys that are
-// shard-count invariant — ScheduleAtKeyed — and (b) strict window drains that
-// never overshoot a lookahead boundary — NextLiveWhen/DrainTo/AdvanceTo.
-// RunUntil keeps the historical tombstone-gated behaviour for serial callers.
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
@@ -50,20 +44,6 @@ class SimEngine {
   // Schedules `callback` at absolute time `when`. Requires when >= now().
   EventId ScheduleAt(SimTime when, Callback callback);
 
-  // Schedules with a caller-supplied tie-break key instead of the internal
-  // sequence number, plus an opaque tag readable as current_tag() while the
-  // callback fires. The sharded engine derives keys from (origin node,
-  // per-node emission counter), which is invariant under re-sharding — the
-  // property that makes parallel replays bit-identical. Does not consume a
-  // sequence number; an engine should use either keyed or plain scheduling,
-  // not both (the tie-break spaces are unrelated). Keys must be unique per
-  // timestamp or firing order at equal (when, key) is unspecified.
-  EventId ScheduleAtKeyed(SimTime when, uint64_t key, uint32_t tag, Callback callback);
-
-  // Tag of the most recently fired event (0 before any fires or for untagged
-  // events). Callbacks use it to learn which node's context they run in.
-  uint32_t current_tag() const { return current_tag_; }
-
   // Cancels a pending event in O(1). Cancelling an already-fired, already-
   // cancelled or unknown id is a no-op (the generation tag disambiguates a
   // reused slot from the event the caller meant), and the slot is reusable
@@ -73,26 +53,11 @@ class SimEngine {
   // Runs events until the queue is empty or Stop() is called.
   void Run();
 
-  // Runs events with timestamp <= `until`, then sets now() == until.
+  // Runs events with timestamp <= `until`, then sets now() == until. The gate
+  // reads the earliest queued entry, tombstones included, so a cancelled
+  // entry at or before `until` can admit one live event past it: the
+  // historical lazy-cancel behaviour, kept for bit-identical replay.
   void RunUntil(SimTime until);
-
-  // --- Strict window primitives (sharded drains) ---------------------------
-  // Timestamp of the earliest *live* event, purging any tombstones that sit
-  // above it, or +infinity when no live event is pending. Unlike RunUntil's
-  // historical gate this never reads a cancelled entry, so a window bound
-  // computed from it cannot overshoot.
-  SimTime NextLiveWhen();
-
-  // Fires live events with when < `bound` (inclusive=false) or <= `bound`
-  // (inclusive=true) and stops — never fires past the gate the way RunUntil's
-  // tombstone quirk can, which matters when the bound is a cross-shard
-  // lookahead horizon rather than a caller convenience. Leaves now() at the
-  // last fired event; pair with AdvanceTo to close the window.
-  void DrainTo(SimTime bound, bool inclusive);
-
-  // Advances now() to `when` without firing anything. Requires when >= now()
-  // and no pending live event earlier than `when` (checked via the heap min).
-  void AdvanceTo(SimTime when);
 
   // Stops the current Run()/RunUntil() after the in-flight callback returns.
   void Stop() { stopped_ = true; }
@@ -128,7 +93,6 @@ class SimEngine {
     // Bumped every time the slot is freed (fire or cancel); a heap entry or
     // EventId carrying an older generation is stale.
     uint32_t generation = 0;
-    uint32_t tag = 0;  // ScheduleAtKeyed's opaque tag; 0 for plain events.
     bool live = false;
   };
   // Heap metadata parallel to heap_when_: what a sift moves but rarely reads
@@ -149,10 +113,6 @@ class SimEngine {
 
   void HeapPush(SimTime when, const HeapMeta& meta);
   void HeapPopTop();
-  // Pops tombstoned entries off the top until a live one (or nothing) remains.
-  void PurgeTombstonesAtTop();
-
-  EventId ScheduleInternal(SimTime when, uint64_t seq, uint32_t tag, Callback callback);
 
   // Releases `slot` back to the free list (bumps the generation).
   void FreeSlot(uint32_t slot);
@@ -170,7 +130,6 @@ class SimEngine {
   uint64_t events_processed_ = 0;
   uint64_t callback_heap_fallbacks_ = 0;
   size_t live_count_ = 0;
-  uint32_t current_tag_ = 0;
   bool stopped_ = false;
 };
 

@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -288,20 +289,56 @@ TEST(LiveputHeadToHeadTest, ProactiveBeatsReactiveOverTwentyStormCampaigns) {
   EXPECT_GE(oracle.minibatches, reactive.minibatches);
 }
 
-// A single full campaign's trace fingerprint, pinned: any change to the
-// proactive decision sequence — predictor estimates, objective scoring,
-// pre-migration trigger arithmetic — must be a conscious golden update, not
-// an accident. (Seed 7 premigrates and morphs on today's tuning.)
-TEST(LiveputHeadToHeadTest, GoldenProactiveCampaignFingerprint) {
-  const ChaosReport report = RunChaosCampaign(StormySpec(7, MorphPolicy::kProactive));
-  EXPECT_GT(report.stats.premigrated_shards, 0);  // The policy is exercised.
-  // Golden updated when live_handoffs joined the ElasticTrace serialization
-  // (fast-recovery PR): the decision sequence itself was verified unchanged —
-  // every other replay/equivalence test passed without modification.
-  EXPECT_EQ(report.fingerprint, 0x1388bd578a6004bfULL)
-      << "proactive decision sequence changed: new fingerprint 0x" << std::hex
+// --- Golden campaign fingerprints. -------------------------------------------
+//
+// Full campaigns' trace fingerprints, pinned: any change to a decision
+// sequence or to the serial engine's firing order must be a conscious golden
+// update, not an accident. The proactive row pins predictor estimates,
+// objective scoring and pre-migration trigger arithmetic (seed 7 premigrates
+// and morphs on today's tuning); the reactive rows pin the plain chaos sweep
+// and the fast-recovery path (delta checkpoints, handoff, tiered restore).
+
+struct GoldenCampaign {
+  const char* name;
+  ChaosCampaignSpec (*factory)(uint64_t seed);
+  uint64_t seed;
+  MorphPolicy policy;
+  uint64_t fingerprint;
+};
+
+void PrintTo(const GoldenCampaign& row, std::ostream* os) { *os << row.name; }
+
+class CampaignFingerprintTest : public ::testing::TestWithParam<GoldenCampaign> {};
+
+TEST_P(CampaignFingerprintTest, IsPinned) {
+  const GoldenCampaign& row = GetParam();
+  ChaosCampaignSpec spec = row.factory(row.seed);
+  spec.options.morph_policy = row.policy;
+  const ChaosReport report = RunChaosCampaign(spec);
+  if (row.policy == MorphPolicy::kProactive) {
+    EXPECT_GT(report.stats.premigrated_shards, 0);  // The policy is exercised.
+  }
+  EXPECT_EQ(report.fingerprint, row.fingerprint)
+      << row.name << " decision sequence changed: new fingerprint 0x" << std::hex
       << report.fingerprint;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, CampaignFingerprintTest,
+    ::testing::Values(
+        GoldenCampaign{"ProactiveStormy7", StormyChaosCampaign, 7, MorphPolicy::kProactive,
+                       0x1388bd578a6004bfULL},
+        GoldenCampaign{"ReactiveRandom1", RandomChaosCampaign, 1, MorphPolicy::kReactive,
+                       0x8eaf13a0b8667475ULL},
+        GoldenCampaign{"ReactiveRandom2", RandomChaosCampaign, 2, MorphPolicy::kReactive,
+                       0x8df9c496fb2b21f3ULL},
+        GoldenCampaign{"ReactiveRandom3", RandomChaosCampaign, 3, MorphPolicy::kReactive,
+                       0xf773c148c8b531c9ULL},
+        GoldenCampaign{"ReactiveFastRecovery1", FastRecoveryStormCampaign, 1,
+                       MorphPolicy::kReactive, 0x855c96132fad6121ULL}),
+    [](const ::testing::TestParamInfo<GoldenCampaign>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 // --- Cold and degenerate regimes fall back to reactive, exactly. -------------
 

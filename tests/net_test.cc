@@ -377,15 +377,6 @@ TEST(TopologyTest, LinkClassesDedupeOnLinkFields) {
   EXPECT_DOUBLE_EQ(topology.LinkClassSpec(1).nic_bandwidth_bps, GbpsToBytesPerSec(40.0));
 }
 
-TEST(TopologyTest, MinCrossShardLatencyScansCrossPairsOnly) {
-  Topology topology = TwoNodeTopology(4);
-  // Both nodes on one shard: no cross-shard pair exists.
-  EXPECT_DOUBLE_EQ(topology.MinCrossShardLatency({0, 0}), 0.0);
-  // Split shards: the bound is the fabric's mean latency (no stalls folded in
-  // TwoNodeTopology, so it equals the base latency).
-  EXPECT_DOUBLE_EQ(topology.MinCrossShardLatency({0, 1}), 300e-6);
-}
-
 TEST(NetworkTest, HyperclusterFasterThanCommodity) {
   Topology commodity(CommodityFabric());
   commodity.AddNode(Nc24V3().node);

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -179,88 +178,6 @@ TEST(SimEnginePoolTest, RunUntilFiresPastGateWhenTombstoneSortsEarlier) {
   engine.RunUntil(2.0);
   EXPECT_TRUE(late_fired);
   EXPECT_DOUBLE_EQ(engine.now(), 2.0);
-  engine.CheckInvariants();
-}
-
-TEST(SimEnginePoolTest, DrainToNeverFiresPastTheGate) {
-  // The strict window primitive must NOT reproduce the RunUntil tombstone
-  // quirk: with the same doomed-entry setup, the live event past the bound
-  // stays queued.
-  SimEngine engine;
-  bool late_fired = false;
-  const auto doomed = engine.Schedule(1.0, [] {});
-  engine.Schedule(5.0, [&] { late_fired = true; });
-  engine.Cancel(doomed);
-  engine.DrainTo(2.0, /*inclusive=*/false);
-  EXPECT_FALSE(late_fired);
-  EXPECT_EQ(engine.pending_events(), 1u);
-  engine.CheckInvariants();
-  engine.Run();
-  EXPECT_TRUE(late_fired);
-}
-
-TEST(SimEnginePoolTest, DrainToGateIsExclusiveOrInclusive) {
-  SimEngine engine;
-  std::vector<int> fired;
-  engine.Schedule(1.0, [&] { fired.push_back(1); });
-  engine.Schedule(2.0, [&] { fired.push_back(2); });
-  engine.Schedule(3.0, [&] { fired.push_back(3); });
-  // Exclusive: an event exactly at the bound belongs to the next window.
-  engine.DrainTo(2.0, /*inclusive=*/false);
-  EXPECT_EQ(fired, (std::vector<int>{1}));
-  // Inclusive: the final user horizon matches RunUntil's <= gate.
-  engine.DrainTo(2.0, /*inclusive=*/true);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
-  engine.AdvanceTo(2.5);
-  EXPECT_DOUBLE_EQ(engine.now(), 2.5);
-  engine.CheckInvariants();
-}
-
-TEST(SimEnginePoolTest, NextLiveWhenSkipsTombstones) {
-  SimEngine engine;
-  const auto doomed = engine.Schedule(1.0, [] {});
-  engine.Schedule(4.0, [] {});
-  engine.Cancel(doomed);
-  // RunUntil's historical gate would read 1.0 here; the live view reads 4.0.
-  EXPECT_DOUBLE_EQ(engine.NextLiveWhen(), 4.0);
-  engine.Run();
-  EXPECT_TRUE(std::isinf(engine.NextLiveWhen()));
-}
-
-TEST(SimEnginePoolTest, KeyedSchedulingOrdersByCallerKeyAndExposesTag) {
-  // ScheduleAtKeyed replaces the internal sequence tie-break with the
-  // caller's key — the sharded engine's (origin, emission) canon keys — and
-  // tags the event so the firing callback can learn its node context.
-  SimEngine engine;
-  std::vector<int> order;
-  std::vector<uint32_t> tags;
-  const auto record = [&](int label) {
-    return [&, label] {
-      order.push_back(label);
-      tags.push_back(engine.current_tag());
-    };
-  };
-  // Same timestamp, keys deliberately issued out of submission order.
-  engine.ScheduleAtKeyed(1.0, /*key=*/30, /*tag=*/3, record(30));
-  engine.ScheduleAtKeyed(1.0, /*key=*/10, /*tag=*/1, record(10));
-  engine.ScheduleAtKeyed(1.0, /*key=*/20, /*tag=*/2, record(20));
-  engine.ScheduleAtKeyed(0.5, /*key=*/99, /*tag=*/9, record(99));
-  engine.Run();
-  EXPECT_EQ(order, (std::vector<int>{99, 10, 20, 30}));
-  EXPECT_EQ(tags, (std::vector<uint32_t>{9, 1, 2, 3}));
-  engine.CheckInvariants();
-}
-
-TEST(SimEnginePoolTest, KeyedEventsCancelLikePlainOnes) {
-  SimEngine engine;
-  int fired = 0;
-  const auto id = engine.ScheduleAtKeyed(1.0, 7, 1, [&] { ++fired; });
-  engine.ScheduleAtKeyed(1.0, 8, 1, [&] { ++fired; });
-  engine.Cancel(id);
-  engine.Cancel(id);  // Stale double-cancel stays a no-op.
-  engine.Run();
-  EXPECT_EQ(fired, 1);
   engine.CheckInvariants();
 }
 

@@ -2,7 +2,8 @@
 """Regression tests for tools/varuna_lint.py, focused on the stripper blind
 spots this file exists to pin down: raw string literals, escaped quotes and
 backslash continuations at end-of-line, and block comments — none of which a
-naive per-line scan handles. Invoked from ctest (label `lint`)."""
+naive per-line scan handles — plus the stale-allowlist check. Invoked from
+ctest (label `lint`)."""
 
 import os
 import sys
@@ -142,6 +143,38 @@ class LintFileTest(unittest.TestCase):
         violations = self.lint("tests/t.cc", "void f() { assert(1 == 1); }\n")
         self.assertEqual(len(violations), 1)
         self.assertIn("check-macro", violations[0])
+
+
+class AllowlistTest(unittest.TestCase):
+    """Allowlist entries must name files that exist."""
+
+    def check(self, repo_root, allowlists=None):
+        linter = varuna_lint.Linter(repo_root)
+        linter.check_allowlists(allowlists)
+        return linter.violations
+
+    def test_repo_allowlists_name_existing_files(self):
+        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        self.assertEqual(self.check(repo_root), [])
+
+    def test_missing_file_is_reported(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.makedirs(os.path.join(tmp, "src"))
+            with open(os.path.join(tmp, "src", "kept.cc"), "w", encoding="utf-8"):
+                pass
+            violations = self.check(tmp, {"HOT_PATH_FILES": ("src/kept.cc", "src/gone.cc")})
+        self.assertEqual(len(violations), 1)
+        self.assertIn("[stale-allowlist]", violations[0])
+        self.assertIn("HOT_PATH_FILES names missing file src/gone.cc", violations[0])
+
+    def test_every_allowlist_is_checked(self):
+        self.assertEqual(set(varuna_lint.ALLOWLISTS),
+                         {"POOL_USER_FILES", "HOT_PATH_FILES", "HOT_PATH_ALLOW_FILES",
+                          "TIMING_ALLOW_FILES"})
+        with tempfile.TemporaryDirectory() as tmp:
+            violations = self.check(tmp)
+        entries = sum(len(entries) for entries in varuna_lint.ALLOWLISTS.values())
+        self.assertEqual(len(violations), entries)
 
 
 if __name__ == "__main__":

@@ -57,6 +57,12 @@ Rules (each can be suppressed on a line with `// varuna-lint: allow(<rule>)`):
                   parameters in src/ must take `const Tensor&` (inputs) or
                   `Tensor*` (explicit outputs, the *Into style).
 
+  stale-allowlist Every entry of POOL_USER_FILES, HOT_PATH_FILES,
+                  HOT_PATH_ALLOW_FILES and TIMING_ALLOW_FILES must name an
+                  existing file, so a deletion cannot leave a silent
+                  exemption behind for the next file at that path. Checked on
+                  every run, whatever paths are given.
+
 Semantic hazards (stream forks, include layering, fingerprint coverage) are
 the sibling C++ analyzer's job: tools/analyze (varuna_analyze). This file
 stays line-oriented; its stripper is regression-tested by
@@ -116,8 +122,6 @@ POOL_USER_FILES = THREAD_POOL_FILES + (
     "src/morph/config_search.h",        # parallel candidate evaluation
     "src/manager/elastic_trainer.h",    # morph planning off the step loop
     "src/manager/elastic_trainer.cc",
-    "src/sim/sharded_engine.h",         # per-shard window drains
-    "src/sim/sharded_engine.cc",
     "src/train/trainers.h",             # pooled micro-batch execution
     "src/train/trainers.cc",
     "src/varuna/varuna.h",              # umbrella header re-export
@@ -160,6 +164,18 @@ HOT_PATH_ALLOW_FILES = (
     "src/morph/calibration.h",
     "src/morph/calibration.cc",
 )
+
+# --- stale-allowlist --------------------------------------------------------
+
+# Every reviewed exemption must name a file that exists. Deleting a file must
+# delete its entry too, or a future file at the same path inherits the
+# exemption without review.
+ALLOWLISTS = {
+    "POOL_USER_FILES": POOL_USER_FILES,
+    "HOT_PATH_FILES": HOT_PATH_FILES,
+    "HOT_PATH_ALLOW_FILES": HOT_PATH_ALLOW_FILES,
+    "TIMING_ALLOW_FILES": TIMING_ALLOW_FILES,
+}
 
 # --- tensor-by-value --------------------------------------------------------
 
@@ -293,6 +309,14 @@ class Linter:
         rel = os.path.relpath(path, self.repo_root)
         self.violations.append(f"{rel}:{line_number}: [{rule}] {message}")
 
+    def check_allowlists(self, allowlists=None):
+        """Reports every allowlist entry that names a missing file."""
+        for name, entries in (allowlists or ALLOWLISTS).items():
+            for rel in entries:
+                if not os.path.isfile(os.path.join(self.repo_root, rel)):
+                    self.report(os.path.abspath(__file__), 0, "stale-allowlist",
+                                f"{name} names missing file {rel}; delete the entry")
+
     def lint_file(self, path):
         rel = os.path.relpath(path, self.repo_root).replace(os.sep, "/")
         try:
@@ -424,6 +448,7 @@ def main(argv):
             print(f"varuna-lint: no such path: {path}", file=sys.stderr)
             return 2
     linter = Linter(repo_root)
+    linter.check_allowlists()
     count = 0
     for file_path in iter_files(paths):
         count += 1
