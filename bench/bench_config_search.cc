@@ -16,6 +16,12 @@
 //     incremental memo-only (prune off), incremental memo + pruning — with
 //     every variant's winner asserted bit-identical to the cold oracle
 //     before anything is timed. Headline: geomean per-G speedup vs cold.
+// "Cold" means ConfigSearch::ClearCaches() before each timed sweep: memoized
+// sweeps, candidate evaluations, partitions and the per-search ScheduleCache
+// are dropped, but GenerateSchedule's process-wide schedule map is not. After
+// the one warmup every timed "cold" repeat copies its schedules from that map
+// instead of generating and validating them; so does every from-scratch
+// spot-trace sweep, because the winner check sweeps each G first.
 // Pass --no-prune to run the pruned variant as an unpruned oracle instead.
 // Writes BENCH_config_search.json (override with --json <path>).
 #include <cmath>

@@ -116,6 +116,8 @@ struct TimelineEvent {
   int pipeline_depth = 0;
   int data_parallel = 0;
   int gpus_available = 0;
+
+  bool operator==(const TimelineEvent&) const = default;
 };
 
 struct TimelineSample {
@@ -127,117 +129,122 @@ struct TimelineSample {
   int gpus_in_use = 0;
   int gpus_available = 0;
   bool checkpointing = false;
+
+  bool operator==(const TimelineSample&) const = default;
 };
 
-// Every field is classified for the replay contract, and varuna_analyze
-// (tools/analyze) cross-checks the tags against the serialization in
-// src/varuna/determinism.cc in every CI leg:
-//   // fingerprint    part of the bit-identical replay contract — MUST be
-//                     captured into the ElasticTrace and hashed;
-//   // observability  reporting/perf only — MUST NOT be fingerprinted (its
-//                     value may legitimately vary with cache warmth etc.,
-//                     or is derivable from fingerprinted state).
-// Adding a field without a tag, or tagging one inconsistently with
-// determinism.cc, fails the `lint` ctest label.
-struct SessionStats {
-  double examples_processed = 0.0;  // fingerprint
-  int64_t minibatches_done = 0;     // fingerprint
-  int morphs = 0;                   // fingerprint
-  int preemptions_hit = 0;  // fingerprint: preemptions that interrupted the job.
-  // fingerprint: preemptions after which training subsequently made progress
-  // again — the paper's headline "training survives" counter.
+// The bit-identical replay contract (§4.3, Figure 8): everything a seeded
+// session must reproduce exactly. ElasticTrace (src/varuna/determinism.h)
+// copies this record whole and ElasticTrace::Fingerprint takes it apart with
+// one structured binding, so a member added here fails to compile until it is
+// hashed too. Members are declared in hash order; state that may vary with
+// cache warmth or tuning, or that is derivable from the record, belongs in
+// SessionStats instead.
+struct ReplayRecord {
+  int64_t minibatches_done = 0;
+  int morphs = 0;
+  int preemptions_hit = 0;  // Preemptions that interrupted the job.
+  int checkpoints = 0;
+  double examples_processed = 0.0;
+  // Preemptions after which training subsequently made progress again — the
+  // paper's headline "training survives" counter.
   int preemptions_survived = 0;
-  // observability: advisory fail-stutter detections; thresholds may be tuned
-  // without invalidating recorded traces.
-  int stutters_detected = 0;
-  int checkpoints = 0;      // fingerprint
-  // observability: time spent restoring / waiting for capacity — derivable
-  // from the fingerprinted event timeline.
-  double stalled_s = 0.0;
   // --- Recovery counters (chaos campaigns assert against these). -----------
-  int restarts = 0;            // fingerprint: rollback-and-restore recoveries.
-  int heartbeat_timeouts = 0;  // fingerprint: VMs declared dead via heartbeats.
-  int morph_retries = 0;       // fingerprint: restore windows re-attempted.
-  int reprovision_retries = 0; // fingerprint: backoff reconfiguration retries.
-  int degraded_intervals = 0;  // fingerprint: entries into degraded mode.
-  int64_t shards_lost = 0;     // fingerprint: shards that died with their VM.
+  int restarts = 0;             // Rollback-and-restore recoveries.
+  int heartbeat_timeouts = 0;   // VMs declared dead via heartbeats.
+  int morph_retries = 0;        // Restore windows re-attempted.
+  int reprovision_retries = 0;  // Backoff reconfiguration retries.
+  int degraded_intervals = 0;   // Entries into degraded mode.
+  int64_t shards_lost = 0;      // Shards that died with their VM.
   // Conservation ledger: every mini-batch completion is attempted; a restore
   // rolls the uncheckpointed tail back. attempted == done + rolled_back
   // always (ElasticTrainer::CheckInvariants), so no sample is ever silently
   // lost and re-work is bounded by the checkpoint cadence.
-  // observability: exactly minibatches_done + minibatches_rolled_back.
+  int64_t minibatches_rolled_back = 0;
+  double examples_rolled_back = 0.0;
+  int64_t last_restore_step = -1;  // Checkpoint id of the latest restore.
+  // --- Liveput policy decisions (src/morph/liveput.h). ---------------------
+  // Morphs initiated by the liveput objective ahead of any preemption.
+  int proactive_morphs = 0;
+  // Checkpoint shards written early by the pre-migration trigger (expected
+  // rollback re-work exceeded the checkpoint stall cost).
+  int64_t premigrated_shards = 0;
+  // Voluntary morphs whose state moved peer-to-peer between the outgoing and
+  // incoming placements instead of a checkpoint-restore round trip.
+  int live_handoffs = 0;
+  std::vector<TimelineEvent> events;    // The manager timeline, in order.
+  std::vector<TimelineSample> samples;  // Throughput samples, in order.
+
+  bool operator==(const ReplayRecord&) const = default;
+};
+
+// A session's counters: the replay record plus reporting/perf state that is
+// never fingerprinted.
+struct SessionStats : ReplayRecord {
+  // Advisory fail-stutter detections; thresholds may be tuned without
+  // invalidating recorded traces.
+  int stutters_detected = 0;
+  // Time spent restoring / waiting for capacity — derivable from the event
+  // timeline.
+  double stalled_s = 0.0;
+  // Exactly minibatches_done + minibatches_rolled_back.
   int64_t minibatches_attempted = 0;
-  int64_t minibatches_rolled_back = 0;  // fingerprint
-  // observability: exactly examples_processed + examples_rolled_back.
+  // Exactly examples_processed + examples_rolled_back.
   double examples_attempted = 0.0;
-  double examples_rolled_back = 0.0;  // fingerprint
-  // observability: deepest single rollback, derivable from the ledger events.
+  // Deepest single rollback, derivable from the ledger events.
   int64_t max_rollback_minibatches = 0;
-  // fingerprint: checkpoint id of the latest restore.
-  int64_t last_restore_step = -1;
   // Morph-decision cost trackers (snapshots of the ConfigSearch counters):
   // whole sweeps memoized by (G, calibration, constraints) resolve without
   // re-simulation when a spot trace revisits a cluster size, and individual
   // fast-sim evaluations are memoized per (P, D, m, Nm) candidate so a morph
   // to a previously-unseen G re-simulates only genuinely new tuples, with
-  // bound-pruned candidates skipping simulation entirely.
-  uint64_t sweep_cache_hits = 0;    // observability: cache warmth, not state.
-  uint64_t sweep_cache_misses = 0;  // observability
-  uint64_t candidate_memo_hits = 0;    // observability: candidate-grain reuse.
-  uint64_t candidate_memo_misses = 0;  // observability
-  uint64_t candidates_pruned = 0;      // observability: bound-pruned, unsimulated.
+  // bound-pruned candidates skipping simulation entirely. Cache warmth, not
+  // state.
+  uint64_t sweep_cache_hits = 0;
+  uint64_t sweep_cache_misses = 0;
+  uint64_t candidate_memo_hits = 0;
+  uint64_t candidate_memo_misses = 0;
+  uint64_t candidates_pruned = 0;  // Bound-pruned, unsimulated.
   // Simulation-core perf counters (snapshots of the persistent executor and
-  // the cluster Network; reported by the benches, never fingerprinted).
-  uint64_t executor_events = 0;           // observability: DES events fired.
-  uint64_t executor_heap_fallbacks = 0;   // observability: spilled captures.
-  uint64_t executor_scratch_growths = 0;  // observability: arena growths.
-  uint64_t net_ring_cache_hits = 0;       // observability: ring-cost memo.
-  uint64_t net_ring_cache_misses = 0;     // observability
+  // the cluster Network; reported by the benches).
+  uint64_t executor_events = 0;           // DES events fired.
+  uint64_t executor_heap_fallbacks = 0;   // Spilled captures.
+  uint64_t executor_scratch_growths = 0;  // Arena growths.
+  uint64_t net_ring_cache_hits = 0;       // Ring-cost memo.
+  uint64_t net_ring_cache_misses = 0;
   // --- Liveput policy counters (src/morph/liveput.h). ----------------------
-  // fingerprint: morphs initiated by the liveput objective ahead of any
-  // preemption — part of the replayed decision sequence.
-  int proactive_morphs = 0;
-  // fingerprint: checkpoint shards written early by the pre-migration
-  // trigger (expected rollback re-work exceeded the checkpoint stall cost).
-  int64_t premigrated_shards = 0;
-  // observability: bytes moved by pre-migration checkpoints — derivable from
+  // Bytes moved by pre-migration checkpoints — derivable from
   // premigrated_shards and the model size.
   double premigrated_bytes = 0.0;
-  // observability: predictor observation count; pure instrumentation.
+  // Predictor observation count; pure instrumentation.
   int64_t predictor_updates = 0;
-  // observability: searches where the liveput argmax differed from the
-  // throughput argmax. Advisory — horizon/threshold tuning may change it
-  // without invalidating recorded traces.
+  // Searches where the liveput argmax differed from the throughput argmax.
+  // Advisory — horizon/threshold tuning may change it without invalidating
+  // recorded traces.
   int64_t liveput_wins = 0;
   // --- Fast recovery path (delta checkpoints / locality / live handoff). ---
-  // fingerprint: voluntary morphs whose state moved peer-to-peer between the
-  // outgoing and incoming placements instead of a checkpoint-restore round
-  // trip — part of the replayed decision sequence.
-  int live_handoffs = 0;
-  // observability: bytes landed by completed handoff transfer events —
-  // derivable from the fingerprinted morph timeline and the model size.
+  // Bytes landed by completed handoff transfer events — derivable from the
+  // morph timeline and the model size.
   double handoff_bytes = 0.0;
-  // observability: delta checkpoint records written (mirror of the store
-  // counter; derivable from the fingerprinted checkpoint sequence).
+  // Delta checkpoint records written (mirror of the store counter; derivable
+  // from the checkpoint sequence).
   int64_t delta_checkpoints = 0;
-  // observability: superseded/inert records garbage-collected by the store.
+  // Superseded/inert records garbage-collected by the store.
   int64_t checkpoint_records_pruned = 0;
-  // observability: chain records resolved across all priced restores (one
-  // full base + trailing deltas each) — the delta-chain-length telemetry.
+  // Chain records resolved across all priced restores (one full base +
+  // trailing deltas each) — the delta-chain-length telemetry.
   int64_t restore_chain_records = 0;
-  // observability: restore seconds by source, summed over restores —
-  // derivable from the fingerprinted event timeline and cluster state.
+  // Restore seconds by source, summed over restores — derivable from the
+  // event timeline and cluster state.
   double restore_setup_s = 0.0;
-  double restore_ssd_s = 0.0;    // observability: surviving-owner SSD reads.
-  double restore_peer_s = 0.0;   // observability: peer transfers over the fabric.
-  double restore_cloud_s = 0.0;  // observability: cloud object reads.
-  // observability: shards priced per source tier across all restores.
+  double restore_ssd_s = 0.0;    // Surviving-owner SSD reads.
+  double restore_peer_s = 0.0;   // Peer transfers over the fabric.
+  double restore_cloud_s = 0.0;  // Cloud object reads.
+  // Shards priced per source tier across all restores.
   int64_t restore_shards_ssd = 0;
-  int64_t restore_shards_peer = 0;      // observability
-  int64_t restore_shards_cloud = 0;     // observability
-  int64_t restore_shards_premigrated = 0;  // observability: restored free.
-  std::vector<TimelineEvent> events;      // fingerprint: the event timeline.
-  std::vector<TimelineSample> samples;    // fingerprint: throughput samples.
+  int64_t restore_shards_peer = 0;
+  int64_t restore_shards_cloud = 0;
+  int64_t restore_shards_premigrated = 0;  // Restored free.
 };
 
 class ElasticTrainer {

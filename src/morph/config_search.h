@@ -200,8 +200,10 @@ class ConfigSearch {
 
   ConfigSearchStats stats() const;
 
-  // Drops memoized sweeps, candidate evaluations, partitions and schedules
-  // (for cold-start benchmarking).
+  // Drops memoized sweeps, candidate evaluations, partitions and this search's
+  // ScheduleCache (for cold-start benchmarking). GenerateSchedule's
+  // process-wide schedule map survives, so a schedule generated before the
+  // call is copied from that map afterwards, not regenerated.
   void ClearCaches() const;
 
  private:

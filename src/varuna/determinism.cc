@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/spot_market.h"
@@ -45,6 +46,49 @@ class Fnv1a {
   uint64_t hash_ = 14695981039346656037ULL;
 };
 
+// One name per ReplayRecord member, in declaration order: a member added to
+// the record without a name here is a compile error, so nothing can join the
+// replay contract unhashed.
+void HashReplayRecord(const ReplayRecord& record, Fnv1a* fnv) {
+  const auto& [minibatches_done, morphs, preemptions_hit, checkpoints, examples_processed,
+               preemptions_survived, restarts, heartbeat_timeouts, morph_retries,
+               reprovision_retries, degraded_intervals, shards_lost, minibatches_rolled_back,
+               examples_rolled_back, last_restore_step, proactive_morphs, premigrated_shards,
+               live_handoffs, events, samples] = record;
+  fnv->U64(static_cast<uint64_t>(minibatches_done));
+  fnv->U64(static_cast<uint64_t>(morphs));
+  fnv->U64(static_cast<uint64_t>(preemptions_hit));
+  fnv->U64(static_cast<uint64_t>(checkpoints));
+  fnv->F64(examples_processed);
+  fnv->U64(static_cast<uint64_t>(preemptions_survived));
+  fnv->U64(static_cast<uint64_t>(restarts));
+  fnv->U64(static_cast<uint64_t>(heartbeat_timeouts));
+  fnv->U64(static_cast<uint64_t>(morph_retries));
+  fnv->U64(static_cast<uint64_t>(reprovision_retries));
+  fnv->U64(static_cast<uint64_t>(degraded_intervals));
+  fnv->U64(static_cast<uint64_t>(shards_lost));
+  fnv->U64(static_cast<uint64_t>(minibatches_rolled_back));
+  fnv->F64(examples_rolled_back);
+  fnv->U64(static_cast<uint64_t>(last_restore_step));
+  fnv->U64(static_cast<uint64_t>(proactive_morphs));
+  fnv->U64(static_cast<uint64_t>(premigrated_shards));
+  fnv->U64(static_cast<uint64_t>(live_handoffs));
+  fnv->U64(events.size());
+  for (const TimelineEvent& event : events) {
+    fnv->F64(event.time_s);
+  }
+  for (const TimelineEvent& event : events) {
+    fnv->Str(event.kind);
+  }
+  fnv->U64(samples.size());
+  for (const TimelineSample& sample : samples) {
+    fnv->F64(sample.time_s);
+  }
+  for (const TimelineSample& sample : samples) {
+    fnv->F64(sample.examples_per_s);
+  }
+}
+
 }  // namespace
 
 DeterminismScenario DefaultDeterminismScenario(uint64_t seed) {
@@ -61,73 +105,12 @@ uint64_t ElasticTrace::Fingerprint() const {
   Fnv1a fnv;
   fnv.U64(events_processed);
   fnv.F64(final_now_s);
-  fnv.U64(static_cast<uint64_t>(minibatches_done));
-  fnv.U64(static_cast<uint64_t>(morphs));
-  fnv.U64(static_cast<uint64_t>(preemptions_hit));
-  fnv.U64(static_cast<uint64_t>(checkpoints));
-  fnv.F64(examples_processed);
-  fnv.U64(static_cast<uint64_t>(preemptions_survived));
-  fnv.U64(static_cast<uint64_t>(restarts));
-  fnv.U64(static_cast<uint64_t>(heartbeat_timeouts));
-  fnv.U64(static_cast<uint64_t>(morph_retries));
-  fnv.U64(static_cast<uint64_t>(reprovision_retries));
-  fnv.U64(static_cast<uint64_t>(degraded_intervals));
-  fnv.U64(static_cast<uint64_t>(shards_lost));
-  fnv.U64(static_cast<uint64_t>(minibatches_rolled_back));
-  fnv.F64(examples_rolled_back);
-  fnv.U64(static_cast<uint64_t>(last_restore_step));
-  fnv.U64(static_cast<uint64_t>(proactive_morphs));
-  fnv.U64(static_cast<uint64_t>(premigrated_shards));
-  fnv.U64(static_cast<uint64_t>(live_handoffs));
-  fnv.U64(event_times_s.size());
-  for (const double t : event_times_s) {
-    fnv.F64(t);
-  }
-  for (const std::string& kind : event_kinds) {
-    fnv.Str(kind);
-  }
-  fnv.U64(sample_times_s.size());
-  for (const double t : sample_times_s) {
-    fnv.F64(t);
-  }
-  for (const double rate : sample_examples_per_s) {
-    fnv.F64(rate);
-  }
+  HashReplayRecord(*this, &fnv);
   return fnv.hash();
 }
 
 ElasticTrace CaptureElasticTrace(const SimEngine& engine, const ElasticTrainer& trainer) {
-  ElasticTrace trace;
-  trace.events_processed = engine.events_processed();
-  trace.final_now_s = engine.now();
-  const SessionStats& stats = trainer.stats();
-  trace.minibatches_done = stats.minibatches_done;
-  trace.morphs = stats.morphs;
-  trace.preemptions_hit = stats.preemptions_hit;
-  trace.checkpoints = stats.checkpoints;
-  trace.examples_processed = stats.examples_processed;
-  trace.preemptions_survived = stats.preemptions_survived;
-  trace.restarts = stats.restarts;
-  trace.heartbeat_timeouts = stats.heartbeat_timeouts;
-  trace.morph_retries = stats.morph_retries;
-  trace.reprovision_retries = stats.reprovision_retries;
-  trace.degraded_intervals = stats.degraded_intervals;
-  trace.shards_lost = stats.shards_lost;
-  trace.minibatches_rolled_back = stats.minibatches_rolled_back;
-  trace.examples_rolled_back = stats.examples_rolled_back;
-  trace.last_restore_step = stats.last_restore_step;
-  trace.proactive_morphs = stats.proactive_morphs;
-  trace.premigrated_shards = stats.premigrated_shards;
-  trace.live_handoffs = stats.live_handoffs;
-  for (const TimelineEvent& event : stats.events) {
-    trace.event_times_s.push_back(event.time_s);
-    trace.event_kinds.push_back(event.kind);
-  }
-  for (const TimelineSample& sample : stats.samples) {
-    trace.sample_times_s.push_back(sample.time_s);
-    trace.sample_examples_per_s.push_back(sample.examples_per_s);
-  }
-  return trace;
+  return ElasticTrace{trainer.stats(), engine.events_processed(), engine.now()};
 }
 
 ElasticTrace RunElasticScenario(const DeterminismScenario& scenario) {

@@ -14,8 +14,6 @@
 #define SRC_VARUNA_DETERMINISM_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "src/manager/elastic_trainer.h"
 #include "src/model/transformer.h"
@@ -39,45 +37,19 @@ struct DeterminismScenario {
 // Canned scenario used by tests and CI: GPT-2 2.5B on a churning 30-VM pool.
 DeterminismScenario DefaultDeterminismScenario(uint64_t seed);
 
-// Everything observable about one run, at full precision. Two runs of the
-// same scenario must compare equal member-by-member.
-struct ElasticTrace {
+// Everything observable about one run, at full precision: the engine's
+// counters plus the session's ReplayRecord, which is the replay contract.
+// Two runs of the same scenario must compare equal member-by-member.
+struct ElasticTrace : ReplayRecord {
   uint64_t events_processed = 0;
   double final_now_s = 0.0;
-  int64_t minibatches_done = 0;
-  int morphs = 0;
-  int preemptions_hit = 0;
-  int checkpoints = 0;
-  double examples_processed = 0.0;
-  // Recovery counters (chaos campaigns replay these bit-identically too).
-  int preemptions_survived = 0;
-  int restarts = 0;
-  int heartbeat_timeouts = 0;
-  int morph_retries = 0;
-  int reprovision_retries = 0;
-  int degraded_intervals = 0;
-  int64_t shards_lost = 0;
-  int64_t minibatches_rolled_back = 0;
-  double examples_rolled_back = 0.0;
-  int64_t last_restore_step = -1;
-  // Liveput-policy decisions (src/morph/liveput.h): reactive runs leave them
-  // zero, proactive runs replay them bit-identically like everything else.
-  int proactive_morphs = 0;
-  int64_t premigrated_shards = 0;
-  // Fast-recovery decisions: voluntary morphs that moved live state
-  // peer-to-peer instead of a checkpoint-restore round trip.
-  int live_handoffs = 0;
-  // (time_s, kind) for every manager timeline event, in order.
-  std::vector<double> event_times_s;
-  std::vector<std::string> event_kinds;
-  // Throughput samples, in order.
-  std::vector<double> sample_times_s;
-  std::vector<double> sample_examples_per_s;
 
   bool operator==(const ElasticTrace&) const = default;
 
-  // FNV-1a over the raw bit patterns of every field (doubles hashed via their
-  // IEEE-754 bits, so "bit-identical" means exactly that).
+  // FNV-1a over the raw bit patterns of the engine counters and the record
+  // (doubles hashed via their IEEE-754 bits, so "bit-identical" means exactly
+  // that). Timeline events contribute their times and kinds, samples their
+  // times and rates.
   uint64_t Fingerprint() const;
 };
 

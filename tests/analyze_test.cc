@@ -248,48 +248,6 @@ TEST(RngDiscipline, ObservationDrivenPredictorIsClean) {
   EXPECT_TRUE(findings.empty()) << Dump(findings);
 }
 
-// --- Pass 3: fingerprint coverage -------------------------------------------
-
-TEST(FingerprintCoverage, BadPairYieldsEveryDefectClass) {
-  const LexedFile header = LexFixture("stats/bad_stats.h", "src/manager/bad_stats.h");
-  const LexedFile serializer =
-      LexFixture("stats/bad_serializer.cc", "src/varuna/bad_serializer.cc");
-  std::vector<Finding> findings;
-  CheckFingerprintCoverage(header, serializer, &findings);
-
-  EXPECT_EQ(findings.size(), 5u) << Dump(findings);
-  auto has = [&](const std::string& needle) {
-    return std::any_of(findings.begin(), findings.end(), [&](const Finding& f) {
-      return f.rule == "fingerprint-coverage" &&
-             f.message.find(needle) != std::string::npos;
-    });
-  };
-  EXPECT_TRUE(has("examples_processed")) << Dump(findings);  // fingerprint, unserialized
-  EXPECT_TRUE(has("stutters")) << Dump(findings);            // observability, serialized
-  EXPECT_TRUE(has("orphan_counter")) << Dump(findings);      // unclassified
-  EXPECT_TRUE(has("confused")) << Dump(findings);            // conflicting tags
-  EXPECT_TRUE(has("zombie_field")) << Dump(findings);        // stale serialization
-  EXPECT_FALSE(has("waved_through")) << Dump(findings);      // suppressed
-  EXPECT_FALSE(has("minibatches_done")) << Dump(findings);   // consistent
-}
-
-TEST(FingerprintCoverage, GoodPairIsClean) {
-  const LexedFile header = LexFixture("stats/good_stats.h", "src/manager/good_stats.h");
-  const LexedFile serializer =
-      LexFixture("stats/good_serializer.cc", "src/varuna/good_serializer.cc");
-  std::vector<Finding> findings;
-  CheckFingerprintCoverage(header, serializer, &findings);
-  EXPECT_TRUE(findings.empty()) << Dump(findings);
-}
-
-TEST(FingerprintCoverage, MissingStructIsAFinding) {
-  const LexedFile header = Lex("mem", "src/manager/empty.h", "namespace varuna {}\n");
-  const LexedFile serializer = Lex("mem", "src/varuna/empty.cc", "\n");
-  std::vector<Finding> findings;
-  CheckFingerprintCoverage(header, serializer, &findings);
-  EXPECT_EQ(findings.size(), 1u) << Dump(findings);
-}
-
 // --- The real tree -----------------------------------------------------------
 
 TEST(RealTree, FullAnalysisIsClean) {

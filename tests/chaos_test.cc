@@ -134,8 +134,8 @@ TEST(ChaosScriptedTest, HeartbeatLossTriggersTimeoutRecovery) {
   // timeout-driven reconfiguration.
   EXPECT_GT(report.stats.minibatches_done, 0);
   bool saw_timeout_event = false;
-  for (const std::string& kind : report.trace.event_kinds) {
-    saw_timeout_event = saw_timeout_event || kind == "heartbeat-timeout";
+  for (const TimelineEvent& event : report.trace.events) {
+    saw_timeout_event = saw_timeout_event || event.kind == "heartbeat-timeout";
   }
   EXPECT_TRUE(saw_timeout_event);
 }
@@ -219,10 +219,10 @@ TEST(ChaosScriptedTest, CapacityCrashFallsBackToDegradedModeAndRecovers) {
   EXPECT_GE(report.stats.degraded_intervals, 1);
   bool saw_degraded = false;
   bool saw_recover_after = false;
-  for (const std::string& kind : report.trace.event_kinds) {
-    if (kind == "degraded") {
+  for (const TimelineEvent& event : report.trace.events) {
+    if (event.kind == "degraded") {
       saw_degraded = true;
-    } else if (kind == "recover" && saw_degraded) {
+    } else if (event.kind == "recover" && saw_degraded) {
       saw_recover_after = true;
     }
   }

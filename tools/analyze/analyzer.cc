@@ -32,8 +32,8 @@ class SuppressionIndex {
   std::map<int, std::vector<const std::string*>> comments_;
 };
 
-// The token stream with comments filtered out (suppressions and
-// classification tags are read from the full stream separately).
+// The token stream with comments filtered out (suppressions are read from
+// the full stream separately).
 std::vector<const Token*> CodeTokens(const LexedFile& file) {
   std::vector<const Token*> code;
   code.reserve(file.tokens.size());
@@ -355,176 +355,6 @@ void CheckRngDiscipline(const LexedFile& file, std::vector<Finding>* findings) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 3: fingerprint coverage
-// ---------------------------------------------------------------------------
-
-namespace {
-
-enum class StatsTag { kNone, kFingerprint, kObservability, kConflict };
-
-// A comment classifies a field when, after the comment markers, it *starts*
-// with the tag word — prose like "never fingerprinted" does not classify.
-StatsTag TagOfComment(const std::string& comment) {
-  size_t i = 0;
-  if (comment.rfind("//", 0) == 0 || comment.rfind("/*", 0) == 0) i = 2;
-  while (i < comment.size() && (comment[i] == ' ' || comment[i] == '-')) ++i;
-  auto word_at = [&](const char* word) {
-    const size_t n = std::string(word).size();
-    if (comment.compare(i, n, word) != 0) return false;
-    const char next = i + n < comment.size() ? comment[i + n] : ' ';
-    return next == ' ' || next == ':' || next == '.' || next == ',' || next == '*';
-  };
-  if (word_at("fingerprint")) return StatsTag::kFingerprint;
-  if (word_at("observability")) return StatsTag::kObservability;
-  return StatsTag::kNone;
-}
-
-StatsTag Merge(StatsTag a, StatsTag b) {
-  if (b == StatsTag::kNone) return a;
-  if (a == StatsTag::kNone) return b;
-  return a == b ? a : StatsTag::kConflict;
-}
-
-struct StatsField {
-  std::string name;
-  int line = 0;
-  StatsTag tag = StatsTag::kNone;
-};
-
-// Parses `struct SessionStats { ... };` out of the full token stream
-// (comments included — they carry the classifications). Returns false when
-// the struct is missing.
-bool ParseSessionStats(const LexedFile& file, std::vector<StatsField>* fields) {
-  const std::vector<Token>& toks = file.tokens;
-  size_t open = toks.size();
-  for (size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (toks[i].kind == TokKind::kIdent && toks[i].text == "struct" &&
-        toks[i + 1].kind == TokKind::kIdent && toks[i + 1].text == "SessionStats" &&
-        toks[i + 2].kind == TokKind::kPunct && toks[i + 2].text == "{") {
-      open = i + 2;
-      break;
-    }
-  }
-  if (open == toks.size()) return false;
-
-  int brace = 1;
-  StatsTag pending = StatsTag::kNone;  // leading comment tag for the next decl
-  int trailing_line = -1;              // line whose comments belong to the previous decl
-  std::vector<const Token*> decl;
-  for (size_t i = open + 1; i < toks.size() && brace > 0; ++i) {
-    const Token& t = toks[i];
-    if (t.kind == TokKind::kComment) {
-      if (t.line == trailing_line) continue;  // already consumed as a trailing tag
-      pending = Merge(pending, TagOfComment(t.text));
-      continue;
-    }
-    if (t.kind == TokKind::kPunct && t.text == "{") ++brace;
-    if (t.kind == TokKind::kPunct && t.text == "}") {
-      --brace;
-      if (brace == 0) break;
-    }
-    if (!(t.kind == TokKind::kPunct && t.text == ";") || brace > 1) {
-      decl.push_back(&t);
-      continue;
-    }
-    // End of a depth-1 declaration. Trailing tag comments live on the
-    // semicolon's physical line, after it in the stream.
-    StatsTag tag = pending;
-    for (size_t j = i + 1; j < toks.size(); ++j) {
-      if (toks[j].kind != TokKind::kComment) break;
-      if (toks[j].line != t.line) break;
-      tag = Merge(tag, TagOfComment(toks[j].text));
-    }
-    pending = StatsTag::kNone;
-    trailing_line = t.line;
-
-    // Field name: last identifier before the first top-level `=` or `{`.
-    bool is_function = false;
-    const Token* name = nullptr;
-    for (const Token* d : decl) {
-      if (d->kind == TokKind::kPunct && (d->text == "=" || d->text == "{")) break;
-      if (d->kind == TokKind::kPunct && d->text == "(") {
-        is_function = true;
-        break;
-      }
-      if (d->kind == TokKind::kIdent) name = d;
-    }
-    const bool is_alias = !decl.empty() && decl[0]->kind == TokKind::kIdent &&
-                          (decl[0]->text == "using" || decl[0]->text == "typedef" ||
-                           decl[0]->text == "static");
-    if (name != nullptr && !is_function && !is_alias) {
-      fields->push_back(StatsField{name->text, name->line, tag});
-    }
-    decl.clear();
-  }
-  return true;
-}
-
-}  // namespace
-
-void CheckFingerprintCoverage(const LexedFile& stats_header, const LexedFile& serializer,
-                              std::vector<Finding>* findings) {
-  std::vector<StatsField> fields;
-  if (!ParseSessionStats(stats_header, &fields)) {
-    Report(findings, stats_header.rel, 1, "fingerprint-coverage",
-           "no `struct SessionStats { ... }` found");
-    return;
-  }
-  const SuppressionIndex header_suppressions(stats_header);
-  const SuppressionIndex serializer_suppressions(serializer);
-
-  // Every `stats.<field>` read in the serializer.
-  std::map<std::string, int> serialized;  // field -> first line
-  const std::vector<const Token*> code = CodeTokens(serializer);
-  for (size_t i = 0; i + 2 < code.size(); ++i) {
-    if (!IsIdent(code[i], "stats") || !IsPunct(code[i + 1], ".")) continue;
-    if (code[i + 2]->kind != TokKind::kIdent) continue;
-    serialized.emplace(code[i + 2]->text, code[i + 2]->line);
-  }
-
-  std::set<std::string> known;
-  for (const StatsField& field : fields) {
-    known.insert(field.name);
-    if (header_suppressions.Allows(field.line, "fingerprint-coverage")) continue;
-    switch (field.tag) {
-      case StatsTag::kNone:
-        Report(findings, stats_header.rel, field.line, "fingerprint-coverage",
-               "SessionStats field '" + field.name + "' is unclassified; tag it "
-               "// fingerprint (replay contract) or // observability (reporting only)");
-        break;
-      case StatsTag::kConflict:
-        Report(findings, stats_header.rel, field.line, "fingerprint-coverage",
-               "SessionStats field '" + field.name + "' is tagged both fingerprint "
-               "and observability");
-        break;
-      case StatsTag::kFingerprint:
-        if (serialized.count(field.name) == 0) {
-          Report(findings, stats_header.rel, field.line, "fingerprint-coverage",
-                 "field '" + field.name + "' is tagged // fingerprint but " +
-                     serializer.rel + " never reads stats." + field.name +
-                     "; the replay contract would silently miss it");
-        }
-        break;
-      case StatsTag::kObservability:
-        if (serialized.count(field.name) != 0) {
-          Report(findings, stats_header.rel, field.line, "fingerprint-coverage",
-                 "field '" + field.name + "' is tagged // observability but " +
-                     serializer.rel + " serializes stats." + field.name +
-                     "; retag it // fingerprint or drop it from the trace");
-        }
-        break;
-    }
-  }
-  for (const auto& [name, line] : serialized) {
-    if (known.count(name) != 0) continue;
-    if (serializer_suppressions.Allows(line, "fingerprint-coverage")) continue;
-    Report(findings, serializer.rel, line, "fingerprint-coverage",
-           "stats." + name + " is serialized but is not a SessionStats field "
-           "(stale after a rename?)");
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
@@ -603,35 +433,6 @@ int RunAnalysis(const AnalyzerOptions& options, std::vector<Finding>* findings,
   for (const LexedFile& file : files) {
     if (file.rel.rfind("src/", 0) == 0) CheckRngDiscipline(file, findings);
   }
-
-  const LexedFile* stats_header = nullptr;
-  const LexedFile* serializer = nullptr;
-  for (const LexedFile& file : files) {
-    if (file.rel == options.stats_header_rel) stats_header = &file;
-    if (file.rel == options.serializer_rel) serializer = &file;
-  }
-  std::string text;
-  std::vector<LexedFile> extra;  // contract files outside the scan roots
-  extra.reserve(2);
-  if (stats_header == nullptr) {
-    const std::string path = (root / options.stats_header_rel).string();
-    if (!ReadFile(path, &text)) {
-      *error = "cannot read stats header: " + path;
-      return 2;
-    }
-    extra.push_back(Lex(path, options.stats_header_rel, text));
-    stats_header = &extra.back();
-  }
-  if (serializer == nullptr) {
-    const std::string path = (root / options.serializer_rel).string();
-    if (!ReadFile(path, &text)) {
-      *error = "cannot read serializer: " + path;
-      return 2;
-    }
-    extra.push_back(Lex(path, options.serializer_rel, text));
-    serializer = &extra.back();
-  }
-  CheckFingerprintCoverage(*stats_header, *serializer, findings);
 
   std::sort(findings->begin(), findings->end(), [](const Finding& a, const Finding& b) {
     if (a.rel != b.rel) return a.rel < b.rel;

@@ -1,6 +1,6 @@
 // varuna-analyze passes: semantic checks on the lexed token stream.
 //
-// Three hazard classes that the line-oriented varuna_lint.py regexes cannot
+// Two hazard classes that the line-oriented varuna_lint.py regexes cannot
 // see, each defending a piece of the bit-identical-replay contract:
 //
 //   layering / include-cycle
@@ -19,13 +19,9 @@
 //     passing Rng by value as a *sink* that only stores it is fine), and
 //     draws on an unnamed Rng temporary (rng-temp).
 //
-//   fingerprint-coverage
-//     Every SessionStats field must be classified with a `// fingerprint`
-//     or `// observability` comment, cross-checked against the serializer
-//     (src/varuna/determinism.cc): fingerprint-tagged fields must be read
-//     as `stats.<field>` there, observability-tagged fields must not, and
-//     no serialized name may be unknown. State can never silently join or
-//     leave the replay contract.
+// What joins the replay contract itself needs no pass: it is the ReplayRecord
+// type (src/manager/elastic_trainer.h), and ElasticTrace::Fingerprint fails
+// to compile when a record member goes unhashed.
 //
 // Any finding can be suppressed on its line with
 // `// varuna-analyze: allow(<rule>)`.
@@ -72,20 +68,14 @@ void CheckIncludeGraph(const std::vector<LexedFile>& files, const LayeringSpec& 
 // Pass 2: Rng stream discipline within one file.
 void CheckRngDiscipline(const LexedFile& file, std::vector<Finding>* findings);
 
-// Pass 3: SessionStats classification vs. the serializer, as described above.
-void CheckFingerprintCoverage(const LexedFile& stats_header, const LexedFile& serializer,
-                              std::vector<Finding>* findings);
-
 struct AnalyzerOptions {
   std::string root;                                // repo root (absolute or cwd-relative)
   std::vector<std::string> roots = {"src"};        // scan roots, relative to `root`
   std::string layering_rel = "tools/analyze/layering.txt";
-  std::string stats_header_rel = "src/manager/elastic_trainer.h";
-  std::string serializer_rel = "src/varuna/determinism.cc";
 };
 
 // Runs every pass over the tree. Returns 0 clean, 1 findings, 2 on a
-// configuration error (unreadable spec / missing contract files), with
+// configuration error (unreadable spec / scan root / source file), with
 // `error` set in the latter case.
 int RunAnalysis(const AnalyzerOptions& options, std::vector<Finding>* findings,
                 std::string* error);

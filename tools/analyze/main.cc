@@ -1,14 +1,13 @@
 // varuna_analyze: semantic static analysis for the Varuna tree.
 //
-//   varuna_analyze [--root DIR] [--layering REL] [--stats-header REL]
-//                  [--serializer REL] [scan-roots...]
+//   varuna_analyze [--root DIR] [--layering REL] [scan-roots...]
 //
 // Scan roots default to `src`; REL paths are relative to --root (default the
 // current directory). Exit status: 0 clean, 1 findings, 2 usage/config error.
 //
 // Runs in CI under the ctest label `lint` (tools/analyze/CMakeLists.txt), so
-// every leg checks layering, Rng stream discipline, and fingerprint coverage
-// on the exact tree it builds.
+// every leg checks layering and Rng stream discipline on the exact tree it
+// builds.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -19,10 +18,7 @@
 namespace {
 
 int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--root DIR] [--layering REL] [--stats-header REL] "
-               "[--serializer REL] [scan-roots...]\n",
-               argv0);
+  std::fprintf(stderr, "usage: %s [--root DIR] [--layering REL] [scan-roots...]\n", argv0);
   return 2;
 }
 
@@ -43,10 +39,6 @@ int main(int argc, char** argv) {
       if (!value(&options.root)) return Usage(argv[0]);
     } else if (arg == "--layering") {
       if (!value(&options.layering_rel)) return Usage(argv[0]);
-    } else if (arg == "--stats-header") {
-      if (!value(&options.stats_header_rel)) return Usage(argv[0]);
-    } else if (arg == "--serializer") {
-      if (!value(&options.serializer_rel)) return Usage(argv[0]);
     } else if (arg.rfind("--", 0) == 0) {
       return Usage(argv[0]);
     } else {

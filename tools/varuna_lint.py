@@ -63,8 +63,8 @@ Rules (each can be suppressed on a line with `// varuna-lint: allow(<rule>)`):
                   exemption behind for the next file at that path. Checked on
                   every run, whatever paths are given.
 
-Semantic hazards (stream forks, include layering, fingerprint coverage) are
-the sibling C++ analyzer's job: tools/analyze (varuna_analyze). This file
+Semantic hazards (stream forks, include layering) are the sibling C++
+analyzer's job: tools/analyze (varuna_analyze). This file
 stays line-oriented; its stripper is regression-tested by
 tests/varuna_lint_test.py (ctest label `lint`).
 
