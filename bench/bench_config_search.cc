@@ -17,11 +17,11 @@
 //     every variant's winner asserted bit-identical to the cold oracle
 //     before anything is timed. Headline: geomean per-G speedup vs cold.
 // "Cold" means ConfigSearch::ClearCaches() before each timed sweep: memoized
-// sweeps, candidate evaluations, partitions and the per-search ScheduleCache
-// are dropped, but GenerateSchedule's process-wide schedule map is not. After
-// the one warmup every timed "cold" repeat copies its schedules from that map
-// instead of generating and validating them; so does every from-scratch
-// spot-trace sweep, because the winner check sweeps each G first.
+// sweeps, candidate evaluations and partitions are dropped, but the
+// process-wide schedule memo behind GenerateSchedule is not. After the one
+// warmup every timed "cold" repeat reuses its schedules from that memo by
+// reference instead of generating and validating them; so does every
+// from-scratch spot-trace sweep, because the winner check sweeps each G first.
 // Pass --no-prune to run the pruned variant as an unpruned oracle instead.
 // Writes BENCH_config_search.json (override with --json <path>).
 #include <cmath>
@@ -100,7 +100,7 @@ int Run(int argc, char** argv) {
     const Partition partition = PartitionModel(prepared.sections, depth).value();
     const int replicas = gpus / depth;
     const int num_microbatches = static_cast<int>(std::ceil(8192.0 / (4.0 * replicas)));
-    const Schedule schedule =
+    const Schedule& schedule =
         GenerateSchedule(ScheduleKind::kVaruna, depth, num_microbatches);
     FastSimConfig config;
     config.sections = &prepared.sections;

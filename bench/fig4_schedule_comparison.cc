@@ -10,8 +10,8 @@ namespace {
 
 void Run() {
   std::printf("=== Figure 4: Varuna vs GPipe micro-batch schedules (4 stages, 5 ubatches) ===\n\n");
-  const Schedule varuna = GenerateSchedule(ScheduleKind::kVaruna, 4, 5);
-  const Schedule gpipe = GenerateSchedule(ScheduleKind::kGpipe, 4, 5);
+  const Schedule& varuna = GenerateSchedule(ScheduleKind::kVaruna, 4, 5);
+  const Schedule& gpipe = GenerateSchedule(ScheduleKind::kGpipe, 4, 5);
 
   std::printf("(a) Varuna schedule  —  makespan %.0f units\n%s\n",
               ScheduleMakespanUnits(varuna), RenderScheduleGantt(varuna, 112).c_str());

@@ -56,7 +56,7 @@ void Run() {
         static_cast<int>(std::ceil(8192.0 / (m * test_case.replicas)));
     Prepared prepared = Prepare(test_case.spec, test_case.depth * test_case.replicas);
     const Partition partition = PartitionModel(prepared.sections, test_case.depth).value();
-    const Schedule schedule =
+    const Schedule& schedule =
         GenerateSchedule(ScheduleKind::kVaruna, test_case.depth, num_microbatches);
 
     FastSimulator simulator(&prepared.calibration);
@@ -101,7 +101,7 @@ void BenchmarkSimulator(benchmark::State& state) {
   const Partition partition = PartitionModel(prepared.sections, depth).value();
   const int replicas = 128 / depth;
   const int num_microbatches = static_cast<int>(std::ceil(8192.0 / (4.0 * replicas)));
-  const Schedule schedule = GenerateSchedule(ScheduleKind::kVaruna, depth, num_microbatches);
+  const Schedule& schedule = GenerateSchedule(ScheduleKind::kVaruna, depth, num_microbatches);
   FastSimulator simulator(&prepared.calibration);
   FastSimConfig config;
   config.sections = &prepared.sections;

@@ -45,7 +45,7 @@ int main() {
   // 4. One mini-batch (batch 2400, micro-batch 4) through the Varuna schedule.
   const int m = 4;
   const int num_microbatches = 2400 / (m * replicas);
-  const Schedule schedule = GenerateSchedule(ScheduleKind::kVaruna, depth, num_microbatches);
+  const Schedule& schedule = GenerateSchedule(ScheduleKind::kVaruna, depth, num_microbatches);
   const auto timings = ComputeStageTimings(sections, partition, Nc6V3().gpu, m);
 
   Rng rng(1);

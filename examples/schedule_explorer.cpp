@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   // of Varuna runs F+B only.
   for (const ScheduleKind kind : {ScheduleKind::kVaruna, ScheduleKind::kGpipe,
                                   ScheduleKind::kOneFOneB, ScheduleKind::kDeepSpeed}) {
-    const Schedule schedule = GenerateSchedule(kind, depth, microbatches);
+    const Schedule& schedule = GenerateSchedule(kind, depth, microbatches);
     const double makespan = ScheduleMakespanUnits(schedule);
     const double busy_units = 4.0 * microbatches;  // Interior-stage work.
     std::printf("--- %s: makespan %.0f units, interior-stage utilisation %.0f%%%s\n",

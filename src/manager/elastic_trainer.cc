@@ -565,9 +565,9 @@ double ElasticTrainer::MeasuredMinibatchSeconds() {
     // timeout; keep the cadence rather than re-measuring a broken pipeline.
     return cached_minibatch_s_;
   }
-  // The sweep already generated+validated this shape; the cache hands it back.
-  const Schedule& schedule = search_->schedule_cache()->Get(
-      ScheduleKind::kVaruna, config_->pipeline_depth, config_->num_microbatches);
+  // The sweep already generated+validated this shape; the memo hands it back.
+  const Schedule& schedule =
+      GenerateSchedule(ScheduleKind::kVaruna, config_->pipeline_depth, config_->num_microbatches);
   const std::vector<StageTiming> timings = ComputeStageTimings(
       sections_, partition_.value(), vm_type_.gpu, config_->microbatch_size);
   ExecutorOptions exec_options;

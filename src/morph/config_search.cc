@@ -389,7 +389,7 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
     }
     const auto simulate = [&](int item, int worker) {
       Candidate& candidate = candidates[round[static_cast<size_t>(item)]];
-      const Schedule& schedule = schedule_cache_.Get(
+      const Schedule& schedule = GenerateSchedule(
           ScheduleKind::kVaruna, candidate.key.depth, candidate.key.num_microbatches);
       candidate.sim = simulators_[static_cast<size_t>(worker)].EstimateMinibatch(
           schedule, make_sim_config(candidate));
@@ -480,7 +480,6 @@ void ConfigSearch::ClearCaches() const {
   candidate_memo_.SyncContext(0);
   partitions_.clear();
   partition_known_.clear();
-  schedule_cache_.Clear();
 }
 
 }  // namespace varuna

@@ -32,8 +32,9 @@
 //     across serial and pooled sweeps (property-tested).
 // Whole sweeps are additionally memoized by (G, calibration fingerprint,
 // constraints): an exact revisit of a cluster size resolves without touching
-// the candidate table at all. A ScheduleCache generates+validates each
-// (kind, P, Nm) shape once; hits on the candidate memo never need a schedule.
+// the candidate table at all. GenerateSchedule's process-wide memo
+// generates+validates each (kind, P, Nm) shape once per process; hits on the
+// candidate memo never need a schedule.
 // All sweep-path tables are flat (sorted vectors / open addressing) per the
 // varuna_lint hot-path rule.
 #ifndef SRC_MORPH_CONFIG_SEARCH_H_
@@ -195,15 +196,15 @@ class ConfigSearch {
   // disable pruning for the exhaustive list.
   Result<std::vector<JobConfig>> Sweep(int gpus, const SearchConstraints& constraints) const;
 
-  // The shared schedule memo (also used by the manager for executor runs).
-  ScheduleCache* schedule_cache() const { return &schedule_cache_; }
+  // The process-wide schedule memo the sweep draws from (for its counters).
+  const ScheduleCache* schedule_cache() const { return &ScheduleCache::Process(); }
 
   ConfigSearchStats stats() const;
 
-  // Drops memoized sweeps, candidate evaluations, partitions and this search's
-  // ScheduleCache (for cold-start benchmarking). GenerateSchedule's
-  // process-wide schedule map survives, so a schedule generated before the
-  // call is copied from that map afterwards, not regenerated.
+  // Drops memoized sweeps, candidate evaluations and partitions (for
+  // cold-start benchmarking). The process-wide schedule memo survives, so a
+  // schedule generated before the call is reused by reference afterwards,
+  // not regenerated.
   void ClearCaches() const;
 
  private:
@@ -237,7 +238,6 @@ class ConfigSearch {
   // Sweep() calls on one instance must not overlap (the internal fan-out is
   // unaffected).
   mutable std::mutex sweep_mutex_;
-  mutable ScheduleCache schedule_cache_;
   mutable std::mutex cache_mutex_;  // Guards sweep_cache_, stats_, simulators_.
   // Whole-sweep memo, sorted by key (flat: binary-search hits, O(n) miss-only
   // inserts — a session sees hundreds of sweeps, not millions).

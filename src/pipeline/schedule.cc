@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <queue>
 #include <set>
-#include <tuple>
 
 #include "src/common/check.h"
 #include "src/common/gantt.h"
+#include "src/pipeline/schedule_cache.h"
 #include "src/pipeline/validate.h"
 
 namespace varuna {
@@ -529,6 +528,21 @@ std::vector<OpTrace> ExecuteUnits(const Schedule& schedule) {
   return trace;
 }
 
+Schedule GenerateScheduleUncached(ScheduleKind kind, int depth, int num_microbatches) {
+  switch (kind) {
+    case ScheduleKind::kVaruna:
+      return VarunaGenerator(depth, num_microbatches).Run();
+    case ScheduleKind::kGpipe:
+      return GenerateGpipe(depth, num_microbatches);
+    case ScheduleKind::kOneFOneB:
+      return GenerateOneFOneB(depth, num_microbatches);
+    case ScheduleKind::kDeepSpeed:
+      return GenerateDeepSpeed(depth, num_microbatches);
+  }
+  VARUNA_CHECK(false) << "unknown schedule kind";
+  return {};
+}
+
 }  // namespace
 
 std::string ToString(ScheduleKind kind) {
@@ -545,44 +559,19 @@ std::string ToString(ScheduleKind kind) {
   return "?";
 }
 
-Schedule GenerateScheduleUncached(ScheduleKind kind, int depth, int num_microbatches) {
-  switch (kind) {
-    case ScheduleKind::kVaruna:
-      return VarunaGenerator(depth, num_microbatches).Run();
-    case ScheduleKind::kGpipe:
-      return GenerateGpipe(depth, num_microbatches);
-    case ScheduleKind::kOneFOneB:
-      return GenerateOneFOneB(depth, num_microbatches);
-    case ScheduleKind::kDeepSpeed:
-      return GenerateDeepSpeed(depth, num_microbatches);
-  }
-  VARUNA_CHECK(false) << "unknown schedule kind";
-  return {};
-}
-
-Schedule GenerateSchedule(ScheduleKind kind, int depth, int num_microbatches) {
-  VARUNA_CHECK_GE(depth, 1);
-  VARUNA_CHECK_GE(num_microbatches, 1);
-  // Generation is deterministic; the manager regenerates the same schedules
-  // on every morphing decision, so memoise. (Single-threaded simulator.)
-  static std::map<std::tuple<ScheduleKind, int, int>, Schedule> cache;
-  const auto key = std::make_tuple(kind, depth, num_microbatches);
-  const auto it = cache.find(key);
-  if (it != cache.end()) {
-    return it->second;
-  }
+Schedule ScheduleCache::Generate(ScheduleKind kind, int depth, int num_microbatches) {
   Schedule schedule = GenerateScheduleUncached(kind, depth, num_microbatches);
   // varuna-verify: a generator bug must never reach the executor — validate
-  // once per (kind, depth, m) before the schedule enters the cache.
+  // once per (kind, depth, m) before the schedule enters the memo.
   const ScheduleValidation validation = ValidateSchedule(schedule);
   VARUNA_CHECK(validation.ok()) << "generated " << ToString(kind)
                                 << " schedule violates invariants:\n"
                                 << validation.ToString();
-  if (cache.size() > 4096) {
-    cache.erase(cache.begin());  // Bounded; evict an arbitrary entry.
-  }
-  cache[key] = schedule;
   return schedule;
+}
+
+const Schedule& GenerateSchedule(ScheduleKind kind, int depth, int num_microbatches) {
+  return ScheduleCache::Process().Get(kind, depth, num_microbatches);
 }
 
 std::string RenderScheduleGantt(const Schedule& schedule, int width) {

@@ -50,9 +50,10 @@ struct Schedule {
   bool opportunistic = false;
 };
 
-// Generates the static schedule for `kind` with `depth` stages and
-// `num_microbatches` micro-batches. Requires depth >= 1, num_microbatches >= 1.
-Schedule GenerateSchedule(ScheduleKind kind, int depth, int num_microbatches);
+// The static schedule for `kind` with `depth` stages and `num_microbatches`
+// micro-batches. Requires depth >= 1, num_microbatches >= 1. Thread-safe; the
+// reference lives as long as the process (ScheduleCache::Process()).
+const Schedule& GenerateSchedule(ScheduleKind kind, int depth, int num_microbatches);
 
 // Renders a schedule as a unit-time ASCII Gantt (Tf = Tr = 1, Tb = 2), for
 // Figure 4-style output and debugging.

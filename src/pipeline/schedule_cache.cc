@@ -7,6 +7,12 @@
 
 namespace varuna {
 
+ScheduleCache& ScheduleCache::Process() {
+  // Append-only, synchronized memo of a pure function: its only observable effect is time.
+  static ScheduleCache instance;  // varuna-lint: allow(global-state)
+  return instance;
+}
+
 uint64_t ScheduleCache::PackKey(ScheduleKind kind, int depth, int num_microbatches) {
   VARUNA_CHECK_GT(depth, 0);
   VARUNA_CHECK_GT(num_microbatches, 0);
@@ -27,28 +33,15 @@ const Schedule& ScheduleCache::Get(ScheduleKind kind, int depth, int num_microba
     ++stats_.hits;
     return *it->schedule;
   }
+  // Generate under the lock: each shape is generated and validated exactly once.
   ++stats_.misses;
-  // Generation runs under the lock: concurrent first requests for the same
-  // shape must not both generate, and a cold sweep's shapes are all distinct
-  // anyway, so contention here is a non-issue. The sorted insert is O(n) but
-  // miss-only; the hit path is a binary search over flat memory.
-  Entry entry;
-  entry.key = key;
-  entry.schedule = std::make_unique<Schedule>(GenerateSchedule(kind, depth, num_microbatches));
-  const Schedule& ref = *entry.schedule;
-  entries_.insert(it, std::move(entry));
-  return ref;
+  auto fresh = std::make_unique<Schedule>(Generate(kind, depth, num_microbatches));
+  return *entries_.insert(it, Entry{key, std::move(fresh)})->schedule;
 }
 
 ScheduleCacheStats ScheduleCache::stats() const {
   std::unique_lock<std::mutex> lock(mutex_);
   return stats_;
-}
-
-void ScheduleCache::Clear() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  entries_.clear();
-  stats_ = ScheduleCacheStats();
 }
 
 }  // namespace varuna

@@ -1,21 +1,17 @@
-// Memoized schedule generation. GenerateSchedule() builds and validates a
-// schedule from scratch on every call — O(P * Nm) work plus the full
-// ValidateSchedule() contract check — yet the sweep and the manager keep
-// asking for the same shapes: every morph event regenerates (kVaruna, P, Nm)
-// for each candidate depth, and a spot trace revisits the same cluster sizes
-// for hours. The cache keys on (kind, depth, num_microbatches) — the complete
-// input of GenerateSchedule — so each shape is generated and validated exactly
-// once per process.
+// The process's one schedule table, behind GenerateSchedule() (schedule.h).
+// Generating a schedule builds and validates it from scratch — O(P * Nm) work
+// plus the full ValidateSchedule() contract check — yet the sweep and the
+// manager keep asking for the same shapes: every morph event regenerates
+// (kVaruna, P, Nm) for each candidate depth, a spot trace revisits the same
+// cluster sizes for hours, and every elastic session owns a fresh search. The
+// memo keys on (kind, depth, num_microbatches) — the complete input of
+// generation — so each shape is generated and validated once per process.
 //
 // The index is a flat sorted vector of packed 64-bit keys (the sweep hot path
-// may not touch node-based containers — varuna_lint rule "hot-path"): lookups
-// binary-search, misses insert in key order (cold path only). Entries are
-// heap-allocated, so returned references survive later insertions.
-//
-// Thread-safe: Get() may be called concurrently from ThreadPool workers during
-// a pooled sweep. Entries are never evicted, so returned references stay valid
-// for the cache's lifetime (Clear() is the exception and must only be called
-// while no other thread is in Get()).
+// may not touch node-based containers — varuna_lint rule "hot-path"). Entries
+// are heap-allocated and never evicted, so returned references stay valid for
+// the life of the process. Thread-safe: a miss generates under the mutex, so
+// misses equals the number of generations.
 #ifndef SRC_PIPELINE_SCHEDULE_CACHE_H_
 #define SRC_PIPELINE_SCHEDULE_CACHE_H_
 
@@ -30,22 +26,23 @@ namespace varuna {
 
 struct ScheduleCacheStats {
   uint64_t hits = 0;
-  uint64_t misses = 0;
+  uint64_t misses = 0;  // Shapes generated and validated.
 };
 
 class ScheduleCache {
  public:
-  // Returns the cached schedule for the shape, generating (and validating) it
-  // on first use. The reference is stable until Clear().
+  // The process-wide instance.
+  static ScheduleCache& Process();
+
+  // Returns the schedule for the shape, generating (and validating) it on
+  // first use. The reference is valid for the life of the process.
   const Schedule& Get(ScheduleKind kind, int depth, int num_microbatches);
 
   ScheduleCacheStats stats() const;
 
-  // Drops every entry (and invalidates previously returned references). Only
-  // safe while no concurrent Get() is running.
-  void Clear();
-
  private:
+  ScheduleCache() = default;
+
   struct Entry {
     uint64_t key = 0;  // PackKey(kind, depth, num_microbatches).
     std::unique_ptr<Schedule> schedule;
@@ -54,6 +51,9 @@ class ScheduleCache {
   // depth and num_microbatches are bounded far below 2^30 (depth <= cut-point
   // count, Nm <= M_total), so the packing is collision-free.
   static uint64_t PackKey(ScheduleKind kind, int depth, int num_microbatches);
+
+  // The miss path (generate, then validate); defined beside the generators in schedule.cc.
+  static Schedule Generate(ScheduleKind kind, int depth, int num_microbatches);
 
   mutable std::mutex mutex_;
   std::vector<Entry> entries_;  // Sorted ascending by key.

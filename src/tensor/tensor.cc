@@ -318,10 +318,10 @@ void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b) {
   // against it. p0 blocks ascend, and p ascends within a block, so each
   // c[i][j] receives its k contributions in seed order.
   out->Fill(0.0f);
-  thread_local std::vector<float> packed;
+  // Per-thread scratch, rewritten before every read: no value crosses calls.
+  // .data() is hoisted: inside the hot loops it costs a TLS-wrapper call each.
+  thread_local std::vector<float> packed;  // varuna-lint: allow(global-state)
   packed.resize(static_cast<size_t>(kGemmKB) * kGemmNB);
-  // Hoisted: thread_local .data() inside the hot loops costs a TLS-wrapper
-  // call per access.
   float* const pk = packed.data();
   for (int j0 = 0; j0 < n; j0 += kGemmNB) {
     const int nb = std::min(kGemmNB, n - j0);
@@ -370,10 +370,10 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b) {
     // (lanes past m zero-padded) — k*8 reads instead of n*k for the B-panel
     // pack — then one accumulator sweeps lane i over row i's dot with every
     // B row.
-    thread_local std::vector<float> apanel;
+    // Per-thread scratch, rewritten before every read: no value crosses calls.
+    // .data() is hoisted: inside the hot loops it costs a TLS-wrapper call each.
+    thread_local std::vector<float> apanel;  // varuna-lint: allow(global-state)
     apanel.assign(static_cast<size_t>(k) * kVecWidth, 0.0f);
-    // Hoisted: thread_local .data() inside the hot loops costs a TLS-wrapper
-    // call per access.
     float* const ap = apanel.data();
     for (int i = 0; i < m; ++i) {
       const float* a_row = a.data() + static_cast<size_t>(i) * k;
@@ -397,7 +397,8 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b) {
     return;
   }
   const int n_full = n - n % kDotJB;
-  thread_local std::vector<float> panel;
+  // Per-thread scratch, rewritten before every read: no value crosses calls.
+  thread_local std::vector<float> panel;  // varuna-lint: allow(global-state)
   panel.resize(static_cast<size_t>(k) * kDotJB);
   float* const bp = panel.data();
   for (int j0 = 0; j0 < n_full; j0 += kDotJB) {

@@ -257,7 +257,7 @@ void SyncPipelineTrainer::EnsurePool() {
 
 bool SyncPipelineTrainer::OpReady(int s) const {
   const StageState& state = stages_[static_cast<size_t>(s)];
-  const auto& ops = schedule_.ops[static_cast<size_t>(s)];
+  const auto& ops = schedule_->ops[static_cast<size_t>(s)];
   if (state.cursor >= ops.size()) {
     return false;
   }
@@ -271,6 +271,10 @@ bool SyncPipelineTrainer::OpReady(int s) const {
     case PipeOpType::kBackward:
       // The last stage feeds itself (loss gradient); others wait downstream.
       return s == depth() - 1 || has_grad_[static_cast<size_t>(s)][m] != 0;
+    case PipeOpType::kIdleForward:
+    case PipeOpType::kIdleBackward:
+      VARUNA_CHECK(false) << "idle op: the trainer runs kVaruna schedules, which have none";
+      return false;
   }
   return false;
 }
@@ -279,7 +283,7 @@ void SyncPipelineTrainer::ExecuteOp(int s) {
   StageState& state = stages_[static_cast<size_t>(s)];
   Sequential& stage = *state.stage;
   const bool last = s == depth() - 1;
-  const PipeOp& op = schedule_.ops[static_cast<size_t>(s)][state.cursor];
+  const PipeOp& op = schedule_->ops[static_cast<size_t>(s)][state.cursor];
   const size_t m = static_cast<size_t>(op.microbatch);
   if (op.type == PipeOpType::kForward) {
     ++state.stash_count;
@@ -329,7 +333,7 @@ double SyncPipelineTrainer::ForwardBackward(const Batch& batch, int microbatch_s
   SplitIntoMicrobatchViews(batch.inputs.dim(0), microbatch_size, &views_);
   const int num_microbatches = static_cast<int>(views_.size());
   const int num_stages = depth();
-  schedule_ = GenerateSchedule(ScheduleKind::kVaruna, num_stages, num_microbatches);
+  schedule_ = &GenerateSchedule(ScheduleKind::kVaruna, num_stages, num_microbatches);
   scale_ = 1.0f / static_cast<float>(num_microbatches);
   batch_ = &batch;
 
@@ -385,7 +389,7 @@ double SyncPipelineTrainer::ForwardBackward(const Batch& batch, int microbatch_s
   peak_stash_slots_ = 0;
   for (int s = 0; s < num_stages; ++s) {
     VARUNA_CHECK_EQ(stages_[static_cast<size_t>(s)].cursor,
-                    schedule_.ops[static_cast<size_t>(s)].size())
+                    schedule_->ops[static_cast<size_t>(s)].size())
         << "pipeline trainer deadlock at stage " << s;
     peak_stash_slots_ = std::max(peak_stash_slots_, stages_[static_cast<size_t>(s)].peak_stash);
   }

@@ -196,7 +196,7 @@ class SyncPipelineTrainer {
   int peak_stash_slots_ = 0;
 
   // Mini-batch execution state, reused in place across calls.
-  Schedule schedule_;
+  const Schedule* schedule_ = nullptr;  // Borrowed from GenerateSchedule's memo.
   const Batch* batch_ = nullptr;
   std::vector<MicrobatchView> views_;
   // stash_[s][m]: stage s's input for micro-batch m, kept until backward and

@@ -117,7 +117,7 @@ PipelineEvalResult EvaluatePipeline(const PipelineEvalRequest& request) {
   VARUNA_CHECK(placement.ok()) << placement.error();
 
   // --- Execute.
-  const Schedule schedule =
+  const Schedule& schedule =
       GenerateSchedule(ScheduleFor(request.system), depth, result.num_microbatches);
   const std::vector<StageTiming> timings =
       ComputeStageTimings(sections.value(), partition.value(), vm.gpu, m);

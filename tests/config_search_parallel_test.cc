@@ -2,7 +2,8 @@
 // attached must return results bit-identical to a serial sweep — same
 // JobConfig vectors, doubles included — across calibration seeds, GPU counts
 // and pool sizes. Also pins the memoization semantics: repeated sweeps hit the
-// memo, recalibration invalidates it, and schedule shapes are generated once.
+// memo, recalibration invalidates it, and schedule shapes are generated once
+// per process, also under concurrent first requests.
 #include <gtest/gtest.h>
 
 #include "src/cluster/cluster.h"
@@ -145,20 +146,106 @@ TEST(ConfigSearchParallelTest, InfeasibleSweepsAreMemoizedToo) {
   EXPECT_EQ(search.stats().sweep_cache_hits, 1u);
 }
 
+// Returns a microbatch count no earlier request in this process used: above
+// 2400, the total batch every sweep and session in this binary uses (Nm <=
+// total batch), and never handed out twice, so the schedule memo tests below
+// see new shapes also under --gtest_repeat or in any test order.
+int FreshNumMicrobatches() {
+  static int next = 2401;
+  return next++;
+}
+
 TEST(ScheduleCacheTest, GeneratesEachShapeOnce) {
-  ScheduleCache cache;
-  const Schedule& a = cache.Get(ScheduleKind::kVaruna, 4, 8);
-  const Schedule& b = cache.Get(ScheduleKind::kVaruna, 4, 8);
+  ScheduleCache& memo = ScheduleCache::Process();
+  const int nm = FreshNumMicrobatches();
+  const ScheduleCacheStats before = memo.stats();
+  const Schedule& a = GenerateSchedule(ScheduleKind::kDeepSpeed, 4, nm);
+  const Schedule& b = memo.Get(ScheduleKind::kDeepSpeed, 4, nm);
   EXPECT_EQ(&a, &b);  // Stable reference, no regeneration.
-  const Schedule& c = cache.Get(ScheduleKind::kVaruna, 4, 9);
+  const Schedule& c = GenerateSchedule(ScheduleKind::kDeepSpeed, 4, FreshNumMicrobatches());
   EXPECT_NE(&a, &c);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  // Clear() drops entries and resets the counters (cold-start semantics).
-  cache.Clear();
-  (void)cache.Get(ScheduleKind::kVaruna, 4, 8);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 0u);
+  const ScheduleCacheStats after = memo.stats();
+  EXPECT_EQ(after.misses - before.misses, 2u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+}
+
+// Concurrent first requests, the race the process-wide memo exists to close:
+// every worker asking for a shape gets the one entry, and each shape is
+// generated exactly once however the requests interleave.
+TEST(ScheduleCacheTest, ConcurrentRequestsShareOneEntryPerShape) {
+  struct Shape {
+    ScheduleKind kind;
+    int depth;
+    int num_microbatches;
+  };
+  const int fresh_nm[2] = {FreshNumMicrobatches(), FreshNumMicrobatches()};
+  std::vector<Shape> shapes;
+  for (const ScheduleKind kind : {ScheduleKind::kVaruna, ScheduleKind::kGpipe,
+                                  ScheduleKind::kOneFOneB, ScheduleKind::kDeepSpeed}) {
+    for (const int depth : {2, 3}) {
+      for (const int num_microbatches : fresh_nm) {
+        shapes.push_back(Shape{kind, depth, num_microbatches});
+      }
+    }
+  }
+  constexpr int kRequestsPerShape = 4;
+  const int num_items = static_cast<int>(shapes.size()) * kRequestsPerShape;
+  std::vector<const Schedule*> got(static_cast<size_t>(num_items), nullptr);
+  const ScheduleCacheStats before = ScheduleCache::Process().stats();
+  ThreadPool pool(4);
+  // Item i asks for shape i % |shapes|: neighbouring items, which workers
+  // claim at the same time, overlap on every shape.
+  pool.ParallelFor(num_items, [&](int item, int) {
+    const Shape& shape = shapes[static_cast<size_t>(item) % shapes.size()];
+    got[static_cast<size_t>(item)] =
+        &GenerateSchedule(shape.kind, shape.depth, shape.num_microbatches);
+  });
+  const ScheduleCacheStats after = ScheduleCache::Process().stats();
+  EXPECT_EQ(after.misses - before.misses, shapes.size());
+  EXPECT_EQ(after.hits - before.hits + after.misses - before.misses,
+            static_cast<uint64_t>(num_items));
+  for (size_t i = 0; i < got.size(); ++i) {
+    const Shape& shape = shapes[i % shapes.size()];
+    EXPECT_EQ(got[i], &GenerateSchedule(shape.kind, shape.depth, shape.num_microbatches))
+        << "item " << i;
+    EXPECT_EQ(got[i]->kind, shape.kind);
+    EXPECT_EQ(got[i]->depth, shape.depth);
+    EXPECT_EQ(got[i]->num_microbatches, shape.num_microbatches);
+  }
+}
+
+// Two independent searches (own calibrations, own memos) sweeping at once on
+// two pool workers share only the process schedule memo; their results must
+// equal the same sweeps run one after the other.
+TEST(ConfigSearchParallelTest, ConcurrentSearchesMatchSerialSweeps) {
+  const SearchConstraints constraints = DefaultConstraints();
+  Fixture fixtures[2] = {Fixture(3), Fixture(11)};
+  const int gpus[2] = {36, 100};
+  std::vector<JobConfig> serial[2];
+  for (int i = 0; i < 2; ++i) {
+    ConfigSearch search(&fixtures[i].spec, &fixtures[i].sections, &fixtures[i].calibration);
+    const auto sweep = search.Sweep(gpus[i], constraints);
+    ASSERT_TRUE(sweep.ok());
+    ASSERT_FALSE(sweep.value().empty());
+    serial[i] = sweep.value();
+  }
+  ConfigSearch concurrent[2] = {
+      ConfigSearch(&fixtures[0].spec, &fixtures[0].sections, &fixtures[0].calibration),
+      ConfigSearch(&fixtures[1].spec, &fixtures[1].sections, &fixtures[1].calibration)};
+  std::vector<JobConfig> swept[2];
+  bool ok[2] = {false, false};
+  ThreadPool pool(2);
+  pool.ParallelFor(2, [&](int item, int) {
+    const auto sweep = concurrent[item].Sweep(gpus[item], constraints);
+    ok[item] = sweep.ok();
+    if (sweep.ok()) {
+      swept[item] = sweep.value();
+    }
+  });
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(ok[i]) << "search " << i;
+    EXPECT_EQ(swept[i], serial[i]) << "search " << i;
+  }
 }
 
 TEST(ConfigSearchParallelTest, SweepReusesCandidatesAcrossClusterSizes) {

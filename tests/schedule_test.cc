@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "src/pipeline/schedule.h"
@@ -213,6 +214,84 @@ TEST(ScheduleTest, OnlyVarunaIsOpportunistic) {
   EXPECT_FALSE(GenerateSchedule(ScheduleKind::kGpipe, 2, 2).opportunistic);
   EXPECT_FALSE(GenerateSchedule(ScheduleKind::kOneFOneB, 2, 2).opportunistic);
   EXPECT_FALSE(GenerateSchedule(ScheduleKind::kDeepSpeed, 2, 2).opportunistic);
+}
+
+// Golden generator output: an FNV-1a over every schedule's kind, depth, Nm,
+// opportunistic flag and each stage's (type, micro-batch) ops. The constants
+// were recorded from the generators as they stand; a change to any emitted
+// op, anywhere in the grid, moves its row. A generator rewrite must leave
+// every row untouched.
+uint64_t MixU64(uint64_t hash, uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xffULL;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+uint64_t HashSchedule(const Schedule& schedule, uint64_t hash) {
+  hash = MixU64(hash, static_cast<uint64_t>(schedule.kind));
+  hash = MixU64(hash, static_cast<uint64_t>(schedule.depth));
+  hash = MixU64(hash, static_cast<uint64_t>(schedule.num_microbatches));
+  hash = MixU64(hash, schedule.opportunistic ? 1 : 0);
+  for (const std::vector<PipeOp>& stage : schedule.ops) {
+    hash = MixU64(hash, stage.size());
+    for (const PipeOp& op : stage) {
+      hash = MixU64(hash, static_cast<uint64_t>(op.type));
+      hash = MixU64(hash, static_cast<uint64_t>(static_cast<int64_t>(op.microbatch)));
+    }
+  }
+  return hash;
+}
+
+TEST(ScheduleGoldenTest, GeneratorOutputIsPinned) {
+  struct Row {
+    ScheduleKind kind;
+    int depth;
+    uint64_t hash;  // Over Nm in kMicrobatches, ascending.
+  };
+  constexpr int kMicrobatches[] = {1, 2, 3, 5, 8, 13, 32, 64};
+  const Row rows[] = {
+      {ScheduleKind::kVaruna, 1, 0x52fcabbbe843ec85ULL},
+      {ScheduleKind::kVaruna, 2, 0x0ec09fc93692c393ULL},
+      {ScheduleKind::kVaruna, 3, 0xffa950277ed2a6c5ULL},
+      {ScheduleKind::kVaruna, 4, 0x645139c3ef09db53ULL},
+      {ScheduleKind::kVaruna, 6, 0x64006338a60e1493ULL},
+      {ScheduleKind::kVaruna, 8, 0xd629dffbe377e693ULL},
+      {ScheduleKind::kVaruna, 12, 0xc4999612bab46213ULL},
+      {ScheduleKind::kVaruna, 16, 0x1dc2c1db9ce7b953ULL},
+      {ScheduleKind::kGpipe, 1, 0x26d42596cf3c7293ULL},
+      {ScheduleKind::kGpipe, 2, 0x348a81c6842fa145ULL},
+      {ScheduleKind::kGpipe, 3, 0x743ce4390e008d13ULL},
+      {ScheduleKind::kGpipe, 4, 0x8c806f0ea98e0745ULL},
+      {ScheduleKind::kGpipe, 6, 0xd754b8d4730ebec5ULL},
+      {ScheduleKind::kGpipe, 8, 0xaa95db821249d0c5ULL},
+      {ScheduleKind::kGpipe, 12, 0x25552a6bf401a245ULL},
+      {ScheduleKind::kGpipe, 16, 0x3e149df49f39edc5ULL},
+      {ScheduleKind::kOneFOneB, 1, 0xcf870da8bd7847c5ULL},
+      {ScheduleKind::kOneFOneB, 2, 0xfb807ef468d2f913ULL},
+      {ScheduleKind::kOneFOneB, 3, 0x27995c53220f41c5ULL},
+      {ScheduleKind::kOneFOneB, 4, 0x8461c84a6368ac13ULL},
+      {ScheduleKind::kOneFOneB, 6, 0x44b6f8f5de7478d3ULL},
+      {ScheduleKind::kOneFOneB, 8, 0x80fb201070d7c113ULL},
+      {ScheduleKind::kOneFOneB, 12, 0x1064132e9cd54853ULL},
+      {ScheduleKind::kOneFOneB, 16, 0x06f93607034b5453ULL},
+      {ScheduleKind::kDeepSpeed, 1, 0x15edbf3ec4431e05ULL},
+      {ScheduleKind::kDeepSpeed, 2, 0x2a0a73c67a5d7dfbULL},
+      {ScheduleKind::kDeepSpeed, 3, 0xbb1b72581506b175ULL},
+      {ScheduleKind::kDeepSpeed, 4, 0x0be9bb6ebb0b4263ULL},
+      {ScheduleKind::kDeepSpeed, 6, 0xa9336af592e477dbULL},
+      {ScheduleKind::kDeepSpeed, 8, 0xe07a574a342defd3ULL},
+      {ScheduleKind::kDeepSpeed, 12, 0x6b037a63dd59b223ULL},
+      {ScheduleKind::kDeepSpeed, 16, 0x6e4a683dc25b0253ULL},
+  };
+  for (const Row& row : rows) {
+    uint64_t hash = 14695981039346656037ULL;
+    for (const int num_microbatches : kMicrobatches) {
+      hash = HashSchedule(GenerateSchedule(row.kind, row.depth, num_microbatches), hash);
+    }
+    EXPECT_EQ(hash, row.hash) << ToString(row.kind) << " P=" << row.depth;
+  }
 }
 
 }  // namespace

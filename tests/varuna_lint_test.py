@@ -2,8 +2,8 @@
 """Regression tests for tools/varuna_lint.py, focused on the stripper blind
 spots this file exists to pin down: raw string literals, escaped quotes and
 backslash continuations at end-of-line, and block comments — none of which a
-naive per-line scan handles — plus the stale-allowlist check. Invoked from
-ctest (label `lint`)."""
+naive per-line scan handles — plus the global-state rule's declaration
+classifier and the stale-allowlist check. Invoked from ctest (label `lint`)."""
 
 import os
 import sys
@@ -143,6 +143,61 @@ class LintFileTest(unittest.TestCase):
         violations = self.lint("tests/t.cc", "void f() { assert(1 == 1); }\n")
         self.assertEqual(len(violations), 1)
         self.assertIn("check-macro", violations[0])
+
+
+class GlobalStateTest(unittest.TestCase):
+    """The global-state rule: mutable static/thread_local variables in src/."""
+
+    lint = LintFileTest.lint
+
+    def rule_hits(self, text, rel="src/x.cc"):
+        return [v for v in self.lint(rel, text) if "[global-state]" in v]
+
+    def test_function_local_static_map_is_flagged(self):
+        violations = self.rule_hits('\n'.join([
+            'const Schedule& Get(int key) {',
+            '  static std::map<std::tuple<int, int>, Schedule> cache;',
+            '  return cache[key];',
+            '}',
+            '']))
+        self.assertEqual(len(violations), 1)
+        self.assertIn(":2:", violations[0])
+
+    def test_namespace_scope_and_thread_local_are_flagged(self):
+        violations = self.rule_hits('\n'.join([
+            'static int g_calls = 0;',
+            'thread_local std::vector<float> scratch;',
+            'static std::vector<int>',
+            '    g_table{1, 2};',
+            '']))
+        self.assertEqual([v.split(": ")[0] for v in violations],
+                         ["src/x.cc:1", "src/x.cc:2", "src/x.cc:3"])
+
+    def test_const_constexpr_and_functions_are_clean(self):
+        self.assertEqual(self.rule_hits('\n'.join([
+            'static const int kLimit = 4;',
+            'static constexpr double kScale = 0.5;',
+            'static const std::map<int, int> kNames = {};',
+            'static bool Eq(const Key& a, uint32_t size,',
+            '               int rings);',
+            'class C {',
+            '  static std::vector<std::unique_ptr<C>> Split(std::unique_ptr<C> c);',
+            '  static C& Process();',
+            '};',
+            'int x = static_cast<int>(y); static_assert(sizeof(int) == 4);',
+            '// static int in_a_comment = 0;',
+            '']), rel="src/x.h"), [])
+
+    def test_allow_comment_is_honoured(self):
+        self.assertEqual(self.rule_hits('\n'.join([
+            'C& C::Process() {',
+            '  static C instance;  // varuna-lint: allow(global-state)',
+            '  return instance;',
+            '}',
+            ''])), [])
+
+    def test_rule_covers_src_only(self):
+        self.assertEqual(self.rule_hits("static int calls = 0;\n", rel="tests/t.cc"), [])
 
 
 class AllowlistTest(unittest.TestCase):

@@ -57,6 +57,17 @@ Rules (each can be suppressed on a line with `// varuna-lint: allow(<rule>)`):
                   parameters in src/ must take `const Tensor&` (inputs) or
                   `Tensor*` (explicit outputs, the *Into style).
 
+  global-state    No process-global mutable state in src/: a `static` or
+                  `thread_local` variable, function-local or at namespace or
+                  class scope, must be const or constexpr. Mutable globals are
+                  shared between every session, search and pool worker in the
+                  process, so they race under the pool and leak history from
+                  one run into the next. Static member functions and free
+                  `static` functions are fine. The reviewed exceptions carry
+                  an allow comment with their reason (today: the process-wide
+                  schedule memo and the GEMM kernels' per-thread packing
+                  scratch).
+
   stale-allowlist Every entry of POOL_USER_FILES, HOT_PATH_FILES,
                   HOT_PATH_ALLOW_FILES and TIMING_ALLOW_FILES must name an
                   existing file, so a deletion cannot leave a silent
@@ -164,6 +175,40 @@ HOT_PATH_ALLOW_FILES = (
     "src/morph/calibration.h",
     "src/morph/calibration.cc",
 )
+
+# --- global-state -----------------------------------------------------------
+
+# A `static` / `thread_local` declaration; group 1 is the text after the
+# keyword (`static_cast` / `static_assert` fail the trailing \b).
+STATIC_DECL_RE = re.compile(r"\b(?:static|thread_local)\b(.*)")
+# Lines a declaration may span before the rule gives up on classifying it.
+STATIC_DECL_MAX_LINES = 4
+
+
+def is_mutable_static_variable(declaration):
+    """Classifies the text after a `static` / `thread_local` keyword: True for
+    a mutable variable, False for a const/constexpr variable or a function,
+    None when the text ends before the declaration can be told apart.
+
+    At template depth 0, a `(` before any of `;`, `=`, `{` or `[` makes the
+    declaration a function; otherwise it is a variable, mutable unless the
+    qualifiers before its name include const or constexpr."""
+    depth = 0
+    top_level = []
+    for c in declaration:
+        if c == "<":
+            depth += 1
+        elif c == ">":
+            depth = max(0, depth - 1)
+        elif depth == 0:
+            if c == "(":
+                return False
+            if c in ";={[":
+                words = re.findall(r"\w+", "".join(top_level))
+                return "const" not in words and "constexpr" not in words
+            top_level.append(c)
+    return None
+
 
 # --- stale-allowlist --------------------------------------------------------
 
@@ -336,6 +381,8 @@ class Linter:
         unit_scoped = rel.startswith(("src/net/", "src/cluster/")) and rel.endswith(".h")
 
         state = fresh_strip_state()
+        # An open `static` declaration: (line number, text so far, allowed).
+        static_decl = None
         for number, raw in enumerate(raw_lines, start=1):
             allowed = set(ALLOW_RE.findall(raw))
             # A line opened inside a multi-line construct (block comment, raw
@@ -378,6 +425,22 @@ class Linter:
                                     "vectors / the SimEngine slot pool / SmallCallback "
                                     "(src/sim/callback.h), or add the file to "
                                     "HOT_PATH_ALLOW_FILES deliberately")
+            if in_src:
+                match = STATIC_DECL_RE.search(code)
+                if match:
+                    static_decl = (number, match.group(1), "global-state" in allowed)
+                elif static_decl is not None:
+                    static_decl = (static_decl[0], static_decl[1] + " " + code, static_decl[2])
+                if static_decl is not None:
+                    start, declaration, exempt = static_decl
+                    verdict = is_mutable_static_variable(declaration)
+                    if verdict and not exempt:
+                        self.report(path, start, "global-state",
+                                    "mutable static/thread_local variable is process-global "
+                                    "state; make it const/constexpr, pass the state in "
+                                    "explicitly, or justify it with an allow comment")
+                    if verdict is not None or number - start + 1 >= STATIC_DECL_MAX_LINES:
+                        static_decl = None
             if in_src and "tensor-by-value" not in allowed:
                 if TENSOR_BY_VALUE_RE.search(code):
                     self.report(path, number, "tensor-by-value",
