@@ -1,31 +1,12 @@
 #include "src/manager/checkpoint.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "src/common/check.h"
 
 namespace varuna {
 namespace {
-
-// Local FNV-1a for the restore-context fingerprint (same construction as the
-// determinism module; doubles hash by IEEE-754 bit pattern).
-struct Fnv {
-  uint64_t state = 1469598103934665603ULL;
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      state ^= (v >> (8 * i)) & 0xffULL;
-      state *= 1099511628211ULL;
-    }
-  }
-  void F64(double v) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-};
 
 bool HasWrittenShard(const CheckpointRecord& record) {
   return std::any_of(record.shards.begin(), record.shards.end(),
@@ -399,31 +380,6 @@ std::vector<VmId> CheckpointStore::ShardOwnersInFlight() const {
 
 const CheckpointRecord* CheckpointStore::Record(int64_t minibatch_id) const {
   return FindRecord(minibatch_id);
-}
-
-uint64_t CheckpointStore::RestoreContextFingerprint() const {
-  Fnv fnv;
-  fnv.U64(options_.locality_aware_restore ? 1 : 0);
-  fnv.U64(static_cast<uint64_t>(options_.full_checkpoint_every));
-  fnv.F64(options_.delta_fraction);
-  fnv.F64(options_.restore_setup_s);
-  fnv.F64(options_.warm_restore_setup_s);
-  fnv.F64(options_.ssd_read_bps);
-  fnv.F64(options_.cloud_read_bps);
-  // Shape of the newest usable chain: ids, premigration, per-shard state and
-  // owner. Any change that could reprice a restore perturbs this hash.
-  const CheckpointRecord* cur = FindRecord(LatestUsable());
-  while (cur != nullptr) {
-    fnv.U64(static_cast<uint64_t>(cur->minibatch_id));
-    fnv.U64(cur->premigrated ? 1 : 0);
-    fnv.F64(cur->shard_bytes);
-    for (const CheckpointShard& shard : cur->shards) {
-      fnv.U64(static_cast<uint64_t>(shard.state));
-      fnv.U64(static_cast<uint64_t>(static_cast<int64_t>(shard.owner)));
-    }
-    cur = cur->is_delta ? FindRecord(cur->base_minibatch_id) : nullptr;
-  }
-  return fnv.state;
 }
 
 void CheckpointStore::GarbageCollect() {

@@ -208,12 +208,6 @@ class CheckpointStore {
 
   const CheckpointRecord* Record(int64_t minibatch_id) const;
 
-  // Structural fingerprint of the restore cost model: options plus the shape
-  // of the newest usable chain (ids, premigration, per-shard source tiers).
-  // The trainer folds it into the config-search memo context so checkpoint
-  // progress that changes recovery pricing rotates the memo.
-  uint64_t RestoreContextFingerprint() const;
-
   int64_t latest_local() const { return LatestUsable(); }
   int64_t latest_cloud() const { return LatestComplete(); }
   int checkpoints_written() const { return checkpoints_written_; }

@@ -206,19 +206,10 @@ SearchConstraints ElasticTrainer::MakeConstraints(bool degraded) const {
   // smaller per-GPU footprint lets shallower pipelines fit when capacity has
   // collapsed below what the normal model can place.
   constraints.cpu_offload_optimizer = options_.cpu_offload_optimizer || degraded;
-  if (ProactiveEngaged()) {
-    // Fold the predictor state into the memo context (stale hits against an
-    // older predictor become structurally impossible), and sweep unpruned:
-    // bound pruning keeps only candidates that can win on *time*, which would
-    // hide the slow-but-small configs the liveput argmax may prefer.
-    constraints.predictor_fingerprint = predictor_.Fingerprint();
-    // The liveput rescoring consumes the recovery cost model; folding its
-    // structural fingerprint makes stale hits against an older restore
-    // pricing (new chain, premigrated records, changed survivors)
-    // structurally impossible, mirroring the predictor fold above.
-    constraints.recovery_fingerprint = checkpoints_.RestoreContextFingerprint();
-    constraints.prune = false;
-  }
+  // Sweep unpruned when proactive: bound pruning keeps only candidates that
+  // can win on *time*, which would hide the slow-but-small configs the
+  // liveput argmax may prefer.
+  constraints.prune = !ProactiveEngaged();
   return constraints;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -37,12 +36,12 @@ uint64_t CandidateMemo::Hash(const CandidateKey& key) {
   return Mix64(a ^ Mix64(b ^ static_cast<uint64_t>(key.schedule_kind)));
 }
 
-bool CandidateMemo::SyncContext(uint64_t context_fingerprint) {
-  if (context_fingerprint == context_fingerprint_) {
+bool CandidateMemo::SyncContext(const CandidateContext& context) {
+  if (context == context_) {
     return false;
   }
   Clear();
-  context_fingerprint_ = context_fingerprint;
+  context_ = context;
   return true;
 }
 
@@ -189,54 +188,6 @@ const Partition* ConfigSearch::PartitionForDepth(int depth) const {
   return partitions_[index].get();
 }
 
-uint64_t ConfigSearch::ContextFingerprint(const SearchConstraints& constraints) const {
-  uint64_t hash = 14695981039346656037ULL;
-  const auto mix = [&hash](uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xffULL;
-      hash *= 1099511628211ULL;
-    }
-  };
-  const auto mix_double = [&mix](double value) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  };
-  mix(calibration_->Fingerprint());
-  mix_double(constraints.total_batch);
-  mix_double(constraints.budget.gpu_memory_bytes);
-  mix_double(constraints.budget.usable_fraction);
-  mix(static_cast<uint64_t>(constraints.gpus_per_node));
-  mix_double(constraints.shared_sync_bytes);
-  mix(constraints.cpu_offload_optimizer ? 1 : 0);
-  mix_double(constraints.microbatch_tolerance);
-  mix(static_cast<uint64_t>(constraints.microbatch_candidates));
-  mix(constraints.predictor_fingerprint);
-  mix(constraints.recovery_fingerprint);
-  // constraints.prune is deliberately excluded: pruning changes which
-  // candidates get simulated, never what a simulation returns, so memoized
-  // results stay exact across prune-mode flips.
-  return hash;
-}
-
-ConfigSearch::SweepKey ConfigSearch::MakeSweepKey(int gpus,
-                                                  const SearchConstraints& constraints) const {
-  return SweepKey{gpus,
-                  calibration_->Fingerprint(),
-                  constraints.total_batch,
-                  constraints.budget.gpu_memory_bytes,
-                  constraints.budget.usable_fraction,
-                  constraints.gpus_per_node,
-                  constraints.shared_sync_bytes,
-                  constraints.cpu_offload_optimizer,
-                  constraints.microbatch_tolerance,
-                  constraints.microbatch_candidates,
-                  constraints.prune,
-                  constraints.predictor_fingerprint,
-                  constraints.recovery_fingerprint};
-}
-
 Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
                                                    const SearchConstraints& constraints) const {
   VARUNA_CHECK_GT(constraints.total_batch, 0.0);
@@ -254,7 +205,8 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
   // L1: the whole-sweep memo. The key covers every input of the sweep (G, the
   // calibration fingerprint, all constraint fields), so a hit is exact — the
   // cached vector is the bit-identical result a fresh sweep would produce.
-  const SweepKey key = MakeSweepKey(gpus, constraints);
+  const uint64_t calibration_fingerprint = calibration_->Fingerprint();
+  const SweepKey key{gpus, calibration_fingerprint, constraints};
   int workers = 1;
   {
     std::unique_lock<std::mutex> lock(cache_mutex_);
@@ -276,9 +228,11 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
     }
   }
 
-  // L2: the candidate memo survives across G but not across calibration or
-  // constraint changes — a stale hit would be a silent wrong morph.
-  candidate_memo_.SyncContext(ContextFingerprint(constraints));
+  // L2: the candidate memo survives across G but not across a change to what
+  // make_sim_config feeds the simulator — a stale hit would be a silent wrong
+  // morph. The enumeration-only constraints reach it through the key.
+  candidate_memo_.SyncContext(
+      {calibration_fingerprint, constraints.gpus_per_node, constraints.shared_sync_bytes});
 
   const std::vector<int> ms =
       PickMicrobatchCandidates(constraints.microbatch_tolerance, constraints.microbatch_candidates);
@@ -477,7 +431,6 @@ void ConfigSearch::ClearCaches() const {
     stats_ = ConfigSearchStats();
   }
   candidate_memo_.Clear();
-  candidate_memo_.SyncContext(0);
   partitions_.clear();
   partition_known_.clear();
 }

@@ -13,13 +13,15 @@
 // The sweep is the hot path of every morph decision (§7.2), so it is built to
 // be re-run at every preemption/arrival event, with reuse at three grains:
 //   * Individual FastSimulator evaluations are memoized per candidate,
-//     keyed (P, D, m, Nm, schedule kind) within a context fingerprint over
-//     the calibration and every constraint field. Nm depends only on (D, m),
+//     keyed (P, D, m, Nm, schedule kind) within a CandidateContext: the
+//     calibration fingerprint plus the two constraint fields a simulation
+//     reads (gpus_per_node, shared_sync_bytes). Nm depends only on (D, m),
 //     so sweeps at neighboring G share almost all candidates: a morph from
 //     G=128 to a previously-unseen G=120 re-simulates only the handful of
-//     genuinely new (P, D, m) tuples. Any recalibration or constraint change
-//     rotates the context fingerprint and clears the table — a stale hit
-//     would be a silent wrong morph.
+//     genuinely new (P, D, m) tuples. A recalibration or a change to either
+//     field clears the table — a stale hit would be a silent wrong morph.
+//     The other constraints only decide which candidates are enumerated,
+//     and reach the key through (P, D, m, Nm).
 //   * A cheap analytic lower bound (FastSimulator::LowerBoundMinibatch:
 //     zero-bubble compute + minimal allreduce from calibrated scalars) prunes
 //     candidates that provably cannot beat the incumbent best before they are
@@ -30,9 +32,11 @@
 //     Round size is a constant — never the worker count — so pruning
 //     decisions, and therefore the full result vector, are bit-identical
 //     across serial and pooled sweeps (property-tested).
-// Whole sweeps are additionally memoized by (G, calibration fingerprint,
-// constraints): an exact revisit of a cluster size resolves without touching
-// the candidate table at all. GenerateSchedule's process-wide memo
+// Whole sweeps are additionally memoized by SweepKey (G, calibration
+// fingerprint, SearchConstraints), the complete input of Sweep: an exact
+// revisit of a cluster size resolves without touching the candidate table at
+// all. Availability and restore pricing are not inputs: the liveput policy
+// rescores the returned list afterwards. GenerateSchedule's process-wide memo
 // generates+validates each (kind, P, Nm) shape once per process; hits on the
 // candidate memo never need a schedule.
 // All sweep-path tables are flat (sorted vectors / open addressing) per the
@@ -40,10 +44,10 @@
 #ifndef SRC_MORPH_CONFIG_SEARCH_H_
 #define SRC_MORPH_CONFIG_SEARCH_H_
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "src/common/result.h"
@@ -93,19 +97,9 @@ struct SearchConstraints {
   // winner — and Best() — are bit-identical with or without pruning; only
   // Sweep()'s returned list thins. Disable for exhaustive diagnostics.
   bool prune = true;
-  // AvailabilityPredictor fingerprint (src/morph/liveput.h), folded in by the
-  // liveput policy; 0 when reactive or cold. Part of the memo context: any
-  // predictor learning step rotates the candidate memo and the sweep key, so
-  // a liveput rescoring can never reuse results cached under an older
-  // predictor state (conservative, like the budget field — simulated times do
-  // not depend on it, but stale-hit bugs stay structurally impossible).
-  uint64_t predictor_fingerprint = 0;
-  // CheckpointStore::RestoreContextFingerprint(), folded in by the liveput
-  // policy alongside the predictor fold; 0 when reactive or cold. The
-  // liveput rescoring amortizes survival risk by the recovery cost, so any
-  // restore-pricing change (chain frontier moved, records premigrated,
-  // survivors changed) rotates the memo context the same conservative way.
-  uint64_t recovery_fingerprint = 0;
+
+  // Every field is a Sweep input, so SweepKey compares them all.
+  auto operator<=>(const SearchConstraints&) const = default;
 };
 
 // Cumulative cache/workload counters (monotone; snapshot and subtract to
@@ -123,9 +117,9 @@ struct ConfigSearchStats {
   uint64_t candidates_pruned = 0;
 };
 
-// Identity of one fast-sim evaluation within a fixed (calibration,
-// constraints) context. The context itself is not part of the key: the memo
-// stores a context fingerprint and clears wholesale when it rotates.
+// Identity of one fast-sim evaluation within a fixed CandidateContext. The
+// context itself is not part of the key: the memo stores the context and
+// clears wholesale when it changes.
 struct CandidateKey {
   int32_t depth = 0;             // P
   int32_t replicas = 0;          // D
@@ -136,15 +130,26 @@ struct CandidateKey {
   bool operator==(const CandidateKey&) const = default;
 };
 
+// The inputs of a FastSimResult besides its CandidateKey and the instance's
+// fixed model sections: the calibration and the two constraint fields Sweep
+// copies into FastSimConfig.
+struct CandidateContext {
+  uint64_t calibration_fingerprint = 0;
+  int gpus_per_node = 0;
+  double shared_sync_bytes = 0.0;
+
+  bool operator==(const CandidateContext&) const = default;
+};
+
 // Flat open-addressing (linear-probe, power-of-two capacity) table from
 // CandidateKey to FastSimResult. Not thread-safe: ConfigSearch only touches
 // it from the serial phases of a sweep (probes before the fan-out, inserts
 // after each round's join), which is what keeps the hit path lock-free.
 class CandidateMemo {
  public:
-  // Clears the table when `context_fingerprint` differs from the stored one
-  // (recalibration or changed constraints). Returns true if it cleared.
-  bool SyncContext(uint64_t context_fingerprint);
+  // Clears the table when `context` differs from the stored one
+  // (recalibration or a changed simulation input). Returns true if it cleared.
+  bool SyncContext(const CandidateContext& context);
 
   // Null on miss. The pointer is invalidated by the next Insert().
   const FastSimResult* Find(const CandidateKey& key) const;
@@ -165,7 +170,7 @@ class CandidateMemo {
 
   std::vector<Slot> slots_;  // Capacity a power of two (or empty).
   size_t size_ = 0;
-  uint64_t context_fingerprint_ = 0;
+  CandidateContext context_;
 };
 
 class ConfigSearch {
@@ -215,18 +220,15 @@ class ConfigSearch {
   // (it depends only on the fixed model sections). Null when infeasible.
   const Partition* PartitionForDepth(int depth) const;
 
-  // FNV-1a over the calibration fingerprint and every constraint field that
-  // can influence a candidate's enumeration or simulated time. The candidate
-  // memo clears when this rotates (conservative: a budget change cannot alter
-  // sim results, but forcing re-simulation makes stale-hit bugs structurally
-  // impossible and is covered by the invalidation tests).
-  uint64_t ContextFingerprint(const SearchConstraints& constraints) const;
+  // The complete input of Sweep. An empty cached vector records an
+  // infeasible sweep.
+  struct SweepKey {
+    int gpus = 0;
+    uint64_t calibration_fingerprint = 0;
+    SearchConstraints constraints;
 
-  // (G, calibration fingerprint, every constraint field): the complete input
-  // of Sweep. An empty cached vector records an infeasible sweep.
-  using SweepKey = std::tuple<int, uint64_t, double, double, double, int, double, bool,
-                              double, int, bool, uint64_t, uint64_t>;
-  SweepKey MakeSweepKey(int gpus, const SearchConstraints& constraints) const;
+    auto operator<=>(const SweepKey&) const = default;
+  };
 
   const TransformerSpec* spec_;
   const ModelSections* sections_;

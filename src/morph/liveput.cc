@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "src/common/check.h"
 
@@ -152,49 +151,6 @@ double AvailabilityPredictor::PlacementSurvival(int vms_used, double horizon_s) 
     return 1.0;
   }
   return std::pow(NodeSurvival(horizon_s), static_cast<double>(vms_used));
-}
-
-uint64_t AvailabilityPredictor::Fingerprint() const {
-  uint64_t hash = 14695981039346656037ULL;
-  const auto mix = [&hash](uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xffULL;
-      hash *= 1099511628211ULL;
-    }
-  };
-  const auto mix_double = [&mix](double value) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  };
-  mix(oracle_ ? 1 : 0);
-  mix_double(oracle_hazard_per_s_);
-  mix(static_cast<uint64_t>(preemptions_));
-  mix(static_cast<uint64_t>(grants_));
-  // Quantized at window granularity: quiet accrual inside one window keeps
-  // the fingerprint (and therefore the candidate-memo context) stable.
-  mix(static_cast<uint64_t>(std::floor(up_exposure_windows_)));
-  mix(static_cast<uint64_t>(std::floor(down_exposure_windows_)));
-  // The decayed shadows drive the estimates, so they are covered too —
-  // quarter-count / whole-window resolution bounds how often pure decay
-  // rotates the memo context (conservative: a rotation only costs misses).
-  mix(static_cast<uint64_t>(std::llround(decayed_preemptions_ * 4.0)));
-  mix(static_cast<uint64_t>(std::llround(decayed_grants_ * 4.0)));
-  mix(static_cast<uint64_t>(std::floor(decayed_up_exposure_)));
-  mix(static_cast<uint64_t>(std::floor(decayed_down_exposure_)));
-  mix_double(options_.decay_tau_s);
-  mix_double(options_.storm_gate_kills);
-  mix(static_cast<uint64_t>(up_));
-  mix(static_cast<uint64_t>(demand_hint_));
-  mix(forecasts_.size());
-  for (const auto& [at_s, vms] : forecasts_) {
-    mix_double(at_s);
-    mix(static_cast<uint64_t>(vms));
-  }
-  mix_double(options_.window_s);
-  mix_double(options_.laplace_alpha);
-  return hash;
 }
 
 int LiveputObjective::VmsUsed(const JobConfig& config) const {

@@ -26,10 +26,10 @@
 //     the whole horizon. Fewer VMs still ⇒ higher survival, but the argmax
 //     only trades throughput for robustness when the recovery cost warrants.
 //
-// The predictor's Fingerprint() is folded into SearchConstraints (and from
-// there into the candidate-memo context and the sweep key), so any learning
-// step rotates the memo context: a liveput decision can never be served a
-// candidate memoized under an older predictor state.
+// Neither piece is a ConfigSearch input: throughput estimates do not depend
+// on availability, so the sweep and its memos key on the search inputs alone.
+// The objective reads the live predictor and recovery cost only when it
+// rescores the sweep's list.
 #ifndef SRC_MORPH_LIVEPUT_H_
 #define SRC_MORPH_LIVEPUT_H_
 
@@ -120,11 +120,6 @@ class AvailabilityPredictor {
   double NodeSurvival(double horizon_s) const;
   // P(all `vms_used` placement nodes survive) = NodeSurvival^vms_used.
   double PlacementSurvival(int vms_used, double horizon_s) const;
-
-  // FNV-1a over the decision-relevant state: transition counts, quantized
-  // exposure, population and forecasts. Any observation that can change a
-  // survival estimate rotates it; quiet accrual within one window does not.
-  uint64_t Fingerprint() const;
 
  private:
   // Accrues exposure windows for the up and down populations up to now_s and

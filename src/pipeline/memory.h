@@ -8,6 +8,8 @@
 #ifndef SRC_PIPELINE_MEMORY_H_
 #define SRC_PIPELINE_MEMORY_H_
 
+#include <compare>
+
 #include "src/model/cutpoints.h"
 #include "src/model/transformer.h"
 #include "src/pipeline/schedule.h"
@@ -18,6 +20,8 @@ struct MemoryBudget {
   double gpu_memory_bytes = 0.0;
   // Fraction usable by the job (CUDA context, fragmentation, comm buffers).
   double usable_fraction = 0.92;
+
+  auto operator<=>(const MemoryBudget&) const = default;
 };
 
 struct MemoryEstimate {

@@ -7,9 +7,15 @@
 //     (pruning rounds are a fixed size, never the worker count).
 //   * The analytic lower bound never exceeds the simulated time (the
 //     pruning-soundness invariant).
-//   * Stale-hit safety: recalibration and any constraint change (budget,
-//     micro-batch tolerance/candidates, M_total) clear the candidate memo
-//     and force re-simulation — a stale hit would be a silent wrong morph.
+//   * Stale-hit safety: recalibration and a change to either simulation
+//     input the sweep copies from its constraints (gpus_per_node,
+//     shared_sync_bytes) clear the candidate memo and force re-simulation —
+//     a stale hit would be a silent wrong morph. M_total changes every Nm,
+//     so it re-simulates through the key.
+//   * Enumeration-only constraints (budget, CPU offload, micro-batch
+//     tolerance/candidates, pruning) re-run the sweep but keep the candidate
+//     memo: a warm instance reuses candidates and still returns exactly what
+//     a cold instance returns.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -22,7 +28,6 @@
 #include "src/model/op_graph.h"
 #include "src/morph/calibration.h"
 #include "src/morph/config_search.h"
-#include "src/morph/liveput.h"
 
 namespace varuna {
 namespace {
@@ -210,21 +215,15 @@ TEST(ConfigSearchIncrementalTest, RecalibrationForcesResimulation) {
   });
 }
 
-TEST(ConfigSearchIncrementalTest, BudgetChangeForcesResimulation) {
+TEST(ConfigSearchIncrementalTest, GpusPerNodeChangeForcesResimulation) {
   ExpectFullResimulation([](Fixture*, SearchConstraints* constraints) {
-    constraints->budget.gpu_memory_bytes *= 2.0;
+    constraints->gpus_per_node = 4;
   });
 }
 
-TEST(ConfigSearchIncrementalTest, ToleranceChangeForcesResimulation) {
+TEST(ConfigSearchIncrementalTest, SharedSyncBytesChangeForcesResimulation) {
   ExpectFullResimulation([](Fixture*, SearchConstraints* constraints) {
-    constraints->microbatch_tolerance = 0.25;
-  });
-}
-
-TEST(ConfigSearchIncrementalTest, MicrobatchCandidatesChangeForcesResimulation) {
-  ExpectFullResimulation([](Fixture*, SearchConstraints* constraints) {
-    constraints->microbatch_candidates = 1;
+    constraints->shared_sync_bytes = 64.0 * 1024 * 1024;
   });
 }
 
@@ -234,45 +233,68 @@ TEST(ConfigSearchIncrementalTest, TotalBatchChangeForcesResimulation) {
   });
 }
 
-TEST(ConfigSearchIncrementalTest, PredictorLearningStepForcesResimulation) {
-  // A liveput predictor learning step (src/morph/liveput.h) rotates its
-  // fingerprint; the memo context must rotate with it, so a liveput decision
-  // can never be served a candidate memoized under an older predictor state.
-  ExpectFullResimulation([](Fixture*, SearchConstraints* constraints) {
-    AvailabilityPredictor predictor;
-    const uint64_t cold = predictor.Fingerprint();
-    predictor.ObserveGrant(10.0);
-    predictor.ObservePreemption(200.0);
-    ASSERT_NE(predictor.Fingerprint(), cold);
-    constraints->predictor_fingerprint = predictor.Fingerprint();
+// --- Enumeration-only constraints: re-sweep, reuse, never behaviour. -------
+
+// Runs one sweep under `before`, applies `mutate`, and checks the change
+// against a cold instance. Each of these changes alters which candidates a
+// sweep enumerates (or prunes), never what a simulation returns: the sweep
+// itself is re-run (no stale whole-sweep hit), the candidate memo survives
+// (at least one candidate is reused), and the warm instance returns exactly
+// the sweep a cold instance returns. Every `after` is unpruned, so both lists
+// are exhaustive and comparable element by element.
+template <typename Mutate>
+void ExpectExactReuse(const SearchConstraints& before, Mutate&& mutate) {
+  SearchConstraints after = before;
+  mutate(&after);
+  ASSERT_FALSE(after.prune);
+  Fixture fx;
+  ConfigSearch warm(&fx.spec, &fx.sections, &fx.calibration);
+  ASSERT_TRUE(warm.Sweep(36, before).ok());
+  const ConfigSearchStats first = warm.stats();
+  const auto warm_sweep = warm.Sweep(36, after);
+  ConfigSearch cold(&fx.spec, &fx.sections, &fx.calibration);
+  const auto cold_sweep = cold.Sweep(36, after);
+  ASSERT_TRUE(warm_sweep.ok());
+  ASSERT_TRUE(cold_sweep.ok());
+  EXPECT_EQ(warm.stats().sweep_cache_hits, first.sweep_cache_hits);
+  EXPECT_GT(warm.stats().candidate_memo_hits, first.candidate_memo_hits);
+  EXPECT_EQ(warm_sweep.value(), cold_sweep.value());
+}
+
+SearchConstraints UnprunedConstraints() {
+  SearchConstraints constraints = DefaultConstraints();
+  constraints.prune = false;
+  return constraints;
+}
+
+TEST(ConfigSearchIncrementalTest, BudgetChangeForcesResimulation) {
+  ExpectExactReuse(UnprunedConstraints(), [](SearchConstraints* constraints) {
+    constraints->budget.gpu_memory_bytes *= 2.0;
   });
 }
 
-// Positive control: an *unchanged* predictor fingerprint is part of a stable
-// memo context — the repeat sweep is served from the sweep cache (zero new
-// simulations) and its candidates are bit-identical (operator==, doubles
-// included).
-TEST(ConfigSearchIncrementalTest, UnchangedPredictorFingerprintReusesBitIdentically) {
-  Fixture fx;
-  SearchConstraints constraints = DefaultConstraints();
-  constraints.prune = false;
-  AvailabilityPredictor predictor;
-  predictor.ObservePreemption(60.0);
-  constraints.predictor_fingerprint = predictor.Fingerprint();
-  ConfigSearch search(&fx.spec, &fx.sections, &fx.calibration);
-  const auto first = search.Sweep(36, constraints);
-  ASSERT_TRUE(first.ok());
-  const ConfigSearchStats before = search.stats();
-  ASSERT_GT(before.candidates_simulated, 0u);
-  const auto second = search.Sweep(36, constraints);
-  ASSERT_TRUE(second.ok());
-  const ConfigSearchStats after = search.stats();
-  EXPECT_EQ(after.candidates_simulated, before.candidates_simulated);
-  EXPECT_GT(after.sweep_cache_hits, before.sweep_cache_hits);
-  ASSERT_EQ(first.value().size(), second.value().size());
-  for (size_t i = 0; i < first.value().size(); ++i) {
-    EXPECT_TRUE(first.value()[i] == second.value()[i]) << "candidate " << i;
-  }
+TEST(ConfigSearchIncrementalTest, ToleranceChangeForcesResimulation) {
+  ExpectExactReuse(UnprunedConstraints(), [](SearchConstraints* constraints) {
+    constraints->microbatch_tolerance = 0.25;
+  });
+}
+
+TEST(ConfigSearchIncrementalTest, MicrobatchCandidatesChangeForcesResimulation) {
+  ExpectExactReuse(UnprunedConstraints(), [](SearchConstraints* constraints) {
+    constraints->microbatch_candidates = 1;
+  });
+}
+
+TEST(ConfigSearchIncrementalTest, CpuOffloadChangeReusesCandidatesExactly) {
+  ExpectExactReuse(UnprunedConstraints(), [](SearchConstraints* constraints) {
+    constraints->cpu_offload_optimizer = true;
+  });
+}
+
+TEST(ConfigSearchIncrementalTest, PruneOffReusesCandidatesExactly) {
+  ExpectExactReuse(DefaultConstraints(), [](SearchConstraints* constraints) {
+    constraints->prune = false;
+  });
 }
 
 // Positive control: with nothing mutated, a new G reuses candidates instead

@@ -181,25 +181,6 @@ TEST(LiveputObjectiveTest, PlacementSurvivalIsMonotoneInVmsUsed) {
   }
 }
 
-// --- Fingerprint: rotation on learning, stability on quiet accrual. ----------
-
-TEST(AvailabilityPredictorTest, FingerprintRotatesOnObservationsOnly) {
-  AvailabilityPredictor predictor;
-  predictor.SetDemandHint(4);
-  predictor.ObserveGrant(0.0);
-  const uint64_t after_grant = predictor.Fingerprint();
-  // Quiet accrual within one window (and one decay quantum) is not a
-  // learning step: the candidate-memo context must hold still.
-  predictor.ObserveQuiet(1.0);
-  EXPECT_EQ(predictor.Fingerprint(), after_grant);
-  predictor.ObservePreemption(2.0);
-  EXPECT_NE(predictor.Fingerprint(), after_grant);
-  // Forecasts are decision-relevant state too (oracle pre-migration).
-  const uint64_t before_forecast = predictor.Fingerprint();
-  predictor.ForecastStorm(500.0, 2);
-  EXPECT_NE(predictor.Fingerprint(), before_forecast);
-}
-
 // --- Campaign helpers. -------------------------------------------------------
 
 ChaosCampaignSpec StormySpec(uint64_t seed, MorphPolicy policy) {
