@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
       Calibrate(sections, cluster, CalibrationOptions(), &rng).value();
   std::printf("calibration: %zu sections profiled; allreduce fit bw=%.2f Gbps, "
               "step latency %.2f ms; transfer tail p=%.3f mean=%.0f ms\n\n",
-              calibration.sections.size(), calibration.allreduce.bandwidth_bps * 8 / 1e9,
-              calibration.allreduce.step_latency_s * 1e3, calibration.send_stall_probability,
-              calibration.send_stall_mean_s * 1e3);
+              calibration.sections().size(), calibration.allreduce().bandwidth_bps * 8 / 1e9,
+              calibration.allreduce().step_latency_s * 1e3, calibration.send_stall().probability,
+              calibration.send_stall().mean_s * 1e3);
 
   ConfigSearch search(&spec, &sections, &calibration);
   SearchConstraints constraints;

@@ -31,15 +31,18 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double Percentile(std::vector<double> samples, double q) {
+double Percentile(std::span<double> samples, double q) {
   VARUNA_CHECK(!samples.empty());
   VARUNA_CHECK(q >= 0.0 && q <= 1.0);
-  std::sort(samples.begin(), samples.end());
   const double position = q * static_cast<double>(samples.size() - 1);
   const size_t lower = static_cast<size_t>(position);
-  const size_t upper = std::min(lower + 1, samples.size() - 1);
   const double fraction = position - static_cast<double>(lower);
-  return samples[lower] * (1.0 - fraction) + samples[upper] * fraction;
+  const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(lower);
+  std::nth_element(samples.begin(), nth, samples.end());
+  // After the selection everything past `nth` is >= it, so the next order
+  // statistic is the smallest of that upper part.
+  const double upper = nth + 1 == samples.end() ? *nth : *std::min_element(nth + 1, samples.end());
+  return *nth * (1.0 - fraction) + upper * fraction;
 }
 
 double Mean(const std::vector<double>& samples) {

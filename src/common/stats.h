@@ -4,6 +4,7 @@
 #define SRC_COMMON_STATS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace varuna {
@@ -30,8 +31,11 @@ class RunningStats {
 };
 
 // Percentile of a sample set (linear interpolation between order statistics).
-// `q` in [0, 1]. Requires a non-empty sample vector; copies and sorts.
-double Percentile(std::vector<double> samples, double q);
+// `q` in [0, 1]. Requires a non-empty span. Reorders `samples` in place
+// (a selection, not a full sort) and makes no copy: a caller that still needs
+// the original order passes a scratch copy. Bit-identical to interpolating
+// over the sorted samples.
+double Percentile(std::span<double> samples, double q);
 
 // Mean of a sample set. Requires non-empty.
 double Mean(const std::vector<double>& samples);

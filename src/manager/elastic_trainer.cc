@@ -545,13 +545,15 @@ void ElasticTrainer::ScheduleReprovisionRetry() {
 }
 
 double ElasticTrainer::MeasuredMinibatchSeconds() {
-  std::vector<double> slow_factors;
+  slow_factors_.clear();
   bool placement_intact = true;
-  for (const GpuId gpu : placement_->AllGpus()) {
-    slow_factors.push_back(cluster_->SlowFactor(gpu));
-    placement_intact = placement_intact && cluster_->GpuActive(gpu);
+  for (const std::vector<GpuId>& pipeline : placement_->gpus) {
+    for (const GpuId gpu : pipeline) {
+      slow_factors_.push_back(cluster_->SlowFactor(gpu));
+      placement_intact = placement_intact && cluster_->GpuActive(gpu);
+    }
   }
-  if (cached_minibatch_s_ > 0.0 && (slow_factors == cached_slow_factors_ || !placement_intact)) {
+  if (cached_minibatch_s_ > 0.0 && (slow_factors_ == cached_slow_factors_ || !placement_intact)) {
     // A dead VM in the placement means the job is limping toward a heartbeat
     // timeout; keep the cadence rather than re-measuring a broken pipeline.
     return cached_minibatch_s_;
@@ -571,7 +573,7 @@ double ElasticTrainer::MeasuredMinibatchSeconds() {
   const MinibatchResult result = executor_.Run(schedule, placement_.value(), timings,
                                                config_->microbatch_size, exec_options);
   cached_minibatch_s_ = result.total_time_s;
-  cached_slow_factors_ = std::move(slow_factors);
+  cached_slow_factors_.swap(slow_factors_);
   // Snapshot the simulation-core counters (bench JSON reads them off stats()).
   stats_.executor_events = executor_.events_processed();
   stats_.executor_heap_fallbacks = executor_.callback_heap_fallbacks();
@@ -679,14 +681,18 @@ void ElasticTrainer::OnMinibatchDone(int64_t epoch) {
 }
 
 bool ElasticTrainer::HeartbeatsMuted(VmId vm) const {
-  const auto it = heartbeat_mute_until_.find(vm);
-  return it != heartbeat_mute_until_.end() && it->second > engine_->now();
+  const auto index = static_cast<size_t>(vm);
+  return index < heartbeat_mute_until_.size() && heartbeat_mute_until_[index] > engine_->now();
 }
 
 void ElasticTrainer::MuteHeartbeats(VmId vm, double duration_s) {
   VARUNA_CHECK_GE(vm, 0);
   VARUNA_CHECK_GT(duration_s, 0.0);
-  double& deadline = heartbeat_mute_until_[vm];
+  const auto index = static_cast<size_t>(vm);
+  if (index >= heartbeat_mute_until_.size()) {
+    heartbeat_mute_until_.resize(index + 1, 0.0);
+  }
+  double& deadline = heartbeat_mute_until_[index];
   deadline = std::max(deadline, engine_->now() + duration_s);
 }
 
@@ -711,28 +717,35 @@ void ElasticTrainer::ProcessHeartbeats() {
   if (!running_ || !placement_.has_value()) {
     return;
   }
-  const std::vector<GpuId> gpus = placement_->AllGpus();
-  std::vector<GpuId> reporting;
-  std::vector<double> heartbeat_times;
+  heartbeat_gpus_.clear();
+  heartbeat_times_.clear();
   std::vector<VmId> silent;
-  for (const GpuId gpu : gpus) {
-    const VmId vm = cluster_->VmOfGpu(gpu);
-    if (!cluster_->IsActive(vm) || HeartbeatsMuted(vm)) {
-      if (std::find(silent.begin(), silent.end(), vm) == silent.end()) {
-        silent.push_back(vm);
+  for (const std::vector<GpuId>& pipeline : placement_->gpus) {
+    for (const GpuId gpu : pipeline) {
+      const VmId vm = cluster_->VmOfGpu(gpu);
+      if (!cluster_->IsActive(vm) || HeartbeatsMuted(vm)) {
+        if (std::find(silent.begin(), silent.end(), vm) == silent.end()) {
+          silent.push_back(vm);
+        }
+        continue;
       }
-      continue;
+      heartbeat_gpus_.push_back(gpu);
+      heartbeat_times_.push_back(cluster_->SlowFactor(gpu) * rng_.LogNormalMedian(1.0, 0.01));
     }
-    reporting.push_back(gpu);
-    heartbeat_times.push_back(cluster_->SlowFactor(gpu) *
-                              rng_.LogNormalMedian(1.0, 0.01));
   }
-  for (const GpuId gpu : reporting) {
-    missed_heartbeats_.erase(cluster_->VmOfGpu(gpu));
+  for (const GpuId gpu : heartbeat_gpus_) {
+    const auto vm = static_cast<size_t>(cluster_->VmOfGpu(gpu));
+    if (vm < missed_heartbeats_.size()) {
+      missed_heartbeats_[vm] = 0;
+    }
   }
   std::vector<VmId> dead;
   for (const VmId vm : silent) {
-    if (++missed_heartbeats_[vm] >= options_.heartbeat_timeout_beats) {
+    const auto index = static_cast<size_t>(vm);
+    if (index >= missed_heartbeats_.size()) {
+      missed_heartbeats_.resize(index + 1, 0);
+    }
+    if (++missed_heartbeats_[index] >= options_.heartbeat_timeout_beats) {
       dead.push_back(vm);
     }
   }
@@ -741,14 +754,23 @@ void ElasticTrainer::ProcessHeartbeats() {
     HandleHeartbeatTimeout(dead);
     return;
   }
-  if (reporting.empty()) {
+  if (heartbeat_gpus_.empty()) {
     return;
   }
-  const double median = Percentile(heartbeat_times, 0.5);
+  // Every time lies in [min, max] and the median is at least min, so when
+  // max <= threshold * min nobody can exceed threshold * median.
+  const auto [min_time, max_time] =
+      std::minmax_element(heartbeat_times_.begin(), heartbeat_times_.end());
+  if (*max_time <= options_.stutter_threshold * *min_time) {
+    return;
+  }
+  // The median reorders its input; the times stay paired with their GPUs.
+  heartbeat_scratch_.assign(heartbeat_times_.begin(), heartbeat_times_.end());
+  const double median = Percentile(heartbeat_scratch_, 0.5);
   std::vector<GpuId> stutterers;
-  for (size_t i = 0; i < reporting.size(); ++i) {
-    if (heartbeat_times[i] > options_.stutter_threshold * median) {
-      stutterers.push_back(reporting[i]);
+  for (size_t i = 0; i < heartbeat_gpus_.size(); ++i) {
+    if (heartbeat_times_[i] > options_.stutter_threshold * median) {
+      stutterers.push_back(heartbeat_gpus_[i]);
     }
   }
   if (stutterers.empty()) {
@@ -774,7 +796,7 @@ void ElasticTrainer::ProcessHeartbeats() {
 
 void ElasticTrainer::HandleHeartbeatTimeout(const std::vector<VmId>& dead) {
   for (const VmId vm : dead) {
-    missed_heartbeats_.erase(vm);
+    missed_heartbeats_[static_cast<size_t>(vm)] = 0;
     // A VM the manager cannot reach is a VM whose local shards it cannot
     // read; treat them as lost even if the VM is merely partitioned.
     checkpoints_.OnVmLost(vm);

@@ -416,9 +416,19 @@ class ElasticTrainer {
   bool restore_in_flight_ = false;
   int consecutive_recovery_failures_ = 0;
   bool reprovision_retry_pending_ = false;
-  // Simulated-time deadline until which each muted VM stays silent.
-  std::map<VmId, double> heartbeat_mute_until_;
-  std::map<VmId, int> missed_heartbeats_;
+  // Indexed by VmId, grown on first write: the simulated-time deadline until
+  // which each muted VM stays silent (0 = never muted), and each VM's
+  // consecutive missed heartbeats.
+  std::vector<double> heartbeat_mute_until_;
+  std::vector<int> missed_heartbeats_;
+  // Per-mini-batch scratch, reused so heartbeats and the slow-factor check
+  // do not allocate: reporting GPUs with their heartbeat times (paired by
+  // index), a copy of the times for the median to reorder, and the
+  // placement's current slow factors.
+  std::vector<GpuId> heartbeat_gpus_;
+  std::vector<double> heartbeat_times_;
+  std::vector<double> heartbeat_scratch_;
+  std::vector<double> slow_factors_;
   // (mini-batch id, examples committed) for every committed-and-not-rolled-
   // back mini-batch, in order: rollbacks refund exactly what each lost
   // mini-batch committed, even across morphs that changed ActualBatch().

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/stats.h"
@@ -10,46 +11,68 @@
 namespace varuna {
 namespace {
 
-// Piecewise-linear lookup over the profiled (m, seconds) points; linear
-// extrapolation from the outermost segment.
-double Interpolate(const std::map<int, double>& points, int m) {
-  VARUNA_CHECK(!points.empty());
-  if (points.size() == 1) {
+// Piecewise-linear lookup over the profiled (sizes[k], seconds[k]) points;
+// linear extrapolation from the outermost segment.
+double Interpolate(const std::vector<int>& sizes, const std::vector<double>& seconds, int m) {
+  VARUNA_CHECK(!sizes.empty());
+  if (sizes.size() == 1) {
     // Single point: assume proportionality in m.
-    return points.begin()->second * m / points.begin()->first;
+    return seconds[0] * m / sizes[0];
   }
-  auto upper = points.lower_bound(m);
-  if (upper == points.end()) {
-    --upper;
-  }
-  if (upper == points.begin()) {
-    ++upper;
-  }
-  auto lower = std::prev(upper);
-  const double x0 = lower->first;
-  const double y0 = lower->second;
-  const double x1 = upper->first;
-  const double y1 = upper->second;
+  const size_t upper = std::clamp<size_t>(
+      static_cast<size_t>(std::lower_bound(sizes.begin(), sizes.end(), m) - sizes.begin()), 1,
+      sizes.size() - 1);
+  const size_t lower = upper - 1;
+  const double x0 = sizes[lower];
+  const double y0 = seconds[lower];
+  const double x1 = sizes[upper];
+  const double y1 = seconds[upper];
   return y0 + (y1 - y0) * (m - x0) / (x1 - x0);
 }
 
 }  // namespace
 
+Calibration::Calibration() : Calibration({}, AllReduceModel(), {}, SendStallModel()) {}
+
+Calibration::Calibration(std::vector<SectionCalibration> sections,
+                         const AllReduceModel& allreduce, std::vector<int> microbatch_sizes,
+                         const SendStallModel& send_stall)
+    : sections_(std::move(sections)),
+      allreduce_(allreduce),
+      microbatch_sizes_(std::move(microbatch_sizes)),
+      send_stall_(send_stall),
+      fingerprint_(ComputeFingerprint()) {}
+
 double Calibration::ForwardTime(int section, int m) const {
-  return Interpolate(sections[static_cast<size_t>(section)].forward_s, m);
+  return Interpolate(microbatch_sizes_, sections_[static_cast<size_t>(section)].forward_s, m);
 }
 
 double Calibration::BackwardTime(int section, int m) const {
-  return Interpolate(sections[static_cast<size_t>(section)].backward_s, m);
+  return Interpolate(microbatch_sizes_, sections_[static_cast<size_t>(section)].backward_s, m);
 }
 
 double Calibration::SendTime(int section, int m, bool cross_node) const {
-  const SectionCalibration& calib = sections[static_cast<size_t>(section)];
-  return Interpolate(cross_node ? calib.send_inter_s : calib.send_intra_s, m);
+  const SectionCalibration& calib = sections_[static_cast<size_t>(section)];
+  return Interpolate(microbatch_sizes_, cross_node ? calib.send_inter_s : calib.send_intra_s, m);
 }
 
 Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& cluster,
                               const CalibrationOptions& options, Rng* rng) {
+  std::vector<int> microbatch_sizes = options.microbatch_sizes;
+  std::sort(microbatch_sizes.begin(), microbatch_sizes.end());
+  if (microbatch_sizes.empty()) {
+    return Result<Calibration>::Error("calibration needs at least one micro-batch size");
+  }
+  if (microbatch_sizes.front() <= 0) {
+    return Result<Calibration>::Error("calibration micro-batch sizes must be positive");
+  }
+  if (std::adjacent_find(microbatch_sizes.begin(), microbatch_sizes.end()) !=
+      microbatch_sizes.end()) {
+    return Result<Calibration>::Error("calibration micro-batch sizes must be distinct");
+  }
+  if (options.samples < 1 || options.network_samples < 1) {
+    return Result<Calibration>::Error("calibration needs samples and network_samples >= 1");
+  }
   const std::vector<GpuId> pool = cluster.ActiveGpus();
   if (pool.size() < 4) {
     return Result<Calibration>::Error("calibration needs at least 4 active GPUs");
@@ -74,22 +97,31 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
   const int gpus_per_node = cluster.topology().Node(cluster.topology().NodeOf(local)).num_gpus;
   const GpuSpec& gpu = cluster.Gpu(local);
 
-  Calibration calibration;
   int64_t stall_count = 0;
   int64_t transfer_count = 0;
   double stall_excess_sum = 0.0;
   double stall_threshold_sum = 0.0;
-  calibration.microbatch_sizes = options.microbatch_sizes;
-  std::sort(calibration.microbatch_sizes.begin(), calibration.microbatch_sizes.end());
-  calibration.sections.resize(static_cast<size_t>(sections.num_sections()));
+  const size_t num_sizes = microbatch_sizes.size();
+  std::vector<SectionCalibration> calibrated(static_cast<size_t>(sections.num_sections()));
+  // Network samples in draw order (the body mean and the stall sums are
+  // accumulated in that order), plus a scratch copy the median reorders.
+  std::vector<double> samples;
+  std::vector<double> scratch;
+  samples.reserve(static_cast<size_t>(options.network_samples));
+  scratch.reserve(static_cast<size_t>(options.network_samples));
 
   // --- F_i(m), B_i(m): run a few mocked micro-batches per section (random
   // inputs standing in for the previous stage, §4.3) and average. These are
   // measurements of the *testbed's* noisy execution, not formula lookups.
   for (int i = 0; i < sections.num_sections(); ++i) {
-    SectionCalibration& section = calibration.sections[static_cast<size_t>(i)];
+    SectionCalibration& section = calibrated[static_cast<size_t>(i)];
     section.params = sections.params[static_cast<size_t>(i)];
-    for (const int m : calibration.microbatch_sizes) {
+    section.forward_s.resize(num_sizes);
+    section.backward_s.resize(num_sizes);
+    section.send_intra_s.resize(num_sizes);
+    section.send_inter_s.resize(num_sizes);
+    for (size_t k = 0; k < num_sizes; ++k) {
+      const int m = microbatch_sizes[k];
       RunningStats fwd;
       RunningStats bwd;
       for (int run = 0; run < options.samples; ++run) {
@@ -103,8 +135,8 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
                     ? rng->LogNormalMedian(bwd_base, options.compute_noise_sigma)
                     : bwd_base);
       }
-      section.forward_s[m] = fwd.mean();
-      section.backward_s[m] = bwd.mean();
+      section.forward_s[k] = fwd.mean();
+      section.backward_s[k] = bwd.mean();
     }
 
     // --- Act/Grad transfer latencies for the section's boundary activation,
@@ -112,14 +144,15 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
     // sample set is split into a typical component (stored per m) and a tail
     // (stall) component pooled across sections.
     const double act_bytes = sections.boundary_activation_bytes[static_cast<size_t>(i)];
-    for (const int m : calibration.microbatch_sizes) {
-      std::vector<double> samples;
-      samples.reserve(static_cast<size_t>(options.network_samples));
+    for (size_t k = 0; k < num_sizes; ++k) {
+      const int m = microbatch_sizes[k];
+      samples.clear();
       for (int run = 0; run < options.network_samples; ++run) {
         samples.push_back(cluster.network().SampleTransferTime(local, remote, act_bytes * m,
                                                                gpus_per_node, rng));
       }
-      const double typical = Percentile(samples, 0.5);
+      scratch.assign(samples.begin(), samples.end());
+      const double typical = Percentile(scratch, 0.5);
       const double stall_threshold = 1.5 * typical + 0.05;
       RunningStats body;
       for (const double sample : samples) {
@@ -132,7 +165,7 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
         }
         ++transfer_count;
       }
-      calibration.sections[static_cast<size_t>(i)].send_inter_s[m] = body.mean();
+      section.send_inter_s[k] = body.mean();
       RunningStats intra;
       if (neighbor >= 0) {
         for (int run = 0; run < options.samples; ++run) {
@@ -142,16 +175,16 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
       } else {
         intra.Add(body.mean());  // 1-GPU VMs: every hop is cross-node anyway.
       }
-      calibration.sections[static_cast<size_t>(i)].send_intra_s[m] = intra.mean();
+      section.send_intra_s[k] = intra.mean();
     }
   }
+  SendStallModel send_stall;
   if (transfer_count > 0 && stall_count > 0) {
-    calibration.send_stall_probability =
+    send_stall.probability =
         static_cast<double>(stall_count) / static_cast<double>(transfer_count);
-    calibration.send_stall_mean_s = stall_excess_sum / static_cast<double>(stall_count);
-    calibration.send_stall_offset_s = stall_threshold_sum / static_cast<double>(stall_count);
-    calibration.send_stall_scale_s =
-        std::max(1e-6, calibration.send_stall_mean_s - calibration.send_stall_offset_s);
+    send_stall.mean_s = stall_excess_sum / static_cast<double>(stall_count);
+    send_stall.offset_s = stall_threshold_sum / static_cast<double>(stall_count);
+    send_stall.scale_s = std::max(1e-6, send_stall.mean_s - send_stall.offset_s);
   }
 
   // --- AR_i(D): profile a gradient-sized allreduce at two ring sizes with k
@@ -169,7 +202,8 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
   if (cross_node_pool.size() < 2) {
     return Result<Calibration>::Error("calibration needs GPUs on at least two nodes");
   }
-  const double probe_bytes = 2.0 * calibration.sections[1 % sections.num_sections()].params;
+  const double probe_bytes =
+      2.0 * calibrated[static_cast<size_t>(1 % sections.num_sections())].params;
   auto measure_ring = [&](int size) {
     std::vector<GpuId> ring;
     for (int i = 0; i < size; ++i) {
@@ -183,33 +217,35 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
   };
   // The tail term reuses the per-message stall statistics profiled above —
   // a ring step stalls when any of its D messages does.
-  calibration.allreduce.stall_probability = calibration.send_stall_probability;
-  calibration.allreduce.stall_mean_s = calibration.send_stall_mean_s;
+  AllReduceModel allreduce;
+  allreduce.stall_probability = send_stall.probability;
+  allreduce.stall_mean_s = send_stall.mean_s;
   const int d1 = 2;
   const int d2 = std::min<int>(4, static_cast<int>(cross_node_pool.size()));
   const double ar1 = measure_ring(d1);
   if (d2 > d1) {
     const double ar2 = measure_ring(d2);
     // Solve AR/(2(D-1)) = S/(D*bw) + lat0 + tail(D) for (bw, lat0).
-    const double lhs1 = ar1 / (2.0 * (d1 - 1)) - calibration.allreduce.StepTail(d1);
-    const double lhs2 = ar2 / (2.0 * (d2 - 1)) - calibration.allreduce.StepTail(d2);
+    const double lhs1 = ar1 / (2.0 * (d1 - 1)) - allreduce.StepTail(d1);
+    const double lhs2 = ar2 / (2.0 * (d2 - 1)) - allreduce.StepTail(d2);
     const double inv_bw =
         (lhs1 - lhs2) / (probe_bytes * (1.0 / d1 - 1.0 / d2));
-    calibration.allreduce.bandwidth_bps = inv_bw > 0.0 ? 1.0 / inv_bw : 1e12;
-    calibration.allreduce.step_latency_s =
-        std::max(0.0, lhs1 - probe_bytes / (d1 * calibration.allreduce.bandwidth_bps));
+    allreduce.bandwidth_bps = inv_bw > 0.0 ? 1.0 / inv_bw : 1e12;
+    allreduce.step_latency_s =
+        std::max(0.0, lhs1 - probe_bytes / (d1 * allreduce.bandwidth_bps));
   } else {
-    calibration.allreduce.bandwidth_bps = probe_bytes / std::max(ar1 / 2.0, 1e-9);
-    calibration.allreduce.step_latency_s = 0.0;
+    allreduce.bandwidth_bps = probe_bytes / std::max(ar1 / 2.0, 1e-9);
+    allreduce.step_latency_s = 0.0;
   }
 
-  return calibration;
+  return Calibration(std::move(calibrated), allreduce, std::move(microbatch_sizes), send_stall);
 }
 
-uint64_t Calibration::Fingerprint() const {
+uint64_t Calibration::ComputeFingerprint() const {
   // FNV-1a, matching the determinism harness's hashing discipline: doubles
   // enter via their raw bit pattern, so two calibrations fingerprint equal
-  // iff they are bit-identical.
+  // iff they are bit-identical. The byte stream is that of the former
+  // map-based tables: each table hashes its length, then (m, seconds) pairs.
   uint64_t hash = 14695981039346656037ULL;
   const auto mix = [&hash](uint64_t value) {
     for (int byte = 0; byte < 8; ++byte) {
@@ -223,33 +259,33 @@ uint64_t Calibration::Fingerprint() const {
     std::memcpy(&bits, &value, sizeof(bits));
     mix(bits);
   };
-  const auto mix_map = [&](const std::map<int, double>& points) {
-    mix(points.size());
-    for (const auto& [m, seconds] : points) {
-      mix(static_cast<uint64_t>(m));
-      mix_double(seconds);
+  const auto mix_table = [&](const std::vector<double>& seconds) {
+    mix(seconds.size());
+    for (size_t k = 0; k < seconds.size(); ++k) {
+      mix(static_cast<uint64_t>(microbatch_sizes_[k]));
+      mix_double(seconds[k]);
     }
   };
-  mix(sections.size());
-  for (const SectionCalibration& section : sections) {
-    mix_map(section.forward_s);
-    mix_map(section.backward_s);
-    mix_map(section.send_intra_s);
-    mix_map(section.send_inter_s);
+  mix(sections_.size());
+  for (const SectionCalibration& section : sections_) {
+    mix_table(section.forward_s);
+    mix_table(section.backward_s);
+    mix_table(section.send_intra_s);
+    mix_table(section.send_inter_s);
     mix_double(section.params);
   }
-  mix_double(allreduce.bandwidth_bps);
-  mix_double(allreduce.step_latency_s);
-  mix_double(allreduce.stall_probability);
-  mix_double(allreduce.stall_mean_s);
-  mix(microbatch_sizes.size());
-  for (const int m : microbatch_sizes) {
+  mix_double(allreduce_.bandwidth_bps);
+  mix_double(allreduce_.step_latency_s);
+  mix_double(allreduce_.stall_probability);
+  mix_double(allreduce_.stall_mean_s);
+  mix(microbatch_sizes_.size());
+  for (const int m : microbatch_sizes_) {
     mix(static_cast<uint64_t>(m));
   }
-  mix_double(send_stall_probability);
-  mix_double(send_stall_mean_s);
-  mix_double(send_stall_offset_s);
-  mix_double(send_stall_scale_s);
+  mix_double(send_stall_.probability);
+  mix_double(send_stall_.mean_s);
+  mix_double(send_stall_.offset_s);
+  mix_double(send_stall_.scale_s);
   return hash;
 }
 

@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -20,15 +19,17 @@
 
 namespace varuna {
 
-// Measurements for one cut-point section C_i.
+// Measurements for one cut-point section C_i. Every table is indexed like
+// Calibration::microbatch_sizes(): entry k is the time at the k-th profiled
+// micro-batch size.
 struct SectionCalibration {
-  // Micro-batch size -> measured seconds (mean over profiling runs).
-  std::map<int, double> forward_s;
-  std::map<int, double> backward_s;
-  // Activation/gradient transfer time for this section's boundary at size m.
+  // Measured seconds (mean over profiling runs).
+  std::vector<double> forward_s;
+  std::vector<double> backward_s;
+  // Activation/gradient transfer time for this section's boundary.
   // Cross-node times include mean latency and jitter (Table 2 note).
-  std::map<int, double> send_intra_s;
-  std::map<int, double> send_inter_s;
+  std::vector<double> send_intra_s;
+  std::vector<double> send_inter_s;
   double params = 0.0;
 };
 
@@ -65,34 +66,19 @@ struct AllReduceModel {
   }
 };
 
-struct Calibration {
-  std::vector<SectionCalibration> sections;
-  AllReduceModel allreduce;
-  // Micro-batch sizes that were profiled (ascending).
-  std::vector<int> microbatch_sizes;
-  // Tail behaviour of cross-node transfers: with probability
-  // `send_stall_probability` a transfer takes an extra `send_stall_mean_s`
-  // (TCP retransmission timeouts). Profiled from the same micro-benchmarks;
-  // the fast simulator replays the tail because stalls on the
-  // gradient-dependency chain do not average out (Table 2: times "include
-  // mean latency and jitter").
-  double send_stall_probability = 0.0;
-  double send_stall_mean_s = 0.0;    // Mean excess of a detected stall.
+// Tail behaviour of cross-node transfers: with probability `probability` a
+// transfer takes an extra `mean_s` (TCP retransmission timeouts). Profiled
+// from the same micro-benchmarks; the fast simulator replays the tail because
+// stalls on the gradient-dependency chain do not average out (Table 2: times
+// "include mean latency and jitter").
+struct SendStallModel {
+  double probability = 0.0;
+  double mean_s = 0.0;  // Mean excess of a detected stall.
   // Detected stalls decompose as detection-threshold offset + an exponential
   // tail; replaying the exact conditional distribution matters because path
   // impact is convex in stall size.
-  double send_stall_offset_s = 0.0;
-  double send_stall_scale_s = 0.0;
-
-  // Linear interpolation/extension over the profiled m values.
-  double ForwardTime(int section, int m) const;
-  double BackwardTime(int section, int m) const;
-  double SendTime(int section, int m, bool cross_node) const;
-
-  // FNV-1a over every calibrated scalar (doubles hashed via their IEEE-754
-  // bits). Memoized search results are keyed on this, so *any* recalibration
-  // — even one changing a single profiled point — invalidates them.
-  uint64_t Fingerprint() const;
+  double offset_s = 0.0;
+  double scale_s = 0.0;
 };
 
 struct CalibrationOptions {
@@ -105,9 +91,53 @@ struct CalibrationOptions {
   double compute_noise_sigma = 0.01;
 };
 
+// The profiled parameters, immutable once built: only `Calibrate` constructs
+// a populated one, and callers see const views. A whole calibration can still
+// be replaced by assignment (a recalibration), which carries the new
+// fingerprint with it.
+class Calibration {
+ public:
+  // An empty calibration (no sections); `Calibrate` builds real ones.
+  Calibration();
+
+  const std::vector<SectionCalibration>& sections() const { return sections_; }
+  const AllReduceModel& allreduce() const { return allreduce_; }
+  // Micro-batch sizes that were profiled (ascending, distinct).
+  const std::vector<int>& microbatch_sizes() const { return microbatch_sizes_; }
+  const SendStallModel& send_stall() const { return send_stall_; }
+
+  // Linear interpolation/extension over the profiled m values.
+  double ForwardTime(int section, int m) const;
+  double BackwardTime(int section, int m) const;
+  double SendTime(int section, int m, bool cross_node) const;
+
+  // FNV-1a over every calibrated scalar (doubles hashed via their IEEE-754
+  // bits), computed once at construction. Memoized search results are keyed
+  // on this, so *any* recalibration — even one changing a single profiled
+  // point — invalidates them.
+  uint64_t Fingerprint() const { return fingerprint_; }
+
+ private:
+  friend Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& cluster,
+                                       const CalibrationOptions& options, Rng* rng);
+
+  Calibration(std::vector<SectionCalibration> sections, const AllReduceModel& allreduce,
+              std::vector<int> microbatch_sizes, const SendStallModel& send_stall);
+
+  uint64_t ComputeFingerprint() const;
+
+  std::vector<SectionCalibration> sections_;
+  AllReduceModel allreduce_;
+  std::vector<int> microbatch_sizes_;
+  SendStallModel send_stall_;
+  uint64_t fingerprint_ = 0;
+};
+
 // Runs the calibration micro-benchmarks against the cluster sample. Needs at
 // least 4 active GPUs (2 nodes) to measure cross-node paths and fit the
-// allreduce model; fails otherwise.
+// allreduce model; fails otherwise. Also fails, before drawing anything, on
+// nonsense options: an empty, duplicated or non-positive `microbatch_sizes`,
+// `samples < 1` or `network_samples < 1`.
 Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& cluster,
                               const CalibrationOptions& options, Rng* rng);
 

@@ -109,7 +109,7 @@ void CandidateMemo::Clear() {
 // --- ConfigSearch -----------------------------------------------------------
 
 int ConfigSearch::PickMicrobatchSize(double tolerance) const {
-  const std::vector<int>& sizes = calibration_->microbatch_sizes;
+  const std::vector<int>& sizes = calibration_->microbatch_sizes();
   VARUNA_CHECK(!sizes.empty());
   // Probe an interior cut-point (homogeneous-block models: any block works).
   const int section = sections_->num_sections() > 2 ? 1 : 0;
@@ -126,7 +126,7 @@ int ConfigSearch::PickMicrobatchSize(double tolerance) const {
 
 std::vector<int> ConfigSearch::PickMicrobatchCandidates(double tolerance,
                                                         int max_candidates) const {
-  const std::vector<int>& sizes = calibration_->microbatch_sizes;
+  const std::vector<int>& sizes = calibration_->microbatch_sizes();
   const int saturating = PickMicrobatchSize(tolerance);
   std::vector<int> candidates;
   // The saturating m maximises Nm (least bubble, least memory) at near-best

@@ -30,14 +30,14 @@ double FastSimulator::LowerBoundMinibatch(const FastSimConfig& config,
     for (int section = begin; section < end; ++section) {
       fwd += calibration_->ForwardTime(section, m);
       bwd += calibration_->BackwardTime(section, m);
-      allreduce += calibration_->allreduce.Predict(
+      allreduce += calibration_->allreduce().Predict(
           2.0 * config.sections->params[static_cast<size_t>(section)], config.data_parallel);
     }
     bound = std::max(bound, prefix_fwd + microbatches * (fwd + bwd) + allreduce);
     prefix_fwd += fwd;
   }
   if (config.shared_sync_bytes > 0.0 && depth > 1) {
-    bound += calibration_->allreduce.Predict(config.shared_sync_bytes, 2);
+    bound += calibration_->allreduce().Predict(config.shared_sync_bytes, 2);
   }
   // The simulator accumulates the same quantities through sequential adds
   // (free_at_ += duration, Nm times) while this closed form multiplies; the
@@ -74,7 +74,7 @@ FastSimResult FastSimulator::EstimateMinibatch(const Schedule& schedule,
     for (int section = begin; section < end; ++section) {
       fwd_[static_cast<size_t>(s)] += calibration_->ForwardTime(section, m);
       bwd_[static_cast<size_t>(s)] += calibration_->BackwardTime(section, m);
-      allreduce_[static_cast<size_t>(s)] += calibration_->allreduce.Predict(
+      allreduce_[static_cast<size_t>(s)] += calibration_->allreduce().Predict(
           2.0 * config.sections->params[static_cast<size_t>(section)], config.data_parallel);
     }
     if (s + 1 < depth) {
@@ -93,25 +93,23 @@ FastSimResult FastSimulator::EstimateMinibatch(const Schedule& schedule,
   fwd_stall_.assign(cells, 0.0);
   bwd_stall_.assign(cells, 0.0);
   auto sample_stalls = [&](Rng* stall_rng) {
+    const SendStallModel& tail = calibration_->send_stall();
     for (int s = 0; s + 1 < depth; ++s) {
       for (int mb = 0; mb < microbatches; ++mb) {
         fwd_stall_[at(s, mb)] = 0.0;
         bwd_stall_[at(s, mb)] = 0.0;
-        if (hop_cross_node_[static_cast<size_t>(s)] == 0 ||
-            calibration_->send_stall_probability <= 0.0) {
+        if (hop_cross_node_[static_cast<size_t>(s)] == 0 || tail.probability <= 0.0) {
           continue;
         }
-        if (stall_rng->Bernoulli(calibration_->send_stall_probability)) {
-          fwd_stall_[at(s, mb)] = calibration_->send_stall_offset_s +
-                                  stall_rng->Exponential(calibration_->send_stall_scale_s);
+        if (stall_rng->Bernoulli(tail.probability)) {
+          fwd_stall_[at(s, mb)] = tail.offset_s + stall_rng->Exponential(tail.scale_s);
         }
-        if (stall_rng->Bernoulli(calibration_->send_stall_probability)) {
+        if (stall_rng->Bernoulli(tail.probability)) {
           // A stage waiting on a stalled gradient opportunistically runs a
           // pending forward (§3.2), recovering up to one forward's worth of
           // work from the stall (minus the expected overshoot when the
           // gradient lands mid-forward; long stalls fit several forwards).
-          const double stall = calibration_->send_stall_offset_s +
-                               stall_rng->Exponential(calibration_->send_stall_scale_s);
+          const double stall = tail.offset_s + stall_rng->Exponential(tail.scale_s);
           bwd_stall_[at(s, mb)] = std::max(0.0, stall - 1.25 * fwd_[static_cast<size_t>(s)]);
         }
       }
@@ -233,7 +231,7 @@ FastSimResult FastSimulator::EstimateMinibatch(const Schedule& schedule,
     result.allreduce_s = std::max(result.allreduce_s, allreduce_[static_cast<size_t>(s)]);
   }
   if (config.shared_sync_bytes > 0.0 && depth > 1) {
-    result.sync_s = calibration_->allreduce.Predict(config.shared_sync_bytes, 2);
+    result.sync_s = calibration_->allreduce().Predict(config.shared_sync_bytes, 2);
   }
   result.minibatch_s += result.sync_s;
   return result;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -123,10 +124,52 @@ TEST(StatsTest, RunningStatsBasic) {
 }
 
 TEST(StatsTest, PercentileInterpolates) {
-  EXPECT_DOUBLE_EQ(Percentile({1.0, 2.0, 3.0, 4.0}, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile({1.0, 2.0, 3.0, 4.0}, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(Percentile({1.0, 2.0, 3.0, 4.0}, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(Percentile({4.0, 1.0, 3.0, 2.0}, 0.5), 2.5);  // Unsorted input.
+  std::vector<double> sorted = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_DOUBLE_EQ(Percentile(sorted, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(Percentile(sorted, 1.0), 4.0);
+  EXPECT_DOUBLE_EQ(Percentile(sorted, 0.5), 2.5);
+  std::vector<double> unsorted = {4.0, 1.0, 3.0, 2.0};
+  EXPECT_DOUBLE_EQ(Percentile(unsorted, 0.5), 2.5);
+}
+
+// The pre-selection definition: copy, fully sort, interpolate between the two
+// neighbouring order statistics.
+double SortedPercentile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  const double position = q * static_cast<double>(samples.size() - 1);
+  const size_t lower = static_cast<size_t>(position);
+  const size_t upper = std::min(lower + 1, samples.size() - 1);
+  const double fraction = position - static_cast<double>(lower);
+  return samples[lower] * (1.0 - fraction) + samples[upper] * fraction;
+}
+
+TEST(StatsTest, PercentileMatchesSortedReferenceBitForBit) {
+  Rng rng(2024);
+  for (int size = 1; size <= 257; ++size) {
+    // Continuous draws, then draws from a handful of values so that ties
+    // land on and around the selected order statistics.
+    for (const bool ties : {false, true}) {
+      std::vector<double> samples;
+      for (int i = 0; i < size; ++i) {
+        samples.push_back(ties ? static_cast<double>(rng.UniformInt(0, 4)) * 0.1
+                               : rng.LogNormalMedian(1.0, 0.5));
+      }
+      for (const double q : {0.0, 0.25, 0.5, 0.995, 1.0}) {
+        std::vector<double> scratch = samples;
+        EXPECT_EQ(Percentile(scratch, q), SortedPercentile(samples, q))
+            << "size=" << size << " ties=" << ties << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(StatsTest, PercentileReordersInPlaceWithoutLosingSamples) {
+  std::vector<double> samples = {5.0, 3.0, 9.0, 1.0, 3.0, 7.0};
+  std::vector<double> before = samples;
+  EXPECT_EQ(Percentile(samples, 0.5), 4.0);
+  std::sort(samples.begin(), samples.end());
+  std::sort(before.begin(), before.end());
+  EXPECT_EQ(samples, before);
 }
 
 TEST(StatsTest, MeanOfSamples) { EXPECT_DOUBLE_EQ(Mean({2.0, 4.0, 9.0}), 5.0); }

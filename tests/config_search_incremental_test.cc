@@ -209,8 +209,11 @@ void ExpectFullResimulation(Mutate&& mutate) {
 
 TEST(ConfigSearchIncrementalTest, RecalibrationForcesResimulation) {
   ExpectFullResimulation([](Fixture* fx, SearchConstraints*) {
+    // A recalibration replaces the object the search holds by address.
     const uint64_t fingerprint = fx->calibration.Fingerprint();
-    fx->calibration.sections[0].forward_s.begin()->second *= 1.5;
+    Rng rng(100);
+    fx->calibration =
+        Calibrate(fx->sections, fx->cluster, CalibrationOptions(), &rng).value();
     ASSERT_NE(fx->calibration.Fingerprint(), fingerprint);
   });
 }

@@ -121,10 +121,12 @@ TEST(ConfigSearchParallelTest, RecalibrationInvalidatesMemo) {
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(search.stats().sweep_cache_misses, 1u);
 
-  // An in-place recalibration (even one profiled point) changes the
-  // fingerprint, so the next sweep must re-simulate, not serve stale configs.
+  // A recalibration assigned over the calibration the search holds changes
+  // the fingerprint, so the next sweep must re-simulate, not serve stale
+  // configs.
   const uint64_t fingerprint_before = fx.calibration.Fingerprint();
-  fx.calibration.sections[0].forward_s.begin()->second *= 1.5;
+  Rng rng(100);
+  fx.calibration = Calibrate(fx.sections, fx.cluster, CalibrationOptions(), &rng).value();
   EXPECT_NE(fx.calibration.Fingerprint(), fingerprint_before);
 
   const uint64_t simulated_before = search.stats().candidates_simulated;

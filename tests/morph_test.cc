@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/placement.h"
@@ -37,12 +38,92 @@ struct Fixture {
 
 TEST(CalibrationTest, MeasuresAllSections) {
   Fixture fx(Gpt2_2_5B());
-  EXPECT_EQ(static_cast<int>(fx.calibration.sections.size()), 54);
-  for (const auto& section : fx.calibration.sections) {
-    EXPECT_GT(section.forward_s.at(4), 0.0);
-    EXPECT_GT(section.backward_s.at(4), section.forward_s.at(4));
-    EXPECT_GT(section.send_inter_s.at(4), 0.0);
+  EXPECT_EQ(static_cast<int>(fx.calibration.sections().size()), 54);
+  // The tables are flat, indexed like the sorted profiled sizes {1, 2, 4, 8, 16}.
+  ASSERT_EQ(fx.calibration.microbatch_sizes(), (std::vector<int>{1, 2, 4, 8, 16}));
+  const size_t m4 = 2;
+  for (const auto& section : fx.calibration.sections()) {
+    ASSERT_EQ(section.forward_s.size(), 5u);
+    EXPECT_GT(section.forward_s.at(m4), 0.0);
+    EXPECT_GT(section.backward_s.at(m4), section.forward_s.at(m4));
+    EXPECT_GT(section.send_inter_s.at(m4), 0.0);
   }
+}
+
+TEST(CalibrationTest, ProfiledSizesReadBackExactly) {
+  Fixture fx(Gpt2_2_5B());
+  const std::vector<int>& sizes = fx.calibration.microbatch_sizes();
+  for (int i = 0; i < static_cast<int>(fx.calibration.sections().size()); ++i) {
+    const SectionCalibration& section = fx.calibration.sections()[static_cast<size_t>(i)];
+    for (size_t k = 0; k < sizes.size(); ++k) {
+      EXPECT_DOUBLE_EQ(fx.calibration.ForwardTime(i, sizes[k]), section.forward_s[k]);
+      EXPECT_DOUBLE_EQ(fx.calibration.BackwardTime(i, sizes[k]), section.backward_s[k]);
+      EXPECT_DOUBLE_EQ(fx.calibration.SendTime(i, sizes[k], false), section.send_intra_s[k]);
+      EXPECT_DOUBLE_EQ(fx.calibration.SendTime(i, sizes[k], true), section.send_inter_s[k]);
+    }
+  }
+}
+
+TEST(CalibrationTest, FingerprintFollowsTheProfiledValues) {
+  Fixture fx(Gpt2Medium(), 4);
+  Rng same(99);
+  const Calibration again =
+      Calibrate(fx.sections, fx.cluster, CalibrationOptions(), &same).value();
+  EXPECT_EQ(again.Fingerprint(), fx.calibration.Fingerprint());
+  Rng other(100);
+  const Calibration reseeded =
+      Calibrate(fx.sections, fx.cluster, CalibrationOptions(), &other).value();
+  EXPECT_NE(reseeded.Fingerprint(), fx.calibration.Fingerprint());
+  Calibration assigned;
+  EXPECT_NE(assigned.Fingerprint(), reseeded.Fingerprint());
+  assigned = reseeded;
+  EXPECT_EQ(assigned.Fingerprint(), reseeded.Fingerprint());
+}
+
+// Nonsense options are refused with an error instead of aborting or
+// silently collapsing profiled points.
+class CalibrationOptionsTest : public ::testing::Test {
+ protected:
+  bool Accepts(const CalibrationOptions& options) {
+    Rng rng(1);
+    return Calibrate(fx_.sections, fx_.cluster, options, &rng).ok();
+  }
+
+  Fixture fx_{Gpt2Medium(), 4};
+};
+
+TEST_F(CalibrationOptionsTest, AcceptsTheDefaults) { EXPECT_TRUE(Accepts(CalibrationOptions())); }
+
+TEST_F(CalibrationOptionsTest, RejectsEmptyMicrobatchSizes) {
+  CalibrationOptions options;
+  options.microbatch_sizes = {};
+  EXPECT_FALSE(Accepts(options));
+}
+
+TEST_F(CalibrationOptionsTest, RejectsDuplicateMicrobatchSizes) {
+  CalibrationOptions options;
+  options.microbatch_sizes = {4, 1, 4};
+  EXPECT_FALSE(Accepts(options));
+}
+
+TEST_F(CalibrationOptionsTest, RejectsNonPositiveMicrobatchSizes) {
+  CalibrationOptions options;
+  options.microbatch_sizes = {2, 0};
+  EXPECT_FALSE(Accepts(options));
+  options.microbatch_sizes = {-1, 2};
+  EXPECT_FALSE(Accepts(options));
+}
+
+TEST_F(CalibrationOptionsTest, RejectsZeroSamples) {
+  CalibrationOptions options;
+  options.samples = 0;
+  EXPECT_FALSE(Accepts(options));
+}
+
+TEST_F(CalibrationOptionsTest, RejectsZeroNetworkSamples) {
+  CalibrationOptions options;
+  options.network_samples = 0;
+  EXPECT_FALSE(Accepts(options));
 }
 
 TEST(CalibrationTest, CloseToGroundTruthCompute) {
@@ -65,9 +146,9 @@ TEST(CalibrationTest, InterpolatesUnprofiledSizes) {
 
 TEST(CalibrationTest, AllReduceModelExtrapolatesRingSizes) {
   Fixture fx(Gpt2_2_5B());
-  const double bytes = 2.0 * fx.calibration.sections[1].params;
-  const double d2 = fx.calibration.allreduce.Predict(bytes, 2);
-  const double d8 = fx.calibration.allreduce.Predict(bytes, 8);
+  const double bytes = 2.0 * fx.calibration.sections()[1].params;
+  const double d2 = fx.calibration.allreduce().Predict(bytes, 2);
+  const double d8 = fx.calibration.allreduce().Predict(bytes, 8);
   // Ring model: time grows with D but stays under the 2S/bw asymptote + latency.
   EXPECT_GT(d8, d2);
   const double truth = fx.cluster.network().MeanAllReduceTime(
@@ -139,17 +220,16 @@ TEST(CalibrationTest, StallDecompositionConsistent) {
   // Detected tail stalls split into detection offset + exponential scale;
   // the parts must re-assemble into the conditional mean.
   Fixture fx(Gpt2_2_5B());
-  const Calibration& calib = fx.calibration;
-  ASSERT_GT(calib.send_stall_probability, 0.0);
-  EXPECT_GT(calib.send_stall_scale_s, 0.0);
-  EXPECT_NEAR(calib.send_stall_offset_s + calib.send_stall_scale_s, calib.send_stall_mean_s,
-              1e-9);
+  const SendStallModel& tail = fx.calibration.send_stall();
+  ASSERT_GT(tail.probability, 0.0);
+  EXPECT_GT(tail.scale_s, 0.0);
+  EXPECT_NEAR(tail.offset_s + tail.scale_s, tail.mean_s, 1e-9);
   // The profiled tail should resemble the fabric's ground truth: probability
   // below the injected 2% (threshold misses small stalls), conditional scale
   // near the injected 250 ms exponential.
-  EXPECT_LT(calib.send_stall_probability, 0.022);
-  EXPECT_GT(calib.send_stall_probability, 0.005);
-  EXPECT_NEAR(calib.send_stall_scale_s, 0.25, 0.12);
+  EXPECT_LT(tail.probability, 0.022);
+  EXPECT_GT(tail.probability, 0.005);
+  EXPECT_NEAR(tail.scale_s, 0.25, 0.12);
 }
 
 TEST(ConfigSearchTest, PicksSaturatingMicrobatch) {

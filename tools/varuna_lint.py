@@ -49,7 +49,7 @@ Rules (each can be suppressed on a line with `// varuna-lint: allow(<rule>)`):
                   flat vectors, the SimEngine slot pool, open-addressing memo
                   tables, and SmallCallback (src/sim/callback.h). Deliberate
                   exceptions go on the reviewed HOT_PATH_ALLOW_FILES list
-                  (today: the one-time calibration's profiled-point maps).
+                  (empty today).
 
   tensor-by-value Passing varuna::Tensor by value copies the whole element
                   buffer — one stray signature silently reintroduces the
@@ -168,13 +168,9 @@ HOT_PATH_FILES = (
     "src/manager/checkpoint.h",
     "src/manager/checkpoint.cc",
 )
-# Explicit, reviewed exceptions. Calibration is the one-time profiling step
-# (§4.3): its std::map of profiled (m -> seconds) points is built once at job
-# start and only read via interpolation afterwards — cold path by contract.
-HOT_PATH_ALLOW_FILES = (
-    "src/morph/calibration.h",
-    "src/morph/calibration.cc",
-)
+# Explicit, reviewed exceptions: hot-path files that may still use a banned
+# construct. Empty: every hot-path file keeps its tables flat.
+HOT_PATH_ALLOW_FILES = ()
 
 # --- global-state -----------------------------------------------------------
 
