@@ -13,6 +13,8 @@ VmId Cluster::AddVm(const VmType& type) {
   for (int g = 0; g < type.node.num_gpus; ++g) {
     gpu_to_vm_.push_back(id);
   }
+  num_active_gpus_ += type.node.num_gpus;
+  ++generation_;
   return id;
 }
 
@@ -29,6 +31,8 @@ void Cluster::Preempt(VmId vm) {
     return;  // Already dead; observers were notified the first time.
   }
   vms_[static_cast<size_t>(vm)].active = false;
+  num_active_gpus_ -= vms_[static_cast<size_t>(vm)].type.node.num_gpus;
+  ++generation_;
   for (const PreemptionObserver& observer : preemption_observers_) {
     observer(vm);
   }
@@ -43,18 +47,7 @@ void Cluster::SetSlowFactor(VmId vm, double factor) {
   VARUNA_CHECK_LT(vm, num_vms());
   VARUNA_CHECK_GE(factor, 1.0);
   vms_[static_cast<size_t>(vm)].slow_factor = factor;
-}
-
-const VmInstance& Cluster::Vm(VmId vm) const {
-  VARUNA_CHECK_GE(vm, 0);
-  VARUNA_CHECK_LT(vm, num_vms());
-  return vms_[static_cast<size_t>(vm)];
-}
-
-VmId Cluster::VmOfGpu(GpuId gpu) const {
-  VARUNA_CHECK_GE(gpu, 0);
-  VARUNA_CHECK_LT(gpu, static_cast<GpuId>(gpu_to_vm_.size()));
-  return gpu_to_vm_[static_cast<size_t>(gpu)];
+  ++generation_;
 }
 
 std::vector<GpuId> Cluster::ActiveGpus() const {

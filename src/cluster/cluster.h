@@ -5,10 +5,12 @@
 #ifndef SRC_CLUSTER_CLUSTER_H_
 #define SRC_CLUSTER_CLUSTER_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "src/cluster/vm.h"
+#include "src/common/check.h"
 #include "src/net/network.h"
 #include "src/net/topology.h"
 
@@ -48,10 +50,24 @@ class Cluster {
 
   void SetSlowFactor(VmId vm, double factor);
 
-  int num_vms() const { return static_cast<int>(vms_.size()); }
-  const VmInstance& Vm(VmId vm) const;
+  // Bumped by every change a placement's measurement can observe: AddVm, an
+  // effective Preempt and SetSlowFactor. Reads never move it, so a caller
+  // that cached something derived from cluster state re-derives it only when
+  // the generation it recorded is stale.
+  uint64_t generation() const { return generation_; }
 
-  VmId VmOfGpu(GpuId gpu) const;
+  int num_vms() const { return static_cast<int>(vms_.size()); }
+  const VmInstance& Vm(VmId vm) const {
+    VARUNA_CHECK_GE(vm, 0);
+    VARUNA_CHECK_LT(vm, num_vms());
+    return vms_[static_cast<size_t>(vm)];
+  }
+
+  VmId VmOfGpu(GpuId gpu) const {
+    VARUNA_CHECK_GE(gpu, 0);
+    VARUNA_CHECK_LT(gpu, static_cast<GpuId>(gpu_to_vm_.size()));
+    return gpu_to_vm_[static_cast<size_t>(gpu)];
+  }
   const GpuSpec& Gpu(GpuId gpu) const { return Vm(VmOfGpu(gpu)).type.gpu; }
   double SlowFactor(GpuId gpu) const { return Vm(VmOfGpu(gpu)).slow_factor; }
   bool GpuActive(GpuId gpu) const { return Vm(VmOfGpu(gpu)).active; }
@@ -59,7 +75,8 @@ class Cluster {
   // Active GPUs ordered by node, which makes contiguous slices node-packed —
   // the property the placement policy relies on.
   std::vector<GpuId> ActiveGpus() const;
-  int NumActiveGpus() const { return static_cast<int>(ActiveGpus().size()); }
+  // Maintained count, equal to ActiveGpus().size() without building it.
+  int NumActiveGpus() const { return num_active_gpus_; }
 
   const Topology& topology() const { return topology_; }
   const Network& network() const { return network_; }
@@ -70,6 +87,8 @@ class Cluster {
   std::vector<VmInstance> vms_;
   std::vector<VmId> gpu_to_vm_;
   std::vector<PreemptionObserver> preemption_observers_;
+  uint64_t generation_ = 0;
+  int num_active_gpus_ = 0;
 };
 
 }  // namespace varuna

@@ -1,8 +1,7 @@
 #include "src/common/rng.h"
 
-#include <cmath>
-
-#include "src/common/check.h"
+#include <algorithm>
+#include <iterator>
 
 namespace varuna {
 namespace {
@@ -14,7 +13,14 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+// Relative headroom on the skip's u1 floor. A pair's computed values are
+// within a few ulps of the exact radius bound; 1e-9 absorbs that rounding
+// many times over while rejecting only a vanishing sliver of admissible pairs.
+constexpr double kSkipFloorSafety = 1.0 + 1e-9;
+
+// A Box-Muller pair is (radius * cos(angle), radius * sin(angle)).
+double PairRadius(double u1) { return std::sqrt(-2.0 * std::log(u1)); }
+double PairAngle(double u2) { return 2.0 * M_PI * u2; }
 
 }  // namespace
 
@@ -24,23 +30,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& word : state_) {
     word = SplitMix64(&sm);
   }
-}
-
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> uniform double in [0, 1).
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
@@ -60,24 +49,66 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
-double Rng::Gaussian() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
-  }
+double Rng::NextPairU1() {
   double u1 = NextDouble();
   while (u1 <= 1e-300) {
     u1 = NextDouble();
   }
+  return u1;
+}
+
+double Rng::GaussianPair() {
+  const double u1 = NextPairU1();
   const double u2 = NextDouble();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
+  const double radius = PairRadius(u1);
+  const double theta = PairAngle(u2);
   cached_gaussian_ = radius * std::sin(theta);
   has_cached_gaussian_ = true;
   return radius * std::cos(theta);
 }
 
 double Rng::Gaussian(double mean, double stddev) { return mean + stddev * Gaussian(); }
+
+bool Rng::SkipGaussiansWithin(int n, double bound) {
+  VARUNA_CHECK_GE(n, 0);
+  VARUNA_CHECK_GE(bound, 0.0);
+  // Both values of a Box-Muller pair are bounded in magnitude by its radius
+  // sqrt(-2 ln u1), so radius <= bound exactly when u1 >= e^(-bound^2 / 2).
+  const double u1_floor = std::exp(-0.5 * bound * bound) * kSkipFloorSafety;
+  const uint64_t saved[4] = {state_[0], state_[1], state_[2], state_[3]};
+  const bool saved_has_cached = has_cached_gaussian_;
+  const auto rejected = [&] {
+    std::copy(std::begin(saved), std::end(saved), state_);
+    has_cached_gaussian_ = saved_has_cached;
+    return false;
+  };
+  int remaining = n;
+  if (remaining > 0 && has_cached_gaussian_) {
+    if (!(std::abs(cached_gaussian_) <= bound)) {
+      return false;
+    }
+    has_cached_gaussian_ = false;
+    --remaining;
+  }
+  for (; remaining >= 2; remaining -= 2) {
+    const double u1 = NextPairU1();
+    NextDouble();  // u2: only the angle, and |cos|, |sin| <= 1 either way.
+    if (!(u1 >= u1_floor)) {
+      return rejected();
+    }
+  }
+  if (remaining == 1) {
+    // The last draw opens a pair whose partner Gaussian() would cache.
+    const double u1 = NextPairU1();
+    const double u2 = NextDouble();
+    if (!(u1 >= u1_floor)) {
+      return rejected();
+    }
+    cached_gaussian_ = PairRadius(u1) * std::sin(PairAngle(u2));
+    has_cached_gaussian_ = true;
+  }
+  return true;
+}
 
 double Rng::Exponential(double mean) {
   VARUNA_CHECK_GT(mean, 0.0);
@@ -87,13 +118,6 @@ double Rng::Exponential(double mean) {
   }
   return -mean * std::log(u);
 }
-
-double Rng::LogNormalMedian(double median, double sigma) {
-  VARUNA_CHECK_GT(median, 0.0);
-  return median * std::exp(sigma * Gaussian());
-}
-
-bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
 Rng Rng::Fork() { return Rng(NextUint64()); }
 

@@ -8,20 +8,6 @@
 
 namespace varuna {
 
-void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
 double RunningStats::variance() const {
   if (count_ < 2) {
     return 0.0;

@@ -3,6 +3,7 @@
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -12,7 +13,19 @@ namespace varuna {
 // Numerically stable streaming mean/variance/min/max.
 class RunningStats {
  public:
-  void Add(double x);
+  void Add(double x) {
+    if (count_ == 0) {
+      min_ = x;
+      max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++count_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+  }
 
   int64_t count() const { return count_; }
   double mean() const { return mean_; }

@@ -8,6 +8,18 @@
 #include "src/pipeline/stage_timing.h"
 
 namespace varuna {
+namespace {
+
+// Log-normal sigma of a heartbeat's reported compute time around its VM's
+// slow factor.
+constexpr double kHeartbeatNoiseSigma = 0.01;
+// The heartbeat fast path skips draws whose Gaussian stays within this many
+// sigmas (a pair falls outside with probability about 4e-6).
+constexpr double kHeartbeatSkipBound = 5.0;
+// Relative headroom over the float rounding of the fast path's spread bound.
+constexpr double kHeartbeatSkipMargin = 1e-9;
+
+}  // namespace
 
 ElasticTrainer::ElasticTrainer(SimEngine* engine, Cluster* cluster, SpotMarket* market,
                                int market_pool, const VmType& vm_type,
@@ -106,8 +118,8 @@ void ElasticTrainer::OnVmPreempted(SpotMarket::MarketVmId id) {
   // Did the preempted VM host part of the job? The manager notices via the
   // missing heartbeat (one timeout interval later), which naturally coalesces
   // a burst of evictions into a single restore + morph.
-  for (const GpuId gpu : placement_->AllGpus()) {
-    if (cluster_->VmOfGpu(gpu) == vm) {
+  for (const VmId member : roster_vms_) {
+    if (member == vm) {
       ++stats_.preemptions_hit;
       ++unsurvived_preemptions_;
       if (restore_in_flight_) {
@@ -257,7 +269,7 @@ double ElasticTrainer::EstimatedHandoffSeconds(const JobConfig& config) const {
   // The cold VMs' share of the live state moves in `cold` parallel streams;
   // price one representative cross-node flow (the real flows are priced in
   // BeginLiveHandoff once PlaceJob names the incoming VMs).
-  const GpuId src = placement_->AllGpus().front();
+  const GpuId src = roster_gpus_.front();
   GpuId dst = src;
   for (const GpuId gpu : cluster_->ActiveGpus()) {
     if (!cluster_->topology().SameNode(gpu, src)) {
@@ -427,7 +439,7 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
       return false;
     }
     config_ = best.value();
-    placement_ = std::move(placement).value();
+    SetPlacement(std::move(placement).value());
     return true;
   };
 
@@ -544,15 +556,31 @@ void ElasticTrainer::ScheduleReprovisionRetry() {
   });
 }
 
-double ElasticTrainer::MeasuredMinibatchSeconds() {
-  slow_factors_.clear();
-  bool placement_intact = true;
+void ElasticTrainer::SetPlacement(Placement placement) {
+  placement_ = std::move(placement);
+  roster_gpus_.clear();
+  roster_vms_.clear();
   for (const std::vector<GpuId>& pipeline : placement_->gpus) {
     for (const GpuId gpu : pipeline) {
-      slow_factors_.push_back(cluster_->SlowFactor(gpu));
-      placement_intact = placement_intact && cluster_->GpuActive(gpu);
+      roster_gpus_.push_back(gpu);
+      roster_vms_.push_back(cluster_->VmOfGpu(gpu));
     }
   }
+}
+
+double ElasticTrainer::MeasuredMinibatchSeconds() {
+  // Nothing the check below reads has changed since it last kept the cache.
+  if (cached_minibatch_s_ > 0.0 && cached_generation_ == cluster_->generation()) {
+    return cached_minibatch_s_;
+  }
+  slow_factors_.clear();
+  bool placement_intact = true;
+  for (const VmId vm : roster_vms_) {
+    const VmInstance& instance = cluster_->Vm(vm);
+    slow_factors_.push_back(instance.slow_factor);
+    placement_intact = placement_intact && instance.active;
+  }
+  cached_generation_ = cluster_->generation();
   if (cached_minibatch_s_ > 0.0 && (slow_factors_ == cached_slow_factors_ || !placement_intact)) {
     // A dead VM in the placement means the job is limping toward a heartbeat
     // timeout; keep the cadence rather than re-measuring a broken pipeline.
@@ -697,13 +725,10 @@ void ElasticTrainer::MuteHeartbeats(VmId vm, double duration_s) {
 }
 
 std::vector<VmId> ElasticTrainer::PlacementVms() const {
-  std::vector<VmId> vms;
   if (!placement_.has_value()) {
-    return vms;
+    return {};
   }
-  for (const GpuId gpu : placement_->AllGpus()) {
-    vms.push_back(cluster_->VmOfGpu(gpu));
-  }
+  std::vector<VmId> vms = roster_vms_;
   std::sort(vms.begin(), vms.end());
   vms.erase(std::unique(vms.begin(), vms.end()), vms.end());
   return vms;
@@ -720,23 +745,36 @@ void ElasticTrainer::ProcessHeartbeats() {
   heartbeat_gpus_.clear();
   heartbeat_times_.clear();
   std::vector<VmId> silent;
-  for (const std::vector<GpuId>& pipeline : placement_->gpus) {
-    for (const GpuId gpu : pipeline) {
-      const VmId vm = cluster_->VmOfGpu(gpu);
-      if (!cluster_->IsActive(vm) || HeartbeatsMuted(vm)) {
-        if (std::find(silent.begin(), silent.end(), vm) == silent.end()) {
-          silent.push_back(vm);
-        }
-        continue;
+  for (size_t i = 0; i < roster_gpus_.size(); ++i) {
+    const VmId vm = roster_vms_[i];
+    const VmInstance& instance = cluster_->Vm(vm);
+    if (!instance.active || HeartbeatsMuted(vm)) {
+      if (std::find(silent.begin(), silent.end(), vm) == silent.end()) {
+        silent.push_back(vm);
       }
-      heartbeat_gpus_.push_back(gpu);
-      heartbeat_times_.push_back(cluster_->SlowFactor(gpu) * rng_.LogNormalMedian(1.0, 0.01));
+      continue;
+    }
+    heartbeat_gpus_.push_back(roster_gpus_[i]);
+    heartbeat_times_.push_back(instance.slow_factor);  // Scaled by its draw below.
+    if (static_cast<size_t>(vm) < missed_heartbeats_.size()) {
+      missed_heartbeats_[static_cast<size_t>(vm)] = 0;
     }
   }
-  for (const GpuId gpu : heartbeat_gpus_) {
-    const auto vm = static_cast<size_t>(cluster_->VmOfGpu(gpu));
-    if (vm < missed_heartbeats_.size()) {
-      missed_heartbeats_[vm] = 0;
+  // Heartbeat i reports slow_i * e^(sigma g_i). While every |g_i| <= B, each
+  // time lies in [min_slow e^(-sigma B), max_slow e^(sigma B)], so if
+  // max_slow e^(sigma B) <= threshold * min_slow e^(-sigma B) the spread
+  // check below cannot fire: the draws are advanced unread.
+  const auto [min_slow, max_slow] =
+      std::minmax_element(heartbeat_times_.begin(), heartbeat_times_.end());
+  const double spread_bound = std::exp(kHeartbeatNoiseSigma * kHeartbeatSkipBound);
+  const bool quiet =
+      heartbeat_times_.empty() ||
+      (*max_slow * spread_bound * (1.0 + kHeartbeatSkipMargin) <=
+           options_.stutter_threshold * *min_slow / spread_bound &&
+       rng_.SkipGaussiansWithin(static_cast<int>(heartbeat_times_.size()), kHeartbeatSkipBound));
+  if (!quiet) {
+    for (double& time : heartbeat_times_) {
+      time *= rng_.LogNormalMedian(1.0, kHeartbeatNoiseSigma);
     }
   }
   std::vector<VmId> dead;
@@ -754,7 +792,7 @@ void ElasticTrainer::ProcessHeartbeats() {
     HandleHeartbeatTimeout(dead);
     return;
   }
-  if (heartbeat_gpus_.empty()) {
+  if (quiet) {
     return;
   }
   // Every time lies in [min, max] and the median is at least min, so when

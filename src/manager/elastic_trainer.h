@@ -356,8 +356,11 @@ class ElasticTrainer {
   bool OffloadActive() const { return options_.cpu_offload_optimizer || degraded_; }
 
   // Measured mini-batch duration for the current placement (re-measured when
-  // the placement or any member's slow factor changes).
+  // the placement or any member's slow factor changes). O(1) while the
+  // cluster generation is the one the cached value was checked against.
   double MeasuredMinibatchSeconds();
+  // Installs `placement` and rebuilds the roster arrays derived from it.
+  void SetPlacement(Placement placement);
 
   int AvailableGpus() const;
   void RecordSample(double examples_per_s, bool checkpointing);
@@ -400,9 +403,15 @@ class ElasticTrainer {
   int64_t epoch_ = 0;
   std::optional<JobConfig> config_;
   std::optional<Placement> placement_;
+  // The placement's GPUs in pipeline-major order with each one's VM, rebuilt
+  // by SetPlacement: the per-mini-batch paths walk these flat arrays.
+  std::vector<GpuId> roster_gpus_;
+  std::vector<VmId> roster_vms_;
   std::optional<Partition> partition_;
   double cached_minibatch_s_ = 0.0;
   std::vector<double> cached_slow_factors_;
+  // Cluster generation at which cached_minibatch_s_ was last confirmed.
+  uint64_t cached_generation_ = 0;
   int64_t last_checkpointed_minibatch_ = -1;
   // Capacity at the last growth evaluation; the O(G) sweep only reruns when
   // availability moved materially (morphs are not free).

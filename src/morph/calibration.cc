@@ -73,6 +73,9 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
   if (options.samples < 1 || options.network_samples < 1) {
     return Result<Calibration>::Error("calibration needs samples and network_samples >= 1");
   }
+  if (sections.num_sections() < 1) {
+    return Result<Calibration>::Error("calibration needs a model with at least one section");
+  }
   const std::vector<GpuId> pool = cluster.ActiveGpus();
   if (pool.size() < 4) {
     return Result<Calibration>::Error("calibration needs at least 4 active GPUs");
@@ -105,10 +108,9 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
   std::vector<SectionCalibration> calibrated(static_cast<size_t>(sections.num_sections()));
   // Network samples in draw order (the body mean and the stall sums are
   // accumulated in that order), plus a scratch copy the median reorders.
-  std::vector<double> samples;
+  std::vector<double> samples(static_cast<size_t>(options.network_samples));
   std::vector<double> scratch;
-  samples.reserve(static_cast<size_t>(options.network_samples));
-  scratch.reserve(static_cast<size_t>(options.network_samples));
+  scratch.reserve(samples.size());
 
   // --- F_i(m), B_i(m): run a few mocked micro-batches per section (random
   // inputs standing in for the previous stage, §4.3) and average. These are
@@ -146,11 +148,8 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
     const double act_bytes = sections.boundary_activation_bytes[static_cast<size_t>(i)];
     for (size_t k = 0; k < num_sizes; ++k) {
       const int m = microbatch_sizes[k];
-      samples.clear();
-      for (int run = 0; run < options.network_samples; ++run) {
-        samples.push_back(cluster.network().SampleTransferTime(local, remote, act_bytes * m,
-                                                               gpus_per_node, rng));
-      }
+      cluster.network().SampleTransferTimes(local, remote, act_bytes * m, gpus_per_node, rng,
+                                            samples);
       scratch.assign(samples.begin(), samples.end());
       const double typical = Percentile(scratch, 0.5);
       const double stall_threshold = 1.5 * typical + 0.05;

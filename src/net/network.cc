@@ -74,26 +74,38 @@ double Network::MeanParallelTransferTime(
 
 double Network::SampleTransferTime(GpuId src, GpuId dst, double bytes, int concurrent_flows,
                                    Rng* rng) const {
+  double time = 0.0;
+  SampleTransferTimes(src, dst, bytes, concurrent_flows, rng, std::span<double>(&time, 1));
+  return time;
+}
+
+void Network::SampleTransferTimes(GpuId src, GpuId dst, double bytes, int concurrent_flows,
+                                  Rng* rng, std::span<double> out) const {
   VARUNA_CHECK_GE(bytes, 0.0);
+  VARUNA_CHECK_GE(concurrent_flows, 1);
   if (src == dst) {
-    return 0.0;
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
   }
   const LinkClass link =
       topology_->PairClass(topology_->NodeOfFast(src), topology_->NodeOfFast(dst));
   if (!link.crosses_node) {
-    return link.latency_s + bytes / link.bandwidth_bps;
+    std::fill(out.begin(), out.end(), link.latency_s + bytes / link.bandwidth_bps);
+    return;
   }
   const double bandwidth =
       std::min(link.bandwidth_bps / concurrent_flows, topology_->fabric().per_flow_bandwidth_bps);
   const double serialization = bytes / bandwidth;
   const FabricSpec& fabric = topology_->fabric();
-  double latency = fabric.jitter_sigma > 0.0
-                       ? rng->LogNormalMedian(fabric.base_latency_s, fabric.jitter_sigma)
-                       : fabric.base_latency_s;
-  if (fabric.stall_probability > 0.0 && rng->Bernoulli(fabric.stall_probability)) {
-    latency += rng->Exponential(fabric.stall_mean_s);
+  for (double& time : out) {
+    double latency = fabric.jitter_sigma > 0.0
+                         ? rng->LogNormalMedian(fabric.base_latency_s, fabric.jitter_sigma)
+                         : fabric.base_latency_s;
+    if (fabric.stall_probability > 0.0 && rng->Bernoulli(fabric.stall_probability)) {
+      latency += rng->Exponential(fabric.stall_mean_s);
+    }
+    time = latency + serialization;
   }
-  return latency + serialization;
 }
 
 int Network::InternHopClass(int class_lo, int class_hi, bool crosses_node) const {

@@ -22,6 +22,7 @@
 #define SRC_NET_NETWORK_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -57,9 +58,14 @@ class Network {
   double MeanParallelTransferTime(const std::vector<std::pair<GpuId, GpuId>>& flows,
                                   double flow_bytes) const;
 
-  // Transfer time with sampled latency jitter and tail stalls.
+  // Transfer time with sampled latency jitter and tail stalls. Requires
+  // concurrent_flows >= 1.
   double SampleTransferTime(GpuId src, GpuId dst, double bytes, int concurrent_flows,
                             Rng* rng) const;
+  // Fills `out` with out.size() SampleTransferTime draws, in order and bit for
+  // bit, resolving the link class and serialization time once.
+  void SampleTransferTimes(GpuId src, GpuId dst, double bytes, int concurrent_flows, Rng* rng,
+                           std::span<double> out) const;
 
   // Bandwidth-optimal ring allreduce of `bytes` across `members` (Patarasuk &
   // Yuan): 2(D-1) steps, each moving bytes/D over the slowest ring link.

@@ -53,6 +53,42 @@ TEST(ClusterTest, SlowFactorPerVm) {
   EXPECT_DOUBLE_EQ(cluster.SlowFactor(1), 1.3);
 }
 
+// Over random change sequences the maintained active count matches the
+// materialized set, and the generation moves on every effective change but
+// not on a repeated Preempt or on reads.
+TEST(ClusterTest, GenerationAndActiveCountTrackEveryChange) {
+  Rng rng(5);
+  for (int trial = 0; trial < 20; ++trial) {
+    Cluster cluster(CommodityFabric());
+    for (int step = 0; step < 200; ++step) {
+      const uint64_t before = cluster.generation();
+      const int op = static_cast<int>(rng.UniformInt(0, 2));
+      bool effective = false;
+      if (op == 0 || cluster.num_vms() == 0) {
+        cluster.AddVm(rng.Bernoulli(0.5) ? Nc6V3() : Nc24V3());
+        effective = true;
+      } else {
+        const VmId vm = static_cast<VmId>(rng.UniformInt(0, cluster.num_vms() - 1));
+        if (op == 1) {
+          effective = cluster.IsActive(vm);
+          cluster.Preempt(vm);
+        } else {
+          cluster.SetSlowFactor(vm, rng.Uniform(1.0, 1.5));
+          effective = true;
+        }
+      }
+      if (effective) {
+        EXPECT_GT(cluster.generation(), before);
+      } else {
+        EXPECT_EQ(cluster.generation(), before);
+      }
+      const uint64_t after = cluster.generation();
+      ASSERT_EQ(cluster.NumActiveGpus(), static_cast<int>(cluster.ActiveGpus().size()));
+      EXPECT_EQ(cluster.generation(), after);  // Reads never move it.
+    }
+  }
+}
+
 TEST(PlacementTest, PipelineMajorNodePacking) {
   Cluster cluster(CommodityFabric());
   cluster.AddVms(Nc24V3(), 4);  // 16 GPUs on 4 nodes.

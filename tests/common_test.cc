@@ -111,6 +111,43 @@ TEST(RngTest, ForkIndependent) {
   EXPECT_NE(a.NextUint64(), fork.NextUint64());
 }
 
+// Property: a skip that succeeds leaves the stream exactly where n Gaussian()
+// calls would, and every skipped value lay within the bound; a skip that fails
+// leaves the stream untouched. Entry states with and without a cached second
+// value, odd and even n.
+TEST(RngTest, SkipGaussiansWithinMatchesDrawing) {
+  Rng params(2024);
+  int skipped = 0;
+  int refused = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const uint64_t seed = params.NextUint64();
+    const int prefix = static_cast<int>(params.UniformInt(0, 3));  // Odd: a cached value.
+    const int n = static_cast<int>(params.UniformInt(0, 17));
+    const double bound = params.Uniform(0.5, 4.5);
+    Rng skipper(seed);
+    Rng drawer(seed);
+    for (int i = 0; i < prefix; ++i) {
+      skipper.Gaussian();
+      drawer.Gaussian();
+    }
+    if (skipper.SkipGaussiansWithin(n, bound)) {
+      ++skipped;
+      for (int i = 0; i < n; ++i) {
+        EXPECT_LE(std::abs(drawer.Gaussian()), bound) << "seed " << seed << " n " << n;
+      }
+    } else {
+      ++refused;
+    }
+    for (int i = 0; i < 32; ++i) {
+      ASSERT_EQ(skipper.Gaussian(), drawer.Gaussian()) << "seed " << seed << " n " << n;
+    }
+    ASSERT_EQ(skipper.NextUint64(), drawer.NextUint64());
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(skipped, 200);
+  EXPECT_GT(refused, 200);
+}
+
 TEST(StatsTest, RunningStatsBasic) {
   RunningStats stats;
   for (const double x : {1.0, 2.0, 3.0, 4.0}) {

@@ -126,6 +126,45 @@ TEST(ElasticTrainerTest, DetectsFailStutter) {
   EXPECT_TRUE(replaced);
 }
 
+// The mini-batch time is cached across mini-batches; a slow-factor change on
+// a placement VM must still force a re-measure (the cluster generation moved)
+// and, past the threshold, the stutter must still be detected.
+TEST(ElasticTrainerTest, SlowFactorChangeForcesRemeasure) {
+  TrainerOptions options;
+  options.total_batch = 2400;
+  options.demand_vms = 36;
+  options.minibatch_noise_sigma = 0.0;  // Samples then move only on a re-measure.
+  SessionFixture fx(Gpt2_2_5B(), 36, options, StableDynamics());
+  fx.engine.RunUntil(2.0 * kHour);
+  ASSERT_TRUE(fx.trainer->job_running());
+  const auto last_steady_rate = [&fx] {
+    const std::vector<TimelineSample>& samples = fx.trainer->stats().samples;
+    for (auto it = samples.rbegin(); it != samples.rend(); ++it) {
+      if (!it->checkpointing) {
+        return it->examples_per_s;
+      }
+    }
+    return 0.0;
+  };
+  const double healthy = last_steady_rate();
+  ASSERT_GT(healthy, 0.0);
+  const VmId vm = fx.trainer->PlacementVms().front();
+  // Below the stutter threshold: the job keeps its placement, runs slower.
+  fx.cluster.SetSlowFactor(vm, 1.05);
+  fx.engine.RunUntil(2.5 * kHour);
+  EXPECT_EQ(fx.trainer->stats().stutters_detected, 0);
+  EXPECT_LT(last_steady_rate(), healthy);
+  // Past it: detected and replaced.
+  fx.cluster.SetSlowFactor(vm, 1.3);
+  fx.engine.RunUntil(3.0 * kHour);
+  EXPECT_GT(fx.trainer->stats().stutters_detected, 0);
+  bool replaced = false;
+  for (const auto& event : fx.trainer->stats().events) {
+    replaced |= event.kind == "replace";
+  }
+  EXPECT_TRUE(replaced);
+}
+
 TEST(ElasticTrainerTest, GrowsWhenCapacityArrives) {
   TrainerOptions options;
   options.total_batch = 8192;

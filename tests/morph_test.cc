@@ -126,6 +126,16 @@ TEST_F(CalibrationOptionsTest, RejectsZeroNetworkSamples) {
   EXPECT_FALSE(Accepts(options));
 }
 
+TEST_F(CalibrationOptionsTest, RejectsAModelWithNoSections) {
+  Rng rng(1);
+  const Result<Calibration> result =
+      Calibrate(ModelSections(), fx_.cluster, CalibrationOptions(), &rng);
+  EXPECT_FALSE(result.ok());
+  // Refused before any draw.
+  Rng fresh(1);
+  EXPECT_EQ(rng.NextUint64(), fresh.NextUint64());
+}
+
 TEST(CalibrationTest, CloseToGroundTruthCompute) {
   Fixture fx(Gpt2_2_5B());
   const GpuSpec gpu = Nc6V3().gpu;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "src/cluster/vm.h"
 #include "src/common/rng.h"
@@ -81,6 +84,40 @@ TEST(NetworkTest, JitterSamplesCenterOnBaseLatency) {
   // Median of log-normal jitter is the base latency; tail stalls push p99 up.
   EXPECT_NEAR(Percentile(samples, 0.5), CommodityFabric().base_latency_s, 50e-6);
   EXPECT_GT(Percentile(samples, 0.995), 2.0 * CommodityFabric().base_latency_s);
+}
+
+// The batched call is SampleTransferTime in a loop, bit for bit, and leaves
+// the Rng (including a cached Gaussian) exactly where the loop would.
+TEST(NetworkTest, SampleTransferTimesMatchesSingleDraws) {
+  Topology topology(CommodityFabric());
+  topology.AddNode(Nc24V3().node);
+  topology.AddNode(Nc24V3().node);
+  Network network(&topology);
+  const std::pair<GpuId, GpuId> pairs[] = {{0, 4}, {0, 1}, {2, 2}};
+  for (const auto& [src, dst] : pairs) {
+    for (const int count : {1, 7, 200}) {
+      Rng batched(31);
+      Rng single(31);
+      std::vector<double> times(static_cast<size_t>(count), -1.0);
+      network.SampleTransferTimes(src, dst, 3e6, 4, &batched, times);
+      for (const double time : times) {
+        EXPECT_EQ(time, network.SampleTransferTime(src, dst, 3e6, 4, &single))
+            << src << "->" << dst;
+      }
+      EXPECT_EQ(batched.Gaussian(), single.Gaussian());
+      EXPECT_EQ(batched.NextUint64(), single.NextUint64());
+    }
+  }
+}
+
+TEST(NetworkTest, SampleTransferRequiresAFlow) {
+  Topology topology = TwoNodeTopology(1);
+  Network network(&topology);
+  Rng rng(1);
+  EXPECT_DEATH(network.SampleTransferTime(0, 1, 1e6, 0, &rng), "concurrent_flows");
+  double time = 0.0;
+  EXPECT_DEATH(network.SampleTransferTimes(0, 1, 1e6, -2, &rng, std::span<double>(&time, 1)),
+               "concurrent_flows");
 }
 
 TEST(NetworkTest, AllReduceSingleMemberIsFree) {

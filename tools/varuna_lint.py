@@ -41,7 +41,8 @@ Rules (each can be suppressed on a line with `// varuna-lint: allow(<rule>)`):
                   micro-batch trainers in src/train.
 
   hot-path        The per-event simulation hot path (src/sim/, the pipeline
-                  executor) and the morph-decision sweep (src/morph/, the
+                  executor, the checkpoint store, the Rng and the running
+                  statistics) and the morph-decision sweep (src/morph/, the
                   schedule cache) must stay allocation-free in steady state:
                   node-based containers (std::map / std::unordered_map /
                   std::unordered_set / std::set) and std::function (heap
@@ -158,9 +159,15 @@ HOT_PATH_PATTERNS = [
 # tables must stay flat (sorted vectors / open addressing, no node chasing).
 # The checkpoint store joined the list when its record table went flat: its
 # per-shard flush events and the latest-usable chain scans fire on the DES
-# hot path during every storm.
+# hot path during every storm. The Rng and the running statistics joined when
+# their per-draw functions moved into the headers: every calibration sample,
+# heartbeat and transfer jitter runs them inline.
 HOT_PATH_PREFIXES = ("src/sim/", "src/morph/")
 HOT_PATH_FILES = (
+    "src/common/rng.h",
+    "src/common/rng.cc",
+    "src/common/stats.h",
+    "src/common/stats.cc",
     "src/pipeline/executor.h",
     "src/pipeline/executor.cc",
     "src/pipeline/schedule_cache.h",
