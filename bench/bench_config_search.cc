@@ -9,16 +9,17 @@
 //     table), scratch buffers hot;
 //   * the full joint P x m sweep at G=128, cold caches, serial vs pooled
 //     (ThreadPool with one worker per hardware thread);
-//   * the same sweep with warm memo (the repeated-cluster-size morph case);
-//   * a spot trace: sweeps at previously-unseen GPU counts, where the
-//     whole-sweep memo cannot hit and speed comes from candidate-level
-//     reuse + bound pruning. Three variants per G — from-scratch cold,
-//     incremental memo-only (prune off), incremental memo + pruning — with
-//     every variant's winner asserted bit-identical to the cold oracle
-//     before anything is timed. Headline: geomean per-G speedup vs cold.
-// "Cold" means ConfigSearch::ClearCaches() before each timed sweep: memoized
-// sweeps, candidate evaluations and partitions are dropped, but the
-// process-wide schedule memo behind GenerateSchedule is not. After the one
+//   * an exact revisit of G=128 served from the candidate table (the
+//     repeated-cluster-size morph case: hash probes, no simulation);
+//   * a spot trace: sweeps at previously-unseen GPU counts, where speed
+//     comes from candidate-level reuse + bound pruning. Three variants per
+//     G — from-scratch cold, incremental memo-only (prune off), incremental
+//     memo + pruning — with every variant's winner asserted bit-identical to
+//     the cold oracle before anything is timed. Headline: geomean per-G
+//     speedup vs cold.
+// "Cold" means ConfigSearch::ClearCaches() before each timed sweep: the
+// candidate table and the partitions are dropped, but the process-wide
+// schedule memo behind GenerateSchedule is not. After the one
 // warmup every timed "cold" repeat reuses its schedules from that memo by
 // reference instead of generating and validating them; so does every
 // from-scratch spot-trace sweep, because the winner check sweeps each G first.
@@ -146,8 +147,8 @@ int Run(int argc, char** argv) {
     pooled_search.ClearCaches();
     (void)pooled_search.Sweep(gpus, constraints);
   });
-  // Warm: the memoized path a spot trace hits when a cluster size recurs.
-  const BenchStats warm = TimeIt(mode.Warmup(1), mode.Repeats(15), [&] {
+  // Revisit: the table path a spot trace takes when a cluster size recurs.
+  const BenchStats revisit = TimeIt(mode.Warmup(1), mode.Repeats(15), [&] {
     (void)serial_search.Sweep(gpus, constraints);
   });
 
@@ -157,8 +158,8 @@ int Run(int argc, char** argv) {
   sweep_table.AddRow({"cold sweep, pooled x" + std::to_string(threads),
                       Table::Num(pooled_cold.median_ms, 2), Table::Num(pooled_cold.min_ms, 2),
                       Table::Num(pooled_cold.mean_ms, 2)});
-  sweep_table.AddRow({"warm sweep (memo hit)", Table::Num(warm.median_ms, 4),
-                      Table::Num(warm.min_ms, 4), Table::Num(warm.mean_ms, 4)});
+  sweep_table.AddRow({"exact revisit (candidate table)", Table::Num(revisit.median_ms, 4),
+                      Table::Num(revisit.min_ms, 4), Table::Num(revisit.mean_ms, 4)});
   std::printf("%s\n", sweep_table.Render().c_str());
 
   const double speedup = serial_cold.median_ms / pooled_cold.median_ms;
@@ -169,10 +170,10 @@ int Run(int argc, char** argv) {
 
   // --- Spot trace: previously-unseen G, incremental vs from-scratch. --------
   // An elastic session never re-decides the same cluster size twice in a row;
-  // it morphs to a G it has not seen. The whole-sweep memo misses there by
-  // construction — this section measures what candidate-level reuse and bound
-  // pruning recover. Warm history: a few sweeps at other sizes, as any live
-  // session has after its first morphs.
+  // it morphs to a G it has not seen. This section measures what
+  // candidate-level reuse and bound pruning recover there. Warm history: a
+  // few sweeps at other sizes, as any live session has after its first
+  // morphs.
   const int warm_points = mode.smoke ? 1 : 4;
   const int trace_points = mode.smoke ? 3 : 40;
   std::vector<int> sizes;  // 64..127, all distinct from the G=128 warmup.
@@ -261,7 +262,7 @@ int Run(int argc, char** argv) {
 
   json.AddResult("sweep_cold_serial", serial_cold);
   json.AddResult("sweep_cold_pooled", pooled_cold);
-  json.AddResult("sweep_warm_memoized", warm);
+  json.AddResult("sweep_revisit_table", revisit);
   json.AddScalar("pool_threads", threads);
   if (threads < 2) {
     json.AddString("pooled_caveat",

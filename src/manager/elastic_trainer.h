@@ -194,11 +194,11 @@ struct SessionStats : ReplayRecord {
   // Deepest single rollback, derivable from the ledger events.
   int64_t max_rollback_minibatches = 0;
   // Morph-decision cost trackers (snapshots of the ConfigSearch counters):
-  // whole sweeps memoized by (G, calibration, constraints) resolve without
-  // re-simulation when a spot trace revisits a cluster size, and individual
-  // fast-sim evaluations are memoized per (P, D, m, Nm) candidate so a morph
-  // to a previously-unseen G re-simulates only genuinely new tuples, with
-  // bound-pruned candidates skipping simulation entirely. Cache warmth, not
+  // the candidate table keeps each (P, D, m, Nm) candidate's feasibility,
+  // bound and fast-sim result, so a morph to a previously-unseen G
+  // re-simulates only genuinely new tuples, bound-pruned candidates skip
+  // simulation entirely, and a revisited G costs hash probes only. A sweep
+  // hits when it simulates nothing and misses otherwise. Cache warmth, not
   // state.
   uint64_t sweep_cache_hits = 0;
   uint64_t sweep_cache_misses = 0;

@@ -36,32 +36,19 @@ uint64_t CandidateMemo::Hash(const CandidateKey& key) {
   return Mix64(a ^ Mix64(b ^ static_cast<uint64_t>(key.schedule_kind)));
 }
 
-bool CandidateMemo::SyncContext(const CandidateContext& context) {
-  if (context == context_) {
-    return false;
-  }
-  Clear();
-  context_ = context;
-  return true;
-}
-
-const FastSimResult* CandidateMemo::Find(const CandidateKey& key) const {
-  if (slots_.empty()) {
-    return nullptr;
-  }
-  const size_t mask = slots_.size() - 1;
-  for (size_t probe = Hash(key) & mask;; probe = (probe + 1) & mask) {
-    const Slot& slot = slots_[probe];
-    if (!slot.occupied) {
-      return nullptr;
-    }
-    if (slot.key == key) {
-      return &slot.result;
+void CandidateMemo::Sync(const CandidateContext& context, const MemoryBudget& budget) {
+  if (context != context_) {
+    Clear();
+    context_ = context;
+  } else if (budget != budget_) {
+    for (Slot& slot : slots_) {
+      slot.entry.fits[0] = slot.entry.fits[1] = Feasibility::kUnknown;
     }
   }
+  budget_ = budget;
 }
 
-void CandidateMemo::Insert(const CandidateKey& key, const FastSimResult& result) {
+CandidateEntry& CandidateMemo::FindOrInsert(const CandidateKey& key) {
   if (slots_.empty() || (size_ + 1) * 4 >= slots_.size() * 3) {
     Grow();
   }
@@ -70,14 +57,12 @@ void CandidateMemo::Insert(const CandidateKey& key, const FastSimResult& result)
     Slot& slot = slots_[probe];
     if (!slot.occupied) {
       slot.key = key;
-      slot.result = result;
       slot.occupied = true;
       ++size_;
-      return;
+      return slot.entry;
     }
     if (slot.key == key) {
-      slot.result = result;  // Re-insert after an external Clear race: benign.
-      return;
+      return slot.entry;
     }
   }
 }
@@ -200,54 +185,39 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
   if (gpus < 1) {
     return Result<std::vector<JobConfig>>::Error("no GPUs available");
   }
-  std::unique_lock<std::mutex> sweep_lock(sweep_mutex_);
-
-  // L1: the whole-sweep memo. The key covers every input of the sweep (G, the
-  // calibration fingerprint, all constraint fields), so a hit is exact — the
-  // cached vector is the bit-identical result a fresh sweep would produce.
-  const uint64_t calibration_fingerprint = calibration_->Fingerprint();
-  const SweepKey key{gpus, calibration_fingerprint, constraints};
-  int workers = 1;
-  {
-    std::unique_lock<std::mutex> lock(cache_mutex_);
-    ++stats_.sweeps;
-    const auto it = std::lower_bound(
-        sweep_cache_.begin(), sweep_cache_.end(), key,
-        [](const auto& entry, const SweepKey& probe) { return entry.first < probe; });
-    if (it != sweep_cache_.end() && it->first == key) {
-      ++stats_.sweep_cache_hits;
-      if (it->second.empty()) {
-        return infeasible();
-      }
-      return it->second;
-    }
-    ++stats_.sweep_cache_misses;
-    workers = (pool_ != nullptr) ? pool_->num_threads() : 1;
-    if (static_cast<int>(simulators_.size()) < workers) {
-      simulators_.resize(static_cast<size_t>(workers), FastSimulator(calibration_));
-    }
+  std::unique_lock<std::mutex> lock(sweep_mutex_);
+  ++stats_.sweeps;
+  const int workers = (pool_ != nullptr) ? pool_->num_threads() : 1;
+  if (static_cast<int>(simulators_.size()) < workers) {
+    simulators_.resize(static_cast<size_t>(workers), FastSimulator(calibration_));
   }
 
-  // L2: the candidate memo survives across G but not across a change to what
+  // The candidate table survives across G but not across a change to what
   // make_sim_config feeds the simulator — a stale hit would be a silent wrong
-  // morph. The enumeration-only constraints reach it through the key.
-  candidate_memo_.SyncContext(
-      {calibration_fingerprint, constraints.gpus_per_node, constraints.shared_sync_bytes});
+  // morph. The enumeration-only constraints reach it through the key, except
+  // the budget and CPU offload, which decide only feasibility.
+  candidate_memo_.Sync(
+      {calibration_->Fingerprint(), constraints.gpus_per_node, constraints.shared_sync_bytes},
+      constraints.budget);
+  const size_t offload = constraints.cpu_offload_optimizer ? 1 : 0;
 
   const std::vector<int> ms =
       PickMicrobatchCandidates(constraints.microbatch_tolerance, constraints.microbatch_candidates);
   const int max_depth = std::min(gpus, sections_->num_sections());
 
   // Enumerate every memory-feasible candidate in ascending (P, m) order —
-  // the output order, and the order pruning walks. Memo probes resolve here,
-  // serially and lock-free (sweep_mutex_ already excludes other sweeps).
+  // the output order, and the order pruning walks. Table probes resolve
+  // here, serially and lock-free (sweep_mutex_ already excludes other
+  // sweeps): feasibility and bounds are computed once per entry, and
+  // simulated candidates seed the incumbent. At a previously-unseen G most
+  // candidates resolve here, so pruning has a strong incumbent before the
+  // first simulation round.
   struct Candidate {
     CandidateKey key;
     const Partition* partition = nullptr;
     FastSimResult sim;
     double lower_bound_s = 0.0;
-    bool resolved = false;  // sim is valid (memo hit or simulated this sweep).
-    bool pruned = false;
+    bool resolved = false;  // sim is valid (simulated before or this sweep).
   };
   const auto actual_batch = [](const Candidate& c) {
     return static_cast<double>(c.key.microbatch) * c.key.num_microbatches * c.key.replicas;
@@ -264,8 +234,9 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
   };
 
   std::vector<Candidate> candidates;
-  std::vector<size_t> pending;  // Indices of memo misses, ascending (P, m).
+  std::vector<size_t> pending;  // Indices of unsimulated candidates, ascending (P, m).
   uint64_t memo_hits = 0;
+  double incumbent = 0.0;
   for (int depth = 1; depth <= max_depth; ++depth) {
     const Partition* partition = PartitionForDepth(depth);
     if (partition == nullptr) {
@@ -278,39 +249,37 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
     for (const int m : ms) {
       const int num_microbatches = static_cast<int>(
           std::ceil(constraints.total_batch / (static_cast<double>(m) * replicas)));
-      if (!StageMemoryFits(*partition, m, num_microbatches, constraints)) {
-        continue;  // Depth too shallow for this m: a stage does not fit in GPU memory.
-      }
       Candidate candidate;
       candidate.key = CandidateKey{depth, replicas, m, num_microbatches,
                                    static_cast<int32_t>(ScheduleKind::kVaruna)};
       candidate.partition = partition;
-      if (const FastSimResult* hit = candidate_memo_.Find(candidate.key)) {
-        candidate.sim = *hit;
+      CandidateEntry& entry = candidate_memo_.FindOrInsert(candidate.key);
+      Feasibility& fits = entry.fits[offload];
+      if (fits == Feasibility::kUnknown) {
+        fits = StageMemoryFits(*partition, m, num_microbatches, constraints)
+                   ? Feasibility::kFits
+                   : Feasibility::kDoesNotFit;
+      }
+      if (fits == Feasibility::kDoesNotFit) {
+        continue;  // Depth too shallow for this m: a stage does not fit in GPU memory.
+      }
+      if (entry.simulated) {
+        candidate.sim = entry.sim;
         candidate.resolved = true;
         ++memo_hits;
+        incumbent = std::max(incumbent, actual_batch(candidate) / candidate.sim.minibatch_s);
       } else {
+        if (!entry.bounded) {
+          // Cheap: O(P) in calibrated scalars, no schedule.
+          entry.lower_bound_s = simulators_[0].LowerBoundMinibatch(
+              make_sim_config(candidate), num_microbatches);
+          entry.bounded = true;
+        }
+        candidate.lower_bound_s = entry.lower_bound_s;
         pending.push_back(candidates.size());
       }
       candidates.push_back(candidate);
     }
-  }
-
-  // Incumbent throughput from memo hits: at a previously-unseen G most
-  // candidates resolve here, so pruning has a strong incumbent before the
-  // first simulation round.
-  double incumbent = 0.0;
-  for (const Candidate& candidate : candidates) {
-    if (candidate.resolved) {
-      incumbent = std::max(incumbent, actual_batch(candidate) / candidate.sim.minibatch_s);
-    }
-  }
-
-  // Bounds for the misses (cheap: O(P) in calibrated scalars, no schedule).
-  for (const size_t index : pending) {
-    Candidate& candidate = candidates[index];
-    candidate.lower_bound_s =
-        simulators_[0].LowerBoundMinibatch(make_sim_config(candidate), candidate.key.num_microbatches);
   }
 
   // Simulate the misses in fixed-size rounds, re-pruning against the
@@ -332,7 +301,6 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
       // strict > already guarantees for the un-pruned survivors).
       if (constraints.prune && incumbent > 0.0 && candidate.lower_bound_s > 0.0 &&
           actual_batch(candidate) / candidate.lower_bound_s < incumbent) {
-        candidate.pruned = true;
         ++pruned;
         continue;
       }
@@ -361,7 +329,9 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
     for (const size_t index : round) {
       Candidate& candidate = candidates[index];
       candidate.resolved = true;
-      candidate_memo_.Insert(candidate.key, candidate.sim);
+      CandidateEntry& entry = candidate_memo_.FindOrInsert(candidate.key);
+      entry.sim = candidate.sim;
+      entry.simulated = true;
       incumbent = std::max(incumbent, actual_batch(candidate) / candidate.sim.minibatch_s);
     }
   }
@@ -383,17 +353,11 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
     config.gpus_used = candidate.key.depth * candidate.key.replicas;
     feasible.push_back(config);
   }
-  {
-    std::unique_lock<std::mutex> lock(cache_mutex_);
-    stats_.candidates_simulated += simulated;
-    stats_.candidate_memo_hits += memo_hits;
-    stats_.candidate_memo_misses += pending.size();
-    stats_.candidates_pruned += pruned;
-    const auto it = std::lower_bound(
-        sweep_cache_.begin(), sweep_cache_.end(), key,
-        [](const auto& entry, const SweepKey& probe) { return entry.first < probe; });
-    sweep_cache_.insert(it, {key, feasible});
-  }
+  ++(simulated == 0 ? stats_.sweep_cache_hits : stats_.sweep_cache_misses);
+  stats_.candidates_simulated += simulated;
+  stats_.candidate_memo_hits += memo_hits;
+  stats_.candidate_memo_misses += pending.size();
+  stats_.candidates_pruned += pruned;
   if (feasible.empty()) {
     return infeasible();
   }
@@ -419,17 +383,13 @@ Result<JobConfig> ConfigSearch::Best(int gpus, const SearchConstraints& constrai
 }
 
 ConfigSearchStats ConfigSearch::stats() const {
-  std::unique_lock<std::mutex> lock(cache_mutex_);
+  std::unique_lock<std::mutex> lock(sweep_mutex_);
   return stats_;
 }
 
 void ConfigSearch::ClearCaches() const {
-  std::unique_lock<std::mutex> sweep_lock(sweep_mutex_);
-  {
-    std::unique_lock<std::mutex> lock(cache_mutex_);
-    sweep_cache_.clear();
-    stats_ = ConfigSearchStats();
-  }
+  std::unique_lock<std::mutex> lock(sweep_mutex_);
+  stats_ = ConfigSearchStats();
   candidate_memo_.Clear();
   partitions_.clear();
   partition_known_.clear();

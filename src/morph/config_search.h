@@ -11,40 +11,42 @@
 // morphing, §4.2): Nm = ceil(M_total / (m * D)) via gradient accumulation.
 //
 // The sweep is the hot path of every morph decision (§7.2), so it is built to
-// be re-run at every preemption/arrival event, with reuse at three grains:
-//   * Individual FastSimulator evaluations are memoized per candidate,
-//     keyed (P, D, m, Nm, schedule kind) within a CandidateContext: the
-//     calibration fingerprint plus the two constraint fields a simulation
-//     reads (gpus_per_node, shared_sync_bytes). Nm depends only on (D, m),
-//     so sweeps at neighboring G share almost all candidates: a morph from
-//     G=128 to a previously-unseen G=120 re-simulates only the handful of
-//     genuinely new (P, D, m) tuples. A recalibration or a change to either
-//     field clears the table — a stale hit would be a silent wrong morph.
-//     The other constraints only decide which candidates are enumerated,
-//     and reach the key through (P, D, m, Nm).
-//   * A cheap analytic lower bound (FastSimulator::LowerBoundMinibatch:
-//     zero-bubble compute + minimal allreduce from calibrated scalars) prunes
-//     candidates that provably cannot beat the incumbent best before they are
-//     simulated. Pruning never changes Best(); it thins Sweep()'s list.
-//   * Un-memoized, un-pruned candidates are simulated in fixed-size rounds
+// be re-run at every preemption/arrival event from one candidate table:
+//   * CandidateMemo records everything known about a candidate, keyed
+//     (P, D, m, Nm, schedule kind) within a CandidateContext: the calibration
+//     fingerprint plus the two constraint fields a simulation reads
+//     (gpus_per_node, shared_sync_bytes). Each entry holds its memory
+//     feasibility per cpu_offload_optimizer value, its analytic lower bound
+//     and, once simulated, its FastSimResult. Nm depends only on (D, m), so
+//     sweeps at neighboring G share almost all candidates: a morph from G=128
+//     to a previously-unseen G=120 re-simulates only the handful of genuinely
+//     new (P, D, m) tuples, and a revisited G costs hash probes only. A
+//     recalibration or a change to either field clears the table — a stale
+//     hit would be a silent wrong morph. A budget change forgets only the
+//     feasibility bits, and CPU offload picks which bit is read. The other
+//     constraints only decide which candidates are enumerated, and reach the
+//     key through (P, D, m, Nm).
+//   * The lower bound (FastSimulator::LowerBoundMinibatch: zero-bubble
+//     compute + minimal allreduce from calibrated scalars) prunes candidates
+//     that provably cannot beat the incumbent best before they are simulated.
+//     Pruning never changes Best(); it thins Sweep()'s list.
+//   * Unsimulated, unpruned candidates are simulated in fixed-size rounds
 //     fanned out over the optional ThreadPool (one FastSimulator per worker,
 //     stall RNG seeded per candidate) and merged in ascending (P, m) order.
 //     Round size is a constant — never the worker count — so pruning
 //     decisions, and therefore the full result vector, are bit-identical
 //     across serial and pooled sweeps (property-tested).
-// Whole sweeps are additionally memoized by SweepKey (G, calibration
-// fingerprint, SearchConstraints), the complete input of Sweep: an exact
-// revisit of a cluster size resolves without touching the candidate table at
-// all. Availability and restore pricing are not inputs: the liveput policy
-// rescores the returned list afterwards. GenerateSchedule's process-wide memo
-// generates+validates each (kind, P, Nm) shape once per process; hits on the
-// candidate memo never need a schedule.
+// Best() and an unpruned Sweep() are pure functions of (G, calibration,
+// constraints) whatever the table holds; only a pruned list depends on which
+// candidates earlier sweeps simulated. Availability and restore pricing are
+// not inputs: the liveput policy rescores an unpruned list afterwards.
+// GenerateSchedule's process-wide memo generates+validates each (kind, P, Nm)
+// shape once per process; simulated candidates never need a schedule again.
 // All sweep-path tables are flat (sorted vectors / open addressing) per the
 // varuna_lint hot-path rule.
 #ifndef SRC_MORPH_CONFIG_SEARCH_H_
 #define SRC_MORPH_CONFIG_SEARCH_H_
 
-#include <compare>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -97,29 +99,29 @@ struct SearchConstraints {
   // winner — and Best() — are bit-identical with or without pruning; only
   // Sweep()'s returned list thins. Disable for exhaustive diagnostics.
   bool prune = true;
-
-  // Every field is a Sweep input, so SweepKey compares them all.
-  auto operator<=>(const SearchConstraints&) const = default;
 };
 
 // Cumulative cache/workload counters (monotone; snapshot and subtract to
 // meter one call).
 struct ConfigSearchStats {
-  uint64_t sweeps = 0;                  // Sweep() calls (cached or not).
+  uint64_t sweeps = 0;                  // Sweep() calls.
+  // Sweeps served wholly from the candidate table (no candidate simulated,
+  // infeasible sweeps included), and every other sweep.
   uint64_t sweep_cache_hits = 0;
   uint64_t sweep_cache_misses = 0;
   uint64_t candidates_simulated = 0;    // FastSimulator invocations.
-  // Candidate-grain reuse: probes of the per-candidate fast-sim memo during
-  // un-memoized sweeps, and candidates skipped by the bound check (a pruned
-  // candidate is a memo miss that never reaches the simulator).
+  // Candidate-grain reuse: probes of the candidate table for memory-feasible
+  // candidates (a hit is already simulated), and candidates skipped by the
+  // bound check (a pruned candidate is a miss that never reaches the
+  // simulator).
   uint64_t candidate_memo_hits = 0;
   uint64_t candidate_memo_misses = 0;
   uint64_t candidates_pruned = 0;
 };
 
-// Identity of one fast-sim evaluation within a fixed CandidateContext. The
-// context itself is not part of the key: the memo stores the context and
-// clears wholesale when it changes.
+// Identity of one candidate within a fixed CandidateContext. The context
+// itself is not part of the key: the memo stores the context and clears
+// wholesale when it changes.
 struct CandidateKey {
   int32_t depth = 0;             // P
   int32_t replicas = 0;          // D
@@ -130,9 +132,9 @@ struct CandidateKey {
   bool operator==(const CandidateKey&) const = default;
 };
 
-// The inputs of a FastSimResult besides its CandidateKey and the instance's
-// fixed model sections: the calibration and the two constraint fields Sweep
-// copies into FastSimConfig.
+// The inputs of a FastSimResult and a lower bound besides the CandidateKey
+// and the instance's fixed model sections: the calibration and the two
+// constraint fields Sweep copies into FastSimConfig.
 struct CandidateContext {
   uint64_t calibration_fingerprint = 0;
   int gpus_per_node = 0;
@@ -141,19 +143,34 @@ struct CandidateContext {
   bool operator==(const CandidateContext&) const = default;
 };
 
+enum class Feasibility : uint8_t { kUnknown, kFits, kDoesNotFit };
+
+// What the sweep knows about one candidate. Each part is filled on first need.
+struct CandidateEntry {
+  // Whether every stage fits the memo's budget, indexed by
+  // cpu_offload_optimizer.
+  Feasibility fits[2] = {Feasibility::kUnknown, Feasibility::kUnknown};
+  bool bounded = false;    // lower_bound_s is valid.
+  bool simulated = false;  // sim is valid.
+  double lower_bound_s = 0.0;
+  FastSimResult sim;
+};
+
 // Flat open-addressing (linear-probe, power-of-two capacity) table from
-// CandidateKey to FastSimResult. Not thread-safe: ConfigSearch only touches
-// it from the serial phases of a sweep (probes before the fan-out, inserts
-// after each round's join), which is what keeps the hit path lock-free.
+// CandidateKey to CandidateEntry. Not thread-safe: ConfigSearch only touches
+// it from the serial phases of a sweep (enumeration before the fan-out,
+// stores after each round's join), which is what keeps the probes lock-free.
 class CandidateMemo {
  public:
   // Clears the table when `context` differs from the stored one
-  // (recalibration or a changed simulation input). Returns true if it cleared.
-  bool SyncContext(const CandidateContext& context);
+  // (recalibration or a changed simulation input). Otherwise, when `budget`
+  // differs from the one the feasibility bits were computed under, forgets
+  // those bits only: bounds and simulations do not read the budget.
+  void Sync(const CandidateContext& context, const MemoryBudget& budget);
 
-  // Null on miss. The pointer is invalidated by the next Insert().
-  const FastSimResult* Find(const CandidateKey& key) const;
-  void Insert(const CandidateKey& key, const FastSimResult& result);
+  // The key's entry, inserted blank on first sight. The reference is
+  // invalidated by the next FindOrInsert().
+  CandidateEntry& FindOrInsert(const CandidateKey& key);
 
   size_t size() const { return size_; }
   void Clear();
@@ -161,7 +178,7 @@ class CandidateMemo {
  private:
   struct Slot {
     CandidateKey key;
-    FastSimResult result;
+    CandidateEntry entry;
     bool occupied = false;
   };
 
@@ -171,6 +188,7 @@ class CandidateMemo {
   std::vector<Slot> slots_;  // Capacity a power of two (or empty).
   size_t size_ = 0;
   CandidateContext context_;
+  MemoryBudget budget_;
 };
 
 class ConfigSearch {
@@ -197,8 +215,9 @@ class ConfigSearch {
 
   // The feasible configurations evaluated during the sweep (for diagnostics
   // and the Table 3 bench), ascending by (P, m). With constraints.prune set,
-  // bound-pruned candidates are omitted (they are provably not the best);
-  // disable pruning for the exhaustive list.
+  // bound-pruned candidates are omitted (they are provably not the best), and
+  // which ones depends on what earlier sweeps simulated; disable pruning for
+  // the exhaustive list, a pure function of the inputs.
   Result<std::vector<JobConfig>> Sweep(int gpus, const SearchConstraints& constraints) const;
 
   // The process-wide schedule memo the sweep draws from (for its counters).
@@ -206,7 +225,7 @@ class ConfigSearch {
 
   ConfigSearchStats stats() const;
 
-  // Drops memoized sweeps, candidate evaluations and partitions (for
+  // Drops the candidate table, the counters and the partitions (for
   // cold-start benchmarking). The process-wide schedule memo survives, so a
   // schedule generated before the call is reused by reference afterwards,
   // not regenerated.
@@ -220,36 +239,20 @@ class ConfigSearch {
   // (it depends only on the fixed model sections). Null when infeasible.
   const Partition* PartitionForDepth(int depth) const;
 
-  // The complete input of Sweep. An empty cached vector records an
-  // infeasible sweep.
-  struct SweepKey {
-    int gpus = 0;
-    uint64_t calibration_fingerprint = 0;
-    SearchConstraints constraints;
-
-    auto operator<=>(const SweepKey&) const = default;
-  };
-
   const TransformerSpec* spec_;
   const ModelSections* sections_;
   const Calibration* calibration_;
   ThreadPool* pool_;
 
-  // Serialises whole sweeps: the per-worker simulators, the candidate memo
-  // and the partition cache are shared state, so two externally concurrent
-  // Sweep() calls on one instance must not overlap (the internal fan-out is
-  // unaffected).
+  // Serialises whole sweeps and guards all of the mutable state below: the
+  // per-worker simulators, the candidate memo, the partition cache and the
+  // counters are shared, so two externally concurrent Sweep() calls on one
+  // instance must not overlap (the internal fan-out is unaffected).
   mutable std::mutex sweep_mutex_;
-  mutable std::mutex cache_mutex_;  // Guards sweep_cache_, stats_, simulators_.
-  // Whole-sweep memo, sorted by key (flat: binary-search hits, O(n) miss-only
-  // inserts — a session sees hundreds of sweeps, not millions).
-  mutable std::vector<std::pair<SweepKey, std::vector<JobConfig>>> sweep_cache_;
   mutable ConfigSearchStats stats_;
   // One simulator per worker, constructed once and reused across sweeps so
   // the scratch buffers amortise (hoisted out of the per-candidate loop).
   mutable std::vector<FastSimulator> simulators_;
-  // Candidate-grain fast-sim memo (guarded by sweep_mutex_, not cache_mutex_:
-  // it is only touched from the serial phases of a sweep).
   mutable CandidateMemo candidate_memo_;
   // partitions_[depth] once computed; partition_known_[depth] distinguishes
   // "not yet tried" from "infeasible" (null entry).

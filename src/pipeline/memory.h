@@ -8,8 +8,6 @@
 #ifndef SRC_PIPELINE_MEMORY_H_
 #define SRC_PIPELINE_MEMORY_H_
 
-#include <compare>
-
 #include "src/model/cutpoints.h"
 #include "src/model/transformer.h"
 #include "src/pipeline/schedule.h"
@@ -21,7 +19,7 @@ struct MemoryBudget {
   // Fraction usable by the job (CUDA context, fragmentation, comm buffers).
   double usable_fraction = 0.92;
 
-  auto operator<=>(const MemoryBudget&) const = default;
+  bool operator==(const MemoryBudget&) const = default;
 };
 
 struct MemoryEstimate {

@@ -17,7 +17,9 @@ int64_t NumElements(const std::vector<int>& shape) {
   return n;
 }
 
-GemmKernel g_gemm_kernel = GemmKernel::kBlocked;
+// Reference-kernel selector: only tests and bench_training_step set it, to
+// compare the blocked kernels against the naive ones.
+GemmKernel g_gemm_kernel = GemmKernel::kBlocked;  // varuna-lint: allow(global-state)
 
 // Block sizes for the packed MatMul / MatMulTransposeA kernels. One packed
 // B-panel is kGemmKB x kGemmNB floats = 32 KiB, sized to sit in L1 while a

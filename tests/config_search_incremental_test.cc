@@ -1,8 +1,10 @@
 // The incremental-morph-decision contract: candidate-level memoization plus
 // bound pruning must be pure speed — never behaviour.
-//   * Over seeded spot traces, the incremental sweep's chosen JobConfig at
-//     every G is bit-identical (operator==, doubles included) to a
-//     from-scratch cold sweep at that G, serial and pooled.
+//   * Over seeded spot traces that also flip the budget, CPU offload and
+//     pruning, the incremental sweep's chosen JobConfig at every point is
+//     bit-identical (operator==, doubles included) to a from-scratch cold
+//     sweep's, serial and pooled, and every unpruned list equals the cold
+//     list: Best() and unpruned sweeps do not depend on the table's history.
 //   * Pruned sweeps are bit-identical across serial and pooled execution
 //     (pruning rounds are a fixed size, never the worker count).
 //   * The analytic lower bound never exceeds the simulated time (the
@@ -13,12 +15,14 @@
 //     a stale hit would be a silent wrong morph. M_total changes every Nm,
 //     so it re-simulates through the key.
 //   * Enumeration-only constraints (budget, CPU offload, micro-batch
-//     tolerance/candidates, pruning) re-run the sweep but keep the candidate
-//     memo: a warm instance reuses candidates and still returns exactly what
-//     a cold instance returns.
+//     tolerance/candidates, pruning) keep the candidate table: a warm
+//     instance reuses candidates and still returns exactly what a cold
+//     instance returns. A budget change forgets only the feasibility bits.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -69,21 +73,31 @@ uint64_t ColdCandidateCount(const Fixture& fx, int gpus, const SearchConstraints
 
 TEST(ConfigSearchIncrementalTest, SpotTraceWinnersBitIdenticalToColdSweeps) {
   Fixture fx;
-  const SearchConstraints constraints = DefaultConstraints();  // prune on.
-  SearchConstraints unpruned = constraints;
-  unpruned.prune = false;
+  // Two budgets: the second makes shallower pipelines feasible, so a budget
+  // flip re-decides feasibility over candidates the table already holds.
+  MemoryBudget budgets[2];
+  budgets[0].gpu_memory_bytes = Nc6V3().gpu.memory_bytes;
+  budgets[1].gpu_memory_bytes = 2.0 * Nc6V3().gpu.memory_bytes;
 
-  // Cold oracle: Best at each distinct G from a fresh, unpruned instance.
-  // Computed once per G and shared across traces (a trace revisiting G must
-  // match the same oracle anyway).
-  std::map<int, JobConfig> oracle;
-  const auto oracle_best = [&](int gpus) -> const JobConfig& {
-    const auto it = oracle.find(gpus);
+  // Cold oracle per (G, offload, budget): the unpruned list and its winner
+  // from a fresh instance. Computed once per key and shared across traces (a
+  // trace revisiting a key must match the same oracle anyway).
+  struct Cold {
+    std::vector<JobConfig> sweep;
+    JobConfig best;
+  };
+  std::map<std::tuple<int, bool, int>, Cold> oracle;
+  const auto cold_result = [&](int gpus, SearchConstraints constraints,
+                               int budget) -> const Cold& {
+    const std::tuple<int, bool, int> key{gpus, constraints.cpu_offload_optimizer, budget};
+    const auto it = oracle.find(key);
     if (it != oracle.end()) {
       return it->second;
     }
+    constraints.prune = false;
     ConfigSearch cold(&fx.spec, &fx.sections, &fx.calibration);
-    return oracle.emplace(gpus, cold.Best(gpus, unpruned).value()).first->second;
+    Cold result{cold.Sweep(gpus, constraints).value(), cold.Best(gpus, constraints).value()};
+    return oracle.emplace(key, std::move(result)).first->second;
   };
 
   ThreadPool pool(4);
@@ -91,21 +105,40 @@ TEST(ConfigSearchIncrementalTest, SpotTraceWinnersBitIdenticalToColdSweeps) {
   constexpr int kTraces = 50;
   constexpr int kPointsPerTrace = 5;
   for (int trace = 0; trace < kTraces; ++trace) {
-    // One incremental searcher per trace: its candidate memo accumulates
+    // One incremental searcher per trace: its candidate table accumulates
     // across the trace's morph events, exactly like a live session's.
     ConfigSearch serial(&fx.spec, &fx.sections, &fx.calibration);
     ConfigSearch pooled(&fx.spec, &fx.sections, &fx.calibration, &pool);
     for (int point = 0; point < kPointsPerTrace; ++point) {
       const int gpus = static_cast<int>(rng.UniformInt(12, 40));
-      const JobConfig& expected = oracle_best(gpus);
+      const int budget = static_cast<int>(rng.UniformInt(0, 1));
+      SearchConstraints constraints = DefaultConstraints();
+      constraints.budget = budgets[budget];
+      constraints.cpu_offload_optimizer = rng.UniformInt(0, 1) == 1;
+      constraints.prune = rng.UniformInt(0, 1) == 1;
+      const Cold& expected = cold_result(gpus, constraints, budget);
+      std::ostringstream where;
+      where << "trace=" << trace << " G=" << gpus << " budget=" << budget
+            << " offload=" << constraints.cpu_offload_optimizer
+            << " prune=" << constraints.prune;
+      if (!constraints.prune) {
+        // An unpruned list is history-free: whatever the table holds, it is
+        // the cold instance's list.
+        const auto serial_sweep = serial.Sweep(gpus, constraints);
+        const auto pooled_sweep = pooled.Sweep(gpus, constraints);
+        ASSERT_TRUE(serial_sweep.ok()) << where.str();
+        ASSERT_TRUE(pooled_sweep.ok()) << where.str();
+        EXPECT_EQ(serial_sweep.value(), expected.sweep) << where.str();
+        EXPECT_EQ(pooled_sweep.value(), expected.sweep) << where.str();
+      }
       const auto serial_best = serial.Best(gpus, constraints);
       const auto pooled_best = pooled.Best(gpus, constraints);
-      ASSERT_TRUE(serial_best.ok()) << "trace=" << trace << " G=" << gpus;
-      ASSERT_TRUE(pooled_best.ok()) << "trace=" << trace << " G=" << gpus;
-      EXPECT_TRUE(serial_best.value() == expected)
-          << "trace=" << trace << " G=" << gpus << " serial winner diverged from cold sweep";
-      EXPECT_TRUE(pooled_best.value() == expected)
-          << "trace=" << trace << " G=" << gpus << " pooled winner diverged from cold sweep";
+      ASSERT_TRUE(serial_best.ok()) << where.str();
+      ASSERT_TRUE(pooled_best.ok()) << where.str();
+      EXPECT_TRUE(serial_best.value() == expected.best)
+          << where.str() << " serial winner diverged from cold sweep";
+      EXPECT_TRUE(pooled_best.value() == expected.best)
+          << where.str() << " pooled winner diverged from cold sweep";
     }
     // The traces genuinely exercise the incremental path, not 50 cold runs.
     if (trace == 0) {
@@ -240,11 +273,11 @@ TEST(ConfigSearchIncrementalTest, TotalBatchChangeForcesResimulation) {
 
 // Runs one sweep under `before`, applies `mutate`, and checks the change
 // against a cold instance. Each of these changes alters which candidates a
-// sweep enumerates (or prunes), never what a simulation returns: the sweep
-// itself is re-run (no stale whole-sweep hit), the candidate memo survives
-// (at least one candidate is reused), and the warm instance returns exactly
-// the sweep a cold instance returns. Every `after` is unpruned, so both lists
-// are exhaustive and comparable element by element.
+// sweep enumerates (or prunes), never what a simulation returns: the
+// candidate table survives (at least one candidate is reused), and the warm
+// instance returns exactly the sweep a cold instance returns. Every `after`
+// is unpruned, so both lists are exhaustive and comparable element by
+// element.
 template <typename Mutate>
 void ExpectExactReuse(const SearchConstraints& before, Mutate&& mutate) {
   SearchConstraints after = before;
@@ -259,7 +292,6 @@ void ExpectExactReuse(const SearchConstraints& before, Mutate&& mutate) {
   const auto cold_sweep = cold.Sweep(36, after);
   ASSERT_TRUE(warm_sweep.ok());
   ASSERT_TRUE(cold_sweep.ok());
-  EXPECT_EQ(warm.stats().sweep_cache_hits, first.sweep_cache_hits);
   EXPECT_GT(warm.stats().candidate_memo_hits, first.candidate_memo_hits);
   EXPECT_EQ(warm_sweep.value(), cold_sweep.value());
 }
@@ -298,6 +330,45 @@ TEST(ConfigSearchIncrementalTest, PruneOffReusesCandidatesExactly) {
   ExpectExactReuse(DefaultConstraints(), [](SearchConstraints* constraints) {
     constraints->prune = false;
   });
+}
+
+// The table's own contract: a budget change re-decides feasibility but keeps
+// bounds and simulations; a context change drops everything.
+TEST(CandidateMemoTest, BudgetChangeForgetsOnlyFeasibility) {
+  const CandidateContext context{42, 1, 0.0};
+  MemoryBudget budget;
+  budget.gpu_memory_bytes = 16e9;
+  CandidateMemo memo;
+  memo.Sync(context, budget);
+  const CandidateKey key{4, 2, 8, 150, 0};
+  {
+    CandidateEntry& entry = memo.FindOrInsert(key);
+    EXPECT_FALSE(entry.simulated);
+    EXPECT_FALSE(entry.bounded);
+    entry.fits[0] = Feasibility::kFits;
+    entry.fits[1] = Feasibility::kDoesNotFit;
+    entry.lower_bound_s = 1.5;
+    entry.bounded = true;
+    entry.sim.minibatch_s = 2.5;
+    entry.simulated = true;
+  }
+  memo.Sync(context, budget);  // Unchanged: nothing forgotten.
+  EXPECT_EQ(memo.FindOrInsert(key).fits[1], Feasibility::kDoesNotFit);
+
+  budget.gpu_memory_bytes *= 2.0;
+  memo.Sync(context, budget);
+  ASSERT_EQ(memo.size(), 1u);
+  const CandidateEntry& kept = memo.FindOrInsert(key);
+  EXPECT_EQ(kept.fits[0], Feasibility::kUnknown);
+  EXPECT_EQ(kept.fits[1], Feasibility::kUnknown);
+  EXPECT_TRUE(kept.bounded);
+  EXPECT_EQ(kept.lower_bound_s, 1.5);
+  EXPECT_TRUE(kept.simulated);
+  EXPECT_EQ(kept.sim.minibatch_s, 2.5);
+
+  memo.Sync(CandidateContext{43, 1, 0.0}, budget);
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_FALSE(memo.FindOrInsert(key).simulated);
 }
 
 // Positive control: with nothing mutated, a new G reuses candidates instead

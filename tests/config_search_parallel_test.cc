@@ -1,9 +1,9 @@
 // The parallel-sweep determinism contract: a ConfigSearch with a ThreadPool
 // attached must return results bit-identical to a serial sweep — same
 // JobConfig vectors, doubles included — across calibration seeds, GPU counts
-// and pool sizes. Also pins the memoization semantics: repeated sweeps hit the
-// memo, recalibration invalidates it, and schedule shapes are generated once
-// per process, also under concurrent first requests.
+// and pool sizes. Also pins the memoization semantics: a repeated sweep is
+// served from the candidate table, recalibration invalidates it, and schedule
+// shapes are generated once per process, also under concurrent first requests.
 #include <gtest/gtest.h>
 
 #include "src/cluster/cluster.h"
@@ -84,33 +84,50 @@ TEST(ConfigSearchParallelTest, PooledBestMatchesSerialBest) {
 
 TEST(ConfigSearchParallelTest, RepeatedSweepHitsMemo) {
   Fixture fx;
-  const SearchConstraints constraints = DefaultConstraints();
+  const SearchConstraints constraints = DefaultConstraints();  // prune on.
   ConfigSearch search(&fx.spec, &fx.sections, &fx.calibration);
   const auto first = search.Sweep(36, constraints);
   ASSERT_TRUE(first.ok());
-  const uint64_t simulated_cold = search.stats().candidates_simulated;
-  EXPECT_GT(simulated_cold, 0u);
+  const ConfigSearchStats cold = search.stats();
+  EXPECT_GT(cold.candidates_simulated, 0u);
+  EXPECT_GT(cold.candidates_pruned, 0u);
 
   const auto second = search.Sweep(36, constraints);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value(), first.value());
-  EXPECT_EQ(search.stats().sweeps, 2u);
-  EXPECT_EQ(search.stats().sweep_cache_misses, 1u);
-  EXPECT_EQ(search.stats().sweep_cache_hits, 1u);
-  // The memo hit re-simulated nothing.
-  EXPECT_EQ(search.stats().candidates_simulated, simulated_cold);
+  const ConfigSearchStats warm = search.stats();
+  EXPECT_EQ(warm.sweeps, 2u);
+  EXPECT_EQ(warm.sweep_cache_misses, 1u);
+  EXPECT_EQ(warm.sweep_cache_hits, 1u);
+  // The revisit re-simulated nothing: every candidate the first sweep
+  // simulated is a table hit, and every one it pruned is pruned again (the
+  // incumbent now starts at the first sweep's final best).
+  EXPECT_EQ(warm.candidates_simulated, cold.candidates_simulated);
+  EXPECT_EQ(warm.candidate_memo_hits - cold.candidate_memo_hits, cold.candidates_simulated);
+  EXPECT_EQ(warm.candidate_memo_misses - cold.candidate_memo_misses,
+            warm.candidates_pruned - cold.candidates_pruned);
 }
 
-TEST(ConfigSearchParallelTest, DistinctInputsMissTheMemo) {
+// A sweep misses exactly when it has to simulate: a new G brings new
+// candidates, while a constraint change that only narrows the enumeration is
+// served from the table and still returns what a cold instance returns.
+TEST(ConfigSearchParallelTest, SweepMissesOnlyWhenItSimulates) {
   Fixture fx;
   SearchConstraints constraints = DefaultConstraints();
   ConfigSearch search(&fx.spec, &fx.sections, &fx.calibration);
   ASSERT_TRUE(search.Sweep(36, constraints).ok());
   ASSERT_TRUE(search.Sweep(40, constraints).ok());  // Different G.
-  constraints.microbatch_candidates = 1;
-  ASSERT_TRUE(search.Sweep(36, constraints).ok());  // Different constraints.
-  EXPECT_EQ(search.stats().sweep_cache_misses, 3u);
-  EXPECT_EQ(search.stats().sweep_cache_hits, 0u);
+  EXPECT_EQ(search.stats().sweep_cache_misses, 2u);
+  const uint64_t simulated = search.stats().candidates_simulated;
+
+  constraints.microbatch_candidates = 1;  // A subset of the m already swept.
+  const auto narrowed = search.Best(36, constraints);
+  ASSERT_TRUE(narrowed.ok());
+  EXPECT_EQ(search.stats().candidates_simulated, simulated);
+  EXPECT_EQ(search.stats().sweep_cache_misses, 2u);
+  EXPECT_EQ(search.stats().sweep_cache_hits, 1u);
+  ConfigSearch cold(&fx.spec, &fx.sections, &fx.calibration);
+  EXPECT_TRUE(narrowed.value() == cold.Best(36, constraints).value());
 }
 
 TEST(ConfigSearchParallelTest, RecalibrationInvalidatesMemo) {
@@ -142,10 +159,16 @@ TEST(ConfigSearchParallelTest, InfeasibleSweepsAreMemoizedToo) {
   SearchConstraints constraints = DefaultConstraints();
   constraints.budget.gpu_memory_bytes = 1.0;  // Nothing fits.
   ConfigSearch search(&fx.spec, &fx.sections, &fx.calibration);
-  EXPECT_FALSE(search.Best(16, constraints).ok());
-  EXPECT_FALSE(search.Best(16, constraints).ok());
-  EXPECT_EQ(search.stats().sweep_cache_misses, 1u);
-  EXPECT_EQ(search.stats().sweep_cache_hits, 1u);
+  const auto first = search.Best(16, constraints);
+  const auto second = search.Best(16, constraints);
+  ASSERT_FALSE(first.ok());
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.error(), first.error());
+  // Infeasibility is decided before simulation, and the table keeps it.
+  const ConfigSearchStats stats = search.stats();
+  EXPECT_EQ(stats.candidates_simulated, 0u);
+  EXPECT_EQ(stats.sweep_cache_hits, 2u);
+  EXPECT_EQ(stats.candidate_memo_hits + stats.candidate_memo_misses, 0u);
 }
 
 // Returns a microbatch count no earlier request in this process used: above

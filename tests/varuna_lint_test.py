@@ -124,7 +124,7 @@ class LintFileTest(unittest.TestCase):
     def test_real_violation_after_raw_string_is_still_caught(self):
         violations = self.lint("src/x.cc", '\n'.join([
             'const char* kDoc = R"(text)";',
-            'int x = rand();',
+            'const int x = rand();',
             '']))
         self.assertEqual(len(violations), 1)
         self.assertIn("determinism", violations[0])
@@ -146,7 +146,8 @@ class LintFileTest(unittest.TestCase):
 
 
 class GlobalStateTest(unittest.TestCase):
-    """The global-state rule: mutable static/thread_local variables in src/."""
+    """The global-state rule: mutable static/thread_local variables, and
+    mutable variables at namespace scope, in src/."""
 
     lint = LintFileTest.lint
 
@@ -184,7 +185,7 @@ class GlobalStateTest(unittest.TestCase):
             '  static std::vector<std::unique_ptr<C>> Split(std::unique_ptr<C> c);',
             '  static C& Process();',
             '};',
-            'int x = static_cast<int>(y); static_assert(sizeof(int) == 4);',
+            'const int x = static_cast<int>(y); static_assert(sizeof(int) == 4);',
             '// static int in_a_comment = 0;',
             '']), rel="src/x.h"), [])
 
@@ -196,8 +197,77 @@ class GlobalStateTest(unittest.TestCase):
             '}',
             ''])), [])
 
+    def test_mutable_namespace_scope_variables_are_flagged(self):
+        violations = self.rule_hits('\n'.join([
+            'int g_calls;',
+            'namespace varuna {',
+            'namespace {',
+            'GemmKernel g_gemm_kernel = GemmKernel::kBlocked;',
+            'std::vector<int> g_table{1, 2};',
+            'std::map<int, int>',
+            '    g_names = {{1, 2}};',
+            '}  // namespace',
+            'int Counter::count_ = 0;',
+            'inline std::string g_label = "x";',
+            '}  // namespace varuna',
+            '']))
+        self.assertEqual([v.split(": ")[0] for v in violations],
+                         ["src/x.cc:1", "src/x.cc:4", "src/x.cc:5", "src/x.cc:6",
+                          "src/x.cc:9", "src/x.cc:10"])
+
+    def test_namespace_scope_non_variables_are_clean(self):
+        self.assertEqual(self.rule_hits('\n'.join([
+            '#define DECLARE(name) \\',
+            '  int name;',
+            'namespace varuna {',
+            'namespace fs = std::filesystem;',
+            'using Table = std::vector<int>;',
+            'typedef float v8sf __attribute__((vector_size(32)));',
+            'class Forward;',
+            'extern int g_declared;',
+            'const int kA = 1;',
+            'constexpr double kB = 2.0;',
+            'inline constexpr int kC = 3;',
+            'const std::vector<int> kD{1, 2};',
+            'const auto kSquare = [](int x) { int y = x * x; return y; };',
+            'enum class Kind : uint8_t { kA, kB };',
+            'template <typename T = int>',
+            'T Max(T a, T b);',
+            'struct Point {',
+            '  int x = 0;',
+            '  std::vector<int> items;',
+            '};',
+            'class C {',
+            ' public:',
+            '  C() : a_{1}, b_(2) {}',
+            '  C& operator=(const C& other) { a_ = other.a_; return *this; }',
+            ' private:',
+            '  int a_ = 0;',
+            '  int b_;',
+            '};',
+            'int Sum(int n = 3) {',
+            '  int total = 0;',
+            '  for (int i = 0; i < n; ++i) { total += i; }',
+            '  return total;',
+            '}',
+            'Point::Point() : x{1} {}',
+            'const int kAfterConstructor = 4;',
+            'extern "C" {',
+            'int c_api(int x);',
+            '}',
+            '}  // namespace varuna',
+            '']), rel="src/x.h"), [])
+
+    def test_namespace_scope_allow_comment_is_honoured(self):
+        self.assertEqual(self.rule_hits('\n'.join([
+            'namespace {',
+            'GemmKernel g_kernel = GemmKernel::kBlocked;  // varuna-lint: allow(global-state)',
+            '}  // namespace',
+            ''])), [])
+
     def test_rule_covers_src_only(self):
-        self.assertEqual(self.rule_hits("static int calls = 0;\n", rel="tests/t.cc"), [])
+        self.assertEqual(self.rule_hits("static int calls = 0;\nint count = 0;\n",
+                                        rel="tests/t.cc"), [])
 
 
 class AllowlistTest(unittest.TestCase):

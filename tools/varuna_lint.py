@@ -60,14 +60,19 @@ Rules (each can be suppressed on a line with `// varuna-lint: allow(<rule>)`):
 
   global-state    No process-global mutable state in src/: a `static` or
                   `thread_local` variable, function-local or at namespace or
-                  class scope, must be const or constexpr. Mutable globals are
+                  class scope, must be const or constexpr, and so must every
+                  variable defined at namespace scope (named or anonymous
+                  namespace, or the file's top level), `static` or not.
+                  Class-member and function-local variables without those
+                  keywords are per object or per call. Mutable globals are
                   shared between every session, search and pool worker in the
                   process, so they race under the pool and leak history from
                   one run into the next. Static member functions and free
                   `static` functions are fine. The reviewed exceptions carry
                   an allow comment with their reason (today: the process-wide
-                  schedule memo and the GEMM kernels' per-thread packing
-                  scratch).
+                  schedule memo, the GEMM kernels' per-thread packing scratch
+                  and the reference-kernel selector only tests and benches
+                  set).
 
   stale-allowlist Every entry of POOL_USER_FILES, HOT_PATH_FILES,
                   HOT_PATH_ALLOW_FILES and TIMING_ALLOW_FILES must name an
@@ -211,6 +216,125 @@ def is_mutable_static_variable(declaration):
                 return "const" not in words and "constexpr" not in words
             top_level.append(c)
     return None
+
+
+# Words that open a namespace-scope statement declaring no variable.
+NON_VARIABLE_WORDS = {"using", "typedef", "class", "struct", "union", "enum", "namespace",
+                      "extern", "friend", "template", "static_assert"}
+
+
+def strip_template_prefixes(statement):
+    """Drops leading `template <...>` heads (nested angle brackets included)."""
+    text = statement.lstrip()
+    while re.match(r"template\s*<", text):
+        depth = 0
+        for i, c in enumerate(text):
+            if c == "<":
+                depth += 1
+            elif c == ">":
+                depth -= 1
+                if depth == 0:
+                    text = text[i + 1:].lstrip()
+                    break
+        else:
+            return text
+    return text
+
+
+def bracket_skeleton(text):
+    """The text with the contents of (), [] and <> removed, brackets kept:
+    `void f(int x = 3) const` -> `void f() const`."""
+    out = []
+    depth = 0
+    for c in text:
+        if c in "([<":
+            if depth == 0:
+                out.append(c)
+            depth += 1
+        elif c in ")]>":
+            depth = max(0, depth - 1)
+            if depth == 0:
+                out.append(c)
+        elif depth == 0:
+            out.append(c)
+    return "".join(out)
+
+
+def namespace_brace_kind(statement):
+    """Classifies a `{` met at namespace scope by the statement before it:
+    "namespace" opens a namespace (or an extern "C" block, whose string the
+    stripper has emptied), "init" a variable's brace initializer (the
+    statement continues after the matching `}`), "block" anything else — a
+    function, class or enum body, whose contents are not at namespace
+    scope."""
+    text = strip_template_prefixes(statement).strip()
+    if re.match(r"(inline\s+)?namespace\b", text) or re.fullmatch(r'extern\s*""', text):
+        return "namespace"
+    skeleton = bracket_skeleton(text)
+    if re.search(r"\boperator\b", text) or re.search(r"\b(class|struct|union|enum)\b", skeleton):
+        return "block"
+    if "=" in skeleton or ("(" not in skeleton and re.search(r"\w\s*$", skeleton)):
+        return "init"
+    return "block"
+
+
+def is_mutable_namespace_variable(statement):
+    """True when a complete namespace-scope statement (its `;` dropped)
+    defines a mutable variable. `static` / `thread_local` declarations are
+    left to the keyword check, so none is reported twice."""
+    text = strip_template_prefixes(statement).strip()
+    words = re.findall(r"\w+", text)
+    if not words or words[0] in NON_VARIABLE_WORDS \
+            or "static" in words or "thread_local" in words:
+        return False
+    return bool(is_mutable_static_variable(text + ";"))
+
+
+class NamespaceScope:
+    """Follows a file's braces across lines and collects the statements that
+    sit directly at namespace scope. Preprocessor directives (with their
+    backslash continuations) are skipped."""
+
+    def __init__(self):
+        self.stack = []  # One kind per open brace (see namespace_brace_kind).
+        self.text = ""
+        self.start = 0
+        self.directive = False
+
+    def at_scope(self):
+        return not self.stack or self.stack[-1] == "namespace"
+
+    def feed(self, number, code, raw):
+        """Consumes one stripped line; returns the (first line, text) of every
+        namespace-scope statement it completes."""
+        if self.directive or code.lstrip().startswith("#"):
+            self.directive = raw.endswith("\\")
+            return []
+        done = []
+        for c in code:
+            if c == "{":
+                kind = namespace_brace_kind(self.text) if self.at_scope() else "block"
+                if kind != "init" and self.at_scope():
+                    self.text = ""
+                self.stack.append(kind)
+            elif c == "}":
+                kind = self.stack.pop() if self.stack else "namespace"
+                if kind == "init":
+                    self.text += "{}"
+                elif self.at_scope():
+                    self.text = ""
+            elif self.at_scope():
+                if c == ";":
+                    if self.text.strip():
+                        done.append((self.start, self.text))
+                    self.text = ""
+                    continue
+                if not self.text.strip() and not c.isspace():
+                    self.start = number
+                self.text += c
+        if self.at_scope():
+            self.text += " "
+        return done
 
 
 # --- stale-allowlist --------------------------------------------------------
@@ -386,6 +510,8 @@ class Linter:
         state = fresh_strip_state()
         # An open `static` declaration: (line number, text so far, allowed).
         static_decl = None
+        namespace_scope = NamespaceScope()
+        allowed_by_line = {}
         for number, raw in enumerate(raw_lines, start=1):
             allowed = set(ALLOW_RE.findall(raw))
             # A line opened inside a multi-line construct (block comment, raw
@@ -444,6 +570,14 @@ class Linter:
                                     "explicitly, or justify it with an allow comment")
                     if verdict is not None or number - start + 1 >= STATIC_DECL_MAX_LINES:
                         static_decl = None
+                allowed_by_line[number] = allowed
+                for start, statement in namespace_scope.feed(number, code, raw):
+                    if ("global-state" not in allowed_by_line[start]
+                            and is_mutable_namespace_variable(statement)):
+                        self.report(path, start, "global-state",
+                                    "mutable variable at namespace scope is process-global "
+                                    "state; make it const/constexpr, pass the state in "
+                                    "explicitly, or justify it with an allow comment")
             if in_src and "tensor-by-value" not in allowed:
                 if TENSOR_BY_VALUE_RE.search(code):
                     self.report(path, number, "tensor-by-value",
