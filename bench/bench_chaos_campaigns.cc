@@ -266,7 +266,6 @@ void Run(int argc, char** argv) {
       if (fast_recovery) {
         // Mirror the FastRecoveryStormCampaign knobs onto the random plans.
         spec.options.checkpoint.full_checkpoint_every = 4;
-        spec.options.checkpoint.delta_fraction = 0.25;
         spec.options.checkpoint.locality_aware_restore = true;
         spec.options.checkpoint.live_handoff = true;
       }

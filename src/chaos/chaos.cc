@@ -281,7 +281,6 @@ ChaosCampaignSpec FastRecoveryStormCampaign(uint64_t seed) {
   // shard from the cheapest live source, voluntary morphs hand state over
   // peer-to-peer.
   spec.options.checkpoint.full_checkpoint_every = 4;
-  spec.options.checkpoint.delta_fraction = 0.25;
   spec.options.checkpoint.locality_aware_restore = true;
   spec.options.checkpoint.live_handoff = true;
   return spec;
@@ -301,10 +300,9 @@ ChaosReport RunChaosCampaign(const ChaosCampaignSpec& spec) {
 
   ElasticTrainer trainer(&engine, &cluster, &market, pool, Nc6V3(), spec.spec, spec.options);
 
-  FailStutterOptions stutter_options;
-  stutter_options.autonomous_onsets = spec.organic_stutter;
+  // The plan drives every stutter episode through Burst().
   FailStutterInjector stutter(&engine, &cluster, Rng(spec.options.seed * 31337 + 7),
-                              stutter_options);
+                              FailStutterOptions{.autonomous_onsets = false});
 
   ChaosEngine chaos(&engine, &cluster, &market, pool, &trainer, &stutter,
                     spec.mean_availability, Rng(spec.options.seed * 104729 + 3), spec.plan);

@@ -119,8 +119,6 @@ struct ChaosCampaignSpec {
   double volatility = 0.1;
   double preemption_hazard_per_s = 1.0 / (6.0 * 3600.0);
   double horizon_s = 1.5 * 3600.0;
-  // Also run the organic fail-stutter onset process alongside the plan.
-  bool organic_stutter = false;
   TrainerOptions options;  // options.seed seeds the whole campaign.
   ChaosPlan plan;
 };

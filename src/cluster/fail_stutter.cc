@@ -64,7 +64,7 @@ void FailStutterInjector::OnVmPreempted(VmId vm) {
 void FailStutterInjector::Onset() {
   const VmId victim = PickVictim();
   if (victim >= 0) {
-    const double factor = rng_.Uniform(options_.min_slow_factor, options_.max_slow_factor);
+    const double factor = rng_.Uniform(kMinSlowFactor, kMaxSlowFactor);
     BeginEpisode(victim, factor, rng_.Exponential(options_.mean_duration_s));
   }
   ScheduleNextOnset();

@@ -21,14 +21,15 @@
 
 namespace varuna {
 
+// Autonomous episodes draw their slow factor uniformly in [kMinSlowFactor, kMaxSlowFactor].
+constexpr double kMinSlowFactor = 1.15;
+constexpr double kMaxSlowFactor = 1.35;
+
 struct FailStutterOptions {
   // Expected time between stutter onsets across the whole cluster.
   double mean_onset_interval_s = 2.0 * kHour;
   // Episode duration is Exponential(mean_duration_s).
   double mean_duration_s = 30.0 * kMinute;
-  // Slow factor drawn uniformly in [min_slow_factor, max_slow_factor].
-  double min_slow_factor = 1.15;
-  double max_slow_factor = 1.35;
   // false disables the autonomous onset process (chaos campaigns then drive
   // episodes exclusively through Burst()).
   bool autonomous_onsets = true;

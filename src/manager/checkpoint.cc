@@ -94,8 +94,7 @@ double CheckpointStore::NextShardBytes(double total_params, int data_parallel,
                                        int64_t minibatch_id) const {
   const double full_shard_bytes =
       kCheckpointBytesPerParam * total_params / std::max(1, data_parallel);
-  return NextIsDelta(minibatch_id) ? full_shard_bytes * options_.delta_fraction
-                                   : full_shard_bytes;
+  return NextIsDelta(minibatch_id) ? full_shard_bytes * kDeltaFraction : full_shard_bytes;
 }
 
 double CheckpointStore::BeginCheckpoint(int64_t minibatch_id, double total_params,
@@ -111,7 +110,7 @@ double CheckpointStore::BeginCheckpoint(int64_t minibatch_id, double total_param
   // only the changed fraction.
   const bool is_delta = NextIsDelta(minibatch_id);
   const double shard_bytes = NextShardBytes(total_params, data_parallel, minibatch_id);
-  const double stall = shard_bytes / options_.ssd_write_bps;
+  const double stall = shard_bytes / kSsdWriteBps;
 
   CheckpointRecord record;
   record.minibatch_id = minibatch_id;
@@ -145,7 +144,7 @@ double CheckpointStore::BeginCheckpoint(int64_t minibatch_id, double total_param
 
   // Background upload, one event per shard (VMs upload their shards in
   // parallel). A shard whose local copy is lost mid-flight never promotes.
-  const double upload = shard_bytes / options_.cloud_upload_bps;
+  const double upload = shard_bytes / kCloudUploadBps;
   for (int s = 0; s < data_parallel; ++s) {
     engine_->Schedule(stall + upload, [this, minibatch_id, generation, s] {
       CheckpointRecord* target = FindRecord(minibatch_id);
@@ -186,15 +185,14 @@ double CheckpointStore::CheckpointStallEstimate(double total_params,
   // Estimate for the next *forward* checkpoint (a fresh id above every
   // existing record); shares NextShardBytes with BeginCheckpoint so the
   // estimate and the charged stall cannot drift.
-  return NextShardBytes(total_params, data_parallel,
-                        std::numeric_limits<int64_t>::max()) /
-         options_.ssd_write_bps;
+  return NextShardBytes(total_params, data_parallel, std::numeric_limits<int64_t>::max()) /
+         kSsdWriteBps;
 }
 
 double CheckpointStore::RestoreDuration(double total_params, int data_parallel) const {
   const double total_bytes = kCheckpointBytesPerParam * total_params;
   const double shard_bytes = total_bytes / std::max(1, data_parallel);
-  return options_.restore_setup_s + shard_bytes / options_.cloud_read_bps;
+  return kRestoreSetupS + shard_bytes / kCloudReadBps;
 }
 
 double CheckpointStore::RestoreSeconds(int64_t minibatch_id, double total_params,
@@ -228,8 +226,8 @@ double CheckpointStore::RestoreSeconds(int64_t minibatch_id, double total_params
   }
   if (chain.empty()) {
     const double duration = RestoreDuration(total_params, data_parallel);
-    out.setup_s = options_.restore_setup_s;
-    out.cloud_s = duration - options_.restore_setup_s;
+    out.setup_s = kRestoreSetupS;
+    out.cloud_s = duration - kRestoreSetupS;
     if (record != nullptr) {
       out.chain_records = 1;
       out.shards_cloud = static_cast<int>(record->shards.size());
@@ -241,15 +239,13 @@ double CheckpointStore::RestoreSeconds(int64_t minibatch_id, double total_params
   // Setup warms with the fraction of the restoring placement that survived
   // the morph (their processes and images are already resident; the blend
   // models the staggered restart overlapping the survivors' rebuild).
-  double setup = options_.restore_setup_s;
+  double setup = kRestoreSetupS;
   if (options_.locality_aware_restore && !target_vms.empty()) {
     const int warm =
         std::max(0, std::min(warm_vms, static_cast<int>(target_vms.size())));
     const double warm_fraction = static_cast<double>(warm) /
                                  static_cast<double>(target_vms.size());
-    setup = options_.warm_restore_setup_s +
-            (options_.restore_setup_s - options_.warm_restore_setup_s) *
-                (1.0 - warm_fraction);
+    setup = kWarmRestoreSetupS + (kRestoreSetupS - kWarmRestoreSetupS) * (1.0 - warm_fraction);
   }
   out.setup_s = setup;
 
@@ -297,7 +293,7 @@ double CheckpointStore::RestoreSeconds(int64_t minibatch_id, double total_params
       double shard_s = 0.0;
       switch (tiers[s]) {
         case Tier::kSsd:
-          shard_s = rec->shard_bytes / options_.ssd_read_bps;
+          shard_s = rec->shard_bytes / kSsdReadBps;
           ++out.shards_ssd;
           break;
         case Tier::kPeer: {
@@ -311,7 +307,7 @@ double CheckpointStore::RestoreSeconds(int64_t minibatch_id, double total_params
           break;
         }
         case Tier::kCloud:
-          shard_s = rec->shard_bytes / options_.cloud_read_bps;
+          shard_s = rec->shard_bytes / kCloudReadBps;
           ++out.shards_cloud;
           break;
       }

@@ -9,10 +9,10 @@
 // resume must then fall back to the newest earlier complete checkpoint, never
 // to a checkpoint with holes.
 //
-// Fast recovery path (all opt-in via CheckpointOptions; defaults reproduce
-// the original maximally-pessimistic model bit-for-bit):
+// Fast recovery path (opt-in via CheckpointOptions, priced with the fixed
+// rates below; defaults reproduce the maximally-pessimistic model exactly):
 //   * Delta checkpoints — a full snapshot every `full_checkpoint_every`
-//     cadences with delta records (`delta_fraction` of the state) between.
+//     cadences with delta records (`kDeltaFraction` of the state) between.
 //     A restore resolves a *chain*: the record plus its contiguous ancestors
 //     back to the full base; a lost or corrupt record anywhere in the chain
 //     invalidates everything chained on top of it, so resume falls back to
@@ -21,7 +21,7 @@
 //     chain record from the cheapest live source: the owner VM's SSD when the
 //     owner is part of the restoring placement, a peer transfer over the
 //     simulated Network when the owner is alive elsewhere, and a cloud read
-//     otherwise; `restore_setup_s` shrinks toward `warm_restore_setup_s` as
+//     otherwise; `kRestoreSetupS` shrinks toward `kWarmRestoreSetupS` as
 //     the fraction of restoring VMs that survived the morph grows, and
 //     premigrated records restore for free (their bytes moved early).
 //   * Live handoff is the trainer's job (ElasticTrainer schedules the
@@ -39,36 +39,35 @@
 namespace varuna {
 
 struct CheckpointOptions {
-  double ssd_write_bps = 1.0e9;     // Local NVMe.
-  double cloud_upload_bps = 250e6;  // Background blob upload per VM.
-  // Fixed cost to restart processes, rebuild process groups and load state.
-  double restore_setup_s = 45.0;
-  double cloud_read_bps = 500e6;
-
-  // --- Fast recovery path (defaults = all disabled / legacy behavior). ---
   // Full snapshot every K cadence checkpoints, delta records between (1
   // disables deltas: every record is full). A delta chains onto the newest
   // record only while that record's whole chain is usable; otherwise the
   // store self-heals by writing a full snapshot.
   int full_checkpoint_every = 1;
-  // Fraction of the full state a delta record writes. Adam moments churn
-  // every step but fp16 activations and many master weights compress well
-  // against the previous snapshot, so this is a tunable model input rather
-  // than a derived quantity.
-  double delta_fraction = 0.25;
   // Price restores per shard from the cheapest live source instead of always
   // charging full setup plus a full cloud read.
   bool locality_aware_restore = false;
-  double ssd_read_bps = 2.0e9;  // Local NVMe read (owner-survives tier).
-  // Setup floor when every restoring VM survived the morph: process-group
-  // rebuild only, no re-provisioning / image pull / process start.
-  double warm_restore_setup_s = 8.0;
   // On voluntary morphs the trainer hands live state peer-to-peer between
   // the outgoing and incoming placements (overlapped with process-group
   // rebuild) instead of a checkpoint-restore round trip. Involuntary
   // preemptions always fall back to checkpoint restore.
   bool live_handoff = false;
 };
+
+constexpr double kSsdWriteBps = 1.0e9;     // Local NVMe.
+constexpr double kCloudUploadBps = 250e6;  // Background blob upload per VM.
+// Fixed cost to restart processes, rebuild process groups and load state.
+constexpr double kRestoreSetupS = 45.0;
+constexpr double kCloudReadBps = 500e6;
+constexpr double kSsdReadBps = 2.0e9;  // Local NVMe read (owner-survives tier).
+// Setup floor when every restoring VM survived the morph: process-group
+// rebuild only, no re-provisioning / image pull / process start.
+constexpr double kWarmRestoreSetupS = 8.0;
+// Fraction of the full state a delta record writes. Adam moments churn
+// every step but fp16 activations and many master weights compress well
+// against the previous snapshot, so this is a model input rather than a
+// derived quantity.
+constexpr double kDeltaFraction = 0.25;
 
 // Bytes checkpointed per parameter: fp32 master + Adam m/v + fp16 weights.
 constexpr double kCheckpointBytesPerParam = 14.0;
@@ -100,7 +99,7 @@ struct CheckpointRecord {
   int64_t base_minibatch_id = -1;
   int chain_length = 0;
   // Bytes one shard of THIS record wrote (delta records write the
-  // delta_fraction of a full shard); restore pricing reads this back.
+  // kDeltaFraction of a full shard); restore pricing reads this back.
   double shard_bytes = 0.0;
   // Written early by the liveput premigration trigger: the bytes already
   // moved toward the next placement, so a locality-aware restore reads this
@@ -159,13 +158,7 @@ class CheckpointStore {
   // to the original per-record scan.
   int64_t LatestUsable() const;
 
-  // Legacy view kept for the pre-shard-tracking call sites:
-  // local_shards_lost=false -> LatestUsable(), true -> LatestComplete().
-  int64_t LatestRestorable(bool local_shards_lost) const {
-    return local_shards_lost ? LatestComplete() : LatestUsable();
-  }
-
-  // Time to restore the given checkpoint onto a new configuration. Legacy
+  // Time to restore the given checkpoint onto a new configuration. Pessimistic
   // model: full setup plus one full shard read from cloud, regardless of
   // which record is restored or who survived.
   double RestoreDuration(double total_params, int data_parallel) const;
@@ -208,8 +201,6 @@ class CheckpointStore {
 
   const CheckpointRecord* Record(int64_t minibatch_id) const;
 
-  int64_t latest_local() const { return LatestUsable(); }
-  int64_t latest_cloud() const { return LatestComplete(); }
   int checkpoints_written() const { return checkpoints_written_; }
   int64_t shards_lost() const { return shards_lost_; }
   int64_t shards_corrupted() const { return shards_corrupted_; }

@@ -18,8 +18,56 @@ constexpr double kHeartbeatNoiseSigma = 0.01;
 constexpr double kHeartbeatSkipBound = 5.0;
 // Relative headroom over the float rounding of the fast path's spread bound.
 constexpr double kHeartbeatSkipMargin = 1e-9;
+// Heartbeats carry per-micro-batch compute times and are evaluated at every
+// mini-batch boundary. A VM whose compute heartbeat exceeds
+// median * threshold is blacklisted.
+constexpr double kStutterThreshold = 1.12;
+// Planned morphs require at least this relative throughput gain.
+constexpr double kMorphImprovementThreshold = 0.10;
+// A VM missing this many consecutive heartbeat evaluations is declared
+// dead (process crash / unannounced preemption / partition).
+constexpr int kHeartbeatTimeoutBeats = 3;
+// Exponential backoff for re-provisioning retries after a failed
+// reconfiguration: base * 2^k, capped, with +/-25% seeded jitter.
+constexpr double kReprovisionBackoffBaseS = 60.0;
+constexpr double kReprovisionBackoffMaxS = 1800.0;
+// Consecutive recovery failures (failed searches/placements, killed restore
+// windows) before the manager gives up on the optimal configuration and
+// tries the degraded fallback immediately.
+constexpr int kMaxMorphAttempts = 4;
+// Pre-migration cost model: checkpoint early when the expected rollback
+// re-work (hit probability before the cadence checkpoint × uncovered work
+// seconds) exceeds this multiple of the checkpoint's own stall cost.
+constexpr double kPremigrateCostRatio = 3.0;
+// Proactive morphs need this relative liveput gain over the current config
+// (and the projected gain must also pay for the restore stall).
+constexpr double kLiveputGainThreshold = 0.5;
 
 }  // namespace
+
+Result<std::monostate> TrainerOptions::Validate() const {
+  const auto positive = [](double value) { return std::isfinite(value) && value > 0.0; };
+  // (holds, message); each message starts with the field it constrains.
+  const std::pair<bool, const char*> rules[] = {
+      {positive(total_batch), "total_batch must be > 0 and finite"},
+      {demand_vms >= 1, "demand_vms must be >= 1"},
+      {checkpoint_every_minibatches >= 1, "checkpoint_every_minibatches must be >= 1"},
+      // A zero interval would reschedule ProvisionTick at `now` forever.
+      {positive(provision_check_interval_s), "provision_check_interval_s must be > 0 and finite"},
+      {std::isfinite(minibatch_noise_sigma) && minibatch_noise_sigma >= 0.0,
+       "minibatch_noise_sigma must be >= 0 and finite"},
+      {search_threads >= 1, "search_threads must be >= 1"},
+      {positive(liveput_horizon_s), "liveput_horizon_s must be > 0 and finite"},
+      {positive(predictor.window_s), "predictor.window_s must be > 0 and finite"},
+      {checkpoint.full_checkpoint_every >= 1, "checkpoint.full_checkpoint_every must be >= 1"},
+  };
+  for (const auto& [holds, message] : rules) {
+    if (!holds) {
+      return Result<std::monostate>::Error(message);
+    }
+  }
+  return std::monostate{};
+}
 
 ElasticTrainer::ElasticTrainer(SimEngine* engine, Cluster* cluster, SpotMarket* market,
                                int market_pool, const VmType& vm_type,
@@ -37,6 +85,8 @@ ElasticTrainer::ElasticTrainer(SimEngine* engine, Cluster* cluster, SpotMarket* 
       sections_(IdentifyCutPoints(graph_, spec.num_layers).value()),
       checkpoints_(engine, options.checkpoint, cluster),
       predictor_(options.predictor) {
+  const Result<std::monostate> valid = options_.Validate();
+  VARUNA_CHECK(valid.ok()) << "invalid TrainerOptions: " << valid.error();
   const TraceReport trace = TraceCrossPartitionState(graph_, sections_, TraceOptions());
   shared_sync_bytes_ = trace.TotalSyncBytes();
   if (options_.budget.gpu_memory_bytes <= 0.0) {
@@ -137,9 +187,8 @@ void ElasticTrainer::OnVmPreempted(SpotMarket::MarketVmId id) {
         preemption_morph_pending_ = true;
         // Within the retry budget, re-morph quickly; past it, assume the
         // market is churning faster than we can restore and back off.
-        const double delay = consecutive_recovery_failures_ >= options_.max_morph_attempts
-                                 ? BackoffDelay()
-                                 : 30.0;
+        const double delay =
+            consecutive_recovery_failures_ >= kMaxMorphAttempts ? BackoffDelay() : 30.0;
         engine_->Schedule(delay, [this] { DeferredPreemptionMorph(); });
       }
       return;
@@ -217,7 +266,7 @@ SearchConstraints ElasticTrainer::MakeConstraints(bool degraded) const {
   // Degraded mode forces the CPU-offload memory model: slower steps, but the
   // smaller per-GPU footprint lets shallower pipelines fit when capacity has
   // collapsed below what the normal model can place.
-  constraints.cpu_offload_optimizer = options_.cpu_offload_optimizer || degraded;
+  constraints.cpu_offload_optimizer = degraded;
   // Sweep unpruned when proactive: bound pruning keeps only candidates that
   // can win on *time*, which would hide the slow-but-small configs the
   // liveput argmax may prefer.
@@ -255,14 +304,11 @@ double ElasticTrainer::RecoveryCostS() const {
 }
 
 double ElasticTrainer::EstimatedHandoffSeconds(const JobConfig& config) const {
-  const CheckpointOptions& ckpt = options_.checkpoint;
   const int gpus_per_vm = std::max(1, vm_type_.node.num_gpus);
   const int needed = std::max(1, (config.gpus_used + gpus_per_vm - 1) / gpus_per_vm);
   const int cold = std::max(0, needed - PlacementVmsUsed());
   const double cold_fraction = static_cast<double>(cold) / static_cast<double>(needed);
-  const double setup =
-      ckpt.warm_restore_setup_s +
-      (ckpt.restore_setup_s - ckpt.warm_restore_setup_s) * cold_fraction;
+  const double setup = kWarmRestoreSetupS + (kRestoreSetupS - kWarmRestoreSetupS) * cold_fraction;
   if (cold == 0 || !placement_.has_value()) {
     return setup;  // Pure repack: state reshuffles in place during rebuild.
   }
@@ -288,7 +334,6 @@ double ElasticTrainer::EstimatedHandoffSeconds(const JobConfig& config) const {
 double ElasticTrainer::BeginLiveHandoff(const std::vector<VmId>& outgoing,
                                         const std::vector<VmId>& incoming) {
   ++stats_.live_handoffs;
-  const CheckpointOptions& ckpt = options_.checkpoint;
   std::vector<VmId> cold;
   for (const VmId vm : incoming) {
     if (!std::binary_search(outgoing.begin(), outgoing.end(), vm)) {
@@ -297,9 +342,8 @@ double ElasticTrainer::BeginLiveHandoff(const std::vector<VmId>& outgoing,
   }
   const double incoming_count = static_cast<double>(std::max<size_t>(1, incoming.size()));
   const double setup =
-      ckpt.warm_restore_setup_s +
-      (ckpt.restore_setup_s - ckpt.warm_restore_setup_s) *
-          static_cast<double>(cold.size()) / incoming_count;
+      kWarmRestoreSetupS + (kRestoreSetupS - kWarmRestoreSetupS) *
+                               static_cast<double>(cold.size()) / incoming_count;
   if (cold.empty()) {
     return setup;  // Same VM set, new shape: state reshuffles locally.
   }
@@ -383,7 +427,7 @@ bool ElasticTrainer::EvaluateProactiveMorph(int available_gpus) {
   const double current_score = objective.Score(
       current_rate, predictor_.PlacementSurvival(PlacementVmsUsed(), options_.liveput_horizon_s));
   const double best_score = objective.Score(*best);
-  if (best_score <= (1.0 + options_.liveput_gain_threshold) * current_score) {
+  if (best_score <= (1.0 + kLiveputGainThreshold) * current_score) {
     return false;
   }
   // Cost model: the examples the liveput gain buys over the horizon must pay
@@ -443,19 +487,8 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
     return true;
   };
 
-  bool configured = attempt(/*degraded=*/false);
-  if (configured) {
-    degraded_ = false;
-  } else if (options_.allow_degraded_mode) {
-    configured = attempt(/*degraded=*/true);
-    if (configured && !was_degraded) {
-      degraded_ = true;
-      ++stats_.degraded_intervals;
-    } else if (configured) {
-      degraded_ = true;
-    }
-  }
-  if (!configured) {
+  const bool normal = attempt(/*degraded=*/false);
+  if (!normal && !attempt(/*degraded=*/true)) {
     // Not enough capacity for any configuration, even degraded: stay stalled
     // and retry with backoff (grants and ProvisionTick also retry).
     running_ = false;
@@ -463,6 +496,7 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
     ScheduleReprovisionRetry();
     return;
   }
+  degraded_ = !normal;
 
   ++epoch_;
   last_growth_check_gpus_ = gpus;
@@ -517,6 +551,7 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
   if (was_degraded && !degraded_) {
     RecordEvent("recover");
   } else if (!was_degraded && degraded_) {
+    ++stats_.degraded_intervals;
     RecordEvent("degraded");
   }
   RecordEvent(event_kind);
@@ -528,8 +563,8 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
 
 double ElasticTrainer::BackoffDelay() {
   const int failures = std::min(consecutive_recovery_failures_, 16);
-  const double delay = std::min(std::ldexp(options_.reprovision_backoff_base_s, failures),
-                                options_.reprovision_backoff_max_s);
+  const double delay =
+      std::min(std::ldexp(kReprovisionBackoffBaseS, failures), kReprovisionBackoffMaxS);
   // Seeded jitter decorrelates retry storms without breaking replayability.
   return delay * rng_.Uniform(0.75, 1.25);
 }
@@ -593,8 +628,8 @@ double ElasticTrainer::MeasuredMinibatchSeconds() {
       sections_, partition_.value(), vm_type_.gpu, config_->microbatch_size);
   ExecutorOptions exec_options;
   exec_options.shared_state_sync_bytes = shared_sync_bytes_;
-  exec_options.cpu_offload_optimizer = OffloadActive();
-  if (OffloadActive()) {
+  exec_options.cpu_offload_optimizer = degraded_;
+  if (degraded_) {
     exec_options.cpu_offload_bytes_per_stage =
         12.0 * spec_.TotalParams() / config_->pipeline_depth;
   }
@@ -638,13 +673,12 @@ void ElasticTrainer::ScheduleNextMinibatch(double extra_delay) {
     // A pre-migration resets the cadence clock, replacing the upcoming
     // cadence checkpoint — so late in the window it is nearly free and only
     // the brought-forward fraction of the stall is a real extra cost.
-    const int64_t cadence = std::max<int64_t>(1, options_.checkpoint_every_minibatches);
+    const int64_t cadence = options_.checkpoint_every_minibatches;
     const double stall_s = checkpoints_.CheckpointStallEstimate(spec_.TotalParams(),
                                                                 config_->data_parallel) *
                            static_cast<double>(cadence - std::min(uncovered, cadence)) /
                            static_cast<double>(cadence);
-    if (predictor_.ElevatedRisk(duration) &&
-        hit_probability * rework_s > options_.premigrate_cost_ratio * stall_s) {
+    if (predictor_.ElevatedRisk() && hit_probability * rework_s > kPremigrateCostRatio * stall_s) {
       checkpoint_due = true;
       premigration = true;
     }
@@ -770,7 +804,7 @@ void ElasticTrainer::ProcessHeartbeats() {
   const bool quiet =
       heartbeat_times_.empty() ||
       (*max_slow * spread_bound * (1.0 + kHeartbeatSkipMargin) <=
-           options_.stutter_threshold * *min_slow / spread_bound &&
+           kStutterThreshold * *min_slow / spread_bound &&
        rng_.SkipGaussiansWithin(static_cast<int>(heartbeat_times_.size()), kHeartbeatSkipBound));
   if (!quiet) {
     for (double& time : heartbeat_times_) {
@@ -783,7 +817,7 @@ void ElasticTrainer::ProcessHeartbeats() {
     if (index >= missed_heartbeats_.size()) {
       missed_heartbeats_.resize(index + 1, 0);
     }
-    if (++missed_heartbeats_[index] >= options_.heartbeat_timeout_beats) {
+    if (++missed_heartbeats_[index] >= kHeartbeatTimeoutBeats) {
       dead.push_back(vm);
     }
   }
@@ -799,7 +833,7 @@ void ElasticTrainer::ProcessHeartbeats() {
   // max <= threshold * min nobody can exceed threshold * median.
   const auto [min_time, max_time] =
       std::minmax_element(heartbeat_times_.begin(), heartbeat_times_.end());
-  if (*max_time <= options_.stutter_threshold * *min_time) {
+  if (*max_time <= kStutterThreshold * *min_time) {
     return;
   }
   // The median reorders its input; the times stay paired with their GPUs.
@@ -807,7 +841,7 @@ void ElasticTrainer::ProcessHeartbeats() {
   const double median = Percentile(heartbeat_scratch_, 0.5);
   std::vector<GpuId> stutterers;
   for (size_t i = 0; i < heartbeat_gpus_.size(); ++i) {
-    if (heartbeat_times_[i] > options_.stutter_threshold * median) {
+    if (heartbeat_times_[i] > kStutterThreshold * median) {
       stutterers.push_back(heartbeat_gpus_[i]);
     }
   }
@@ -923,8 +957,7 @@ void ElasticTrainer::ProvisionTick() {
     return;
   }
   const double current_rate = config_->ActualBatch() / std::max(1e-9, cached_minibatch_s_);
-  if (best.value().est_examples_per_s >
-          (1.0 + options_.morph_improvement_threshold) * current_rate &&
+  if (best.value().est_examples_per_s > (1.0 + kMorphImprovementThreshold) * current_rate &&
       (best.value().pipeline_depth != config_->pipeline_depth ||
        best.value().data_parallel != config_->data_parallel)) {
     running_ = false;

@@ -6,7 +6,7 @@
 // opportunities, and records the Figure-8 timeline.
 //
 // Recovery paths (hardened against the src/chaos campaigns):
-//  * Heartbeat timeout — a VM that misses `heartbeat_timeout_beats`
+//  * Heartbeat timeout — a VM that misses `kHeartbeatTimeoutBeats`
 //    consecutive heartbeat evaluations (unannounced death, or chaos-dropped
 //    heartbeats) is declared dead; the job rolls back to the newest usable
 //    checkpoint and reconfigures without it.
@@ -14,7 +14,7 @@
 //    retries are scheduled with exponential backoff and seeded jitter rather
 //    than busy-spinning on the market.
 //  * Morph retry budget — a restore window killed by another preemption
-//    retries; after `max_morph_attempts` consecutive recovery failures the
+//    retries; after `kMaxMorphAttempts` consecutive recovery failures the
 //    manager stops assuming the optimal config will ever place and falls back.
 //  * Degraded mode — when capacity collapses below what the optimal search can
 //    use, the manager re-searches with the CPU-offload memory model (slower,
@@ -32,11 +32,13 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/placement.h"
 #include "src/cluster/spot_market.h"
+#include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/manager/checkpoint.h"
@@ -55,39 +57,18 @@ namespace varuna {
 struct TrainerOptions {
   double total_batch = 8192.0;
   int demand_vms = 120;  // Standing spot demand the manager maintains.
-  // Heartbeats carry per-micro-batch compute times and are evaluated at every
-  // mini-batch boundary. A VM whose compute heartbeat exceeds
-  // median * threshold is blacklisted.
-  double stutter_threshold = 1.12;
   int checkpoint_every_minibatches = 10;
   // How often the manager looks for growth / better configurations.
   double provision_check_interval_s = 900.0;
-  // Planned morphs require at least this relative throughput gain.
-  double morph_improvement_threshold = 0.10;
-  // A VM missing this many consecutive heartbeat evaluations is declared
-  // dead (process crash / unannounced preemption / partition).
-  int heartbeat_timeout_beats = 3;
-  // Exponential backoff for re-provisioning retries after a failed
-  // reconfiguration: base * 2^k, capped, with +/-25% seeded jitter.
-  double reprovision_backoff_base_s = 60.0;
-  double reprovision_backoff_max_s = 1800.0;
-  // Consecutive recovery failures (failed searches/placements, killed restore
-  // windows) before the manager gives up on the optimal configuration and
-  // tries the degraded fallback immediately.
-  int max_morph_attempts = 4;
-  // Allow the degraded (CPU-offload) fallback when the normal search finds
-  // nothing for the current capacity.
-  bool allow_degraded_mode = true;
   CalibrationOptions calibration;
   CheckpointOptions checkpoint;
   MemoryBudget budget;
-  bool cpu_offload_optimizer = false;
   // Mini-batch-to-mini-batch duration noise when replaying the cached
   // executor measurement.
   double minibatch_noise_sigma = 0.02;
   // Workers for the pooled config search (§4.4 parallelises the sweep over
-  // candidate configs). <= 1 keeps the sweep serial; pooled and serial
-  // sweeps are bit-identical, so this never changes the training trace.
+  // candidate configs). 1 keeps the sweep serial; pooled and serial sweeps
+  // are bit-identical, so this never changes the training trace.
   int search_threads = 1;
   // --- Liveput policy (src/morph/liveput.h). -------------------------------
   // kReactive reproduces the paper's recover-after-preemption behavior
@@ -98,14 +79,11 @@ struct TrainerOptions {
   // Horizon H the liveput objective scores survival over.
   double liveput_horizon_s = 900.0;
   PredictorOptions predictor;
-  // Pre-migration cost model: checkpoint early when the expected rollback
-  // re-work (hit probability before the cadence checkpoint × uncovered work
-  // seconds) exceeds this multiple of the checkpoint's own stall cost.
-  double premigrate_cost_ratio = 3.0;
-  // Proactive morphs need this relative liveput gain over the current config
-  // (and the projected gain must also pay for the restore stall).
-  double liveput_gain_threshold = 0.5;
   uint64_t seed = 1;
+
+  // Rejects a knob above (nested ones included) outside the range the manager
+  // runs with, naming it in the error; the ElasticTrainer constructor aborts.
+  Result<std::monostate> Validate() const;
 };
 
 struct TimelineEvent {
@@ -339,8 +317,8 @@ class ElasticTrainer {
   // liveput objective amortizes survival risk by this, not the whole horizon.
   double RecoveryCostS() const;
   // Record-aware restore estimate for an involuntary hit on the current
-  // placement (one VM presumed lost, the rest warm). Bit-identical to the
-  // legacy RestoreDuration while the fast-recovery options are disabled.
+  // placement (one VM presumed lost, the rest warm); equals RestoreDuration
+  // while the fast-recovery options are disabled.
   double EstimatedRestoreSeconds(int data_parallel) const;
   // Decision-time estimate of a voluntary morph's live-handoff delay onto
   // `config` (the real placement is unknown until PlaceJob): warm-blended
@@ -352,9 +330,6 @@ class ElasticTrainer {
   // transfer overlapped with the warm process-group rebuild.
   double BeginLiveHandoff(const std::vector<VmId>& outgoing,
                           const std::vector<VmId>& incoming);
-  // Offload applies when the user asked for it or degraded mode forces it.
-  bool OffloadActive() const { return options_.cpu_offload_optimizer || degraded_; }
-
   // Measured mini-batch duration for the current placement (re-measured when
   // the placement or any member's slow factor changes). O(1) while the
   // cluster generation is the one the cached value was checked against.

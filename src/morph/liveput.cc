@@ -6,6 +6,16 @@
 #include "src/common/check.h"
 
 namespace varuna {
+namespace {
+
+// Laplace pseudo-counts smoothing both transition estimates.
+constexpr double kLaplaceAlpha = 1.0;
+// ElevatedRisk() (the pre-migration storm gate) needs at least this many
+// decayed kills in the recency window — roughly "a multi-kill storm is
+// landing right now", which is where early checkpoints actually pay.
+constexpr double kStormGateKills = 1.5;
+
+}  // namespace
 
 void AvailabilityPredictor::EnableOracle(double true_hazard_per_s) {
   VARUNA_CHECK_GE(true_hazard_per_s, 0.0);
@@ -90,27 +100,24 @@ bool AvailabilityPredictor::Cold() const {
          up_exposure_windows_ < options_.min_exposure_windows;
 }
 
-bool AvailabilityPredictor::ElevatedRisk(double window_s) const {
+bool AvailabilityPredictor::ElevatedRisk() const {
   if (oracle_) {
     // The oracle's hit probabilities are exact (true hazard + scripted storm
     // forecasts), so the cost model needs no noise gate in front of it.
     return true;
   }
-  (void)window_s;
   if (options_.decay_tau_s <= 0.0) {
     return true;  // No recency signal: defer to the cost model alone.
   }
-  return decayed_preemptions_ >= options_.storm_gate_kills;
+  return decayed_preemptions_ >= kStormGateKills;
 }
 
 double AvailabilityPredictor::PreemptProbabilityPerWindow() const {
-  const double alpha = options_.laplace_alpha;
-  return (decayed_preemptions_ + alpha) / (decayed_up_exposure_ + 2.0 * alpha);
+  return (decayed_preemptions_ + kLaplaceAlpha) / (decayed_up_exposure_ + 2.0 * kLaplaceAlpha);
 }
 
 double AvailabilityPredictor::RestoreProbabilityPerWindow() const {
-  const double alpha = options_.laplace_alpha;
-  return (decayed_grants_ + alpha) / (decayed_down_exposure_ + 2.0 * alpha);
+  return (decayed_grants_ + kLaplaceAlpha) / (decayed_down_exposure_ + 2.0 * kLaplaceAlpha);
 }
 
 double AvailabilityPredictor::ForecastKills(double horizon_s) const {

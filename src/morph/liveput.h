@@ -51,8 +51,6 @@ enum class MorphPolicy : uint8_t {
 struct PredictorOptions {
   // Discretization of the Markov chain: one "window" of exposure.
   double window_s = 60.0;
-  // Laplace pseudo-counts smoothing both transition estimates.
-  double laplace_alpha = 1.0;
   // Warm-up gates: below either, Cold() is true and the manager must stay on
   // the reactive path (the estimate is noise, not signal).
   double min_exposure_windows = 30.0;
@@ -64,10 +62,6 @@ struct PredictorOptions {
   // the same transition probability (just higher-variance). <= 0 disables
   // decay (the pure cumulative estimator, used by the convergence test).
   double decay_tau_s = 120.0;
-  // ElevatedRisk() (the pre-migration storm gate) needs at least this many
-  // decayed kills in the recency window — roughly "a multi-kill storm is
-  // landing right now", which is where early checkpoints actually pay.
-  double storm_gate_kills = 1.5;
 };
 
 // Online 2-state Markov availability estimator. Feed it every announced
@@ -101,11 +95,11 @@ class AvailabilityPredictor {
   // True until the warm-up gates are met. Oracle mode is never cold.
   bool Cold() const;
   // Storm gate for the pre-migration trigger: online, true while at least
-  // ~storm_gate_kills decayed kills sit inside the recency window (a storm is
+  // ~kStormGateKills decayed kills sit inside the recency window (a storm is
   // landing) — premigrating outside those windows buys rollback depth the
   // noisy estimate does not justify. Oracle mode always passes: its hit
   // probabilities are exact, so the cost model needs no noise gate.
-  bool ElevatedRisk(double window_s) const;
+  bool ElevatedRisk() const;
   int up_vms() const { return up_; }
   int64_t updates() const { return updates_; }
   int64_t preemptions_observed() const { return preemptions_; }

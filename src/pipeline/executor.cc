@@ -53,6 +53,9 @@ struct ExecutorScratch {
 
 namespace {
 
+// Host<->GPU bandwidth the CPU-offloaded optimizer state moves at.
+constexpr double kPcieBandwidthBps = 12.0e9;
+
 using Worker = ExecutorScratch::Worker;
 
 class MinibatchRun {
@@ -449,7 +452,7 @@ MinibatchResult MinibatchRun::Execute() {
   }
   if (options_.cpu_offload_optimizer && options_.cpu_offload_bytes_per_stage > 0.0) {
     // Optimizer state shuttles GPU->CPU->GPU over PCIe at mini-batch end.
-    sync += 2.0 * options_.cpu_offload_bytes_per_stage / options_.pcie_bandwidth_bps;
+    sync += 2.0 * options_.cpu_offload_bytes_per_stage / kPcieBandwidthBps;
   }
   result_.sync_time_s = sync;
 

@@ -42,7 +42,6 @@ struct ExecutorOptions {
   // mini-batch end (§7.1.1), at PCIe bandwidth.
   bool cpu_offload_optimizer = false;
   double cpu_offload_bytes_per_stage = 0.0;
-  double pcie_bandwidth_bps = 12.0e9;
   // Record a Gantt trace of replica 0 (Figure 7).
   bool record_trace = false;
 };

@@ -4,6 +4,12 @@
 #include <sstream>
 
 namespace varuna {
+namespace {
+
+// Fraction usable by the job (CUDA context, fragmentation, comm buffers).
+constexpr double kUsableFraction = 0.92;
+
+}  // namespace
 
 MemoryEstimate EstimateStageMemory(ScheduleKind kind, const MemoryModelInputs& inputs) {
   MemoryEstimate estimate;
@@ -58,7 +64,7 @@ MemoryEstimate EstimatePipeDreamStageMemory(const MemoryModelInputs& inputs) {
 }
 
 bool Fits(const MemoryEstimate& estimate, const MemoryBudget& budget) {
-  return estimate.total() <= budget.gpu_memory_bytes * budget.usable_fraction;
+  return estimate.total() <= budget.gpu_memory_bytes * kUsableFraction;
 }
 
 double BlockFullActivationBytes(const TransformerSpec& spec) {

@@ -16,8 +16,6 @@ namespace varuna {
 
 struct MemoryBudget {
   double gpu_memory_bytes = 0.0;
-  // Fraction usable by the job (CUDA context, fragmentation, comm buffers).
-  double usable_fraction = 0.92;
 
   bool operator==(const MemoryBudget&) const = default;
 };
@@ -58,7 +56,7 @@ MemoryEstimate EstimateStageMemory(ScheduleKind kind, const MemoryModelInputs& i
 // parameters ... cannot fit massive models in GPU memory" (Table 6).
 MemoryEstimate EstimatePipeDreamStageMemory(const MemoryModelInputs& inputs);
 
-// True if the estimate fits the budget.
+// True if the estimate fits the usable fraction (memory.cc) of the budget.
 bool Fits(const MemoryEstimate& estimate, const MemoryBudget& budget);
 
 // Full per-example activation footprint of a transformer block (live tensors

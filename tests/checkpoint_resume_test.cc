@@ -203,7 +203,6 @@ TEST(CheckpointResumeTest, AllCheckpointsDestroyedMeansRestartFromScratch) {
 CheckpointOptions FastRecoveryOptions(int full_every) {
   CheckpointOptions opts;
   opts.full_checkpoint_every = full_every;
-  opts.delta_fraction = 0.25;
   opts.locality_aware_restore = true;
   return opts;
 }
@@ -274,7 +273,7 @@ TEST(CheckpointResumeTest, LocalityAwareRestorePricesCheapestLiveSource) {
   EXPECT_EQ(ssd.shards_ssd, 2);
   EXPECT_EQ(ssd.shards_peer, 0);
   EXPECT_EQ(ssd.shards_cloud, 0);
-  EXPECT_EQ(ssd.setup_s, opts.warm_restore_setup_s);
+  EXPECT_EQ(ssd.setup_s, kWarmRestoreSetupS);
   EXPECT_GT(ssd.ssd_s, 0.0);
   EXPECT_EQ(ssd_total, ssd.Total());
 
@@ -284,7 +283,7 @@ TEST(CheckpointResumeTest, LocalityAwareRestorePricesCheapestLiveSource) {
   store.RestoreSeconds(10, kParams, 2, peers, /*warm_vms=*/0, &peer);
   EXPECT_EQ(peer.shards_peer, 2);
   EXPECT_EQ(peer.shards_ssd, 0);
-  EXPECT_EQ(peer.setup_s, opts.restore_setup_s);
+  EXPECT_EQ(peer.setup_s, kRestoreSetupS);
 
   // Owners dead (shards already safe in cloud): cloud reads, the slowest
   // tier; the record-aware price never exceeds the legacy flat price.
@@ -317,7 +316,7 @@ TEST(CheckpointResumeTest, StallEstimateMatchesChargedStallForFullAndDelta) {
   EXPECT_EQ(full_estimate, full_stall);
   engine.RunUntil(engine.now() + 3600.0);
 
-  // ...and for the delta that follows it, which writes delta_fraction of the
+  // ...and for the delta that follows it, which writes kDeltaFraction of the
   // bytes and therefore stalls for less.
   const double delta_estimate = store.CheckpointStallEstimate(kParams, 2);
   const double delta_stall = store.BeginCheckpoint(10, kParams, 2, {0, 1});

@@ -257,7 +257,7 @@ TEST(FailStutterTest, InjectsAndRecovers) {
   // All episodes eventually end if injection stops (advance far without new
   // onsets is impossible here, so just sanity-check the factor bounds).
   for (VmId vm = 0; vm < cluster.num_vms(); ++vm) {
-    EXPECT_LE(cluster.Vm(vm).slow_factor, options.max_slow_factor + 1e-9);
+    EXPECT_LE(cluster.Vm(vm).slow_factor, kMaxSlowFactor + 1e-9);
   }
 }
 

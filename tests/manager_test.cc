@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <variant>
+#include <vector>
+
+#include "src/chaos/chaos.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/vm.h"
 #include "src/manager/checkpoint.h"
 #include "src/manager/elastic_trainer.h"
 #include "src/model/transformer.h"
 #include "src/sim/engine.h"
+#include "src/varuna/determinism.h"
 
 namespace varuna {
 namespace {
@@ -14,15 +23,15 @@ TEST(CheckpointStoreTest, LocalThenCloud) {
   SimEngine engine;
   CheckpointOptions options;
   CheckpointStore store(&engine, options);
-  EXPECT_EQ(store.LatestRestorable(true), -1);
+  EXPECT_EQ(store.LatestComplete(), -1);
   const double stall = store.BeginCheckpoint(7, 2.5e9, 5);
   // Sharded write: 14 B/param * 2.5e9 / 5 replicas / 1 GB/s = 7 s.
   EXPECT_NEAR(stall, 7.0, 0.1);
-  EXPECT_EQ(store.latest_local(), 7);
-  EXPECT_EQ(store.LatestRestorable(/*local_shards_lost=*/false), 7);
-  EXPECT_EQ(store.LatestRestorable(/*local_shards_lost=*/true), -1);
+  // Usable from the owners' local SSDs, not yet complete in cloud storage.
+  EXPECT_EQ(store.LatestUsable(), 7);
+  EXPECT_EQ(store.LatestComplete(), -1);
   engine.Run();  // Background upload completes.
-  EXPECT_EQ(store.LatestRestorable(/*local_shards_lost=*/true), 7);
+  EXPECT_EQ(store.LatestComplete(), 7);
 }
 
 TEST(CheckpointStoreTest, MoreReplicasShardFaster) {
@@ -37,7 +46,7 @@ TEST(CheckpointStoreTest, RestoreIncludesSetupCost) {
   SimEngine engine;
   CheckpointOptions options;
   CheckpointStore store(&engine, options);
-  EXPECT_GE(store.RestoreDuration(1e9, 4), options.restore_setup_s);
+  EXPECT_GE(store.RestoreDuration(1e9, 4), kRestoreSetupS);
 }
 
 struct SessionFixture {
@@ -197,6 +206,95 @@ TEST(ElasticTrainerTest, TimelineRecordsSamplesAndEvents) {
     EXPECT_GT(sample.examples_per_s, 0.0);
     EXPECT_GT(sample.gpus_in_use, 0);
   }
+}
+
+// One row per rule TrainerOptions::Validate enforces: each breaks exactly one
+// knob of otherwise default options, and the error must name that knob.
+TEST(TrainerOptionsTest, ValidateRejectsEachOutOfRangeKnob) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    std::string field;
+    void (*mutate)(TrainerOptions&);
+  } rows[] = {
+      {"total_batch", [](TrainerOptions& o) { o.total_batch = 0.0; }},
+      {"total_batch", [](TrainerOptions& o) { o.total_batch = kInf; }},
+      {"total_batch", [](TrainerOptions& o) { o.total_batch = kNan; }},
+      {"provision_check_interval_s",
+       [](TrainerOptions& o) { o.provision_check_interval_s = 0.0; }},
+      {"provision_check_interval_s",
+       [](TrainerOptions& o) { o.provision_check_interval_s = -1.0; }},
+      {"provision_check_interval_s",
+       [](TrainerOptions& o) { o.provision_check_interval_s = kInf; }},
+      {"demand_vms", [](TrainerOptions& o) { o.demand_vms = 0; }},
+      {"checkpoint_every_minibatches",
+       [](TrainerOptions& o) { o.checkpoint_every_minibatches = 0; }},
+      {"search_threads", [](TrainerOptions& o) { o.search_threads = 0; }},
+      {"minibatch_noise_sigma", [](TrainerOptions& o) { o.minibatch_noise_sigma = -0.01; }},
+      {"minibatch_noise_sigma", [](TrainerOptions& o) { o.minibatch_noise_sigma = kNan; }},
+      {"liveput_horizon_s", [](TrainerOptions& o) { o.liveput_horizon_s = 0.0; }},
+      {"predictor.window_s", [](TrainerOptions& o) { o.predictor.window_s = 0.0; }},
+      {"checkpoint.full_checkpoint_every",
+       [](TrainerOptions& o) { o.checkpoint.full_checkpoint_every = 0; }},
+  };
+  for (const auto& row : rows) {
+    TrainerOptions options;
+    row.mutate(options);
+    const Result<std::monostate> valid = options.Validate();
+    ASSERT_FALSE(valid.ok()) << row.field;
+    EXPECT_EQ(valid.error().rfind(row.field + " must be", 0), 0u) << valid.error();
+  }
+}
+
+// Every option set the repo ships validates, so the constructor check can
+// never abort a canned scenario; neither can the edge values tests use.
+TEST(TrainerOptionsTest, EveryCannedOptionSetValidates) {
+  std::vector<std::pair<std::string, TrainerOptions>> canned = {
+      {"default", TrainerOptions()},
+      {"determinism", DefaultDeterminismScenario(1).options},
+  };
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    canned.emplace_back("chaos-default", DefaultChaosCampaign(seed).options);
+    canned.emplace_back("chaos-random", RandomChaosCampaign(seed).options);
+    canned.emplace_back("chaos-stormy", StormyChaosCampaign(seed).options);
+    canned.emplace_back("chaos-fast-recovery", FastRecoveryStormCampaign(seed).options);
+  }
+  // As bench/fig8_morphing_timeline.cc sets them.
+  TrainerOptions fig8;
+  fig8.total_batch = 8192;
+  fig8.demand_vms = 160;
+  fig8.checkpoint_every_minibatches = 10;
+  fig8.provision_check_interval_s = 1800.0;
+  fig8.seed = 11;
+  canned.emplace_back("fig8", fig8);
+  // As examples/spot_training.cpp sets them with its default 96 VMs.
+  TrainerOptions spot;
+  spot.total_batch = 8192;
+  spot.demand_vms = 96;
+  spot.checkpoint_every_minibatches = 10;
+  spot.provision_check_interval_s = 1200.0;
+  canned.emplace_back("spot_training", spot);
+  // The inclusive edge of every integer rule, and the noise-free sessions.
+  TrainerOptions edges;
+  edges.demand_vms = 1;
+  edges.checkpoint_every_minibatches = 1;
+  edges.minibatch_noise_sigma = 0.0;
+  edges.search_threads = 1;
+  edges.checkpoint.full_checkpoint_every = 1;
+  canned.emplace_back("edges", edges);
+  for (const auto& [name, options] : canned) {
+    const Result<std::monostate> valid = options.Validate();
+    EXPECT_TRUE(valid.ok()) << name << ": " << valid.error();
+  }
+}
+
+// A zero provision interval would reschedule ProvisionTick at `now` forever,
+// so SimEngine::RunUntil would never return; building the trainer aborts
+// instead.
+TEST(TrainerOptionsDeathTest, ZeroProvisionIntervalAbortsAtConstruction) {
+  TrainerOptions options;
+  options.provision_check_interval_s = 0.0;
+  EXPECT_DEATH(SessionFixture(Gpt2Medium(), 4, options), "provision_check_interval_s");
 }
 
 }  // namespace
