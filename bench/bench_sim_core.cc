@@ -1,12 +1,16 @@
 // Simulation-core microbenchmark: events/sec of the slot-pool event engine on
-// a chaos-campaign-shaped storm, plus the real chaos-campaign sweep with the
-// SessionStats perf counters.
+// a chaos-campaign-shaped storm, the cost of one testbed mini-batch, plus the
+// real chaos-campaign sweep with the SessionStats perf counters.
 //
 //   bench_sim_core [--smoke] [--json PATH]
 //
 // Columns:
 //   * storm       — the slot-pool + 4-ary-heap engine on the synthetic storm
 //     (bench/sim_core_workload.h; fixed seed, deterministic fire count).
+//   * executor    — µs per PipelineExecutor::Run on the GPT-2 2.5B,
+//     D=4 x P=4 x Nm=20 job on NC6 VMs, with compute noise and network
+//     sampling on, then off. The gap is the cost of the Rng draws; what is
+//     left when they are off is the engine and the executor's dispatch.
 //   * chaos sweep — end-to-end campaigns; ms/campaign, testbed events/sec
 //     and ring-cost-cache hit rate come from the SessionStats counters.
 #include <cstdio>
@@ -17,7 +21,6 @@
 #include "src/chaos/chaos.h"
 #include "src/common/table.h"
 #include "src/manager/elastic_trainer.h"
-#include "src/sim/engine.h"
 
 namespace varuna {
 namespace {
@@ -27,6 +30,47 @@ constexpr uint64_t kStormSeed = 2026;
 uint64_t StormFires(uint64_t target) {
   SimCoreStorm storm(kStormSeed, target);
   return storm.Run();
+}
+
+// The executor row's job: GPT-2 2.5B, D=4 x P=4 x Nm=20, m=4, on NC6 VMs.
+struct ExecutorJob {
+  static constexpr int kReplicas = 4;
+  static constexpr int kDepth = 4;
+  static constexpr int kMicrobatches = 20;
+  static constexpr int kMicrobatchSize = 4;
+
+  Cluster cluster{CommodityFabric()};
+  Placement placement;
+  std::vector<StageTiming> timings;
+  Schedule schedule;
+
+  ExecutorJob() {
+    const TransformerSpec spec = Gpt2_2_5B();
+    cluster.AddVms(Nc6V3(), kReplicas * kDepth);
+    placement = PlaceJob(cluster, kDepth, kReplicas).value();
+    const ModelSections sections =
+        IdentifyCutPoints(BuildTransformerOpGraph(spec), spec.num_layers).value();
+    timings = ComputeStageTimings(sections, PartitionModel(sections, kDepth).value(),
+                                  Nc6V3().gpu, kMicrobatchSize);
+    schedule = GenerateSchedule(ScheduleKind::kVaruna, kDepth, kMicrobatches);
+  }
+};
+
+// Times batches of `runs` executor runs on one warm executor.
+BenchStats TimeExecutor(const BenchMode& mode, const ExecutorJob& job, bool noise, int runs) {
+  ExecutorOptions options;
+  if (!noise) {
+    options.compute_noise_sigma = 0.0;
+    options.sample_network = false;
+  }
+  Rng rng(7);
+  PipelineExecutor executor(&job.cluster, &rng);
+  return TimeIt(mode.Warmup(1), mode.Repeats(5), [&] {
+    for (int i = 0; i < runs; ++i) {
+      (void)executor.Run(job.schedule, job.placement, job.timings,
+                         ExecutorJob::kMicrobatchSize, options);
+    }
+  });
 }
 
 void Run(int argc, char** argv) {
@@ -40,18 +84,21 @@ void Run(int argc, char** argv) {
   const BenchStats storm_wall = TimeIt(mode.Warmup(1), mode.Repeats(5), [&] {
     (void)StormFires(storm_target);
   });
-  uint64_t heap_fallbacks = 0;
-  {
-    SimCoreStorm storm(kStormSeed, storm_target);
-    storm.Run();
-    heap_fallbacks = storm.engine().callback_heap_fallbacks();
-  }
   const double storm_eps = static_cast<double>(storm_fires) / (storm_wall.median_ms / 1e3);
 
-  std::printf("events fired: %llu   median %.2f ms   %.2fM events/sec   "
-              "callback heap fallbacks: %llu\n\n",
-              static_cast<unsigned long long>(storm_fires), storm_wall.median_ms, storm_eps / 1e6,
-              static_cast<unsigned long long>(heap_fallbacks));
+  std::printf("events fired: %llu   median %.2f ms   %.2fM events/sec\n\n",
+              static_cast<unsigned long long>(storm_fires), storm_wall.median_ms,
+              storm_eps / 1e6);
+
+  std::printf("=== Executor: GPT-2 2.5B, D=4 x P=4 x Nm=20, NC6 ===\n\n");
+  const ExecutorJob executor_job;
+  const int executor_runs = mode.smoke ? 20 : 2000;
+  const BenchStats noisy_wall = TimeExecutor(mode, executor_job, /*noise=*/true, executor_runs);
+  const BenchStats quiet_wall = TimeExecutor(mode, executor_job, /*noise=*/false, executor_runs);
+  const double noisy_us = noisy_wall.median_ms * 1e3 / executor_runs;
+  const double quiet_us = quiet_wall.median_ms * 1e3 / executor_runs;
+  std::printf("us per Run: noise + network sampling on %.1f   off %.1f\n\n", noisy_us,
+              quiet_us);
 
   std::printf("=== Chaos campaign sweep (%d campaigns) ===\n\n", campaigns);
   int64_t executor_events = 0;
@@ -94,7 +141,9 @@ void Run(int argc, char** argv) {
     AddBuildMetadata(&json);
     json.AddScalar("storm_events", static_cast<double>(storm_fires));
     json.AddScalar("events_per_sec", storm_eps);
-    json.AddScalar("callback_heap_fallbacks", static_cast<double>(heap_fallbacks));
+    json.AddScalar("executor_runs_per_batch", executor_runs);
+    json.AddScalar("executor_run_us_noise_on", noisy_us);
+    json.AddScalar("executor_run_us_noise_off", quiet_us);
     json.AddScalar("campaigns", n);
     json.AddScalar("campaign_ms", sweep_wall.mean_ms / n);
     json.AddScalar("executor_events", static_cast<double>(executor_events));
@@ -103,6 +152,8 @@ void Run(int argc, char** argv) {
     json.AddScalar("ring_cache_misses", static_cast<double>(ring_misses));
     json.AddScalar("ring_cache_hit_rate", hit_rate);
     json.AddResult("storm_current", storm_wall);
+    json.AddResult("executor_noise_on", noisy_wall);
+    json.AddResult("executor_noise_off", quiet_wall);
     json.AddResult("chaos_sweep", sweep_wall);
     json.WriteTo(json_path);
   }

@@ -2,10 +2,9 @@
 // campaign's engine traffic. Mix, per pump iteration:
 //   * one self-rescheduling continuation with an executor-sized capture
 //     (~24-32 bytes: the StartOp/FinishOp lambda shape),
-//   * every 4th iteration a cancellable filler event (heartbeat-timeout
-//     shape), and every 8th a Cancel() of a pseudo-random recent filler
-//     (roughly half still pending — exercising both live-cancel and
-//     stale-id no-op paths),
+//   * every 4th iteration a one-word filler event (heartbeat-timeout shape)
+//     on a longer delay, so the queue always holds a tail of far-off
+//     entries the way pending heartbeat timers do,
 //   * a RunUntil() window every 0.25 simulated seconds (mini-batch cadence).
 // Deterministic for a given seed: the same target always fires the same
 // event count.
@@ -13,7 +12,6 @@
 #define BENCH_SIM_CORE_WORKLOAD_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/common/rng.h"
 #include "src/sim/engine.h"
@@ -22,12 +20,10 @@ namespace varuna {
 
 class SimCoreStorm {
  public:
-  SimCoreStorm(uint64_t seed, uint64_t target_fires) : rng_(seed), remaining_(target_fires) {
-    recent_.assign(64, 0);
-  }
+  SimCoreStorm(uint64_t seed, uint64_t target_fires) : rng_(seed), remaining_(target_fires) {}
 
-  // Runs the storm to completion; returns events fired (cancelled fillers
-  // don't fire, so this is < the scheduled count).
+  // Runs the storm to completion; returns events fired (continuations plus
+  // fillers, so this is > the target).
   uint64_t Run() {
     // A handful of independent pump chains keeps the queue populated the way
     // a P x D worker grid does.
@@ -43,7 +39,6 @@ class SimCoreStorm {
   }
 
   double checksum() const { return sink_; }
-  const SimEngine& engine() const { return engine_; }
 
  private:
   void Pump() {
@@ -62,23 +57,14 @@ class SimCoreStorm {
     });
     if ((remaining_ & 3) == 0) {
       const uint64_t filler_delay_draw = rng_.NextUint64();
-      const uint64_t id = engine_.Schedule(
-          static_cast<double>(filler_delay_draw % 4096) * 1e-5, [this] { sink_ += 1.0; });
-      recent_[recent_pos_++ & 63] = id;
-    }
-    if ((remaining_ & 7) == 0) {
-      const uint64_t victim = recent_[rng_.NextUint64() & 63];
-      if (victim != 0) {  // 0 = ring entry never filled, not an issued id.
-        engine_.Cancel(victim);
-      }
+      engine_.Schedule(static_cast<double>(filler_delay_draw % 4096) * 1e-5,
+                       [this] { sink_ += 1.0; });
     }
   }
 
   SimEngine engine_;
   Rng rng_;
   uint64_t remaining_ = 0;
-  std::vector<uint64_t> recent_;  // Ring of recent filler ids (0 = never issued).
-  size_t recent_pos_ = 0;
   double sink_ = 0.0;
 };
 

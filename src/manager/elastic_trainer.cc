@@ -639,7 +639,6 @@ double ElasticTrainer::MeasuredMinibatchSeconds() {
   cached_slow_factors_.swap(slow_factors_);
   // Snapshot the simulation-core counters (bench JSON reads them off stats()).
   stats_.executor_events = executor_.events_processed();
-  stats_.executor_heap_fallbacks = executor_.callback_heap_fallbacks();
   stats_.executor_scratch_growths = executor_.scratch_growths();
   stats_.net_ring_cache_hits = cluster_->network().ring_cache_hits();
   stats_.net_ring_cache_misses = cluster_->network().ring_cache_misses();

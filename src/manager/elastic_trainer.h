@@ -186,7 +186,10 @@ struct SessionStats : ReplayRecord {
   // Simulation-core perf counters (snapshots of the persistent executor and
   // the cluster Network; reported by the benches).
   uint64_t executor_events = 0;           // DES events fired.
-  uint64_t executor_heap_fallbacks = 0;   // Spilled captures.
+  // Always 0: SimEngine callbacks are inline by type, so none can spill.
+  // Kept only because e2ebench reports it; retires with the
+  // pipeline.executor.heap_fallbacks metric in the next benchmark change.
+  uint64_t executor_heap_fallbacks = 0;
   uint64_t executor_scratch_growths = 0;  // Arena growths.
   uint64_t net_ring_cache_hits = 0;       // Ring-cost memo.
   uint64_t net_ring_cache_misses = 0;

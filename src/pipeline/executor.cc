@@ -49,6 +49,13 @@ struct ExecutorScratch {
   std::vector<GpuId> ring;   // Reused StageRing buffer (no alloc per allreduce).
   std::vector<GpuId> group;  // Reused shared-state sync pair.
   uint64_t growths = 0;      // Runs that had to grow any of the above.
+
+  // Retained element capacity of every container above, the engine's pool
+  // and heap included: a rise across one run means that run allocated.
+  size_t Capacity() const {
+    return engine.capacity() + workers.capacity() + flags.capacity() + node_flows.capacity() +
+           stage_end.capacity() + ring.capacity() + group.capacity();
+  }
 };
 
 namespace {
@@ -315,9 +322,6 @@ void MinibatchRun::TryDispatch(Worker* worker) {
 }
 
 void MinibatchRun::PrepareScratch() {
-  const size_t capacity_before = workers_.capacity() + scratch_.flags.capacity() +
-                                 scratch_.node_flows.capacity() + scratch_.stage_end.capacity() +
-                                 scratch_.ring.capacity() + scratch_.group.capacity();
   engine_.Reset();
 
   // How many job GPUs share each node's NIC (flow-concurrency estimate).
@@ -380,18 +384,15 @@ void MinibatchRun::PrepareScratch() {
   }
 
   scratch_.stage_end.assign(static_cast<size_t>(depth()), 0.0);
-  const size_t capacity_after = workers_.capacity() + scratch_.flags.capacity() +
-                                scratch_.node_flows.capacity() + scratch_.stage_end.capacity() +
-                                scratch_.ring.capacity() + scratch_.group.capacity();
-  if (capacity_after > capacity_before) {
-    ++scratch_.growths;
-  }
 }
 
 MinibatchResult MinibatchRun::Execute() {
   VARUNA_CHECK_EQ(schedule_.depth, placement_.pipeline_depth);
   VARUNA_CHECK_EQ(static_cast<int>(timings_.size()), schedule_.depth);
 
+  // Bracket the whole run, not just PrepareScratch(): the engine's pool and
+  // heap and the collective buffers grow while the run is in flight.
+  const size_t capacity_before = scratch_.Capacity();
   PrepareScratch();
 
   for (auto& worker : workers_) {
@@ -464,6 +465,9 @@ MinibatchResult MinibatchRun::Execute() {
       pipeline_end > 0.0
           ? busy_fraction_sum / (static_cast<double>(workers_.size()) * pipeline_end)
           : 0.0;
+  if (scratch_.Capacity() > capacity_before) {
+    ++scratch_.growths;
+  }
   if (options_.record_trace) {
     result_.trace_allreduce_start = pipeline_end;
     result_.trace_allreduce_end = result_.total_time_s;
@@ -489,7 +493,6 @@ MinibatchResult PipelineExecutor::Run(const Schedule& schedule, const Placement&
                    microbatch_size, options);
   MinibatchResult result = run.Execute();
   events_processed_ += scratch_->engine.events_processed();
-  callback_heap_fallbacks_ += scratch_->engine.callback_heap_fallbacks();
   return result;
 }
 

@@ -10,7 +10,7 @@
 // worker table, flag arena, flow-count table) that is reset — not reallocated
 // — between mini-batches, so a long training session reaches a steady state
 // where Run() performs no heap allocations (asserted by the executor tests
-// via scratch_growths() and callback_heap_fallbacks()).
+// via scratch_growths(), which also watches the engine's pool and heap).
 #ifndef SRC_PIPELINE_EXECUTOR_H_
 #define SRC_PIPELINE_EXECUTOR_H_
 
@@ -90,9 +90,6 @@ class PipelineExecutor {
   // --- Perf counters, accumulated across Run() calls ------------------------
   // Simulation events fired on this executor's engine.
   uint64_t events_processed() const { return events_processed_; }
-  // Scheduled callbacks that overflowed SmallCallback's inline buffer; the
-  // executor's lambdas are sized to keep this at zero.
-  uint64_t callback_heap_fallbacks() const { return callback_heap_fallbacks_; }
   // Runs whose working set outgrew the retained scratch capacity (each one
   // implies allocations); stays flat once the workload shape stabilises.
   uint64_t scratch_growths() const;
@@ -102,7 +99,6 @@ class PipelineExecutor {
   Rng* rng_;
   std::unique_ptr<ExecutorScratch> scratch_;
   uint64_t events_processed_ = 0;
-  uint64_t callback_heap_fallbacks_ = 0;
 };
 
 }  // namespace varuna

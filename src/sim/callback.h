@@ -1,16 +1,16 @@
-// Small-buffer move-only callback for the per-event hot path. std::function
+// Small-buffer callback for the per-event hot path. std::function
 // heap-allocates any capture larger than its ~16-byte SSO, which made every
-// scheduled pipeline op an allocation; the executor's lambdas capture up to
-// four pointers/ints, so a 64-byte inline buffer keeps steady-state
-// scheduling allocation-free. Callables that do not fit fall back to the heap
-// transparently (the manager's bigger closures), so correctness never depends
-// on the capture size. Move-only by design: events are scheduled exactly once
-// and the engine moves the callback out of its pool slot before invoking it.
+// scheduled pipeline op an allocation. SmallCallback keeps the capture in a
+// 64-byte inline buffer beside one invoke pointer, and its constructor admits
+// only callables that can live there as plain bytes: trivially copyable,
+// trivially destructible, at most 64 bytes and at most max_align_t-aligned.
+// An owning or oversized capture is a compile error rather than a silent
+// heap spill, so scheduling an event never allocates, copying a callback is
+// a flat buffer copy and destroying one is free.
 #ifndef SRC_SIM_CALLBACK_H_
 #define SRC_SIM_CALLBACK_H_
 
 #include <cstddef>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -20,129 +20,32 @@ namespace varuna {
 class SmallCallback {
  public:
   // Fits the executor's StartOp/FinishOp lambdas (<= 32 bytes) with headroom
-  // for the manager's four-word closures; measured via heap_fallbacks() in
-  // SimEngine so regressions surface in tests.
+  // for the manager's four-word closures.
   static constexpr size_t kInlineBytes = 64;
 
   SmallCallback() = default;
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallCallback> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  SmallCallback(F&& fn) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && std::is_trivially_copyable_v<Fn>) {
-      // The hot-path flavour (every executor lambda captures only pointers
-      // and scalars): moves are a flat 64-byte copy, destruction is free.
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-      vtable_ = &kTrivialVtable<Fn>;
-    } else if constexpr (sizeof(Fn) <= kInlineBytes &&
-                         alignof(Fn) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-      vtable_ = &kInlineVtable<Fn>;
-    } else {
-      heap_ = new Fn(std::forward<F>(fn));
-      vtable_ = &kHeapVtable<Fn>;
-    }
+  template <typename F, typename Fn = std::decay_t<F>>
+    requires(!std::is_same_v<Fn, SmallCallback> && std::is_invocable_r_v<void, Fn&> &&
+             std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn> &&
+             sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t))
+  SmallCallback(F&& fn)  // NOLINT(google-explicit-constructor)
+      : invoke_(&InvokeFn<Fn>) {
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
   }
 
-  SmallCallback(SmallCallback&& other) noexcept { MoveFrom(&other); }
+  void operator()() { invoke_(storage_); }
 
-  SmallCallback& operator=(SmallCallback&& other) noexcept {
-    if (this != &other) {
-      Destroy();
-      MoveFrom(&other);
-    }
-    return *this;
-  }
-
-  SmallCallback(const SmallCallback&) = delete;
-  SmallCallback& operator=(const SmallCallback&) = delete;
-
-  ~SmallCallback() { Destroy(); }
-
-  void operator()() { vtable_->invoke(Target()); }
-
-  explicit operator bool() const { return vtable_ != nullptr; }
-
-  // True when the callable lives in the inline buffer (no heap allocation).
-  bool is_inline() const { return vtable_ != nullptr && vtable_->heap_target == nullptr; }
+  explicit operator bool() const { return invoke_ != nullptr; }
 
  private:
-  struct VTable {
-    void (*invoke)(void*);
-    // Moves the callable out of `src` storage into `dst` storage. Null means
-    // memcpy suffices (trivially copyable inline flavour) or the payload is a
-    // heap pointer (heap flavour).
-    void (*relocate)(SmallCallback* dst, SmallCallback* src);
-    void (*destroy)(void*);  // Null = trivially destructible or heap flavour.
-    // Non-null marks the heap flavour; doubles as the heap deleter.
-    void (*heap_target)(void*);
-  };
-
   template <typename Fn>
   static void InvokeFn(void* target) {
     (*static_cast<Fn*>(target))();
   }
-  template <typename Fn>
-  static void DestroyInline(void* target) {
-    static_cast<Fn*>(target)->~Fn();
-  }
-  template <typename Fn>
-  static void RelocateInline(SmallCallback* dst, SmallCallback* src) {
-    Fn* from = static_cast<Fn*>(static_cast<void*>(src->storage_));
-    ::new (static_cast<void*>(dst->storage_)) Fn(std::move(*from));
-    from->~Fn();
-  }
-  template <typename Fn>
-  static void DeleteHeap(void* target) {
-    delete static_cast<Fn*>(target);
-  }
 
-  template <typename Fn>
-  static constexpr VTable kTrivialVtable{&InvokeFn<Fn>, nullptr, nullptr, nullptr};
-  template <typename Fn>
-  static constexpr VTable kInlineVtable{&InvokeFn<Fn>, &RelocateInline<Fn>,
-                                        &DestroyInline<Fn>, nullptr};
-  template <typename Fn>
-  static constexpr VTable kHeapVtable{&InvokeFn<Fn>, nullptr, nullptr,
-                                      &DeleteHeap<Fn>};
-
-  void* Target() { return vtable_->heap_target != nullptr ? heap_ : storage_; }
-
-  void MoveFrom(SmallCallback* other) {
-    vtable_ = other->vtable_;
-    if (vtable_ == nullptr) {
-      return;
-    }
-    if (vtable_->heap_target != nullptr) {
-      heap_ = other->heap_;
-    } else if (vtable_->relocate != nullptr) {
-      vtable_->relocate(this, other);
-    } else {
-      std::memcpy(storage_, other->storage_, kInlineBytes);
-    }
-    other->vtable_ = nullptr;
-  }
-
-  void Destroy() {
-    if (vtable_ == nullptr) {
-      return;
-    }
-    if (vtable_->heap_target != nullptr) {
-      vtable_->heap_target(heap_);
-    } else if (vtable_->destroy != nullptr) {
-      vtable_->destroy(storage_);
-    }
-    vtable_ = nullptr;
-  }
-
-  union {
-    alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-    void* heap_;
-  };
-  const VTable* vtable_ = nullptr;
+  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  void (*invoke_)(void*) = nullptr;
 };
 
 }  // namespace varuna

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/cluster/cluster.h"
 #include "src/cluster/placement.h"
 #include "src/cluster/vm.h"
@@ -254,22 +256,42 @@ TEST(ExecutorTest, CpuOffloadAddsTransferTime) {
 }
 
 TEST(ExecutorTest, SteadyStateRunsAreAllocationFree) {
-  // The zero-alloc contract of the PR-5 scratch refactor: after the first
-  // mini-batch sizes the retained working set, repeat runs of the same shape
-  // must neither grow the scratch nor spill any callback to the heap.
+  // The zero-alloc contract of the scratch working set: after the first
+  // mini-batch sizes it, repeat runs of the same shape must not grow it.
+  // Callbacks cannot spill (SmallCallback captures are inline by type), so
+  // scratch_growths() is the whole contract -- it must also see the engine.
   TestJob job(Gpt2_2_5B(), ScheduleKind::kVaruna, 9, 2, 8, 4, Nc6V3(), CommodityFabric());
   Rng rng(11);
   PipelineExecutor executor(&job.cluster, &rng);
   (void)executor.Run(job.schedule, job.placement, job.timings, 4);
   const uint64_t warm_growths = executor.scratch_growths();
   const uint64_t warm_events = executor.events_processed();
+  EXPECT_EQ(warm_growths, 1u);
   EXPECT_GT(warm_events, 0u);
   for (int i = 0; i < 3; ++i) {
     (void)executor.Run(job.schedule, job.placement, job.timings, 4);
   }
   EXPECT_EQ(executor.scratch_growths(), warm_growths);
-  EXPECT_EQ(executor.callback_heap_fallbacks(), 0u);
   EXPECT_GT(executor.events_processed(), warm_events);
+
+  // Engine-only growth must be counted too. A GPipe stage runs all its
+  // forwards back to back; with 1000x slower activation links every one of
+  // them is still in flight when the last starts, so the engine's pool and
+  // heap -- and nothing else in the scratch -- outgrow the fast-link runs.
+  TestJob gpipe(Gpt2_2_5B(), ScheduleKind::kGpipe, 4, 1, 32, 4, Nc6V3(), CommodityFabric());
+  PipelineExecutor gpipe_executor(&gpipe.cluster, &rng);
+  std::vector<StageTiming> slow_links = gpipe.timings;
+  for (StageTiming& timing : slow_links) {
+    timing.send_activation_bytes *= 1000.0;
+  }
+  for (int i = 0; i < 2; ++i) {
+    (void)gpipe_executor.Run(gpipe.schedule, gpipe.placement, gpipe.timings, 4);
+  }
+  EXPECT_EQ(gpipe_executor.scratch_growths(), 1u);
+  for (int i = 0; i < 2; ++i) {
+    (void)gpipe_executor.Run(gpipe.schedule, gpipe.placement, slow_links, 4);
+  }
+  EXPECT_EQ(gpipe_executor.scratch_growths(), 2u);
 }
 
 TEST(ExecutorTest, ReusedExecutorMatchesFreshExecutors) {
@@ -302,6 +324,97 @@ TEST(ExecutorTest, ReusedExecutorMatchesFreshExecutors) {
       EXPECT_DOUBLE_EQ(reused[i].trace[op].start, expect.trace[op].start);
       EXPECT_DOUBLE_EQ(reused[i].trace[op].end, expect.trace[op].end);
     }
+  }
+}
+
+// --- Golden executor outputs. ------------------------------------------------
+//
+// Bit-exact digests of every MinibatchResult field, every trace op and the
+// engine's event count over a grid of schedules, shapes and executor options.
+// The engine's (when, seq) firing order drives every Rng draw, so any change
+// to it -- or to the executor's dispatch -- shows here first, before it blurs
+// into a campaign fingerprint.
+
+uint64_t MixBits(uint64_t hash, uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xffULL;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+uint64_t MixDouble(uint64_t hash, double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return MixBits(hash, bits);
+}
+
+uint64_t HashResult(const MinibatchResult& result, uint64_t hash) {
+  hash = MixDouble(hash, result.total_time_s);
+  hash = MixDouble(hash, result.pipeline_time_s);
+  hash = MixDouble(hash, result.allreduce_time_s);
+  hash = MixDouble(hash, result.sync_time_s);
+  hash = MixDouble(hash, result.examples);
+  hash = MixDouble(hash, result.mean_busy_fraction);
+  hash = MixBits(hash, result.trace.size());
+  for (const ExecTraceOp& op : result.trace) {
+    hash = MixBits(hash, static_cast<uint64_t>(op.stage));
+    hash = MixBits(hash, static_cast<uint64_t>(op.op.type));
+    hash = MixBits(hash, static_cast<uint64_t>(static_cast<int64_t>(op.op.microbatch)));
+    hash = MixDouble(hash, op.start);
+    hash = MixDouble(hash, op.end);
+  }
+  hash = MixDouble(hash, result.trace_allreduce_start);
+  return MixDouble(hash, result.trace_allreduce_end);
+}
+
+TEST(ExecutorGoldenTest, OutputsArePinned) {
+  struct Row {
+    ScheduleKind kind;
+    int replicas;
+    int depth;
+    int microbatches;
+    uint64_t hash;  // Over noise x overlap x stutter, in loop order.
+  };
+  const Row rows[] = {
+      {ScheduleKind::kVaruna, 1, 4, 8, 0x804a535e702c3dbeULL},
+      {ScheduleKind::kVaruna, 2, 3, 5, 0x049951a4ffd94faaULL},
+      {ScheduleKind::kVaruna, 4, 4, 20, 0x3489f8c16cb67894ULL},
+      {ScheduleKind::kGpipe, 1, 4, 8, 0x0700bebff7d937aeULL},
+      {ScheduleKind::kGpipe, 2, 3, 5, 0x6f8ff055f7929372ULL},
+      {ScheduleKind::kGpipe, 4, 4, 20, 0x7a4a990ef5806e40ULL},
+      {ScheduleKind::kOneFOneB, 1, 4, 8, 0x0fb4fd7ddf9eea50ULL},
+      {ScheduleKind::kOneFOneB, 2, 3, 5, 0x893780e2b2e88ecfULL},
+      {ScheduleKind::kOneFOneB, 4, 4, 20, 0xf78fc93a91a57fdaULL},
+      {ScheduleKind::kDeepSpeed, 1, 4, 8, 0x0882c966b40c687eULL},
+      {ScheduleKind::kDeepSpeed, 2, 3, 5, 0xc0d3dcf54f685d3aULL},
+      {ScheduleKind::kDeepSpeed, 4, 4, 20, 0x5a3e9c449d4bd9d0ULL},
+  };
+  for (const Row& row : rows) {
+    TestJob job(Gpt2_2_5B(), row.kind, row.depth, row.replicas, row.microbatches, 4, Nc6V3(),
+                CommodityFabric());
+    const VmId stutterer = job.cluster.VmOfGpu(job.placement.At(0, row.depth - 1));
+    Rng rng(2024);
+    PipelineExecutor executor(&job.cluster, &rng);
+    uint64_t hash = 14695981039346656037ULL;
+    for (const bool noise : {true, false}) {
+      for (const bool overlap : {true, false}) {
+        for (const double slow : {1.0, 1.5}) {
+          ExecutorOptions options;
+          options.compute_noise_sigma = noise ? 0.01 : 0.0;
+          options.sample_network = noise;
+          options.overlap_communication = overlap;
+          options.record_trace = true;
+          job.cluster.SetSlowFactor(stutterer, slow);
+          hash = HashResult(executor.Run(job.schedule, job.placement, job.timings, 4, options),
+                            hash);
+          hash = MixBits(hash, executor.events_processed());
+        }
+      }
+    }
+    EXPECT_EQ(hash, row.hash) << ToString(row.kind) << " D=" << row.replicas
+                              << " P=" << row.depth << " Nm=" << row.microbatches
+                              << ": new hash 0x" << std::hex << hash;
   }
 }
 

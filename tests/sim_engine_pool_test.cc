@@ -1,207 +1,149 @@
-// Property test for the slot-pool event engine (PR-5 fast-sim core): drives
-// seeded random Schedule/Cancel/RunUntil sequences against a naive reference
-// model (a flat list of entries sorted on demand) and requires the fired-token
-// stream to match exactly, with CheckInvariants() holding throughout.
-//
-// The reference model replicates the engine's documented edge semantics:
-//  * cancelled events leave tombstone entries behind until popped;
-//  * RunUntil gates on the earliest *entry* (tombstones included), so it may
-//    fire one live event past `until` when a tombstone sorts earlier — the
-//    historical lazy-cancel behaviour the engine preserves for bit-identical
-//    replay;
-//  * after RunUntil, now() == until regardless of what fired.
+// Property tests for the slot-pool event engine: seeded random schedules,
+// including events scheduled from inside callbacks, run in RunUntil windows
+// against a reference model -- a log of every scheduled event in schedule
+// (= seq) order, stable-sorted on `when` -- with CheckInvariants() holding
+// after every window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/sim/callback.h"
 #include "src/sim/engine.h"
 
 namespace varuna {
 namespace {
 
-struct ModelEntry {
-  double when = 0.0;
-  uint64_t order = 0;  // Insertion order: the engine's (when, seq) tie-break.
-  int token = 0;
-  SimEngine::EventId id = 0;
-  bool cancelled = false;
-};
+// Captures are inline by type: an oversized or owning closure must not
+// convert to a SmallCallback, while the largest plain capture still does.
+using Oversized = decltype([payload = std::array<unsigned char, 72>{}] { (void)payload; });
+using Largest = decltype([payload = std::array<unsigned char, 64>{}] { (void)payload; });
+static_assert(sizeof(Oversized) == 72);
+static_assert(!std::is_convertible_v<Oversized, SmallCallback>);
+static_assert(!std::is_convertible_v<std::function<void()>, SmallCallback>);
+static_assert(std::is_convertible_v<Largest, SmallCallback>);
 
-class ReferenceModel {
+constexpr double kGrid = 0.25;  // Event times sit on this grid, forcing ties.
+
+// One engine plus the log of everything it was asked to run. Callbacks record
+// their token and may schedule children, some at now().
+class Harness {
  public:
-  void Schedule(double when, uint64_t order, int token, SimEngine::EventId id) {
-    entries_.push_back({when, order, token, id, false});
-  }
+  struct Logged {
+    double when = 0.0;
+    int token = 0;
+  };
 
-  // Marks the entry cancelled (tombstone): it keeps gating RunUntil until a
-  // Step pops past it, exactly like the engine's lazy cancel.
-  void Cancel(SimEngine::EventId id) {
-    for (ModelEntry& entry : entries_) {
-      if (entry.id == id && !entry.cancelled) {
-        entry.cancelled = true;
-        return;
-      }
-    }
-  }
+  explicit Harness(uint64_t seed) : rng_(seed) {}
 
-  // Appends the tokens a RunUntil(until) fires, in order.
-  void RunUntil(double until, std::vector<int>* fired) {
-    for (;;) {
-      const int earliest = EarliestIndex();
-      if (earliest < 0 || entries_[earliest].when > until) {
-        break;
-      }
-      // One engine Step(): pop entries in (when, order) order until a live
-      // one fires — even if that live event lies past `until`.
-      bool fired_one = false;
-      while (!fired_one) {
-        const int next = EarliestIndex();
-        if (next < 0) {
-          break;
-        }
-        const ModelEntry entry = entries_[next];
-        entries_.erase(entries_.begin() + next);
-        if (!entry.cancelled) {
-          fired->push_back(entry.token);
-          fired_one = true;
+  // Schedules one event: 1 in 8 at exactly now(), the rest at an absolute
+  // grid time up to 16 grid steps ahead.
+  void ScheduleRandom(int generation) {
+    const double base = std::ceil(engine_.now() / kGrid) * kGrid;
+    const double when = rng_.NextUint64() % 8 == 0
+                            ? engine_.now()
+                            : base + kGrid * static_cast<double>(rng_.NextUint64() % 16);
+    const int token = static_cast<int>(log_.size());
+    log_.push_back({when, token});
+    engine_.ScheduleAt(when, [this, token, generation] {
+      fired_.push_back(token);
+      if (generation < 3) {
+        for (uint64_t child = rng_.NextUint64() % 3; child > 0; --child) {
+          ScheduleRandom(generation + 1);
         }
       }
-      if (!fired_one) {
-        break;
-      }
-    }
-  }
-
-  void Drain(std::vector<int>* fired) {
-    std::sort(entries_.begin(), entries_.end(), [](const ModelEntry& a, const ModelEntry& b) {
-      return a.when != b.when ? a.when < b.when : a.order < b.order;
     });
-    for (const ModelEntry& entry : entries_) {
-      if (!entry.cancelled) {
-        fired->push_back(entry.token);
-      }
-    }
-    entries_.clear();
   }
 
-  size_t live_count() const {
-    size_t live = 0;
-    for (const ModelEntry& entry : entries_) {
-      live += entry.cancelled ? 0 : 1;
+  // Tokens with when <= until, in (when, seq) order: log_ is already in seq
+  // order, so a stable sort on `when` alone yields it.
+  std::vector<int> ExpectedUpTo(double until) const {
+    std::vector<Logged> due;
+    for (const Logged& entry : log_) {
+      if (entry.when <= until) {
+        due.push_back(entry);
+      }
     }
-    return live;
+    std::stable_sort(due.begin(), due.end(),
+                     [](const Logged& a, const Logged& b) { return a.when < b.when; });
+    std::vector<int> tokens;
+    for (const Logged& entry : due) {
+      tokens.push_back(entry.token);
+    }
+    return tokens;
   }
+
+  SimEngine& engine() { return engine_; }
+  Rng& rng() { return rng_; }
+  const std::vector<int>& fired() const { return fired_; }
+  size_t scheduled() const { return log_.size(); }
 
  private:
-  int EarliestIndex() const {
-    int best = -1;
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (best < 0 || entries_[i].when < entries_[best].when ||
-          (entries_[i].when == entries_[best].when && entries_[i].order < entries_[best].order)) {
-        best = static_cast<int>(i);
-      }
-    }
-    return best;
-  }
-
-  std::vector<ModelEntry> entries_;
+  SimEngine engine_;
+  Rng rng_;
+  std::vector<Logged> log_;
+  std::vector<int> fired_;
 };
 
-TEST(SimEnginePoolTest, RandomScheduleCancelRunMatchesReferenceModel) {
+TEST(SimEnginePoolTest, RandomScheduleRunMatchesReferenceModel) {
   for (const uint64_t seed : {1ull, 7ull, 1234ull, 987654321ull}) {
     SCOPED_TRACE(seed);
-    SimEngine engine;
-    ReferenceModel model;
-    Rng rng(seed);
-    std::vector<int> fired;           // What the engine actually ran.
-    std::vector<int> expected_fired;  // What the model says should have run.
-    std::vector<SimEngine::EventId> live_ids;
-    std::vector<SimEngine::EventId> stale_ids;
-    uint64_t order = 0;
-    int next_token = 0;
-
-    for (int step = 0; step < 4000; ++step) {
-      const double r = rng.NextDouble();
-      if (r < 0.55) {
-        const double when = engine.now() + rng.Uniform(0.0, 10.0);
-        const int token = next_token++;
-        const SimEngine::EventId id =
-            engine.ScheduleAt(when, [&fired, token] { fired.push_back(token); });
-        model.Schedule(when, order++, token, id);
-        live_ids.push_back(id);
-      } else if (r < 0.72 && !live_ids.empty()) {
-        const size_t victim = static_cast<size_t>(rng.NextUint64() % live_ids.size());
-        engine.Cancel(live_ids[victim]);
-        model.Cancel(live_ids[victim]);
-        stale_ids.push_back(live_ids[victim]);
-        live_ids.erase(live_ids.begin() + victim);
-      } else if (r < 0.82 && !stale_ids.empty()) {
-        // Double-cancel / cancel-after-fire: generation tags must make any
-        // stale id a no-op even after its slot was reused.
-        engine.Cancel(stale_ids[rng.NextUint64() % stale_ids.size()]);
-      } else {
-        const double until = engine.now() + rng.Uniform(0.0, 4.0);
-        model.RunUntil(until, &expected_fired);
-        engine.RunUntil(until);
-        EXPECT_DOUBLE_EQ(engine.now(), until);
-        ASSERT_EQ(fired, expected_fired);
-        // live_ids now contains ids that already fired; cancelling one is a
-        // no-op on both sides (the model's entry is gone, the engine's
-        // generation tag is stale), so the cancel arms stay consistent.
+    Harness harness(seed);
+    SimEngine& engine = harness.engine();
+    for (int window = 0; window < 400; ++window) {
+      for (uint64_t n = harness.rng().NextUint64() % 12; n > 0; --n) {
+        harness.ScheduleRandom(0);
       }
-      if (step % 128 == 0) {
-        engine.CheckInvariants();
-      }
+      // Every other window ends exactly on a grid time, so events at `until`
+      // must fire inside it.
+      const double until =
+          window % 2 == 0
+              ? std::ceil(engine.now() / kGrid) * kGrid +
+                    kGrid * static_cast<double>(harness.rng().NextUint64() % 8)
+              : engine.now() + harness.rng().Uniform(0.0, 2.0);
+      engine.RunUntil(until);
+      EXPECT_DOUBLE_EQ(engine.now(), until);
+      const std::vector<int> expected = harness.ExpectedUpTo(until);
+      ASSERT_EQ(harness.fired(), expected);
+      EXPECT_EQ(engine.pending_events(), harness.scheduled() - expected.size());
+      engine.CheckInvariants();
     }
-
-    EXPECT_EQ(engine.pending_events(), model.live_count());
-    engine.CheckInvariants();
     engine.Run();
-    model.Drain(&expected_fired);
-    EXPECT_EQ(fired, expected_fired);
+    EXPECT_EQ(harness.fired(), harness.ExpectedUpTo(engine.now()));
+    EXPECT_EQ(harness.fired().size(), harness.scheduled());
     EXPECT_EQ(engine.pending_events(), 0u);
     engine.CheckInvariants();
   }
 }
 
-TEST(SimEnginePoolTest, RunUntilFiresPastGateWhenTombstoneSortsEarlier) {
-  // Pin the lazy-cancel quirk the reference model encodes: a cancelled entry
-  // before `until` opens the gate, and the Step it admits runs the next LIVE
-  // event even though that event lies past `until`.
-  SimEngine engine;
-  bool late_fired = false;
-  const auto doomed = engine.Schedule(1.0, [] {});
-  engine.Schedule(5.0, [&] { late_fired = true; });
-  engine.Cancel(doomed);
-  engine.RunUntil(2.0);
-  EXPECT_TRUE(late_fired);
-  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
-  engine.CheckInvariants();
-}
-
 TEST(SimEnginePoolTest, StressedQueueKeepsInvariantsUnderChurn) {
-  // Heavy interleaved churn at a single timestamp cluster: exercises slot
-  // reuse, tombstone accumulation and 4-ary sift paths, with the full
-  // invariant sweep after every phase.
+  // Heavy churn at a single timestamp cluster: every third event schedules a
+  // follow-up at now(), so slots are freed and reused mid-drain while the
+  // 4-ary sift paths run, with the full invariant sweep after every phase.
   SimEngine engine;
   int fired = 0;
-  std::vector<SimEngine::EventId> ids;
   for (int round = 0; round < 50; ++round) {
-    ids.clear();
     for (int i = 0; i < 100; ++i) {
-      ids.push_back(engine.Schedule(0.5 + 0.001 * (i % 7), [&] { ++fired; }));
-    }
-    for (size_t i = 0; i < ids.size(); i += 3) {
-      engine.Cancel(ids[i]);
+      if (i % 3 == 0) {
+        engine.Schedule(0.5 + 0.001 * (i % 7), [&] {
+          ++fired;
+          engine.Schedule(0.0, [&] { ++fired; });
+        });
+      } else {
+        engine.Schedule(0.5 + 0.001 * (i % 7), [&] { ++fired; });
+      }
     }
     engine.CheckInvariants();
     engine.RunUntil(engine.now() + 1.0);
     engine.CheckInvariants();
     EXPECT_EQ(engine.pending_events(), 0u);
   }
-  EXPECT_EQ(fired, 50 * (100 - 34));
+  EXPECT_EQ(fired, 50 * (100 + 34));
 }
 
 }  // namespace

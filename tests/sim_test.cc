@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "src/sim/engine.h"
@@ -41,33 +42,16 @@ TEST(SimEngineTest, NestedScheduling) {
   EXPECT_DOUBLE_EQ(times[1], 1.5);
 }
 
-TEST(SimEngineTest, CancelPreventsExecution) {
-  SimEngine engine;
-  bool fired = false;
-  const auto id = engine.Schedule(1.0, [&] { fired = true; });
-  engine.Cancel(id);
-  engine.Run();
-  EXPECT_FALSE(fired);
-}
-
-TEST(SimEngineTest, CancelUnknownIdIsNoop) {
-  SimEngine engine;
-  engine.Cancel(999);
-  bool fired = false;
-  engine.Schedule(1.0, [&] { fired = true; });
-  engine.Run();
-  EXPECT_TRUE(fired);
-}
-
 TEST(SimEngineTest, RunUntilStopsAtDeadline) {
   SimEngine engine;
   int count = 0;
-  // Self-rescheduling ticker.
+  // Self-rescheduling ticker. Callbacks are trivially copyable by type, so
+  // the events capture the std::function by reference.
   std::function<void()> tick = [&] {
     ++count;
-    engine.Schedule(1.0, tick);
+    engine.Schedule(1.0, [&tick] { tick(); });
   };
-  engine.Schedule(1.0, tick);
+  engine.Schedule(1.0, [&tick] { tick(); });
   engine.RunUntil(5.5);
   EXPECT_EQ(count, 5);
   EXPECT_DOUBLE_EQ(engine.now(), 5.5);
@@ -75,69 +59,19 @@ TEST(SimEngineTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(count, 7);  // Ticks at 6.0 and 7.0 both fire.
 }
 
-TEST(SimEngineTest, StopHaltsRun) {
-  SimEngine engine;
-  int count = 0;
-  for (int i = 1; i <= 10; ++i) {
-    engine.Schedule(i, [&, i] {
-      ++count;
-      if (i == 3) {
-        engine.Stop();
-      }
-    });
-  }
-  engine.Run();
-  EXPECT_EQ(count, 3);
-}
-
-TEST(SimEngineTest, CancelAfterFireLeavesNoResidue) {
-  // Regression: cancelling an id whose event already fired used to park the id
-  // in the cancelled list forever (unbounded growth + O(n) scan per step).
-  SimEngine engine;
-  for (int i = 0; i < 1000; ++i) {
-    const auto id = engine.Schedule(1.0, [] {});
-    engine.Run();
-    engine.Cancel(id);  // Fires first, then cancelled: must be a no-op.
-    EXPECT_EQ(engine.pending_events(), 0u);
-    engine.CheckInvariants();
-  }
-}
-
-TEST(SimEngineTest, CancelledEventPurgedOnFireInstant) {
-  SimEngine engine;
-  const auto id = engine.Schedule(1.0, [] {});
-  EXPECT_EQ(engine.pending_events(), 1u);
-  engine.Cancel(id);
-  EXPECT_EQ(engine.pending_events(), 0u);
-  engine.Run();  // Drains the queued tombstone.
-  EXPECT_EQ(engine.pending_events(), 0u);
-  engine.CheckInvariants();
-}
-
-TEST(SimEngineTest, DoubleCancelIsNoop) {
-  SimEngine engine;
-  bool fired = false;
-  const auto id = engine.Schedule(1.0, [&] { fired = true; });
-  engine.Schedule(2.0, [] {});
-  engine.Cancel(id);
-  engine.Cancel(id);
-  engine.Run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(engine.events_processed(), 1u);
-  engine.CheckInvariants();
-}
-
 TEST(SimEngineTest, InvariantsHoldDuringNestedScheduling) {
   SimEngine engine;
   engine.Schedule(1.0, [&] {
     engine.CheckInvariants();
     engine.Schedule(0.0, [&] { engine.CheckInvariants(); });
-    const auto id = engine.Schedule(5.0, [] {});
-    engine.Cancel(id);
+    engine.Schedule(5.0, [&] { engine.CheckInvariants(); });
+    EXPECT_EQ(engine.pending_events(), 2u);
     engine.CheckInvariants();
   });
   engine.Run();
   EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(engine.events_processed(), 3u);
+  engine.CheckInvariants();
 }
 
 TEST(SimEngineTest, EventsProcessedCounter) {
@@ -149,52 +83,20 @@ TEST(SimEngineTest, EventsProcessedCounter) {
   EXPECT_EQ(engine.events_processed(), 5u);
 }
 
-TEST(SimEngineTest, CancelThenRescheduleReusesSlotSafely) {
-  SimEngine engine;
-  bool a_fired = false;
-  bool b_fired = false;
-  const auto a = engine.Schedule(1.0, [&] { a_fired = true; });
-  engine.Cancel(a);
-  // The slot freed by the cancel is reused immediately; the generation tag
-  // must make the new id distinct from the stale one.
-  const auto b = engine.Schedule(2.0, [&] { b_fired = true; });
-  EXPECT_NE(a, b);
-  engine.Cancel(a);  // Stale id aliasing b's slot: must not cancel b.
-  engine.CheckInvariants();
-  engine.Run();
-  EXPECT_FALSE(a_fired);
-  EXPECT_TRUE(b_fired);
-  EXPECT_EQ(engine.pending_events(), 0u);
-}
-
-TEST(SimEngineTest, StaleIdAfterFireCannotCancelSlotReuser) {
-  SimEngine engine;
-  int fired = 0;
-  const auto a = engine.Schedule(1.0, [&] { ++fired; });
-  engine.Run();
-  EXPECT_EQ(fired, 1);
-  // a's slot is free; the next event takes it with a bumped generation.
-  engine.Schedule(1.0, [&] { ++fired; });
-  engine.Cancel(a);
-  engine.CheckInvariants();
-  engine.Run();
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(SimEngineTest, ResetRestoresPristineState) {
   SimEngine engine;
   int fired = 0;
   engine.Schedule(1.0, [&] { ++fired; });
   engine.Schedule(2.0, [&] { ++fired; });
-  const auto pending = engine.Schedule(9.0, [&] { ++fired; });
+  engine.Schedule(9.0, [&] { ++fired; });
   engine.RunUntil(5.0);
+  EXPECT_EQ(engine.pending_events(), 1u);
   EXPECT_EQ(fired, 2);
   engine.Reset();
   EXPECT_DOUBLE_EQ(engine.now(), 0.0);
   EXPECT_EQ(engine.pending_events(), 0u);
   EXPECT_EQ(engine.events_processed(), 0u);
   engine.CheckInvariants();
-  engine.Cancel(pending);  // Id from before the reset: safe no-op.
   // The engine must be fully usable again from time zero.
   engine.Schedule(0.5, [&] { ++fired; });
   engine.Run();
