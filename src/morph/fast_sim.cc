@@ -53,6 +53,8 @@ FastSimResult FastSimulator::EstimateMinibatch(const Schedule& schedule,
   VARUNA_CHECK(config.sections != nullptr && config.partition != nullptr);
   const int depth = schedule.depth;
   VARUNA_CHECK_EQ(depth, config.partition->depth());
+  VARUNA_CHECK_EQ(schedule.eval_order.size(), ScheduleOpCount(schedule))
+      << "schedule has no compiled eval_order";
   const int microbatches = schedule.num_microbatches;
   const int m = config.microbatch_size;
   const size_t stages = static_cast<size_t>(depth);
@@ -130,96 +132,42 @@ FastSimResult FastSimulator::EstimateMinibatch(const Schedule& schedule,
     return 0.0;
   };
 
-  // Longest-path evaluation of the schedule under strict per-stage op order.
-  cursor_.assign(stages, 0);
-  free_at_.assign(stages, 0.0);
-  f_done_.assign(cells, -1.0);
-  b_done_.assign(cells, -1.0);
-  auto reset_state = [&] {
-    std::fill(cursor_.begin(), cursor_.end(), 0);
-    std::fill(free_at_.begin(), free_at_.end(), 0.0);
-    std::fill(f_done_.begin(), f_done_.end(), -1.0);
-    std::fill(b_done_.begin(), b_done_.end(), -1.0);
-  };
-
-  auto ready_time = [&](int s, const PipeOp& op) -> double {
-    switch (op.type) {
-      case PipeOpType::kForward:
-        if (s == 0) {
-          return 0.0;
-        }
-        if (f_done_[at(s - 1, op.microbatch)] < 0.0) {
-          return -1.0;
-        }
-        return f_done_[at(s - 1, op.microbatch)] + send_[static_cast<size_t>(s) - 1] +
-               fwd_stall_[at(s - 1, op.microbatch)];
-      case PipeOpType::kBackward:
-        if (s == depth - 1) {
-          return f_done_[at(s, op.microbatch)];
-        }
-        if (b_done_[at(s + 1, op.microbatch)] < 0.0) {
-          return -1.0;
-        }
-        return b_done_[at(s + 1, op.microbatch)] + send_[static_cast<size_t>(s)] +
-               bwd_stall_[at(s, op.microbatch)];
-      case PipeOpType::kRecompute:
-      case PipeOpType::kIdleForward:
-      case PipeOpType::kIdleBackward:
-        return 0.0;
-    }
-    return 0.0;
-  };
-
-  auto drain_stage = [&](int s) {
-    bool progressed = false;
-    while (cursor_[static_cast<size_t>(s)] < schedule.ops[static_cast<size_t>(s)].size()) {
-      const PipeOp& op = schedule.ops[static_cast<size_t>(s)][cursor_[static_cast<size_t>(s)]];
-      const double ready = ready_time(s, op);
-      if (ready < 0.0) {
-        break;
-      }
-      const double start = std::max(free_at_[static_cast<size_t>(s)], ready);
-      const double end = start + duration(s, op.type);
-      free_at_[static_cast<size_t>(s)] = end;
-      if (op.type == PipeOpType::kForward) {
-        f_done_[at(s, op.microbatch)] = end;
-      } else if (op.type == PipeOpType::kBackward) {
-        b_done_[at(s, op.microbatch)] = end;
-      }
-      ++cursor_[static_cast<size_t>(s)];
-      progressed = true;
-    }
-    return progressed;
-  };
-  auto run_once = [&] {
-    reset_state();
-    // Forward dependencies resolve in the ascending sweep, backward chains in
-    // the descending sweep, so the pass count stays O(1) instead of O(P).
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (int s = 0; s < depth; ++s) {
-        progressed |= drain_stage(s);
-      }
-      for (int s = depth - 1; s >= 0; --s) {
-        progressed |= drain_stage(s);
-      }
-    }
-    for (int s = 0; s < depth; ++s) {
-      VARUNA_CHECK_EQ(cursor_[static_cast<size_t>(s)], schedule.ops[static_cast<size_t>(s)].size())
-          << "fast-sim schedule deadlock at stage " << s;
-    }
-  };
-
   // The mini-batch is gated by the slowest data-parallel replica: replay up
-  // to four independent stall streams and keep the worst pipeline.
+  // to four independent stall streams and keep the worst pipeline. Each
+  // replay is a longest-path evaluation under strict per-stage op order: one
+  // walk over the compiled dependency order, so every end time an op reads
+  // was written earlier in the same walk.
+  cursor_.resize(stages);
+  free_at_.resize(stages);
+  f_done_.resize(cells);
+  b_done_.resize(cells);
   Rng stall_rng(0x5eedULL ^ (static_cast<uint64_t>(depth) << 32) ^
                 static_cast<uint64_t>(microbatches));
   const int replays = std::max(1, std::min(config.data_parallel, 4));
   FastSimResult result;
   for (int replay = 0; replay < replays; ++replay) {
     sample_stalls(&stall_rng);
-    run_once();
+    std::fill(cursor_.begin(), cursor_.end(), 0);
+    std::fill(free_at_.begin(), free_at_.end(), 0.0);
+    for (const uint16_t s : schedule.eval_order) {
+      const PipeOp& op = schedule.ops[s][cursor_[s]++];
+      double ready = 0.0;
+      if (op.type == PipeOpType::kForward && s > 0) {
+        ready = f_done_[at(s - 1, op.microbatch)] + send_[s - 1U] +
+                fwd_stall_[at(s - 1, op.microbatch)];
+      } else if (op.type == PipeOpType::kBackward) {
+        ready = s == depth - 1 ? f_done_[at(s, op.microbatch)]
+                               : b_done_[at(s + 1, op.microbatch)] + send_[s] +
+                                     bwd_stall_[at(s, op.microbatch)];
+      }
+      const double end = std::max(free_at_[s], ready) + duration(s, op.type);
+      free_at_[s] = end;
+      if (op.type == PipeOpType::kForward) {
+        f_done_[at(s, op.microbatch)] = end;
+      } else if (op.type == PipeOpType::kBackward) {
+        b_done_[at(s, op.microbatch)] = end;
+      }
+    }
     for (int s = 0; s < depth; ++s) {
       result.pipeline_s = std::max(result.pipeline_s, free_at_[static_cast<size_t>(s)]);
       result.minibatch_s = std::max(result.minibatch_s,

@@ -8,12 +8,14 @@
 // morphing event (§7.2).
 //
 // The simulator owns flat, row-major scratch buffers (indexed [s * Nm + mb])
-// that are resized and fully reinitialised per call, so sweeping hundreds of
-// candidates allocates O(1) instead of ~6 nested vector<vector<double>> per
-// candidate. Estimates are a pure function of (schedule, config, calibration):
-// the stall RNG is seeded per candidate, never carried across calls, which is
-// what lets ConfigSearch evaluate candidates on ThreadPool workers (one
-// simulator per worker) with bit-identical results to a serial sweep.
+// that are resized per call, so sweeping hundreds of candidates allocates O(1)
+// instead of ~6 nested vector<vector<double>> per candidate. Each replay is one
+// walk over the schedule's compiled eval_order, and every value it reads was
+// written earlier in the same call. Estimates are a pure function of (schedule,
+// config, calibration): the stall RNG is seeded per candidate, never carried
+// across calls, which is what lets ConfigSearch evaluate candidates on
+// ThreadPool workers (one simulator per worker) with bit-identical results to a
+// serial sweep.
 #ifndef SRC_MORPH_FAST_SIM_H_
 #define SRC_MORPH_FAST_SIM_H_
 
@@ -71,12 +73,14 @@ class FastSimulator {
   std::vector<double> send_;  // To next stage.
   std::vector<double> allreduce_;
   std::vector<uint8_t> hop_cross_node_;
-  // Per-(stage, micro-batch) state, flat row-major, length depth * Nm.
+  // Per-(stage, micro-batch) state, flat row-major, length depth * Nm. The
+  // walk writes each forward/backward end time before any op reads it.
   std::vector<double> fwd_stall_;
   std::vector<double> bwd_stall_;
   std::vector<double> f_done_;
   std::vector<double> b_done_;
-  // Longest-path evaluation state, length `depth`.
+  // Walk state, length `depth`: the next op index on each stage (the walk
+  // cursor) and the time each stage frees up.
   std::vector<size_t> cursor_;
   std::vector<double> free_at_;
 };

@@ -234,7 +234,7 @@ class VarunaGenerator {
     if (!completions_.empty()) {
       next = std::min(next, completions_.top().when);
     }
-    VARUNA_CHECK(next < std::numeric_limits<double>::infinity()) << "Varuna generator deadlock";
+    VARUNA_CHECK(next < std::numeric_limits<double>::infinity()) << "Varuna generator stuck";
     now_ = next;
     for (int s = 0; s < depth_; ++s) {
       if (stages_[static_cast<size_t>(s)].busy_until == now_) {
@@ -439,77 +439,51 @@ Schedule GenerateDeepSpeed(int depth, int num_microbatches) {
   return schedule;
 }
 
-// --- Unit-time execution of an arbitrary schedule -------------------------
+// --- Dependency order and unit-time execution ----------------------------
 
-struct OpTrace {
-  int stage;
-  PipeOp op;
-  double start;
-  double end;
-};
-
-// Executes the schedule with unit times, strict per-stage op order and zero
-// communication latency; returns per-op start/end times.
-std::vector<OpTrace> ExecuteUnits(const Schedule& schedule) {
+// Compiles Schedule::eval_order by running the schedule once on booleans:
+// each stage drains as far as its next op's input is produced, in ascending
+// then descending sweeps until nothing progresses. The ascending sweep
+// resolves forward chains and the descending one backward chains, so the
+// pass count stays O(1) instead of O(P). The only schedule-deadlock check.
+std::vector<uint16_t> CompileEvalOrder(const Schedule& schedule) {
   const int depth = schedule.depth;
-  const int microbatches = schedule.num_microbatches;
+  VARUNA_CHECK_LE(depth, std::numeric_limits<uint16_t>::max()) << "eval_order stages are uint16_t";
+  const size_t microbatches = static_cast<size_t>(schedule.num_microbatches);
+  const auto at = [microbatches](int s, int mb) {
+    return static_cast<size_t>(s) * microbatches + static_cast<size_t>(mb);
+  };
   std::vector<size_t> cursor(static_cast<size_t>(depth), 0);
-  std::vector<double> free_at(static_cast<size_t>(depth), 0.0);
-  std::vector<std::vector<double>> f_done(static_cast<size_t>(depth),
-                                          std::vector<double>(static_cast<size_t>(microbatches), -1.0));
-  std::vector<std::vector<double>> b_done(static_cast<size_t>(depth),
-                                          std::vector<double>(static_cast<size_t>(microbatches), -1.0));
-  std::vector<OpTrace> trace;
+  std::vector<uint8_t> f_done(static_cast<size_t>(depth) * microbatches, 0);
+  std::vector<uint8_t> b_done(static_cast<size_t>(depth) * microbatches, 0);
+  std::vector<uint16_t> order;
+  order.reserve(ScheduleOpCount(schedule));
 
-  auto ready_time = [&](int s, const PipeOp& op) -> double {
-    // Returns the earliest time the op's inputs are available, or -1 if a
-    // dependency has not even been scheduled yet.
-    switch (op.type) {
-      case PipeOpType::kForward:
-        if (s == 0) {
-          return 0.0;
-        }
-        return f_done[static_cast<size_t>(s) - 1][static_cast<size_t>(op.microbatch)];
-      case PipeOpType::kRecompute:
-        // Needs the stashed input activation: available once this stage's own
-        // forward of the micro-batch completed, which strict order guarantees.
-        return 0.0;
-      case PipeOpType::kBackward:
-        if (s == depth - 1) {
-          return f_done[static_cast<size_t>(s)][static_cast<size_t>(op.microbatch)];
-        }
-        return b_done[static_cast<size_t>(s) + 1][static_cast<size_t>(op.microbatch)];
-      case PipeOpType::kIdleForward:
-      case PipeOpType::kIdleBackward:
-        return 0.0;
+  // A recompute follows its own forward on the stage; idles wait on nothing.
+  auto ready = [&](int s, const PipeOp& op) {
+    if (op.type == PipeOpType::kForward) {
+      return s == 0 || f_done[at(s - 1, op.microbatch)] != 0;
     }
-    return 0.0;
+    if (op.type == PipeOpType::kBackward) {
+      return (s == depth - 1 ? f_done[at(s, op.microbatch)]
+                             : b_done[at(s + 1, op.microbatch)]) != 0;
+    }
+    return true;
   };
-
   auto drain_stage = [&](int s) {
-    bool progressed = false;
-    while (cursor[static_cast<size_t>(s)] < schedule.ops[static_cast<size_t>(s)].size()) {
-      const PipeOp& op = schedule.ops[static_cast<size_t>(s)][cursor[static_cast<size_t>(s)]];
-      const double ready = ready_time(s, op);
-      if (ready < 0.0) {
-        break;  // Dependency not yet produced; revisit after other stages run.
+    const std::vector<PipeOp>& ops = schedule.ops[static_cast<size_t>(s)];
+    size_t& i = cursor[static_cast<size_t>(s)];
+    const size_t first = i;
+    for (; i < ops.size() && ready(s, ops[i]); ++i) {
+      if (ops[i].type == PipeOpType::kForward) {
+        f_done[at(s, ops[i].microbatch)] = 1;
+      } else if (ops[i].type == PipeOpType::kBackward) {
+        b_done[at(s, ops[i].microbatch)] = 1;
       }
-      const double start = std::max(free_at[static_cast<size_t>(s)], ready);
-      const double end = start + UnitDuration(op.type);
-      free_at[static_cast<size_t>(s)] = end;
-      if (op.type == PipeOpType::kForward) {
-        f_done[static_cast<size_t>(s)][static_cast<size_t>(op.microbatch)] = end;
-      } else if (op.type == PipeOpType::kBackward) {
-        b_done[static_cast<size_t>(s)][static_cast<size_t>(op.microbatch)] = end;
-      }
-      trace.push_back(OpTrace{s, op, start, end});
-      ++cursor[static_cast<size_t>(s)];
-      progressed = true;
+      order.push_back(static_cast<uint16_t>(s));
     }
-    return progressed;
+    return i != first;
   };
-  // Ascending sweep resolves forward deps, descending sweep backward chains:
-  // O(1) passes instead of O(P).
   bool progressed = true;
   while (progressed) {
     progressed = false;
@@ -520,10 +494,51 @@ std::vector<OpTrace> ExecuteUnits(const Schedule& schedule) {
       progressed |= drain_stage(s);
     }
   }
-  // Every op must have executed (otherwise the schedule has a dependency cycle).
-  for (int s = 0; s < depth; ++s) {
-    VARUNA_CHECK_EQ(cursor[static_cast<size_t>(s)], schedule.ops[static_cast<size_t>(s)].size())
-        << "schedule deadlock at stage " << s;
+  VARUNA_CHECK_EQ(order.size(), ScheduleOpCount(schedule))
+      << ToString(schedule.kind) << " schedule deadlock: ops left unresolved";
+  return order;
+}
+
+struct OpTrace {
+  int stage;
+  PipeOp op;
+  double start;
+  double end;
+};
+
+// Executes the schedule with unit times, strict per-stage op order and zero
+// communication latency; returns per-op start/end times in eval_order.
+std::vector<OpTrace> ExecuteUnits(const Schedule& schedule) {
+  VARUNA_CHECK_EQ(schedule.eval_order.size(), ScheduleOpCount(schedule))
+      << "schedule has no compiled eval_order";
+  const int depth = schedule.depth;
+  const size_t microbatches = static_cast<size_t>(schedule.num_microbatches);
+  const auto at = [microbatches](int s, int mb) {
+    return static_cast<size_t>(s) * microbatches + static_cast<size_t>(mb);
+  };
+  std::vector<size_t> cursor(static_cast<size_t>(depth), 0);
+  std::vector<double> free_at(static_cast<size_t>(depth), 0.0);
+  std::vector<double> f_done(static_cast<size_t>(depth) * microbatches);
+  std::vector<double> b_done(static_cast<size_t>(depth) * microbatches);
+  std::vector<OpTrace> trace;
+  trace.reserve(schedule.eval_order.size());
+  for (const uint16_t s : schedule.eval_order) {
+    const PipeOp& op = schedule.ops[s][cursor[s]++];
+    double ready = 0.0;
+    if (op.type == PipeOpType::kForward && s > 0) {
+      ready = f_done[at(s - 1, op.microbatch)];
+    } else if (op.type == PipeOpType::kBackward) {
+      ready = s == depth - 1 ? f_done[at(s, op.microbatch)] : b_done[at(s + 1, op.microbatch)];
+    }
+    const double start = std::max(free_at[s], ready);
+    const double end = start + UnitDuration(op.type);
+    free_at[s] = end;
+    if (op.type == PipeOpType::kForward) {
+      f_done[at(s, op.microbatch)] = end;
+    } else if (op.type == PipeOpType::kBackward) {
+      b_done[at(s, op.microbatch)] = end;
+    }
+    trace.push_back(OpTrace{s, op, start, end});
   }
   return trace;
 }
@@ -567,7 +582,16 @@ Schedule ScheduleCache::Generate(ScheduleKind kind, int depth, int num_microbatc
   VARUNA_CHECK(validation.ok()) << "generated " << ToString(kind)
                                 << " schedule violates invariants:\n"
                                 << validation.ToString();
+  schedule.eval_order = CompileEvalOrder(schedule);
   return schedule;
+}
+
+size_t ScheduleOpCount(const Schedule& schedule) {
+  size_t count = 0;
+  for (const std::vector<PipeOp>& stage : schedule.ops) {
+    count += stage.size();
+  }
+  return count;
 }
 
 const Schedule& GenerateSchedule(ScheduleKind kind, int depth, int num_microbatches) {

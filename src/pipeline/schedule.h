@@ -12,6 +12,8 @@
 #ifndef SRC_PIPELINE_SCHEDULE_H_
 #define SRC_PIPELINE_SCHEDULE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -48,11 +50,25 @@ struct Schedule {
   // True when the executor may deviate from the order to stay work-conserving
   // under jitter (§3.2: Varuna only).
   bool opportunistic = false;
+
+  // The stage of every op, in one dependency order: each op comes after the
+  // op before it on its stage and after the op it waits on (a forward waits
+  // on the previous stage's forward of its micro-batch; a backward on the
+  // next stage's backward, or on its own forward on the last stage), and each
+  // stage's ops appear in list order. Compiled once by GenerateSchedule, so
+  // the unit-time evaluator and FastSimulator are one linear walk; empty on a
+  // hand-built schedule, which both evaluators reject.
+  std::vector<uint16_t> eval_order;
 };
 
+// Total op count over all stages: the length of a compiled eval_order.
+size_t ScheduleOpCount(const Schedule& schedule);
+
 // The static schedule for `kind` with `depth` stages and `num_microbatches`
-// micro-batches. Requires depth >= 1, num_microbatches >= 1. Thread-safe; the
-// reference lives as long as the process (ScheduleCache::Process()).
+// micro-batches, validated and with its eval_order compiled; a schedule that
+// would deadlock aborts here. Requires 1 <= depth <= 65535 and
+// num_microbatches >= 1. Thread-safe; the reference lives as long as the
+// process (ScheduleCache::Process()).
 const Schedule& GenerateSchedule(ScheduleKind kind, int depth, int num_microbatches);
 
 // Renders a schedule as a unit-time ASCII Gantt (Tf = Tr = 1, Tb = 2), for
@@ -60,8 +76,9 @@ const Schedule& GenerateSchedule(ScheduleKind kind, int depth, int num_microbatc
 std::string RenderScheduleGantt(const Schedule& schedule, int width = 120);
 
 // Makespan of the schedule in unit times (Tf = Tr = 1, Tb = 2), assuming zero
-// communication latency — the metric behind "Varuna uses 1 less time unit
-// compared to Gpipe" in Figure 4.
+// communication latency and strict per-stage op order — the metric behind
+// "Varuna uses 1 less time unit compared to Gpipe" in Figure 4. One walk over
+// eval_order, O(ops); CHECK-fails on a schedule without a compiled order.
 double ScheduleMakespanUnits(const Schedule& schedule);
 
 }  // namespace varuna

@@ -1,11 +1,12 @@
 // The process's one schedule table, behind GenerateSchedule() (schedule.h).
-// Generating a schedule builds and validates it from scratch — O(P * Nm) work
-// plus the full ValidateSchedule() contract check — yet the sweep and the
-// manager keep asking for the same shapes: every morph event regenerates
-// (kVaruna, P, Nm) for each candidate depth, a spot trace revisits the same
-// cluster sizes for hours, and every elastic session owns a fresh search. The
-// memo keys on (kind, depth, num_microbatches) — the complete input of
-// generation — so each shape is generated and validated once per process.
+// Generating a schedule builds, validates and compiles it from scratch —
+// O(P * Nm) work plus the full ValidateSchedule() contract check — yet the
+// sweep and the manager keep asking for the same shapes: every morph event
+// regenerates (kVaruna, P, Nm) for each candidate depth, a spot trace revisits
+// the same cluster sizes for hours, and every elastic session owns a fresh
+// search. The memo keys on (kind, depth, num_microbatches) — the complete
+// input of generation — so each shape is generated, validated and compiled
+// once per process.
 //
 // The index is a flat sorted vector of packed 64-bit keys (the sweep hot path
 // may not touch node-based containers — varuna_lint rule "hot-path"). Entries
@@ -34,8 +35,8 @@ class ScheduleCache {
   // The process-wide instance.
   static ScheduleCache& Process();
 
-  // Returns the schedule for the shape, generating (and validating) it on
-  // first use. The reference is valid for the life of the process.
+  // Returns the schedule for the shape, generating, validating and compiling
+  // it on first use. The reference is valid for the life of the process.
   const Schedule& Get(ScheduleKind kind, int depth, int num_microbatches);
 
   ScheduleCacheStats stats() const;
@@ -52,7 +53,8 @@ class ScheduleCache {
   // count, Nm <= M_total), so the packing is collision-free.
   static uint64_t PackKey(ScheduleKind kind, int depth, int num_microbatches);
 
-  // The miss path (generate, then validate); defined beside the generators in schedule.cc.
+  // The miss path (generate, validate, compile eval_order); defined beside the
+  // generators in schedule.cc.
   static Schedule Generate(ScheduleKind kind, int depth, int num_microbatches);
 
   mutable std::mutex mutex_;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -240,6 +242,87 @@ TEST(CalibrationTest, StallDecompositionConsistent) {
   EXPECT_LT(tail.probability, 0.022);
   EXPECT_GT(tail.probability, 0.005);
   EXPECT_NEAR(tail.scale_s, 0.25, 0.12);
+}
+
+// --- Golden fast-simulator outputs. -------------------------------------------
+//
+// Bit-exact digests of every FastSimResult field and of LowerBoundMinibatch
+// over a grid of schedules, shapes, replica counts (1-4 stall replays), node
+// packings and shared-state sync. Any change to the evaluation order's
+// arithmetic, the stall draws or the per-stage primitives moves a row.
+
+uint64_t MixBits(uint64_t hash, uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xffULL;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+uint64_t MixDouble(uint64_t hash, double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return MixBits(hash, bits);
+}
+
+TEST(FastSimGoldenTest, EstimatesArePinned) {
+  struct Row {
+    ScheduleKind kind;
+    int depth;
+    uint64_t hash;  // Over Nm x D x gpus_per_node x shared sync, in loop order.
+  };
+  const Row rows[] = {
+      {ScheduleKind::kVaruna, 1, 0xa316ee82d9d3e93dULL},
+      {ScheduleKind::kVaruna, 2, 0xf21e0936648a32fdULL},
+      {ScheduleKind::kVaruna, 4, 0xfb85f89f31b289ffULL},
+      {ScheduleKind::kVaruna, 8, 0x3db4ec5cd4e6e256ULL},
+      {ScheduleKind::kVaruna, 16, 0xb33c0102ead210caULL},
+      {ScheduleKind::kGpipe, 1, 0xc87ba7b84a777f45ULL},
+      {ScheduleKind::kGpipe, 2, 0x9210b75ffdc6451dULL},
+      {ScheduleKind::kGpipe, 4, 0xb1d50f1abea45873ULL},
+      {ScheduleKind::kGpipe, 8, 0x89ed37d8547c22e4ULL},
+      {ScheduleKind::kGpipe, 16, 0x674bbea57f8d83afULL},
+      {ScheduleKind::kOneFOneB, 1, 0xa316ee82d9d3e93dULL},
+      {ScheduleKind::kOneFOneB, 2, 0xe9ba55f02b156fdaULL},
+      {ScheduleKind::kOneFOneB, 4, 0x317c57566d44bedcULL},
+      {ScheduleKind::kOneFOneB, 8, 0x7650d518b7a1f8ebULL},
+      {ScheduleKind::kOneFOneB, 16, 0xf12afc01df1fb74aULL},
+      {ScheduleKind::kDeepSpeed, 1, 0xa316ee82d9d3e93dULL},
+      {ScheduleKind::kDeepSpeed, 2, 0x83757ea67c3245faULL},
+      {ScheduleKind::kDeepSpeed, 4, 0x18e5da189f37c289ULL},
+      {ScheduleKind::kDeepSpeed, 8, 0x9c4fca1c01bb068dULL},
+      {ScheduleKind::kDeepSpeed, 16, 0x5317b2e930d31d3eULL},
+  };
+  Fixture fx(Gpt2_2_5B());
+  FastSimulator simulator(&fx.calibration);
+  for (const Row& row : rows) {
+    const Partition partition = PartitionModel(fx.sections, row.depth).value();
+    uint64_t hash = 14695981039346656037ULL;
+    for (const int num_microbatches : {1, 3, 8, 32}) {
+      const Schedule& schedule = GenerateSchedule(row.kind, row.depth, num_microbatches);
+      for (const int replicas : {1, 2, 4, 8}) {
+        for (const int gpus_per_node : {1, 4}) {
+          for (const double shared_sync_bytes : {0.0, 2.0e8}) {
+            FastSimConfig config;
+            config.sections = &fx.sections;
+            config.partition = &partition;
+            config.data_parallel = replicas;
+            config.microbatch_size = 4;
+            config.gpus_per_node = gpus_per_node;
+            config.shared_sync_bytes = shared_sync_bytes;
+            const FastSimResult result = simulator.EstimateMinibatch(schedule, config);
+            hash = MixDouble(hash, result.minibatch_s);
+            hash = MixDouble(hash, result.pipeline_s);
+            hash = MixDouble(hash, result.allreduce_s);
+            hash = MixDouble(hash, result.sync_s);
+            hash = MixDouble(hash, simulator.LowerBoundMinibatch(config, num_microbatches));
+          }
+        }
+      }
+    }
+    EXPECT_EQ(hash, row.hash) << ToString(row.kind) << " P=" << row.depth << ": new hash 0x"
+                              << std::hex << hash;
+  }
 }
 
 TEST(ConfigSearchTest, PicksSaturatingMicrobatch) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/pipeline/schedule.h"
 
@@ -70,8 +73,9 @@ TEST_P(AllSchedulesTest, InvariantsHold) {
 TEST_P(AllSchedulesTest, ExecutableWithoutDeadlock) {
   for (const int depth : {2, 4, 6}) {
     for (const int microbatches : {2, 5, 12}) {
+      // GenerateSchedule CHECK-fails on a schedule that would deadlock (its
+      // eval_order cannot be compiled); the walk then covers every op.
       const Schedule schedule = GenerateSchedule(GetParam(), depth, microbatches);
-      // ScheduleMakespanUnits CHECK-fails on deadlock.
       EXPECT_GT(ScheduleMakespanUnits(schedule), 0.0);
     }
   }
@@ -209,6 +213,66 @@ TEST(ScheduleRenderTest, GanttMentionsEveryStage) {
   }
 }
 
+// The eval_order contract, checked on every ScheduleGoldenTest shape: each
+// stage appears once per op, and walking the order, every forward at s > 0
+// comes after the same micro-batch's forward at s - 1 and every backward after
+// the op it waits on. Any order meeting this is correct, so the test pins the
+// contract, not the bytes.
+TEST(ScheduleEvalOrderTest, EveryOpFollowsItsDependencies) {
+  for (const ScheduleKind kind : {ScheduleKind::kVaruna, ScheduleKind::kGpipe,
+                                  ScheduleKind::kOneFOneB, ScheduleKind::kDeepSpeed}) {
+    for (const int depth : {1, 2, 3, 4, 6, 8, 12, 16}) {
+      for (const int num_microbatches : {1, 2, 3, 5, 8, 13, 32, 64}) {
+        const Schedule& schedule = GenerateSchedule(kind, depth, num_microbatches);
+        const std::string shape = ToString(kind) + " P=" + std::to_string(depth) +
+                                  " Nm=" + std::to_string(num_microbatches);
+        const auto at = [num_microbatches](int s, int mb) {
+          return static_cast<size_t>(s) * static_cast<size_t>(num_microbatches) +
+                 static_cast<size_t>(mb);
+        };
+        const size_t cells = static_cast<size_t>(depth) * static_cast<size_t>(num_microbatches);
+        std::vector<bool> forwarded(cells, false);
+        std::vector<bool> backwarded(cells, false);
+        std::vector<size_t> cursor(static_cast<size_t>(depth), 0);
+        for (const uint16_t s : schedule.eval_order) {
+          ASSERT_LT(s, depth) << shape;
+          const std::vector<PipeOp>& ops = schedule.ops[s];
+          ASSERT_LT(cursor[s], ops.size()) << shape << " stage " << s;
+          const PipeOp& op = ops[cursor[s]++];
+          if (op.type == PipeOpType::kForward) {
+            EXPECT_TRUE(s == 0 || forwarded[at(s - 1, op.microbatch)]) << shape << " stage " << s;
+            forwarded[at(s, op.microbatch)] = true;
+          } else if (op.type == PipeOpType::kBackward) {
+            EXPECT_TRUE(s == depth - 1 ? forwarded[at(s, op.microbatch)]
+                                       : backwarded[at(s + 1, op.microbatch)])
+                << shape << " stage " << s;
+            backwarded[at(s, op.microbatch)] = true;
+          }
+        }
+        for (int s = 0; s < depth; ++s) {
+          EXPECT_EQ(cursor[static_cast<size_t>(s)], schedule.ops[static_cast<size_t>(s)].size())
+              << shape << " stage " << s;
+        }
+      }
+    }
+  }
+}
+
+TEST(ScheduleEvalOrderTest, CopiesKeepTheOrder) {
+  const Schedule copy = GenerateSchedule(ScheduleKind::kVaruna, 4, 5);
+  EXPECT_EQ(copy.eval_order.size(), ScheduleOpCount(copy));
+  EXPECT_EQ(ScheduleMakespanUnits(copy),
+            ScheduleMakespanUnits(GenerateSchedule(ScheduleKind::kVaruna, 4, 5)));
+}
+
+TEST(ScheduleEvalOrderDeathTest, HandBuiltScheduleWithoutOrderAborts) {
+  Schedule schedule;
+  schedule.depth = 1;
+  schedule.num_microbatches = 1;
+  schedule.ops = {{PipeOp{PipeOpType::kForward, 0}, PipeOp{PipeOpType::kBackward, 0}}};
+  EXPECT_DEATH(ScheduleMakespanUnits(schedule), "eval_order");
+}
+
 TEST(ScheduleTest, OnlyVarunaIsOpportunistic) {
   EXPECT_TRUE(GenerateSchedule(ScheduleKind::kVaruna, 2, 2).opportunistic);
   EXPECT_FALSE(GenerateSchedule(ScheduleKind::kGpipe, 2, 2).opportunistic);
@@ -291,6 +355,75 @@ TEST(ScheduleGoldenTest, GeneratorOutputIsPinned) {
       hash = HashSchedule(GenerateSchedule(row.kind, row.depth, num_microbatches), hash);
     }
     EXPECT_EQ(hash, row.hash) << ToString(row.kind) << " P=" << row.depth;
+  }
+}
+
+// Golden unit-time evaluation: an FNV-1a over the bits of every grid shape's
+// ScheduleMakespanUnits and its 120-column Gantt, over the ScheduleGoldenTest
+// grid. Recorded before the unit-time executor was rewritten; any change to
+// an op's unit start or end moves the row.
+uint64_t MixString(uint64_t hash, const std::string& text) {
+  hash = MixU64(hash, text.size());
+  for (const char c : text) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+TEST(ScheduleUnitTimeGoldenTest, MakespanAndGanttArePinned) {
+  struct Row {
+    ScheduleKind kind;
+    int depth;
+    uint64_t hash;  // Over Nm in kMicrobatches, ascending.
+  };
+  constexpr int kMicrobatches[] = {1, 2, 3, 5, 8, 13, 32, 64};
+  const Row rows[] = {
+      {ScheduleKind::kVaruna, 1, 0x53be7d3fd36574dfULL},
+      {ScheduleKind::kVaruna, 2, 0x8c777050741a6936ULL},
+      {ScheduleKind::kVaruna, 3, 0x672a27a0309a8936ULL},
+      {ScheduleKind::kVaruna, 4, 0x28e9ad85e59d8c31ULL},
+      {ScheduleKind::kVaruna, 6, 0x1ae8d9498cefed9dULL},
+      {ScheduleKind::kVaruna, 8, 0x379a6aa06d6f8e3cULL},
+      {ScheduleKind::kVaruna, 12, 0x6cc3077b60dfa796ULL},
+      {ScheduleKind::kVaruna, 16, 0xb7b12f892aa6ce67ULL},
+      {ScheduleKind::kGpipe, 1, 0xfbd87d8f71e54173ULL},
+      {ScheduleKind::kGpipe, 2, 0x492ecfda3c5cf8b4ULL},
+      {ScheduleKind::kGpipe, 3, 0x6d6768ec1c1b720eULL},
+      {ScheduleKind::kGpipe, 4, 0x5ee64ee35aedfaaeULL},
+      {ScheduleKind::kGpipe, 6, 0x21e770c5f294b87cULL},
+      {ScheduleKind::kGpipe, 8, 0xe7719ba8402a1441ULL},
+      {ScheduleKind::kGpipe, 12, 0x8ba7ea799337d5f4ULL},
+      {ScheduleKind::kGpipe, 16, 0x11b41f39e61867d7ULL},
+      {ScheduleKind::kOneFOneB, 1, 0x53be7d3fd36574dfULL},
+      {ScheduleKind::kOneFOneB, 2, 0xe3b6878c7fc953a3ULL},
+      {ScheduleKind::kOneFOneB, 3, 0x7586c0fa61700381ULL},
+      {ScheduleKind::kOneFOneB, 4, 0xb49c1a8af6b1a927ULL},
+      {ScheduleKind::kOneFOneB, 6, 0xa327efe450ad3d34ULL},
+      {ScheduleKind::kOneFOneB, 8, 0xf2477d5e47e5f80bULL},
+      {ScheduleKind::kOneFOneB, 12, 0xbd33010b8f7104f1ULL},
+      {ScheduleKind::kOneFOneB, 16, 0x7c4b1d9842e97e6bULL},
+      {ScheduleKind::kDeepSpeed, 1, 0x53be7d3fd36574dfULL},
+      {ScheduleKind::kDeepSpeed, 2, 0xf41a661a0f7ac53bULL},
+      {ScheduleKind::kDeepSpeed, 3, 0x0d813b9609c508f3ULL},
+      {ScheduleKind::kDeepSpeed, 4, 0xf6022b240720aa16ULL},
+      {ScheduleKind::kDeepSpeed, 6, 0x363095fceb94e3f1ULL},
+      {ScheduleKind::kDeepSpeed, 8, 0x4671fff568b23e31ULL},
+      {ScheduleKind::kDeepSpeed, 12, 0x055afb34f915ca54ULL},
+      {ScheduleKind::kDeepSpeed, 16, 0x3fd981b96aa16650ULL},
+  };
+  for (const Row& row : rows) {
+    uint64_t hash = 14695981039346656037ULL;
+    for (const int num_microbatches : kMicrobatches) {
+      const Schedule& schedule = GenerateSchedule(row.kind, row.depth, num_microbatches);
+      const double makespan = ScheduleMakespanUnits(schedule);
+      uint64_t bits = 0;
+      std::memcpy(&bits, &makespan, sizeof(bits));
+      hash = MixU64(hash, bits);
+      hash = MixString(hash, RenderScheduleGantt(schedule, 120));
+    }
+    EXPECT_EQ(hash, row.hash) << ToString(row.kind) << " P=" << row.depth << ": new hash 0x"
+                              << std::hex << hash;
   }
 }
 
