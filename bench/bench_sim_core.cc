@@ -11,10 +11,19 @@
 //     D=4 x P=4 x Nm=20 job on NC6 VMs, with compute noise and network
 //     sampling on, then off. The gap is the cost of the Rng draws; what is
 //     left when they are off is the engine and the executor's dispatch.
+//   * calibration — ns per Percentile(0.5) of a calibration-shaped
+//     200-sample transfer batch (row percentile_200), and µs per Calibrate
+//     of GPT-2 Medium on 20 NC6 VMs (row calibrate_gpt2_medium). The median
+//     row walks a pool of pre-drawn batches and never revisits one, so
+//     neither the draws nor a branch predictor that has learned the batches
+//     enter the figure (a loop over one repeated batch flatters a branchy
+//     select such as nth_element by about 2x).
 //   * chaos sweep — end-to-end campaigns; ms/campaign, testbed events/sec
 //     and ring-cost-cache hit rate come from the SessionStats counters.
 #include <cstdio>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "bench/sim_core_workload.h"
@@ -73,6 +82,44 @@ BenchStats TimeExecutor(const BenchMode& mode, const ExecutorJob& job, bool nois
   });
 }
 
+// The calibration rows' job: GPT-2 Medium on 20 NC6 VMs, as every chaos
+// campaign calibrates it.
+struct CalibrationJob {
+  static constexpr int kVms = 20;
+  // Medians per timed repeat; the pool holds one batch for every median of
+  // a full warmup + 15-repeat run.
+  static constexpr size_t kMediansPerRepeat = 256;
+  static constexpr size_t kBatches = 16 * kMediansPerRepeat;
+
+  Cluster cluster{CommodityFabric()};
+  ModelSections sections;
+  // kBatches transfer batches of CalibrationOptions().network_samples draws
+  // each, drawn like Calibrate's cross-node samples: section boundary
+  // activations at every profiled micro-batch size.
+  std::vector<double> pool;
+
+  CalibrationJob() {
+    const TransformerSpec spec = Gpt2Medium();
+    cluster.AddVms(Nc6V3(), kVms);
+    sections = IdentifyCutPoints(BuildTransformerOpGraph(spec), spec.num_layers).value();
+    const CalibrationOptions options;
+    const size_t batch = static_cast<size_t>(options.network_samples);
+    pool.resize(kBatches * batch);
+    Rng rng(11);
+    for (size_t b = 0; b < kBatches; ++b) {
+      const size_t section = b % static_cast<size_t>(sections.num_sections());
+      const int m = options.microbatch_sizes[b % options.microbatch_sizes.size()];
+      cluster.network().SampleTransferTimes(0, 1, sections.boundary_activation_bytes[section] * m,
+                                            1, &rng, std::span(pool).subspan(b * batch, batch));
+    }
+  }
+
+  std::span<const double> Batch(size_t b) const {
+    const size_t batch = pool.size() / kBatches;
+    return std::span<const double>(pool).subspan((b % kBatches) * batch, batch);
+  }
+};
+
 void Run(int argc, char** argv) {
   const BenchMode mode = ModeFromArgs(argc, argv);
   const uint64_t storm_target = mode.smoke ? 50'000 : 1'000'000;
@@ -99,6 +146,30 @@ void Run(int argc, char** argv) {
   const double quiet_us = quiet_wall.median_ms * 1e3 / executor_runs;
   std::printf("us per Run: noise + network sampling on %.1f   off %.1f\n\n", noisy_us,
               quiet_us);
+
+  std::printf("=== Calibration: GPT-2 Medium, 20 NC6 ===\n\n");
+  const CalibrationJob calibration_job;
+  double median_sink = 0.0;
+  size_t next_batch = 0;
+  const BenchStats percentile_wall = TimeIt(mode.Warmup(1), mode.Repeats(15), [&] {
+    for (size_t i = 0; i < CalibrationJob::kMediansPerRepeat; ++i) {
+      median_sink += Percentile(calibration_job.Batch(next_batch++), 0.5);
+    }
+  });
+  const double percentile_ns =
+      percentile_wall.median_ms * 1e6 / CalibrationJob::kMediansPerRepeat;
+  const int calibrate_runs = mode.smoke ? 2 : 50;
+  Rng calibrate_rng(13);
+  const BenchStats calibrate_wall = TimeIt(mode.Warmup(1), mode.Repeats(5), [&] {
+    for (int i = 0; i < calibrate_runs; ++i) {
+      (void)Calibrate(calibration_job.sections, calibration_job.cluster, CalibrationOptions(),
+                      &calibrate_rng)
+          .value();
+    }
+  });
+  const double calibrate_us = calibrate_wall.median_ms * 1e3 / calibrate_runs;
+  std::printf("ns per 200-sample median %.0f   us per Calibrate %.1f   (median sum %.6g)\n\n",
+              percentile_ns, calibrate_us, median_sink);
 
   std::printf("=== Chaos campaign sweep (%d campaigns) ===\n\n", campaigns);
   int64_t executor_events = 0;
@@ -144,6 +215,8 @@ void Run(int argc, char** argv) {
     json.AddScalar("executor_runs_per_batch", executor_runs);
     json.AddScalar("executor_run_us_noise_on", noisy_us);
     json.AddScalar("executor_run_us_noise_off", quiet_us);
+    json.AddScalar("percentile_200_ns", percentile_ns);
+    json.AddScalar("calibrate_gpt2_medium_us", calibrate_us);
     json.AddScalar("campaigns", n);
     json.AddScalar("campaign_ms", sweep_wall.mean_ms / n);
     json.AddScalar("executor_events", static_cast<double>(executor_events));
@@ -154,6 +227,8 @@ void Run(int argc, char** argv) {
     json.AddResult("storm_current", storm_wall);
     json.AddResult("executor_noise_on", noisy_wall);
     json.AddResult("executor_noise_off", quiet_wall);
+    json.AddResult("percentile_200", percentile_wall);
+    json.AddResult("calibrate_gpt2_medium", calibrate_wall);
     json.AddResult("chaos_sweep", sweep_wall);
     json.WriteTo(json_path);
   }

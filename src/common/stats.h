@@ -10,6 +10,13 @@
 
 namespace varuna {
 
+// One Welford mean update: the mean of `count` samples, given the mean of the
+// first `count - 1` and the newest sample `x`. RunningStats and every
+// mean-only chain share it, so equal inputs round equally.
+inline double WelfordMean(double mean, double x, int64_t count) {
+  return mean + (x - mean) / static_cast<double>(count);
+}
+
 // Numerically stable streaming mean/variance/min/max.
 class RunningStats {
  public:
@@ -23,7 +30,7 @@ class RunningStats {
     }
     ++count_;
     const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
+    mean_ = WelfordMean(mean_, x, count_);
     m2_ += delta * (x - mean_);
   }
 
@@ -44,11 +51,11 @@ class RunningStats {
 };
 
 // Percentile of a sample set (linear interpolation between order statistics).
-// `q` in [0, 1]. Requires a non-empty span. Reorders `samples` in place
-// (a selection, not a full sort) and makes no copy: a caller that still needs
-// the original order passes a scratch copy. Bit-identical to interpolating
-// over the sorted samples.
-double Percentile(std::span<double> samples, double q);
+// `q` in [0, 1]. Requires a non-empty span of finite samples. Leaves
+// `samples` untouched and allocates nothing: an exact radix select finds the
+// two neighbouring order statistics, so the result is bit-identical to
+// interpolating over the sorted samples.
+double Percentile(std::span<const double> samples, double q);
 
 // Mean of a sample set. Requires non-empty.
 double Mean(const std::vector<double>& samples);

@@ -835,9 +835,7 @@ void ElasticTrainer::ProcessHeartbeats() {
   if (*max_time <= kStutterThreshold * *min_time) {
     return;
   }
-  // The median reorders its input; the times stay paired with their GPUs.
-  heartbeat_scratch_.assign(heartbeat_times_.begin(), heartbeat_times_.end());
-  const double median = Percentile(heartbeat_scratch_, 0.5);
+  const double median = Percentile(heartbeat_times_, 0.5);
   std::vector<GpuId> stutterers;
   for (size_t i = 0; i < heartbeat_gpus_.size(); ++i) {
     if (heartbeat_times_[i] > kStutterThreshold * median) {

@@ -410,11 +410,9 @@ class ElasticTrainer {
   std::vector<int> missed_heartbeats_;
   // Per-mini-batch scratch, reused so heartbeats and the slow-factor check
   // do not allocate: reporting GPUs with their heartbeat times (paired by
-  // index), a copy of the times for the median to reorder, and the
-  // placement's current slow factors.
+  // index), and the placement's current slow factors.
   std::vector<GpuId> heartbeat_gpus_;
   std::vector<double> heartbeat_times_;
-  std::vector<double> heartbeat_scratch_;
   std::vector<double> slow_factors_;
   // (mini-batch id, examples committed) for every committed-and-not-rolled-
   // back mini-batch, in order: rollbacks refund exactly what each lost

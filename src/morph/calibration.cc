@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "src/common/check.h"
@@ -106,11 +107,15 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
   double stall_threshold_sum = 0.0;
   const size_t num_sizes = microbatch_sizes.size();
   std::vector<SectionCalibration> calibrated(static_cast<size_t>(sections.num_sections()));
-  // Network samples in draw order (the body mean and the stall sums are
-  // accumulated in that order), plus a scratch copy the median reorders.
-  std::vector<double> samples(static_cast<size_t>(options.network_samples));
-  std::vector<double> scratch;
-  scratch.reserve(samples.size());
+  // One section's network samples, size-major and in draw order within each
+  // size, plus each size's summary: median, stall threshold and body mean
+  // over `body_count` samples.
+  const size_t batch = static_cast<size_t>(options.network_samples);
+  std::vector<double> samples(num_sizes * batch);
+  std::vector<double> typical(num_sizes);
+  std::vector<double> stall_threshold(num_sizes);
+  std::vector<double> body_mean(num_sizes);
+  std::vector<int64_t> body_count(num_sizes);
 
   // --- F_i(m), B_i(m): run a few mocked micro-batches per section (random
   // inputs standing in for the previous stage, §4.3) and average. These are
@@ -149,32 +154,46 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
     for (size_t k = 0; k < num_sizes; ++k) {
       const int m = microbatch_sizes[k];
       cluster.network().SampleTransferTimes(local, remote, act_bytes * m, gpus_per_node, rng,
-                                            samples);
-      scratch.assign(samples.begin(), samples.end());
-      const double typical = Percentile(scratch, 0.5);
-      const double stall_threshold = 1.5 * typical + 0.05;
-      RunningStats body;
-      for (const double sample : samples) {
-        if (sample > stall_threshold) {
-          ++stall_count;
-          stall_excess_sum += sample - typical;
-          stall_threshold_sum += stall_threshold - typical;
-        } else {
-          body.Add(sample);
-        }
-        ++transfer_count;
-      }
-      section.send_inter_s[k] = body.mean();
-      RunningStats intra;
+                                            std::span(samples).subspan(k * batch, batch));
       if (neighbor >= 0) {
+        RunningStats intra;
         for (int run = 0; run < options.samples; ++run) {
           intra.Add(cluster.network().SampleTransferTime(local, neighbor, act_bytes * m,
                                                          gpus_per_node, rng));
         }
-      } else {
-        intra.Add(body.mean());  // 1-GPU VMs: every hop is cross-node anyway.
+        section.send_intra_s[k] = intra.mean();
       }
-      section.send_intra_s[k] = intra.mean();
+    }
+    for (size_t k = 0; k < num_sizes; ++k) {
+      typical[k] = Percentile(std::span(samples).subspan(k * batch, batch), 0.5);
+      stall_threshold[k] = 1.5 * typical[k] + 0.05;
+    }
+    // Body means of every size side by side: the chains are independent, so
+    // their divisions overlap instead of queueing behind one another.
+    std::fill(body_mean.begin(), body_mean.end(), 0.0);
+    std::fill(body_count.begin(), body_count.end(), 0);
+    for (size_t j = 0; j < batch; ++j) {
+      for (size_t k = 0; k < num_sizes; ++k) {
+        const double sample = samples[k * batch + j];
+        if (sample <= stall_threshold[k]) {
+          body_mean[k] = WelfordMean(body_mean[k], sample, ++body_count[k]);
+        }
+      }
+    }
+    for (size_t k = 0; k < num_sizes; ++k) {
+      for (size_t j = 0; j < batch; ++j) {
+        const double sample = samples[k * batch + j];
+        if (sample > stall_threshold[k]) {
+          ++stall_count;
+          stall_excess_sum += sample - typical[k];
+          stall_threshold_sum += stall_threshold[k] - typical[k];
+        }
+      }
+      transfer_count += static_cast<int64_t>(batch);
+      section.send_inter_s[k] = body_mean[k];
+      if (neighbor < 0) {
+        section.send_intra_s[k] = body_mean[k];  // 1-GPU VMs: every hop is cross-node anyway.
+      }
     }
   }
   SendStallModel send_stall;

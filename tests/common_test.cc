@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/common/result.h"
@@ -169,10 +172,14 @@ TEST(StatsTest, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(Percentile(unsorted, 0.5), 2.5);
 }
 
-// The pre-selection definition: copy, fully sort, interpolate between the two
-// neighbouring order statistics.
+// The reference definition: copy, fully sort, interpolate between the two
+// neighbouring order statistics. The sort puts -0.0 before +0.0 (they compare
+// equal, so either order is a valid sort) to make the reference's bits
+// deterministic.
 double SortedPercentile(std::vector<double> samples, double q) {
-  std::sort(samples.begin(), samples.end());
+  std::sort(samples.begin(), samples.end(), [](double a, double b) {
+    return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+  });
   const double position = q * static_cast<double>(samples.size() - 1);
   const size_t lower = static_cast<size_t>(position);
   const size_t upper = std::min(lower + 1, samples.size() - 1);
@@ -180,33 +187,110 @@ double SortedPercentile(std::vector<double> samples, double q) {
   return samples[lower] * (1.0 - fraction) + samples[upper] * fraction;
 }
 
+// Input families for the property test: each draws `size` samples.
+enum class SampleShape {
+  kLogNormal,    // Continuous, positive.
+  kCalibration,  // A tight cluster plus ~2 % far stall outliers.
+  kAllEqual,
+  kHeavyTies,    // Five distinct values.
+  kMixedSign,    // Negative and positive, including both zeros.
+  kSubnormal,    // Mixed-sign subnormals and zeros.
+  kNearMax,      // Magnitudes near DBL_MAX, both signs.
+};
+
+std::vector<double> DrawSamples(SampleShape shape, int size, Rng* rng) {
+  std::vector<double> samples;
+  samples.reserve(static_cast<size_t>(size));
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double huge = std::numeric_limits<double>::max();
+  for (int i = 0; i < size; ++i) {
+    switch (shape) {
+      case SampleShape::kLogNormal:
+        samples.push_back(rng->LogNormalMedian(1.0, 0.5));
+        break;
+      case SampleShape::kCalibration: {
+        double time = rng->LogNormalMedian(1.2e-4, 0.2) + 4.0e-4;
+        if (rng->Bernoulli(0.02)) {
+          time += rng->Exponential(0.25);
+        }
+        samples.push_back(time);
+        break;
+      }
+      case SampleShape::kAllEqual:
+        samples.push_back(0.3);
+        break;
+      case SampleShape::kHeavyTies:
+        samples.push_back(static_cast<double>(rng->UniformInt(0, 4)) * 0.1);
+        break;
+      case SampleShape::kMixedSign: {
+        const int64_t pick = rng->UniformInt(0, 9);
+        samples.push_back(pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng->Uniform(-1e3, 1e3));
+        break;
+      }
+      case SampleShape::kSubnormal:
+        samples.push_back(tiny * static_cast<double>(rng->UniformInt(-1000, 1000)) *
+                          (rng->Bernoulli(0.1) ? -1.0 : 1.0));
+        break;
+      case SampleShape::kNearMax:
+        samples.push_back((rng->Bernoulli(0.5) ? -huge : huge) *
+                          (1.0 - rng->Uniform(0.0, 1e-3) * static_cast<double>(rng->UniformInt(0, 2))));
+        break;
+    }
+  }
+  return samples;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
 TEST(StatsTest, PercentileMatchesSortedReferenceBitForBit) {
   Rng rng(2024);
-  for (int size = 1; size <= 257; ++size) {
-    // Continuous draws, then draws from a handful of values so that ties
-    // land on and around the selected order statistics.
-    for (const bool ties : {false, true}) {
-      std::vector<double> samples;
-      for (int i = 0; i < size; ++i) {
-        samples.push_back(ties ? static_cast<double>(rng.UniformInt(0, 4)) * 0.1
-                               : rng.LogNormalMedian(1.0, 0.5));
-      }
-      for (const double q : {0.0, 0.25, 0.5, 0.995, 1.0}) {
-        std::vector<double> scratch = samples;
-        EXPECT_EQ(Percentile(scratch, q), SortedPercentile(samples, q))
-            << "size=" << size << " ties=" << ties << " q=" << q;
+  const SampleShape shapes[] = {SampleShape::kLogNormal,  SampleShape::kCalibration,
+                                SampleShape::kAllEqual,   SampleShape::kHeavyTies,
+                                SampleShape::kMixedSign,  SampleShape::kSubnormal,
+                                SampleShape::kNearMax};
+  const double qs[] = {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.995, 1.0};
+  for (int size = 1; size <= 1000; ++size) {
+    for (const SampleShape shape : shapes) {
+      const std::vector<double> samples = DrawSamples(shape, size, &rng);
+      for (const double q : qs) {
+        const double expected = SortedPercentile(samples, q);
+        const double actual = Percentile(samples, q);
+        ASSERT_EQ(Bits(actual), Bits(expected))
+            << "size=" << size << " shape=" << static_cast<int>(shape) << " q=" << q
+            << " actual=" << actual << " expected=" << expected;
       }
     }
   }
 }
 
-TEST(StatsTest, PercentileReordersInPlaceWithoutLosingSamples) {
-  std::vector<double> samples = {5.0, 3.0, 9.0, 1.0, 3.0, 7.0};
-  std::vector<double> before = samples;
-  EXPECT_EQ(Percentile(samples, 0.5), 4.0);
-  std::sort(samples.begin(), samples.end());
-  std::sort(before.begin(), before.end());
-  EXPECT_EQ(samples, before);
+TEST(StatsTest, PercentileLeavesInputUntouched) {
+  Rng rng(5);
+  const std::vector<double> samples = DrawSamples(SampleShape::kCalibration, 200, &rng);
+  std::vector<double> copy = samples;
+  for (const double q : {0.0, 0.5, 0.995, 1.0}) {
+    (void)Percentile(copy, q);
+  }
+  ASSERT_EQ(copy.size(), samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(Bits(copy[i]), Bits(samples[i])) << "index " << i;
+  }
+}
+
+TEST(StatsDeathTest, PercentileRejectsNonFiniteSamples) {
+  // A few samples are gathered and sorted at once; many go through the
+  // counting passes. Both must reject a non-finite sample.
+  for (const size_t size : {4, 200}) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      std::vector<double> samples(size, 1.0);
+      for (size_t i = 0; i < size; ++i) {
+        samples[i] = static_cast<double>(i);
+      }
+      samples[size / 2 + 1] = bad;
+      EXPECT_DEATH((void)Percentile(samples, 0.5), "finite") << "size=" << size;
+    }
+  }
 }
 
 TEST(StatsTest, MeanOfSamples) { EXPECT_DOUBLE_EQ(Mean({2.0, 4.0, 9.0}), 5.0); }

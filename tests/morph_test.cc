@@ -244,6 +244,74 @@ TEST(CalibrationTest, StallDecompositionConsistent) {
   EXPECT_NEAR(tail.scale_s, 0.25, 0.12);
 }
 
+// --- Golden calibrations. ----------------------------------------------------
+//
+// Bit-exact fingerprints of whole calibrations, and the calibration stream's
+// next draw after Calibrate returns, over 1- and 4-GPU VMs (the latter
+// interleaves intra-node draws), a stalling and a stall-free fabric, several
+// seeds and two option sets. Any change to the draw order or to the summary
+// arithmetic (medians, body means, stall sums) moves a row.
+
+TEST(CalibrationGoldenTest, FingerprintsArePinned) {
+  struct Row {
+    bool multi_gpu;     // Nc24V3 (4 GPUs per VM) instead of Nc6V3.
+    bool hypercluster;  // HyperclusterFabric (no stalls) instead of CommodityFabric.
+    uint64_t seed;
+    bool small;  // network_samples = 7 over sizes {2, 8}.
+    uint64_t fingerprint;
+    uint64_t next_draw;
+  };
+  const Row rows[] = {
+      {false, false, 1, false, 0x5b5331743aac0452ULL, 0x64b46ac2267d7145ULL},
+      {false, false, 1, true, 0x9da3070b8df3548dULL, 0xd45b603c09f85d90ULL},
+      {false, false, 7, false, 0xf79b3284adb87084ULL, 0x67e3e64864e8cb41ULL},
+      {false, false, 7, true, 0x1ebcd01db4814911ULL, 0xca59ea0f4e279422ULL},
+      {false, false, 42, false, 0x8cb36976229be1d6ULL, 0x155dbcf26ed450b5ULL},
+      {false, false, 42, true, 0x4c8189f22ba17db8ULL, 0x3b5bdfc03c362ae5ULL},
+      {false, true, 1, false, 0x37bc248283a8d519ULL, 0xc8feac26f672928cULL},
+      {false, true, 1, true, 0xe641701b8f0f3563ULL, 0xb9b3b10af1c632fcULL},
+      {false, true, 7, false, 0x4ee4105fbf608b9ULL, 0x8ad8b2855daf76c9ULL},
+      {false, true, 7, true, 0xad787888b6c89844ULL, 0x2c13fcbcc1cdeec2ULL},
+      {false, true, 42, false, 0xb2ae3e3da64fc0a6ULL, 0x25f7615ac0d08d27ULL},
+      {false, true, 42, true, 0xd113d10b48938341ULL, 0x691349fabc92d367ULL},
+      {true, false, 1, false, 0xdcbff794230c66d3ULL, 0x64b46ac2267d7145ULL},
+      {true, false, 1, true, 0xd3320cc60b88c4e2ULL, 0xd45b603c09f85d90ULL},
+      {true, false, 7, false, 0x84b0840c954e30a2ULL, 0x67e3e64864e8cb41ULL},
+      {true, false, 7, true, 0x96ecc517ee73cd4eULL, 0xca59ea0f4e279422ULL},
+      {true, false, 42, false, 0x81f645efc2a0c5fdULL, 0x155dbcf26ed450b5ULL},
+      {true, false, 42, true, 0xc719e0e71bdae745ULL, 0x3b5bdfc03c362ae5ULL},
+      {true, true, 1, false, 0x358aec77446ecf70ULL, 0xc8feac26f672928cULL},
+      {true, true, 1, true, 0x3ba5225f22688121ULL, 0xb9b3b10af1c632fcULL},
+      {true, true, 7, false, 0x2eb30103ab6058b3ULL, 0x8ad8b2855daf76c9ULL},
+      {true, true, 7, true, 0xcebfe058bb5ad2acULL, 0x2c13fcbcc1cdeec2ULL},
+      {true, true, 42, false, 0x768678f0ec8b413cULL, 0x25f7615ac0d08d27ULL},
+      {true, true, 42, true, 0xaf9e24a4d91b34bdULL, 0x691349fabc92d367ULL},
+  };
+  const TransformerSpec spec = Gpt2Medium();
+  const OpGraph graph = BuildTransformerOpGraph(spec);
+  const ModelSections sections = IdentifyCutPoints(graph, spec.num_layers).value();
+  for (const Row& row : rows) {
+    Cluster cluster(row.hypercluster ? HyperclusterFabric() : CommodityFabric());
+    cluster.AddVms(row.multi_gpu ? Nc24V3() : Nc6V3(), 4);
+    CalibrationOptions options;
+    if (row.small) {
+      options.network_samples = 7;
+      options.microbatch_sizes = {2, 8};
+    }
+    Rng rng(row.seed);
+    const Calibration calibration = Calibrate(sections, cluster, options, &rng).value();
+    const uint64_t next_draw = rng.NextUint64();
+    EXPECT_EQ(calibration.Fingerprint(), row.fingerprint)
+        << "multi_gpu=" << row.multi_gpu << " hypercluster=" << row.hypercluster
+        << " seed=" << row.seed << " small=" << row.small << ": new fingerprint 0x" << std::hex
+        << calibration.Fingerprint();
+    EXPECT_EQ(next_draw, row.next_draw)
+        << "multi_gpu=" << row.multi_gpu << " hypercluster=" << row.hypercluster
+        << " seed=" << row.seed << " small=" << row.small << ": new next draw 0x" << std::hex
+        << next_draw;
+  }
+}
+
 // --- Golden fast-simulator outputs. -------------------------------------------
 //
 // Bit-exact digests of every FastSimResult field and of LowerBoundMinibatch
