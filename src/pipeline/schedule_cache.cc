@@ -9,7 +9,7 @@ namespace varuna {
 
 ScheduleCache& ScheduleCache::Process() {
   // Append-only, synchronized memo of a pure function: its only observable effect is time.
-  static ScheduleCache instance;  // varuna-lint: allow(global-state)
+  static ScheduleCache instance;  // varuna-analyze: allow(global-state)
   return instance;
 }
 

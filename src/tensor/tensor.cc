@@ -19,7 +19,7 @@ int64_t NumElements(const std::vector<int>& shape) {
 
 // Reference-kernel selector: only tests and bench_training_step set it, to
 // compare the blocked kernels against the naive ones.
-GemmKernel g_gemm_kernel = GemmKernel::kBlocked;  // varuna-lint: allow(global-state)
+GemmKernel g_gemm_kernel = GemmKernel::kBlocked;  // varuna-analyze: allow(global-state)
 
 // Block sizes for the packed MatMul / MatMulTransposeA kernels. One packed
 // B-panel is kGemmKB x kGemmNB floats = 32 KiB, sized to sit in L1 while a
@@ -322,7 +322,7 @@ void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b) {
   out->Fill(0.0f);
   // Per-thread scratch, rewritten before every read: no value crosses calls.
   // .data() is hoisted: inside the hot loops it costs a TLS-wrapper call each.
-  thread_local std::vector<float> packed;  // varuna-lint: allow(global-state)
+  thread_local std::vector<float> packed;  // varuna-analyze: allow(global-state)
   packed.resize(static_cast<size_t>(kGemmKB) * kGemmNB);
   float* const pk = packed.data();
   for (int j0 = 0; j0 < n; j0 += kGemmNB) {
@@ -374,7 +374,7 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b) {
     // B row.
     // Per-thread scratch, rewritten before every read: no value crosses calls.
     // .data() is hoisted: inside the hot loops it costs a TLS-wrapper call each.
-    thread_local std::vector<float> apanel;  // varuna-lint: allow(global-state)
+    thread_local std::vector<float> apanel;  // varuna-analyze: allow(global-state)
     apanel.assign(static_cast<size_t>(k) * kVecWidth, 0.0f);
     float* const ap = apanel.data();
     for (int i = 0; i < m; ++i) {
@@ -400,7 +400,7 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b) {
   }
   const int n_full = n - n % kDotJB;
   // Per-thread scratch, rewritten before every read: no value crosses calls.
-  thread_local std::vector<float> panel;  // varuna-lint: allow(global-state)
+  thread_local std::vector<float> panel;  // varuna-analyze: allow(global-state)
   panel.resize(static_cast<size_t>(k) * kDotJB);
   float* const bp = panel.data();
   for (int j0 = 0; j0 < n_full; j0 += kDotJB) {

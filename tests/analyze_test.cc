@@ -4,10 +4,14 @@
 // Fixtures live in tests/analyze_fixtures/ (never compiled — they are data
 // for the analyzer). VARUNA_REPO_ROOT / VARUNA_ANALYZE_FIXTURES are injected
 // by tests/CMakeLists.txt.
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -248,6 +252,425 @@ TEST(RngDiscipline, ObservationDrivenPredictorIsClean) {
   EXPECT_TRUE(findings.empty()) << Dump(findings);
 }
 
+// --- Pass 3: house rules -----------------------------------------------------
+
+// Lines of the `rule` findings when the house rules read `text` as `rel`.
+std::vector<int> HouseLines(const std::string& rel, const std::string& text,
+                            const std::string& rule) {
+  std::vector<Finding> findings;
+  CheckHouseRules(Lex("mem", rel, text), &findings);
+  std::vector<int> lines;
+  for (const Finding& f : findings) {
+    if (f.rule == rule) lines.push_back(f.line);
+  }
+  return lines;
+}
+
+using Lines = std::vector<int>;
+
+std::vector<int> DeterminismLines(const std::string& text) {
+  return HouseLines("src/x.cc", text, "determinism");
+}
+
+// Hazard text inside a literal or comment is not code; real code after it is.
+TEST(LiteralText, StringAndLineCommentAreNotCode) {
+  EXPECT_EQ(DeterminismLines("x = \"rand()\"; // rand()\nrand();"), Lines{2});
+}
+
+TEST(LiteralText, EscapedQuoteDoesNotCloseString) {
+  EXPECT_EQ(DeterminismLines(R"(f("say \"rand()\" now"); rand();)"), Lines{1});
+}
+
+TEST(LiteralText, DoubleBackslashThenCloseQuote) {
+  EXPECT_EQ(DeterminismLines(R"(f("tail\\"); rand();)"), Lines{1});
+}
+
+TEST(LiteralText, RawStringOnOneLine) {
+  EXPECT_EQ(DeterminismLines(R"cc(s = R"(std::random_device "x" rand())"; rand();)cc"), Lines{1});
+}
+
+TEST(LiteralText, RawStringEncodingPrefixes) {
+  for (const std::string prefix : {"u8R", "uR", "UR", "LR"}) {
+    EXPECT_EQ(DeterminismLines("s = " + prefix + "\"(rand())\"; rand();"), Lines{1}) << prefix;
+  }
+}
+
+TEST(LiteralText, IdentifierEndingInRIsNotARawPrefix) {
+  EXPECT_EQ(DeterminismLines(R"cc(auto x = matcher"(abc"; rand(); // )")cc"), Lines{1});
+}
+
+TEST(LiteralText, ContinuedStringLiteral) {
+  EXPECT_EQ(DeterminismLines("s = \"begin \\\nstd::random_device end\"; rand();"), Lines{2});
+}
+
+TEST(LiteralText, ContinuedLineComment) {
+  EXPECT_EQ(DeterminismLines("// comment continues \\\nrand(); still comment \\\n"
+                             "rand(); also comment\nrand();"),
+            Lines{4});
+}
+
+TEST(LiteralText, BlockCommentSpanningLines) {
+  EXPECT_EQ(DeterminismLines("a(); /* rand()\nstd::random_device\n*/ rand();"), Lines{3});
+}
+
+TEST(LiteralText, CommentMarkerInsideString) {
+  EXPECT_EQ(DeterminismLines("s = \"/*\"; rand();\nrand();"), (Lines{1, 2}));
+}
+
+TEST(LiteralText, EscapedQuoteCharLiteral) {
+  EXPECT_EQ(DeterminismLines(R"(c = '\''; rand();)"), Lines{1});
+}
+
+TEST(Determinism, RawStringHazardTextIsClean) {
+  EXPECT_EQ(DeterminismLines(R"cc(const char* kDoc = R"doc(
+  std::random_device rd;
+  srand(42); time(NULL);
+  #include <chrono>
+)doc";
+)cc"),
+            Lines{});
+}
+
+TEST(Determinism, ContinuedStringHazardTextIsClean) {
+  EXPECT_EQ(DeterminismLines("const char* s = \"part one \\\nstd::random_device part two\";\n"),
+            Lines{});
+}
+
+TEST(Determinism, ViolationAfterRawStringIsCaught) {
+  EXPECT_EQ(DeterminismLines("const char* kDoc = R\"(text)\";\nconst int x = rand();\n"),
+            Lines{2});
+}
+
+TEST(Determinism, WallClocksAndAmbientRngsAreFlagged) {
+  EXPECT_EQ(DeterminismLines("#include <random>\n"
+                             "#include <chrono>\n"
+                             "std::random_device rd;\n"
+                             "auto t = std::chrono::steady_clock::now();\n"
+                             "auto u = system_clock::now() + high_resolution_clock::now();\n"
+                             "gettimeofday(&tv, nullptr);\n"
+                             "long a = time(nullptr) + time(NULL) + time(0) + time(&t);\n"
+                             "long b = clock();\n"
+                             "srand(7);\n"),
+            (Lines{1, 2, 3, 4, 5, 5, 6, 7, 7, 7, 7, 8, 9}));
+}
+
+TEST(Determinism, QualifiedAmbientCallsAreFlagged) {
+  EXPECT_EQ(DeterminismLines("int a = std::rand();\n"
+                             "int b = ::rand();\n"
+                             "std::srand(1);\n"
+                             "long c = std::time(nullptr);\n"
+                             "long d = std::clock();\n"),
+            (Lines{1, 2, 3, 4, 5}));
+}
+
+TEST(Determinism, MemberAndOtherNamespaceCallsAreClean) {
+  EXPECT_EQ(DeterminismLines("long a = x.time(0) + sim::clock() + engine.now();\n"
+                             "int b = sim::rand() + clock.Now() + time_s(0);\n"),
+            Lines{});
+}
+
+TEST(Determinism, CoversTestsBenchAndExamples) {
+  for (const std::string rel : {"tests/t.cc", "bench/b.cc", "examples/e.cpp"}) {
+    EXPECT_EQ(HouseLines(rel, "#include <chrono>\n", "determinism"), Lines{1}) << rel;
+  }
+  EXPECT_EQ(HouseLines("tools/t.cc", "#include <chrono>\n", "determinism"), Lines{});
+}
+
+TEST(Determinism, BenchUtilIsTheTimingExemption) {
+  EXPECT_EQ(HouseLines("bench/bench_util.h", "#include <chrono>\n", "determinism"), Lines{});
+  EXPECT_EQ(HouseLines("bench/bench_other.h", "#include <chrono>\n", "determinism"), Lines{1});
+}
+
+TEST(CheckMacro, AssertIsFlaggedInTestsToo) {
+  EXPECT_EQ(HouseLines("tests/t.cc", "void f() { assert(1 == 1); }\n", "check-macro"), Lines{1});
+  EXPECT_EQ(HouseLines("src/x.cc",
+                       "static_assert(sizeof(int) == 4);\n"
+                       "v.assert(x);\n"
+                       "static_assert(true); assert (x);\n",
+                       "check-macro"),
+            Lines{3});
+}
+
+TEST(IncludeGuard, GuardMustMatchThePath) {
+  auto guard = [](const std::string& rel, const std::string& text) {
+    return HouseLines(rel, text, "include-guard");
+  };
+  EXPECT_EQ(guard("src/net/link.h", "#ifndef SRC_NET_LINK_H_\n#define SRC_NET_LINK_H_\n"), Lines{});
+  EXPECT_EQ(guard("bench/a-b.h", "// x\n#ifndef BENCH_A_B_H_\n#define BENCH_A_B_H_\n"), Lines{});
+  EXPECT_EQ(guard("src/net/link.h", "\n#ifndef NET_LINK_H\n#define NET_LINK_H\n"), Lines{2});
+  EXPECT_EQ(guard("src/net/link.h", "#pragma once\nint x;\n"), Lines{1});
+  EXPECT_EQ(guard("src/net/link.h", "// varuna-analyze: allow(include-guard)\n#pragma once\n"),
+            Lines{});
+  EXPECT_EQ(guard("src/net/link.cc", "int x;\n"), Lines{});
+}
+
+TEST(UnitSuffix, TimeAndByteNamesCarryTheirUnit) {
+  const std::string text =
+      "struct Link {\n"
+      "  double timeout;\n"              // 2: time without _s
+      "  double latency_s;\n"
+      "  double stall_probability;\n"
+      "  double bytes;\n"
+      "  double total_bytes_;\n"
+      "  double payload = 0;\n"          // 7: bytes without _bytes
+      "  double wait_time_s_ = 1.0;\n"
+      "  double bandwidth_bps;\n"
+      "};\n"
+      "void Send(double delay, double chunk_bytes, double payload_size);\n";  // 11, 11
+  EXPECT_EQ(HouseLines("src/net/link.h", text, "unit-suffix"), (Lines{2, 7, 11, 11}));
+  EXPECT_EQ(HouseLines("src/cluster/fleet.h", text, "unit-suffix").size(), 4u);
+  EXPECT_EQ(HouseLines("src/net/link.cc", text, "unit-suffix"), Lines{});
+  EXPECT_EQ(HouseLines("src/sim/link.h", text, "unit-suffix"), Lines{});
+}
+
+TEST(UnitSuffix, SplitDeclarationIsFlagged) {
+  EXPECT_EQ(HouseLines("src/net/link.h", "double Total(double deadline_s, double\n    timeout);\n",
+                       "unit-suffix"),
+            Lines{1});
+}
+
+TEST(Threading, SpawningOutsideThePoolIsFlagged) {
+  const std::string text =
+      "#include <thread>\n"
+      "#include <future>\n"
+      "std::thread t;\n"
+      "std::jthread j;\n"
+      "auto f = std::async(g);\n"
+      "std::this_thread::yield(); std::mutex m; std::condition_variable cv;\n";
+  EXPECT_EQ(HouseLines("src/x.cc", text, "threading"), (Lines{1, 2, 3, 4, 5}));
+  EXPECT_EQ(HouseLines("src/common/thread_pool.cc", text, "threading"), Lines{});
+  EXPECT_EQ(HouseLines("tests/x.cc", text, "threading"), Lines{});
+}
+
+TEST(Threading, PoolUsersAreAReviewedList) {
+  const std::string text = "#include \"src/common/thread_pool.h\"\nvoid F(ThreadPool* pool);\n";
+  EXPECT_EQ(HouseLines("src/x.cc", text, "threading"), (Lines{1, 2}));
+  EXPECT_EQ(HouseLines("src/morph/config_search.h", text, "threading"), Lines{});
+}
+
+TEST(HotPath, NodeContainersAndStdFunctionAreFlagged) {
+  const std::string text =
+      "#include <map>\n"
+      "#include <functional>\n"
+      "std::map<int, int> m;\n"
+      "std::function<void()> f;\n"
+      "std::unordered_set<int> s; std::set<int> o;\n"
+      "std::vector<int> v; SmallCallback cb;\n";
+  EXPECT_EQ(HouseLines("src/sim/x.cc", text, "hot-path"), (Lines{1, 2, 3, 4, 5, 5}));
+  EXPECT_EQ(HouseLines("src/morph/x.h", text, "hot-path").size(), 6u);
+  EXPECT_EQ(HouseLines("src/pipeline/executor.cc", text, "hot-path").size(), 6u);
+  EXPECT_EQ(HouseLines("src/nn/x.cc", text, "hot-path"), Lines{});
+}
+
+TEST(TensorByValue, ByValueParametersAreFlagged) {
+  EXPECT_EQ(HouseLines("src/x.h",
+                       "void Add(Tensor a, const Tensor& b, Tensor* out);\n"
+                       "void Scale(const Tensor x);\n"
+                       "Tensor Make(int n); std::vector<Tensor> Split(const Tensor& t);\n",
+                       "tensor-by-value"),
+            (Lines{1, 2}));
+  EXPECT_EQ(HouseLines("tests/x.cc", "void Add(Tensor a);\n", "tensor-by-value"), Lines{});
+}
+
+TEST(TensorByValue, SplitParameterIsFlagged) {
+  EXPECT_EQ(HouseLines("src/x.h", "void Split(Tensor\n           spread, int n);\n",
+                       "tensor-by-value"),
+            Lines{1});
+}
+
+std::vector<int> GlobalStateLines(const std::string& text, const std::string& rel = "src/x.cc") {
+  return HouseLines(rel, text, "global-state");
+}
+
+TEST(GlobalState, FunctionLocalStaticMapIsFlagged) {
+  EXPECT_EQ(GlobalStateLines("const Schedule& Get(int key) {\n"
+                             "  static std::map<std::tuple<int, int>, Schedule> cache;\n"
+                             "  return cache[key];\n"
+                             "}\n"),
+            Lines{2});
+}
+
+TEST(GlobalState, NamespaceScopeStaticAndThreadLocalAreFlagged) {
+  EXPECT_EQ(GlobalStateLines("static int g_calls = 0;\n"
+                             "thread_local std::vector<float> scratch;\n"
+                             "static std::vector<int>\n"
+                             "    g_table{1, 2};\n"),
+            (Lines{1, 2, 3}));
+}
+
+TEST(GlobalState, ConstConstexprAndFunctionsAreClean) {
+  EXPECT_EQ(GlobalStateLines(R"cc(static const int kLimit = 4;
+static constexpr double kScale = 0.5;
+static const std::map<int, int> kNames = {};
+static bool Eq(const Key& a, uint32_t size,
+               int rings);
+class C {
+  static std::vector<std::unique_ptr<C>> Split(std::unique_ptr<C> c);
+  static C& Process();
+};
+const int x = static_cast<int>(y); static_assert(sizeof(int) == 4);
+// static int in_a_comment = 0;
+)cc",
+                             "src/x.h"),
+            Lines{});
+}
+
+TEST(GlobalState, AllowCommentIsHonoured) {
+  EXPECT_EQ(GlobalStateLines("C& C::Process() {\n"
+                             "  static C instance;  // varuna-analyze: allow(global-state)\n"
+                             "  return instance;\n"
+                             "}\n"),
+            Lines{});
+}
+
+TEST(GlobalState, MutableNamespaceScopeVariablesAreFlagged) {
+  EXPECT_EQ(GlobalStateLines("int g_calls;\n"
+                             "namespace varuna {\n"
+                             "namespace {\n"
+                             "GemmKernel g_gemm_kernel = GemmKernel::kBlocked;\n"
+                             "std::vector<int> g_table{1, 2};\n"
+                             "std::map<int, int>\n"
+                             "    g_names = {{1, 2}};\n"
+                             "}  // namespace\n"
+                             "int Counter::count_ = 0;\n"
+                             "inline std::string g_label = \"x\";\n"
+                             "}  // namespace varuna\n"),
+            (Lines{1, 4, 5, 6, 9, 10}));
+}
+
+TEST(GlobalState, NamespaceScopeNonVariablesAreClean) {
+  EXPECT_EQ(GlobalStateLines(R"cc(#define DECLARE(name) \
+  int name;
+namespace varuna {
+namespace fs = std::filesystem;
+using Table = std::vector<int>;
+typedef float v8sf __attribute__((vector_size(32)));
+class Forward;
+extern int g_declared;
+const int kA = 1;
+constexpr double kB = 2.0;
+inline constexpr int kC = 3;
+const std::vector<int> kD{1, 2};
+const auto kSquare = [](int x) { int y = x * x; return y; };
+enum class Kind : uint8_t { kA, kB };
+template <typename T = int>
+T Max(T a, T b);
+struct Point {
+  int x = 0;
+  std::vector<int> items;
+};
+class C {
+ public:
+  C() : a_{1}, b_(2) {}
+  C& operator=(const C& other) { a_ = other.a_; return *this; }
+ private:
+  int a_ = 0;
+  int b_;
+};
+int Sum(int n = 3) {
+  int total = 0;
+  for (int i = 0; i < n; ++i) { total += i; }
+  return total;
+}
+Point::Point() : x{1} {}
+const int kAfterConstructor = 4;
+extern "C" {
+int c_api(int x);
+}
+}  // namespace varuna
+)cc",
+                             "src/x.h"),
+            Lines{});
+}
+
+TEST(GlobalState, NamespaceScopeAllowCommentIsHonoured) {
+  EXPECT_EQ(GlobalStateLines("namespace {\n"
+                             "GemmKernel g_kernel = GemmKernel::kBlocked;  "
+                             "// varuna-analyze: allow(global-state)\n"
+                             "}  // namespace\n"),
+            Lines{});
+}
+
+TEST(GlobalState, CoversSrcOnly) {
+  EXPECT_EQ(GlobalStateLines("static int calls = 0;\nint count = 0;\n", "tests/t.cc"), Lines{});
+}
+
+// --- Pass 4: allowlists --------------------------------------------------------
+
+// A fresh directory under the test temp dir, removed on destruction.
+struct ScratchRoot {
+  const std::filesystem::path path =
+      std::filesystem::path(testing::TempDir()) /
+      ("varuna_analyze_" + std::to_string(getpid()) + "_" +
+       testing::UnitTest::GetInstance()->current_test_info()->name());
+  ScratchRoot() { std::filesystem::create_directories(path); }
+  ~ScratchRoot() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  ScratchRoot(const ScratchRoot&) = delete;
+  ScratchRoot& operator=(const ScratchRoot&) = delete;
+  void Write(const std::string& rel, const std::string& text) const {
+    std::filesystem::create_directories((path / rel).parent_path());
+    std::ofstream(path / rel) << text;
+  }
+};
+
+TEST(Allowlists, MissingFileIsReported) {
+  const ScratchRoot root;
+  std::string gone;
+  for (const Allowlist& list : Allowlists()) {
+    for (const std::string_view rel : list.files) {
+      if (gone.empty() && list.name == "kHotPathFiles") {
+        gone = std::string(list.name) + " names missing file " + std::string(rel);
+      } else {
+        root.Write(std::string(rel), "");
+      }
+    }
+  }
+  std::vector<Finding> findings;
+  CheckAllowlists(root.path.string(), &findings);
+  ASSERT_EQ(findings.size(), 1u) << Dump(findings);
+  EXPECT_EQ(findings[0].rule, "stale-allowlist");
+  EXPECT_NE(findings[0].message.find(gone), std::string::npos) << findings[0].message;
+}
+
+TEST(Allowlists, EveryListIsChecked) {
+  std::vector<std::string_view> names;
+  size_t entries = 0;
+  for (const Allowlist& list : Allowlists()) {
+    names.push_back(list.name);
+    entries += list.files.size();
+  }
+  EXPECT_EQ(names, (std::vector<std::string_view>{"kPoolUserFiles", "kHotPathFiles",
+                                                   "kHotPathAllowFiles", "kTimingAllowFiles"}));
+  const ScratchRoot root;
+  std::vector<Finding> findings;
+  CheckAllowlists(root.path.string(), &findings);
+  EXPECT_EQ(findings.size(), entries) << Dump(findings);
+}
+
+// --- RunAnalysis ---------------------------------------------------------------
+
+TEST(RunAnalysis, UnreadableDirectoryIsAnError) {
+  if (geteuid() == 0) GTEST_SKIP() << "root reads a mode-000 directory anyway";
+  const ScratchRoot root;
+  root.Write("tools/analyze/layering.txt", "common\n");
+  root.Write("src/common/a.h", "#ifndef SRC_COMMON_A_H_\n#define SRC_COMMON_A_H_\n#endif\n");
+  root.Write("src/locked/b.h", "");
+  const std::filesystem::path locked = root.path / "src" / "locked";
+  std::filesystem::permissions(locked, std::filesystem::perms::none);
+  AnalyzerOptions options;
+  options.root = root.path.string();
+  options.roots = {"src"};
+  std::vector<Finding> findings;
+  std::string error;
+  const int status = RunAnalysis(options, &findings, &error);
+  std::filesystem::permissions(locked, std::filesystem::perms::owner_all);
+  EXPECT_EQ(status, 2) << Dump(findings);
+  EXPECT_NE(error.find("src/locked"), std::string::npos) << error;
+}
+
 // --- The real tree -----------------------------------------------------------
 
 TEST(RealTree, FullAnalysisIsClean) {
@@ -257,6 +680,44 @@ TEST(RealTree, FullAnalysisIsClean) {
   std::string error;
   const int status = RunAnalysis(options, &findings, &error);
   EXPECT_EQ(status, 0) << error << "\n" << Dump(findings);
+}
+
+// The public member functions Rng declares, constructors excluded: every
+// `name(` directly inside its `public:` section.
+std::vector<std::string> PublicRngMethods() {
+  const std::string path = std::string(VARUNA_REPO_ROOT) + "/src/common/rng.h";
+  const LexedFile file = Lex(path, "src/common/rng.h", ReadFileOrDie(path));
+  std::vector<std::string> methods;
+  int depth = 0;          // open braces and parens
+  int public_depth = -1;  // depth of the `public:` section, -1 outside it
+  for (size_t i = 0; i + 1 < file.tokens.size(); ++i) {
+    const Token& t = file.tokens[i];
+    if (t.kind == TokKind::kPunct) {
+      depth += (t.text == "{" || t.text == "(") - (t.text == "}" || t.text == ")");
+    }
+    if (t.text == "public" || t.text == "private") public_depth = t.text == "public" ? depth : -1;
+    if (depth == public_depth && t.kind == TokKind::kIdent && t.text != "Rng" &&
+        file.tokens[i + 1].text == "(") {
+      methods.push_back(t.text);
+    }
+  }
+  return methods;
+}
+
+// rng-value-param and rng-temp know which calls advance a stream only from
+// kRngDrawMethods, so the list must track src/common/rng.h both ways.
+TEST(RealTree, RngDrawMethodsMatchTheRngHeader) {
+  const std::vector<std::string> methods = PublicRngMethods();
+  ASSERT_FALSE(methods.empty());
+  const std::span<const std::string_view> draws = RngDrawMethods();
+  for (const std::string& method : methods) {
+    EXPECT_NE(std::find(draws.begin(), draws.end(), method), draws.end())
+        << "Rng::" << method << " is public but not a draw method";
+  }
+  for (const std::string_view draw : draws) {
+    EXPECT_NE(std::find(methods.begin(), methods.end(), draw), methods.end())
+        << draw << " is not a public Rng member function";
+  }
 }
 
 }  // namespace

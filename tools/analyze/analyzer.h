@@ -1,7 +1,6 @@
-// varuna-analyze passes: semantic checks on the lexed token stream.
-//
-// Two hazard classes that the line-oriented varuna_lint.py regexes cannot
-// see, each defending a piece of the bit-identical-replay contract:
+// varuna-analyze passes: the repo's one C++ source checker, run on the lexed
+// token stream. Every rule defends a piece of the bit-identical-replay
+// contract or of the allocation-free hot path.
 //
 //   layering / include-cycle
 //     The #include DAG over the src/ modules must match the checked-in
@@ -19,17 +18,40 @@
 //     passing Rng by value as a *sink* that only stores it is fine), and
 //     draws on an unnamed Rng temporary (rng-temp).
 //
+//   house rules (scope in parentheses; allowlists are analyzer.cc constants)
+//     determinism (src tests bench examples): no rand()/srand(), even std::
+//       or ::-qualified, std::random_device, wall clocks or <random>/<chrono>:
+//       randomness flows through varuna::Rng, time through SimEngine::now().
+//       bench/bench_util.h, the timing harness, is exempt.
+//     check-macro (same trees): VARUNA_CHECK, which stays on in release
+//       builds, instead of assert().
+//     include-guard (headers): src/sim/engine.h -> SRC_SIM_ENGINE_H_.
+//     unit-suffix (src/net and src/cluster headers): a double whose name reads
+//       as a time ends in _s, one that reads as a byte count in _bytes.
+//     threading (src): only src/common/thread_pool.{h,cc} spawn threads, and
+//       only kPoolUserFiles use the pool.
+//     hot-path (src/sim, src/morph, kHotPathFiles): no std::function or
+//       node-based containers.
+//     tensor-by-value (src): take const Tensor& or Tensor*, not a copy.
+//     global-state (src): static, thread_local and namespace-scope variables
+//       are const or constexpr.
+//     stale-allowlist: every allowlist entry names a file under --root.
+//
 // What joins the replay contract itself needs no pass: it is the ReplayRecord
 // type (src/manager/elastic_trainer.h), and ElasticTrace::Fingerprint fails
 // to compile when a record member goes unhashed.
 //
 // Any finding can be suppressed on its line with
-// `// varuna-analyze: allow(<rule>)`.
+// `// varuna-analyze: allow(<rule>)` (include-guard: anywhere in the header).
+// tests/analyze_fixtures/ holds deliberately defective data and is never
+// scanned as code.
 #ifndef TOOLS_ANALYZE_ANALYZER_H_
 #define TOOLS_ANALYZE_ANALYZER_H_
 
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tools/analyze/lexer.h"
@@ -68,15 +90,32 @@ void CheckIncludeGraph(const std::vector<LexedFile>& files, const LayeringSpec& 
 // Pass 2: Rng stream discipline within one file.
 void CheckRngDiscipline(const LexedFile& file, std::vector<Finding>* findings);
 
+// The Rng member functions that advance the stream (src/common/rng.h).
+std::span<const std::string_view> RngDrawMethods();
+
+// Pass 3: the house rules within one file, each scoped by `file.rel`.
+void CheckHouseRules(const LexedFile& file, std::vector<Finding>* findings);
+
+// A reviewed per-file exemption list of the house rules.
+struct Allowlist {
+  std::string_view name;
+  std::span<const std::string_view> files;  // repo-relative paths
+};
+std::span<const Allowlist> Allowlists();
+
+// Pass 4 (stale-allowlist): every allowlist entry names a file under `root`.
+void CheckAllowlists(const std::string& root, std::vector<Finding>* findings);
+
 struct AnalyzerOptions {
-  std::string root;                                // repo root (absolute or cwd-relative)
-  std::vector<std::string> roots = {"src"};        // scan roots, relative to `root`
+  std::string root;  // repo root (absolute or cwd-relative)
+  // Scan roots, relative to `root`.
+  std::vector<std::string> roots = {"src", "tests", "bench", "examples"};
   std::string layering_rel = "tools/analyze/layering.txt";
 };
 
 // Runs every pass over the tree. Returns 0 clean, 1 findings, 2 on a
-// configuration error (unreadable spec / scan root / source file), with
-// `error` set in the latter case.
+// configuration error (unreadable spec / scan root / directory / source
+// file), with `error` set in the latter case.
 int RunAnalysis(const AnalyzerOptions& options, std::vector<Finding>* findings,
                 std::string* error);
 

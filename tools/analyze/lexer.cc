@@ -43,6 +43,10 @@ class Lexer {
   void Run() {
     while (i_ < s_.size()) {
       const char c = s_[i_];
+      if (c == '\n') {
+        line_start_ = true;
+        directive_ = false;
+      }
       if (c == '\n' || c == ' ' || c == '\t' || c == '\r' || c == '\f' || c == '\v') {
         ++i_;
         continue;
@@ -88,7 +92,11 @@ class Lexer {
   }
 
   void Emit(TokKind kind, std::string text, size_t start) {
-    out_->push_back(Token{kind, std::move(text), LineAt(start)});
+    if (kind != TokKind::kComment) {
+      if (line_start_ && text == "#") directive_ = true;
+      line_start_ = false;
+    }
+    out_->push_back(Token{kind, std::move(text), LineAt(start), directive_});
   }
 
   void LexLineComment() {
@@ -215,6 +223,8 @@ class Lexer {
   const std::vector<int>& line_of_;
   std::vector<Token>* out_;
   size_t i_ = 0;
+  bool line_start_ = true;  // no code token yet on this logical line
+  bool directive_ = false;  // the logical line is a preprocessor directive
 };
 
 }  // namespace

@@ -1,6 +1,6 @@
-// varuna-analyze lexer: a real (if minimal) C++ tokenizer, so the semantic
-// passes never mistake comment or string-literal text for code — the exact
-// blind spot the line-oriented tools/varuna_lint.py regexes have.
+// varuna-analyze lexer: a real (if minimal) C++ tokenizer, so the passes
+// never mistake comment or string-literal text for code, whichever line a
+// literal or comment starts or ends on.
 //
 // Handled faithfully:
 //   * line continuations (backslash-newline splicing, line numbers preserved),
@@ -9,7 +9,8 @@
 //   * string/char literals with escapes, encoding prefixes (u8, u, U, L),
 //   * raw string literals R"delim(...)delim", including multi-line bodies,
 //   * pp-numbers with digit separators (1'000'000),
-//   * <header> names after `#include`.
+//   * <header> names after `#include`,
+//   * preprocessor directives (each token knows whether it belongs to one).
 //
 // Not a preprocessor: macros are not expanded and conditional groups are all
 // lexed. That is deliberate — the passes check the text the reviewer reads.
@@ -37,6 +38,7 @@ struct Token {
   TokKind kind;
   std::string text;
   int line = 0;  // 1-based physical line of the token's first character
+  bool directive = false;  // part of a `#...` line, continuations included
 };
 
 struct LexedFile {

@@ -1,13 +1,14 @@
-// varuna_analyze: semantic static analysis for the Varuna tree.
+// varuna_analyze: the source checker for the Varuna tree.
 //
 //   varuna_analyze [--root DIR] [--layering REL] [scan-roots...]
 //
-// Scan roots default to `src`; REL paths are relative to --root (default the
-// current directory). Exit status: 0 clean, 1 findings, 2 usage/config error.
+// Scan roots default to `src tests bench examples`; REL paths are relative to
+// --root (default the current directory). Exit status: 0 clean, 1 findings,
+// 2 usage/config error.
 //
 // Runs in CI under the ctest label `lint` (tools/analyze/CMakeLists.txt), so
-// every leg checks layering and Rng stream discipline on the exact tree it
-// builds.
+// every leg checks layering, Rng stream discipline and the house rules on
+// the exact tree it builds.
 #include <cstdio>
 #include <cstring>
 #include <string>
