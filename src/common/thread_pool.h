@@ -1,5 +1,5 @@
 // Deterministic fan-out/join thread pool — the only place in the tree that may
-// create threads (enforced by tools/varuna_lint.py rule "threading").
+// create threads (enforced by varuna_analyze rule "threading").
 //
 // The pool exists for one pattern: evaluate N independent work items and join
 // before anything observes the results. Determinism is preserved by contract,

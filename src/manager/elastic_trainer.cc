@@ -500,7 +500,7 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
 
   ++epoch_;
   last_growth_check_gpus_ = gpus;
-  partition_ = PartitionModel(sections_, config_->pipeline_depth).value();
+  partition_ = search_->CopyPartition(config_->pipeline_depth);
   cached_minibatch_s_ = 0.0;  // Force re-measurement.
   cached_slow_factors_.clear();
 

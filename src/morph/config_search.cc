@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -11,10 +12,11 @@ namespace varuna {
 
 namespace {
 
-// Un-memoized candidates are simulated in rounds of this many, with pruning
-// re-evaluated against the incumbent between rounds. A compile-time constant
-// — never the pool size — so which candidates get pruned is a pure function
-// of the sweep inputs, and pooled sweeps stay bit-identical to serial ones.
+// Un-memoized candidates are simulated in rounds of this many (after a first
+// round of one when pruning), with pruning re-evaluated against the incumbent
+// between rounds. A compile-time constant — never the pool size — so which
+// candidates get pruned is a pure function of the sweep inputs, and pooled
+// sweeps stay bit-identical to serial ones.
 constexpr size_t kSimulationRound = 16;
 
 uint64_t Mix64(uint64_t x) {
@@ -173,6 +175,13 @@ const Partition* ConfigSearch::PartitionForDepth(int depth) const {
   return partitions_[index].get();
 }
 
+Partition ConfigSearch::CopyPartition(int depth) const {
+  std::unique_lock<std::mutex> lock(sweep_mutex_);
+  const Partition* partition = PartitionForDepth(depth);
+  VARUNA_CHECK(partition != nullptr) << "no balanced partition at depth " << depth;
+  return *partition;
+}
+
 Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
                                                    const SearchConstraints& constraints) const {
   VARUNA_CHECK_GT(constraints.total_batch, 0.0);
@@ -206,17 +215,18 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
   const int max_depth = std::min(gpus, sections_->num_sections());
 
   // Enumerate every memory-feasible candidate in ascending (P, m) order —
-  // the output order, and the order pruning walks. Table probes resolve
-  // here, serially and lock-free (sweep_mutex_ already excludes other
-  // sweeps): feasibility and bounds are computed once per entry, and
-  // simulated candidates seed the incumbent. At a previously-unseen G most
-  // candidates resolve here, so pruning has a strong incumbent before the
-  // first simulation round.
+  // the output order. Table probes resolve here, serially and lock-free
+  // (sweep_mutex_ already excludes other sweeps): feasibility and bounds are
+  // computed once per entry, and simulated candidates seed the incumbent. At
+  // a previously-unseen G most candidates resolve here, so pruning has a
+  // strong incumbent before the first simulation round.
   struct Candidate {
     CandidateKey key;
     const Partition* partition = nullptr;
     FastSimResult sim;
-    double lower_bound_s = 0.0;
+    // Optimistic throughput: actual batch / lower bound, +inf when the bound
+    // is not positive (such a candidate is never pruned).
+    double bound_throughput = 0.0;
     bool resolved = false;  // sim is valid (simulated before or this sweep).
   };
   const auto actual_batch = [](const Candidate& c) {
@@ -234,7 +244,7 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
   };
 
   std::vector<Candidate> candidates;
-  std::vector<size_t> pending;  // Indices of unsimulated candidates, ascending (P, m).
+  std::vector<size_t> pending;  // Indices of the unsimulated candidates.
   uint64_t memo_hits = 0;
   double incumbent = 0.0;
   for (int depth = 1; depth <= max_depth; ++depth) {
@@ -275,39 +285,52 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
               make_sim_config(candidate), num_microbatches);
           entry.bounded = true;
         }
-        candidate.lower_bound_s = entry.lower_bound_s;
+        candidate.bound_throughput = entry.lower_bound_s > 0.0
+                                         ? actual_batch(candidate) / entry.lower_bound_s
+                                         : std::numeric_limits<double>::infinity();
         pending.push_back(candidates.size());
       }
       candidates.push_back(candidate);
     }
   }
 
-  // Simulate the misses in fixed-size rounds, re-pruning against the
-  // incumbent between rounds. Within a round the fan-out writes results into
-  // item-indexed slots and the merge walks them in ascending (P, m) order, so
-  // worker interleaving never shows: pooled == serial, bit for bit.
-  uint64_t pruned = 0;
+  // Branch and bound over the misses. A candidate loses iff even its
+  // bound-optimistic throughput strictly loses to the incumbent: actual <=
+  // upper bound < incumbent, so it can neither win nor tie (ties keep the
+  // lowest (P, m), which Best()'s strict > already guarantees for the
+  // survivors). With pruning on, the misses the incumbent already rules out
+  // are dropped first, and the rest are ordered best bound first (ties by
+  // enumeration index), so the first simulation — a round of one — sets the
+  // strongest incumbent the bounds can point to, and the first loser ends the
+  // search: no later bound is higher. Unpruned sweeps simulate every miss and
+  // keep enumeration order. Within a round the fan-out writes results into
+  // item-indexed slots and the merge walks them in round order, so worker
+  // interleaving never shows: pooled == serial, bit for bit.
+  const uint64_t unsimulated = pending.size();
+  const auto loses = [&](size_t index) { return candidates[index].bound_throughput < incumbent; };
+  if (constraints.prune) {
+    pending.erase(std::remove_if(pending.begin(), pending.end(), loses), pending.end());
+    std::sort(pending.begin(), pending.end(), [&](size_t a, size_t b) {
+      const double bound_a = candidates[a].bound_throughput;
+      const double bound_b = candidates[b].bound_throughput;
+      return bound_a != bound_b ? bound_a > bound_b : a < b;
+    });
+  }
   uint64_t simulated = 0;
   std::vector<size_t> round;
+  size_t round_size = constraints.prune ? 1 : kSimulationRound;
   size_t next_pending = 0;
   while (next_pending < pending.size()) {
     round.clear();
-    while (next_pending < pending.size() && round.size() < kSimulationRound) {
-      const size_t index = pending[next_pending++];
-      Candidate& candidate = candidates[index];
-      // Prune iff even the bound-optimistic throughput strictly loses to the
-      // incumbent: actual <= upper bound < incumbent, so the candidate can
-      // neither win nor tie (ties keep the lowest (P, m), which Best()'s
-      // strict > already guarantees for the un-pruned survivors).
-      if (constraints.prune && incumbent > 0.0 && candidate.lower_bound_s > 0.0 &&
-          actual_batch(candidate) / candidate.lower_bound_s < incumbent) {
-        ++pruned;
-        continue;
+    while (next_pending < pending.size() && round.size() < round_size) {
+      if (constraints.prune && loses(pending[next_pending])) {
+        next_pending = pending.size();  // Best-first: every later candidate loses too.
+        break;
       }
-      round.push_back(index);
+      round.push_back(pending[next_pending++]);
     }
     if (round.empty()) {
-      continue;
+      break;
     }
     const auto simulate = [&](int item, int worker) {
       Candidate& candidate = candidates[round[static_cast<size_t>(item)]];
@@ -326,6 +349,7 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
       }
     }
     simulated += round.size();
+    round_size = kSimulationRound;
     for (const size_t index : round) {
       Candidate& candidate = candidates[index];
       candidate.resolved = true;
@@ -356,8 +380,8 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
   ++(simulated == 0 ? stats_.sweep_cache_hits : stats_.sweep_cache_misses);
   stats_.candidates_simulated += simulated;
   stats_.candidate_memo_hits += memo_hits;
-  stats_.candidate_memo_misses += pending.size();
-  stats_.candidates_pruned += pruned;
+  stats_.candidate_memo_misses += unsimulated;
+  stats_.candidates_pruned += unsimulated - simulated;
   if (feasible.empty()) {
     return infeasible();
   }

@@ -26,24 +26,31 @@
 //     feasibility bits, and CPU offload picks which bit is read. The other
 //     constraints only decide which candidates are enumerated, and reach the
 //     key through (P, D, m, Nm).
-//   * The lower bound (FastSimulator::LowerBoundMinibatch: zero-bubble
-//     compute + minimal allreduce from calibrated scalars) prunes candidates
-//     that provably cannot beat the incumbent best before they are simulated.
-//     Pruning never changes Best(); it thins Sweep()'s list.
-//   * Unsimulated, unpruned candidates are simulated in fixed-size rounds
-//     fanned out over the optional ThreadPool (one FastSimulator per worker,
-//     stall RNG seeded per candidate) and merged in ascending (P, m) order.
-//     Round size is a constant — never the worker count — so pruning
-//     decisions, and therefore the full result vector, are bit-identical
-//     across serial and pooled sweeps (property-tested).
+//   * Unsimulated candidates are searched branch-and-bound against
+//     FastSimulator::LowerBoundMinibatch, a critical-path bound (pipeline
+//     fill + serial forward/backward/recompute + backward drain into the
+//     allreduce) from calibrated scalars alone. A candidate whose
+//     bound-optimistic throughput strictly loses to the incumbent best is
+//     pruned before it gets a schedule or a simulation. The sweep drops the
+//     candidates the table's simulated entries already rule out, orders the
+//     rest best bound first, simulates the best-bounded one alone, and stops
+//     at the first loser. Pruning never changes Best(); it thins Sweep()'s
+//     list. With pruning off nothing is ordered: every candidate is
+//     simulated.
+//   * Simulations fan out over the optional ThreadPool in rounds (one
+//     FastSimulator per worker, stall RNG seeded per candidate). Round
+//     composition is a pure function of the inputs — never the worker count
+//     — so pruning decisions, and therefore the full result vector, are
+//     bit-identical across serial and pooled sweeps (property-tested). The
+//     list is returned in ascending (P, m) order.
 // Best() and an unpruned Sweep() are pure functions of (G, calibration,
 // constraints) whatever the table holds; only a pruned list depends on which
 // candidates earlier sweeps simulated. Availability and restore pricing are
 // not inputs: the liveput policy rescores an unpruned list afterwards.
 // GenerateSchedule's process-wide memo generates+validates each (kind, P, Nm)
-// shape once per process; simulated candidates never need a schedule again.
-// All sweep-path tables are flat (sorted vectors / open addressing) per the
-// varuna_lint hot-path rule.
+// shape once per process, and only simulated candidates ever ask for one;
+// simulated candidates never need a schedule again. All sweep-path tables are
+// flat (sorted vectors / open addressing) per varuna_analyze's hot-path rule.
 #ifndef SRC_MORPH_CONFIG_SEARCH_H_
 #define SRC_MORPH_CONFIG_SEARCH_H_
 
@@ -94,10 +101,11 @@ struct SearchConstraints {
   // m plus up to this many - 1 larger profiled sizes. 1 recovers the old
   // fixed-m sweep.
   int microbatch_candidates = 3;
-  // Skip simulating candidates whose analytic lower bound already exceeds the
-  // incumbent best. Sound: the bound never exceeds the simulated time, so the
-  // winner — and Best() — are bit-identical with or without pruning; only
-  // Sweep()'s returned list thins. Disable for exhaustive diagnostics.
+  // Branch and bound: simulate candidates best bound first and skip those
+  // whose analytic lower bound shows they cannot beat the incumbent best.
+  // Sound: the bound never exceeds the simulated time, so the winner — and
+  // Best() — are bit-identical with or without pruning; only Sweep()'s
+  // returned list thins. Disable for exhaustive diagnostics.
   bool prune = true;
 };
 
@@ -113,7 +121,7 @@ struct ConfigSearchStats {
   // Candidate-grain reuse: probes of the candidate table for memory-feasible
   // candidates (a hit is already simulated), and candidates skipped by the
   // bound check (a pruned candidate is a miss that never reaches the
-  // simulator).
+  // simulator or the schedule memo), so simulated == misses - pruned.
   uint64_t candidate_memo_hits = 0;
   uint64_t candidate_memo_misses = 0;
   uint64_t candidates_pruned = 0;
@@ -219,6 +227,11 @@ class ConfigSearch {
   // which ones depends on what earlier sweeps simulated; disable pruning for
   // the exhaustive list, a pure function of the inputs.
   Result<std::vector<JobConfig>> Sweep(int gpus, const SearchConstraints& constraints) const;
+
+  // A copy of the balanced partition the sweep evaluates at `depth` (computed
+  // once per depth and cached). Aborts when `depth` has no partition, which
+  // cannot happen for the depth of a config this search returned.
+  Partition CopyPartition(int depth) const;
 
   // The process-wide schedule memo the sweep draws from (for its counters).
   const ScheduleCache* schedule_cache() const { return &ScheduleCache::Process(); }

@@ -13,13 +13,14 @@ double FastSimulator::LowerBoundMinibatch(const FastSimConfig& config,
   const int depth = config.partition->depth();
   const int m = config.microbatch_size;
   const double microbatches = static_cast<double>(num_microbatches);
-  // Per-stage sums accumulate in the same ascending-section order as
-  // EstimateMinibatch's prologue, so each stage's fwd/bwd/allreduce scalars
-  // are bit-equal to the simulator's. The simulated critical path for stage s
-  // is at least: the fill chain of first forwards through stages < s, plus
-  // Nm serial (forward + backward) executions at s, plus s's allreduce — the
-  // zero-bubble floor. Sends, stalls and schedule bubbles only add time.
-  double prefix_fwd = 0.0;
+  // Per-stage scalars are computed exactly as EstimateMinibatch's prologue
+  // computes them (same calls, same ascending-section sums), so they are
+  // bit-equal to the simulator's. Each stage's critical path is fill + serial
+  // work + drain (see the header); the drain's max over j <= s folds into one
+  // pass as drain_s = max(allreduce_s, drain_{s-1} + send_{s-1} + b_{s-1}).
+  double fill = 0.0;
+  double drain = 0.0;
+  double prev_send_bwd = 0.0;  // send_{s-1} + b_{s-1}.
   double bound = 0.0;
   for (int s = 0; s < depth; ++s) {
     const int begin = config.partition->stage_begin[static_cast<size_t>(s)];
@@ -33,8 +34,17 @@ double FastSimulator::LowerBoundMinibatch(const FastSimConfig& config,
       allreduce += calibration_->allreduce().Predict(
           2.0 * config.sections->params[static_cast<size_t>(section)], config.data_parallel);
     }
-    bound = std::max(bound, prefix_fwd + microbatches * (fwd + bwd) + allreduce);
-    prefix_fwd += fwd;
+    const bool last = s + 1 == depth;
+    double send = 0.0;
+    if (!last) {
+      const bool cross_node = ((s + 1) % std::max(1, config.gpus_per_node)) == 0;
+      send = calibration_->SendTime(end - 1, m, cross_node);
+    }
+    drain = s == 0 ? allreduce : std::max(allreduce, drain + prev_send_bwd);
+    const double recompute = last ? 0.0 : (microbatches - 1.0) * fwd;
+    bound = std::max(bound, fill + (microbatches * (fwd + bwd) + recompute) + drain);
+    fill += fwd + send;
+    prev_send_bwd = send + bwd;
   }
   if (config.shared_sync_bytes > 0.0 && depth > 1) {
     bound += calibration_->allreduce().Predict(config.shared_sync_bytes, 2);

@@ -56,12 +56,23 @@ class FastSimulator {
   FastSimResult EstimateMinibatch(const Schedule& schedule, const FastSimConfig& config);
 
   // Analytic lower bound on EstimateMinibatch(...).minibatch_s for the same
-  // config at `num_microbatches`, computed from the calibrated scalars alone
-  // (no schedule needed): zero-bubble pipeline fill + per-stage serial compute
-  // + that stage's allreduce + the shared-state sync. Stalls, sends and
-  // schedule bubbles only ever add time, so the bound never exceeds the
-  // simulated value; ConfigSearch uses it to skip simulating candidates that
-  // cannot beat the incumbent best. O(P), allocation-free, pure.
+  // config at `num_microbatches`, for any schedule kind, computed from the
+  // calibrated scalars alone (no schedule needed). It is the longest of the
+  // per-stage critical paths plus the shared-state sync, where stage s's path
+  // is:
+  //   * fill: sum over j < s of (f_j + send_j). Every stage's first op is
+  //     F(0), which waits on the previous stage's F(0) and the send;
+  //   * serial work: Nm * (f_s + b_s), plus (Nm - 1) * f_s of recompute on a
+  //     non-last stage. Nm - 1 is the fewest recomputes any kind emits (GPipe
+  //     skips the last micro-batch's);
+  //   * drain: max over j <= s of (allreduce_j + sum over j <= i < s of
+  //     (send_i + b_i)). The stage's last op is a backward, which every
+  //     earlier stage must also run, one send later each, before its
+  //     allreduce.
+  // Stalls, idle slots and schedule bubbles only ever add time, so the bound
+  // never exceeds the simulated value; ConfigSearch uses it to order its
+  // candidates and to skip simulating those that cannot beat the incumbent
+  // best. O(P) single pass, allocation-free, pure.
   double LowerBoundMinibatch(const FastSimConfig& config, int num_microbatches) const;
 
  private:

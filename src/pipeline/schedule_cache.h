@@ -9,7 +9,7 @@
 // once per process.
 //
 // The index is a flat sorted vector of packed 64-bit keys (the sweep hot path
-// may not touch node-based containers — varuna_lint rule "hot-path"). Entries
+// may not touch node-based containers — varuna_analyze rule "hot-path"). Entries
 // are heap-allocated and never evicted, so returned references stay valid for
 // the life of the process. Thread-safe: a miss generates under the mutex, so
 // misses equals the number of generations.

@@ -8,7 +8,8 @@
 //   * Pruned sweeps are bit-identical across serial and pooled execution
 //     (pruning rounds are a fixed size, never the worker count).
 //   * The analytic lower bound never exceeds the simulated time (the
-//     pruning-soundness invariant).
+//     pruning-soundness invariant), and a pruned candidate never gets a
+//     schedule.
 //   * Stale-hit safety: recalibration and a change to either simulation
 //     input the sweep copies from its constraints (gpus_per_node,
 //     shared_sync_bytes) clear the candidate memo and force re-simulation —
@@ -20,6 +21,7 @@
 //     instance returns. A budget change forgets only the feasibility bits.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -166,25 +168,72 @@ TEST(ConfigSearchIncrementalTest, PrunedSweepBitIdenticalSerialVsPooled) {
 }
 
 TEST(ConfigSearchIncrementalTest, PrunedWinnerEqualsUnprunedWinner) {
+  // Five fixed cluster sizes under the default constraints, then a seeded
+  // random walk over G, budget and CPU offload, as a spot trace would drive
+  // it: each searcher keeps its candidate table across the walk, so the
+  // best-first order starts from whatever incumbent the table holds.
   Fixture fx;
-  SearchConstraints pruned = DefaultConstraints();
-  SearchConstraints unpruned = DefaultConstraints();
-  unpruned.prune = false;
-  ConfigSearch pruned_search(&fx.spec, &fx.sections, &fx.calibration);
+  MemoryBudget budgets[2];
+  budgets[0].gpu_memory_bytes = Nc6V3().gpu.memory_bytes;
+  budgets[1].gpu_memory_bytes = 2.0 * Nc6V3().gpu.memory_bytes;
+  ThreadPool pool(4);
+  ConfigSearch serial(&fx.spec, &fx.sections, &fx.calibration);
+  ConfigSearch pooled(&fx.spec, &fx.sections, &fx.calibration, &pool);
   ConfigSearch unpruned_search(&fx.spec, &fx.sections, &fx.calibration);
-  for (const int gpus : {12, 16, 36, 64, 100}) {
-    const auto a = pruned_search.Best(gpus, pruned);
-    const auto b = unpruned_search.Best(gpus, unpruned);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_TRUE(a.value() == b.value()) << "G=" << gpus;
+  Rng rng(0xb0b0ULL);
+  const int fixed_gpus[] = {12, 16, 36, 64, 100};
+  constexpr int kFixed = static_cast<int>(std::size(fixed_gpus));
+  for (int point = 0; point < kFixed + 40; ++point) {
+    SearchConstraints pruned = DefaultConstraints();
+    int gpus = 0;
+    if (point < kFixed) {
+      gpus = fixed_gpus[point];
+    } else {
+      pruned.budget = budgets[static_cast<size_t>(rng.UniformInt(0, 1))];
+      pruned.cpu_offload_optimizer = rng.UniformInt(0, 1) == 1;
+      gpus = static_cast<int>(rng.UniformInt(8, 100));
+    }
+    SearchConstraints unpruned = pruned;
+    unpruned.prune = false;
+    std::ostringstream where;
+    where << "point=" << point << " G=" << gpus
+          << " budget=" << pruned.budget.gpu_memory_bytes
+          << " offload=" << pruned.cpu_offload_optimizer;
+    const auto expected = unpruned_search.Best(gpus, unpruned);
+    const auto serial_best = serial.Best(gpus, pruned);
+    const auto pooled_best = pooled.Best(gpus, pruned);
+    ASSERT_EQ(expected.ok(), serial_best.ok()) << where.str();
+    ASSERT_EQ(expected.ok(), pooled_best.ok()) << where.str();
+    if (expected.ok()) {
+      EXPECT_TRUE(serial_best.value() == expected.value()) << where.str() << " serial";
+      EXPECT_TRUE(pooled_best.value() == expected.value()) << where.str() << " pooled";
+    }
   }
   // And pruning actually pruned something somewhere, or the test is vacuous.
-  EXPECT_GT(pruned_search.stats().candidates_pruned, 0u);
+  EXPECT_GT(serial.stats().candidates_pruned, 0u);
+  EXPECT_EQ(pooled.stats().candidates_pruned, serial.stats().candidates_pruned);
   // The pruned list is a subset containing the winner; the unpruned list is
   // exhaustive.
-  EXPECT_LT(pruned_search.stats().candidates_simulated,
-            unpruned_search.stats().candidates_simulated);
+  EXPECT_LT(serial.stats().candidates_simulated, unpruned_search.stats().candidates_simulated);
+}
+
+// Pruning happens before simulation, so a losing candidate never asks the
+// process-wide schedule memo for a shape: a cold pruned sweep generates at most
+// one schedule per simulated candidate. Its total batch is one no other test
+// in this binary uses, so its (P, Nm) shapes are new to the memo.
+TEST(ConfigSearchIncrementalTest, PrunedCandidatesGetNoSchedule) {
+  Fixture fx;
+  SearchConstraints constraints = DefaultConstraints();
+  constraints.total_batch = 3333;
+  ConfigSearch search(&fx.spec, &fx.sections, &fx.calibration);
+  const ScheduleCacheStats schedules_before = ScheduleCache::Process().stats();
+  ASSERT_TRUE(search.Best(48, constraints).ok());
+  const uint64_t generated = ScheduleCache::Process().stats().misses - schedules_before.misses;
+  const ConfigSearchStats stats = search.stats();
+  EXPECT_GT(stats.candidates_pruned, 0u);
+  EXPECT_GT(generated, 0u);
+  EXPECT_LE(generated, stats.candidates_simulated);
+  EXPECT_EQ(stats.candidates_simulated, stats.candidate_memo_misses - stats.candidates_pruned);
 }
 
 TEST(ConfigSearchIncrementalTest, LowerBoundNeverExceedsSimulatedTime) {
