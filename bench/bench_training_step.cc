@@ -1,28 +1,17 @@
 // Training-step substrate perf: the numeric hot path every convergence
 // experiment (Fig. 9 / Fig. 10) spends its wall-clock in. Times one full
 // mini-batch of micro-batched gradient accumulation on the Fig. 9 model shape
-// (vocab 16, width 24, 6 MLP blocks, batch 128, micro-batch 8) through four
-// substrate configurations:
-//   * seed          — the frozen pre-optimization substrate (transcribed
-//                     below): triple-loop allocating GEMM kernels and
-//                     by-value layers that copy inputs and allocate every
-//                     intermediate;
-//   * blocked       — cache-blocked, SIMD, B-packed kernels through the
-//                     by-value ForwardBackward path;
-//   * blocked+arena — blocked kernels through the zero-allocation TrainStep
-//                     (arena scratch, explicit-output layers, view splits);
+// (vocab 16, width 24, 6 MLP blocks, batch 128, micro-batch 8) through three
+// configurations of the same blocked kernels:
+//   * blocked       — the by-value ForwardBackward path;
+//   * blocked+arena — the zero-allocation TrainStep (arena scratch,
+//                     explicit-output layers, view splits);
 //   * pooled xN     — blocked+arena with micro-batches fanned over the
 //                     deterministic thread pool (N = hardware threads).
-// An equivalence gate runs before any timing: all in-tree variants must be
-// bit-identical to each other; the seed substrate must match bitwise on the
-// loss and every weight gradient, and to float tolerance on the 1-D
-// (bias/gain) gradients — the seed accumulated those row-by-row straight into
-// the running gradient, while the new substrate forms a per-micro-batch delta
-// first (the two-phase rule that makes pooled execution order-free), so the
-// same sum is associated differently. Writes BENCH_training_step.json
+// An equivalence gate runs before any timing: every GEMM the step issues must
+// be bit-identical to the naive reference loops, and the three variants must
+// produce bit-identical loss and gradients. Writes BENCH_training_step.json
 // (--json <path> overrides; --smoke for 1x1 CI runs).
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -38,320 +27,6 @@ constexpr int kWidth = 24;
 constexpr int kBlocks = 6;
 constexpr int kBatch = 128;
 constexpr int kMicrobatch = 8;
-
-// --- Frozen seed substrate ---------------------------------------------------
-// Transcribed from the v0 tree (src/tensor/tensor.cc and src/nn/layers.cc at
-// the growth seed): the exact code the optimized substrate replaced, kept
-// verbatim as the bench baseline. The in-tree naive *kernel* tier alone would
-// under-count the win — it already runs through the reworked layers, so the
-// memory/layout work would be credited to the baseline it was measured
-// against.
-namespace seedsub {
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  const int m = a.dim(0);
-  const int k = a.dim(1);
-  const int n = b.dim(1);
-  Tensor c({m, n});
-  for (int i = 0; i < m; ++i) {
-    for (int p = 0; p < k; ++p) {
-      const float aip = a.data()[static_cast<size_t>(i) * k + p];
-      if (aip == 0.0f) {
-        continue;
-      }
-      const float* b_row = b.data() + static_cast<size_t>(p) * n;
-      float* c_row = c.data() + static_cast<size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        c_row[j] += aip * b_row[j];
-      }
-    }
-  }
-  return c;
-}
-
-Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {
-  const int m = a.dim(0);
-  const int k = a.dim(1);
-  const int n = b.dim(0);
-  Tensor c({m, n});
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      const float* a_row = a.data() + static_cast<size_t>(i) * k;
-      const float* b_row = b.data() + static_cast<size_t>(j) * k;
-      float sum = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        sum += a_row[p] * b_row[p];
-      }
-      c.data()[static_cast<size_t>(i) * n + j] = sum;
-    }
-  }
-  return c;
-}
-
-Tensor MatMulTransposeA(const Tensor& a, const Tensor& b) {
-  const int k = a.dim(0);
-  const int m = a.dim(1);
-  const int n = b.dim(1);
-  Tensor c({m, n});
-  for (int p = 0; p < k; ++p) {
-    const float* a_row = a.data() + static_cast<size_t>(p) * m;
-    const float* b_row = b.data() + static_cast<size_t>(p) * n;
-    for (int i = 0; i < m; ++i) {
-      const float api = a_row[i];
-      if (api == 0.0f) {
-        continue;
-      }
-      float* c_row = c.data() + static_cast<size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        c_row[j] += api * b_row[j];
-      }
-    }
-  }
-  return c;
-}
-
-Tensor Add(const Tensor& a, const Tensor& b) {
-  Tensor c = a;
-  for (int64_t i = 0; i < c.size(); ++i) {
-    c[i] += b[i];
-  }
-  return c;
-}
-
-Tensor AddRowVector(const Tensor& a, const Tensor& row) {
-  Tensor c = a;
-  const int n = a.dim(1);
-  for (int i = 0; i < a.dim(0); ++i) {
-    for (int j = 0; j < n; ++j) {
-      c.data()[static_cast<size_t>(i) * n + j] += row[j];
-    }
-  }
-  return c;
-}
-
-constexpr float kGeluC = 0.7978845608f;  // sqrt(2/pi)
-
-float GeluValue(float x) {
-  const float inner = kGeluC * (x + 0.044715f * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
-}
-
-float GeluDerivative(float x) {
-  const float inner = kGeluC * (x + 0.044715f * x * x * x);
-  const float t = std::tanh(inner);
-  const float sech2 = 1.0f - t * t;
-  return 0.5f * (1.0f + t) + 0.5f * x * sech2 * kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
-}
-
-struct Linear {
-  Tensor weight, bias, weight_grad, bias_grad, input;
-
-  Tensor Forward(const Tensor& x) {
-    input = x;
-    return seedsub::AddRowVector(seedsub::MatMul(x, weight), bias);
-  }
-
-  Tensor Backward(const Tensor& grad_output) {
-    weight_grad.AddInPlace(seedsub::MatMulTransposeA(input, grad_output));
-    const int n = grad_output.dim(1);
-    for (int i = 0; i < grad_output.dim(0); ++i) {
-      for (int j = 0; j < n; ++j) {
-        bias_grad[j] += grad_output.data()[static_cast<size_t>(i) * n + j];
-      }
-    }
-    return seedsub::MatMulTransposeB(grad_output, weight);
-  }
-};
-
-struct Gelu {
-  Tensor input;
-
-  Tensor Forward(const Tensor& x) {
-    input = x;
-    Tensor out = x;
-    for (int64_t i = 0; i < out.size(); ++i) {
-      out[i] = GeluValue(out[i]);
-    }
-    return out;
-  }
-
-  Tensor Backward(const Tensor& grad_output) {
-    Tensor grad = grad_output;
-    for (int64_t i = 0; i < grad.size(); ++i) {
-      grad[i] *= GeluDerivative(input[i]);
-    }
-    return grad;
-  }
-};
-
-struct LayerNorm {
-  Tensor gain, bias, gain_grad, bias_grad, normalized, inv_std;
-
-  Tensor Forward(const Tensor& x) {
-    const int rows = x.dim(0);
-    const int n = x.dim(1);
-    normalized = Tensor({rows, n});
-    inv_std = Tensor({rows});
-    Tensor out({rows, n});
-    constexpr float kEpsilon = 1e-5f;
-    for (int i = 0; i < rows; ++i) {
-      const float* row = x.data() + static_cast<size_t>(i) * n;
-      float mean = 0.0f;
-      for (int j = 0; j < n; ++j) {
-        mean += row[j];
-      }
-      mean /= n;
-      float variance = 0.0f;
-      for (int j = 0; j < n; ++j) {
-        const float centered = row[j] - mean;
-        variance += centered * centered;
-      }
-      variance /= n;
-      const float s = 1.0f / std::sqrt(variance + kEpsilon);
-      inv_std[i] = s;
-      for (int j = 0; j < n; ++j) {
-        const float norm = (row[j] - mean) * s;
-        normalized.data()[static_cast<size_t>(i) * n + j] = norm;
-        out.data()[static_cast<size_t>(i) * n + j] = norm * gain[j] + bias[j];
-      }
-    }
-    return out;
-  }
-
-  Tensor Backward(const Tensor& grad_output) {
-    const int rows = grad_output.dim(0);
-    const int n = grad_output.dim(1);
-    Tensor grad_input({rows, n});
-    for (int i = 0; i < rows; ++i) {
-      const float* g_row = grad_output.data() + static_cast<size_t>(i) * n;
-      const float* norm_row = normalized.data() + static_cast<size_t>(i) * n;
-      float sum_g = 0.0f;
-      float sum_g_norm = 0.0f;
-      for (int j = 0; j < n; ++j) {
-        const float g_hat = g_row[j] * gain[j];
-        sum_g += g_hat;
-        sum_g_norm += g_hat * norm_row[j];
-        gain_grad[j] += g_row[j] * norm_row[j];
-        bias_grad[j] += g_row[j];
-      }
-      const float inv_n = 1.0f / n;
-      for (int j = 0; j < n; ++j) {
-        const float g_hat = g_row[j] * gain[j];
-        grad_input.data()[static_cast<size_t>(i) * n + j] =
-            inv_std[i] * (g_hat - inv_n * sum_g - norm_row[j] * inv_n * sum_g_norm);
-      }
-    }
-    return grad_input;
-  }
-};
-
-struct MlpBlock {
-  LayerNorm norm;
-  Linear up;
-  Gelu gelu;
-  Linear down;
-
-  Tensor Forward(const Tensor& x) {
-    return seedsub::Add(x, down.Forward(gelu.Forward(up.Forward(norm.Forward(x)))));
-  }
-
-  Tensor Backward(const Tensor& grad_output) {
-    Tensor branch = norm.Backward(up.Backward(gelu.Backward(down.Backward(grad_output))));
-    return seedsub::Add(grad_output, branch);
-  }
-};
-
-struct Model {
-  Linear embed;
-  std::vector<MlpBlock> blocks;
-  Linear head;
-
-  Tensor Forward(const Tensor& x) {
-    Tensor h = embed.Forward(x);
-    for (MlpBlock& block : blocks) {
-      h = block.Forward(h);
-    }
-    return head.Forward(h);
-  }
-
-  void Backward(const Tensor& grad_output) {
-    Tensor g = head.Backward(grad_output);
-    for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
-      g = it->Backward(g);
-    }
-    embed.Backward(g);
-  }
-
-  // Parameter/gradient pointers in BuildBlockModel order, so the seed model
-  // can be initialized from (and compared against) an in-tree trainer.
-  std::vector<Tensor*> Parameters() {
-    std::vector<Tensor*> params = {&embed.weight, &embed.bias};
-    for (MlpBlock& block : blocks) {
-      for (Tensor* p : {&block.norm.gain, &block.norm.bias, &block.up.weight, &block.up.bias,
-                        &block.down.weight, &block.down.bias}) {
-        params.push_back(p);
-      }
-    }
-    params.push_back(&head.weight);
-    params.push_back(&head.bias);
-    return params;
-  }
-
-  std::vector<Tensor*> Gradients() {
-    std::vector<Tensor*> grads = {&embed.weight_grad, &embed.bias_grad};
-    for (MlpBlock& block : blocks) {
-      for (Tensor* g : {&block.norm.gain_grad, &block.norm.bias_grad, &block.up.weight_grad,
-                        &block.up.bias_grad, &block.down.weight_grad, &block.down.bias_grad}) {
-        grads.push_back(g);
-      }
-    }
-    grads.push_back(&head.weight_grad);
-    grads.push_back(&head.bias_grad);
-    return grads;
-  }
-};
-
-// Builds the seed model with parameters copied from `params` (BuildBlockModel
-// order); gradients are zeroed at matching shapes.
-Model FromParameters(const std::vector<Tensor*>& params) {
-  Model model;
-  model.blocks.resize(kBlocks);
-  std::vector<Tensor*> own = model.Parameters();
-  VARUNA_CHECK_EQ(own.size(), params.size());
-  for (size_t i = 0; i < own.size(); ++i) {
-    *own[i] = *params[i];
-  }
-  std::vector<Tensor*> grads = model.Gradients();
-  for (size_t i = 0; i < grads.size(); ++i) {
-    *grads[i] = Tensor(params[i]->shape());
-  }
-  return model;
-}
-
-// The seed trainer loop: copy-splitting micro-batches, by-value layer calls,
-// gradient accumulation scaled to the full-batch mean.
-double ForwardBackward(Model* model, const Batch& batch, int microbatch_size) {
-  const std::vector<Batch> microbatches = SplitIntoMicrobatches(batch, microbatch_size);
-  const float scale = 1.0f / static_cast<float>(microbatches.size());
-  double total_loss = 0.0;
-  SoftmaxCrossEntropy loss;
-  for (const Batch& microbatch : microbatches) {
-    const Tensor logits = model->Forward(microbatch.inputs);
-    total_loss += loss.Loss(logits, microbatch.targets);
-    Tensor grad = loss.Backward();
-    grad.Scale(scale);
-    model->Backward(grad);
-  }
-  return total_loss / static_cast<double>(microbatches.size());
-}
-
-void ZeroGradients(Model* model) {
-  for (Tensor* grad : model->Gradients()) {
-    grad->Fill(0.0f);
-  }
-}
-
-}  // namespace seedsub
 
 std::unique_ptr<Sequential> FreshModel() {
   Rng rng(42);
@@ -387,6 +62,30 @@ bool SameResult(const StepResult& a, const StepResult& b) {
   return true;
 }
 
+// Kernel half of the gate: blocked == naive, bit for bit, on every GEMM one
+// step issues. Each Linear weight W [in, out] gives three per micro-batch: the
+// forward x W, the weight gradient x^T g and the input gradient g W^T.
+int CheckStepGemms(const std::vector<Tensor*>& params) {
+  Rng rng(7);
+  int checked = 0;
+  for (const Tensor* w : params) {
+    if (w->shape().size() != 2u) {
+      continue;  // Bias and gain vectors enter no GEMM.
+    }
+    const Tensor x = Tensor::Randn({kMicrobatch, w->dim(0)}, &rng, 1.0f);
+    const Tensor g = Tensor::Randn({kMicrobatch, w->dim(1)}, &rng, 1.0f);
+    const auto check = [&](const Tensor& blocked, const Tensor& naive, const char* form) {
+      VARUNA_CHECK(Identical(blocked, naive))
+          << form << " diverged from naive at W [" << w->dim(0) << ", " << w->dim(1) << "]";
+      ++checked;
+    };
+    check(MatMul(x, *w), MatMulNaive(x, *w), "MatMul");
+    check(MatMulTransposeA(x, g), MatMulTransposeANaive(x, g), "MatMulTransposeA");
+    check(MatMulTransposeB(g, *w), MatMulTransposeBNaive(g, *w), "MatMulTransposeB");
+  }
+  return checked;
+}
+
 int Run(int argc, char** argv) {
   std::string json_path = JsonPathFromArgs(argc, argv);
   if (json_path.empty()) {
@@ -405,59 +104,26 @@ int Run(int argc, char** argv) {
 
   // One trainer per variant, all cloned from identical initial parameters
   // (FreshModel reseeds), so gradients must agree bit for bit.
-  ReferenceTrainer naive_trainer(FreshModel());
   ReferenceTrainer blocked_trainer(FreshModel());
   ReferenceTrainer arena_trainer(FreshModel());
   ReferenceTrainer pooled_trainer(FreshModel(), MathOptions{threads});
-  seedsub::Model seed_model = seedsub::FromParameters(naive_trainer.Parameters());
 
-  // --- Equivalence gate: refuse to time divergent variants. -----------------
-  StepResult seed;
-  seed.loss = seedsub::ForwardBackward(&seed_model, batch, kMicrobatch);
-  for (Tensor* grad : seed_model.Gradients()) {
-    seed.grads.push_back(*grad);
-  }
-  SetGemmKernel(GemmKernel::kNaive);
-  const StepResult golden = RunOnce(&naive_trainer, batch, /*fast_path=*/false);
-  SetGemmKernel(GemmKernel::kBlocked);
+  // --- Equivalence gate: refuse to time divergent code. ---------------------
+  const int gemms = CheckStepGemms(blocked_trainer.Parameters());
   const StepResult blocked = RunOnce(&blocked_trainer, batch, /*fast_path=*/false);
   const StepResult arena = RunOnce(&arena_trainer, batch, /*fast_path=*/true);
   const StepResult pooled = RunOnce(&pooled_trainer, batch, /*fast_path=*/true);
-  VARUNA_CHECK(SameResult(golden, blocked)) << "blocked kernels diverged from naive";
-  VARUNA_CHECK(SameResult(golden, arena)) << "arena TrainStep diverged from naive";
-  VARUNA_CHECK(SameResult(golden, pooled)) << "pooled TrainStep diverged from naive";
-  // Seed vs new substrate: loss and 2-D (weight) gradients are computed in
-  // the exact seed float order, so they must match bitwise. 1-D (bias/gain)
-  // gradients carry the same addends in a different association (two-phase
-  // deltas vs the seed's direct row accumulation), so they match to float
-  // tolerance only; the max deviation is printed and bounded.
-  VARUNA_CHECK_EQ(seed.loss, golden.loss) << "seed substrate loss diverged";
-  VARUNA_CHECK_EQ(seed.grads.size(), golden.grads.size());
-  float max_vector_grad_diff = 0.0f;
-  for (size_t i = 0; i < seed.grads.size(); ++i) {
-    if (seed.grads[i].shape().size() == 2u) {
-      VARUNA_CHECK(Identical(seed.grads[i], golden.grads[i]))
-          << "seed weight gradient " << i << " diverged";
-    } else {
-      max_vector_grad_diff =
-          std::max(max_vector_grad_diff, MaxAbsDiff(seed.grads[i], golden.grads[i]));
-    }
-  }
-  VARUNA_CHECK_LT(max_vector_grad_diff, 1e-6f) << "seed bias/gain gradients diverged";
-  std::printf("equivalence gate: in-tree variants bit-identical (loss %.6f, %zu gradient "
-              "tensors); seed substrate bitwise on loss + weight grads, bias/gain grads "
-              "within %.2e\n\n",
-              golden.loss, golden.grads.size(), static_cast<double>(max_vector_grad_diff));
+  VARUNA_CHECK(SameResult(blocked, arena)) << "arena TrainStep diverged from by-value";
+  VARUNA_CHECK(SameResult(blocked, pooled)) << "pooled TrainStep diverged from by-value";
+  std::printf("equivalence gate: %d step GEMMs bit-identical to naive; by-value, arena and "
+              "pooled variants bit-identical (loss %.6f, %zu gradient tensors)\n\n",
+              gemms, blocked.loss, blocked.grads.size());
 
   // --- Timing. --------------------------------------------------------------
   const int warmup = mode.Warmup(10);
   const int repeats = mode.Repeats(50);
   double sink = 0.0;
 
-  const BenchStats seed_stats = TimeIt(warmup, repeats, [&] {
-    seedsub::ZeroGradients(&seed_model);
-    sink += seedsub::ForwardBackward(&seed_model, batch, kMicrobatch);
-  });
   const BenchStats blocked_stats = TimeIt(warmup, repeats, [&] {
     blocked_trainer.model()->ZeroGradients();
     sink += blocked_trainer.ForwardBackward(batch, kMicrobatch);
@@ -467,7 +133,7 @@ int Run(int argc, char** argv) {
     sink += arena_trainer.TrainStep(batch, kMicrobatch);
   });
   // Zero-alloc contract, measured in the bench too: the timed region must not
-  // have touched the allocator for tensor buffers.
+  // have touched the allocator for tensor buffers or GEMM packing panels.
   const int64_t allocs_before = arena_trainer.heap_allocations();
   arena_trainer.model()->ZeroGradients();
   sink += arena_trainer.TrainStep(batch, kMicrobatch);
@@ -480,23 +146,18 @@ int Run(int argc, char** argv) {
   });
   VARUNA_CHECK_GT(sink, 0.0);
 
-  Table table({"variant", "median (ms)", "min (ms)", "mean (ms)", "speedup vs seed"});
+  Table table({"variant", "median (ms)", "min (ms)", "mean (ms)"});
   const auto add_row = [&](const std::string& name, const BenchStats& stats) {
     table.AddRow({name, Table::Num(stats.median_ms, 3), Table::Num(stats.min_ms, 3),
-                  Table::Num(stats.mean_ms, 3),
-                  Table::Num(seed_stats.median_ms / stats.median_ms, 2) + "x"});
+                  Table::Num(stats.mean_ms, 3)});
   };
-  add_row("seed substrate (naive, by-value)", seed_stats);
   add_row("blocked kernels, by-value", blocked_stats);
   add_row("blocked + arena (TrainStep)", arena_stats);
   add_row("pooled x" + std::to_string(threads), pooled_stats);
   std::printf("%s\n", table.Render().c_str());
-
-  const double arena_speedup = seed_stats.median_ms / arena_stats.median_ms;
-  std::printf("blocked+arena speedup over seed substrate: %.2fx (target >= 3x); "
-              "pooled x%d: %.2fx%s\n",
-              arena_speedup, threads, seed_stats.median_ms / pooled_stats.median_ms,
-              threads < 2 ? " (single hardware thread: pool adds no parallelism)" : "");
+  if (threads < 2) {
+    std::printf("single hardware thread: the pool adds no parallelism\n");
+  }
   std::printf("steady-state TrainStep heap allocations per step: 0 (asserted)\n");
 
   BenchJsonWriter json("bench_training_step");
@@ -507,9 +168,6 @@ int Run(int argc, char** argv) {
   json.AddScalar("batch", kBatch);
   json.AddScalar("microbatch", kMicrobatch);
   json.AddScalar("pool_threads", threads);
-  json.AddScalar("speedup_blocked_arena_vs_seed", arena_speedup);
-  json.AddScalar("speedup_pooled_vs_seed", seed_stats.median_ms / pooled_stats.median_ms);
-  json.AddResult("seed_substrate", seed_stats);
   json.AddResult("blocked_by_value", blocked_stats);
   json.AddResult("blocked_arena_trainstep", arena_stats);
   json.AddResult("pooled_trainstep", pooled_stats);

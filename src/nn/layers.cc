@@ -42,9 +42,9 @@ Linear::Linear(const Linear& other)
       weight_grad_(other.weight_grad_),
       bias_grad_(other.bias_grad_) {}
 
-void Linear::ForwardInto(const Tensor& input, Tensor* out, TensorArena*) {
+void Linear::ForwardInto(const Tensor& input, Tensor* out, TensorArena* arena) {
   input_ = &input;
-  MatMulInto(out, input, weight_);
+  MatMulInto(out, input, weight_, arena);
   AddRowVectorInPlace(out, bias_);
 }
 
@@ -61,7 +61,7 @@ void Linear::BackwardInto(const Tensor& grad_output, Tensor* grad_input, TensorA
   bias_grad_.AddInPlace(*bias_delta);
   arena->Release(bias_delta);
 
-  MatMulTransposeBInto(grad_input, grad_output, weight_);
+  MatMulTransposeBInto(grad_input, grad_output, weight_, arena);
 }
 
 // --- Gelu --------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/tensor/tensor_arena.h"
 
 namespace varuna {
 namespace {
@@ -16,10 +17,6 @@ int64_t NumElements(const std::vector<int>& shape) {
   }
   return n;
 }
-
-// Reference-kernel selector: only tests and bench_training_step set it, to
-// compare the blocked kernels against the naive ones.
-GemmKernel g_gemm_kernel = GemmKernel::kBlocked;  // varuna-analyze: allow(global-state)
 
 // Block sizes for the packed MatMul / MatMulTransposeA kernels. One packed
 // B-panel is kGemmKB x kGemmNB floats = 32 KiB, sized to sit in L1 while a
@@ -75,9 +72,6 @@ inline void AddRow(float* out, const float* a, const float* b, int64_t n) {
 }
 
 }  // namespace
-
-void SetGemmKernel(GemmKernel kernel) { g_gemm_kernel = kernel; }
-GemmKernel GetGemmKernel() { return g_gemm_kernel; }
 
 Tensor::Tensor(std::vector<int> shape) : shape_(std::move(shape)) {
   data_.assign(static_cast<size_t>(NumElements(shape_)), 0.0f);
@@ -147,11 +141,11 @@ double Tensor::SquaredNorm() const {
 // --- GEMM kernels ------------------------------------------------------------
 //
 // Bit-identity contract: for every output element, the blocked kernels add the
-// same float32 products in the same ascending-p order as the seed loops, and
-// keep the seed's aip==0 row skips. Blocking and SIMD only reorder *which
-// elements* are computed when — every lane of a vector op is the exact scalar
-// mul/add of one element (no reassociation; the baseline x86-64 target has no
-// FMA, so nothing fuses) — so blocked == naive under operator==
+// same float32 products in the same ascending-p order as the seed loops
+// (MatMul*Naive), and keep the seed's aip==0 row skips. Blocking and SIMD only
+// reorder *which elements* are computed when — every lane of a vector op is the
+// exact scalar mul/add of one element (no reassociation; the baseline x86-64
+// target has no FMA, so nothing fuses) — so blocked == naive under operator==
 // (tests/tensor_kernel_test.cc asserts this).
 
 namespace {
@@ -160,63 +154,6 @@ void CheckMatMulShapes(const Tensor& a, const Tensor& b) {
   VARUNA_CHECK_EQ(a.shape().size(), 2u);
   VARUNA_CHECK_EQ(b.shape().size(), 2u);
   VARUNA_CHECK_EQ(a.dim(1), b.dim(0));
-}
-
-// The seed kernel body, writing into a zeroed out buffer.
-void MatMulNaiveInto(Tensor* out, const Tensor& a, const Tensor& b) {
-  const int m = a.dim(0);
-  const int k = a.dim(1);
-  const int n = b.dim(1);
-  for (int i = 0; i < m; ++i) {
-    for (int p = 0; p < k; ++p) {
-      const float aip = a.data()[static_cast<size_t>(i) * k + p];
-      if (aip == 0.0f) {
-        continue;
-      }
-      const float* b_row = b.data() + static_cast<size_t>(p) * n;
-      float* c_row = out->data() + static_cast<size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        c_row[j] += aip * b_row[j];
-      }
-    }
-  }
-}
-
-void MatMulTransposeBNaiveInto(Tensor* out, const Tensor& a, const Tensor& b) {
-  const int m = a.dim(0);
-  const int k = a.dim(1);
-  const int n = b.dim(0);
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      const float* a_row = a.data() + static_cast<size_t>(i) * k;
-      const float* b_row = b.data() + static_cast<size_t>(j) * k;
-      float sum = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        sum += a_row[p] * b_row[p];
-      }
-      out->data()[static_cast<size_t>(i) * n + j] = sum;
-    }
-  }
-}
-
-void MatMulTransposeANaiveInto(Tensor* out, const Tensor& a, const Tensor& b) {
-  const int k = a.dim(0);
-  const int m = a.dim(1);
-  const int n = b.dim(1);
-  for (int p = 0; p < k; ++p) {
-    const float* a_row = a.data() + static_cast<size_t>(p) * m;
-    const float* b_row = b.data() + static_cast<size_t>(p) * n;
-    for (int i = 0; i < m; ++i) {
-      const float api = a_row[i];
-      if (api == 0.0f) {
-        continue;
-      }
-      float* c_row = out->data() + static_cast<size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        c_row[j] += api * b_row[j];
-      }
-    }
-  }
 }
 
 // One j-tile of one output row: R vector accumulators hold C[i][j .. j+8R) in
@@ -295,18 +232,14 @@ inline void GemmRow(float* c_row, const float* a, int64_t a_stride,
 
 }  // namespace
 
-void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b) {
+void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b, TensorArena* scratch) {
   VARUNA_CHECK(out != &a && out != &b);
+  VARUNA_CHECK(scratch != nullptr);
   CheckMatMulShapes(a, b);
   const int m = a.dim(0);
   const int k = a.dim(1);
   const int n = b.dim(1);
   out->ResizeTo({m, n});
-  if (g_gemm_kernel == GemmKernel::kNaive) {
-    out->Fill(0.0f);
-    MatMulNaiveInto(out, a, b);
-    return;
-  }
   if (static_cast<int64_t>(k) * n <= static_cast<int64_t>(kGemmKB) * kGemmNB) {
     // B no larger than one packed panel (32 KiB, L1-resident): register-tiled
     // sweep per output row, reading A's row i contiguously (stride 1).
@@ -320,11 +253,9 @@ void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b) {
   // against it. p0 blocks ascend, and p ascends within a block, so each
   // c[i][j] receives its k contributions in seed order.
   out->Fill(0.0f);
-  // Per-thread scratch, rewritten before every read: no value crosses calls.
-  // .data() is hoisted: inside the hot loops it costs a TLS-wrapper call each.
-  thread_local std::vector<float> packed;  // varuna-analyze: allow(global-state)
-  packed.resize(static_cast<size_t>(kGemmKB) * kGemmNB);
-  float* const pk = packed.data();
+  // Leased panel, rewritten before every read: no value crosses calls.
+  Tensor* const packed = scratch->Acquire({kGemmKB, kGemmNB});
+  float* const pk = packed->data();
   for (int j0 = 0; j0 < n; j0 += kGemmNB) {
     const int nb = std::min(kGemmNB, n - j0);
     for (int p0 = 0; p0 < k; p0 += kGemmKB) {
@@ -346,10 +277,13 @@ void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b) {
       }
     }
   }
+  scratch->Release(packed);
 }
 
-void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b) {
+void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b,
+                          TensorArena* scratch) {
   VARUNA_CHECK(out != &a && out != &b);
+  VARUNA_CHECK(scratch != nullptr);
   VARUNA_CHECK_EQ(a.shape().size(), 2u);
   VARUNA_CHECK_EQ(b.shape().size(), 2u);
   VARUNA_CHECK_EQ(a.dim(1), b.dim(1));
@@ -357,10 +291,6 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b) {
   const int k = a.dim(1);
   const int n = b.dim(0);
   out->ResizeTo({m, n});
-  if (g_gemm_kernel == GemmKernel::kNaive) {
-    MatMulTransposeBNaiveInto(out, a, b);
-    return;
-  }
   // Each c[i][j] is a sequential dot product over p (same order as the seed
   // kernel). Two transpose-packed layouts keep the SIMD lanes on independent
   // dots: few A rows → pack A and vectorize across rows; otherwise pack
@@ -372,11 +302,10 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b) {
     // (lanes past m zero-padded) — k*8 reads instead of n*k for the B-panel
     // pack — then one accumulator sweeps lane i over row i's dot with every
     // B row.
-    // Per-thread scratch, rewritten before every read: no value crosses calls.
-    // .data() is hoisted: inside the hot loops it costs a TLS-wrapper call each.
-    thread_local std::vector<float> apanel;  // varuna-analyze: allow(global-state)
-    apanel.assign(static_cast<size_t>(k) * kVecWidth, 0.0f);
-    float* const ap = apanel.data();
+    // Leased panel, rewritten before every read: no value crosses calls.
+    Tensor* const apanel = scratch->Acquire({k, kVecWidth});
+    apanel->Fill(0.0f);
+    float* const ap = apanel->data();
     for (int i = 0; i < m; ++i) {
       const float* a_row = a.data() + static_cast<size_t>(i) * k;
       for (int p = 0; p < k; ++p) {
@@ -396,13 +325,13 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b) {
         c[static_cast<size_t>(i) * n + j] = lanes[i];
       }
     }
+    scratch->Release(apanel);
     return;
   }
   const int n_full = n - n % kDotJB;
-  // Per-thread scratch, rewritten before every read: no value crosses calls.
-  thread_local std::vector<float> panel;  // varuna-analyze: allow(global-state)
-  panel.resize(static_cast<size_t>(k) * kDotJB);
-  float* const bp = panel.data();
+  // Leased panel, rewritten before every read: no value crosses calls.
+  Tensor* const panel = scratch->Acquire({k, kDotJB});
+  float* const bp = panel->data();
   for (int j0 = 0; j0 < n_full; j0 += kDotJB) {
     for (int jj = 0; jj < kDotJB; ++jj) {
       const float* b_row = b.data() + static_cast<size_t>(j0 + jj) * k;
@@ -419,6 +348,7 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b) {
       StoreU(out->data() + static_cast<size_t>(i) * n + j0, acc);
     }
   }
+  scratch->Release(panel);
   for (int i = 0; i < m; ++i) {
     const float* a_row = a.data() + static_cast<size_t>(i) * k;
     float* c_row = out->data() + static_cast<size_t>(i) * n;
@@ -442,11 +372,6 @@ void MatMulTransposeAInto(Tensor* out, const Tensor& a, const Tensor& b) {
   const int m = a.dim(1);
   const int n = b.dim(1);
   out->ResizeTo({m, n});
-  if (g_gemm_kernel == GemmKernel::kNaive) {
-    out->Fill(0.0f);
-    MatMulTransposeANaiveInto(out, a, b);
-    return;
-  }
   // Few accumulation terms (k = micro-batch rows in the training hot path):
   // the seed's own p-outer loop order with the j loop vectorized. A reads are
   // contiguous and the per-output-row sweep setup of GemmRow — which would be
@@ -482,13 +407,15 @@ void MatMulTransposeAInto(Tensor* out, const Tensor& a, const Tensor& b) {
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   Tensor c;
-  MatMulInto(&c, a, b);
+  TensorArena scratch;
+  MatMulInto(&c, a, b, &scratch);
   return c;
 }
 
 Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {
   Tensor c;
-  MatMulTransposeBInto(&c, a, b);
+  TensorArena scratch;
+  MatMulTransposeBInto(&c, a, b, &scratch);
   return c;
 }
 
@@ -500,22 +427,66 @@ Tensor MatMulTransposeA(const Tensor& a, const Tensor& b) {
 
 Tensor MatMulNaive(const Tensor& a, const Tensor& b) {
   CheckMatMulShapes(a, b);
-  Tensor c({a.dim(0), b.dim(1)});
-  MatMulNaiveInto(&c, a, b);
+  const int m = a.dim(0);
+  const int k = a.dim(1);
+  const int n = b.dim(1);
+  Tensor c({m, n});
+  for (int i = 0; i < m; ++i) {
+    for (int p = 0; p < k; ++p) {
+      const float aip = a.data()[static_cast<size_t>(i) * k + p];
+      if (aip == 0.0f) {
+        continue;
+      }
+      const float* b_row = b.data() + static_cast<size_t>(p) * n;
+      float* c_row = c.data() + static_cast<size_t>(i) * n;
+      for (int j = 0; j < n; ++j) {
+        c_row[j] += aip * b_row[j];
+      }
+    }
+  }
   return c;
 }
 
 Tensor MatMulTransposeBNaive(const Tensor& a, const Tensor& b) {
   VARUNA_CHECK_EQ(a.dim(1), b.dim(1));
-  Tensor c({a.dim(0), b.dim(0)});
-  MatMulTransposeBNaiveInto(&c, a, b);
+  const int m = a.dim(0);
+  const int k = a.dim(1);
+  const int n = b.dim(0);
+  Tensor c({m, n});
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      const float* a_row = a.data() + static_cast<size_t>(i) * k;
+      const float* b_row = b.data() + static_cast<size_t>(j) * k;
+      float sum = 0.0f;
+      for (int p = 0; p < k; ++p) {
+        sum += a_row[p] * b_row[p];
+      }
+      c.data()[static_cast<size_t>(i) * n + j] = sum;
+    }
+  }
   return c;
 }
 
 Tensor MatMulTransposeANaive(const Tensor& a, const Tensor& b) {
   VARUNA_CHECK_EQ(a.dim(0), b.dim(0));
-  Tensor c({a.dim(1), b.dim(1)});
-  MatMulTransposeANaiveInto(&c, a, b);
+  const int k = a.dim(0);
+  const int m = a.dim(1);
+  const int n = b.dim(1);
+  Tensor c({m, n});
+  for (int p = 0; p < k; ++p) {
+    const float* a_row = a.data() + static_cast<size_t>(p) * m;
+    const float* b_row = b.data() + static_cast<size_t>(p) * n;
+    for (int i = 0; i < m; ++i) {
+      const float api = a_row[i];
+      if (api == 0.0f) {
+        continue;
+      }
+      float* c_row = c.data() + static_cast<size_t>(i) * n;
+      for (int j = 0; j < n; ++j) {
+        c_row[j] += api * b_row[j];
+      }
+    }
+  }
   return c;
 }
 

@@ -3,13 +3,13 @@
 // broadcasting magic — enough to build and train partitioned MLP-block
 // models with exact, reproducible numerics.
 //
-// Two kernel tiers back the GEMM entry points:
-//   * the seed kernels (MatMul*Naive) — straightforward triple loops, kept as
-//     the golden reference and the perf baseline;
-//   * cache-blocked, B-packed kernels (the default) that tile the M/N
-//     dimensions while keeping every output element's k-accumulation order
-//     exactly the seed's (ascending p, float32 adds, zero-skip preserved), so
-//     blocked results are bit-identical to naive results.
+// GEMM: one cache-blocked, SIMD kernel per form (MatMul, TransposeB,
+// TransposeA). Each keeps every output element's k-accumulation order exactly
+// that of the plain triple loops (ascending p, float32 adds, zero-skip
+// preserved), so its results are bit-identical to MatMul*Naive — those loops,
+// kept as the reference the golden tests compare against. Packing panels are
+// scratch leased from a caller-owned TensorArena, so the kernels hold no state
+// between calls.
 // The *Into variants write into an explicit output tensor whose buffer is
 // reused whenever capacity allows — the zero-allocation training hot path.
 #ifndef SRC_TENSOR_TENSOR_H_
@@ -22,6 +22,8 @@
 #include "src/common/rng.h"
 
 namespace varuna {
+
+class TensorArena;
 
 class Tensor {
  public:
@@ -65,30 +67,24 @@ class Tensor {
   std::vector<float> data_;
 };
 
-// Kernel tier used by the MatMul* entry points. kBlocked is the default; the
-// switch exists so benchmarks and golden tests can drive the whole trainer
-// through the seed kernels. Not thread-safe: flip only from single-threaded
-// setup code, never while pool workers are running.
-enum class GemmKernel { kBlocked, kNaive };
-void SetGemmKernel(GemmKernel kernel);
-GemmKernel GetGemmKernel();
-
 // Explicit-output GEMM variants. `out` must not alias an operand; it is
 // resized (buffer reused when capacity allows) and fully overwritten.
+// `scratch` lends the packing panels for the duration of the call, so their
+// growth shows in its heap_allocations(); TransposeA packs nothing.
 // C = A([m,k]) * B([k,n]).
-void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b);
+void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b, TensorArena* scratch);
 // C = A([m,k]) * B^T([n,k]).
-void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b);
+void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b, TensorArena* scratch);
 // C = A^T([k,m]) * B([k,n]).
 void MatMulTransposeAInto(Tensor* out, const Tensor& a, const Tensor& b);
 
-// By-value wrappers over the *Into kernels.
+// By-value wrappers over the *Into kernels (panels from a call-local arena).
 Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposeB(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposeA(const Tensor& a, const Tensor& b);
 
-// The seed kernels, always naive regardless of SetGemmKernel — the golden
-// reference the blocked kernels are asserted bit-identical against.
+// The plain triple loops — the golden reference the blocked kernels are
+// asserted bit-identical against.
 Tensor MatMulNaive(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposeBNaive(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposeANaive(const Tensor& a, const Tensor& b);

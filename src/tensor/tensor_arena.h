@@ -1,10 +1,11 @@
 // Reusable tensor slots for the zero-allocation training hot path. A trainer
-// (or pool worker) owns one arena; layers acquire within-call scratch from it
-// and release before returning, and trainers park longer-lived buffers
-// (per-micro-batch gradient slots) in it across steps. Slots keep their heap
-// buffers when released, so once every shape in the step has been seen, the
-// arena stops touching the allocator — heap_allocations() is the counter the
-// zero-alloc tests assert stays flat after warmup.
+// (or pool worker) owns one arena; layers and the GEMM kernels' packing panels
+// acquire within-call scratch from it and release before returning, and
+// trainers park longer-lived buffers (per-micro-batch gradient slots) in it
+// across steps. Slots keep their heap buffers when released, so once every
+// shape in the step has been seen, the arena stops touching the allocator —
+// heap_allocations() is the counter the zero-alloc tests assert stays flat
+// after warmup.
 //
 // Not thread-safe by design: under the deterministic pool, each worker uses
 // its own arena (sharing one would serialize or race the workers).

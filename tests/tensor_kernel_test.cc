@@ -26,12 +26,20 @@ const std::vector<GemmShape>& TestShapes() {
       {1, 1, 1},    {1, 7, 1},    {1, 200, 1},  {200, 1, 1},  {1, 1, 200},
       {3, 64, 128}, {5, 65, 129}, {2, 63, 127}, {7, 1, 9},    {129, 3, 2},
       {17, 70, 140}, {33, 9, 8},  {4, 8, 16},   {130, 130, 3}, {8, 128, 256},
+      // Every GEMM of one Fig. 9 training step (widths 16, 24, 96; 8-row
+      // micro-batches): m = 8 covers the forward MatMul and the input-gradient
+      // TransposeB, k = 8 the weight-gradient TransposeA.
+      {8, 16, 16},  {8, 16, 24},  {8, 16, 96},  {8, 24, 16},  {8, 24, 24},
+      {8, 24, 96},  {8, 96, 16},  {8, 96, 24},  {8, 96, 96},  {16, 8, 16},
+      {16, 8, 24},  {16, 8, 96},  {24, 8, 16},  {24, 8, 24},  {24, 8, 96},
+      {96, 8, 16},  {96, 8, 24},  {96, 8, 96},
   };
   return shapes;
 }
 
 // Gaussian operand with exact zeros injected so the kernels' zero-skip branch
-// (`if (aip == 0.0f) continue`) is exercised on both tiers.
+// (`if (aip == 0.0f) continue`) is exercised in both the blocked and the naive
+// kernels.
 Tensor MakeOperand(std::vector<int> shape, Rng* rng) {
   Tensor t = Tensor::Randn(shape, rng, 1.0f);
   for (int64_t i = 0; i < t.size(); i += 3) {
@@ -40,23 +48,7 @@ Tensor MakeOperand(std::vector<int> shape, Rng* rng) {
   return t;
 }
 
-class BlockedKernelGuard {
- public:
-  BlockedKernelGuard() { SetGemmKernel(GemmKernel::kBlocked); }
-  ~BlockedKernelGuard() { SetGemmKernel(GemmKernel::kBlocked); }
-};
-
-TEST(GemmGoldenTest, KernelSwitchRoundTrip) {
-  BlockedKernelGuard guard;
-  EXPECT_EQ(GetGemmKernel(), GemmKernel::kBlocked);
-  SetGemmKernel(GemmKernel::kNaive);
-  EXPECT_EQ(GetGemmKernel(), GemmKernel::kNaive);
-  SetGemmKernel(GemmKernel::kBlocked);
-  EXPECT_EQ(GetGemmKernel(), GemmKernel::kBlocked);
-}
-
 TEST(GemmGoldenTest, MatMulBitIdenticalToNaive) {
-  BlockedKernelGuard guard;
   Rng rng(11);
   for (const GemmShape& s : TestShapes()) {
     const Tensor a = MakeOperand({s.m, s.k}, &rng);
@@ -70,7 +62,6 @@ TEST(GemmGoldenTest, MatMulBitIdenticalToNaive) {
 }
 
 TEST(GemmGoldenTest, MatMulTransposeBBitIdenticalToNaive) {
-  BlockedKernelGuard guard;
   Rng rng(12);
   for (const GemmShape& s : TestShapes()) {
     const Tensor a = MakeOperand({s.m, s.k}, &rng);
@@ -84,7 +75,6 @@ TEST(GemmGoldenTest, MatMulTransposeBBitIdenticalToNaive) {
 }
 
 TEST(GemmGoldenTest, MatMulTransposeABitIdenticalToNaive) {
-  BlockedKernelGuard guard;
   Rng rng(13);
   for (const GemmShape& s : TestShapes()) {
     const Tensor a = MakeOperand({s.k, s.m}, &rng);
@@ -97,32 +87,46 @@ TEST(GemmGoldenTest, MatMulTransposeABitIdenticalToNaive) {
   }
 }
 
-TEST(GemmGoldenTest, NaiveTierMatchesSeedThroughSwitch) {
-  // Flipping the global switch to kNaive must route MatMul through the seed
-  // loops — i.e. agree with MatMulNaive trivially and with blocked exactly.
-  BlockedKernelGuard guard;
-  Rng rng(14);
-  const Tensor a = MakeOperand({9, 65}, &rng);
-  const Tensor b = MakeOperand({65, 130}, &rng);
-  const Tensor blocked = MatMul(a, b);
-  SetGemmKernel(GemmKernel::kNaive);
-  const Tensor switched = MatMul(a, b);
-  EXPECT_TRUE(Identical(switched, MatMulNaive(a, b)));
-  EXPECT_TRUE(Identical(switched, blocked));
-}
-
 TEST(GemmGoldenTest, IntoVariantsReuseOversizedBuffers) {
   // *Into into a tensor with larger capacity must reuse the buffer and still
   // be bit-identical (stale contents must not leak through Fill/overwrite).
-  BlockedKernelGuard guard;
   Rng rng(15);
   const Tensor a = MakeOperand({5, 65}, &rng);
   const Tensor b = MakeOperand({65, 129}, &rng);
   Tensor out = Tensor::Randn({40, 200}, &rng, 1.0f);  // Bigger than [5,129].
   const int64_t capacity_before = out.capacity();
-  MatMulInto(&out, a, b);
+  TensorArena scratch;
+  MatMulInto(&out, a, b, &scratch);
   EXPECT_EQ(out.capacity(), capacity_before);
   EXPECT_TRUE(Identical(out, MatMulNaive(a, b)));
+}
+
+TEST(GemmGoldenTest, PackingPanelsAreLeasedFromScratch) {
+  // Both packing kernels lease their panel from the caller's arena and hand it
+  // back: the first call grows a slot (counted), repeats reuse it.
+  Rng rng(16);
+  const Tensor a = MakeOperand({8, 96}, &rng);        // TransposeB, m <= 8.
+  const Tensor b = MakeOperand({24, 96}, &rng);
+  const Tensor wide_a = MakeOperand({9, 96}, &rng);   // TransposeB, m > 8.
+  const Tensor big_b = MakeOperand({96, 130}, &rng);  // MatMul, packed B.
+  TensorArena scratch;
+  Tensor out;
+  MatMulTransposeBInto(&out, a, b, &scratch);
+  EXPECT_TRUE(Identical(out, MatMulTransposeBNaive(a, b)));
+  MatMulTransposeBInto(&out, wide_a, b, &scratch);
+  EXPECT_TRUE(Identical(out, MatMulTransposeBNaive(wide_a, b)));
+  MatMulInto(&out, a, big_b, &scratch);
+  EXPECT_TRUE(Identical(out, MatMulNaive(a, big_b)));
+  EXPECT_GT(scratch.heap_allocations(), 0);
+  EXPECT_EQ(scratch.live_count(), 0);
+  const int64_t warm = scratch.heap_allocations();
+  for (int i = 0; i < 3; ++i) {
+    MatMulTransposeBInto(&out, a, b, &scratch);
+    MatMulTransposeBInto(&out, wide_a, b, &scratch);
+    MatMulInto(&out, a, big_b, &scratch);
+  }
+  EXPECT_EQ(scratch.heap_allocations(), warm);
+  EXPECT_EQ(scratch.live_count(), 0);
 }
 
 TEST(TensorResizeTest, ResizeToKeepsCapacity) {

@@ -101,22 +101,27 @@ TEST(TrainParallelTest, PooledTrainStepMatchesSeedPathAcrossOptimizerSteps) {
 }
 
 TEST(TrainParallelTest, TrainStepZeroAllocSteadyState) {
+  // Every worker's arena also lends the GEMM packing panels, so the count
+  // covers worker-owned kernel scratch at each pool width.
   const Batch batch = MakeBatch(kBatch);
-  ReferenceTrainer trainer(FreshModel(), MathOptions{2});
-  SgdOptimizer optimizer(trainer.Parameters(), trainer.Gradients(), 0.05f, 0.9f);
-  // Warmup: first steps build replicas, grad slots, and arena buffers.
-  for (int step = 0; step < 2; ++step) {
-    optimizer.ZeroGradients();
-    trainer.TrainStep(batch, kMicrobatch);
-    optimizer.Step();
-  }
-  const int64_t warm = trainer.heap_allocations();
-  for (int step = 0; step < 5; ++step) {
-    optimizer.ZeroGradients();
-    trainer.TrainStep(batch, kMicrobatch);
-    optimizer.Step();
-    EXPECT_EQ(trainer.heap_allocations(), warm)
-        << "steady-state TrainStep allocated tensor buffers at step " << step;
+  for (const int threads : {2, 4}) {
+    ReferenceTrainer trainer(FreshModel(), MathOptions{threads});
+    SgdOptimizer optimizer(trainer.Parameters(), trainer.Gradients(), 0.05f, 0.9f);
+    // Warmup: first steps build replicas, grad slots, and arena buffers.
+    for (int step = 0; step < 2; ++step) {
+      optimizer.ZeroGradients();
+      trainer.TrainStep(batch, kMicrobatch);
+      optimizer.Step();
+    }
+    const int64_t warm = trainer.heap_allocations();
+    for (int step = 0; step < 5; ++step) {
+      optimizer.ZeroGradients();
+      trainer.TrainStep(batch, kMicrobatch);
+      optimizer.Step();
+      EXPECT_EQ(trainer.heap_allocations(), warm)
+          << "steady-state TrainStep allocated tensor buffers at step " << step
+          << " with " << threads << " threads";
+    }
   }
 }
 
