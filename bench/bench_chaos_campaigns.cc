@@ -252,8 +252,6 @@ void Run(int argc, char** argv) {
   int64_t with_progress = 0;
   int64_t replays_checked = 0;
   int64_t executor_events = 0;
-  int64_t ring_cache_hits = 0;
-  int64_t ring_cache_misses = 0;
   double downtime_s = 0.0;
   double restore_s = 0.0;
   int64_t live_handoffs = 0;
@@ -283,8 +281,6 @@ void Run(int argc, char** argv) {
       minibatches_rolled_back += report.stats.minibatches_rolled_back;
       with_progress += report.stats.minibatches_done > 0 ? 1 : 0;
       executor_events += static_cast<int64_t>(report.stats.executor_events);
-      ring_cache_hits += static_cast<int64_t>(report.stats.net_ring_cache_hits);
-      ring_cache_misses += static_cast<int64_t>(report.stats.net_ring_cache_misses);
       downtime_s += report.stats.stalled_s;
       restore_s += RestoreSeconds(report.stats);
       live_handoffs += report.stats.live_handoffs;
@@ -320,8 +316,6 @@ void Run(int argc, char** argv) {
   row("mini-batches committed", minibatches_done);
   row("mini-batches rolled back", minibatches_rolled_back);
   row("testbed sim events", executor_events);
-  row("ring-cost cache hits", ring_cache_hits);
-  row("ring-cost cache misses", ring_cache_misses);
   row("live handoffs", live_handoffs);
   row("delta checkpoints", delta_checkpoints);
   table.AddRow({"downtime (stalled) s", Table::Num(downtime_s, 1),
@@ -362,8 +356,6 @@ void Run(int argc, char** argv) {
     json.AddScalar("executor_events", static_cast<double>(executor_events));
     json.AddScalar("executor_events_per_sec",
                    static_cast<double>(executor_events) / (wall.mean_ms / 1e3));
-    json.AddScalar("ring_cache_hits", static_cast<double>(ring_cache_hits));
-    json.AddScalar("ring_cache_misses", static_cast<double>(ring_cache_misses));
     json.AddScalar("fast_recovery", fast_recovery ? 1.0 : 0.0);
     json.AddScalar("downtime_s", downtime_s);
     json.AddScalar("restore_seconds", restore_s);

@@ -18,8 +18,8 @@
 //     neither the draws nor a branch predictor that has learned the batches
 //     enter the figure (a loop over one repeated batch flatters a branchy
 //     select such as nth_element by about 2x).
-//   * chaos sweep — end-to-end campaigns; ms/campaign, testbed events/sec
-//     and ring-cost-cache hit rate come from the SessionStats counters.
+//   * chaos sweep — end-to-end campaigns; ms/campaign and testbed
+//     events/sec come from the SessionStats counters.
 #include <cstdio>
 #include <span>
 #include <string>
@@ -173,38 +173,26 @@ void Run(int argc, char** argv) {
 
   std::printf("=== Chaos campaign sweep (%d campaigns) ===\n\n", campaigns);
   int64_t executor_events = 0;
-  int64_t ring_hits = 0;
-  int64_t ring_misses = 0;
   int64_t minibatches = 0;
   const BenchStats sweep_wall = TimeIt(0, 1, [&] {
-    executor_events = ring_hits = ring_misses = minibatches = 0;
+    executor_events = minibatches = 0;
     for (int seed = 1; seed <= campaigns; ++seed) {
       const ChaosReport report = RunChaosCampaign(RandomChaosCampaign(static_cast<uint64_t>(seed)));
       executor_events += static_cast<int64_t>(report.stats.executor_events);
-      ring_hits += static_cast<int64_t>(report.stats.net_ring_cache_hits);
-      ring_misses += static_cast<int64_t>(report.stats.net_ring_cache_misses);
       minibatches += report.stats.minibatches_done;
     }
   });
   const double n = campaigns;
   const double sweep_eps = static_cast<double>(executor_events) / (sweep_wall.mean_ms / 1e3);
-  const double hit_rate = ring_hits + ring_misses > 0
-                              ? static_cast<double>(ring_hits) / (ring_hits + ring_misses)
-                              : 0.0;
   Table sweep_table({"metric", "total", "per campaign"});
   sweep_table.AddRow({"wall ms", Table::Num(sweep_wall.mean_ms, 1),
                       Table::Num(sweep_wall.mean_ms / n, 2)});
   sweep_table.AddRow({"testbed events", std::to_string(executor_events),
                       Table::Num(executor_events / n, 0)});
-  sweep_table.AddRow({"ring-cost cache hits", std::to_string(ring_hits),
-                      Table::Num(ring_hits / n, 0)});
-  sweep_table.AddRow({"ring-cost cache misses", std::to_string(ring_misses),
-                      Table::Num(ring_misses / n, 0)});
   sweep_table.AddRow({"mini-batches committed", std::to_string(minibatches),
                       Table::Num(minibatches / n, 1)});
   std::printf("%s\n", sweep_table.Render().c_str());
-  std::printf("testbed events/sec (sweep wall): %.2fM   ring-cache hit rate: %.1f%%\n",
-              sweep_eps / 1e6, 100.0 * hit_rate);
+  std::printf("testbed events/sec (sweep wall): %.2fM\n", sweep_eps / 1e6);
 
   const std::string json_path = JsonPathFromArgs(argc, argv);
   if (!json_path.empty()) {
@@ -221,9 +209,6 @@ void Run(int argc, char** argv) {
     json.AddScalar("campaign_ms", sweep_wall.mean_ms / n);
     json.AddScalar("executor_events", static_cast<double>(executor_events));
     json.AddScalar("executor_events_per_sec", sweep_eps);
-    json.AddScalar("ring_cache_hits", static_cast<double>(ring_hits));
-    json.AddScalar("ring_cache_misses", static_cast<double>(ring_misses));
-    json.AddScalar("ring_cache_hit_rate", hit_rate);
     json.AddResult("storm_current", storm_wall);
     json.AddResult("executor_noise_on", noisy_wall);
     json.AddResult("executor_noise_off", quiet_wall);

@@ -640,8 +640,6 @@ double ElasticTrainer::MeasuredMinibatchSeconds() {
   // Snapshot the simulation-core counters (bench JSON reads them off stats()).
   stats_.executor_events = executor_.events_processed();
   stats_.executor_scratch_growths = executor_.scratch_growths();
-  stats_.net_ring_cache_hits = cluster_->network().ring_cache_hits();
-  stats_.net_ring_cache_misses = cluster_->network().ring_cache_misses();
   return cached_minibatch_s_;
 }
 

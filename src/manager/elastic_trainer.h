@@ -183,15 +183,17 @@ struct SessionStats : ReplayRecord {
   uint64_t candidate_memo_hits = 0;
   uint64_t candidate_memo_misses = 0;
   uint64_t candidates_pruned = 0;  // Bound-pruned, unsimulated.
-  // Simulation-core perf counters (snapshots of the persistent executor and
-  // the cluster Network; reported by the benches).
+  // Simulation-core perf counters (snapshots of the persistent executor;
+  // reported by the benches).
   uint64_t executor_events = 0;           // DES events fired.
-  // Always 0: SimEngine callbacks are inline by type, so none can spill.
-  // Kept only because e2ebench reports it; retires with the
-  // pipeline.executor.heap_fallbacks metric in the next benchmark change.
-  uint64_t executor_heap_fallbacks = 0;
   uint64_t executor_scratch_growths = 0;  // Arena growths.
-  uint64_t net_ring_cache_hits = 0;       // Ring-cost memo.
+  // Always 0: SimEngine callbacks are inline by type, so none can spill, and
+  // Network prices each ring with a direct walk, so no ring memo exists. Kept
+  // only because e2ebench reports them; they retire with the
+  // pipeline.executor.heap_fallbacks and net.ring.hit_ratio metrics in the
+  // next benchmark change.
+  uint64_t executor_heap_fallbacks = 0;
+  uint64_t net_ring_cache_hits = 0;
   uint64_t net_ring_cache_misses = 0;
   // --- Liveput policy counters (src/morph/liveput.h). ----------------------
   // Bytes moved by pre-migration checkpoints — derivable from

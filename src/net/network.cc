@@ -11,23 +11,6 @@ namespace varuna {
 // hide (the rest overlaps with other chunks' transfers).
 constexpr double kRingStallExposure = 0.35;
 
-size_t Network::ShapeKeyHash::HashParts(uint32_t size, int rings, int degenerate_class,
-                                        const uint64_t* profile, size_t profile_size) {
-  // FNV-1a over the scalar fields then the sorted hop-class profile.
-  uint64_t hash = 1469598103934665603ull;
-  const auto mix = [&hash](uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  mix(static_cast<uint64_t>(size));
-  mix(static_cast<uint64_t>(static_cast<uint32_t>(rings)));
-  mix(static_cast<uint64_t>(static_cast<uint32_t>(degenerate_class)));
-  for (size_t i = 0; i < profile_size; ++i) {
-    mix(profile[i]);
-  }
-  return static_cast<size_t>(hash);
-}
-
 double Network::FlowBandwidth(GpuId src, GpuId dst, int concurrent_flows) const {
   VARUNA_CHECK_GE(concurrent_flows, 1);
   if (src == dst) {
@@ -108,71 +91,60 @@ void Network::SampleTransferTimes(GpuId src, GpuId dst, double bytes, int concur
   }
 }
 
-int Network::InternHopClass(int class_lo, int class_hi, bool crosses_node) const {
-  for (size_t i = 0; i < hop_classes_.size(); ++i) {
-    const HopClass& hop = hop_classes_[i];
-    if (hop.class_lo == class_lo && hop.class_hi == class_hi &&
-        hop.crosses_node == crosses_node) {
-      return static_cast<int>(i);
-    }
-  }
-  hop_classes_.push_back(HopClass{class_lo, class_hi, crosses_node});
-  hop_counts_.push_back(0);
-  return static_cast<int>(hop_classes_.size()) - 1;
-}
-
-Network::RingCosts Network::ComputeShapeCosts(const ShapeKeyView& key, int num_members) const {
-  RingCosts costs;
-  if (key.profile_size == 0) {
-    // Degenerate ring (every member is the same GPU): no hop ever moves data;
-    // report the member's intra-node link.
-    const NodeSpec& node = topology_->LinkClassSpec(key.degenerate_class);
-    costs.hop.bandwidth = node.intra_bandwidth_bps;
-    costs.hop.latency_s = node.intra_latency_s;
-    costs.mean_step_latency_s = costs.hop.latency_s;
-    return costs;
-  }
-  // Slowest hop over the hop-class set. The tie-break is *value-canonical* —
-  // lowest bandwidth, then highest latency, then crosses_node — so the result
-  // depends only on the shape key, never on member walk order (a walk-order
-  // first-min would make shape keying unsound under rotation/reversal).
+Network::RingStep Network::SlowestHop(const std::vector<GpuId>& members,
+                                      int concurrent_rings) const {
+  VARUNA_CHECK_GE(concurrent_rings, 1);
+  RingStep slowest;
   bool seeded = false;
-  for (size_t i = 0; i < key.profile_size; ++i) {
-    const HopClass& hop = hop_classes_[static_cast<size_t>(key.profile[i] >> 32)];
-    RingStep step;
-    step.crosses_node = hop.crosses_node;
-    if (hop.crosses_node) {
-      const NodeSpec& lo = topology_->LinkClassSpec(hop.class_lo);
-      const NodeSpec& hi = topology_->LinkClassSpec(hop.class_hi);
-      const double nic = lo.nic_bandwidth_bps < hi.nic_bandwidth_bps ? lo.nic_bandwidth_bps
-                                                                     : hi.nic_bandwidth_bps;
-      // Both NICs split across the concurrent rings; the fabric caps each flow.
-      step.bandwidth = std::min(nic / key.concurrent_rings,
-                                topology_->fabric().per_flow_bandwidth_bps);
-      step.latency_s = topology_->fabric_mean_latency_s();
-    } else {
-      const NodeSpec& node = topology_->LinkClassSpec(hop.class_lo);
-      step.bandwidth = node.intra_bandwidth_bps;
-      step.latency_s = node.intra_latency_s;
+  for (size_t i = 0; i < members.size(); ++i) {
+    const GpuId a = members[i];
+    const GpuId b = members[(i + 1) % members.size()];
+    if (a == b) {
+      continue;
     }
+    const LinkClass link =
+        topology_->PairClass(topology_->NodeOfFast(a), topology_->NodeOfFast(b));
+    RingStep step;
+    step.crosses_node = link.crosses_node;
+    step.latency_s = link.latency_s;
+    // Both NICs split across the concurrent rings; the fabric caps each flow.
+    step.bandwidth = link.crosses_node ? std::min(link.bandwidth_bps / concurrent_rings,
+                                                  topology_->fabric().per_flow_bandwidth_bps)
+                                       : link.bandwidth_bps;
     const bool slower =
-        !seeded || step.bandwidth < costs.hop.bandwidth ||
-        (step.bandwidth == costs.hop.bandwidth &&
-         (step.latency_s > costs.hop.latency_s ||
-          (step.latency_s == costs.hop.latency_s && step.crosses_node &&
-           !costs.hop.crosses_node)));
+        !seeded || step.bandwidth < slowest.bandwidth ||
+        (step.bandwidth == slowest.bandwidth &&
+         (step.latency_s > slowest.latency_s ||
+          (step.latency_s == slowest.latency_s && step.crosses_node &&
+           !slowest.crosses_node)));
     if (slower) {
       seeded = true;
-      costs.hop = step;
+      slowest = step;
     }
   }
+  if (!seeded) {
+    // Every member is the same GPU: no hop ever moves data.
+    const NodeSpec& node = topology_->Node(topology_->NodeOf(members[0]));
+    slowest.bandwidth = node.intra_bandwidth_bps;
+    slowest.latency_s = node.intra_latency_s;
+  }
+  return slowest;
+}
+
+double Network::MeanAllReduceTime(const std::vector<GpuId>& members, double bytes,
+                                  int concurrent_rings) const {
+  VARUNA_CHECK(!members.empty());
+  if (members.size() == 1 || bytes <= 0.0) {
+    return 0.0;
+  }
+  const double d = static_cast<double>(members.size());
+  const RingStep hop = SlowestHop(members, concurrent_rings);
   // Each synchronous ring step completes when the *slowest* of the D
   // concurrent hop messages lands, so latency jitter and tail stalls amplify
   // with ring size — the reason large data-parallel widths are expensive on
   // commodity networks (Observation 2).
-  costs.mean_step_latency_s = costs.hop.latency_s;
-  if (costs.hop.crosses_node) {
-    const double d = static_cast<double>(num_members);
+  double step_latency = hop.latency_s;
+  if (hop.crosses_node) {
     const FabricSpec& fabric = topology_->fabric();
     // E[max of D log-normal latencies] ~ median * exp(sigma * sqrt(2 ln D)).
     double latency = fabric.base_latency_s;
@@ -187,82 +159,10 @@ Network::RingCosts Network::ComputeShapeCosts(const ShapeKeyView& key, int num_m
       stall = kRingStallExposure *
               (1.0 - std::pow(1.0 - fabric.stall_probability, d)) * fabric.stall_mean_s;
     }
-    costs.mean_step_latency_s = latency + stall;
+    step_latency = latency + stall;
   }
-  return costs;
-}
-
-const Network::RingCosts& Network::RingCostsFor(const std::vector<GpuId>& members,
-                                                int concurrent_rings) const {
-  VARUNA_CHECK_GE(concurrent_rings, 1);
-  // Walk the ring once to build the canonical shape profile: count real hops
-  // per hop class (same-GPU hops move no data and are skipped), then emit the
-  // sorted (class_id << 32 | count) multiset into the reused scratch.
-  touched_classes_.clear();
-  for (size_t i = 0; i < members.size(); ++i) {
-    const GpuId a = members[i];
-    const GpuId b = members[(i + 1) % members.size()];
-    if (a == b) {
-      continue;
-    }
-    const NodeId node_a = topology_->NodeOfFast(a);
-    const NodeId node_b = topology_->NodeOfFast(b);
-    const int class_a = topology_->LinkClassOfFast(node_a);
-    int hop_id;
-    if (node_a == node_b) {
-      hop_id = InternHopClass(class_a, class_a, false);
-    } else {
-      const int class_b = topology_->LinkClassOfFast(node_b);
-      hop_id = InternHopClass(class_a < class_b ? class_a : class_b,
-                              class_a < class_b ? class_b : class_a, true);
-    }
-    if (hop_counts_[static_cast<size_t>(hop_id)]++ == 0) {
-      touched_classes_.push_back(hop_id);
-    }
-  }
-  ShapeKeyView view;
-  view.size = static_cast<uint32_t>(members.size());
-  view.concurrent_rings = concurrent_rings;
-  profile_scratch_.clear();
-  if (touched_classes_.empty()) {
-    view.degenerate_class = topology_->LinkClassOfFast(topology_->NodeOfFast(members[0]));
-  } else {
-    for (const int hop_id : touched_classes_) {
-      profile_scratch_.push_back((static_cast<uint64_t>(static_cast<uint32_t>(hop_id)) << 32) |
-                                 hop_counts_[static_cast<size_t>(hop_id)]);
-      hop_counts_[static_cast<size_t>(hop_id)] = 0;
-    }
-    std::sort(profile_scratch_.begin(), profile_scratch_.end());
-  }
-  view.profile = profile_scratch_.data();
-  view.profile_size = profile_scratch_.size();
-
-  auto it = ring_cache_.find(view);
-  if (it != ring_cache_.end()) {
-    ++ring_cache_hits_;
-    return it->second;
-  }
-  ++ring_cache_misses_;
-  const RingCosts costs = ComputeShapeCosts(view, static_cast<int>(members.size()));
-  ShapeKey key;
-  key.size = view.size;
-  key.concurrent_rings = view.concurrent_rings;
-  key.degenerate_class = view.degenerate_class;
-  key.profile.assign(view.profile, view.profile + view.profile_size);
-  auto inserted = ring_cache_.emplace(std::move(key), costs);
-  return inserted.first->second;
-}
-
-double Network::MeanAllReduceTime(const std::vector<GpuId>& members, double bytes,
-                                  int concurrent_rings) const {
-  VARUNA_CHECK(!members.empty());
-  if (members.size() == 1 || bytes <= 0.0) {
-    return 0.0;
-  }
-  const double d = static_cast<double>(members.size());
-  const RingCosts& costs = RingCostsFor(members, concurrent_rings);
   const double steps = 2.0 * (d - 1.0);
-  return steps * (bytes / d / costs.hop.bandwidth + costs.mean_step_latency_s);
+  return steps * (bytes / d / hop.bandwidth + step_latency);
 }
 
 double Network::SampleAllReduceTime(const std::vector<GpuId>& members, double bytes,
@@ -272,11 +172,11 @@ double Network::SampleAllReduceTime(const std::vector<GpuId>& members, double by
     return 0.0;
   }
   const double d = static_cast<double>(members.size());
-  const RingCosts& costs = RingCostsFor(members, concurrent_rings);
+  const RingStep hop = SlowestHop(members, concurrent_rings);
   const int steps = static_cast<int>(2.0 * (d - 1.0));
-  const double bytes_term = bytes / d / costs.hop.bandwidth;
-  if (!costs.hop.crosses_node) {
-    return steps * (bytes_term + costs.hop.latency_s);
+  const double bytes_term = bytes / d / hop.bandwidth;
+  if (!hop.crosses_node) {
+    return steps * (bytes_term + hop.latency_s);
   }
   const FabricSpec& fabric = topology_->fabric();
   // Draw each step's slowest hop explicitly: O(D^2) draws, fine for the ring

@@ -5,10 +5,11 @@
 // setup), which we capture as a fabric bandwidth cap and added latency/jitter.
 //
 // Hot-path contract: the testbed executor resolves link parameters once per
-// simulated message, so the per-node-pair class parameters (same-node intra
-// link vs cross-node NIC+fabric) are precomputed — node specs are flat and
-// immutable once added, the fabric's expected latency is folded at
-// construction, and LinkClass() classifies a pair with two unchecked loads.
+// simulated message and once per ring hop, so a node pair's link parameters
+// (same-node intra link vs cross-node NIC+fabric) come from flat storage —
+// node specs are immutable once added, the fabric's expected latency is
+// folded at construction, and PairClass() resolves a pair with two unchecked
+// loads.
 // AddNode() is append-only (GpuIds stay stable across morphs and sessions add
 // nodes continuously), so everything derived from existing nodes stays valid
 // forever; nothing here is ever invalidated.
@@ -95,41 +96,10 @@ class Topology {
 
   const FabricSpec& fabric() const { return fabric_; }
 
-  // E[latency] of one cross-node message: base + stall_probability * mean
-  // stall, folded once at construction.
-  double fabric_mean_latency_s() const { return fabric_mean_latency_s_; }
-
-  // --- Link classes ---------------------------------------------------------
-  // Nodes are binned into *link classes*: nodes whose link-relevant parameters
-  // (intra bandwidth/latency, NIC bandwidth) are bit-identical share a class.
-  // Every pairwise link cost in this model is a function of the two endpoint
-  // classes alone, so the classes are the vocabulary for canonical ring
-  // *shape* keys (Network's ring-cost memo). Classes are assigned densely in
-  // AddNode order and, like everything else here, never invalidate.
-  int num_link_classes() const { return static_cast<int>(link_class_specs_.size()); }
-
-  int LinkClassOf(NodeId node) const {
-    VARUNA_CHECK_GE(node, 0);
-    VARUNA_CHECK_LT(node, num_nodes());
-    return node_link_class_[static_cast<size_t>(node)];
-  }
-
-  // Representative spec of a link class (all members agree on the link fields).
-  const NodeSpec& LinkClassSpec(int link_class) const {
-    VARUNA_CHECK_GE(link_class, 0);
-    VARUNA_CHECK_LT(link_class, num_link_classes());
-    return nodes_[static_cast<size_t>(link_class_specs_[static_cast<size_t>(link_class)])];
-  }
-
   // --- Hot-path accessors (per-message cost resolution) ---------------------
   // Unchecked GpuId -> NodeId map; callers pass ids they obtained from the
   // topology itself (placements only hold valid ids).
   NodeId NodeOfFast(GpuId gpu) const { return gpu_to_node_[static_cast<size_t>(gpu)]; }
-
-  // Unchecked NodeId -> link class map (hot path of the ring-shape walk).
-  int LinkClassOfFast(NodeId node) const {
-    return node_link_class_[static_cast<size_t>(node)];
-  }
 
   // Class parameters of the (NodeOf(src), NodeOf(dst)) pair: two unchecked
   // loads and a branch, no bounds re-validation.
@@ -147,12 +117,11 @@ class Topology {
 
  private:
   FabricSpec fabric_;
+  // E[latency] of one cross-node message: base + stall_probability * mean
+  // stall, folded once at construction.
   double fabric_mean_latency_s_ = 0.0;
   std::vector<NodeSpec> nodes_;
   std::vector<NodeId> gpu_to_node_;
-  // Dense link-class ids: node -> class, and class -> representative node.
-  std::vector<int> node_link_class_;
-  std::vector<NodeId> link_class_specs_;
 };
 
 }  // namespace varuna

@@ -1,5 +1,6 @@
 #include "src/nn/layers.h"
 
+#include <array>
 #include <cmath>
 
 #include "src/common/check.h"
@@ -135,9 +136,9 @@ LayerNorm::LayerNorm(const LayerNorm& other)
 void LayerNorm::ForwardInto(const Tensor& input, Tensor* out, TensorArena*) {
   const int rows = input.dim(0);
   const int n = input.dim(1);
-  normalized_.ResizeTo({rows, n});
-  inv_std_.ResizeTo({rows});
-  out->ResizeTo({rows, n});
+  normalized_.ResizeTo(std::array{rows, n});
+  inv_std_.ResizeTo(std::array{rows});
+  out->ResizeTo(std::array{rows, n});
   has_state_ = true;
   constexpr float kEpsilon = 1e-5f;
   for (int i = 0; i < rows; ++i) {
@@ -168,7 +169,7 @@ void LayerNorm::BackwardInto(const Tensor& grad_output, Tensor* grad_input, Tens
   const int rows = grad_output.dim(0);
   const int n = grad_output.dim(1);
   VARUNA_CHECK_EQ(rows, normalized_.dim(0));
-  grad_input->ResizeTo({rows, n});
+  grad_input->ResizeTo(std::array{rows, n});
   Tensor* gain_delta = arena->Acquire(gain_grad_.shape());
   Tensor* bias_delta = arena->Acquire(bias_grad_.shape());
   gain_delta->Fill(0.0f);

@@ -1,6 +1,7 @@
 #include "src/tensor/tensor.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "src/common/check.h"
@@ -9,7 +10,7 @@
 namespace varuna {
 namespace {
 
-int64_t NumElements(const std::vector<int>& shape) {
+int64_t NumElements(std::span<const int> shape) {
   int64_t n = 1;
   for (const int d : shape) {
     VARUNA_CHECK_GT(d, 0);
@@ -87,10 +88,12 @@ Tensor Tensor::Randn(std::vector<int> shape, Rng* rng, float stddev) {
   return t;
 }
 
-void Tensor::ResizeTo(const std::vector<int>& shape) {
+void Tensor::ResizeTo(std::span<const int> shape) {
   const size_t n = static_cast<size_t>(NumElements(shape));
-  if (shape_ != shape) {
-    shape_ = shape;
+  if (!std::ranges::equal(shape_, shape)) {
+    // assign() keeps shape_'s capacity, so alternating ranks stop allocating
+    // once the largest rank has been seen.
+    shape_.assign(shape.begin(), shape.end());
   }
   // vector::resize never shrinks capacity, so steady-state reshaping between
   // the same set of shapes touches the heap zero times.
@@ -239,7 +242,7 @@ void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b, TensorArena* scra
   const int m = a.dim(0);
   const int k = a.dim(1);
   const int n = b.dim(1);
-  out->ResizeTo({m, n});
+  out->ResizeTo(std::array{m, n});
   if (static_cast<int64_t>(k) * n <= static_cast<int64_t>(kGemmKB) * kGemmNB) {
     // B no larger than one packed panel (32 KiB, L1-resident): register-tiled
     // sweep per output row, reading A's row i contiguously (stride 1).
@@ -254,7 +257,7 @@ void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b, TensorArena* scra
   // c[i][j] receives its k contributions in seed order.
   out->Fill(0.0f);
   // Leased panel, rewritten before every read: no value crosses calls.
-  Tensor* const packed = scratch->Acquire({kGemmKB, kGemmNB});
+  Tensor* const packed = scratch->Acquire(std::array{kGemmKB, kGemmNB});
   float* const pk = packed->data();
   for (int j0 = 0; j0 < n; j0 += kGemmNB) {
     const int nb = std::min(kGemmNB, n - j0);
@@ -290,7 +293,7 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b,
   const int m = a.dim(0);
   const int k = a.dim(1);
   const int n = b.dim(0);
-  out->ResizeTo({m, n});
+  out->ResizeTo(std::array{m, n});
   // Each c[i][j] is a sequential dot product over p (same order as the seed
   // kernel). Two transpose-packed layouts keep the SIMD lanes on independent
   // dots: few A rows → pack A and vectorize across rows; otherwise pack
@@ -303,7 +306,7 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b,
     // pack — then one accumulator sweeps lane i over row i's dot with every
     // B row.
     // Leased panel, rewritten before every read: no value crosses calls.
-    Tensor* const apanel = scratch->Acquire({k, kVecWidth});
+    Tensor* const apanel = scratch->Acquire(std::array{k, kVecWidth});
     apanel->Fill(0.0f);
     float* const ap = apanel->data();
     for (int i = 0; i < m; ++i) {
@@ -330,7 +333,7 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b,
   }
   const int n_full = n - n % kDotJB;
   // Leased panel, rewritten before every read: no value crosses calls.
-  Tensor* const panel = scratch->Acquire({k, kDotJB});
+  Tensor* const panel = scratch->Acquire(std::array{k, kDotJB});
   float* const bp = panel->data();
   for (int j0 = 0; j0 < n_full; j0 += kDotJB) {
     for (int jj = 0; jj < kDotJB; ++jj) {
@@ -371,7 +374,7 @@ void MatMulTransposeAInto(Tensor* out, const Tensor& a, const Tensor& b) {
   const int k = a.dim(0);
   const int m = a.dim(1);
   const int n = b.dim(1);
-  out->ResizeTo({m, n});
+  out->ResizeTo(std::array{m, n});
   // Few accumulation terms (k = micro-batch rows in the training hot path):
   // the seed's own p-outer loop order with the j loop vectorized. A reads are
   // contiguous and the per-output-row sweep setup of GemmRow — which would be
@@ -547,7 +550,7 @@ void RowSoftmaxInto(Tensor* out, const Tensor& logits) {
   VARUNA_CHECK_EQ(logits.shape().size(), 2u);
   const int m = logits.dim(0);
   const int n = logits.dim(1);
-  out->ResizeTo({m, n});
+  out->ResizeTo(std::array{m, n});
   for (int i = 0; i < m; ++i) {
     const float* row = logits.data() + static_cast<size_t>(i) * n;
     float* out_row = out->data() + static_cast<size_t>(i) * n;
@@ -570,7 +573,7 @@ void CopyRowsInto(Tensor* out, const Tensor& src, int row_begin, int rows) {
   VARUNA_CHECK_EQ(src.shape().size(), 2u);
   VARUNA_CHECK(row_begin >= 0 && rows > 0 && row_begin + rows <= src.dim(0));
   const int n = src.dim(1);
-  out->ResizeTo({rows, n});
+  out->ResizeTo(std::array{rows, n});
   const float* from = src.data() + static_cast<size_t>(row_begin) * n;
   std::copy(from, from + static_cast<size_t>(rows) * n, out->data());
 }

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -41,9 +42,11 @@ class Tensor {
   // Heap capacity of the element buffer (for arena best-fit bookkeeping).
   int64_t capacity() const { return static_cast<int64_t>(data_.capacity()); }
 
-  // Reshapes in place, reusing the existing heap buffer whenever its capacity
-  // allows. Element contents are unspecified afterwards (callers overwrite).
-  void ResizeTo(const std::vector<int>& shape);
+  // Reshapes in place, reusing the existing heap buffers whenever their
+  // capacity allows. Element contents are unspecified afterwards (callers
+  // overwrite). A span, so call sites pass stack arrays (std::array{m, n})
+  // and steady-state reshaping never builds a temporary vector.
+  void ResizeTo(std::span<const int> shape);
 
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }

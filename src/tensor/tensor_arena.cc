@@ -5,7 +5,7 @@
 namespace varuna {
 namespace {
 
-int64_t NumElements(const std::vector<int>& shape) {
+int64_t NumElements(std::span<const int> shape) {
   int64_t n = 1;
   for (const int d : shape) {
     VARUNA_CHECK_GT(d, 0);
@@ -16,7 +16,7 @@ int64_t NumElements(const std::vector<int>& shape) {
 
 }  // namespace
 
-Tensor* TensorArena::Acquire(const std::vector<int>& shape) {
+Tensor* TensorArena::Acquire(std::span<const int> shape) {
   const int64_t needed = NumElements(shape);
   // Best fit: the free slot with the smallest capacity that still holds the
   // request, so big buffers stay available for big requests.

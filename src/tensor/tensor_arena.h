@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/tensor/tensor.h"
@@ -34,7 +35,7 @@ class TensorArena {
   // by the arena and leased to the caller until Release. Reuses the free slot
   // with the smallest sufficient capacity; only when no free slot fits does it
   // grow one (or create one), bumping heap_allocations().
-  Tensor* Acquire(const std::vector<int>& shape);
+  Tensor* Acquire(std::span<const int> shape);
   // Returns a leased tensor to the free pool. The buffer is kept.
   void Release(Tensor* tensor);
   // Marks every slot free (buffers kept). For error-path cleanup.

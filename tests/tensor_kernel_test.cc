@@ -3,6 +3,7 @@
 // tests for the TensorArena zero-allocation contract.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -132,17 +133,17 @@ TEST(GemmGoldenTest, PackingPanelsAreLeasedFromScratch) {
 TEST(TensorResizeTest, ResizeToKeepsCapacity) {
   Tensor t({10, 10});
   const int64_t capacity = t.capacity();
-  t.ResizeTo({2, 3});
+  t.ResizeTo(std::array{2, 3});
   EXPECT_EQ(t.dim(0), 2);
   EXPECT_EQ(t.size(), 6);
   EXPECT_EQ(t.capacity(), capacity);
-  t.ResizeTo({10, 10});
+  t.ResizeTo(std::array{10, 10});
   EXPECT_EQ(t.capacity(), capacity);
 }
 
 TEST(TensorArenaTest, AcquireReleaseReusesSlot) {
   TensorArena arena;
-  Tensor* t = arena.Acquire({4, 8});
+  Tensor* t = arena.Acquire(std::array{4, 8});
   EXPECT_EQ(t->dim(0), 4);
   EXPECT_EQ(t->dim(1), 8);
   EXPECT_EQ(arena.slot_count(), 1);
@@ -152,13 +153,13 @@ TEST(TensorArenaTest, AcquireReleaseReusesSlot) {
   arena.Release(t);
   EXPECT_EQ(arena.live_count(), 0);
   // Same shape again: same slot, no new allocation.
-  Tensor* again = arena.Acquire({4, 8});
+  Tensor* again = arena.Acquire(std::array{4, 8});
   EXPECT_EQ(again, t);
   EXPECT_EQ(arena.slot_count(), 1);
   EXPECT_EQ(arena.heap_allocations(), allocs);
   arena.Release(again);
   // Smaller shape fits the existing buffer: still no allocation.
-  Tensor* smaller = arena.Acquire({2, 2});
+  Tensor* smaller = arena.Acquire(std::array{2, 2});
   EXPECT_EQ(arena.slot_count(), 1);
   EXPECT_EQ(arena.heap_allocations(), allocs);
   arena.Release(smaller);
@@ -166,13 +167,13 @@ TEST(TensorArenaTest, AcquireReleaseReusesSlot) {
 
 TEST(TensorArenaTest, BestFitPrefersSmallestSufficientSlot) {
   TensorArena arena;
-  Tensor* big = arena.Acquire({32, 32});
-  Tensor* small = arena.Acquire({4, 4});
+  Tensor* big = arena.Acquire(std::array{32, 32});
+  Tensor* small = arena.Acquire(std::array{4, 4});
   arena.Release(big);
   arena.Release(small);
   const int64_t allocs = arena.heap_allocations();
   // A [3,3] request fits both free slots; best-fit must lease the small one.
-  Tensor* leased = arena.Acquire({3, 3});
+  Tensor* leased = arena.Acquire(std::array{3, 3});
   EXPECT_EQ(leased, small);
   EXPECT_EQ(arena.heap_allocations(), allocs);
   arena.ReleaseAll();
@@ -181,8 +182,8 @@ TEST(TensorArenaTest, BestFitPrefersSmallestSufficientSlot) {
 
 TEST(TensorArenaTest, DistinctLiveLeases) {
   TensorArena arena;
-  Tensor* a = arena.Acquire({2, 2});
-  Tensor* b = arena.Acquire({2, 2});
+  Tensor* a = arena.Acquire(std::array{2, 2});
+  Tensor* b = arena.Acquire(std::array{2, 2});
   EXPECT_NE(a, b);
   EXPECT_EQ(arena.live_count(), 2);
   EXPECT_EQ(arena.slot_count(), 2);
@@ -192,12 +193,12 @@ TEST(TensorArenaTest, DistinctLiveLeases) {
 
 TEST(TensorArenaTest, GrowthCountsAsAllocation) {
   TensorArena arena;
-  Tensor* t = arena.Acquire({2, 2});
+  Tensor* t = arena.Acquire(std::array{2, 2});
   arena.Release(t);
   const int64_t allocs = arena.heap_allocations();
   // Nothing free fits [64,64]: the arena must grow (or add) a slot and count
   // the heap allocation.
-  Tensor* grown = arena.Acquire({64, 64});
+  Tensor* grown = arena.Acquire(std::array{64, 64});
   EXPECT_GT(arena.heap_allocations(), allocs);
   EXPECT_EQ(grown->size(), 64 * 64);
   arena.Release(grown);

@@ -5,13 +5,38 @@
 // Runs under the `threaded` ctest label so TSan sees the pooled paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/nn/optimizer.h"
 #include "src/nn/synthetic_task.h"
 #include "src/train/trainers.h"
+
+// Counts every call of the replaceable global operator new in this binary,
+// from any thread, so the zero-allocation tests see allocations that bypass
+// TensorArena (temporary shape vectors, std::function captures, ...).
+// new[] and the nothrow forms forward to this one.
+std::atomic<int64_t> g_operator_new_calls{0};
+
+void* operator new(std::size_t size) {
+  g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// GCC pairs the free() with operator new's call site and misreports a
+// mismatch; malloc/free is the matching pair here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace varuna {
 namespace {
@@ -102,9 +127,10 @@ TEST(TrainParallelTest, PooledTrainStepMatchesSeedPathAcrossOptimizerSteps) {
 
 TEST(TrainParallelTest, TrainStepZeroAllocSteadyState) {
   // Every worker's arena also lends the GEMM packing panels, so the count
-  // covers worker-owned kernel scratch at each pool width.
+  // covers worker-owned kernel scratch at each pool width. The operator new
+  // count covers everything else the step might allocate.
   const Batch batch = MakeBatch(kBatch);
-  for (const int threads : {2, 4}) {
+  for (const int threads : {1, 2, 4}) {
     ReferenceTrainer trainer(FreshModel(), MathOptions{threads});
     SgdOptimizer optimizer(trainer.Parameters(), trainer.Gradients(), 0.05f, 0.9f);
     // Warmup: first steps build replicas, grad slots, and arena buffers.
@@ -115,12 +141,16 @@ TEST(TrainParallelTest, TrainStepZeroAllocSteadyState) {
     }
     const int64_t warm = trainer.heap_allocations();
     for (int step = 0; step < 5; ++step) {
+      const int64_t news_before = g_operator_new_calls.load();
       optimizer.ZeroGradients();
       trainer.TrainStep(batch, kMicrobatch);
       optimizer.Step();
+      const int64_t news = g_operator_new_calls.load() - news_before;
       EXPECT_EQ(trainer.heap_allocations(), warm)
           << "steady-state TrainStep allocated tensor buffers at step " << step
           << " with " << threads << " threads";
+      EXPECT_EQ(news, 0) << "steady-state TrainStep called operator new at step " << step
+                         << " with " << threads << " threads";
     }
   }
 }

@@ -393,14 +393,18 @@ constexpr std::array<std::string_view, 8> kPoolUserFiles = {
 };
 // The hot path beyond src/sim/ (the per-event DES) and src/morph/ (the
 // morph-decision sweep): the executor, the schedule cache, the checkpoint
-// store (its flush events and chain scans fire during every storm), and the
-// Rng and running statistics, whose per-draw code is inline.
-constexpr std::array<std::string_view, 10> kHotPathFiles = {
+// store (its flush events and chain scans fire during every storm), the
+// network cost model and topology (the executor prices every message and
+// every allreduce ring through them), and the Rng and running statistics,
+// whose per-draw code is inline.
+constexpr std::array<std::string_view, 14> kHotPathFiles = {
     "src/common/rng.h",              "src/common/rng.cc",
     "src/common/stats.h",            "src/common/stats.cc",
     "src/pipeline/executor.h",       "src/pipeline/executor.cc",
     "src/pipeline/schedule_cache.h", "src/pipeline/schedule_cache.cc",
-    "src/manager/checkpoint.h",      "src/manager/checkpoint.cc"};
+    "src/manager/checkpoint.h",      "src/manager/checkpoint.cc",
+    "src/net/network.h",             "src/net/network.cc",
+    "src/net/topology.h",            "src/net/topology.cc"};
 // Hot-path files that may still use a banned construct. Empty: every
 // hot-path file keeps its tables flat.
 constexpr std::array<std::string_view, 0> kHotPathAllowFiles = {};
