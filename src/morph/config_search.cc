@@ -136,22 +136,10 @@ std::vector<int> ConfigSearch::PickMicrobatchCandidates(double tolerance,
 
 bool ConfigSearch::StageMemoryFits(const Partition& partition, int m, int num_microbatches,
                                    const SearchConstraints& constraints) const {
-  const double block_full_act = BlockFullActivationBytes(*spec_);
-  const double blocks_per_section =
-      static_cast<double>(spec_->num_layers) / sections_->num_sections();
   for (int stage = 0; stage < partition.depth(); ++stage) {
-    const int begin = partition.stage_begin[static_cast<size_t>(stage)];
-    const int end = partition.stage_begin[static_cast<size_t>(stage) + 1];
-    MemoryModelInputs inputs;
-    inputs.stage_params = partition.stage_params[static_cast<size_t>(stage)];
-    inputs.input_activation_bytes_per_example =
-        stage == 0 ? 4.0 * spec_->seq_len : spec_->BoundaryActivationBytes();
-    inputs.full_activation_bytes_per_example = block_full_act * blocks_per_section * (end - begin);
-    inputs.microbatch_size = m;
-    inputs.num_microbatches = num_microbatches;
-    inputs.pipeline_depth = partition.depth();
-    inputs.stage_index = stage;
-    inputs.cpu_offload_optimizer = constraints.cpu_offload_optimizer;
+    const MemoryModelInputs inputs = StageMemoryInputs(*spec_, *sections_, partition, stage, m,
+                                                       num_microbatches,
+                                                       constraints.cpu_offload_optimizer);
     if (!Fits(EstimateStageMemory(ScheduleKind::kVaruna, inputs), constraints.budget)) {
       return false;
     }

@@ -11,6 +11,26 @@ constexpr double kUsableFraction = 0.92;
 
 }  // namespace
 
+MemoryModelInputs StageMemoryInputs(const TransformerSpec& spec, const ModelSections& sections,
+                                    const Partition& partition, int stage, int microbatch_size,
+                                    int num_microbatches, bool cpu_offload_optimizer) {
+  const int begin = partition.stage_begin[static_cast<size_t>(stage)];
+  const int end = partition.stage_begin[static_cast<size_t>(stage) + 1];
+  const double blocks_per_section = static_cast<double>(spec.num_layers) / sections.num_sections();
+  MemoryModelInputs inputs;
+  inputs.stage_params = partition.stage_params[static_cast<size_t>(stage)];
+  inputs.input_activation_bytes_per_example =
+      stage == 0 ? 4.0 * spec.seq_len : spec.BoundaryActivationBytes();
+  inputs.full_activation_bytes_per_example =
+      BlockFullActivationBytes(spec) * blocks_per_section * (end - begin);
+  inputs.microbatch_size = microbatch_size;
+  inputs.num_microbatches = num_microbatches;
+  inputs.pipeline_depth = partition.depth();
+  inputs.stage_index = stage;
+  inputs.cpu_offload_optimizer = cpu_offload_optimizer;
+  return inputs;
+}
+
 MemoryEstimate EstimateStageMemory(ScheduleKind kind, const MemoryModelInputs& inputs) {
   MemoryEstimate estimate;
   // fp16 param + fp16 grad + fp32 master + fp32 Adam m/v = 16 B/param; with
@@ -81,9 +101,6 @@ Result<int> MinFittingDepth(ScheduleKind kind, const TransformerSpec& spec,
                             const ModelSections& sections, int microbatch_size,
                             int num_microbatches, const MemoryBudget& budget,
                             bool cpu_offload_optimizer) {
-  const double block_full_act = BlockFullActivationBytes(spec);
-  const double blocks_per_section =
-      static_cast<double>(spec.num_layers) / sections.num_sections();
   for (int depth = 1; depth <= sections.num_sections(); ++depth) {
     Result<Partition> partition = PartitionModel(sections, depth);
     if (!partition.ok()) {
@@ -91,21 +108,11 @@ Result<int> MinFittingDepth(ScheduleKind kind, const TransformerSpec& spec,
     }
     bool fits = true;
     for (int stage = 0; stage < depth && fits; ++stage) {
-      const int begin = partition.value().stage_begin[static_cast<size_t>(stage)];
-      const int end = partition.value().stage_begin[static_cast<size_t>(stage) + 1];
-      MemoryModelInputs inputs;
-      inputs.stage_params = partition.value().stage_params[static_cast<size_t>(stage)];
-      // Stage 0's stashed input is the token-id batch, not a hidden state.
-      inputs.input_activation_bytes_per_example =
-          stage == 0 ? 4.0 * spec.seq_len : spec.BoundaryActivationBytes();
-      inputs.full_activation_bytes_per_example =
-          block_full_act * blocks_per_section * (end - begin);
-      inputs.microbatch_size = microbatch_size;
-      inputs.num_microbatches = num_microbatches;
-      inputs.pipeline_depth = depth;
-      inputs.stage_index = stage;
-      inputs.cpu_offload_optimizer = cpu_offload_optimizer;
-      fits = Fits(EstimateStageMemory(kind, inputs), budget);
+      fits = Fits(EstimateStageMemory(kind, StageMemoryInputs(spec, sections, partition.value(),
+                                                              stage, microbatch_size,
+                                                              num_microbatches,
+                                                              cpu_offload_optimizer)),
+                  budget);
     }
     if (fits) {
       return depth;

@@ -47,6 +47,14 @@ struct MemoryModelInputs {
   bool cpu_offload_optimizer = false;
 };
 
+// The memory-model inputs of `stage` of `partition`, a balanced grouping of
+// `spec`'s `sections`: stage 0 stashes the token-id batch, later stages a
+// boundary hidden state, and a stage's full activations scale with its
+// section count.
+MemoryModelInputs StageMemoryInputs(const TransformerSpec& spec, const ModelSections& sections,
+                                    const Partition& partition, int stage, int microbatch_size,
+                                    int num_microbatches, bool cpu_offload_optimizer);
+
 // Memory footprint of one stage under the given pipeline system.
 MemoryEstimate EstimateStageMemory(ScheduleKind kind, const MemoryModelInputs& inputs);
 

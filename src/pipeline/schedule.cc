@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
-#include <set>
 
 #include "src/common/check.h"
 #include "src/common/gantt.h"
@@ -35,279 +33,6 @@ double UnitDuration(PipeOpType type) {
   return 0.0;
 }
 
-// --- Varuna generation (§3.2) --------------------------------------------
-//
-// The rule-based tool is realised as a unit-time simulation with zero
-// communication latency. Rules:
-//  1. Recompute at stage k-1 becomes *allowed* the moment stage k starts the
-//     backward pass of that micro-batch (backward takes 2 units >= Tf, so a
-//     promptly started recompute finishes before the gradient arrives).
-//  2. Once a recompute finishes, the stage commits to that micro-batch's
-//     backward before doing anything else (a second activation set would
-//     double activation memory).
-//  3. Backward is preferred over forward whenever ready.
-// The last stage never recomputes: each forward is immediately followed by
-// its backward, so activations are still live (this is what lets Varuna pack
-// the LM head into the final stage).
-class VarunaGenerator {
- public:
-  VarunaGenerator(int depth, int num_microbatches)
-      : depth_(depth), num_microbatches_(num_microbatches), stages_(static_cast<size_t>(depth)) {
-    for (auto& stage : stages_) {
-      stage.act_arrived.assign(static_cast<size_t>(num_microbatches), false);
-      stage.grad_arrived.assign(static_cast<size_t>(num_microbatches), false);
-      stage.recompute_allowed.assign(static_cast<size_t>(num_microbatches), false);
-      stage.recompute_done.assign(static_cast<size_t>(num_microbatches), false);
-      stage.backward_done.assign(static_cast<size_t>(num_microbatches), false);
-    }
-    // Stage 0 owns the input data.
-    for (int m = 0; m < num_microbatches; ++m) {
-      stages_[0].act_arrived[static_cast<size_t>(m)] = true;
-    }
-    remaining_backwards_ = static_cast<int64_t>(depth) * num_microbatches;
-  }
-
-  Schedule Run() {
-    // Event loop over op completions: stages re-enter the ready worklist when
-    // a completion targets them or their running op finishes; between bursts,
-    // AdvanceTime jumps to the next interesting instant.
-    for (int s = 0; s < depth_; ++s) {
-      ready_.push_back(s);
-    }
-    while (!Done()) {
-      bool progress = false;
-      while (!ready_.empty()) {
-        const int s = ready_.back();
-        ready_.pop_back();
-        // A stage may start several ops back-to-back at the same instant only
-        // after time advances, so one attempt per wakeup suffices.
-        progress |= TryStart(s);
-      }
-      if (!progress || ready_.empty()) {
-        AdvanceTime();
-      }
-    }
-    Schedule schedule;
-    schedule.kind = ScheduleKind::kVaruna;
-    schedule.depth = depth_;
-    schedule.num_microbatches = num_microbatches_;
-    schedule.opportunistic = true;
-    schedule.ops.resize(static_cast<size_t>(depth_));
-    for (int s = 0; s < depth_; ++s) {
-      schedule.ops[static_cast<size_t>(s)] = stages_[static_cast<size_t>(s)].emitted;
-    }
-    return schedule;
-  }
-
- private:
-  struct StageState {
-    std::vector<bool> act_arrived;
-    std::vector<bool> grad_arrived;
-    std::vector<bool> recompute_allowed;
-    std::vector<bool> recompute_done;
-    std::vector<bool> backward_done;
-    int next_fwd = 0;
-    int pending_backward = -1;  // Rule 2: micro-batch whose B must run next.
-    bool owes_forward = false;  // Set after each backward: let one forward through.
-    double busy_until = 0.0;
-    // Micro-batches whose backward (gradient + recompute) is ready to run.
-    std::set<int> ready_backward;
-    // Micro-batches whose just-in-time recompute window has opened (rule 1).
-    std::set<int> allowed_recompute;
-    std::vector<PipeOp> emitted;
-  };
-
-  bool IsLast(int s) const { return s == depth_ - 1; }
-
-  bool Done() const { return remaining_backwards_ == 0; }
-
-  // Starts one op on stage s if it is free and something is runnable at now_.
-  bool TryStart(int s) {
-    StageState& stage = stages_[static_cast<size_t>(s)];
-    if (stage.busy_until > now_) {
-      return false;
-    }
-
-    // Rule 2: committed to a backward after its recompute.
-    if (stage.pending_backward >= 0) {
-      const int m = stage.pending_backward;
-      if (stage.grad_arrived[static_cast<size_t>(m)]) {
-        StartBackward(s, m);
-        return true;
-      }
-      return false;  // Block until the gradient shows up.
-    }
-
-    const bool forward_ready = stage.next_fwd < num_microbatches_ &&
-                               stage.act_arrived[static_cast<size_t>(stage.next_fwd)];
-
-    // Steady-state interleave: after a backward completes, one pending forward
-    // is let through before the next recompute+backward pair. Without this,
-    // transient gradient backlogs make rule 3 drain backwards in bursts,
-    // starving downstream stages of forwards and locking the pipeline into a
-    // lossy oscillation; with it, each stage settles into the bubble-free
-    // F-R-B cycle and forwards stay "interspersed throughout the schedule"
-    // (§3.2) — which is also what opportunistic scheduling feeds on.
-    if (forward_ready && stage.owes_forward) {
-      StartForward(s, stage.next_fwd);
-      return true;
-    }
-
-    // Rule 3: prefer a ready backward.
-    if (!stage.ready_backward.empty()) {
-      StartBackward(s, *stage.ready_backward.begin());
-      return true;
-    }
-
-    // Rule 1: just-in-time recompute (enabled by downstream backward start).
-    if (!IsLast(s) && !stage.allowed_recompute.empty()) {
-      StartRecompute(s, *stage.allowed_recompute.begin());
-      return true;
-    }
-
-    // Otherwise run the next forward if its activation arrived.
-    if (forward_ready) {
-      StartForward(s, stage.next_fwd);
-      return true;
-    }
-    return false;
-  }
-
-  void StartForward(int s, int m) {
-    StageState& stage = stages_[static_cast<size_t>(s)];
-    stage.owes_forward = false;
-    stage.emitted.push_back(PipeOp{PipeOpType::kForward, m});
-    stage.busy_until = now_ + kUnitForward;
-    stage.next_fwd = m + 1;
-    const double completion = stage.busy_until;
-    if (!IsLast(s)) {
-      // Activation handed to the next stage at completion (zero latency).
-      completions_.push(Completion{completion, s + 1, m, CompletionKind::kActivation});
-    } else {
-      // Last stage: loss gradient is local, and activations are still live, so
-      // the backward is immediately ready (no recompute).
-      completions_.push(Completion{completion, s, m, CompletionKind::kGradient});
-      stage.recompute_done[static_cast<size_t>(m)] = true;
-    }
-  }
-
-  void StartRecompute(int s, int m) {
-    StageState& stage = stages_[static_cast<size_t>(s)];
-    stage.allowed_recompute.erase(m);
-    stage.emitted.push_back(PipeOp{PipeOpType::kRecompute, m});
-    stage.busy_until = now_ + kUnitRecompute;
-    completions_.push(Completion{stage.busy_until, s, m, CompletionKind::kRecompute});
-  }
-
-  void StartBackward(int s, int m) {
-    StageState& stage = stages_[static_cast<size_t>(s)];
-    stage.ready_backward.erase(m);
-    stage.allowed_recompute.erase(m);
-    --remaining_backwards_;
-    stage.emitted.push_back(PipeOp{PipeOpType::kBackward, m});
-    stage.busy_until = now_ + kUnitBackward;
-    stage.pending_backward = -1;
-    stage.owes_forward = true;
-    stage.backward_done[static_cast<size_t>(m)] = true;  // Marked at start; completion event
-                                                          // delivers the downstream gradient.
-    if (s > 0) {
-      // Rule 1, just-in-time: the upstream recompute should *complete* right
-      // when this backward's gradient arrives, i.e. start one recompute-time
-      // before this backward ends — not earlier, so the slot before it stays
-      // free for a forward (this is what keeps the steady state bubble-free).
-      completions_.push(Completion{stage.busy_until - kUnitRecompute, s - 1, m,
-                                        CompletionKind::kRecomputeAllowed});
-      completions_.push(Completion{stage.busy_until, s - 1, m, CompletionKind::kGradient});
-    }
-  }
-
-  void AdvanceTime() {
-    // Jump to the earliest pending completion or op finish, apply every
-    // completion due at (or before) that instant, and wake the stages whose
-    // state changed.
-    double next = std::numeric_limits<double>::infinity();
-    for (const auto& stage : stages_) {
-      if (stage.busy_until > now_) {
-        next = std::min(next, stage.busy_until);
-      }
-    }
-    if (!completions_.empty()) {
-      next = std::min(next, completions_.top().when);
-    }
-    VARUNA_CHECK(next < std::numeric_limits<double>::infinity()) << "Varuna generator stuck";
-    now_ = next;
-    for (int s = 0; s < depth_; ++s) {
-      if (stages_[static_cast<size_t>(s)].busy_until == now_) {
-        Wake(s);
-      }
-    }
-    while (!completions_.empty() && completions_.top().when <= now_) {
-      const Completion completion = completions_.top();
-      completions_.pop();
-      ApplyCompletion(completion);
-      Wake(completion.stage);
-    }
-  }
-
-  void Wake(int s) {
-    if (std::find(ready_.begin(), ready_.end(), s) == ready_.end()) {
-      ready_.push_back(s);
-    }
-  }
-
-  enum class CompletionKind { kActivation, kGradient, kRecompute, kRecomputeAllowed };
-  struct Completion {
-    double when;
-    int stage;
-    int microbatch;
-    CompletionKind kind;
-
-    bool operator>(const Completion& other) const { return when > other.when; }
-  };
-
-  void ApplyCompletion(const Completion& completion) {
-    StageState& stage = stages_[static_cast<size_t>(completion.stage)];
-    switch (completion.kind) {
-      case CompletionKind::kActivation:
-        stage.act_arrived[static_cast<size_t>(completion.microbatch)] = true;
-        break;
-      case CompletionKind::kGradient: {
-        const size_t m = static_cast<size_t>(completion.microbatch);
-        stage.grad_arrived[m] = true;
-        const bool recompute_ok =
-            completion.stage == depth_ - 1 || stage.recompute_done[m];
-        if (recompute_ok && !stage.backward_done[m]) {
-          stage.ready_backward.insert(completion.microbatch);
-        }
-        break;
-      }
-      case CompletionKind::kRecompute:
-        stage.recompute_done[static_cast<size_t>(completion.microbatch)] = true;
-        stage.pending_backward = completion.microbatch;  // Rule 2.
-        if (stage.grad_arrived[static_cast<size_t>(completion.microbatch)] &&
-            !stage.backward_done[static_cast<size_t>(completion.microbatch)]) {
-          stage.ready_backward.insert(completion.microbatch);
-        }
-        break;
-      case CompletionKind::kRecomputeAllowed:
-        stage.recompute_allowed[static_cast<size_t>(completion.microbatch)] = true;
-        if (!stage.recompute_done[static_cast<size_t>(completion.microbatch)] &&
-            !stage.backward_done[static_cast<size_t>(completion.microbatch)]) {
-          stage.allowed_recompute.insert(completion.microbatch);
-        }
-        break;
-    }
-  }
-
-  int depth_;
-  int num_microbatches_;
-  std::vector<StageState> stages_;
-  std::priority_queue<Completion, std::vector<Completion>, std::greater<>> completions_;
-  std::vector<int> ready_;  // Stages to re-examine before advancing time.
-  int64_t remaining_backwards_ = 0;
-  double now_ = 0.0;
-};
-
 Schedule GenerateGpipe(int depth, int num_microbatches) {
   Schedule schedule;
   schedule.kind = ScheduleKind::kGpipe;
@@ -331,16 +56,28 @@ Schedule GenerateGpipe(int depth, int num_microbatches) {
   return schedule;
 }
 
-Schedule GenerateOneFOneB(int depth, int num_microbatches) {
+// 1F1B and Varuna (§3.2) share one loop: after a warmup of back-to-back
+// forwards, each stage runs F(next) while forwards remain, then R(b) and B(b)
+// (no R on the last stage, whose activations are still live). The kinds
+// differ only in the warmup. 1F1B fills the pipeline: P-1-s forwards. Varuna's
+// just-in-time recompute lets stage s run forwards until its first recompute
+// starts at unit time 3P-3-2s, which leaves 3(P-1-s) forward slots; the
+// loop's first F takes the last of them (DESIGN.md has the derivation).
+Schedule GenerateOneFOneBLoop(ScheduleKind kind, int depth, int num_microbatches) {
+  const bool varuna = kind == ScheduleKind::kVaruna;
   Schedule schedule;
-  schedule.kind = ScheduleKind::kOneFOneB;
+  schedule.kind = kind;
   schedule.depth = depth;
   schedule.num_microbatches = num_microbatches;
+  schedule.opportunistic = varuna;
   schedule.ops.resize(static_cast<size_t>(depth));
   for (int s = 0; s < depth; ++s) {
     auto& ops = schedule.ops[static_cast<size_t>(s)];
     const bool last = s == depth - 1;
-    const int warmup = std::min(depth - 1 - s, num_microbatches);
+    // Exact size: the cached schedule lives for the process, so no spare capacity.
+    ops.reserve(static_cast<size_t>(num_microbatches) * (last ? 2 : 3));
+    const int warmup = varuna ? std::max(0, std::min(3 * (depth - 1 - s), num_microbatches) - 1)
+                              : std::min(depth - 1 - s, num_microbatches);
     int next_f = 0;
     int next_b = 0;
     for (; next_f < warmup; ++next_f) {
@@ -546,11 +283,10 @@ std::vector<OpTrace> ExecuteUnits(const Schedule& schedule) {
 Schedule GenerateScheduleUncached(ScheduleKind kind, int depth, int num_microbatches) {
   switch (kind) {
     case ScheduleKind::kVaruna:
-      return VarunaGenerator(depth, num_microbatches).Run();
+    case ScheduleKind::kOneFOneB:
+      return GenerateOneFOneBLoop(kind, depth, num_microbatches);
     case ScheduleKind::kGpipe:
       return GenerateGpipe(depth, num_microbatches);
-    case ScheduleKind::kOneFOneB:
-      return GenerateOneFOneB(depth, num_microbatches);
     case ScheduleKind::kDeepSpeed:
       return GenerateDeepSpeed(depth, num_microbatches);
   }

@@ -1,8 +1,10 @@
 // Static pipeline schedules. A Schedule is a per-stage ordered list of
 // micro-batch operations; generators produce the shapes of the systems the
 // paper compares (§3.2, §7.1.2):
-//   * Varuna  — rule-based generation (just-in-time recompute, backward
-//               priority, no last-stage recompute), Figure 4 top.
+//   * Varuna  — the §3.2 rules (just-in-time recompute, backward priority,
+//               no last-stage recompute) in closed form: the 1F1B loop, but
+//               interior stage s leads with min(3(P-1-s), Nm) forwards
+//               instead of min(P-s, Nm), Figure 4 top.
 //   * GPipe   — all forwards, then reverse-order recompute+backward,
 //               Figure 4 bottom.
 //   * 1F1B    — PipeDream/Megatron steady-state one-forward-one-backward with

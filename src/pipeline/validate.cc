@@ -172,6 +172,19 @@ void CheckRecomputeAdjacent(const Schedule& schedule, int s, Reporter* report) {
   }
 }
 
+// The warmup is the run of forwards before the stage's first other op.
+void CheckWarmup(const Schedule& schedule, int s, int expected, Reporter* report) {
+  const auto& ops = schedule.ops[static_cast<size_t>(s)];
+  int warmup = 0;
+  while (warmup < static_cast<int>(ops.size()) &&
+         ops[static_cast<size_t>(warmup)].type == PipeOpType::kForward) {
+    ++warmup;
+  }
+  if (warmup != expected) {
+    report->Violation(s, "warmup of ", warmup, " leading forwards, expected ", expected);
+  }
+}
+
 void CheckNoRecompute(const Schedule& schedule, int s, const char* why, Reporter* report) {
   for (size_t i = 0; i < schedule.ops[static_cast<size_t>(s)].size(); ++i) {
     const PipeOp& op = schedule.ops[static_cast<size_t>(s)][i];
@@ -204,9 +217,12 @@ void CheckVaruna(const Schedule& schedule, Reporter* report) {
       }
     }
   }
-  // Interior stages: every micro-batch is recomputed, R immediately before B.
+  // Interior stages: every micro-batch is recomputed, R immediately before B,
+  // and stage s runs forwards until its just-in-time first recompute at unit
+  // time 3P-3-2s, which leaves 3(P-1-s) forward slots.
   for (int s = 0; s < last; ++s) {
     CheckRecomputeAdjacent(schedule, s, report);
+    CheckWarmup(schedule, s, std::min(3 * (last - s), schedule.num_microbatches), report);
     const auto& ops = schedule.ops[static_cast<size_t>(s)];
     std::vector<bool> recomputed(static_cast<size_t>(schedule.num_microbatches), false);
     for (const PipeOp& op : ops) {
@@ -277,16 +293,7 @@ void CheckOneFOneB(const Schedule& schedule, Reporter* report) {
     const auto& ops = schedule.ops[static_cast<size_t>(s)];
     // Warmup: min(depth - s, m) leading forwards (P-1-s pipeline-fill + the
     // first steady-state forward).
-    const int expected_warmup = std::min(schedule.depth - s, schedule.num_microbatches);
-    int warmup = 0;
-    while (warmup < static_cast<int>(ops.size()) &&
-           ops[static_cast<size_t>(warmup)].type == PipeOpType::kForward) {
-      ++warmup;
-    }
-    if (warmup != expected_warmup) {
-      report->Violation(s, "warmup of ", warmup, " leading forwards, expected ",
-                        expected_warmup);
-    }
+    CheckWarmup(schedule, s, std::min(schedule.depth - s, schedule.num_microbatches), report);
     // Backwards drain in ascending (FIFO) order.
     int previous_backward = -1;
     for (size_t i = 0; i < ops.size(); ++i) {

@@ -4,8 +4,9 @@
 // ScheduleKind before it is handed to the executor: the paper's Figure-4
 // semantics (forward before recompute before backward, last-stage
 // no-recompute, GPipe's LIFO drain, DeepSpeed's even/odd slot grid) are only
-// as trustworthy as the generators, and the generators are event-driven code
-// that is easy to break subtly. ValidateSchedule() returns a report listing
+// as trustworthy as the generators, and the generators are compact loops whose
+// correctness rests on arguments a small edit can break silently (the Varuna
+// warmup count, DeepSpeed's slot grid). ValidateSchedule() returns a report listing
 // every violation instead of aborting, so tests can assert that corrupted
 // schedules are *rejected*; GenerateSchedule() CHECK-fails on a non-ok report.
 #ifndef SRC_PIPELINE_VALIDATE_H_
@@ -40,7 +41,8 @@ struct ScheduleValidation {
 //     micro-batch index in [0, num_microbatches);
 //   * kVaruna — last stage never recomputes and strictly alternates
 //     F(m),B(m); interior stages recompute every micro-batch with R(m)
-//     immediately followed by B(m) (rule 2);
+//     immediately followed by B(m) (rule 2), and interior stage s leads with
+//     min(3(depth - 1 - s), m) forwards (just-in-time recompute, rule 1);
 //   * kGpipe — all forwards precede all backward work, backwards drain in
 //     LIFO (descending) order, and only the most recent micro-batch skips
 //     recompute (its activations are still live) on every stage;

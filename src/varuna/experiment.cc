@@ -73,24 +73,12 @@ PipelineEvalResult EvaluatePipeline(const PipelineEvalRequest& request) {
   result.gpus_used = depth * replicas;
 
   // --- Memory feasibility per stage.
-  const double block_full_act = BlockFullActivationBytes(spec);
-  const double blocks_per_section =
-      static_cast<double>(spec.num_layers) / sections.value().num_sections();
   MemoryBudget budget;
   budget.gpu_memory_bytes = request.vm.gpu.memory_bytes;
   for (int stage = 0; stage < depth; ++stage) {
-    const int begin = partition.value().stage_begin[static_cast<size_t>(stage)];
-    const int end = partition.value().stage_begin[static_cast<size_t>(stage) + 1];
-    MemoryModelInputs inputs;
-    inputs.stage_params = partition.value().stage_params[static_cast<size_t>(stage)];
-    inputs.input_activation_bytes_per_example =
-        stage == 0 ? 4.0 * spec.seq_len : spec.BoundaryActivationBytes();
-    inputs.full_activation_bytes_per_example = block_full_act * blocks_per_section * (end - begin);
-    inputs.microbatch_size = m;
-    inputs.num_microbatches = result.num_microbatches;
-    inputs.pipeline_depth = depth;
-    inputs.stage_index = stage;
-    inputs.cpu_offload_optimizer = request.cpu_offload_optimizer;
+    const MemoryModelInputs inputs =
+        StageMemoryInputs(spec, sections.value(), partition.value(), stage, m,
+                          result.num_microbatches, request.cpu_offload_optimizer);
     const MemoryEstimate estimate =
         request.system == SystemUnderTest::kPipeDreamAsync
             ? EstimatePipeDreamStageMemory(inputs)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -158,6 +159,36 @@ TEST(VarunaScheduleTest, InterspersedForwards) {
     forward_after_backward |= seen_backward && op.type == PipeOpType::kForward;
   }
   EXPECT_TRUE(forward_after_backward);
+}
+
+// The steady-state bubble in closed form: in unit time the Varuna schedule's
+// makespan is 4 Nm + 3(P-1) - min(Nm, 3) for P >= 2. An interior stage spends
+// F + R + B = 4 units per micro-batch, so fill and drain cost 3(P-1) units
+// less a credit that saturates at three micro-batches. A single stage never
+// recomputes: Nm x (F + B). The grid is every shape with P <= 24 and
+// Nm <= 3P + 16, plus sampled deep ones; it keeps the cached ops near 16 MB.
+TEST(VarunaScheduleTest, UnitMakespanClosedForm) {
+  const auto expected = [](int depth, int microbatches) {
+    if (depth == 1) {
+      return 3.0 * microbatches;
+    }
+    return 4.0 * microbatches + 3.0 * (depth - 1) - std::min(microbatches, 3);
+  };
+  const auto check = [&](int depth, int microbatches) {
+    const double makespan =
+        ScheduleMakespanUnits(GenerateSchedule(ScheduleKind::kVaruna, depth, microbatches));
+    EXPECT_EQ(makespan, expected(depth, microbatches)) << "P=" << depth << " Nm=" << microbatches;
+  };
+  for (int depth = 1; depth <= 24; ++depth) {
+    for (int microbatches = 1; microbatches <= 3 * depth + 16; ++microbatches) {
+      check(depth, microbatches);
+    }
+  }
+  for (const int depth : {32, 48, 64, 104}) {
+    for (const int microbatches : {1, 2, 3, 3 * depth - 2, 3 * depth + 40, 512}) {
+      check(depth, microbatches);
+    }
+  }
 }
 
 TEST(GpipeScheduleTest, AllForwardsBeforeBackwards) {
@@ -355,6 +386,39 @@ TEST(ScheduleGoldenTest, GeneratorOutputIsPinned) {
       hash = HashSchedule(GenerateSchedule(row.kind, row.depth, num_microbatches), hash);
     }
     EXPECT_EQ(hash, row.hash) << ToString(row.kind) << " P=" << row.depth;
+  }
+}
+
+// Varuna at the depths the shipped models reach (up to 104 stages): Nm runs
+// over the small edge cases, the band around 3P where the warmup stops being
+// capped by Nm, and 1024 where the op table allows. Recorded from the
+// event-driven rule simulation that the closed-form generator replaced. The
+// grid caches about 30 MB of ops (ScheduleOpCount x 8 bytes), so P = 104 skips
+// Nm = 1024.
+TEST(ScheduleGoldenTest, DeepVarunaGridIsPinned) {
+  struct Row {
+    int depth;
+    uint64_t hash;  // Over the Nm grid below, ascending.
+  };
+  const Row rows[] = {
+      {20, 0xf66a582e0e0ff4f6ULL},  {24, 0xc6d0f9f0e039a83aULL},
+      {32, 0x6d151aa10927ac7dULL},  {36, 0x94e0b579e22baa11ULL},
+      {48, 0x6f67596d7ede2c4aULL},  {49, 0x64d4786c4d96b3b3ULL},
+      {64, 0xa8c2c18015bbf023ULL},  {72, 0x430ddd5159ec069bULL},
+      {96, 0xe8ba5dbc39ee4e96ULL},  {100, 0x01075d57070c8346ULL},
+      {104, 0xb0be7c8a599227f7ULL},
+  };
+  for (const Row& row : rows) {
+    const int p = row.depth;
+    std::vector<int> grid = {1, 2, p - 1, 3 * p - 4, 3 * p - 3, 3 * p - 2, 3 * p - 1, 3 * p + 7};
+    if (p <= 100) {
+      grid.push_back(1024);
+    }
+    uint64_t hash = 14695981039346656037ULL;
+    for (const int num_microbatches : grid) {
+      hash = HashSchedule(GenerateSchedule(ScheduleKind::kVaruna, p, num_microbatches), hash);
+    }
+    EXPECT_EQ(hash, row.hash) << "P=" << p << ": new hash 0x" << std::hex << hash;
   }
 }
 

@@ -134,6 +134,22 @@ TEST(ValidateNegativeTest, OneFOneBWarmupTooShortRejected) {
   ExpectRejected(schedule, "warmup");
 }
 
+TEST(ValidateNegativeTest, VarunaWarmupMismatchRejected) {
+  Schedule schedule = GenerateSchedule(ScheduleKind::kVaruna, 4, 12);
+  // Stage 0 warms up with 3(P-1) = 9 forwards. Delay the ninth until after the
+  // first R,B pair: forwards stay ascending and every R still sits right
+  // before its B, so only the warmup count is wrong.
+  auto& ops = schedule.ops[0];
+  const PipeOp warmup_f = ops[8];
+  ASSERT_EQ(warmup_f, (PipeOp{PipeOpType::kForward, 8}));
+  ASSERT_EQ(ops[9], (PipeOp{PipeOpType::kRecompute, 0}));
+  ops.erase(ops.begin() + 8);
+  ops.insert(ops.begin() + 10, warmup_f);
+  const ScheduleValidation validation = ValidateSchedule(schedule);
+  ASSERT_EQ(validation.violations.size(), 1u) << validation.ToString();
+  ExpectRejected(schedule, "warmup of 8 leading forwards, expected 9");
+}
+
 TEST(ValidateNegativeTest, DeepSpeedParityBreakRejected) {
   Schedule schedule = GenerateSchedule(ScheduleKind::kDeepSpeed, 2, 3);
   // Two forward-slots in a row break the even/odd grid.

@@ -392,15 +392,18 @@ constexpr std::array<std::string_view, 8> kPoolUserFiles = {
     "src/varuna/varuna.h",  // umbrella header re-export
 };
 // The hot path beyond src/sim/ (the per-event DES) and src/morph/ (the
-// morph-decision sweep): the executor, the schedule cache, the checkpoint
-// store (its flush events and chain scans fire during every storm), the
-// network cost model and topology (the executor prices every message and
-// every allreduce ring through them), and the Rng and running statistics,
-// whose per-draw code is inline.
-constexpr std::array<std::string_view, 14> kHotPathFiles = {
+// morph-decision sweep): the executor, the schedule generators, validator and
+// cache (every sweep miss runs all three), the checkpoint store (its flush
+// events and chain scans fire during every storm), the network cost model and
+// topology (the executor prices every message and every allreduce ring
+// through them), and the Rng and running statistics, whose per-draw code is
+// inline.
+constexpr std::array<std::string_view, 18> kHotPathFiles = {
     "src/common/rng.h",              "src/common/rng.cc",
     "src/common/stats.h",            "src/common/stats.cc",
     "src/pipeline/executor.h",       "src/pipeline/executor.cc",
+    "src/pipeline/schedule.h",       "src/pipeline/schedule.cc",
+    "src/pipeline/validate.h",       "src/pipeline/validate.cc",
     "src/pipeline/schedule_cache.h", "src/pipeline/schedule_cache.cc",
     "src/manager/checkpoint.h",      "src/manager/checkpoint.cc",
     "src/net/network.h",             "src/net/network.cc",
