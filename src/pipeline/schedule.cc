@@ -41,6 +41,8 @@ Schedule GenerateGpipe(int depth, int num_microbatches) {
   schedule.ops.resize(static_cast<size_t>(depth));
   for (int s = 0; s < depth; ++s) {
     auto& ops = schedule.ops[static_cast<size_t>(s)];
+    // Exact size: the cached schedule lives for the process, so no spare capacity.
+    ops.reserve(3 * static_cast<size_t>(num_microbatches) - 1);
     for (int m = 0; m < num_microbatches; ++m) {
       ops.push_back(PipeOp{PipeOpType::kForward, m});
     }
@@ -56,15 +58,17 @@ Schedule GenerateGpipe(int depth, int num_microbatches) {
   return schedule;
 }
 
-// 1F1B and Varuna (§3.2) share one loop: after a warmup of back-to-back
-// forwards, each stage runs F(next) while forwards remain, then R(b) and B(b)
-// (no R on the last stage, whose activations are still live). The kinds
-// differ only in the warmup. 1F1B fills the pipeline: P-1-s forwards. Varuna's
-// just-in-time recompute lets stage s run forwards until its first recompute
-// starts at unit time 3P-3-2s, which leaves 3(P-1-s) forward slots; the
-// loop's first F takes the last of them (DESIGN.md has the derivation).
+// 1F1B, Varuna (§3.2) and DeepSpeed share one slot loop; schedule.h gives
+// each kind's lag. A pair with j >= Nm has no forward and one with j < lag no
+// backward. DeepSpeed fills those halves with idle ops, because its engine
+// keeps a fixed even/odd slot grid (F(j) in global slot s+2j, B(k) in
+// 2P-1-s+2k); the other kinds compact them away. Varuna's just-in-time
+// recompute lets stage s run forwards until its first recompute starts at
+// unit time 3P-3-2s, which leaves 3(P-1-s) forward slots; the first pair's F
+// takes the last of them. DESIGN.md has both derivations.
 Schedule GenerateOneFOneBLoop(ScheduleKind kind, int depth, int num_microbatches) {
   const bool varuna = kind == ScheduleKind::kVaruna;
+  const bool padded = kind == ScheduleKind::kDeepSpeed;
   Schedule schedule;
   schedule.kind = kind;
   schedule.depth = depth;
@@ -74,102 +78,24 @@ Schedule GenerateOneFOneBLoop(ScheduleKind kind, int depth, int num_microbatches
   for (int s = 0; s < depth; ++s) {
     auto& ops = schedule.ops[static_cast<size_t>(s)];
     const bool last = s == depth - 1;
+    const int lag = varuna ? std::max(0, std::min(3 * (depth - 1 - s), num_microbatches) - 1)
+                           : depth - 1 - s;
     // Exact size: the cached schedule lives for the process, so no spare capacity.
-    ops.reserve(static_cast<size_t>(num_microbatches) * (last ? 2 : 3));
-    const int warmup = varuna ? std::max(0, std::min(3 * (depth - 1 - s), num_microbatches) - 1)
-                              : std::min(depth - 1 - s, num_microbatches);
-    int next_f = 0;
-    int next_b = 0;
-    for (; next_f < warmup; ++next_f) {
-      ops.push_back(PipeOp{PipeOpType::kForward, next_f});
-    }
-    while (next_b < num_microbatches) {
-      if (next_f < num_microbatches) {
-        ops.push_back(PipeOp{PipeOpType::kForward, next_f});
-        ++next_f;
+    ops.reserve(static_cast<size_t>(num_microbatches) * (last ? 2 : 3) +
+                (padded ? 2 * static_cast<size_t>(lag) : 0));
+    for (int j = 0; j < lag + num_microbatches; ++j) {
+      if (j < num_microbatches) {
+        ops.push_back(PipeOp{PipeOpType::kForward, j});
+      } else if (padded) {
+        ops.push_back(PipeOp{PipeOpType::kIdleForward, -1});
       }
-      if (!last) {
-        ops.push_back(PipeOp{PipeOpType::kRecompute, next_b});
-      }
-      ops.push_back(PipeOp{PipeOpType::kBackward, next_b});
-      ++next_b;
-    }
-  }
-  return schedule;
-}
-
-// DeepSpeed-style even/odd slotting: each stage alternates a forward slot and
-// a backward slot (staggered by one slot per stage). Slots whose op is not
-// ready are materialised as idle ops — this reproduces the engine's fixed
-// slot grid, which idles through warmup backward slots and drain forward
-// slots instead of compacting them.
-Schedule GenerateDeepSpeed(int depth, int num_microbatches) {
-  Schedule schedule;
-  schedule.kind = ScheduleKind::kDeepSpeed;
-  schedule.depth = depth;
-  schedule.num_microbatches = num_microbatches;
-  schedule.ops.resize(static_cast<size_t>(depth));
-
-  std::vector<int> next_f(static_cast<size_t>(depth), 0);
-  std::vector<int> next_b(static_cast<size_t>(depth), 0);
-  // Global slot at which each stage finished F/B of each micro-batch.
-  std::vector<std::vector<int>> f_slot(static_cast<size_t>(depth),
-                                       std::vector<int>(static_cast<size_t>(num_microbatches), -1));
-  std::vector<std::vector<int>> b_slot(static_cast<size_t>(depth),
-                                       std::vector<int>(static_cast<size_t>(num_microbatches), -1));
-
-  auto all_done = [&] {
-    for (int s = 0; s < depth; ++s) {
-      if (next_b[static_cast<size_t>(s)] < num_microbatches) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  for (int slot = 0; !all_done(); ++slot) {
-    VARUNA_CHECK_LT(slot, 4 * (num_microbatches + depth) + 16) << "DeepSpeed generator stuck";
-    for (int s = 0; s < depth; ++s) {
-      if (slot < s || next_b[static_cast<size_t>(s)] >= num_microbatches) {
-        continue;  // Not started yet / already finished: no idle padding.
-      }
-      auto& ops = schedule.ops[static_cast<size_t>(s)];
-      const bool forward_slot = (slot - s) % 2 == 0;
-      const bool last = s == depth - 1;
-      if (forward_slot) {
-        const int m = next_f[static_cast<size_t>(s)];
-        const bool available =
-            m < num_microbatches && (s == 0 || f_slot[static_cast<size_t>(s) - 1][static_cast<size_t>(m)] >= 0);
-        if (available) {
-          ops.push_back(PipeOp{PipeOpType::kForward, m});
-          // Record completion *after* the whole stage row is processed; using
-          // >= 0 visibility within the same slot would let a stage consume an
-          // activation produced in the same slot. Stages are processed in
-          // ascending order, so guard with < slot via a deferred write:
-          f_slot[static_cast<size_t>(s)][static_cast<size_t>(m)] = slot;
-          ++next_f[static_cast<size_t>(s)];
-        } else if (next_f[static_cast<size_t>(s)] < num_microbatches ||
-                   next_b[static_cast<size_t>(s)] < num_microbatches) {
-          ops.push_back(PipeOp{PipeOpType::kIdleForward, -1});
+      if (j >= lag) {
+        if (!last) {
+          ops.push_back(PipeOp{PipeOpType::kRecompute, j - lag});
         }
-      } else {
-        const int m = next_b[static_cast<size_t>(s)];
-        const bool ready =
-            m < num_microbatches &&
-            (last ? f_slot[static_cast<size_t>(s)][static_cast<size_t>(m)] >= 0 &&
-                        f_slot[static_cast<size_t>(s)][static_cast<size_t>(m)] < slot
-                  : b_slot[static_cast<size_t>(s) + 1][static_cast<size_t>(m)] >= 0 &&
-                        b_slot[static_cast<size_t>(s) + 1][static_cast<size_t>(m)] < slot);
-        if (ready) {
-          if (!last) {
-            ops.push_back(PipeOp{PipeOpType::kRecompute, m});
-          }
-          ops.push_back(PipeOp{PipeOpType::kBackward, m});
-          b_slot[static_cast<size_t>(s)][static_cast<size_t>(m)] = slot;
-          ++next_b[static_cast<size_t>(s)];
-        } else {
-          ops.push_back(PipeOp{PipeOpType::kIdleBackward, -1});
-        }
+        ops.push_back(PipeOp{PipeOpType::kBackward, j - lag});
+      } else if (padded) {
+        ops.push_back(PipeOp{PipeOpType::kIdleBackward, -1});
       }
     }
   }
@@ -284,11 +210,10 @@ Schedule GenerateScheduleUncached(ScheduleKind kind, int depth, int num_microbat
   switch (kind) {
     case ScheduleKind::kVaruna:
     case ScheduleKind::kOneFOneB:
+    case ScheduleKind::kDeepSpeed:
       return GenerateOneFOneBLoop(kind, depth, num_microbatches);
     case ScheduleKind::kGpipe:
       return GenerateGpipe(depth, num_microbatches);
-    case ScheduleKind::kDeepSpeed:
-      return GenerateDeepSpeed(depth, num_microbatches);
   }
   VARUNA_CHECK(false) << "unknown schedule kind";
   return {};

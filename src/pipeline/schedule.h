@@ -1,16 +1,22 @@
 // Static pipeline schedules. A Schedule is a per-stage ordered list of
 // micro-batch operations; generators produce the shapes of the systems the
-// paper compares (§3.2, §7.1.2):
+// paper compares (§3.2, §7.1.2). Varuna, 1F1B and DeepSpeed share one slot
+// loop: stage s runs lag + Nm slot pairs, pair j holding F(j) and then
+// R(j-lag), B(j-lag) (no R on the last stage). The kinds set only lag and
+// whether empty half-pairs are padded:
 //   * Varuna  — the §3.2 rules (just-in-time recompute, backward priority,
-//               no last-stage recompute) in closed form: the 1F1B loop, but
-//               interior stage s leads with min(3(P-1-s), Nm) forwards
-//               instead of min(P-s, Nm), Figure 4 top.
-//   * GPipe   — all forwards, then reverse-order recompute+backward,
-//               Figure 4 bottom.
+//               no last-stage recompute) in closed form: lag
+//               max(0, min(3(P-1-s), Nm) - 1), so interior stage s leads with
+//               min(3(P-1-s), Nm) forwards instead of min(P-s, Nm),
+//               Figure 4 top.
 //   * 1F1B    — PipeDream/Megatron steady-state one-forward-one-backward with
-//               warmup and drain (run synchronously, as Megatron-1F1B).
-//   * DeepSpeed — even/odd slotted forward/backward alternation; idle slots
-//               during warmup/drain are materialised as explicit idle ops.
+//               warmup and drain, lag P-1-s (run synchronously, as
+//               Megatron-1F1B).
+//   * DeepSpeed — even/odd slotted forward/backward alternation, lag P-1-s:
+//               the fixed slot grid idles stage s's first P-1-s backward and
+//               last P-1-s forward slots, materialised as explicit idle ops.
+//   * GPipe   — its own loop: all forwards, then reverse-order
+//               recompute+backward, Figure 4 bottom.
 #ifndef SRC_PIPELINE_SCHEDULE_H_
 #define SRC_PIPELINE_SCHEDULE_H_
 

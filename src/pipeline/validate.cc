@@ -172,14 +172,17 @@ void CheckRecomputeAdjacent(const Schedule& schedule, int s, Reporter* report) {
   }
 }
 
+// The number of `type` ops that open [first, last).
+template <typename Iterator>
+int LeadingRun(Iterator first, Iterator last, PipeOpType type) {
+  return static_cast<int>(
+      std::find_if(first, last, [type](const PipeOp& op) { return op.type != type; }) - first);
+}
+
 // The warmup is the run of forwards before the stage's first other op.
 void CheckWarmup(const Schedule& schedule, int s, int expected, Reporter* report) {
   const auto& ops = schedule.ops[static_cast<size_t>(s)];
-  int warmup = 0;
-  while (warmup < static_cast<int>(ops.size()) &&
-         ops[static_cast<size_t>(warmup)].type == PipeOpType::kForward) {
-    ++warmup;
-  }
+  const int warmup = LeadingRun(ops.begin(), ops.end(), PipeOpType::kForward);
   if (warmup != expected) {
     report->Violation(s, "warmup of ", warmup, " leading forwards, expected ", expected);
   }
@@ -313,6 +316,20 @@ void CheckOneFOneB(const Schedule& schedule, Reporter* report) {
   }
 }
 
+// DeepSpeed's grid idles only at one end of a stage's forward or backward
+// slots: exactly the `expected` slots that open [first, last) are `idle`.
+template <typename Iterator>
+void CheckIdlePadding(int s, Iterator first, Iterator last, PipeOpType idle, int expected,
+                      const char* end, Reporter* report) {
+  const int run = LeadingRun(first, last, idle);
+  const auto idles =
+      std::count_if(first, last, [idle](const PipeOp& op) { return op.type == idle; });
+  if (run != expected || idles != expected) {
+    report->Violation(s, idles, " ", OpName(idle), " slots, ", run, " of them ", end,
+                      "; expected exactly ", expected, ", all ", end);
+  }
+}
+
 void CheckDeepSpeed(const Schedule& schedule, Reporter* report) {
   const int last = schedule.depth - 1;
   CheckNoRecompute(schedule, last, "DeepSpeed last stage never recomputes", report);
@@ -321,7 +338,9 @@ void CheckDeepSpeed(const Schedule& schedule, Reporter* report) {
     // Slot parity: the op list decomposes into strictly alternating
     // forward-slots and backward-slots, starting with a forward slot (the
     // engine's fixed grid staggers stage s by s slots but always begins on a
-    // forward slot).
+    // forward slot). Each slot is recorded by its first op.
+    std::vector<PipeOp> forward_slots;
+    std::vector<PipeOp> backward_slots;
     bool expect_forward_slot = true;
     size_t i = 0;
     while (i < ops.size()) {
@@ -331,8 +350,10 @@ void CheckDeepSpeed(const Schedule& schedule, Reporter* report) {
           report->Violation(s, "op ", i, ": ", OpName(op.type), " in a forward slot");
           break;
         }
+        forward_slots.push_back(op);
         ++i;
       } else {
+        backward_slots.push_back(op);
         if (op.type == PipeOpType::kIdleBackward) {
           ++i;
         } else if (op.type == PipeOpType::kRecompute) {
@@ -356,6 +377,17 @@ void CheckDeepSpeed(const Schedule& schedule, Reporter* report) {
       expect_forward_slot = !expect_forward_slot;
     }
     CheckRecomputeAdjacent(schedule, s, report);
+    if (i < ops.size()) {
+      continue;  // The grid is already broken; its padding means nothing.
+    }
+    // Stage s's forward F(j) fills global slot s+2j and its backward B(k)
+    // slot 2P-1-s+2k, so the grid idles exactly its first P-1-s backward
+    // slots (filling) and its last P-1-s forward slots (draining).
+    const int lag = last - s;
+    CheckIdlePadding(s, backward_slots.begin(), backward_slots.end(), PipeOpType::kIdleBackward,
+                     lag, "leading", report);
+    CheckIdlePadding(s, forward_slots.rbegin(), forward_slots.rend(), PipeOpType::kIdleForward,
+                     lag, "trailing", report);
   }
 }
 

@@ -6,7 +6,7 @@
 // no-recompute, GPipe's LIFO drain, DeepSpeed's even/odd slot grid) are only
 // as trustworthy as the generators, and the generators are compact loops whose
 // correctness rests on arguments a small edit can break silently (the Varuna
-// warmup count, DeepSpeed's slot grid). ValidateSchedule() returns a report listing
+// warmup count, DeepSpeed's padding). ValidateSchedule() returns a report listing
 // every violation instead of aborting, so tests can assert that corrupted
 // schedules are *rejected*; GenerateSchedule() CHECK-fails on a non-ok report.
 #ifndef SRC_PIPELINE_VALIDATE_H_
@@ -52,7 +52,8 @@ struct ScheduleValidation {
 //   * kDeepSpeed — even/odd slot parity: each stage's op list decomposes into
 //     strictly alternating forward-slots (F or idle-F) and backward-slots
 //     (R+B pair, bare B on the last stage, or idle-B), starting with a
-//     forward slot; last stage never recomputes.
+//     forward slot; exactly stage s's first depth-1-s backward slots and
+//     last depth-1-s forward slots are idle; last stage never recomputes.
 ScheduleValidation ValidateSchedule(const Schedule& schedule);
 
 }  // namespace varuna

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/pipeline/schedule.h"
@@ -289,6 +290,28 @@ TEST(ScheduleEvalOrderTest, EveryOpFollowsItsDependencies) {
   }
 }
 
+// A cached schedule lives for the process, so each generator reserves its
+// stage lists' exact sizes: no list keeps a growing vector's slack.
+TEST(ScheduleTest, StageListsCarryNoSpareCapacity) {
+  std::vector<std::pair<int, int>> shapes = {{8, 100}, {36, 2048}};
+  for (const int depth : {1, 2, 3, 4, 6, 8, 12, 16}) {
+    for (const int num_microbatches : {1, 2, 3, 5, 8, 13, 32, 64}) {
+      shapes.emplace_back(depth, num_microbatches);
+    }
+  }
+  for (const ScheduleKind kind : {ScheduleKind::kVaruna, ScheduleKind::kGpipe,
+                                  ScheduleKind::kOneFOneB, ScheduleKind::kDeepSpeed}) {
+    for (const auto& [depth, num_microbatches] : shapes) {
+      const Schedule& schedule = GenerateSchedule(kind, depth, num_microbatches);
+      for (int s = 0; s < depth; ++s) {
+        const std::vector<PipeOp>& ops = schedule.ops[static_cast<size_t>(s)];
+        EXPECT_EQ(ops.capacity(), ops.size()) << ToString(kind) << " P=" << depth
+                                              << " Nm=" << num_microbatches << " stage " << s;
+      }
+    }
+  }
+}
+
 TEST(ScheduleEvalOrderTest, CopiesKeepTheOrder) {
   const Schedule copy = GenerateSchedule(ScheduleKind::kVaruna, 4, 5);
   EXPECT_EQ(copy.eval_order.size(), ScheduleOpCount(copy));
@@ -389,36 +412,68 @@ TEST(ScheduleGoldenTest, GeneratorOutputIsPinned) {
   }
 }
 
-// Varuna at the depths the shipped models reach (up to 104 stages): Nm runs
-// over the small edge cases, the band around 3P where the warmup stops being
-// capped by Nm, and 1024 where the op table allows. Recorded from the
-// event-driven rule simulation that the closed-form generator replaced. The
-// grid caches about 30 MB of ops (ScheduleOpCount x 8 bytes), so P = 104 skips
-// Nm = 1024.
+// The slot-loop kinds at the depths the shipped models reach (up to 104
+// stages): Nm runs over the small edge cases, the band around 3P where
+// Varuna's warmup stops being capped by Nm, and 1024 where the op table allows.
+// Varuna's rows were recorded from the event-driven rule simulation that its
+// closed form replaced, 1F1B's and DeepSpeed's from the generators before they
+// joined the slot loop (DeepSpeed's was a slot-grid simulation). Each kind
+// caches about 30 MB of ops (ScheduleOpCount x 8 bytes), so P = 104 skips
+// Nm = 1024, and so does DeepSpeed at P = 100: its idle padding adds P(P-1)
+// ops per schedule.
 TEST(ScheduleGoldenTest, DeepVarunaGridIsPinned) {
   struct Row {
+    ScheduleKind kind;
     int depth;
     uint64_t hash;  // Over the Nm grid below, ascending.
   };
   const Row rows[] = {
-      {20, 0xf66a582e0e0ff4f6ULL},  {24, 0xc6d0f9f0e039a83aULL},
-      {32, 0x6d151aa10927ac7dULL},  {36, 0x94e0b579e22baa11ULL},
-      {48, 0x6f67596d7ede2c4aULL},  {49, 0x64d4786c4d96b3b3ULL},
-      {64, 0xa8c2c18015bbf023ULL},  {72, 0x430ddd5159ec069bULL},
-      {96, 0xe8ba5dbc39ee4e96ULL},  {100, 0x01075d57070c8346ULL},
-      {104, 0xb0be7c8a599227f7ULL},
+      {ScheduleKind::kVaruna, 20, 0xf66a582e0e0ff4f6ULL},
+      {ScheduleKind::kVaruna, 24, 0xc6d0f9f0e039a83aULL},
+      {ScheduleKind::kVaruna, 32, 0x6d151aa10927ac7dULL},
+      {ScheduleKind::kVaruna, 36, 0x94e0b579e22baa11ULL},
+      {ScheduleKind::kVaruna, 48, 0x6f67596d7ede2c4aULL},
+      {ScheduleKind::kVaruna, 49, 0x64d4786c4d96b3b3ULL},
+      {ScheduleKind::kVaruna, 64, 0xa8c2c18015bbf023ULL},
+      {ScheduleKind::kVaruna, 72, 0x430ddd5159ec069bULL},
+      {ScheduleKind::kVaruna, 96, 0xe8ba5dbc39ee4e96ULL},
+      {ScheduleKind::kVaruna, 100, 0x01075d57070c8346ULL},
+      {ScheduleKind::kVaruna, 104, 0xb0be7c8a599227f7ULL},
+      {ScheduleKind::kOneFOneB, 20, 0x141a5f0c1254a085ULL},
+      {ScheduleKind::kOneFOneB, 24, 0xef78116d6e1b8df1ULL},
+      {ScheduleKind::kOneFOneB, 32, 0x12ffa975e6a68786ULL},
+      {ScheduleKind::kOneFOneB, 36, 0x02537df6be931af2ULL},
+      {ScheduleKind::kOneFOneB, 48, 0x713f608dc9a260d9ULL},
+      {ScheduleKind::kOneFOneB, 49, 0x07c5ca459cbdbf78ULL},
+      {ScheduleKind::kOneFOneB, 64, 0xc1ee3c4c3f97dc18ULL},
+      {ScheduleKind::kOneFOneB, 72, 0xd89846e69fd931a0ULL},
+      {ScheduleKind::kOneFOneB, 96, 0xdeb06f32246ee041ULL},
+      {ScheduleKind::kOneFOneB, 100, 0x1b2be47927dd8359ULL},
+      {ScheduleKind::kOneFOneB, 104, 0x04f07494469de45bULL},
+      {ScheduleKind::kDeepSpeed, 20, 0xca0d8df16a4b8664ULL},
+      {ScheduleKind::kDeepSpeed, 24, 0xccb148a906400f23ULL},
+      {ScheduleKind::kDeepSpeed, 32, 0x203c5093dea222cfULL},
+      {ScheduleKind::kDeepSpeed, 36, 0x95c664816377fb43ULL},
+      {ScheduleKind::kDeepSpeed, 48, 0xdb1f1f8a569cd2b0ULL},
+      {ScheduleKind::kDeepSpeed, 49, 0x142a0d6f3e7e7c1dULL},
+      {ScheduleKind::kDeepSpeed, 64, 0xaa67500ed6aa2a55ULL},
+      {ScheduleKind::kDeepSpeed, 72, 0x13b30fec6c0a5a39ULL},
+      {ScheduleKind::kDeepSpeed, 96, 0x303b38f987a9b39cULL},
+      {ScheduleKind::kDeepSpeed, 100, 0xbf8f7cf3eb6766cbULL},
+      {ScheduleKind::kDeepSpeed, 104, 0x3422cea807ea8513ULL},
   };
   for (const Row& row : rows) {
     const int p = row.depth;
     std::vector<int> grid = {1, 2, p - 1, 3 * p - 4, 3 * p - 3, 3 * p - 2, 3 * p - 1, 3 * p + 7};
-    if (p <= 100) {
+    if (p <= (row.kind == ScheduleKind::kDeepSpeed ? 96 : 100)) {
       grid.push_back(1024);
     }
     uint64_t hash = 14695981039346656037ULL;
     for (const int num_microbatches : grid) {
-      hash = HashSchedule(GenerateSchedule(ScheduleKind::kVaruna, p, num_microbatches), hash);
+      hash = HashSchedule(GenerateSchedule(row.kind, p, num_microbatches), hash);
     }
-    EXPECT_EQ(hash, row.hash) << "P=" << p << ": new hash 0x" << std::hex << hash;
+    EXPECT_EQ(hash, row.hash) << ToString(row.kind) << " P=" << p << ": new hash 0x" << std::hex
+                              << hash;
   }
 }
 

@@ -158,6 +158,43 @@ TEST(ValidateNegativeTest, DeepSpeedParityBreakRejected) {
   ExpectRejected(schedule, "slot");
 }
 
+// Both corruptions keep the even/odd slot parity, so only the padding pin
+// (exactly the first P-1-s backward slots and last P-1-s forward slots idle)
+// can reject them.
+TEST(ValidateNegativeTest, DeepSpeedPaddingMismatchRejected) {
+  {
+    // P=4, Nm=2, stage 0 idles 3 backward and 3 forward slots: F0 iB F1 iB
+    // iF iB iF R0 B0 iF R1 B1. Drop one warmup idle-B together with the
+    // drain idle-F after it.
+    Schedule schedule = GenerateSchedule(ScheduleKind::kDeepSpeed, 4, 2);
+    auto& ops = schedule.ops[0];
+    ASSERT_EQ(ops[3], (PipeOp{PipeOpType::kIdleBackward, -1}));
+    ASSERT_EQ(ops[4], (PipeOp{PipeOpType::kIdleForward, -1}));
+    ops.erase(ops.begin() + 3, ops.begin() + 5);
+    const ScheduleValidation validation = ValidateSchedule(schedule);
+    ASSERT_EQ(validation.violations.size(), 2u) << validation.ToString();
+    ExpectRejected(schedule, "stage 0: 2 idleB slots, 2 of them leading; expected exactly 3");
+    ExpectRejected(schedule, "stage 0: 2 idleF slots, 2 of them trailing; expected exactly 3");
+  }
+  {
+    // P=3, Nm=4, stage 0: F0 iB F1 iB F2 R0 B0 ... Move the second warmup
+    // idle-B one backward slot later: F0 iB F1 R0 B0 F2 iB ...
+    Schedule schedule = GenerateSchedule(ScheduleKind::kDeepSpeed, 3, 4);
+    auto& ops = schedule.ops[0];
+    ASSERT_EQ(ops[3], (PipeOp{PipeOpType::kIdleBackward, -1}));
+    ASSERT_EQ(ops[4], (PipeOp{PipeOpType::kForward, 2}));
+    ASSERT_EQ(ops[5], (PipeOp{PipeOpType::kRecompute, 0}));
+    ASSERT_EQ(ops[6], (PipeOp{PipeOpType::kBackward, 0}));
+    ops[3] = PipeOp{PipeOpType::kRecompute, 0};
+    ops[4] = PipeOp{PipeOpType::kBackward, 0};
+    ops[5] = PipeOp{PipeOpType::kForward, 2};
+    ops[6] = PipeOp{PipeOpType::kIdleBackward, -1};
+    const ScheduleValidation validation = ValidateSchedule(schedule);
+    ASSERT_EQ(validation.violations.size(), 1u) << validation.ToString();
+    ExpectRejected(schedule, "stage 0: 2 idleB slots, 1 of them leading; expected exactly 2");
+  }
+}
+
 TEST(ValidateNegativeTest, IdleOpOutsideDeepSpeedRejected) {
   Schedule schedule = GenerateSchedule(ScheduleKind::kVaruna, 2, 2);
   schedule.ops[0].push_back(PipeOp{PipeOpType::kIdleForward, -1});
