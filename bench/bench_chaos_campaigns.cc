@@ -12,9 +12,9 @@
 // `--campaigns=N` is accepted too. `--smoke` clamps the sweep to 8 campaigns
 // and the head-to-head to 4 seeds. `--policy` selects the morph policy for
 // the random-campaign sweep (the head-to-head always runs all three).
-// `--fast-recovery` turns on the delta-checkpoint + locality-aware-restore +
-// live-handoff recovery path for the random sweep; the dedicated recovery
-// before/after section always runs both variants on identical seeds.
+// `--fast-recovery` turns on the delta-checkpoint + locality-aware-restore
+// recovery path for the random sweep; the dedicated recovery before/after
+// section always runs both variants on identical seeds.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -84,8 +84,6 @@ struct PolicyAggregate {
   int64_t proactive_morphs = 0;
   int64_t premigrated_shards = 0;
   double premigrated_bytes = 0.0;
-  int64_t live_handoffs = 0;
-  double handoff_bytes = 0.0;
   double stalled_s = 0.0;
 };
 
@@ -107,13 +105,12 @@ double Median(std::vector<double> values) {
 // Recovery-path before/after: the same seeded storm campaigns (reactive
 // policy) with the legacy restore path and with the fast recovery path.
 // Identical fault schedules per seed, so the downtime delta isolates the
-// delta-chain + locality + handoff machinery. Medians are per campaign.
+// delta-chain + locality machinery. Medians are per campaign.
 struct RecoveryComparison {
   double before_median_downtime_s = 0.0;
   double after_median_downtime_s = 0.0;
   double before_restore_s = 0.0;  // summed over campaigns
   double after_restore_s = 0.0;
-  int64_t after_live_handoffs = 0;
   int64_t after_delta_checkpoints = 0;
   int64_t after_records_pruned = 0;
 };
@@ -145,19 +142,17 @@ RecoveryComparison RecoveryBeforeAfter(int seeds) {
     after_downtime.push_back(after.stats.stalled_s);
     cmp.before_restore_s += RestoreSeconds(before.stats);
     cmp.after_restore_s += RestoreSeconds(after.stats);
-    cmp.after_live_handoffs += after.stats.live_handoffs;
     cmp.after_delta_checkpoints += after.stats.delta_checkpoints;
     cmp.after_records_pruned += after.stats.checkpoint_records_pruned;
   }
   cmp.before_median_downtime_s = Median(before_downtime);
   cmp.after_median_downtime_s = Median(after_downtime);
-  Table table({"recovery path", "median downtime s", "restore s (sum)", "live handoffs",
-               "delta ckpts", "records pruned"});
+  Table table({"recovery path", "median downtime s", "restore s (sum)", "delta ckpts",
+               "records pruned"});
   table.AddRow({"legacy (full ckpt, cloud restore)", Table::Num(cmp.before_median_downtime_s, 1),
-                Table::Num(cmp.before_restore_s, 1), "0", "0", "0"});
-  table.AddRow({"fast (delta+locality+handoff)", Table::Num(cmp.after_median_downtime_s, 1),
-                Table::Num(cmp.after_restore_s, 1), std::to_string(cmp.after_live_handoffs),
-                std::to_string(cmp.after_delta_checkpoints),
+                Table::Num(cmp.before_restore_s, 1), "0", "0"});
+  table.AddRow({"fast (delta+locality)", Table::Num(cmp.after_median_downtime_s, 1),
+                Table::Num(cmp.after_restore_s, 1), std::to_string(cmp.after_delta_checkpoints),
                 std::to_string(cmp.after_records_pruned)});
   std::printf("%s\n", table.Render().c_str());
   const double reduction =
@@ -204,19 +199,16 @@ void HeadToHead(int seeds, bool* proactive_beats_reactive, PolicyAggregate* out_
       agg.proactive_morphs += report.stats.proactive_morphs;
       agg.premigrated_shards += report.stats.premigrated_shards;
       agg.premigrated_bytes += report.stats.premigrated_bytes;
-      agg.live_handoffs += report.stats.live_handoffs;
-      agg.handoff_bytes += report.stats.handoff_bytes;
       agg.stalled_s += report.stats.stalled_s;
     }
   }
   Table table({"policy", "mini-batches", "rolled back", "restarts", "proactive morphs",
-               "pre-migrated shards", "live handoffs", "handoff GB", "stalled s"});
+               "pre-migrated shards", "stalled s"});
   for (int p = 0; p < 3; ++p) {
     const PolicyAggregate& agg = out_aggs[p];
     table.AddRow({PolicyName(kPolicies[p]), std::to_string(agg.minibatches),
                   std::to_string(agg.rolled_back), std::to_string(agg.restarts),
                   std::to_string(agg.proactive_morphs), std::to_string(agg.premigrated_shards),
-                  std::to_string(agg.live_handoffs), Table::Num(agg.handoff_bytes / 1e9, 2),
                   Table::Num(agg.stalled_s, 1)});
   }
   std::printf("%s\n", table.Render().c_str());
@@ -254,7 +246,6 @@ void Run(int argc, char** argv) {
   int64_t executor_events = 0;
   double downtime_s = 0.0;
   double restore_s = 0.0;
-  int64_t live_handoffs = 0;
   int64_t delta_checkpoints = 0;
 
   const BenchStats wall = TimeIt(0, 1, [&] {
@@ -265,7 +256,6 @@ void Run(int argc, char** argv) {
         // Mirror the FastRecoveryStormCampaign knobs onto the random plans.
         spec.options.checkpoint.full_checkpoint_every = 4;
         spec.options.checkpoint.locality_aware_restore = true;
-        spec.options.checkpoint.live_handoff = true;
       }
       const ChaosReport report = RunChaosCampaign(spec);
       actions += static_cast<int64_t>(spec.plan.actions.size());
@@ -283,7 +273,6 @@ void Run(int argc, char** argv) {
       executor_events += static_cast<int64_t>(report.stats.executor_events);
       downtime_s += report.stats.stalled_s;
       restore_s += RestoreSeconds(report.stats);
-      live_handoffs += report.stats.live_handoffs;
       delta_checkpoints += report.stats.delta_checkpoints;
       // Every 16th seed: replay the whole campaign and require bit-identity.
       if (seed % 16 == 1) {
@@ -316,7 +305,6 @@ void Run(int argc, char** argv) {
   row("mini-batches committed", minibatches_done);
   row("mini-batches rolled back", minibatches_rolled_back);
   row("testbed sim events", executor_events);
-  row("live handoffs", live_handoffs);
   row("delta checkpoints", delta_checkpoints);
   table.AddRow({"downtime (stalled) s", Table::Num(downtime_s, 1),
                 Table::Num(downtime_s / n, 2)});
@@ -359,14 +347,11 @@ void Run(int argc, char** argv) {
     json.AddScalar("fast_recovery", fast_recovery ? 1.0 : 0.0);
     json.AddScalar("downtime_s", downtime_s);
     json.AddScalar("restore_seconds", restore_s);
-    json.AddScalar("live_handoffs", static_cast<double>(live_handoffs));
     json.AddScalar("delta_checkpoints", static_cast<double>(delta_checkpoints));
     json.AddScalar("recovery_before_median_downtime_s", recovery.before_median_downtime_s);
     json.AddScalar("recovery_after_median_downtime_s", recovery.after_median_downtime_s);
     json.AddScalar("recovery_before_restore_s", recovery.before_restore_s);
     json.AddScalar("recovery_after_restore_s", recovery.after_restore_s);
-    json.AddScalar("recovery_after_live_handoffs",
-                   static_cast<double>(recovery.after_live_handoffs));
     json.AddScalar("recovery_after_delta_checkpoints",
                    static_cast<double>(recovery.after_delta_checkpoints));
     json.AddScalar("head_to_head_seeds", static_cast<double>(head_to_head_seeds));
@@ -381,8 +366,6 @@ void Run(int argc, char** argv) {
                      static_cast<double>(policy_aggs[p].proactive_morphs));
       json.AddScalar(key + "_premigrated_shards",
                      static_cast<double>(policy_aggs[p].premigrated_shards));
-      json.AddScalar(key + "_live_handoffs",
-                     static_cast<double>(policy_aggs[p].live_handoffs));
       json.AddScalar(key + "_stalled_s", policy_aggs[p].stalled_s);
     }
     json.AddResult("sweep", wall);

@@ -277,12 +277,10 @@ ChaosCampaignSpec StormyChaosCampaign(uint64_t seed) {
 ChaosCampaignSpec FastRecoveryStormCampaign(uint64_t seed) {
   ChaosCampaignSpec spec = StormyChaosCampaign(seed);
   // Same storms, same seeds — only the recovery machinery differs: full
-  // snapshot every 4th cadence with ~25% deltas between, restores priced per
-  // shard from the cheapest live source, voluntary morphs hand state over
-  // peer-to-peer.
+  // snapshot every 4th cadence with ~25% deltas between, and restores priced
+  // per shard from the cheapest live source.
   spec.options.checkpoint.full_checkpoint_every = 4;
   spec.options.checkpoint.locality_aware_restore = true;
-  spec.options.checkpoint.live_handoff = true;
   return spec;
 }
 

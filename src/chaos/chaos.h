@@ -134,10 +134,10 @@ ChaosCampaignSpec RandomChaosCampaign(uint64_t seed);
 // liveput policy (spec.options.morph_policy, default reactive) can pay off.
 ChaosCampaignSpec StormyChaosCampaign(uint64_t seed);
 // StormyChaosCampaign with the fast recovery path switched on: delta
-// checkpoint chains, locality-aware restore pricing and live handoff on
-// voluntary morphs. Same storms on the same seed, so before/after downtime
-// comparisons isolate the recovery path. A separate factory (rather than a
-// Stormy default) keeps the recorded stormy orderings and goldens valid.
+// checkpoint chains and locality-aware restore pricing. Same storms on the
+// same seed, so before/after downtime comparisons isolate the recovery path.
+// A separate factory (rather than a Stormy default) keeps the recorded
+// stormy orderings and goldens valid.
 ChaosCampaignSpec FastRecoveryStormCampaign(uint64_t seed);
 
 struct ChaosReport {

@@ -285,8 +285,30 @@ double CheckpointStore::RestoreSeconds(int64_t minibatch_id, double total_params
       }
       tiers.push_back(tier);
     }
+    // Peer pulls share NICs: `flows` pulls in flight at once.
+    const auto peer_seconds = [&](size_t s, int flows) {
+      const VmId owner = rec->shards[s].owner;
+      const VmId target = target_vms[s % target_vms.size()];
+      const GpuId src = cluster_->topology().GpusOfNode(cluster_->Vm(owner).node).front();
+      const GpuId dst = cluster_->topology().GpusOfNode(cluster_->Vm(target).node).front();
+      return cluster_->network().MeanTransferTime(src, dst, rec->shard_bytes,
+                                                  std::max(1, flows));
+    };
+    const double cloud_shard_s = rec->shard_bytes / kCloudReadBps;
+    // A flushed shard also has its cloud copy: read that instead when a peer
+    // pull sharing the NICs with every peer candidate would be slower. Only
+    // the pulls left on the peer tier then share the NICs. kWritten shards
+    // have no cloud copy yet and stay on the peer tier.
+    const int candidate_flows = peer_flows;
+    for (size_t s = 0; s < tiers.size(); ++s) {
+      if (tiers[s] == Tier::kPeer && rec->shards[s].state == ShardState::kFlushed &&
+          peer_seconds(s, candidate_flows) > cloud_shard_s) {
+        tiers[s] = Tier::kCloud;
+        --peer_flows;
+      }
+    }
     // Shards of one record restore in parallel (each replica reads its own),
-    // so the record contributes its slowest shard; peer pulls share NICs.
+    // so the record contributes its slowest shard.
     double record_s = 0.0;
     Tier slowest = Tier::kSsd;
     for (size_t s = 0; s < tiers.size(); ++s) {
@@ -296,18 +318,12 @@ double CheckpointStore::RestoreSeconds(int64_t minibatch_id, double total_params
           shard_s = rec->shard_bytes / kSsdReadBps;
           ++out.shards_ssd;
           break;
-        case Tier::kPeer: {
-          const VmId owner = rec->shards[s].owner;
-          const VmId target = target_vms[s % target_vms.size()];
-          const GpuId src = cluster_->topology().GpusOfNode(cluster_->Vm(owner).node).front();
-          const GpuId dst = cluster_->topology().GpusOfNode(cluster_->Vm(target).node).front();
-          shard_s = cluster_->network().MeanTransferTime(src, dst, rec->shard_bytes,
-                                                         std::max(1, peer_flows));
+        case Tier::kPeer:
+          shard_s = peer_seconds(s, peer_flows);
           ++out.shards_peer;
           break;
-        }
         case Tier::kCloud:
-          shard_s = rec->shard_bytes / kCloudReadBps;
+          shard_s = cloud_shard_s;
           ++out.shards_cloud;
           break;
       }

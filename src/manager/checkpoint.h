@@ -20,13 +20,13 @@
 //   * Locality-aware restore — RestoreSeconds() prices each shard of each
 //     chain record from the cheapest live source: the owner VM's SSD when the
 //     owner is part of the restoring placement, a peer transfer over the
-//     simulated Network when the owner is alive elsewhere, and a cloud read
+//     simulated Network when the owner is alive elsewhere (a flushed shard
+//     reads its cloud copy instead when that is cheaper), and a cloud read
 //     otherwise; `kRestoreSetupS` shrinks toward `kWarmRestoreSetupS` as
 //     the fraction of restoring VMs that survived the morph grows, and
 //     premigrated records restore for free (their bytes moved early).
-//   * Live handoff is the trainer's job (ElasticTrainer schedules the
-//     peer-to-peer transfer events); the store only prices checkpoint-based
-//     restores.
+// Every morph, voluntary or not, restores through RestoreSeconds(): the
+// store is the manager's one recovery path.
 #ifndef SRC_MANAGER_CHECKPOINT_H_
 #define SRC_MANAGER_CHECKPOINT_H_
 
@@ -47,11 +47,6 @@ struct CheckpointOptions {
   // Price restores per shard from the cheapest live source instead of always
   // charging full setup plus a full cloud read.
   bool locality_aware_restore = false;
-  // On voluntary morphs the trainer hands live state peer-to-peer between
-  // the outgoing and incoming placements (overlapped with process-group
-  // rebuild) instead of a checkpoint-restore round trip. Involuntary
-  // preemptions always fall back to checkpoint restore.
-  bool live_handoff = false;
 };
 
 constexpr double kSsdWriteBps = 1.0e9;     // Local NVMe.

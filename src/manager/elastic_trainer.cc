@@ -47,6 +47,11 @@ constexpr double kLiveputGainThreshold = 0.5;
 
 Result<std::monostate> TrainerOptions::Validate() const {
   const auto positive = [](double value) { return std::isfinite(value) && value > 0.0; };
+  // Calibrate() refuses the calibration sizes and sample counts ruled out
+  // below, and TryBootstrap would retry it forever; a negative or NaN noise
+  // sigma would silently mean "no noise". Sorted for the distinct check.
+  std::vector<int> sizes = calibration.microbatch_sizes;
+  std::sort(sizes.begin(), sizes.end());
   // (holds, message); each message starts with the field it constrains.
   const std::pair<bool, const char*> rules[] = {
       {positive(total_batch), "total_batch must be > 0 and finite"},
@@ -60,6 +65,14 @@ Result<std::monostate> TrainerOptions::Validate() const {
       {positive(liveput_horizon_s), "liveput_horizon_s must be > 0 and finite"},
       {positive(predictor.window_s), "predictor.window_s must be > 0 and finite"},
       {checkpoint.full_checkpoint_every >= 1, "checkpoint.full_checkpoint_every must be >= 1"},
+      {!sizes.empty(), "calibration.microbatch_sizes must be non-empty"},
+      {sizes.empty() || sizes.front() > 0, "calibration.microbatch_sizes must be positive"},
+      {std::adjacent_find(sizes.begin(), sizes.end()) == sizes.end(),
+       "calibration.microbatch_sizes must be distinct"},
+      {calibration.samples >= 1, "calibration.samples must be >= 1"},
+      {calibration.network_samples >= 1, "calibration.network_samples must be >= 1"},
+      {std::isfinite(calibration.compute_noise_sigma) && calibration.compute_noise_sigma >= 0.0,
+       "calibration.compute_noise_sigma must be >= 0 and finite"},
   };
   for (const auto& [holds, message] : rules) {
     if (!holds) {
@@ -303,82 +316,6 @@ double ElasticTrainer::RecoveryCostS() const {
   return cost;
 }
 
-double ElasticTrainer::EstimatedHandoffSeconds(const JobConfig& config) const {
-  const int gpus_per_vm = std::max(1, vm_type_.node.num_gpus);
-  const int needed = std::max(1, (config.gpus_used + gpus_per_vm - 1) / gpus_per_vm);
-  const int cold = std::max(0, needed - PlacementVmsUsed());
-  const double cold_fraction = static_cast<double>(cold) / static_cast<double>(needed);
-  const double setup = kWarmRestoreSetupS + (kRestoreSetupS - kWarmRestoreSetupS) * cold_fraction;
-  if (cold == 0 || !placement_.has_value()) {
-    return setup;  // Pure repack: state reshuffles in place during rebuild.
-  }
-  // The cold VMs' share of the live state moves in `cold` parallel streams;
-  // price one representative cross-node flow (the real flows are priced in
-  // BeginLiveHandoff once PlaceJob names the incoming VMs).
-  const GpuId src = roster_gpus_.front();
-  GpuId dst = src;
-  for (const GpuId gpu : cluster_->ActiveGpus()) {
-    if (!cluster_->topology().SameNode(gpu, src)) {
-      dst = gpu;
-      break;
-    }
-  }
-  const double total_bytes =
-      kCheckpointBytesPerParam * spec_.TotalParams() * cold_fraction;
-  const double per_stream_bytes = total_bytes / static_cast<double>(cold);
-  const double transfer =
-      cluster_->network().MeanTransferTime(src, dst, per_stream_bytes, cold);
-  return std::max(setup, transfer);
-}
-
-double ElasticTrainer::BeginLiveHandoff(const std::vector<VmId>& outgoing,
-                                        const std::vector<VmId>& incoming) {
-  ++stats_.live_handoffs;
-  std::vector<VmId> cold;
-  for (const VmId vm : incoming) {
-    if (!std::binary_search(outgoing.begin(), outgoing.end(), vm)) {
-      cold.push_back(vm);
-    }
-  }
-  const double incoming_count = static_cast<double>(std::max<size_t>(1, incoming.size()));
-  const double setup =
-      kWarmRestoreSetupS + (kRestoreSetupS - kWarmRestoreSetupS) *
-                               static_cast<double>(cold.size()) / incoming_count;
-  if (cold.empty()) {
-    return setup;  // Same VM set, new shape: state reshuffles locally.
-  }
-  // The cold VMs' share of the state streams from the outgoing placement,
-  // one flow per cold VM, all concurrent, overlapped with the process-group
-  // rebuild of the warm survivors.
-  const double total_bytes = kCheckpointBytesPerParam * spec_.TotalParams() *
-                             static_cast<double>(cold.size()) / incoming_count;
-  const double per_stream_bytes = total_bytes / static_cast<double>(cold.size());
-  std::vector<std::pair<GpuId, GpuId>> flows;
-  flows.reserve(cold.size());
-  for (size_t i = 0; i < cold.size(); ++i) {
-    const VmId src_vm = outgoing[i % outgoing.size()];
-    flows.emplace_back(
-        cluster_->topology().GpusOfNode(cluster_->Vm(src_vm).node).front(),
-        cluster_->topology().GpusOfNode(cluster_->Vm(cold[i]).node).front());
-  }
-  const double transfer =
-      cluster_->network().MeanParallelTransferTime(flows, per_stream_bytes);
-  // One completion event per stream: the bytes land when the transfer does;
-  // a morph that supersedes this one (epoch moved on) aborts the transfer
-  // and lands nothing.
-  const int concurrent = static_cast<int>(flows.size());
-  for (const auto& [src, dst] : flows) {
-    const double stream_s =
-        cluster_->network().MeanTransferTime(src, dst, per_stream_bytes, concurrent);
-    engine_->Schedule(stream_s, [this, epoch = epoch_, per_stream_bytes] {
-      if (epoch == epoch_) {
-        stats_.handoff_bytes += per_stream_bytes;
-      }
-    });
-  }
-  return std::max(setup, transfer);
-}
-
 Result<JobConfig> ElasticTrainer::ChooseConfig(int gpus, const SearchConstraints& constraints) {
   if (!ProactiveEngaged()) {
     return search_->Best(gpus, constraints);
@@ -431,14 +368,10 @@ bool ElasticTrainer::EvaluateProactiveMorph(int available_gpus) {
     return false;
   }
   // Cost model: the examples the liveput gain buys over the horizon must pay
-  // for the examples forgone during the morph stall — the live handoff when
-  // enabled (a voluntary morph moves state peer-to-peer), the record-aware
-  // checkpoint restore otherwise.
-  const double restore_s = options_.checkpoint.live_handoff
-                               ? EstimatedHandoffSeconds(*best)
-                               : EstimatedRestoreSeconds(best->data_parallel);
+  // for the examples forgone during the morph stall, the record-aware
+  // checkpoint restore.
   if ((best_score - current_score) * options_.liveput_horizon_s <=
-      current_rate * restore_s) {
+      current_rate * EstimatedRestoreSeconds(best->data_parallel)) {
     return false;
   }
   ++stats_.proactive_morphs;
@@ -468,7 +401,7 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
   const int gpus = AvailableGpus();
   const bool was_degraded = degraded_;
   // Outgoing placement, captured before a successful attempt() overwrites it:
-  // the live-handoff path sources state from these VMs.
+  // the VMs carried across the morph restore warm.
   const std::vector<VmId> outgoing_vms = PlacementVms();
 
   const auto attempt = [&](bool degraded) {
@@ -506,39 +439,28 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
 
   double restore_delay = 0.0;
   if (lost_state || stats_.minibatches_done > 0) {
+    // Every morph, voluntary or not, restores from the newest usable
+    // checkpoint chain; VMs carried across the morph count as warm.
     const std::vector<VmId> incoming_vms = PlacementVms();
-    const bool outgoing_intact =
-        !outgoing_vms.empty() &&
-        std::all_of(outgoing_vms.begin(), outgoing_vms.end(),
-                    [this](VmId vm) { return cluster_->IsActive(vm); });
-    if (!lost_state && options_.checkpoint.live_handoff &&
-        stats_.minibatches_done > 0 && outgoing_intact) {
-      // Voluntary morph with the outgoing placement still alive: hand the
-      // live state over peer-to-peer instead of a checkpoint round trip.
-      restore_delay = BeginLiveHandoff(outgoing_vms, incoming_vms);
-    } else {
-      // Involuntary (or handoff-ineligible) morph restores from the newest
-      // usable checkpoint chain; VMs carried across the morph count as warm.
-      int warm_vms = 0;
-      for (const VmId vm : incoming_vms) {
-        if (std::binary_search(outgoing_vms.begin(), outgoing_vms.end(), vm)) {
-          ++warm_vms;
-        }
+    int warm_vms = 0;
+    for (const VmId vm : incoming_vms) {
+      if (std::binary_search(outgoing_vms.begin(), outgoing_vms.end(), vm)) {
+        ++warm_vms;
       }
-      RestoreBreakdown breakdown;
-      restore_delay = checkpoints_.RestoreSeconds(
-          checkpoints_.LatestUsable(), spec_.TotalParams(), config_->data_parallel,
-          incoming_vms, warm_vms, &breakdown);
-      stats_.restore_chain_records += breakdown.chain_records;
-      stats_.restore_setup_s += breakdown.setup_s;
-      stats_.restore_ssd_s += breakdown.ssd_s;
-      stats_.restore_peer_s += breakdown.peer_s;
-      stats_.restore_cloud_s += breakdown.cloud_s;
-      stats_.restore_shards_ssd += breakdown.shards_ssd;
-      stats_.restore_shards_peer += breakdown.shards_peer;
-      stats_.restore_shards_cloud += breakdown.shards_cloud;
-      stats_.restore_shards_premigrated += breakdown.shards_premigrated;
     }
+    RestoreBreakdown breakdown;
+    restore_delay = checkpoints_.RestoreSeconds(checkpoints_.LatestUsable(), spec_.TotalParams(),
+                                                config_->data_parallel, incoming_vms, warm_vms,
+                                                &breakdown);
+    stats_.restore_chain_records += breakdown.chain_records;
+    stats_.restore_setup_s += breakdown.setup_s;
+    stats_.restore_ssd_s += breakdown.ssd_s;
+    stats_.restore_peer_s += breakdown.peer_s;
+    stats_.restore_cloud_s += breakdown.cloud_s;
+    stats_.restore_shards_ssd += breakdown.shards_ssd;
+    stats_.restore_shards_peer += breakdown.shards_peer;
+    stats_.restore_shards_cloud += breakdown.shards_cloud;
+    stats_.restore_shards_premigrated += breakdown.shards_premigrated;
   }
   if (stall_started_ >= 0.0) {
     stats_.stalled_s += engine_->now() - stall_started_;

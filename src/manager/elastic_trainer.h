@@ -147,9 +147,6 @@ struct ReplayRecord {
   // Checkpoint shards written early by the pre-migration trigger (expected
   // rollback re-work exceeded the checkpoint stall cost).
   int64_t premigrated_shards = 0;
-  // Voluntary morphs whose state moved peer-to-peer between the outgoing and
-  // incoming placements instead of a checkpoint-restore round trip.
-  int live_handoffs = 0;
   std::vector<TimelineEvent> events;    // The manager timeline, in order.
   std::vector<TimelineSample> samples;  // Throughput samples, in order.
 
@@ -205,10 +202,7 @@ struct SessionStats : ReplayRecord {
   // Advisory — horizon/threshold tuning may change it without invalidating
   // recorded traces.
   int64_t liveput_wins = 0;
-  // --- Fast recovery path (delta checkpoints / locality / live handoff). ---
-  // Bytes landed by completed handoff transfer events — derivable from the
-  // morph timeline and the model size.
-  double handoff_bytes = 0.0;
+  // --- Fast recovery path (delta checkpoints / locality-aware restore). ---
   // Delta checkpoint records written (mirror of the store counter; derivable
   // from the checkpoint sequence).
   int64_t delta_checkpoints = 0;
@@ -321,20 +315,11 @@ class ElasticTrainer {
   // the checkpoint cadence at the measured rate) plus the restore stall. The
   // liveput objective amortizes survival risk by this, not the whole horizon.
   double RecoveryCostS() const;
-  // Record-aware restore estimate for an involuntary hit on the current
-  // placement (one VM presumed lost, the rest warm); equals RestoreDuration
-  // while the fast-recovery options are disabled.
+  // Record-aware restore estimate on the current placement (one VM presumed
+  // lost, the rest warm): the stall of an involuntary hit, and the stall a
+  // proactive morph must pay for. Equals RestoreDuration while the
+  // fast-recovery options are disabled.
   double EstimatedRestoreSeconds(int data_parallel) const;
-  // Decision-time estimate of a voluntary morph's live-handoff delay onto
-  // `config` (the real placement is unknown until PlaceJob): warm-blended
-  // setup plus the cold VMs' state over a representative cross-node flow.
-  double EstimatedHandoffSeconds(const JobConfig& config) const;
-  // Commits a live handoff from the outgoing onto the incoming placement:
-  // schedules the peer-to-peer transfer completion events (aborted transfers
-  // — epoch moved on — land nothing) and returns the morph delay, the
-  // transfer overlapped with the warm process-group rebuild.
-  double BeginLiveHandoff(const std::vector<VmId>& outgoing,
-                          const std::vector<VmId>& incoming);
   // Measured mini-batch duration for the current placement (re-measured when
   // the placement or any member's slow factor changes). O(1) while the
   // cluster generation is the one the cached value was checked against.

@@ -45,16 +45,6 @@ double Network::MeanTransferTime(GpuId src, GpuId dst, double bytes,
   return MeanLatency(src, dst) + bytes / FlowBandwidth(src, dst, concurrent_flows);
 }
 
-double Network::MeanParallelTransferTime(
-    const std::vector<std::pair<GpuId, GpuId>>& flows, double flow_bytes) const {
-  double slowest = 0.0;
-  const int concurrent = static_cast<int>(flows.size());
-  for (const auto& [src, dst] : flows) {
-    slowest = std::max(slowest, MeanTransferTime(src, dst, flow_bytes, concurrent));
-  }
-  return slowest;
-}
-
 double Network::SampleTransferTime(GpuId src, GpuId dst, double bytes, int concurrent_flows,
                                    Rng* rng) const {
   double time = 0.0;

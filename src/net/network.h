@@ -15,7 +15,6 @@
 #define SRC_NET_NETWORK_H_
 
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -40,14 +39,6 @@ class Network {
 
   // Expected transfer time of `bytes` between the GPUs.
   double MeanTransferTime(GpuId src, GpuId dst, double bytes, int concurrent_flows) const;
-
-  // Expected completion time of `flows` point-to-point transfers of
-  // `flow_bytes` each, all in flight at once and sharing NICs with each
-  // other: the max over flows, each priced with concurrent_flows =
-  // flows.size(). The recovery path prices peer-restore shard pulls and
-  // live-handoff streams this way. Empty `flows` is free.
-  double MeanParallelTransferTime(const std::vector<std::pair<GpuId, GpuId>>& flows,
-                                  double flow_bytes) const;
 
   // Transfer time with sampled latency jitter and tail stalls. Requires
   // concurrent_flows >= 1.

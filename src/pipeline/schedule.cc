@@ -107,8 +107,11 @@ Schedule GenerateOneFOneBLoop(ScheduleKind kind, int depth, int num_microbatches
 // Compiles Schedule::eval_order by running the schedule once on booleans:
 // each stage drains as far as its next op's input is produced, in ascending
 // then descending sweeps until nothing progresses. The ascending sweep
-// resolves forward chains and the descending one backward chains, so the
-// pass count stays O(1) instead of O(P). The only schedule-deadlock check.
+// resolves forward chains and the descending one backward chains. The loop
+// guarantees only that each pass either issues at least one op or ends it;
+// the pass count is not bounded by a constant (interleaved 1F1B dependencies
+// can need dozens of sweep pairs). The only schedule-deadlock check: a pass
+// that makes no progress with ops left fails the CHECK below.
 std::vector<uint16_t> CompileEvalOrder(const Schedule& schedule) {
   const int depth = schedule.depth;
   VARUNA_CHECK_LE(depth, std::numeric_limits<uint16_t>::max()) << "eval_order stages are uint16_t";

@@ -54,7 +54,7 @@ void HashReplayRecord(const ReplayRecord& record, Fnv1a* fnv) {
                preemptions_survived, restarts, heartbeat_timeouts, morph_retries,
                reprovision_retries, degraded_intervals, shards_lost, minibatches_rolled_back,
                examples_rolled_back, last_restore_step, proactive_morphs, premigrated_shards,
-               live_handoffs, events, samples] = record;
+               events, samples] = record;
   fnv->U64(static_cast<uint64_t>(minibatches_done));
   fnv->U64(static_cast<uint64_t>(morphs));
   fnv->U64(static_cast<uint64_t>(preemptions_hit));
@@ -72,7 +72,6 @@ void HashReplayRecord(const ReplayRecord& record, Fnv1a* fnv) {
   fnv->U64(static_cast<uint64_t>(last_restore_step));
   fnv->U64(static_cast<uint64_t>(proactive_morphs));
   fnv->U64(static_cast<uint64_t>(premigrated_shards));
-  fnv->U64(static_cast<uint64_t>(live_handoffs));
   fnv->U64(events.size());
   for (const TimelineEvent& event : events) {
     fnv->F64(event.time_s);

@@ -198,7 +198,7 @@ TEST(CheckpointResumeTest, AllCheckpointsDestroyedMeansRestartFromScratch) {
   }
 }
 
-// --- Fast recovery path: delta chains, locality tiers, live handoff. ---
+// --- Fast recovery path: delta chains and locality tiers. ---
 
 CheckpointOptions FastRecoveryOptions(int full_every) {
   CheckpointOptions opts;
@@ -306,6 +306,39 @@ TEST(CheckpointResumeTest, LocalityAwareRestorePricesCheapestLiveSource) {
   store.CheckInvariants();
 }
 
+TEST(CheckpointResumeTest, PeerPullNeverCostsMoreThanTheCloudCopy) {
+  SimEngine engine;
+  Cluster cluster(CommodityFabric());
+  cluster.AddVms(Nc6V3(), 8);
+  CheckpointStore store(&engine, FastRecoveryOptions(/*full_every=*/1), &cluster);
+  // Four shards whose owners stay alive outside the restoring placement: four
+  // concurrent peer pulls split a 10 Gbps NIC below the cloud read rate.
+  constexpr int kShards = 4;
+  store.BeginCheckpoint(10, kParams, kShards, {0, 1, 2, 3});
+  const std::vector<VmId> targets = {4, 5, 6, 7};
+  const double cloud_shard_s = store.Record(10)->shard_bytes / kCloudReadBps;
+
+  // Upload still in flight: the shards have no cloud copy yet, so they pull
+  // from their owners even though that is slower than a cloud read would be.
+  RestoreBreakdown written;
+  store.RestoreSeconds(10, kParams, kShards, targets, /*warm_vms=*/0, &written);
+  EXPECT_EQ(written.shards_peer, kShards);
+  EXPECT_EQ(written.shards_cloud, 0);
+  EXPECT_GT(written.peer_s, cloud_shard_s);
+
+  // Flushed: the same shards now read their cloud copies, the cheaper source.
+  engine.RunUntil(engine.now() + 3600.0);
+  ASSERT_EQ(store.LatestComplete(), 10);
+  RestoreBreakdown flushed;
+  const double total = store.RestoreSeconds(10, kParams, kShards, targets, 0, &flushed);
+  EXPECT_EQ(flushed.shards_peer, 0);
+  EXPECT_EQ(flushed.shards_cloud, kShards);
+  EXPECT_EQ(flushed.cloud_s, cloud_shard_s);
+  EXPECT_EQ(total, kRestoreSetupS + cloud_shard_s);
+  EXPECT_LT(total, written.Total());
+  store.CheckInvariants();
+}
+
 TEST(CheckpointResumeTest, StallEstimateMatchesChargedStallForFullAndDelta) {
   SimEngine engine;
   CheckpointStore store(&engine, FastRecoveryOptions(/*full_every=*/4));
@@ -346,16 +379,16 @@ TEST(CheckpointResumeTest, GarbageCollectionPrunesFlushedOlderChains) {
   store.CheckInvariants();
 }
 
-TEST(CheckpointResumeTest, LiveHandoffResumesFromCurrentStateWithoutRollback) {
+TEST(CheckpointResumeTest, MidCadenceSnapshotResumesBitIdentical) {
   const std::vector<double> clean_losses = RunClean();
   Session clean;
   for (int t = 0; t < kTotalSteps; ++t) {
     clean.Step(t);
   }
 
-  // Voluntary morph at step 13: the outgoing placement streams its CURRENT
-  // state to the incoming one. No rollback to the step-10 checkpoint — the
-  // trajectory continues exactly where the outgoing placement stopped.
+  // A parameter snapshot taken at step 13, between cadence checkpoints,
+  // restores into a fresh session that continues exactly where the snapshot
+  // was taken.
   Session victim;
   for (int t = 0; t < 13; ++t) {
     victim.Step(t);

@@ -76,7 +76,6 @@ const Perturbation kRecordPerturbations[] = {
     {"last_restore_step", [](ElasticTrace* t) { ++t->last_restore_step; }},
     {"proactive_morphs", [](ElasticTrace* t) { ++t->proactive_morphs; }},
     {"premigrated_shards", [](ElasticTrace* t) { ++t->premigrated_shards; }},
-    {"live_handoffs", [](ElasticTrace* t) { ++t->live_handoffs; }},
     {"events[0].time_s",
      [](ElasticTrace* t) { t->events[0].time_s = NextUp(t->events[0].time_s); }},
     {"events[0].kind", [](ElasticTrace* t) { t->events[0].kind += "!"; }},
@@ -117,7 +116,6 @@ TEST(ReplayRecordTest, ObservabilityFieldsStayOutOfTheTrace) {
   noisy.net_ring_cache_hits += 13;
   noisy.premigrated_bytes += 1e9;
   noisy.liveput_wins += 2;
-  noisy.handoff_bytes += 1e9;
   noisy.restore_cloud_s += 4.0;
   noisy.restore_shards_premigrated += 1;
 

@@ -1,10 +1,9 @@
 // Trainer-level fast recovery path: FastRecoveryStormCampaign runs the same
-// seeded storms as StormyChaosCampaign with delta checkpoint chains,
-// locality-aware restore pricing and live handoff on voluntary morphs
-// switched on. These tests pin the three session-level contracts: campaigns
-// stay bit-replayable with the fast path on, identical fault schedules spend
-// less downtime, and involuntary preemptions still go through the
-// rollback+restore fallback (handoff never replaces it).
+// seeded storms as StormyChaosCampaign with delta checkpoint chains and
+// locality-aware restore pricing switched on. These tests pin the three
+// session-level contracts: campaigns stay bit-replayable with the fast path
+// on, identical fault schedules spend less downtime, and involuntary
+// preemptions still go through rollback plus a tiered checkpoint restore.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,24 +27,20 @@ TEST(FastRecoveryTest, ReducesDowntimeOnIdenticalFaultSchedules) {
   double legacy_stalled_s = 0.0;
   double fast_stalled_s = 0.0;
   int64_t delta_checkpoints = 0;
-  int64_t live_handoffs = 0;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     const ChaosReport legacy = RunChaosCampaign(StormyChaosCampaign(seed));
     const ChaosReport fast = RunChaosCampaign(FastRecoveryStormCampaign(seed));
     // With the features off nothing on the fast path may fire.
-    EXPECT_EQ(legacy.stats.live_handoffs, 0) << "seed " << seed;
     EXPECT_EQ(legacy.stats.delta_checkpoints, 0) << "seed " << seed;
     legacy_stalled_s += legacy.stats.stalled_s;
     fast_stalled_s += fast.stats.stalled_s;
     delta_checkpoints += fast.stats.delta_checkpoints;
-    live_handoffs += fast.stats.live_handoffs;
   }
   // Identical storms, identical seeds: the only difference is the recovery
   // machinery, so total downtime must drop and the new machinery must have
   // actually run.
   EXPECT_LT(fast_stalled_s, legacy_stalled_s);
   EXPECT_GT(delta_checkpoints, 0);
-  EXPECT_GT(live_handoffs, 0);
 }
 
 TEST(FastRecoveryTest, InvoluntaryPreemptionsStillRestoreFromCheckpoints) {
@@ -57,8 +52,8 @@ TEST(FastRecoveryTest, InvoluntaryPreemptionsStillRestoreFromCheckpoints) {
     restore_tier_s += report.stats.restore_ssd_s + report.stats.restore_peer_s +
                       report.stats.restore_cloud_s;
   }
-  // Live handoff covers only voluntary morphs: storm preemptions still force
-  // rollback+restore recoveries, priced through the locality tiers.
+  // Storm preemptions force rollback+restore recoveries, priced through the
+  // locality tiers.
   EXPECT_GT(restarts, 0);
   EXPECT_GT(restore_tier_s, 0.0);
 }

@@ -236,6 +236,19 @@ TEST(TrainerOptionsTest, ValidateRejectsEachOutOfRangeKnob) {
       {"predictor.window_s", [](TrainerOptions& o) { o.predictor.window_s = 0.0; }},
       {"checkpoint.full_checkpoint_every",
        [](TrainerOptions& o) { o.checkpoint.full_checkpoint_every = 0; }},
+      {"calibration.microbatch_sizes",
+       [](TrainerOptions& o) { o.calibration.microbatch_sizes.clear(); }},
+      {"calibration.microbatch_sizes",
+       [](TrainerOptions& o) { o.calibration.microbatch_sizes = {4, 0, 8}; }},
+      {"calibration.microbatch_sizes",
+       [](TrainerOptions& o) { o.calibration.microbatch_sizes = {2, 8, 2}; }},
+      {"calibration.samples", [](TrainerOptions& o) { o.calibration.samples = 0; }},
+      {"calibration.network_samples",
+       [](TrainerOptions& o) { o.calibration.network_samples = 0; }},
+      {"calibration.compute_noise_sigma",
+       [](TrainerOptions& o) { o.calibration.compute_noise_sigma = -0.01; }},
+      {"calibration.compute_noise_sigma",
+       [](TrainerOptions& o) { o.calibration.compute_noise_sigma = kNan; }},
   };
   for (const auto& row : rows) {
     TrainerOptions options;
