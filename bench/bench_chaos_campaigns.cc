@@ -248,43 +248,54 @@ void Run(int argc, char** argv) {
   double restore_s = 0.0;
   int64_t delta_checkpoints = 0;
 
-  const BenchStats wall = TimeIt(0, 1, [&] {
+  const auto campaign_spec = [&](int seed) {
+    ChaosCampaignSpec spec = RandomChaosCampaign(static_cast<uint64_t>(seed));
+    spec.options.morph_policy = policy;
+    if (fast_recovery) {
+      // Mirror the FastRecoveryStormCampaign knobs onto the random plans.
+      spec.options.checkpoint.full_checkpoint_every = 4;
+      spec.options.checkpoint.locality_aware_restore = true;
+    }
+    return spec;
+  };
+
+  // One untimed pass fills the table and checks the replays.
+  for (int seed = 1; seed <= campaigns; ++seed) {
+    const ChaosCampaignSpec spec = campaign_spec(seed);
+    const ChaosReport report = RunChaosCampaign(spec);
+    actions += static_cast<int64_t>(spec.plan.actions.size());
+    preemptions += report.stats.preemptions_hit;
+    heartbeat_timeouts += report.stats.heartbeat_timeouts;
+    restarts += report.stats.restarts;
+    morph_retries += report.stats.morph_retries;
+    reprovision_retries += report.stats.reprovision_retries;
+    degraded_intervals += report.stats.degraded_intervals;
+    shards_lost += report.stats.shards_lost;
+    shards_corrupted += report.shards_corrupted_by_chaos;
+    minibatches_done += report.stats.minibatches_done;
+    minibatches_rolled_back += report.stats.minibatches_rolled_back;
+    with_progress += report.stats.minibatches_done > 0 ? 1 : 0;
+    executor_events += static_cast<int64_t>(report.stats.executor_events);
+    downtime_s += report.stats.stalled_s;
+    restore_s += RestoreSeconds(report.stats);
+    delta_checkpoints += report.stats.delta_checkpoints;
+    // Every 16th seed: replay the whole campaign and require bit-identity.
+    if (seed % 16 == 1) {
+      const ChaosReport replay = RunChaosCampaign(spec);
+      if (replay.fingerprint != report.fingerprint || !(replay.trace == report.trace)) {
+        std::fprintf(stderr, "FATAL: seed %d replay diverged (%016llx vs %016llx)\n",
+                     seed, static_cast<unsigned long long>(report.fingerprint),
+                     static_cast<unsigned long long>(replay.fingerprint));
+        std::exit(1);
+      }
+      ++replays_checked;
+    }
+  }
+
+  // The timed sweep is the bare campaign loop, warmed up once.
+  const BenchStats wall = TimeIt(mode.Warmup(1), mode.Repeats(3), [&] {
     for (int seed = 1; seed <= campaigns; ++seed) {
-      ChaosCampaignSpec spec = RandomChaosCampaign(static_cast<uint64_t>(seed));
-      spec.options.morph_policy = policy;
-      if (fast_recovery) {
-        // Mirror the FastRecoveryStormCampaign knobs onto the random plans.
-        spec.options.checkpoint.full_checkpoint_every = 4;
-        spec.options.checkpoint.locality_aware_restore = true;
-      }
-      const ChaosReport report = RunChaosCampaign(spec);
-      actions += static_cast<int64_t>(spec.plan.actions.size());
-      preemptions += report.stats.preemptions_hit;
-      heartbeat_timeouts += report.stats.heartbeat_timeouts;
-      restarts += report.stats.restarts;
-      morph_retries += report.stats.morph_retries;
-      reprovision_retries += report.stats.reprovision_retries;
-      degraded_intervals += report.stats.degraded_intervals;
-      shards_lost += report.stats.shards_lost;
-      shards_corrupted += report.shards_corrupted_by_chaos;
-      minibatches_done += report.stats.minibatches_done;
-      minibatches_rolled_back += report.stats.minibatches_rolled_back;
-      with_progress += report.stats.minibatches_done > 0 ? 1 : 0;
-      executor_events += static_cast<int64_t>(report.stats.executor_events);
-      downtime_s += report.stats.stalled_s;
-      restore_s += RestoreSeconds(report.stats);
-      delta_checkpoints += report.stats.delta_checkpoints;
-      // Every 16th seed: replay the whole campaign and require bit-identity.
-      if (seed % 16 == 1) {
-        const ChaosReport replay = RunChaosCampaign(spec);
-        if (replay.fingerprint != report.fingerprint || !(replay.trace == report.trace)) {
-          std::fprintf(stderr, "FATAL: seed %d replay diverged (%016llx vs %016llx)\n",
-                       seed, static_cast<unsigned long long>(report.fingerprint),
-                       static_cast<unsigned long long>(replay.fingerprint));
-          std::exit(1);
-        }
-        ++replays_checked;
-      }
+      RunChaosCampaign(campaign_spec(seed));
     }
   });
 
@@ -315,8 +326,8 @@ void Run(int argc, char** argv) {
               static_cast<long long>(with_progress), campaigns);
   std::printf("bit-identical replays verified:  %lld\n",
               static_cast<long long>(replays_checked));
-  std::printf("wall clock: %.1f ms total, %.2f ms per campaign\n\n", wall.mean_ms,
-              wall.mean_ms / n);
+  std::printf("wall clock (median of %d): %.1f ms total, %.2f ms per campaign\n\n",
+              wall.repeats, wall.median_ms, wall.median_ms / n);
 
   const int head_to_head_seeds =
       IntFromArgs(argc, argv, "--h2h", mode.smoke ? 4 : 20);
@@ -340,10 +351,10 @@ void Run(int argc, char** argv) {
     json.AddScalar("minibatches_rolled_back", static_cast<double>(minibatches_rolled_back));
     json.AddScalar("campaigns_with_progress", static_cast<double>(with_progress));
     json.AddScalar("replays_checked", static_cast<double>(replays_checked));
-    json.AddScalar("campaign_ms", wall.mean_ms / n);
+    json.AddScalar("campaign_ms", wall.median_ms / n);
     json.AddScalar("executor_events", static_cast<double>(executor_events));
     json.AddScalar("executor_events_per_sec",
-                   static_cast<double>(executor_events) / (wall.mean_ms / 1e3));
+                   static_cast<double>(executor_events) / (wall.median_ms / 1e3));
     json.AddScalar("fast_recovery", fast_recovery ? 1.0 : 0.0);
     json.AddScalar("downtime_s", downtime_s);
     json.AddScalar("restore_seconds", restore_s);

@@ -7,6 +7,7 @@
 // both must land at the same validation perplexity — which has a crisp
 // ground truth (the Markov chain's entropy).
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -36,7 +37,7 @@ std::vector<CurvePoint> Train(const MarkovTask& task, int batch, int steps, floa
                               MathOptions{math_threads});
   AdamOptimizer optimizer(trainer.Parameters(), trainer.Gradients(), lr);
   Rng data_rng(1234);
-  Rng val_rng(77);
+  const uint64_t val_seed = 77;
 
   std::vector<CurvePoint> curve;
   const int microbatch = std::max(1, batch / 16);
@@ -48,7 +49,7 @@ std::vector<CurvePoint> Train(const MarkovTask& task, int batch, int steps, floa
     trainer.ClipByGlobalNorm(1.0f, /*sync_across_stages=*/true);
     optimizer.Step();
     if (step % report_every == 0 || step == steps - 1) {
-      Rng eval_rng = val_rng;  // Same validation set at every report.
+      Rng eval_rng(val_seed);  // Same validation set at every report.
       const Batch val = task.Sample(4096, &eval_rng);
       SoftmaxCrossEntropy eval_loss;
       const double val_value = eval_loss.Loss(trainer.Forward(val.inputs), val.targets);

@@ -76,7 +76,7 @@ ChaosEngine::ChaosEngine(SimEngine* engine, Cluster* cluster, SpotMarket* market
       trainer_(trainer),
       stutter_(stutter),
       baseline_mean_availability_(baseline_mean_availability),
-      rng_(rng),
+      rng_(std::move(rng)),
       plan_(std::move(plan)) {}
 
 void ChaosEngine::Start() {

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 
 #include "src/cluster/cluster.h"
 #include "src/common/rng.h"
@@ -38,7 +39,7 @@ struct FailStutterOptions {
 class FailStutterInjector {
  public:
   FailStutterInjector(SimEngine* engine, Cluster* cluster, Rng rng, FailStutterOptions options)
-      : engine_(engine), cluster_(cluster), rng_(rng), options_(options) {}
+      : engine_(engine), cluster_(cluster), rng_(std::move(rng)), options_(options) {}
 
   // Begins injecting and registers the preemption observer. Call once before
   // running the engine.

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/check.h"
 
 namespace varuna {
 
 SpotMarket::SpotMarket(SimEngine* engine, Rng rng, SimTime tick_interval)
-    : engine_(engine), rng_(rng), tick_interval_(tick_interval) {
+    : engine_(engine), rng_(std::move(rng)), tick_interval_(tick_interval) {
   VARUNA_CHECK_GT(tick_interval, 0.0);
 }
 

@@ -32,7 +32,7 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
+int64_t Rng::UniformInt(int64_t lo, int64_t hi) & {
   VARUNA_CHECK_LE(lo, hi);
   const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
   if (range == 0) {  // Full-width range [INT64_MIN, INT64_MAX].
@@ -47,9 +47,9 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(draw % range);
 }
 
-double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
+double Rng::Uniform(double lo, double hi) & { return lo + (hi - lo) * NextDouble(); }
 
-double Rng::NextPairU1() {
+double Rng::NextPairU1() & {
   double u1 = NextDouble();
   while (u1 <= 1e-300) {
     u1 = NextDouble();
@@ -57,7 +57,7 @@ double Rng::NextPairU1() {
   return u1;
 }
 
-double Rng::GaussianPair() {
+double Rng::GaussianPair() & {
   const double u1 = NextPairU1();
   const double u2 = NextDouble();
   const double radius = PairRadius(u1);
@@ -67,9 +67,9 @@ double Rng::GaussianPair() {
   return radius * std::cos(theta);
 }
 
-double Rng::Gaussian(double mean, double stddev) { return mean + stddev * Gaussian(); }
+double Rng::Gaussian(double mean, double stddev) & { return mean + stddev * Gaussian(); }
 
-bool Rng::SkipGaussiansWithin(int n, double bound) {
+bool Rng::SkipGaussiansWithin(int n, double bound) & {
   VARUNA_CHECK_GE(n, 0);
   VARUNA_CHECK_GE(bound, 0.0);
   // Both values of a Box-Muller pair are bounded in magnitude by its radius
@@ -110,7 +110,7 @@ bool Rng::SkipGaussiansWithin(int n, double bound) {
   return true;
 }
 
-double Rng::Exponential(double mean) {
+double Rng::Exponential(double mean) & {
   VARUNA_CHECK_GT(mean, 0.0);
   double u = NextDouble();
   while (u <= 1e-300) {
@@ -119,6 +119,6 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-Rng Rng::Fork() { return Rng(NextUint64()); }
+Rng Rng::Fork() & { return Rng(NextUint64()); }
 
 }  // namespace varuna

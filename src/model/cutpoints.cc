@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 namespace varuna {
 namespace {
@@ -127,63 +128,13 @@ Result<ModelSections> IdentifyCutPoints(const OpGraph& graph, int num_sections) 
   return sections;
 }
 
-Result<Partition> PartitionModel(const ModelSections& sections, int depth,
-                                 const PartitionOptions& options) {
-  const int k = sections.num_sections();
-  if (depth < 1 || depth > k) {
-    std::ostringstream message;
-    message << "pipeline depth " << depth << " must be in [1, " << k << "] (number of cut-point"
-            << " sections)";
-    return Result<Partition>::Error(message.str());
-  }
+namespace {
 
-  // DP over contiguous partitions: cost[i][p] = min over j of
-  // max(cost[j][p-1], weight(p) * flops(j..i)). Stage weights are 1 except the
-  // last stage (no recompute).
-  std::vector<double> prefix(static_cast<size_t>(k) + 1, 0.0);
-  for (int i = 0; i < k; ++i) {
-    prefix[static_cast<size_t>(i) + 1] =
-        prefix[static_cast<size_t>(i)] + sections.fwd_flops[static_cast<size_t>(i)];
-  }
-  auto range_flops = [&](int begin, int end) {
-    return prefix[static_cast<size_t>(end)] - prefix[static_cast<size_t>(begin)];
-  };
-
-  constexpr double kInfinity = std::numeric_limits<double>::infinity();
-  // cost[p][i]: best max-stage-cost splitting the first i sections into p stages,
-  // where stage p (1-based) may be the last stage only when p == depth.
-  std::vector<std::vector<double>> cost(static_cast<size_t>(depth) + 1,
-                                        std::vector<double>(static_cast<size_t>(k) + 1, kInfinity));
-  std::vector<std::vector<int>> split(static_cast<size_t>(depth) + 1,
-                                      std::vector<int>(static_cast<size_t>(k) + 1, -1));
-  cost[0][0] = 0.0;
-  for (int p = 1; p <= depth; ++p) {
-    const double weight = (p == depth) ? options.last_stage_weight : 1.0;
-    for (int i = p; i <= k - (depth - p); ++i) {
-      for (int j = p - 1; j < i; ++j) {
-        if (cost[static_cast<size_t>(p) - 1][static_cast<size_t>(j)] == kInfinity) {
-          continue;
-        }
-        const double candidate =
-            std::max(cost[static_cast<size_t>(p) - 1][static_cast<size_t>(j)],
-                     weight * range_flops(j, i));
-        if (candidate < cost[static_cast<size_t>(p)][static_cast<size_t>(i)]) {
-          cost[static_cast<size_t>(p)][static_cast<size_t>(i)] = candidate;
-          split[static_cast<size_t>(p)][static_cast<size_t>(i)] = j;
-        }
-      }
-    }
-  }
-
+// Sections [stage_begin[p], stage_begin[p + 1]) as stage p, with its profile.
+Partition MakePartition(const ModelSections& sections, std::vector<int> stage_begin) {
+  const int depth = static_cast<int>(stage_begin.size()) - 1;
   Partition partition;
-  partition.stage_begin.assign(static_cast<size_t>(depth) + 1, 0);
-  partition.stage_begin[static_cast<size_t>(depth)] = k;
-  for (int p = depth; p >= 1; --p) {
-    const int end = partition.stage_begin[static_cast<size_t>(p)];
-    partition.stage_begin[static_cast<size_t>(p) - 1] =
-        split[static_cast<size_t>(p)][static_cast<size_t>(end)];
-  }
-
+  partition.stage_begin = std::move(stage_begin);
   partition.stage_fwd_flops.resize(static_cast<size_t>(depth));
   partition.stage_params.resize(static_cast<size_t>(depth));
   partition.send_activation_bytes.resize(static_cast<size_t>(depth) - 1);
@@ -204,6 +155,93 @@ Result<Partition> PartitionModel(const ModelSections& sections, int depth,
     }
   }
   return partition;
+}
+
+// The balanced partitions at depths first_depth..last_depth, in order, from
+// one DP. Requires 1 <= first_depth <= last_depth <= sections.num_sections().
+std::vector<Partition> PartitionDepths(const ModelSections& sections, int first_depth,
+                                       int last_depth, const PartitionOptions& options) {
+  const int k = sections.num_sections();
+  std::vector<double> prefix(static_cast<size_t>(k) + 1, 0.0);
+  for (int i = 0; i < k; ++i) {
+    prefix[static_cast<size_t>(i) + 1] =
+        prefix[static_cast<size_t>(i)] + sections.fwd_flops[static_cast<size_t>(i)];
+  }
+  auto range_flops = [&](int begin, int end) {
+    return prefix[static_cast<size_t>(end)] - prefix[static_cast<size_t>(begin)];
+  };
+
+  // DP over contiguous partitions. Stage weights are 1 except the last stage
+  // (no recompute), so the rows of the stages before the last are the same at
+  // every depth: cost[p][i] is the best max-stage cost splitting the first i
+  // sections into p weight-1 stages, split[p][i] where the p-th one begins.
+  // Row p feeds the last stage at depths above p, which need i <= k - depth + p.
+  constexpr double kInfinity = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> cost(static_cast<size_t>(last_depth),
+                                        std::vector<double>(static_cast<size_t>(k) + 1, kInfinity));
+  std::vector<std::vector<int>> split(static_cast<size_t>(last_depth),
+                                      std::vector<int>(static_cast<size_t>(k) + 1, -1));
+  cost[0][0] = 0.0;
+  // Candidate stage [j, i) after p - 1 stages over the first j sections.
+  auto relax = [&](int p, int j, int i, double weight, double* best, int* best_begin) {
+    const double before = cost[static_cast<size_t>(p) - 1][static_cast<size_t>(j)];
+    if (before == kInfinity) {
+      return;
+    }
+    const double candidate = std::max(before, weight * range_flops(j, i));
+    if (candidate < *best) {
+      *best = candidate;
+      *best_begin = j;
+    }
+  };
+  for (int p = 1; p < last_depth; ++p) {
+    for (int i = p; i <= k - std::max(first_depth, p + 1) + p; ++i) {
+      for (int j = p - 1; j < i; ++j) {
+        relax(p, j, i, 1.0, &cost[static_cast<size_t>(p)][static_cast<size_t>(i)],
+              &split[static_cast<size_t>(p)][static_cast<size_t>(i)]);
+      }
+    }
+  }
+
+  std::vector<Partition> partitions;
+  partitions.reserve(static_cast<size_t>(last_depth - first_depth) + 1);
+  for (int depth = first_depth; depth <= last_depth; ++depth) {
+    double best = kInfinity;
+    int last_begin = -1;
+    for (int j = depth - 1; j < k; ++j) {
+      relax(depth, j, k, options.last_stage_weight, &best, &last_begin);
+    }
+    std::vector<int> stage_begin(static_cast<size_t>(depth) + 1, 0);
+    stage_begin[static_cast<size_t>(depth)] = k;
+    stage_begin[static_cast<size_t>(depth) - 1] = last_begin;
+    for (int p = depth - 1; p >= 1; --p) {
+      const int end = stage_begin[static_cast<size_t>(p)];
+      stage_begin[static_cast<size_t>(p) - 1] =
+          split[static_cast<size_t>(p)][static_cast<size_t>(end)];
+    }
+    partitions.push_back(MakePartition(sections, std::move(stage_begin)));
+  }
+  return partitions;
+}
+
+}  // namespace
+
+Result<Partition> PartitionModel(const ModelSections& sections, int depth,
+                                 const PartitionOptions& options) {
+  const int k = sections.num_sections();
+  if (depth < 1 || depth > k) {
+    std::ostringstream message;
+    message << "pipeline depth " << depth << " must be in [1, " << k << "] (number of cut-point"
+            << " sections)";
+    return Result<Partition>::Error(message.str());
+  }
+  return std::move(PartitionDepths(sections, depth, depth, options).front());
+}
+
+std::vector<Partition> PartitionModelAtEveryDepth(const ModelSections& sections,
+                                                  const PartitionOptions& options) {
+  const int k = sections.num_sections();
+  return k < 1 ? std::vector<Partition>() : PartitionDepths(sections, 1, k, options);
 }
 
 }  // namespace varuna

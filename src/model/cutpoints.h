@@ -57,6 +57,12 @@ struct Partition {
 Result<Partition> PartitionModel(const ModelSections& sections, int depth,
                                  const PartitionOptions& options = {});
 
+// PartitionModel at every depth 1..K from one O(K^3) DP: entry d - 1 is the
+// partition at depth d. The rows of the stages before the last are shared
+// between depths; only the last stage's row differs.
+std::vector<Partition> PartitionModelAtEveryDepth(const ModelSections& sections,
+                                                  const PartitionOptions& options = {});
+
 }  // namespace varuna
 
 #endif  // SRC_MODEL_CUTPOINTS_H_

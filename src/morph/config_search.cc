@@ -148,19 +148,13 @@ bool ConfigSearch::StageMemoryFits(const Partition& partition, int m, int num_mi
 }
 
 const Partition* ConfigSearch::PartitionForDepth(int depth) const {
-  const size_t index = static_cast<size_t>(depth);
-  if (partition_known_.size() <= index) {
-    partition_known_.resize(index + 1, 0);
-    partitions_.resize(index + 1);
+  if (!partitions_) {
+    partitions_ = PartitionModelAtEveryDepth(*sections_);
   }
-  if (!partition_known_[index]) {
-    Result<Partition> partition = PartitionModel(*sections_, depth);
-    if (partition.ok()) {
-      partitions_[index] = std::make_unique<Partition>(std::move(partition).value());
-    }
-    partition_known_[index] = 1;
+  if (depth < 1 || static_cast<size_t>(depth) > partitions_->size()) {
+    return nullptr;
   }
-  return partitions_[index].get();
+  return &(*partitions_)[static_cast<size_t>(depth) - 1];
 }
 
 Partition ConfigSearch::CopyPartition(int depth) const {
@@ -403,8 +397,7 @@ void ConfigSearch::ClearCaches() const {
   std::unique_lock<std::mutex> lock(sweep_mutex_);
   stats_ = ConfigSearchStats();
   candidate_memo_.Clear();
-  partitions_.clear();
-  partition_known_.clear();
+  partitions_.reset();
 }
 
 }  // namespace varuna

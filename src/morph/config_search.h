@@ -55,8 +55,8 @@
 #define SRC_MORPH_CONFIG_SEARCH_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "src/common/result.h"
@@ -228,8 +228,8 @@ class ConfigSearch {
   // the exhaustive list, a pure function of the inputs.
   Result<std::vector<JobConfig>> Sweep(int gpus, const SearchConstraints& constraints) const;
 
-  // A copy of the balanced partition the sweep evaluates at `depth` (computed
-  // once per depth and cached). Aborts when `depth` has no partition, which
+  // A copy of the balanced partition the sweep evaluates at `depth` (every
+  // depth's is computed once and cached). Aborts when `depth` has no partition, which
   // cannot happen for the depth of a config this search returned.
   Partition CopyPartition(int depth) const;
 
@@ -248,8 +248,8 @@ class ConfigSearch {
   bool StageMemoryFits(const Partition& partition, int m, int num_microbatches,
                        const SearchConstraints& constraints) const;
 
-  // Balanced partition for `depth`, computed once per depth and cached
-  // (it depends only on the fixed model sections). Null when infeasible.
+  // Balanced partition for `depth`; the first call computes every depth's
+  // (they depend only on the fixed model sections). Null when infeasible.
   const Partition* PartitionForDepth(int depth) const;
 
   const TransformerSpec* spec_;
@@ -267,10 +267,8 @@ class ConfigSearch {
   // the scratch buffers amortise (hoisted out of the per-candidate loop).
   mutable std::vector<FastSimulator> simulators_;
   mutable CandidateMemo candidate_memo_;
-  // partitions_[depth] once computed; partition_known_[depth] distinguishes
-  // "not yet tried" from "infeasible" (null entry).
-  mutable std::vector<std::unique_ptr<Partition>> partitions_;
-  mutable std::vector<uint8_t> partition_known_;
+  // (*partitions_)[depth - 1] for every depth 1..K, from one DP on first use.
+  mutable std::optional<std::vector<Partition>> partitions_;
 };
 
 }  // namespace varuna

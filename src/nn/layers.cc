@@ -19,12 +19,12 @@ Tensor Layer::Forward(const Tensor& input) {
   // Self-assignment is fine when a caller feeds our own buffer back in.
   wrapped_input_ = input;
   ForwardInto(wrapped_input_, &wrapped_output_, &wrapper_arena_);
-  return wrapped_output_;
+  return Tensor(wrapped_output_);
 }
 
 Tensor Layer::Backward(const Tensor& grad_output) {
   BackwardInto(grad_output, &wrapped_grad_input_, &wrapper_arena_);
-  return wrapped_grad_input_;
+  return Tensor(wrapped_grad_input_);
 }
 
 // --- Linear ----------------------------------------------------------------

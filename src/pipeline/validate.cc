@@ -197,7 +197,8 @@ void CheckNoRecompute(const Schedule& schedule, int s, const char* why, Reporter
   }
 }
 
-void CheckVaruna(const Schedule& schedule, Reporter* report) {
+void CheckVaruna(const Schedule& schedule, const std::vector<StageIndex>& indices,
+                 Reporter* report) {
   const int last = schedule.depth - 1;
   // Last stage: no recompute (activations are live — §3.2), and strict
   // F(m),B(m) alternation: the loss gradient is local, so each forward's
@@ -226,23 +227,17 @@ void CheckVaruna(const Schedule& schedule, Reporter* report) {
   for (int s = 0; s < last; ++s) {
     CheckRecomputeAdjacent(schedule, s, report);
     CheckWarmup(schedule, s, std::min(3 * (last - s), schedule.num_microbatches), report);
-    const auto& ops = schedule.ops[static_cast<size_t>(s)];
-    std::vector<bool> recomputed(static_cast<size_t>(schedule.num_microbatches), false);
-    for (const PipeOp& op : ops) {
-      if (op.type == PipeOpType::kRecompute && op.microbatch >= 0 &&
-          op.microbatch < schedule.num_microbatches) {
-        recomputed[static_cast<size_t>(op.microbatch)] = true;
-      }
-    }
+    const std::vector<int>& recompute_at = indices[static_cast<size_t>(s)].recompute_at;
     for (int m = 0; m < schedule.num_microbatches; ++m) {
-      if (!recomputed[static_cast<size_t>(m)]) {
+      if (recompute_at[static_cast<size_t>(m)] == -1) {
         report->Violation(s, "micro-batch ", m, ": interior stage must recompute before its backward");
       }
     }
   }
 }
 
-void CheckGpipe(const Schedule& schedule, Reporter* report) {
+void CheckGpipe(const Schedule& schedule, const std::vector<StageIndex>& indices,
+                Reporter* report) {
   const int newest = schedule.num_microbatches - 1;
   for (int s = 0; s < schedule.depth; ++s) {
     const auto& ops = schedule.ops[static_cast<size_t>(s)];
@@ -274,15 +269,9 @@ void CheckGpipe(const Schedule& schedule, Reporter* report) {
     }
     // All older micro-batches left the activation stack and must recompute.
     CheckRecomputeAdjacent(schedule, s, report);
-    std::vector<bool> recomputed(static_cast<size_t>(schedule.num_microbatches), false);
-    for (const PipeOp& op : ops) {
-      if (op.type == PipeOpType::kRecompute && op.microbatch >= 0 &&
-          op.microbatch < schedule.num_microbatches) {
-        recomputed[static_cast<size_t>(op.microbatch)] = true;
-      }
-    }
+    const std::vector<int>& recompute_at = indices[static_cast<size_t>(s)].recompute_at;
     for (int m = 0; m < newest; ++m) {
-      if (!recomputed[static_cast<size_t>(m)]) {
+      if (recompute_at[static_cast<size_t>(m)] == -1) {
         report->Violation(s, "micro-batch ", m, ": GPipe must recompute evicted activations");
       }
     }
@@ -421,15 +410,17 @@ ScheduleValidation ValidateSchedule(const Schedule& schedule) {
     return result;
   }
 
+  std::vector<StageIndex> indices;
+  indices.reserve(static_cast<size_t>(schedule.depth));
   for (int s = 0; s < schedule.depth; ++s) {
-    CheckStageUniversal(schedule, s, &report);
+    indices.push_back(CheckStageUniversal(schedule, s, &report));
   }
   switch (schedule.kind) {
     case ScheduleKind::kVaruna:
-      CheckVaruna(schedule, &report);
+      CheckVaruna(schedule, indices, &report);
       break;
     case ScheduleKind::kGpipe:
-      CheckGpipe(schedule, &report);
+      CheckGpipe(schedule, indices, &report);
       break;
     case ScheduleKind::kOneFOneB:
       CheckOneFOneB(schedule, &report);

@@ -495,7 +495,7 @@ Tensor MatMulTransposeANaive(const Tensor& a, const Tensor& b) {
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   VARUNA_CHECK(a.shape() == b.shape());
-  Tensor c = a;
+  Tensor c(a);
   c.AddInPlace(b);
   return c;
 }
@@ -507,7 +507,7 @@ void AddInto(Tensor* out, const Tensor& a, const Tensor& b) {
 }
 
 Tensor AddRowVector(const Tensor& a, const Tensor& row) {
-  Tensor c = a;
+  Tensor c(a);
   AddRowVectorInPlace(&c, row);
   return c;
 }
@@ -533,7 +533,7 @@ void AccumulateRowSumsInto(Tensor* row_sum, const Tensor& m) {
 
 Tensor Hadamard(const Tensor& a, const Tensor& b) {
   VARUNA_CHECK(a.shape() == b.shape());
-  Tensor c = a;
+  Tensor c(a);
   for (int64_t i = 0; i < c.size(); ++i) {
     c[i] *= b[i];
   }

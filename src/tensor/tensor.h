@@ -31,6 +31,15 @@ class Tensor {
   Tensor() = default;
   explicit Tensor(std::vector<int> shape);
 
+  // Copying an element buffer is always spelled out: the explicit copy
+  // constructor keeps an lvalue from binding to a by-value Tensor parameter
+  // (take const Tensor& for an input, Tensor* for an output). Moves and copy
+  // assignment stay implicit.
+  explicit Tensor(const Tensor&) = default;
+  Tensor(Tensor&&) noexcept = default;
+  Tensor& operator=(const Tensor&) = default;
+  Tensor& operator=(Tensor&&) noexcept = default;
+
   static Tensor Zeros(std::vector<int> shape);
   // Gaussian init with the given standard deviation.
   static Tensor Randn(std::vector<int> shape, Rng* rng, float stddev);

@@ -444,7 +444,7 @@ double SyncPipelineTrainer::ClipByGlobalNorm(float max_norm, bool sync_across_st
 }
 
 Tensor SyncPipelineTrainer::Forward(const Tensor& inputs) {
-  Tensor x = inputs;
+  Tensor x(inputs);
   for (auto& state : stages_) {
     x = state.stage->Forward(x);
   }

@@ -117,8 +117,8 @@ TEST(Lexer, HeaderNameAfterInclude) {
 
 TEST(Lexer, CommentAllowsParsesRuleNames) {
   EXPECT_TRUE(CommentAllows("// varuna-analyze: allow(layering)", "layering"));
-  EXPECT_TRUE(CommentAllows("// text varuna-analyze: allow(rng-copy)", "rng-copy"));
-  EXPECT_FALSE(CommentAllows("// varuna-analyze: allow(layering)", "rng-copy"));
+  EXPECT_TRUE(CommentAllows("// text varuna-analyze: allow(global-state)", "global-state"));
+  EXPECT_FALSE(CommentAllows("// varuna-analyze: allow(layering)", "global-state"));
   EXPECT_FALSE(CommentAllows("// varuna-lint: allow(layering)", "layering"));
 }
 
@@ -203,56 +203,7 @@ TEST(IncludeGraph, DownwardIncludeIsClean) {
   EXPECT_TRUE(findings.empty()) << Dump(findings);
 }
 
-// --- Pass 2: Rng discipline --------------------------------------------------
-
-std::vector<Finding> RngFindings(const std::string& fixture) {
-  const LexedFile file = LexFixture("rng/" + fixture, "src/fixture/" + fixture);
-  std::vector<Finding> findings;
-  CheckRngDiscipline(file, &findings);
-  return findings;
-}
-
-TEST(RngDiscipline, ByValueParamDrawsAreForks) {
-  const std::vector<Finding> findings = RngFindings("bad_value_param.cc");
-  EXPECT_EQ(CountRule(findings, "rng-value-param"), 2) << Dump(findings);
-  EXPECT_EQ(findings.size(), 2u) << Dump(findings);
-}
-
-TEST(RngDiscipline, CopiesOutsideForkAreFlagged) {
-  const std::vector<Finding> findings = RngFindings("bad_copy.cc");
-  EXPECT_EQ(CountRule(findings, "rng-copy"), 2) << Dump(findings);
-  EXPECT_EQ(findings.size(), 2u) << Dump(findings);
-}
-
-TEST(RngDiscipline, TemporaryDrawsAreFlagged) {
-  const std::vector<Finding> findings = RngFindings("bad_temp.cc");
-  EXPECT_EQ(CountRule(findings, "rng-temp"), 1) << Dump(findings);
-  EXPECT_EQ(findings.size(), 1u) << Dump(findings);
-}
-
-TEST(RngDiscipline, RawStringsCommentsAndSinksStayClean) {
-  const std::vector<Finding> findings = RngFindings("clean.cc");
-  EXPECT_TRUE(findings.empty()) << Dump(findings);
-}
-
-// The liveput predictor contract (src/morph/liveput.h): policy code draws no
-// randomness. The seeded-defect fixture shows one instance of each way a
-// predictor might sneak a draw in; its disciplined counterpart (pure
-// function of the observation stream) must stay clean.
-TEST(RngDiscipline, JitteredPredictorPolicyDrawsAreFlagged) {
-  const std::vector<Finding> findings = RngFindings("bad_predictor.cc");
-  EXPECT_EQ(CountRule(findings, "rng-value-param"), 1) << Dump(findings);
-  EXPECT_EQ(CountRule(findings, "rng-temp"), 1) << Dump(findings);
-  EXPECT_EQ(CountRule(findings, "rng-copy"), 1) << Dump(findings);
-  EXPECT_EQ(findings.size(), 3u) << Dump(findings);
-}
-
-TEST(RngDiscipline, ObservationDrivenPredictorIsClean) {
-  const std::vector<Finding> findings = RngFindings("clean_predictor.cc");
-  EXPECT_TRUE(findings.empty()) << Dump(findings);
-}
-
-// --- Pass 3: house rules -----------------------------------------------------
+// --- Pass 2: house rules -----------------------------------------------------
 
 // Lines of the `rule` findings when the house rules read `text` as `rel`.
 std::vector<int> HouseLines(const std::string& rel, const std::string& text,
@@ -462,22 +413,6 @@ TEST(HotPath, NodeContainersAndStdFunctionAreFlagged) {
   EXPECT_EQ(HouseLines("src/nn/x.cc", text, "hot-path"), Lines{});
 }
 
-TEST(TensorByValue, ByValueParametersAreFlagged) {
-  EXPECT_EQ(HouseLines("src/x.h",
-                       "void Add(Tensor a, const Tensor& b, Tensor* out);\n"
-                       "void Scale(const Tensor x);\n"
-                       "Tensor Make(int n); std::vector<Tensor> Split(const Tensor& t);\n",
-                       "tensor-by-value"),
-            (Lines{1, 2}));
-  EXPECT_EQ(HouseLines("tests/x.cc", "void Add(Tensor a);\n", "tensor-by-value"), Lines{});
-}
-
-TEST(TensorByValue, SplitParameterIsFlagged) {
-  EXPECT_EQ(HouseLines("src/x.h", "void Split(Tensor\n           spread, int n);\n",
-                       "tensor-by-value"),
-            Lines{1});
-}
-
 std::vector<int> GlobalStateLines(const std::string& text, const std::string& rel = "src/x.cc") {
   return HouseLines(rel, text, "global-state");
 }
@@ -595,7 +530,7 @@ TEST(GlobalState, CoversSrcOnly) {
   EXPECT_EQ(GlobalStateLines("static int calls = 0;\nint count = 0;\n", "tests/t.cc"), Lines{});
 }
 
-// --- Pass 4: allowlists --------------------------------------------------------
+// --- Pass 3: allowlists --------------------------------------------------------
 
 // A fresh directory under the test temp dir, removed on destruction.
 struct ScratchRoot {
@@ -680,44 +615,6 @@ TEST(RealTree, FullAnalysisIsClean) {
   std::string error;
   const int status = RunAnalysis(options, &findings, &error);
   EXPECT_EQ(status, 0) << error << "\n" << Dump(findings);
-}
-
-// The public member functions Rng declares, constructors excluded: every
-// `name(` directly inside its `public:` section.
-std::vector<std::string> PublicRngMethods() {
-  const std::string path = std::string(VARUNA_REPO_ROOT) + "/src/common/rng.h";
-  const LexedFile file = Lex(path, "src/common/rng.h", ReadFileOrDie(path));
-  std::vector<std::string> methods;
-  int depth = 0;          // open braces and parens
-  int public_depth = -1;  // depth of the `public:` section, -1 outside it
-  for (size_t i = 0; i + 1 < file.tokens.size(); ++i) {
-    const Token& t = file.tokens[i];
-    if (t.kind == TokKind::kPunct) {
-      depth += (t.text == "{" || t.text == "(") - (t.text == "}" || t.text == ")");
-    }
-    if (t.text == "public" || t.text == "private") public_depth = t.text == "public" ? depth : -1;
-    if (depth == public_depth && t.kind == TokKind::kIdent && t.text != "Rng" &&
-        file.tokens[i + 1].text == "(") {
-      methods.push_back(t.text);
-    }
-  }
-  return methods;
-}
-
-// rng-value-param and rng-temp know which calls advance a stream only from
-// kRngDrawMethods, so the list must track src/common/rng.h both ways.
-TEST(RealTree, RngDrawMethodsMatchTheRngHeader) {
-  const std::vector<std::string> methods = PublicRngMethods();
-  ASSERT_FALSE(methods.empty());
-  const std::span<const std::string_view> draws = RngDrawMethods();
-  for (const std::string& method : methods) {
-    EXPECT_NE(std::find(draws.begin(), draws.end(), method), draws.end())
-        << "Rng::" << method << " is public but not a draw method";
-  }
-  for (const std::string_view draw : draws) {
-    EXPECT_NE(std::find(methods.begin(), methods.end(), draw), methods.end())
-        << draw << " is not a public Rng member function";
-  }
 }
 
 }  // namespace

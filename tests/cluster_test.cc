@@ -151,8 +151,7 @@ TEST(SpotMarketTest, GrantsUpToDemandAndCapacity) {
 
 TEST(SpotMarketTest, PreemptsOnCapacityDrop) {
   SimEngine engine;
-  Rng rng(7);
-  SpotMarket market(&engine, rng, 60.0);
+  SpotMarket market(&engine, Rng(7), 60.0);
   SpotPoolDynamics dynamics;
   dynamics.mean_availability = 1.0;
   dynamics.volatility = 0.0;

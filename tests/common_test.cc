@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -149,6 +151,83 @@ TEST(RngTest, SkipGaussiansWithinMatchesDrawing) {
   // Both outcomes are exercised.
   EXPECT_GT(skipped, 200);
   EXPECT_GT(refused, 200);
+}
+
+// The stream contract, enforced by the type: an Rng is never copied, so a
+// stream cannot fork silently; it moves (to a sink) or forks via Fork().
+TEST(RngContract, IsMoveOnly) {
+  static_assert(!std::is_copy_constructible_v<Rng>);
+  static_assert(!std::is_copy_assignable_v<Rng>);
+  static_assert(std::is_nothrow_move_constructible_v<Rng>);
+  static_assert(std::is_nothrow_move_assignable_v<Rng>);
+  // The move carries the whole state, cached Gaussian included.
+  Rng source(31);
+  Rng twin(31);
+  source.Gaussian();
+  twin.Gaussian();
+  Rng moved = std::move(source);
+  EXPECT_EQ(moved.Gaussian(), twin.Gaussian());
+  EXPECT_EQ(moved.NextUint64(), twin.NextUint64());
+}
+
+// A by-value Rng parameter (a sink that stores its stream) takes only a moved
+// or fresh stream, never a copy of the caller's.
+TEST(RngContract, SinksTakeAMovedStream) {
+  static_assert(!std::is_convertible_v<Rng&, Rng>);
+  static_assert(!std::is_convertible_v<const Rng&, Rng>);
+  static_assert(std::is_convertible_v<Rng&&, Rng>);
+  Rng caller(8);
+  Rng reference(8);
+  const auto sink = [](Rng stored) { return stored.NextUint64(); };
+  EXPECT_EQ(sink(std::move(caller)), reference.NextUint64());
+}
+
+// Whether each stream-advancing member compiles on an expression of type R:
+// Rng& is a named stream, Rng (an xvalue through declval) an unnamed one.
+template <typename R>
+struct Draws {
+  static constexpr bool kNextUint64 = requires { std::declval<R>().NextUint64(); };
+  static constexpr bool kNextDouble = requires { std::declval<R>().NextDouble(); };
+  static constexpr bool kUniformInt = requires { std::declval<R>().UniformInt(0, 1); };
+  static constexpr bool kUniform = requires { std::declval<R>().Uniform(0.0, 1.0); };
+  static constexpr bool kGaussian = requires { std::declval<R>().Gaussian(); };
+  static constexpr bool kGaussianScaled = requires { std::declval<R>().Gaussian(0.0, 1.0); };
+  static constexpr bool kSkipGaussiansWithin =
+      requires { std::declval<R>().SkipGaussiansWithin(1, 1.0); };
+  static constexpr bool kExponential = requires { std::declval<R>().Exponential(1.0); };
+  static constexpr bool kLogNormalMedian =
+      requires { std::declval<R>().LogNormalMedian(1.0, 1.0); };
+  static constexpr bool kBernoulli = requires { std::declval<R>().Bernoulli(0.5); };
+  static constexpr bool kFork = requires { std::declval<R>().Fork(); };
+};
+
+// A draw on a temporary is a stream that lives for one expression, seeded by
+// whatever that expression happens to hold: every draw needs a named Rng.
+TEST(RngContract, DrawsNeedANamedStream) {
+  using Named = Draws<Rng&>;
+  static_assert(Named::kNextUint64 && Named::kNextDouble && Named::kUniformInt &&
+                Named::kUniform && Named::kGaussian && Named::kGaussianScaled &&
+                Named::kSkipGaussiansWithin && Named::kExponential &&
+                Named::kLogNormalMedian && Named::kBernoulli && Named::kFork);
+  using Temporary = Draws<Rng>;
+  static_assert(!Temporary::kNextUint64);
+  static_assert(!Temporary::kNextDouble);
+  static_assert(!Temporary::kUniformInt);
+  static_assert(!Temporary::kUniform);
+  static_assert(!Temporary::kGaussian);
+  static_assert(!Temporary::kGaussianScaled);
+  static_assert(!Temporary::kSkipGaussiansWithin);
+  static_assert(!Temporary::kExponential);
+  static_assert(!Temporary::kLogNormalMedian);
+  static_assert(!Temporary::kBernoulli);
+  static_assert(!Temporary::kFork);
+  // Forking a named stream advances it by exactly one draw.
+  Rng parent(5);
+  Rng reference(5);
+  Rng child = parent.Fork();
+  Rng expected_child(reference.NextUint64());
+  EXPECT_EQ(child.NextUint64(), expected_child.NextUint64());
+  EXPECT_EQ(parent.NextUint64(), reference.NextUint64());
 }
 
 TEST(StatsTest, RunningStatsBasic) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "src/common/units.h"
 #include "src/model/cutpoints.h"
 #include "src/model/op_graph.h"
@@ -144,6 +148,63 @@ TEST(PartitionTest, LastStageWeightPacksHeadIntoFinalStage) {
   ASSERT_TRUE(without.ok());
   EXPECT_GE(with_discount.value().stage_fwd_flops.back(),
             without.value().stage_fwd_flops.back());
+}
+
+// An independent per-depth DP, as PartitionModel computed it before the
+// depths shared one table: the stage begins minimising the maximum stage
+// compute, the last stage weighted by `last_stage_weight`.
+std::vector<int> ReferenceStageBegins(const ModelSections& sections, int depth,
+                                      double last_stage_weight) {
+  const size_t k = static_cast<size_t>(sections.num_sections());
+  const size_t stages = static_cast<size_t>(depth);
+  std::vector<double> prefix(k + 1, 0.0);
+  for (size_t i = 0; i < k; ++i) prefix[i + 1] = prefix[i] + sections.fwd_flops[i];
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> cost(stages + 1, std::vector<double>(k + 1, inf));
+  std::vector<std::vector<size_t>> split(stages + 1, std::vector<size_t>(k + 1, 0));
+  cost[0][0] = 0.0;
+  for (size_t p = 1; p <= stages; ++p) {
+    const double weight = p == stages ? last_stage_weight : 1.0;
+    for (size_t i = p; i <= k - (stages - p); ++i) {
+      for (size_t j = p - 1; j < i; ++j) {
+        if (cost[p - 1][j] == inf) continue;
+        const double candidate = std::max(cost[p - 1][j], weight * (prefix[i] - prefix[j]));
+        if (candidate < cost[p][i]) {
+          cost[p][i] = candidate;
+          split[p][i] = j;
+        }
+      }
+    }
+  }
+  std::vector<int> begins(stages + 1, static_cast<int>(k));
+  for (size_t p = stages; p >= 1; --p) {
+    begins[p - 1] = static_cast<int>(split[p][static_cast<size_t>(begins[p])]);
+  }
+  return begins;
+}
+
+// One DP for every depth gives each depth the partition of its own DP, for
+// every model the benches and sessions partition.
+TEST(PartitionTest, EveryDepthMatchesAPerDepthDp) {
+  const std::vector<TransformerSpec> specs = {BertLarge(), Bert72(),   Gpt2Medium(), Gpt2_2_5B(),
+                                              Gpt2_8_3B(), Gpt2_20B(), Gpt2_200B()};
+  for (const TransformerSpec& spec : specs) {
+    const auto sections = IdentifyCutPoints(BuildTransformerOpGraph(spec), spec.num_layers);
+    ASSERT_TRUE(sections.ok()) << spec.name;
+    const std::vector<Partition> every = PartitionModelAtEveryDepth(sections.value());
+    ASSERT_EQ(every.size(), static_cast<size_t>(sections.value().num_sections())) << spec.name;
+    for (int depth = 1; depth <= static_cast<int>(every.size()); ++depth) {
+      const Partition& shared = every[static_cast<size_t>(depth) - 1];
+      EXPECT_EQ(shared.stage_begin, ReferenceStageBegins(sections.value(), depth, 0.75))
+          << spec.name << " depth " << depth;
+      const Partition alone = PartitionModel(sections.value(), depth).value();
+      EXPECT_EQ(shared.stage_begin, alone.stage_begin) << spec.name << " depth " << depth;
+      EXPECT_EQ(shared.stage_fwd_flops, alone.stage_fwd_flops) << spec.name << " depth " << depth;
+      EXPECT_EQ(shared.stage_params, alone.stage_params) << spec.name << " depth " << depth;
+      EXPECT_EQ(shared.send_activation_bytes, alone.send_activation_bytes)
+          << spec.name << " depth " << depth;
+    }
+  }
 }
 
 TEST(TracerTest, FindsTiedEmbedding) {

@@ -29,7 +29,7 @@ void CheckLayerGradients(Layer* layer, const Tensor& input, Rng* rng, float tole
 
   // Check input gradient at a few coordinates.
   const float epsilon = 1e-3f;
-  Tensor x = input;
+  Tensor x(input);
   for (int64_t i = 0; i < std::min<int64_t>(x.size(), 6); ++i) {
     const float original = x[i];
     x[i] = original + epsilon;
@@ -49,7 +49,7 @@ void CheckLayerGradients(Layer* layer, const Tensor& input, Rng* rng, float tole
   std::vector<Tensor*> grads = layer->Gradients();
   for (size_t p = 0; p < params.size(); ++p) {
     Tensor& param = *params[p];
-    const Tensor analytic = *grads[p];
+    const Tensor analytic(*grads[p]);
     for (int64_t i = 0; i < std::min<int64_t>(param.size(), 4); ++i) {
       const float original = param[i];
       param[i] = original + epsilon;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "src/common/rng.h"
 #include "src/tensor/tensor.h"
@@ -119,7 +120,7 @@ TEST(TensorTest, AxpyAndScale) {
 TEST(TensorTest, IdenticalAndMaxAbsDiff) {
   Rng rng(5);
   const Tensor a = Tensor::Randn({3, 3}, &rng, 1.0f);
-  Tensor b = a;
+  Tensor b(a);
   EXPECT_TRUE(Identical(a, b));
   b[4] += 0.25f;
   EXPECT_FALSE(Identical(a, b));
@@ -141,6 +142,22 @@ TEST(TensorTest, SquaredNorm) {
   a[0] = 3.0f;
   a[1] = 4.0f;
   EXPECT_DOUBLE_EQ(a.SquaredNorm(), 25.0);
+}
+
+// Copying an element buffer is spelled out: an lvalue never binds to a
+// by-value Tensor parameter, while direct-initialization and moves still work.
+TEST(TensorContract, CopiesAreExplicit) {
+  static_assert(!std::is_convertible_v<const Tensor&, Tensor>);
+  static_assert(!std::is_convertible_v<Tensor&, Tensor>);
+  static_assert(std::is_constructible_v<Tensor, const Tensor&>);
+  static_assert(std::is_convertible_v<Tensor&&, Tensor>);
+  static_assert(std::is_nothrow_move_constructible_v<Tensor>);
+  static_assert(std::is_copy_assignable_v<Tensor>);
+  Tensor t({2, 2});
+  t.Fill(1.5f);
+  const Tensor copy(t);
+  EXPECT_TRUE(Identical(copy, t));
+  EXPECT_NE(copy.data(), t.data());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 
 #include "src/pipeline/schedule.h"
@@ -192,6 +193,24 @@ TEST(ValidateNegativeTest, DeepSpeedPaddingMismatchRejected) {
     const ScheduleValidation validation = ValidateSchedule(schedule);
     ASSERT_EQ(validation.violations.size(), 1u) << validation.ToString();
     ExpectRejected(schedule, "stage 0: 2 idleB slots, 1 of them leading; expected exactly 2");
+  }
+}
+
+// Dropping a stage-0 recompute leaves the micro-batch without its R, which
+// Varuna's interior stages and GPipe's evicted micro-batches both require.
+TEST(ValidateNegativeTest, MissingRecomputeRejected) {
+  for (const ScheduleKind kind : {ScheduleKind::kVaruna, ScheduleKind::kGpipe}) {
+    Schedule schedule = GenerateSchedule(kind, 3, 4);
+    auto& ops = schedule.ops[0];
+    for (size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].type == PipeOpType::kRecompute) {
+        ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      }
+    }
+    ExpectRejected(schedule, kind == ScheduleKind::kVaruna
+                                 ? "interior stage must recompute before its backward"
+                                 : "GPipe must recompute evicted activations");
   }
 }
 

@@ -61,6 +61,18 @@ const Token* At(const std::vector<const Token*>& code, size_t i) {
   return i < code.size() ? code[i] : nullptr;
 }
 
+// Finds the index of the matching close for the open bracket at `open`
+// (code[open] must be "(" or "{"). Returns code.size() when unterminated.
+size_t MatchForward(const std::vector<const Token*>& code, size_t open, const char* open_text,
+                    const char* close_text) {
+  int depth = 0;
+  for (size_t i = open; i < code.size(); ++i) {
+    if (IsPunct(code[i], open_text)) ++depth;
+    if (IsPunct(code[i], close_text) && --depth == 0) return i;
+  }
+  return code.size();
+}
+
 void Report(std::vector<Finding>* findings, const std::string& rel, int line,
             const std::string& rule, const std::string& message) {
   findings->push_back(Finding{rel, line, rule, message});
@@ -230,147 +242,7 @@ void CheckIncludeGraph(const std::vector<LexedFile>& files, const LayeringSpec& 
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2: Rng stream discipline
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Every Rng member that advances the stream. Fork() counts: calling it on a
-// copy/temporary has the same hazard. The RealTree test keeps this list and
-// src/common/rng.h in step.
-constexpr std::array<std::string_view, 10> kRngDrawMethods = {
-    "NextUint64",  "NextDouble", "UniformInt",      "Uniform", "Gaussian",
-    "Exponential", "Bernoulli",  "LogNormalMedian", "Fork",    "SkipGaussiansWithin",
-};
-
-bool IsDrawMethod(const std::string& name) {
-  return std::find(kRngDrawMethods.begin(), kRngDrawMethods.end(), name) != kRngDrawMethods.end();
-}
-
-// Finds the index of the matching close for the open bracket at `open`
-// (code[open] must be "(" or "{"). Returns code.size() when unterminated.
-size_t MatchForward(const std::vector<const Token*>& code, size_t open, const char* open_text,
-                    const char* close_text) {
-  int depth = 0;
-  for (size_t i = open; i < code.size(); ++i) {
-    if (IsPunct(code[i], open_text)) ++depth;
-    if (IsPunct(code[i], close_text) && --depth == 0) return i;
-  }
-  return code.size();
-}
-
-// `Rng name = <init> ;` where the initializer contains neither a call nor
-// Fork: a plain copy of an existing stream.
-void CheckRngCopies(const LexedFile& file, const std::vector<const Token*>& code,
-                    const SuppressionIndex& suppressions, std::vector<Finding>* findings) {
-  for (size_t i = 0; i + 3 < code.size(); ++i) {
-    if (!IsIdent(code[i], "Rng") || code[i + 1]->kind != TokKind::kIdent ||
-        !IsPunct(code[i + 2], "=")) {
-      continue;
-    }
-    bool has_call = false;
-    bool has_fork = false;
-    size_t j = i + 3;
-    for (; j < code.size() && !IsPunct(code[j], ";"); ++j) {
-      if (IsPunct(code[j], "(")) has_call = true;
-      if (IsIdent(code[j], "Fork")) has_fork = true;
-    }
-    if (j == i + 3 || has_fork || has_call) continue;
-    if (suppressions.Allows(code[i]->line, "rng-copy")) continue;
-    Report(findings, file.rel, code[i]->line, "rng-copy",
-           "'Rng " + code[i + 1]->text + " = ...' copies an existing draw stream; fork "
-           "deliberately with .Fork() or seed a new Rng");
-  }
-}
-
-// Draws on a by-value Rng parameter inside the function definition: the
-// caller's stream does not advance, so the same values replay elsewhere.
-void CheckRngValueParams(const LexedFile& file, const std::vector<const Token*>& code,
-                         const SuppressionIndex& suppressions, std::vector<Finding>* findings) {
-  for (size_t i = 1; i + 2 < code.size(); ++i) {
-    if (!IsIdent(code[i], "Rng")) continue;
-    if (!IsPunct(code[i - 1], "(") && !IsPunct(code[i - 1], ",")) continue;
-    if (code[i + 1]->kind != TokKind::kIdent) continue;
-    const Token* after = code[i + 2];
-    if (!IsPunct(after, ",") && !IsPunct(after, ")") && !IsPunct(after, "=")) continue;
-    const std::string& name = code[i + 1]->text;
-
-    // Close of the parameter list: we are one level deep at the parameter.
-    int depth = 1;
-    size_t close = code.size();
-    for (size_t j = i + 2; j < code.size(); ++j) {
-      if (IsPunct(code[j], "(")) ++depth;
-      if (IsPunct(code[j], ")") && --depth == 0) {
-        close = j;
-        break;
-      }
-    }
-    if (close == code.size()) continue;
-
-    // Definition? Scan past the init list / qualifiers for `{` before `;`.
-    size_t body_open = code.size();
-    int paren = 0;
-    for (size_t j = close + 1; j < code.size(); ++j) {
-      if (IsPunct(code[j], "(")) ++paren;
-      if (IsPunct(code[j], ")")) --paren;
-      if (paren > 0) continue;
-      if (IsPunct(code[j], ";")) break;  // declaration only
-      if (IsPunct(code[j], "{")) {
-        body_open = j;
-        break;
-      }
-    }
-    if (body_open == code.size()) continue;
-    const size_t body_close = MatchForward(code, body_open, "{", "}");
-
-    // Draws anywhere from the parameter-list close (member-init lists
-    // included) to the end of the body.
-    for (size_t j = close + 1; j + 2 < body_close; ++j) {
-      if (!IsIdent(code[j], name.c_str()) || !IsPunct(code[j + 1], ".")) continue;
-      if (code[j + 2]->kind != TokKind::kIdent || !IsDrawMethod(code[j + 2]->text)) continue;
-      if (suppressions.Allows(code[j]->line, "rng-value-param")) continue;
-      Report(findings, file.rel, code[j]->line, "rng-value-param",
-             "." + code[j + 2]->text + "() on by-value Rng parameter '" + name +
-                 "' forks the stream (the caller's Rng does not advance); take Rng* "
-                 "or store the Rng and draw from the stored copy");
-    }
-  }
-}
-
-// Draws chained onto an unnamed temporary: `Rng(seed).NextDouble()`. The
-// stream lives for one expression, so its draws are position-dependent copies
-// of whatever the seed expression happens to be.
-void CheckRngTemporaries(const LexedFile& file, const std::vector<const Token*>& code,
-                         const SuppressionIndex& suppressions, std::vector<Finding>* findings) {
-  for (size_t i = 0; i + 1 < code.size(); ++i) {
-    if (!IsIdent(code[i], "Rng") || !IsPunct(code[i + 1], "(")) continue;
-    const size_t close = MatchForward(code, i + 1, "(", ")");
-    if (close + 2 >= code.size()) continue;
-    if (!IsPunct(code[close + 1], ".")) continue;
-    if (code[close + 2]->kind != TokKind::kIdent || !IsDrawMethod(code[close + 2]->text)) {
-      continue;
-    }
-    if (suppressions.Allows(code[i]->line, "rng-temp")) continue;
-    Report(findings, file.rel, code[i]->line, "rng-temp",
-           "." + code[close + 2]->text + "() on an unnamed Rng temporary is a draw outside "
-           "any seeded scope; name the Rng and thread it from the scenario seed");
-  }
-}
-
-}  // namespace
-
-std::span<const std::string_view> RngDrawMethods() { return kRngDrawMethods; }
-
-void CheckRngDiscipline(const LexedFile& file, std::vector<Finding>* findings) {
-  const SuppressionIndex suppressions(file);
-  const std::vector<const Token*> code = CodeTokens(file);
-  CheckRngCopies(file, code, suppressions, findings);
-  CheckRngValueParams(file, code, suppressions, findings);
-  CheckRngTemporaries(file, code, suppressions, findings);
-}
-
-// ---------------------------------------------------------------------------
-// Pass 3: house rules
+// Pass 2: house rules
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -752,12 +624,6 @@ void CheckHouseRules(const LexedFile& file, std::vector<Finding>* findings) {
     }
     const Token* name = At(code, i + 1);
     const Token* after = At(code, i + 2);
-    if (in_src && IsIdent(t, "Tensor") && IsAnyIdent(name) &&
-        (IsPunct(after, ",") || IsPunct(after, ")"))) {
-      report(t, "tensor-by-value",
-             "by-value Tensor parameter copies the element buffer; take const Tensor& "
-             "(input) or Tensor* (output)");
-    }
     if (unit_suffix && IsIdent(t, "double") && IsAnyIdent(name) && after != nullptr &&
         after->kind == TokKind::kPunct && OneOf(after->text, {",", ")", "=", ";", "{"})) {
       const std::string problem = UnitSuffixProblem(name->text);
@@ -779,7 +645,7 @@ void CheckHouseRules(const LexedFile& file, std::vector<Finding>* findings) {
 std::span<const Allowlist> Allowlists() { return kAllowlists; }
 
 // ---------------------------------------------------------------------------
-// Pass 4: stale allowlist entries
+// Pass 3: stale allowlist entries
 // ---------------------------------------------------------------------------
 
 void CheckAllowlists(const std::string& root, std::vector<Finding>* findings) {
@@ -876,7 +742,6 @@ int RunAnalysis(const AnalyzerOptions& options, std::vector<Finding>* findings,
 
   CheckIncludeGraph(files, spec, findings);
   for (const LexedFile& file : files) {
-    if (file.rel.rfind("src/", 0) == 0) CheckRngDiscipline(file, findings);
     CheckHouseRules(file, findings);
   }
   CheckAllowlists(options.root, findings);

@@ -8,16 +8,6 @@
 //     modules in strictly lower layers (and itself). Back-edges couple the
 //     hot simulation path to policy layers; cycles are rejected outright.
 //
-//   rng-copy / rng-value-param / rng-temp
-//     Every stochastic draw flows through one seeded varuna::Rng tree,
-//     forked only via Rng::Fork(). A copied Rng silently duplicates a draw
-//     stream: two sites replay identical "random" values and the caller's
-//     stream stops advancing, which breaks replay the first time either
-//     site changes. Flagged: copy-initialisation from an existing Rng
-//     (rng-copy), draws on a by-value Rng parameter (rng-value-param;
-//     passing Rng by value as a *sink* that only stores it is fine), and
-//     draws on an unnamed Rng temporary (rng-temp).
-//
 //   house rules (scope in parentheses; allowlists are analyzer.cc constants)
 //     determinism (src tests bench examples): no rand()/srand(), even std::
 //       or ::-qualified, std::random_device, wall clocks or <random>/<chrono>:
@@ -32,14 +22,17 @@
 //       only kPoolUserFiles use the pool.
 //     hot-path (src/sim, src/morph, kHotPathFiles): no std::function or
 //       node-based containers.
-//     tensor-by-value (src): take const Tensor& or Tensor*, not a copy.
 //     global-state (src): static, thread_local and namespace-scope variables
 //       are const or constexpr.
 //     stale-allowlist: every allowlist entry names a file under --root.
 //
-// What joins the replay contract itself needs no pass: it is the ReplayRecord
-// type (src/manager/elastic_trainer.h), and ElasticTrace::Fingerprint fails
-// to compile when a record member goes unhashed.
+// Three contracts need no pass because the types enforce them at compile time
+// in every tree. What joins the replay contract is the ReplayRecord type
+// (src/manager/elastic_trainer.h): ElasticTrace::Fingerprint fails to compile
+// when a record member goes unhashed. Rng (src/common/rng.h) is move-only with
+// lvalue-only draws, so a stream cannot be copied or drawn from as a
+// temporary. Tensor's copy constructor is explicit, so a Tensor cannot be
+// copied into a by-value parameter.
 //
 // Any finding can be suppressed on its line with
 // `// varuna-analyze: allow(<rule>)` (include-guard: anywhere in the header).
@@ -87,13 +80,7 @@ std::string ModuleOf(const std::string& rel);
 void CheckIncludeGraph(const std::vector<LexedFile>& files, const LayeringSpec& spec,
                        std::vector<Finding>* findings);
 
-// Pass 2: Rng stream discipline within one file.
-void CheckRngDiscipline(const LexedFile& file, std::vector<Finding>* findings);
-
-// The Rng member functions that advance the stream (src/common/rng.h).
-std::span<const std::string_view> RngDrawMethods();
-
-// Pass 3: the house rules within one file, each scoped by `file.rel`.
+// Pass 2: the house rules within one file, each scoped by `file.rel`.
 void CheckHouseRules(const LexedFile& file, std::vector<Finding>* findings);
 
 // A reviewed per-file exemption list of the house rules.
@@ -103,7 +90,7 @@ struct Allowlist {
 };
 std::span<const Allowlist> Allowlists();
 
-// Pass 4 (stale-allowlist): every allowlist entry names a file under `root`.
+// Pass 3 (stale-allowlist): every allowlist entry names a file under `root`.
 void CheckAllowlists(const std::string& root, std::vector<Finding>* findings);
 
 struct AnalyzerOptions {

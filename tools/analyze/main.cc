@@ -7,8 +7,7 @@
 // 2 usage/config error.
 //
 // Runs in CI under the ctest label `lint` (tools/analyze/CMakeLists.txt), so
-// every leg checks layering, Rng stream discipline and the house rules on
-// the exact tree it builds.
+// every leg checks layering and the house rules on the exact tree it builds.
 #include <cstdio>
 #include <cstring>
 #include <string>
