@@ -7,6 +7,9 @@
 // Measures, with warmup + repeated runs (median/min):
 //   * one FastSimulator::EstimateMinibatch call at P=36/24/18 (the paper's
 //     table), scratch buffers hot;
+//   * one schedule miss at P=36, Nm=2048 (a morph to an unseen shape):
+//     ValidateSchedule on the cached schedule, and GenerateSchedule
+//     (generate, validate, compile) on a fresh Nm every repeat;
 //   * the full joint P x m sweep at G=128, cold caches, serial vs pooled
 //     (ThreadPool with one worker per hardware thread);
 //   * an exact revisit of G=128 served from the candidate table (the
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/pipeline/validate.h"
 
 namespace varuna {
 namespace {
@@ -128,6 +132,24 @@ int Run(int argc, char** argv) {
     json.AddResult("simulate_P" + std::to_string(depth), stats);
   }
   std::printf("%s\n", sim_table.Render().c_str());
+
+  // --- One schedule miss: validation alone, then the whole miss path. ------
+  const Schedule& cached = GenerateSchedule(ScheduleKind::kVaruna, 36, 2048);
+  const BenchStats validate = TimeIt(mode.Warmup(3), mode.Repeats(15), [&] {
+    VARUNA_CHECK(ValidateSchedule(cached).ok());
+  });
+  int fresh_microbatches = 2048;  // Each call asks for an Nm not yet in the memo.
+  const BenchStats miss = TimeIt(mode.Warmup(3), mode.Repeats(15), [&] {
+    (void)GenerateSchedule(ScheduleKind::kVaruna, 36, ++fresh_microbatches);
+  });
+  Table miss_table({"Varuna P=36, Nm=2048", "median (ms)", "min (ms)"});
+  miss_table.AddRow({"ValidateSchedule (cached schedule)", Table::Num(validate.median_ms, 3),
+                     Table::Num(validate.min_ms, 3)});
+  miss_table.AddRow({"GenerateSchedule (fresh Nm, miss)", Table::Num(miss.median_ms, 3),
+                     Table::Num(miss.min_ms, 3)});
+  std::printf("%s\n", miss_table.Render().c_str());
+  json.AddResult("validate_P36", validate);
+  json.AddResult("schedule_miss_P36", miss);
 
   // --- Full sweep: serial vs pooled, cold caches each repeat. ---------------
   ConfigSearch serial_search(&prepared.spec, &prepared.sections, &prepared.calibration);

@@ -35,7 +35,7 @@ uint64_t CandidateMemo::Hash(const CandidateKey& key) {
                      static_cast<uint32_t>(key.replicas);
   const uint64_t b = (static_cast<uint64_t>(static_cast<uint32_t>(key.microbatch)) << 32) |
                      static_cast<uint32_t>(key.num_microbatches);
-  return Mix64(a ^ Mix64(b ^ static_cast<uint64_t>(key.schedule_kind)));
+  return Mix64(a ^ Mix64(b));
 }
 
 void CandidateMemo::Sync(const CandidateContext& context, const MemoryBudget& budget) {
@@ -242,8 +242,7 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
       const int num_microbatches = static_cast<int>(
           std::ceil(constraints.total_batch / (static_cast<double>(m) * replicas)));
       Candidate candidate;
-      candidate.key = CandidateKey{depth, replicas, m, num_microbatches,
-                                   static_cast<int32_t>(ScheduleKind::kVaruna)};
+      candidate.key = CandidateKey{depth, replicas, m, num_microbatches};
       candidate.partition = partition;
       CandidateEntry& entry = candidate_memo_.FindOrInsert(candidate.key);
       Feasibility& fits = entry.fits[offload];

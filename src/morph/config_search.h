@@ -13,7 +13,7 @@
 // The sweep is the hot path of every morph decision (§7.2), so it is built to
 // be re-run at every preemption/arrival event from one candidate table:
 //   * CandidateMemo records everything known about a candidate, keyed
-//     (P, D, m, Nm, schedule kind) within a CandidateContext: the calibration
+//     (P, D, m, Nm) within a CandidateContext: the calibration
 //     fingerprint plus the two constraint fields a simulation reads
 //     (gpus_per_node, shared_sync_bytes). Each entry holds its memory
 //     feasibility per cpu_offload_optimizer value, its analytic lower bound
@@ -135,7 +135,6 @@ struct CandidateKey {
   int32_t replicas = 0;          // D
   int32_t microbatch = 0;        // m
   int32_t num_microbatches = 0;  // Nm = ceil(M_total / (m * D)).
-  int32_t schedule_kind = 0;
 
   bool operator==(const CandidateKey&) const = default;
 };

@@ -1,12 +1,14 @@
 // The process's one schedule table, behind GenerateSchedule() (schedule.h).
-// Generating a schedule builds, validates and compiles it from scratch —
-// O(P * Nm) work plus the full ValidateSchedule() contract check — yet the
-// sweep and the manager keep asking for the same shapes: every morph event
-// regenerates (kVaruna, P, Nm) for each candidate depth, a spot trace revisits
-// the same cluster sizes for hours, and every elastic session owns a fresh
-// search. The memo keys on (kind, depth, num_microbatches) — the complete
-// input of generation — so each shape is generated, validated and compiled
-// once per process.
+// A miss builds, validates and compiles a schedule from scratch, O(P * Nm)
+// work: a few milliseconds at (kVaruna, 36, 2048) on a shared 4-thread
+// x86-64 host, 1–2 ms of it validation (the schedule_miss_P36 and
+// validate_P36 rows of BENCH_config_search.json). Yet the sweep and the
+// manager keep asking for the same shapes: every morph event regenerates
+// (kVaruna, P, Nm) for each candidate depth, a spot trace revisits the same
+// cluster sizes for hours, and every elastic session owns a fresh search. The
+// memo keys on (kind, depth, num_microbatches) — the complete input of
+// generation — so each shape is generated, validated and compiled once per
+// process.
 //
 // The index is a flat sorted vector of packed 64-bit keys (the sweep hot path
 // may not touch node-based containers — varuna_analyze rule "hot-path"). Entries

@@ -30,30 +30,29 @@ struct ScheduleValidation {
   std::string ToString() const;
 };
 
-// Checks the universal synchronous-pipeline invariants plus the kind-specific
-// contract:
+// Checks the shape, then walks each stage's op list once against a stage
+// contract derived from (kind, depth, stage, num_microbatches):
 //   * shape: ops has exactly `depth` stages, depth/num_microbatches >= 1;
-//   * per-stage op multiset completeness: every micro-batch runs exactly one
-//     forward and one backward per stage, and at most one recompute;
-//   * order: each micro-batch's forward precedes its recompute precedes its
-//     backward; forwards are emitted in ascending micro-batch order;
-//   * idle ops only appear in DeepSpeed schedules, and real ops carry a
+//   * completeness: every micro-batch runs exactly one forward and one
+//     backward per stage, and at most one recompute; real ops carry a
 //     micro-batch index in [0, num_microbatches);
-//   * kVaruna — last stage never recomputes and strictly alternates
-//     F(m),B(m); interior stages recompute every micro-batch with R(m)
-//     immediately followed by B(m) (rule 2), and interior stage s leads with
-//     min(3(depth - 1 - s), m) forwards (just-in-time recompute, rule 1);
-//   * kGpipe — all forwards precede all backward work, backwards drain in
-//     LIFO (descending) order, and only the most recent micro-batch skips
-//     recompute (its activations are still live) on every stage;
-//   * kOneFOneB — min(depth - stage, m) leading warmup forwards, backwards in
-//     ascending order, last stage never recomputes, interior stages pair
-//     R(m) immediately before B(m);
-//   * kDeepSpeed — even/odd slot parity: each stage's op list decomposes into
-//     strictly alternating forward-slots (F or idle-F) and backward-slots
-//     (R+B pair, bare B on the last stage, or idle-B), starting with a
-//     forward slot; exactly stage s's first depth-1-s backward slots and
-//     last depth-1-s forward slots are idle; last stage never recomputes.
+//   * order: each micro-batch's forward precedes its recompute precedes its
+//     backward; forwards run in ascending micro-batch order;
+//   * warmup: the stage opens with exactly this many forwards — Varuna
+//     max(1, min(3(depth - 1 - s), m)) (just-in-time recompute, rule 1),
+//     1F1B min(depth - s, m), DeepSpeed 1, GPipe m;
+//   * backward order: descending (LIFO) for GPipe, ascending for the others;
+//   * recomputes: GPipe recomputes every micro-batch but the newest (its
+//     activations are still live) on every stage; the other kinds recompute
+//     every micro-batch on interior stages and none on the last stage; every
+//     R(m) is immediately followed by B(m) (rule 2);
+//   * the last stage of every kind but GPipe strictly alternates F(m),B(m);
+//     GPipe runs all forwards before any backward work;
+//   * idle ops appear only in DeepSpeed schedules, in its even/odd slot grid:
+//     each stage's list decomposes into strictly alternating forward slots
+//     (F or idle-F) and backward slots (R+B pair, bare B on the last stage,
+//     or idle-B), starting with a forward slot, and exactly stage s's first
+//     depth-1-s backward slots and last depth-1-s forward slots are idle.
 ScheduleValidation ValidateSchedule(const Schedule& schedule);
 
 }  // namespace varuna

@@ -389,7 +389,7 @@ TEST(CandidateMemoTest, BudgetChangeForgetsOnlyFeasibility) {
   budget.gpu_memory_bytes = 16e9;
   CandidateMemo memo;
   memo.Sync(context, budget);
-  const CandidateKey key{4, 2, 8, 150, 0};
+  const CandidateKey key{4, 2, 8, 150};
   {
     CandidateEntry& entry = memo.FindOrInsert(key);
     EXPECT_FALSE(entry.simulated);

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/pipeline/schedule.h"
 #include "src/pipeline/validate.h"
@@ -197,9 +199,10 @@ TEST(ValidateNegativeTest, DeepSpeedPaddingMismatchRejected) {
 }
 
 // Dropping a stage-0 recompute leaves the micro-batch without its R, which
-// Varuna's interior stages and GPipe's evicted micro-batches both require.
+// interior stages and GPipe's evicted micro-batches all require.
 TEST(ValidateNegativeTest, MissingRecomputeRejected) {
-  for (const ScheduleKind kind : {ScheduleKind::kVaruna, ScheduleKind::kGpipe}) {
+  for (const ScheduleKind kind :
+       {ScheduleKind::kVaruna, ScheduleKind::kGpipe, ScheduleKind::kOneFOneB}) {
     Schedule schedule = GenerateSchedule(kind, 3, 4);
     auto& ops = schedule.ops[0];
     for (size_t i = 0; i < ops.size(); ++i) {
@@ -208,9 +211,89 @@ TEST(ValidateNegativeTest, MissingRecomputeRejected) {
         break;
       }
     }
-    ExpectRejected(schedule, kind == ScheduleKind::kVaruna
-                                 ? "interior stage must recompute before its backward"
-                                 : "GPipe must recompute evicted activations");
+    ExpectRejected(schedule, kind == ScheduleKind::kGpipe
+                                 ? "GPipe must recompute evicted activations"
+                                 : "interior stage must recompute before its backward");
+  }
+}
+
+// Swapping stage 1's first two R,B pairs keeps every pair adjacent and every
+// slot in place, so only the ascending backward order can reject it.
+TEST(ValidateNegativeTest, InteriorBackwardsOutOfOrderRejected) {
+  for (const ScheduleKind kind : {ScheduleKind::kVaruna, ScheduleKind::kDeepSpeed}) {
+    Schedule schedule = GenerateSchedule(kind, 3, 4);
+    auto& ops = schedule.ops[1];
+    std::vector<size_t> pairs;
+    for (size_t i = 0; i < ops.size() && pairs.size() < 2; ++i) {
+      if (ops[i].type == PipeOpType::kRecompute) {
+        pairs.push_back(i);
+      }
+    }
+    ASSERT_EQ(pairs.size(), 2u);
+    std::swap(ops[pairs[0]], ops[pairs[1]]);
+    std::swap(ops[pairs[0] + 1], ops[pairs[1] + 1]);
+    ExpectRejected(schedule, "stage 1: op " + std::to_string(pairs[1] + 1) +
+                                 ": B0 out of ascending order (previous backward was B1)");
+  }
+}
+
+// The last stage's loss gradient is local, so each forward's backward runs at
+// once; a second forward in flight breaks the F(m),B(m) alternation even
+// though the warmup and the backward order still hold.
+TEST(ValidateNegativeTest, OneFOneBLastStageAlternationRejected) {
+  Schedule schedule = GenerateSchedule(ScheduleKind::kOneFOneB, 2, 3);
+  schedule.ops[1] = {PipeOp{PipeOpType::kForward, 0}, PipeOp{PipeOpType::kBackward, 0},
+                     PipeOp{PipeOpType::kForward, 1}, PipeOp{PipeOpType::kForward, 2},
+                     PipeOp{PipeOpType::kBackward, 1}, PipeOp{PipeOpType::kBackward, 2}};
+  const ScheduleValidation validation = ValidateSchedule(schedule);
+  ASSERT_EQ(validation.violations.size(), 1u) << validation.ToString();
+  ExpectRejected(schedule, "stage 1: ops 2-3: expected F1,B1 alternation");
+}
+
+// One hand-built stage list per row, each breaking one rule the cases above
+// leave unexercised.
+TEST(ValidateNegativeTest, HandBuiltStageListsRejected) {
+  constexpr PipeOpType kF = PipeOpType::kForward;
+  constexpr PipeOpType kR = PipeOpType::kRecompute;
+  constexpr PipeOpType kB = PipeOpType::kBackward;
+  constexpr PipeOpType kIdleF = PipeOpType::kIdleForward;
+  constexpr PipeOpType kIdleB = PipeOpType::kIdleBackward;
+  struct Row {
+    ScheduleKind kind;
+    int depth;
+    int microbatches;
+    int stage;
+    std::vector<PipeOp> ops;
+    std::string needle;
+  };
+  const std::vector<Row> rows = {
+      {ScheduleKind::kGpipe, 1, 3, 0,
+       {{kF, 0}, {kF, 1}, {kF, 2}, {kB, 2}, {kR, 1}, {kR, 0}, {kB, 1}, {kB, 0}},
+       "stage 0: op 4: R1 not immediately followed by B1"},
+      {ScheduleKind::kGpipe, 1, 3, 0,
+       {{kF, 0}, {kF, 2}, {kF, 1}, {kB, 2}, {kR, 1}, {kB, 1}, {kR, 0}, {kB, 0}},
+       "stage 0: op 2: F1 out of ascending order (previous forward was F2)"},
+      {ScheduleKind::kGpipe, 1, 2, 0, {{kF, 1}, {kB, 1}, {kR, 0}, {kB, 0}},
+       "stage 0: micro-batch 0: forward missing"},
+      {ScheduleKind::kGpipe, 1, 2, 0, {{kR, 0}, {kB, 0}, {kF, 0}, {kF, 1}, {kB, 1}},
+       "stage 0: micro-batch 0: recompute (op 0) before forward (op 2)"},
+      {ScheduleKind::kVaruna, 2, 2, 1, {{kF, 0}, {kB, 0}, {kF, 1}},
+       "stage 1: expected 4 ops (F,B alternation), found 3"},
+      {ScheduleKind::kDeepSpeed, 2, 2, 0,
+       {{kF, 0}, {kIdleB, -1}, {kF, 1}, {kB, 0}, {kIdleF, -1}, {kR, 1}, {kB, 1}},
+       "stage 0: op 3: B0 without its recompute in a backward slot"},
+      {ScheduleKind::kDeepSpeed, 2, 2, 0,
+       {{kF, 0}, {kIdleB, -1}, {kIdleB, -1}, {kF, 1}, {kR, 0}, {kB, 0}, {kIdleF, -1}, {kR, 1},
+        {kB, 1}},
+       "stage 0: op 2: idleB in a forward slot"},
+      {ScheduleKind::kDeepSpeed, 2, 2, 0,
+       {{kF, 0}, {kIdleB, -1}, {kF, 1}, {kR, 0}, {kB, 0}, {kIdleF, 0}, {kR, 1}, {kB, 1}},
+       "stage 0: op 5: idle op with micro-batch 0"},
+  };
+  for (const Row& row : rows) {
+    Schedule schedule = GenerateSchedule(row.kind, row.depth, row.microbatches);
+    schedule.ops[static_cast<size_t>(row.stage)] = row.ops;
+    ExpectRejected(schedule, row.needle);
   }
 }
 
