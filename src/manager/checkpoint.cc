@@ -15,6 +15,9 @@ bool HasWrittenShard(const CheckpointRecord& record) {
                      });
 }
 
+bool IsUsable(const CheckpointRecord& record) { return record.Usable(); }
+bool IsComplete(const CheckpointRecord& record) { return record.Complete(); }
+
 }  // namespace
 
 bool CheckpointRecord::Complete() const {
@@ -46,10 +49,11 @@ const CheckpointRecord* CheckpointStore::FindRecord(int64_t minibatch_id) const 
   return const_cast<CheckpointStore*>(this)->FindRecord(minibatch_id);
 }
 
-bool CheckpointStore::ChainUsable(const CheckpointRecord& record) const {
+template <typename Accept>
+bool CheckpointStore::WalkChain(const CheckpointRecord& record, Accept accept) const {
   const CheckpointRecord* cur = &record;
   while (true) {
-    if (!cur->Usable()) {
+    if (!accept(*cur)) {
       return false;
     }
     if (!cur->is_delta) {
@@ -58,22 +62,6 @@ bool CheckpointStore::ChainUsable(const CheckpointRecord& record) const {
     cur = FindRecord(cur->base_minibatch_id);
     if (cur == nullptr) {
       return false;  // Base pruned or never written: the chain is broken.
-    }
-  }
-}
-
-bool CheckpointStore::ChainComplete(const CheckpointRecord& record) const {
-  const CheckpointRecord* cur = &record;
-  while (true) {
-    if (!cur->Complete()) {
-      return false;
-    }
-    if (!cur->is_delta) {
-      return true;
-    }
-    cur = FindRecord(cur->base_minibatch_id);
-    if (cur == nullptr) {
-      return false;
     }
   }
 }
@@ -87,7 +75,8 @@ bool CheckpointStore::NextIsDelta(int64_t minibatch_id) const {
   // re-checkpoint (id at or below the newest) and a broken chain both
   // self-heal with a full snapshot.
   return newest.minibatch_id < minibatch_id &&
-         newest.chain_length + 1 < options_.full_checkpoint_every && ChainUsable(newest);
+         newest.chain_length + 1 < options_.full_checkpoint_every &&
+         WalkChain(newest, IsUsable);
 }
 
 double CheckpointStore::NextShardBytes(double total_params, int data_parallel,
@@ -164,7 +153,7 @@ double CheckpointStore::BeginCheckpoint(int64_t minibatch_id, double total_param
 
 int64_t CheckpointStore::LatestComplete() const {
   for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
-    if (ChainComplete(*it)) {
+    if (WalkChain(*it, IsComplete)) {
       return it->minibatch_id;
     }
   }
@@ -173,7 +162,7 @@ int64_t CheckpointStore::LatestComplete() const {
 
 int64_t CheckpointStore::LatestUsable() const {
   for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
-    if (ChainUsable(*it)) {
+    if (WalkChain(*it, IsUsable)) {
       return it->minibatch_id;
     }
   }
@@ -211,18 +200,12 @@ double CheckpointStore::RestoreSeconds(int64_t minibatch_id, double total_params
   // base in order. A broken chain (or the legacy model) prices as one full
   // cloud restore.
   std::vector<const CheckpointRecord*> chain;
-  if (fast && record != nullptr) {
-    const CheckpointRecord* cur = record;
-    while (cur != nullptr) {
-      chain.push_back(cur);
-      if (!cur->is_delta) {
-        break;
-      }
-      cur = FindRecord(cur->base_minibatch_id);
-    }
-    if (chain.empty() || chain.back()->is_delta) {
-      chain.clear();  // Missing full base: fall back to the pessimistic model.
-    }
+  const auto collect = [&chain](const CheckpointRecord& rec) {
+    chain.push_back(&rec);
+    return true;
+  };
+  if (fast && record != nullptr && !WalkChain(*record, collect)) {
+    chain.clear();  // Missing full base: fall back to the pessimistic model.
   }
   if (chain.empty()) {
     const double duration = RestoreDuration(total_params, data_parallel);
@@ -405,7 +388,7 @@ void CheckpointStore::GarbageCollect() {
   int64_t keep_from = std::numeric_limits<int64_t>::min();
   int complete_fulls = 0;
   for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
-    if (!it->is_delta && ChainComplete(*it)) {
+    if (!it->is_delta && WalkChain(*it, IsComplete)) {
       if (++complete_fulls == 2) {
         keep_from = it->minibatch_id;
         break;
@@ -421,7 +404,7 @@ void CheckpointStore::GarbageCollect() {
     }
     // A broken chain with nothing left to flush can never be restored or
     // mutate a counter again.
-    return !ChainUsable(record);
+    return !WalkChain(record, IsUsable);
   };
   // Flag first, compact second: the chain walks inside `dead` search
   // records_, which must stay intact while the flags are computed.

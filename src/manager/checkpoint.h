@@ -217,10 +217,12 @@ class CheckpointStore {
   CheckpointRecord* FindRecord(int64_t minibatch_id);
   const CheckpointRecord* FindRecord(int64_t minibatch_id) const;
 
-  // Whole-chain predicates: record plus contiguous ancestors to a full base.
-  // A missing ancestor (pruned or never written) fails the chain.
-  bool ChainUsable(const CheckpointRecord& record) const;
-  bool ChainComplete(const CheckpointRecord& record) const;
+  // Walks `record` and its contiguous ancestors down to their full base,
+  // newest first, calling `accept` on each. True when every record is
+  // accepted and the base is reached; a missing ancestor (pruned or never
+  // written) fails the chain. Defined in checkpoint.cc, its only user.
+  template <typename Accept>
+  bool WalkChain(const CheckpointRecord& record, Accept accept) const;
 
   // The next-record shape BeginCheckpoint will produce given current state:
   // a delta only when deltas are enabled, the chain has room, and the newest

@@ -124,13 +124,11 @@ void ElasticTrainer::Start() {
       [this](int pool, SpotMarket::MarketVmId /*id*/, const VmType& /*type*/) {
         if (pool == market_pool_) {
           predictor_.ObserveGrant(engine_->now());
-          stats_.predictor_updates = predictor_.updates();
         }
       });
   market_->AddPreemptObserver([this](int pool, SpotMarket::MarketVmId /*id*/) {
     if (pool == market_pool_) {
       predictor_.ObservePreemption(engine_->now());
-      stats_.predictor_updates = predictor_.updates();
     }
   });
   market_->set_grant_handler(
@@ -140,13 +138,29 @@ void ElasticTrainer::Start() {
   // checkpoint shards die with their VM. The control path deliberately does
   // not hang off this observer — unannounced deaths must be discovered
   // through missed heartbeats, which is the recovery path under test.
-  cluster_->AddPreemptionObserver([this](VmId vm) {
-    checkpoints_.OnVmLost(vm);
-    stats_.shards_lost = checkpoints_.shards_lost();
-  });
+  cluster_->AddPreemptionObserver([this](VmId vm) { checkpoints_.OnVmLost(vm); });
   market_->SetDemand(market_pool_, options_.demand_vms);
   stall_started_ = engine_->now();
   engine_->Schedule(options_.provision_check_interval_s, [this] { ProvisionTick(); });
+}
+
+SessionStats ElasticTrainer::stats() const {
+  SessionStats stats = stats_;
+  if (search_) {
+    const ConfigSearchStats search = search_->stats();
+    stats.sweep_cache_hits = search.sweep_cache_hits;
+    stats.sweep_cache_misses = search.sweep_cache_misses;
+    stats.candidate_memo_hits = search.candidate_memo_hits;
+    stats.candidate_memo_misses = search.candidate_memo_misses;
+    stats.candidates_pruned = search.candidates_pruned;
+  }
+  stats.executor_events = executor_.events_processed();
+  stats.executor_scratch_growths = executor_.scratch_growths();
+  stats.predictor_updates = predictor_.updates();
+  stats.shards_lost = checkpoints_.shards_lost();
+  stats.delta_checkpoints = checkpoints_.delta_checkpoints_written();
+  stats.checkpoint_records_pruned = checkpoints_.records_pruned();
+  return stats;
 }
 
 int ElasticTrainer::AvailableGpus() const {
@@ -190,12 +204,7 @@ void ElasticTrainer::OnVmPreempted(SpotMarket::MarketVmId id) {
         ++stats_.morph_retries;
         ++consecutive_recovery_failures_;
       }
-      running_ = false;
-      minibatch_in_flight_ = false;
-      ++epoch_;
-      if (stall_started_ < 0.0) {
-        stall_started_ = engine_->now();
-      }
+      StopJob();
       if (!preemption_morph_pending_) {
         preemption_morph_pending_ = true;
         // Within the retry budget, re-morph quickly; past it, assume the
@@ -227,7 +236,6 @@ int64_t ElasticTrainer::RollbackToCheckpoint() {
   const int64_t lost = std::max<int64_t>(0, stats_.minibatches_done - target);
   ++stats_.restarts;
   stats_.last_restore_step = restorable;
-  stats_.shards_lost = checkpoints_.shards_lost();
   if (lost > 0) {
     // Refund exactly what each lost mini-batch committed (ActualBatch varies
     // across morphs, so a flat total_batch refund would leak examples).
@@ -316,6 +324,11 @@ double ElasticTrainer::RecoveryCostS() const {
   return cost;
 }
 
+LiveputObjective ElasticTrainer::Objective() const {
+  return LiveputObjective(&predictor_, options_.liveput_horizon_s,
+                          std::max(1, vm_type_.node.num_gpus), RecoveryCostS());
+}
+
 Result<JobConfig> ElasticTrainer::ChooseConfig(int gpus, const SearchConstraints& constraints) {
   if (!ProactiveEngaged()) {
     return search_->Best(gpus, constraints);
@@ -327,9 +340,7 @@ Result<JobConfig> ElasticTrainer::ChooseConfig(int gpus, const SearchConstraints
   if (sweep.value().empty()) {
     return Result<JobConfig>::Error("no feasible configuration");
   }
-  const LiveputObjective objective(&predictor_, options_.liveput_horizon_s,
-                                   std::max(1, vm_type_.node.num_gpus), RecoveryCostS());
-  const JobConfig* liveput_best = objective.BestLiveput(sweep.value());
+  const JobConfig* liveput_best = Objective().BestLiveput(sweep.value());
   // Throughput argmax with the same tie-break (strict >, earliest (P, m)
   // wins) — what Best() would have picked.
   const JobConfig* throughput_best = &sweep.value().front();
@@ -344,43 +355,31 @@ Result<JobConfig> ElasticTrainer::ChooseConfig(int gpus, const SearchConstraints
   return *liveput_best;
 }
 
-bool ElasticTrainer::EvaluateProactiveMorph(int available_gpus) {
-  const Result<std::vector<JobConfig>> sweep =
-      search_->Sweep(available_gpus, MakeConstraints(degraded_));
-  SyncSearchStats();
-  if (!sweep.ok() || sweep.value().empty()) {
-    return false;
-  }
-  const LiveputObjective objective(&predictor_, options_.liveput_horizon_s,
-                                   std::max(1, vm_type_.node.num_gpus), RecoveryCostS());
-  const JobConfig* best = objective.BestLiveput(sweep.value());
-  if (best->pipeline_depth == config_->pipeline_depth &&
-      best->data_parallel == config_->data_parallel) {
-    return false;
-  }
+bool ElasticTrainer::ProactiveMorphPays(const JobConfig& best) const {
+  const LiveputObjective objective = Objective();
   // Score the incumbent with its *measured* rate (what we would actually keep
   // earning) and the candidate with its estimate; both survival-weighted.
   const double current_rate = config_->ActualBatch() / std::max(1e-9, cached_minibatch_s_);
   const double current_score = objective.Score(
       current_rate, predictor_.PlacementSurvival(PlacementVmsUsed(), options_.liveput_horizon_s));
-  const double best_score = objective.Score(*best);
-  if (best_score <= (1.0 + kLiveputGainThreshold) * current_score) {
-    return false;
-  }
+  const double best_score = objective.Score(best);
   // Cost model: the examples the liveput gain buys over the horizon must pay
   // for the examples forgone during the morph stall, the record-aware
   // checkpoint restore.
-  if ((best_score - current_score) * options_.liveput_horizon_s <=
-      current_rate * EstimatedRestoreSeconds(best->data_parallel)) {
-    return false;
-  }
-  ++stats_.proactive_morphs;
+  return best_score > (1.0 + kLiveputGainThreshold) * current_score &&
+         (best_score - current_score) * options_.liveput_horizon_s >
+             current_rate * EstimatedRestoreSeconds(best.data_parallel);
+}
+
+void ElasticTrainer::StopJob() {
+  // Reconfigure clears stall_started_ whenever it sets running_, so a running
+  // job has no stall open.
+  VARUNA_CHECK(running_);
+  VARUNA_CHECK_LT(stall_started_, 0.0);
   running_ = false;
   minibatch_in_flight_ = false;
   ++epoch_;
   stall_started_ = engine_->now();
-  Reconfigure("proactive-morph", /*lost_state=*/false);
-  return true;
 }
 
 void ElasticTrainer::ForecastStorm(double at_s, int vms) {
@@ -406,7 +405,6 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
 
   const auto attempt = [&](bool degraded) {
     const Result<JobConfig> best = ChooseConfig(gpus, MakeConstraints(degraded));
-    SyncSearchStats();
     if (!best.ok()) {
       return false;
     }
@@ -502,14 +500,7 @@ void ElasticTrainer::ScheduleReprovisionRetry() {
     if (running_) {
       return;  // A grant or provision tick already recovered the job.
     }
-    if (!search_) {
-      TryBootstrap();
-      if (!search_) {
-        ScheduleReprovisionRetry();
-      }
-      return;
-    }
-    Reconfigure("configure", stats_.minibatches_done > 0);
+    Reconfigure("configure", /*lost_state=*/false);
   });
 }
 
@@ -559,9 +550,6 @@ double ElasticTrainer::MeasuredMinibatchSeconds() {
                                                config_->microbatch_size, exec_options);
   cached_minibatch_s_ = result.total_time_s;
   cached_slow_factors_.swap(slow_factors_);
-  // Snapshot the simulation-core counters (bench JSON reads them off stats()).
-  stats_.executor_events = executor_.events_processed();
-  stats_.executor_scratch_growths = executor_.scratch_growths();
   return cached_minibatch_s_;
 }
 
@@ -615,8 +603,6 @@ void ElasticTrainer::ScheduleNextMinibatch(double extra_delay) {
                                              premigration);
     last_checkpointed_minibatch_ = stats_.minibatches_done;
     ++stats_.checkpoints;
-    stats_.delta_checkpoints = checkpoints_.delta_checkpoints_written();
-    stats_.checkpoint_records_pruned = checkpoints_.records_pruned();
     checkpointing = true;
     if (premigration) {
       stats_.premigrated_shards += config_->data_parallel;
@@ -776,10 +762,7 @@ void ElasticTrainer::ProcessHeartbeats() {
     }
   }
   stats_.stutters_detected += static_cast<int>(stutterers.size());
-  running_ = false;
-  minibatch_in_flight_ = false;
-  ++epoch_;
-  stall_started_ = engine_->now();
+  StopJob();
   Reconfigure("replace", /*lost_state=*/false);
 }
 
@@ -801,12 +784,7 @@ void ElasticTrainer::HandleHeartbeatTimeout(const std::vector<VmId>& dead) {
     ++stats_.morph_retries;
     ++consecutive_recovery_failures_;
   }
-  running_ = false;
-  minibatch_in_flight_ = false;
-  ++epoch_;
-  if (stall_started_ < 0.0) {
-    stall_started_ = engine_->now();
-  }
+  StopJob();
   RollbackToCheckpoint();
   Reconfigure("heartbeat-timeout", /*lost_state=*/true);
 }
@@ -816,7 +794,6 @@ void ElasticTrainer::ProvisionTick() {
   // Exposure accrues between market events too (a quiet market is evidence of
   // stability). Pure counter arithmetic: no draws, no events.
   predictor_.ObserveQuiet(engine_->now());
-  stats_.predictor_updates = predictor_.updates();
   // Heal the blacklist: VMs recover from stutter episodes; give them another
   // chance if they are no longer slow. Entries for dead VMs are dropped too
   // (they can never be placed again), which keeps the list bounded, and muted
@@ -832,55 +809,50 @@ void ElasticTrainer::ProvisionTick() {
   if (!running_) {
     TryBootstrap();
     if (!running_ && search_) {
-      Reconfigure("configure", stats_.minibatches_done > 0);
+      Reconfigure("configure", /*lost_state=*/false);
     }
     return;
   }
   const int available = AvailableGpus();
-  if (degraded_) {
+  if (degraded_ && search_->Best(available, MakeConstraints(false)).ok()) {
     // Degraded mode is a stopgap: leave it the moment the normal memory model
     // fits again (the sweep is memoized, so re-asking is cheap).
-    const Result<JobConfig> normal = search_->Best(available, MakeConstraints(false));
-    SyncSearchStats();
-    if (normal.ok()) {
-      running_ = false;
-      minibatch_in_flight_ = false;
-      ++epoch_;
-      stall_started_ = engine_->now();
-      Reconfigure("morph", /*lost_state=*/false);
-      return;
-    }
+    StopJob();
+    Reconfigure("morph", /*lost_state=*/false);
+    return;
   }
-  if (ProactiveEngaged()) {
-    // Proactive pass first: the predictor state moves even when capacity does
-    // not, so this reruns every tick. When it declines to morph, fall through
-    // to the ordinary growth gate — liveput must never *slow down* regrowth
-    // after a storm drains the placement.
-    if (EvaluateProactiveMorph(available)) {
-      return;
-    }
+  // The proactive check reruns every tick, because the predictor state moves
+  // even when capacity does not. The growth check reruns only when
+  // availability moved materially since its last evaluation (morphs are not
+  // free). Both read one choice: the liveput argmax when engaged, else the
+  // throughput argmax.
+  const bool engaged = ProactiveEngaged();
+  const bool capacity_moved = std::abs(available - last_growth_check_gpus_) >=
+                              std::max(4, last_growth_check_gpus_ / 12);
+  if (!engaged && !capacity_moved) {
+    return;
+  }
+  const Result<JobConfig> best = ChooseConfig(available, MakeConstraints(degraded_));
+  const bool reshapes = best.ok() && (best.value().pipeline_depth != config_->pipeline_depth ||
+                                      best.value().data_parallel != config_->data_parallel);
+  if (engaged && reshapes && ProactiveMorphPays(best.value())) {
+    ++stats_.proactive_morphs;
+    StopJob();
+    Reconfigure("proactive-morph", /*lost_state=*/false);
+    return;
   }
   // Growth: if spare capacity admits a materially better configuration,
-  // checkpoint and morph into it. The sweep only reruns when availability
-  // moved materially since the last evaluation.
-  if (std::abs(available - last_growth_check_gpus_) <
-      std::max(4, last_growth_check_gpus_ / 12)) {
+  // checkpoint and morph into it. A declined proactive check falls through to
+  // here — liveput must never *slow down* regrowth after a storm drains the
+  // placement.
+  if (!capacity_moved) {
     return;
   }
   last_growth_check_gpus_ = available;
-  const Result<JobConfig> best = ChooseConfig(available, MakeConstraints(degraded_));
-  SyncSearchStats();
-  if (!best.ok()) {
-    return;
-  }
   const double current_rate = config_->ActualBatch() / std::max(1e-9, cached_minibatch_s_);
-  if (best.value().est_examples_per_s > (1.0 + kMorphImprovementThreshold) * current_rate &&
-      (best.value().pipeline_depth != config_->pipeline_depth ||
-       best.value().data_parallel != config_->data_parallel)) {
-    running_ = false;
-    minibatch_in_flight_ = false;
-    ++epoch_;
-    stall_started_ = engine_->now();
+  if (reshapes &&
+      best.value().est_examples_per_s > (1.0 + kMorphImprovementThreshold) * current_rate) {
+    StopJob();
     Reconfigure("morph", /*lost_state=*/false);
   }
 }
@@ -905,7 +877,6 @@ void ElasticTrainer::CheckInvariants() const {
   // from unannounced kills discovered via heartbeat timeout.
   VARUNA_CHECK_GE(stats_.preemptions_hit + stats_.heartbeat_timeouts,
                   stats_.preemptions_survived);
-  VARUNA_CHECK_EQ(stats_.shards_lost, checkpoints_.shards_lost());
   if (running_) {
     VARUNA_CHECK(config_.has_value());
     VARUNA_CHECK(placement_.has_value());
@@ -925,15 +896,6 @@ void ElasticTrainer::RecordSample(double examples_per_s, bool checkpointing) {
   sample.gpus_available = cluster_->NumActiveGpus();
   sample.checkpointing = checkpointing;
   stats_.samples.push_back(sample);
-}
-
-void ElasticTrainer::SyncSearchStats() {
-  const ConfigSearchStats stats = search_->stats();
-  stats_.sweep_cache_hits = stats.sweep_cache_hits;
-  stats_.sweep_cache_misses = stats.sweep_cache_misses;
-  stats_.candidate_memo_hits = stats.candidate_memo_hits;
-  stats_.candidate_memo_misses = stats.candidate_memo_misses;
-  stats_.candidates_pruned = stats.candidates_pruned;
 }
 
 void ElasticTrainer::RecordEvent(const std::string& kind) {

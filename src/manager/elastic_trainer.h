@@ -5,6 +5,12 @@
 // fail-stutter outliers and timeouts, morphs on preemptions and on growth
 // opportunities, and records the Figure-8 timeline.
 //
+// Every decision that stops the running job (preemption, heartbeat timeout,
+// stutter replace, degraded exit, growth, proactive morph) goes through
+// StopJob and then Reconfigure. A provision tick makes at most one config
+// choice (one sweep, one argmax); the proactive and growth checks both read
+// it.
+//
 // Recovery paths (hardened against the src/chaos campaigns):
 //  * Heartbeat timeout — a VM that misses `kHeartbeatTimeoutBeats`
 //    consecutive heartbeat evaluations (unannounced death, or chaos-dropped
@@ -154,7 +160,10 @@ struct ReplayRecord {
 };
 
 // A session's counters: the replay record plus reporting/perf state that is
-// never fingerprinted.
+// never fingerprinted. Fields that mirror another owner's counter (the
+// ConfigSearch cache counters, the executor's, the predictor's and the
+// checkpoint store's, shards_lost included) are filled from their owners by
+// ElasticTrainer::stats() when read; the trainer never writes them.
 struct SessionStats : ReplayRecord {
   // Advisory fail-stutter detections; thresholds may be tuned without
   // invalidating recorded traces.
@@ -168,7 +177,7 @@ struct SessionStats : ReplayRecord {
   double examples_attempted = 0.0;
   // Deepest single rollback, derivable from the ledger events.
   int64_t max_rollback_minibatches = 0;
-  // Morph-decision cost trackers (snapshots of the ConfigSearch counters):
+  // Morph-decision cost trackers (the ConfigSearch counters):
   // the candidate table keeps each (P, D, m, Nm) candidate's feasibility,
   // bound and fast-sim result, so a morph to a previously-unseen G
   // re-simulates only genuinely new tuples, bound-pruned candidates skip
@@ -180,8 +189,8 @@ struct SessionStats : ReplayRecord {
   uint64_t candidate_memo_hits = 0;
   uint64_t candidate_memo_misses = 0;
   uint64_t candidates_pruned = 0;  // Bound-pruned, unsimulated.
-  // Simulation-core perf counters (snapshots of the persistent executor;
-  // reported by the benches).
+  // Simulation-core perf counters (the persistent executor's; reported by
+  // the benches).
   uint64_t executor_events = 0;           // DES events fired.
   uint64_t executor_scratch_growths = 0;  // Arena growths.
   // Always 0: SimEngine callbacks are inline by type, so none can spill, and
@@ -233,7 +242,9 @@ class ElasticTrainer {
   // the engine (RunUntil for a bounded experiment).
   void Start();
 
-  const SessionStats& stats() const { return stats_; }
+  // The session's counters, with the mirrors of other owners' counters (see
+  // SessionStats) read from those owners now.
+  SessionStats stats() const;
   bool job_running() const { return running_; }
   bool degraded() const { return degraded_; }
   const std::optional<JobConfig>& current_config() const { return config_; }
@@ -303,13 +314,18 @@ class ElasticTrainer {
   bool ProactiveEngaged() const {
     return options_.morph_policy != MorphPolicy::kReactive && !predictor_.Cold();
   }
+  // The liveput objective at the current recovery cost.
+  LiveputObjective Objective() const;
   // Config selection: throughput argmax (Best) reactively, liveput argmax
   // over the sweep when the proactive policy is engaged.
   Result<JobConfig> ChooseConfig(int gpus, const SearchConstraints& constraints);
-  // Proactive morph evaluation on the provision tick: morph when the liveput
-  // argmax materially beats the current config and the projected gain over
-  // the horizon pays for the restore stall. Returns true if it morphed.
-  bool EvaluateProactiveMorph(int available_gpus);
+  // The provision tick's proactive test for `best`, a liveput argmax that
+  // reshapes the current config: its score materially beats the incumbent's
+  // and the projected gain over the horizon pays for the restore stall.
+  bool ProactiveMorphPays(const JobConfig& best) const;
+  // Stops the running job ahead of a reconfiguration: in-flight mini-batches
+  // are superseded and the stall clock starts.
+  void StopJob();
   int PlacementVmsUsed() const;
   // What one placement hit costs right now: expected rollback re-work (half
   // the checkpoint cadence at the measured rate) plus the restore stall. The
@@ -330,8 +346,6 @@ class ElasticTrainer {
   int AvailableGpus() const;
   void RecordSample(double examples_per_s, bool checkpointing);
   void RecordEvent(const std::string& kind);
-  // Mirrors the ConfigSearch cache counters into stats_ after a search.
-  void SyncSearchStats();
 
   SimEngine* engine_;
   Cluster* cluster_;
@@ -378,7 +392,7 @@ class ElasticTrainer {
   // Cluster generation at which cached_minibatch_s_ was last confirmed.
   uint64_t cached_generation_ = 0;
   int64_t last_checkpointed_minibatch_ = -1;
-  // Capacity at the last growth evaluation; the O(G) sweep only reruns when
+  // Capacity at the last growth evaluation; the growth check only reruns when
   // availability moved materially (morphs are not free).
   int last_growth_check_gpus_ = 0;
   double stall_started_ = -1.0;

@@ -115,7 +115,7 @@ bool FirstSighting(int* at, int position, int s, int m, const char* what, Report
 class SlotGrid {
  public:
   // Consumes the op at `position`; returns false once the grid is broken.
-  bool Step(const PipeOp& op, int position, int s, bool last, Reporter* report) {
+  bool Step(const PipeOp& op, int position, int s, Reporter* report) {
     if (in_pair_) {  // The B that closes an R,B backward slot.
       in_pair_ = false;
       forward_slot_ = true;
@@ -146,10 +146,8 @@ class SlotGrid {
     if (op.type == PipeOpType::kRecompute) {
       in_pair_ = true;
     } else if (op.type == PipeOpType::kBackward) {
-      if (!last) {
-        report->Violation(s, "op ", position, ": B", op.microbatch,
-                          " without its recompute in a backward slot");
-      }
+      // Bare only on the last stage; the required-recompute rule reports a
+      // bare B on an interior stage.
       forward_slot_ = true;
     } else {
       report->Violation(s, "op ", position, ": ", OpName(op.type), " in a backward slot");
@@ -193,7 +191,6 @@ void CheckStage(const Schedule& schedule, int s, std::vector<MicrobatchOps>* see
                 Reporter* report) {
   const std::vector<PipeOp>& ops = schedule.ops[static_cast<size_t>(s)];
   const int microbatches = schedule.num_microbatches;
-  const bool last = s == schedule.depth - 1;
   const StageContract contract = ContractFor(schedule.kind, schedule.depth, s, microbatches);
 
   bool alternating = contract.alternates;
@@ -232,7 +229,7 @@ void CheckStage(const Schedule& schedule, int s, std::vector<MicrobatchOps>* see
       }
     }
     if (grid_intact) {
-      grid_intact = grid.Step(op, position, s, last, report);
+      grid_intact = grid.Step(op, position, s, report);
     }
 
     // Op legality, then the micro-batch's own ops.

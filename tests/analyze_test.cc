@@ -608,6 +608,117 @@ TEST(RunAnalysis, UnreadableDirectoryIsAnError) {
 
 // --- The real tree -----------------------------------------------------------
 
+// The member functions of `class Rng` that advance the stream (non-static,
+// non-const, not a constructor, the destructor or an assignment) but lack
+// the `&` ref-qualifier. `checked` receives the name of every such member
+// examined, qualified or not.
+std::vector<std::string> UnqualifiedRngMembers(const LexedFile& file,
+                                               std::vector<std::string>* checked) {
+  std::vector<const Token*> code;  // Comments and preprocessor lines dropped.
+  for (const Token& token : file.tokens) {
+    if (token.kind != TokKind::kComment && !token.directive) code.push_back(&token);
+  }
+  const auto text_is = [](const Token* token, std::string_view text) {
+    return token->text == text;
+  };
+  size_t i = 0;
+  while (i + 2 < code.size() &&
+         !(text_is(code[i], "class") && text_is(code[i + 1], "Rng") &&
+           text_is(code[i + 2], "{"))) {
+    ++i;
+  }
+  EXPECT_LT(i + 2, code.size()) << "no `class Rng {` in " << file.rel;
+
+  std::vector<std::string> unqualified;
+  std::vector<const Token*> decl;  // One member declaration, body excluded.
+  const auto has_paren = [&] {
+    return std::any_of(decl.begin(), decl.end(), [&](const Token* t) { return text_is(t, "("); });
+  };
+  const auto finish = [&] {
+    const auto open =
+        std::find_if(decl.begin(), decl.end(), [&](const Token* t) { return text_is(t, "("); });
+    if (open == decl.end() || open == decl.begin()) {
+      decl.clear();
+      return;  // A data member.
+    }
+    const std::string name = (*(open - 1))->text;
+    const bool assignment = name == "=" && open - decl.begin() >= 2 &&
+                            text_is(*(open - 2), "operator");
+    const bool is_static = std::any_of(decl.begin(), open,
+                                       [&](const Token* t) { return text_is(t, "static"); });
+    auto close = open;
+    for (int depth = 0; close != decl.end(); ++close) {
+      depth += text_is(*close, "(") ? 1 : text_is(*close, ")") ? -1 : 0;
+      if (depth == 0) break;
+    }
+    int ampersands = 0;
+    bool is_const = false;
+    for (auto q = close == decl.end() ? close : close + 1;
+         q != decl.end() && !text_is(*q, "=") && !text_is(*q, "-"); ++q) {
+      ampersands += text_is(*q, "&") ? 1 : 0;
+      is_const = is_const || text_is(*q, "const");
+    }
+    if (name != "Rng" && !assignment && !is_static && !is_const) {
+      checked->push_back(name);
+      if (ampersands != 1) unqualified.push_back(name);
+    }
+    decl.clear();
+  };
+  int depth = 0;  // Parentheses, brackets and braced initializers.
+  for (i += 3; i < code.size(); ++i) {
+    const Token* t = code[i];
+    if (depth == 0 && decl.empty() &&
+        (text_is(t, "public") || text_is(t, "private") || text_is(t, "protected"))) {
+      ++i;  // And its ':'.
+      continue;
+    }
+    if (depth == 0 && text_is(t, "}")) break;  // The end of the class.
+    if (depth == 0 && text_is(t, ";")) {
+      finish();
+      continue;
+    }
+    if (depth == 0 && text_is(t, "{") && has_paren()) {  // An inline body.
+      for (int body = 1; body > 0 && ++i < code.size();) {
+        body += text_is(code[i], "{") ? 1 : text_is(code[i], "}") ? -1 : 0;
+      }
+      finish();
+      continue;
+    }
+    if (text_is(t, "(") || text_is(t, "[") || text_is(t, "{")) ++depth;
+    if (text_is(t, ")") || text_is(t, "]") || text_is(t, "}")) --depth;
+    decl.push_back(t);
+  }
+  return unqualified;
+}
+
+// Rng is move-only and lvalue-qualified so that a draw on a temporary fails
+// to compile (src/common/rng.h). RngContract.* checks the members it names;
+// this re-lexes the header so that a new member cannot slip past unqualified.
+TEST(RealTree, RngStreamMembersAreLvalueQualified) {
+  std::vector<std::string> checked;
+  const std::vector<std::string> probe = UnqualifiedRngMembers(
+      Lex("probe", "probe.h",
+          "class Rng {\n public:\n  explicit Rng(int s);\n  ~Rng();\n"
+          "  Rng& operator=(Rng&&) noexcept = default;\n  Rng Fork() &;\n"
+          "  Rng ForkX();\n  double Peek() const;\n  static int Rotl(int x) { return x; }\n"
+          "  uint64_t Draw() && { return 1; }\n private:\n  int state_[4];\n};\n"),
+      &checked);
+  EXPECT_EQ(probe, (std::vector<std::string>{"ForkX", "Draw"}));
+  EXPECT_EQ(checked, (std::vector<std::string>{"Fork", "ForkX", "Draw"}));
+
+  const std::string path = std::string(VARUNA_REPO_ROOT) + "/src/common/rng.h";
+  checked.clear();
+  const std::vector<std::string> unqualified =
+      UnqualifiedRngMembers(Lex(path, "src/common/rng.h", ReadFileOrDie(path)), &checked);
+  std::string names;
+  for (const std::string& name : unqualified) names += " " + name;
+  EXPECT_TRUE(unqualified.empty()) << "Rng members without the & ref-qualifier:" << names;
+  for (const char* name : {"NextUint64", "Gaussian", "Fork", "GaussianPair"}) {
+    EXPECT_NE(std::find(checked.begin(), checked.end(), name), checked.end())
+        << name << " was not reached";
+  }
+}
+
 TEST(RealTree, FullAnalysisIsClean) {
   AnalyzerOptions options;
   options.root = VARUNA_REPO_ROOT;

@@ -276,7 +276,10 @@ TEST(LiveputHeadToHeadTest, ProactiveBeatsReactiveOverTwentyStormCampaigns) {
 // sequence or to the serial engine's firing order must be a conscious golden
 // update, not an accident. The proactive row pins predictor estimates,
 // objective scoring and pre-migration trigger arithmetic (seed 7 premigrates
-// and morphs on today's tuning); the reactive rows pin the plain chaos sweep
+// and morphs on today's tuning); the random seed-37 rows pin the provision
+// tick's proactive test under both liveput policies (each morphs
+// proactively, and the test changes that session's outcome rather than
+// relabelling a growth morph); the reactive rows pin the plain chaos sweep
 // and the fast-recovery path (delta checkpoints, tiered restore).
 
 struct GoldenCampaign {
@@ -285,6 +288,7 @@ struct GoldenCampaign {
   uint64_t seed;
   MorphPolicy policy;
   uint64_t fingerprint;
+  bool morphs_proactively = false;  // The session makes a proactive morph.
 };
 
 void PrintTo(const GoldenCampaign& row, std::ostream* os) { *os << row.name; }
@@ -299,6 +303,9 @@ TEST_P(CampaignFingerprintTest, IsPinned) {
   if (row.policy == MorphPolicy::kProactive) {
     EXPECT_GT(report.stats.premigrated_shards, 0);  // The policy is exercised.
   }
+  if (row.morphs_proactively) {
+    EXPECT_GT(report.stats.proactive_morphs, 0);
+  }
   EXPECT_EQ(report.fingerprint, row.fingerprint)
       << row.name << " decision sequence changed: new fingerprint 0x" << std::hex
       << report.fingerprint;
@@ -309,6 +316,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         GoldenCampaign{"ProactiveStormy7", StormyChaosCampaign, 7, MorphPolicy::kProactive,
                        0x5a3e8d8e79a3b23fULL},
+        GoldenCampaign{"ProactiveRandom37", RandomChaosCampaign, 37, MorphPolicy::kProactive,
+                       0x02481af71a43262aULL, /*morphs_proactively=*/true},
+        GoldenCampaign{"OracleRandom37", RandomChaosCampaign, 37,
+                       MorphPolicy::kOracleProactive, 0x0af23d32abe969afULL,
+                       /*morphs_proactively=*/true},
         GoldenCampaign{"ReactiveRandom1", RandomChaosCampaign, 1, MorphPolicy::kReactive,
                        0x69741436a7b569f5ULL},
         GoldenCampaign{"ReactiveRandom2", RandomChaosCampaign, 2, MorphPolicy::kReactive,

@@ -147,8 +147,8 @@ TEST(ElasticTrainerTest, SlowFactorChangeForcesRemeasure) {
   fx.engine.RunUntil(2.0 * kHour);
   ASSERT_TRUE(fx.trainer->job_running());
   const auto last_steady_rate = [&fx] {
-    const std::vector<TimelineSample>& samples = fx.trainer->stats().samples;
-    for (auto it = samples.rbegin(); it != samples.rend(); ++it) {
+    const SessionStats stats = fx.trainer->stats();
+    for (auto it = stats.samples.rbegin(); it != stats.samples.rend(); ++it) {
       if (!it->checkpointing) {
         return it->examples_per_s;
       }

@@ -281,7 +281,7 @@ TEST(ValidateNegativeTest, HandBuiltStageListsRejected) {
        "stage 1: expected 4 ops (F,B alternation), found 3"},
       {ScheduleKind::kDeepSpeed, 2, 2, 0,
        {{kF, 0}, {kIdleB, -1}, {kF, 1}, {kB, 0}, {kIdleF, -1}, {kR, 1}, {kB, 1}},
-       "stage 0: op 3: B0 without its recompute in a backward slot"},
+       "stage 0: micro-batch 0: interior stage must recompute before its backward"},
       {ScheduleKind::kDeepSpeed, 2, 2, 0,
        {{kF, 0}, {kIdleB, -1}, {kIdleB, -1}, {kF, 1}, {kR, 0}, {kB, 0}, {kIdleF, -1}, {kR, 1},
         {kB, 1}},
