@@ -82,8 +82,7 @@ ChaosEngine::ChaosEngine(SimEngine* engine, Cluster* cluster, SpotMarket* market
 void ChaosEngine::Start() {
   VARUNA_CHECK(!started_) << "ChaosEngine started twice";
   started_ = true;
-  trainer_->set_morph_observer(
-      [this](const std::string& /*kind*/, double restore_delay_s) { OnMorph(restore_delay_s); });
+  trainer_->set_morph_observer([this](double restore_delay_s) { OnMorph(restore_delay_s); });
   for (const ChaosAction& action : plan_.actions) {
     VARUNA_CHECK_GE(action.at_s, 0.0);
     engine_->Schedule(action.at_s, [this, action] { Fire(action); });

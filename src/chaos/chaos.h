@@ -152,7 +152,10 @@ struct ChaosReport {
 
 // Builds engine + cluster + market + trainer + injectors, runs the campaign
 // to its horizon, validates engine and manager invariants, and returns the
-// fingerprinted report. Deterministic: same spec => identical report.
+// fingerprinted report. Deterministic: same spec => identical report. The one
+// seeded-session runner: with an empty plan the stutter injector and the chaos
+// engine schedule nothing and draw nothing, so the report is that of a plain
+// elastic session.
 ChaosReport RunChaosCampaign(const ChaosCampaignSpec& spec);
 
 }  // namespace varuna

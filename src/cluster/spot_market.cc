@@ -108,9 +108,6 @@ void SpotMarket::PreemptOne(int pool) {
   for (const PreemptObserver& observer : preempt_observers_) {
     observer(pool, id);
   }
-  if (on_preempt_) {
-    on_preempt_(id);
-  }
 }
 
 void SpotMarket::Tick() {
@@ -153,9 +150,6 @@ void SpotMarket::Tick() {
       ++pool.granted;
       for (const GrantObserver& observer : grant_observers_) {
         observer(static_cast<int>(pool_index), id, pool.type);
-      }
-      if (on_grant_) {
-        on_grant_(id, pool.type);
       }
     }
   }

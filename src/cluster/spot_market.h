@@ -3,13 +3,12 @@
 // available than 4-GPU VMs. We model per-pool capacity as a mean-reverting
 // process; granted VMs additionally face a baseline preemption hazard.
 //
-// The market only *signals* grants and preemptions; gluing those to a Cluster
-// (and to job morphing) is the manager's job.
+// The market only *signals* grants and preemptions, through observers; gluing
+// those to a Cluster (and to job morphing) is the manager's job.
 #ifndef SRC_CLUSTER_SPOT_MARKET_H_
 #define SRC_CLUSTER_SPOT_MARKET_H_
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "src/cluster/vm.h"
@@ -37,10 +36,6 @@ struct SpotPoolDynamics {
 class SpotMarket {
  public:
   using MarketVmId = int;
-  // on_grant fires when a requested VM is allocated; on_preempt when a granted
-  // VM is reclaimed (capacity drop or baseline hazard).
-  using GrantHandler = std::function<void(MarketVmId, const VmType&)>;
-  using PreemptHandler = std::function<void(MarketVmId)>;
 
   SpotMarket(SimEngine* engine, Rng rng, SimTime tick_interval = 60.0);
 
@@ -70,13 +65,11 @@ class SpotMarket {
   // lowers it with SetMeanAvailability().
   void CrashAvailability(int pool, double fraction);
 
-  void set_grant_handler(GrantHandler handler) { on_grant_ = std::move(handler); }
-  void set_preempt_handler(PreemptHandler handler) { on_preempt_ = std::move(handler); }
-
-  // Passive observers of the grant/preemption stream (estimators, loggers):
-  // fired in registration order *before* the single control handler, for
-  // every pool. Unlike the handlers they cannot be replaced — observing the
-  // market must not steal the manager's control path.
+  // Subscribers to the grant/preemption stream, fired in registration order
+  // for every pool: a grant observer when a requested VM is allocated, a
+  // preempt observer when a granted VM is reclaimed (capacity drop, baseline
+  // hazard or a chaos hook). Observers cannot be removed or replaced, so one
+  // subscriber never steals another's events.
   using GrantObserver = std::function<void(int pool, MarketVmId, const VmType&)>;
   using PreemptObserver = std::function<void(int pool, MarketVmId)>;
   void AddGrantObserver(GrantObserver observer);
@@ -118,8 +111,6 @@ class SpotMarket {
   std::vector<Pool> pools_;
   std::vector<GrantedVm> granted_;
   MarketVmId next_vm_id_ = 0;
-  GrantHandler on_grant_;
-  PreemptHandler on_preempt_;
   std::vector<GrantObserver> grant_observers_;
   std::vector<PreemptObserver> preempt_observers_;
   bool started_ = false;

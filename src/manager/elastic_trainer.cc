@@ -47,11 +47,6 @@ constexpr double kLiveputGainThreshold = 0.5;
 
 Result<std::monostate> TrainerOptions::Validate() const {
   const auto positive = [](double value) { return std::isfinite(value) && value > 0.0; };
-  // Calibrate() refuses the calibration sizes and sample counts ruled out
-  // below, and TryBootstrap would retry it forever; a negative or NaN noise
-  // sigma would silently mean "no noise". Sorted for the distinct check.
-  std::vector<int> sizes = calibration.microbatch_sizes;
-  std::sort(sizes.begin(), sizes.end());
   // (holds, message); each message starts with the field it constrains.
   const std::pair<bool, const char*> rules[] = {
       {positive(total_batch), "total_batch must be > 0 and finite"},
@@ -65,19 +60,17 @@ Result<std::monostate> TrainerOptions::Validate() const {
       {positive(liveput_horizon_s), "liveput_horizon_s must be > 0 and finite"},
       {positive(predictor.window_s), "predictor.window_s must be > 0 and finite"},
       {checkpoint.full_checkpoint_every >= 1, "checkpoint.full_checkpoint_every must be >= 1"},
-      {!sizes.empty(), "calibration.microbatch_sizes must be non-empty"},
-      {sizes.empty() || sizes.front() > 0, "calibration.microbatch_sizes must be positive"},
-      {std::adjacent_find(sizes.begin(), sizes.end()) == sizes.end(),
-       "calibration.microbatch_sizes must be distinct"},
-      {calibration.samples >= 1, "calibration.samples must be >= 1"},
-      {calibration.network_samples >= 1, "calibration.network_samples must be >= 1"},
-      {std::isfinite(calibration.compute_noise_sigma) && calibration.compute_noise_sigma >= 0.0,
-       "calibration.compute_noise_sigma must be >= 0 and finite"},
   };
   for (const auto& [holds, message] : rules) {
     if (!holds) {
       return Result<std::monostate>::Error(message);
     }
+  }
+  // Calibrate() refuses what this refuses, and EnsureSearch would retry it
+  // forever.
+  const Result<std::monostate> calibration_valid = calibration.Validate();
+  if (!calibration_valid.ok()) {
+    return Result<std::monostate>::Error("calibration." + calibration_valid.error());
   }
   return std::monostate{};
 }
@@ -115,25 +108,23 @@ ElasticTrainer::ElasticTrainer(SimEngine* engine, Cluster* cluster, SpotMarket* 
 }
 
 void ElasticTrainer::Start() {
-  // The availability estimator taps the market's announced grant/preemption
-  // stream through passive observers — it sees the whole pool, not just the
-  // placement, and never the market's hidden dynamics. Observers draw no
-  // randomness and schedule no events, so feeding the predictor leaves the
-  // reactive decision sequence bit-identical.
-  market_->AddGrantObserver(
-      [this](int pool, SpotMarket::MarketVmId /*id*/, const VmType& /*type*/) {
-        if (pool == market_pool_) {
-          predictor_.ObserveGrant(engine_->now());
-        }
-      });
-  market_->AddPreemptObserver([this](int pool, SpotMarket::MarketVmId /*id*/) {
+  // One observer per market signal: it first feeds the availability estimator
+  // (the whole pool's announced stream, never the market's hidden dynamics),
+  // then hands the event to the control path. Feeding the estimator draws no
+  // randomness and schedules no events, so the reactive decision sequence
+  // stays bit-identical.
+  market_->AddGrantObserver([this](int pool, SpotMarket::MarketVmId id, const VmType& type) {
+    if (pool == market_pool_) {
+      predictor_.ObserveGrant(engine_->now());
+    }
+    OnVmGranted(id, type);
+  });
+  market_->AddPreemptObserver([this](int pool, SpotMarket::MarketVmId id) {
     if (pool == market_pool_) {
       predictor_.ObservePreemption(engine_->now());
     }
+    OnVmPreempted(id);
   });
-  market_->set_grant_handler(
-      [this](SpotMarket::MarketVmId id, const VmType& type) { OnVmGranted(id, type); });
-  market_->set_preempt_handler([this](SpotMarket::MarketVmId id) { OnVmPreempted(id); });
   // Physical-layer bookkeeping for *every* VM death, announced or not: local
   // checkpoint shards die with their VM. The control path deliberately does
   // not hang off this observer — unannounced deaths must be discovered
@@ -175,8 +166,8 @@ int ElasticTrainer::AvailableGpus() const {
 
 void ElasticTrainer::OnVmGranted(SpotMarket::MarketVmId id, const VmType& type) {
   market_to_vm_[id] = cluster_->AddVm(type);
-  if (!running_) {
-    TryBootstrap();
+  if (!running_ && EnsureSearch()) {
+    Reconfigure("configure", /*lost_state=*/false);
   }
 }
 
@@ -255,27 +246,26 @@ int64_t ElasticTrainer::RollbackToCheckpoint() {
   return restorable;
 }
 
-void ElasticTrainer::TryBootstrap() {
-  if (calibration_.has_value()) {
-    Reconfigure("configure", /*lost_state=*/false);
-    return;
+bool ElasticTrainer::EnsureSearch() {
+  if (search_) {
+    return true;
   }
   if (cluster_->NumActiveGpus() < 4) {
-    return;  // Wait for enough capacity to calibrate.
+    return false;  // Wait for enough capacity to calibrate.
   }
   Rng calibration_rng = rng_.Fork();
   Result<Calibration> calibration =
       Calibrate(sections_, *cluster_, options_.calibration, &calibration_rng);
   if (!calibration.ok()) {
-    return;
+    return false;
   }
   calibration_ = std::move(calibration).value();
-  if (options_.search_threads > 1 && !search_pool_) {
+  if (options_.search_threads > 1) {
     search_pool_ = std::make_unique<ThreadPool>(options_.search_threads);
   }
   search_ = std::make_unique<ConfigSearch>(&spec_, &sections_, &calibration_.value(),
                                            search_pool_.get());
-  Reconfigure("configure", /*lost_state=*/false);
+  return true;
 }
 
 SearchConstraints ElasticTrainer::MakeConstraints(bool degraded) const {
@@ -390,11 +380,8 @@ void ElasticTrainer::ForecastStorm(double at_s, int vms) {
 }
 
 void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state) {
-  if (!search_) {
-    TryBootstrap();
-    if (!search_) {
-      ScheduleReprovisionRetry();  // Not even enough capacity to calibrate.
-    }
+  if (!EnsureSearch()) {
+    ScheduleReprovisionRetry();  // Not even enough capacity to calibrate.
     return;
   }
   const int gpus = AvailableGpus();
@@ -476,7 +463,7 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
   }
   RecordEvent(event_kind);
   if (morph_observer_) {
-    morph_observer_(event_kind, restore_delay);
+    morph_observer_(restore_delay);
   }
   ScheduleNextMinibatch(restore_delay);
 }
@@ -807,8 +794,7 @@ void ElasticTrainer::ProvisionTick() {
   });
 
   if (!running_) {
-    TryBootstrap();
-    if (!running_ && search_) {
+    if (EnsureSearch()) {
       Reconfigure("configure", /*lost_state=*/false);
     }
     return;

@@ -1,9 +1,9 @@
 // The Varuna manager (§4.6) driving an elastic training session on the
 // simulated cluster: it wires the spot market to the cluster, calibrates once
-// at startup, picks configurations with the O(G) search, runs mini-batches on
-// the DES testbed, checkpoints continuously, watches heartbeats for
-// fail-stutter outliers and timeouts, morphs on preemptions and on growth
-// opportunities, and records the Figure-8 timeline.
+// before its first configuration, picks configurations with the O(G) search,
+// runs mini-batches on the DES testbed, checkpoints continuously, watches
+// heartbeats for fail-stutter outliers and timeouts, morphs on preemptions and
+// on growth opportunities, and records the Figure-8 timeline.
 //
 // Every decision that stops the running job (preemption, heartbeat timeout,
 // stutter replace, degraded exit, growth, proactive morph) goes through
@@ -238,8 +238,8 @@ class ElasticTrainer {
   ElasticTrainer(SimEngine* engine, Cluster* cluster, SpotMarket* market, int market_pool,
                  const VmType& vm_type, const TransformerSpec& spec, TrainerOptions options);
 
-  // Registers market handlers and kicks off the session. Call once, then run
-  // the engine (RunUntil for a bounded experiment).
+  // Registers the market observers and kicks off the session. Call once, then
+  // run the engine (RunUntil for a bounded experiment).
   void Start();
 
   // The session's counters, with the mirrors of other owners' counters (see
@@ -262,7 +262,7 @@ class ElasticTrainer {
   // Observer fired when a reconfiguration succeeds, with the restore delay
   // about to be paid (0 for a fresh configure). The chaos engine uses it to
   // land mid-morph preemptions inside the restore window.
-  using MorphObserver = std::function<void(const std::string& kind, double restore_delay_s)>;
+  using MorphObserver = std::function<void(double restore_delay_s)>;
   void set_morph_observer(MorphObserver observer) { morph_observer_ = std::move(observer); }
 
   // Oracle storm forecast (src/chaos feeds scripted storms through this).
@@ -280,8 +280,11 @@ class ElasticTrainer {
   void OnVmGranted(SpotMarket::MarketVmId id, const VmType& type);
   void OnVmPreempted(SpotMarket::MarketVmId id);
 
-  // Calibrates once when enough GPUs exist, then configures.
-  void TryBootstrap();
+  // The one bring-up step: calibrates once (from a fork of the session Rng)
+  // when at least 4 GPUs are active, then builds the search pool and the
+  // config search. Returns whether the search exists; every configure path
+  // asks it first.
+  bool EnsureSearch();
   // Coalesces a burst of preemptions into one restore+morph (the manager
   // notices missing heartbeats, which batches naturally).
   void DeferredPreemptionMorph();

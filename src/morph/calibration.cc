@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <span>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/fnv1a.h"
 #include "src/common/stats.h"
 
 namespace varuna {
@@ -32,6 +32,30 @@ double Interpolate(const std::vector<int>& sizes, const std::vector<double>& sec
 }
 
 }  // namespace
+
+Result<std::monostate> CalibrationOptions::Validate() const {
+  // Sorted for the distinct check.
+  std::vector<int> sizes = microbatch_sizes;
+  std::sort(sizes.begin(), sizes.end());
+  // (holds, message); each message starts with the field it constrains.
+  const std::pair<bool, const char*> rules[] = {
+      {!sizes.empty(), "microbatch_sizes must be non-empty"},
+      {sizes.empty() || sizes.front() > 0, "microbatch_sizes must be positive"},
+      {std::adjacent_find(sizes.begin(), sizes.end()) == sizes.end(),
+       "microbatch_sizes must be distinct"},
+      {samples >= 1, "samples must be >= 1"},
+      {network_samples >= 1, "network_samples must be >= 1"},
+      // A negative or NaN sigma would silently mean "no noise".
+      {std::isfinite(compute_noise_sigma) && compute_noise_sigma >= 0.0,
+       "compute_noise_sigma must be >= 0 and finite"},
+  };
+  for (const auto& [holds, message] : rules) {
+    if (!holds) {
+      return Result<std::monostate>::Error(message);
+    }
+  }
+  return std::monostate{};
+}
 
 Calibration::Calibration() : Calibration({}, AllReduceModel(), {}, SendStallModel()) {}
 
@@ -59,21 +83,12 @@ double Calibration::SendTime(int section, int m, bool cross_node) const {
 
 Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& cluster,
                               const CalibrationOptions& options, Rng* rng) {
+  const Result<std::monostate> valid = options.Validate();
+  if (!valid.ok()) {
+    return Result<Calibration>::Error(valid.error());
+  }
   std::vector<int> microbatch_sizes = options.microbatch_sizes;
   std::sort(microbatch_sizes.begin(), microbatch_sizes.end());
-  if (microbatch_sizes.empty()) {
-    return Result<Calibration>::Error("calibration needs at least one micro-batch size");
-  }
-  if (microbatch_sizes.front() <= 0) {
-    return Result<Calibration>::Error("calibration micro-batch sizes must be positive");
-  }
-  if (std::adjacent_find(microbatch_sizes.begin(), microbatch_sizes.end()) !=
-      microbatch_sizes.end()) {
-    return Result<Calibration>::Error("calibration micro-batch sizes must be distinct");
-  }
-  if (options.samples < 1 || options.network_samples < 1) {
-    return Result<Calibration>::Error("calibration needs samples and network_samples >= 1");
-  }
   if (sections.num_sections() < 1) {
     return Result<Calibration>::Error("calibration needs a model with at least one section");
   }
@@ -260,51 +275,37 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
 }
 
 uint64_t Calibration::ComputeFingerprint() const {
-  // FNV-1a, matching the determinism harness's hashing discipline: doubles
-  // enter via their raw bit pattern, so two calibrations fingerprint equal
-  // iff they are bit-identical. The byte stream is that of the former
-  // map-based tables: each table hashes its length, then (m, seconds) pairs.
-  uint64_t hash = 14695981039346656037ULL;
-  const auto mix = [&hash](uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xffULL;
-      hash *= 1099511628211ULL;
-    }
-  };
-  const auto mix_double = [&mix](double value) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  };
-  const auto mix_table = [&](const std::vector<double>& seconds) {
-    mix(seconds.size());
+  // Each table hashes its length, then (m, seconds) pairs: the pinned
+  // calibration fingerprints rest on this byte stream.
+  Fnv1a fnv;
+  const auto hash_table = [&](const std::vector<double>& seconds) {
+    fnv.U64(seconds.size());
     for (size_t k = 0; k < seconds.size(); ++k) {
-      mix(static_cast<uint64_t>(microbatch_sizes_[k]));
-      mix_double(seconds[k]);
+      fnv.U64(static_cast<uint64_t>(microbatch_sizes_[k]));
+      fnv.F64(seconds[k]);
     }
   };
-  mix(sections_.size());
+  fnv.U64(sections_.size());
   for (const SectionCalibration& section : sections_) {
-    mix_table(section.forward_s);
-    mix_table(section.backward_s);
-    mix_table(section.send_intra_s);
-    mix_table(section.send_inter_s);
-    mix_double(section.params);
+    hash_table(section.forward_s);
+    hash_table(section.backward_s);
+    hash_table(section.send_intra_s);
+    hash_table(section.send_inter_s);
+    fnv.F64(section.params);
   }
-  mix_double(allreduce_.bandwidth_bps);
-  mix_double(allreduce_.step_latency_s);
-  mix_double(allreduce_.stall_probability);
-  mix_double(allreduce_.stall_mean_s);
-  mix(microbatch_sizes_.size());
+  fnv.F64(allreduce_.bandwidth_bps);
+  fnv.F64(allreduce_.step_latency_s);
+  fnv.F64(allreduce_.stall_probability);
+  fnv.F64(allreduce_.stall_mean_s);
+  fnv.U64(microbatch_sizes_.size());
   for (const int m : microbatch_sizes_) {
-    mix(static_cast<uint64_t>(m));
+    fnv.U64(static_cast<uint64_t>(m));
   }
-  mix_double(send_stall_.probability);
-  mix_double(send_stall_.mean_s);
-  mix_double(send_stall_.offset_s);
-  mix_double(send_stall_.scale_s);
-  return hash;
+  fnv.F64(send_stall_.probability);
+  fnv.F64(send_stall_.mean_s);
+  fnv.F64(send_stall_.offset_s);
+  fnv.F64(send_stall_.scale_s);
+  return fnv.hash();
 }
 
 }  // namespace varuna

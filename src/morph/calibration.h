@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -89,6 +90,11 @@ struct CalibrationOptions {
   int network_samples = 200;
   // Compute-noise the testbed exhibits; profiled times inherit it.
   double compute_noise_sigma = 0.01;
+
+  // Rejects an empty, duplicated or non-positive `microbatch_sizes`,
+  // `samples < 1`, `network_samples < 1` and a negative or non-finite
+  // `compute_noise_sigma`; each message starts with the field's name.
+  Result<std::monostate> Validate() const;
 };
 
 // The profiled parameters, immutable once built: only `Calibrate` constructs
@@ -136,8 +142,7 @@ class Calibration {
 // Runs the calibration micro-benchmarks against the cluster sample. Needs at
 // least 4 active GPUs (2 nodes) to measure cross-node paths and fit the
 // allreduce model; fails otherwise. Also fails, before drawing anything, on
-// nonsense options: an empty, duplicated or non-positive `microbatch_sizes`,
-// `samples < 1` or `network_samples < 1`.
+// options that CalibrationOptions::Validate rejects.
 Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& cluster,
                               const CalibrationOptions& options, Rng* rng);
 

@@ -96,7 +96,9 @@ class MinibatchRun {
   void PrepareScratch();
 
   double OpDuration(const Worker& worker, const PipeOp& op) const;
+  // Sampled or mean network prices, as options_.sample_network says.
   double TransferTime(GpuId src, GpuId dst, double bytes) const;
+  double AllReduceTime(const std::vector<GpuId>& members, double bytes, int concurrent) const;
   int ConcurrentFlows(GpuId gpu) const;
 
   bool Runnable(const Worker& worker, const PipeOp& op) const;
@@ -157,6 +159,14 @@ double MinibatchRun::TransferTime(GpuId src, GpuId dst, double bytes) const {
     return cluster_->network().SampleTransferTime(src, dst, bytes, flows, rng_);
   }
   return cluster_->network().MeanTransferTime(src, dst, bytes, flows);
+}
+
+double MinibatchRun::AllReduceTime(const std::vector<GpuId>& members, double bytes,
+                                   int concurrent) const {
+  if (options_.sample_network) {
+    return cluster_->network().SampleAllReduceTime(members, bytes, concurrent, rng_);
+  }
+  return cluster_->network().MeanAllReduceTime(members, bytes, concurrent);
 }
 
 bool MinibatchRun::Runnable(const Worker& worker, const PipeOp& op) const {
@@ -424,12 +434,8 @@ MinibatchResult MinibatchRun::Execute() {
     for (int r = 0; r < replicas(); ++r) {
       ring.push_back(placement_.At(r, s));
     }
-    const int concurrent = ConcurrentFlows(ring[0]);
-    const double bytes = timings_[static_cast<size_t>(s)].grad_allreduce_bytes;
-    const double time =
-        options_.sample_network
-            ? cluster_->network().SampleAllReduceTime(ring, bytes, concurrent, rng_)
-            : cluster_->network().MeanAllReduceTime(ring, bytes, concurrent);
+    const double time = AllReduceTime(ring, timings_[static_cast<size_t>(s)].grad_allreduce_bytes,
+                                      ConcurrentFlows(ring[0]));
     result_.allreduce_time_s = std::max(result_.allreduce_time_s, time);
     collectives_end = std::max(collectives_end, stage_end[static_cast<size_t>(s)] + time);
   }
@@ -443,12 +449,7 @@ MinibatchResult MinibatchRun::Execute() {
     for (int r = 0; r < replicas(); ++r) {
       group[0] = placement_.At(r, 0);
       group[1] = placement_.At(r, depth() - 1);
-      const double time = options_.sample_network
-                              ? cluster_->network().SampleAllReduceTime(
-                                    group, options_.shared_state_sync_bytes, 1, rng_)
-                              : cluster_->network().MeanAllReduceTime(
-                                    group, options_.shared_state_sync_bytes, 1);
-      sync = std::max(sync, time);
+      sync = std::max(sync, AllReduceTime(group, options_.shared_state_sync_bytes, 1));
     }
   }
   if (options_.cpu_offload_optimizer && options_.cpu_offload_bytes_per_stage > 0.0) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "src/cluster/cluster.h"
 #include "src/cluster/fail_stutter.h"
 #include "src/cluster/placement.h"
@@ -140,7 +143,10 @@ TEST(SpotMarketTest, GrantsUpToDemandAndCapacity) {
   dynamics.preemption_hazard = 0.0;
   const int pool = market.AddPool(Nc6V3(), 10, dynamics);
   int grants = 0;
-  market.set_grant_handler([&](SpotMarket::MarketVmId, const VmType&) { ++grants; });
+  market.AddGrantObserver([&](int granted_pool, SpotMarket::MarketVmId, const VmType&) {
+    EXPECT_EQ(granted_pool, pool);
+    ++grants;
+  });
   market.SetDemand(pool, 6);
   market.Start();
   engine.RunUntil(10 * 60.0);
@@ -158,7 +164,10 @@ TEST(SpotMarketTest, PreemptsOnCapacityDrop) {
   dynamics.preemption_hazard = 1.0 / 1800.0;  // Aggressive baseline hazard.
   const int pool = market.AddPool(Nc6V3(), 20, dynamics);
   int preempts = 0;
-  market.set_preempt_handler([&](SpotMarket::MarketVmId) { ++preempts; });
+  market.AddPreemptObserver([&](int preempted_pool, SpotMarket::MarketVmId) {
+    EXPECT_EQ(preempted_pool, pool);
+    ++preempts;
+  });
   market.SetDemand(pool, 20);
   market.Start();
   engine.RunUntil(8 * 3600.0);
@@ -204,7 +213,10 @@ TEST(SpotMarketTest, HysteresisAbsorbsSmallWiggles) {
   dynamics.reclaim_slack_vms = 6;
   const int pool = market.AddPool(Nc6V3(), 100, dynamics);
   int preempts = 0;
-  market.set_preempt_handler([&](SpotMarket::MarketVmId) { ++preempts; });
+  market.AddPreemptObserver([&](int preempted_pool, SpotMarket::MarketVmId) {
+    EXPECT_EQ(preempted_pool, pool);
+    ++preempts;
+  });
   market.SetDemand(pool, 100);
   market.Start();
   engine.RunUntil(8 * 3600.0);
@@ -223,7 +235,10 @@ TEST(SpotMarketTest, BigCapacityDropEvictsBurst) {
   dynamics.max_grants_per_tick = 64;
   const int pool = market.AddPool(Nc6V3(), 60, dynamics);
   int preempts = 0;
-  market.set_preempt_handler([&](SpotMarket::MarketVmId) { ++preempts; });
+  market.AddPreemptObserver([&](int preempted_pool, SpotMarket::MarketVmId) {
+    EXPECT_EQ(preempted_pool, pool);
+    ++preempts;
+  });
   market.SetDemand(pool, 60);
   market.Start();
   engine.RunUntil(10 * 60.0);
@@ -234,6 +249,60 @@ TEST(SpotMarketTest, BigCapacityDropEvictsBurst) {
   engine.RunUntil(60 * 60.0);
   EXPECT_GT(preempts, 20);
   EXPECT_LE(market.GrantedVms(pool), 30 + 4);  // Capacity 30 + hysteresis slack.
+}
+
+// Every observer sees every event exactly once, in registration order, with
+// the pool the VM belongs to.
+TEST(SpotMarketTest, ObserversFireOncePerEventInRegistrationOrder) {
+  SimEngine engine;
+  SpotMarket market(&engine, Rng(13), 60.0);
+  SpotPoolDynamics dynamics;
+  dynamics.mean_availability = 1.0;
+  dynamics.volatility = 0.0;
+  dynamics.preemption_hazard = 0.0;
+  const int pool_a = market.AddPool(Nc6V3(), 4, dynamics);
+  const int pool_b = market.AddPool(Nc24V3(), 3, dynamics);
+  struct Seen {
+    char observer;
+    int pool;
+    SpotMarket::MarketVmId id;
+    bool operator==(const Seen&) const = default;
+  };
+  std::vector<Seen> grants;
+  std::vector<Seen> preempts;
+  std::map<SpotMarket::MarketVmId, int> pool_of;
+  market.AddGrantObserver([&](int pool, SpotMarket::MarketVmId id, const VmType& type) {
+    EXPECT_EQ(type.node.num_gpus, pool == pool_a ? 1 : 4);
+    EXPECT_TRUE(pool_of.emplace(id, pool).second) << "VM " << id << " granted twice";
+    grants.push_back({'1', pool, id});
+  });
+  market.AddGrantObserver([&](int pool, SpotMarket::MarketVmId id, const VmType& /*type*/) {
+    grants.push_back({'2', pool, id});
+  });
+  market.AddPreemptObserver(
+      [&](int pool, SpotMarket::MarketVmId id) { preempts.push_back({'1', pool, id}); });
+  market.AddPreemptObserver(
+      [&](int pool, SpotMarket::MarketVmId id) { preempts.push_back({'2', pool, id}); });
+  market.SetDemand(pool_a, 4);
+  market.SetDemand(pool_b, 3);
+  market.Start();
+  engine.RunUntil(2 * 60.0);
+  ASSERT_EQ(grants.size(), 2u * (4 + 3));
+  for (size_t i = 0; i < grants.size(); i += 2) {
+    EXPECT_EQ(grants[i].observer, '1');
+    EXPECT_EQ(grants[i + 1], (Seen{'2', grants[i].pool, grants[i].id}));
+  }
+  ASSERT_EQ(market.ForcePreempt(pool_b, 2), 2);
+  ASSERT_EQ(preempts.size(), 4u);
+  for (size_t i = 0; i < preempts.size(); i += 2) {
+    EXPECT_EQ(preempts[i].observer, '1');
+    EXPECT_EQ(preempts[i].pool, pool_b);
+    EXPECT_EQ(pool_of.at(preempts[i].id), pool_b);
+    EXPECT_EQ(preempts[i + 1], (Seen{'2', pool_b, preempts[i].id}));
+  }
+  EXPECT_NE(preempts[0].id, preempts[2].id);
+  EXPECT_EQ(market.GrantedVms(pool_a), 4);
+  EXPECT_EQ(market.GrantedVms(pool_b), 1);
 }
 
 TEST(FailStutterTest, InjectsAndRecovers) {

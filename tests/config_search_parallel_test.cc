@@ -15,6 +15,7 @@
 #include "src/morph/config_search.h"
 #include "src/pipeline/schedule_cache.h"
 #include "src/varuna/determinism.h"
+#include "tests/seeded_session.h"
 
 namespace varuna {
 namespace {
@@ -300,13 +301,13 @@ TEST(ConfigSearchParallelTest, SweepReusesCandidatesAcrossClusterSizes) {
 // produces the *same* training trace, event for event at full precision, as
 // the serial session — pooled search must never alter behaviour.
 TEST(ConfigSearchParallelTest, ElasticTrainerTraceUnchangedByPooledSearch) {
-  DeterminismScenario serial_scenario = DefaultDeterminismScenario(7);
-  serial_scenario.options.search_threads = 1;
-  DeterminismScenario pooled_scenario = DefaultDeterminismScenario(7);
-  pooled_scenario.options.search_threads = 4;
+  ChaosCampaignSpec serial_session = SeededSession(7);
+  serial_session.options.search_threads = 1;
+  ChaosCampaignSpec pooled_session = SeededSession(7);
+  pooled_session.options.search_threads = 4;
 
-  const ElasticTrace serial_trace = RunElasticScenario(serial_scenario);
-  const ElasticTrace pooled_trace = RunElasticScenario(pooled_scenario);
+  const ElasticTrace serial_trace = RunChaosCampaign(serial_session).trace;
+  const ElasticTrace pooled_trace = RunChaosCampaign(pooled_session).trace;
   EXPECT_TRUE(serial_trace == pooled_trace);
   EXPECT_EQ(serial_trace.Fingerprint(), pooled_trace.Fingerprint());
   EXPECT_GT(serial_trace.minibatches_done, 0);

@@ -4,16 +4,26 @@
 #include <gtest/gtest.h>
 
 #include "src/varuna/determinism.h"
+#include "tests/seeded_session.h"
 
 namespace varuna {
 namespace {
 
-TEST(DeterminismTest, SameSeedBitIdenticalTrace) {
-  const DeterminismScenario scenario = DefaultDeterminismScenario(/*seed=*/11);
-  const ElasticTrace first = RunElasticScenario(scenario);
-  const ElasticTrace second = RunElasticScenario(scenario);
+ElasticTrace RunSession(const ChaosCampaignSpec& session) {
+  const ChaosReport report = RunChaosCampaign(session);
+  // An empty plan fires nothing, so the trace is the plain session's.
+  EXPECT_EQ(report.vms_killed_by_chaos, 0);
+  EXPECT_EQ(report.shards_corrupted_by_chaos, 0);
+  EXPECT_EQ(report.fingerprint, report.trace.Fingerprint());
+  return report.trace;
+}
 
-  // The scenario must actually exercise the interesting paths, otherwise the
+TEST(DeterminismTest, SameSeedBitIdenticalTrace) {
+  const ChaosCampaignSpec session = SeededSession(/*seed=*/11);
+  const ElasticTrace first = RunSession(session);
+  const ElasticTrace second = RunSession(session);
+
+  // The session must actually exercise the interesting paths, otherwise the
   // bit-identity claim is vacuous.
   EXPECT_GT(first.events_processed, 100u);
   EXPECT_GT(first.minibatches_done, 0);
@@ -27,11 +37,11 @@ TEST(DeterminismTest, SameSeedBitIdenticalTrace) {
 TEST(DeterminismTest, SameSeedBitIdenticalUnderChurn) {
   // Aggressive preemption hazard: the trace must stay bit-identical through
   // preemption handling, checkpoint restores and morphs.
-  DeterminismScenario scenario = DefaultDeterminismScenario(/*seed=*/23);
-  scenario.preemption_hazard_per_s = 1.0 / (1.5 * 3600.0);
-  scenario.horizon_s = 4.0 * 3600.0;
-  const ElasticTrace first = RunElasticScenario(scenario);
-  const ElasticTrace second = RunElasticScenario(scenario);
+  ChaosCampaignSpec session = SeededSession(/*seed=*/23);
+  session.preemption_hazard_per_s = 1.0 / (1.5 * 3600.0);
+  session.horizon_s = 4.0 * 3600.0;
+  const ElasticTrace first = RunSession(session);
+  const ElasticTrace second = RunSession(session);
   EXPECT_GT(first.preemptions_hit + first.morphs, 0);
   EXPECT_EQ(first, second);
   EXPECT_EQ(first.Fingerprint(), second.Fingerprint());
@@ -40,8 +50,8 @@ TEST(DeterminismTest, SameSeedBitIdenticalUnderChurn) {
 TEST(DeterminismTest, DifferentSeedsDiverge) {
   // Sanity check that the fingerprint has discriminating power: different
   // seeds drive different market draws, so the traces must differ.
-  const ElasticTrace a = RunElasticScenario(DefaultDeterminismScenario(/*seed=*/11));
-  const ElasticTrace b = RunElasticScenario(DefaultDeterminismScenario(/*seed=*/12));
+  const ElasticTrace a = RunSession(SeededSession(/*seed=*/11));
+  const ElasticTrace b = RunSession(SeededSession(/*seed=*/12));
   EXPECT_FALSE(a == b);
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
 }
@@ -86,7 +96,7 @@ const Perturbation kRecordPerturbations[] = {
 };
 
 const ElasticTrace& SeedElevenTrace() {
-  static const ElasticTrace trace = RunElasticScenario(DefaultDeterminismScenario(/*seed=*/11));
+  static const ElasticTrace trace = RunSession(SeededSession(/*seed=*/11));
   return trace;
 }
 

@@ -14,7 +14,7 @@
 #include "src/manager/elastic_trainer.h"
 #include "src/model/transformer.h"
 #include "src/sim/engine.h"
-#include "src/varuna/determinism.h"
+#include "tests/seeded_session.h"
 
 namespace varuna {
 namespace {
@@ -264,7 +264,7 @@ TEST(TrainerOptionsTest, ValidateRejectsEachOutOfRangeKnob) {
 TEST(TrainerOptionsTest, EveryCannedOptionSetValidates) {
   std::vector<std::pair<std::string, TrainerOptions>> canned = {
       {"default", TrainerOptions()},
-      {"determinism", DefaultDeterminismScenario(1).options},
+      {"seeded-session", SeededSession(1).options},
   };
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     canned.emplace_back("chaos-default", DefaultChaosCampaign(seed).options);
