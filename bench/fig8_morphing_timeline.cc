@@ -62,7 +62,7 @@ void Run(int hours) {
     std::string events;
     while (event_index < stats.events.size() && stats.events[event_index].time_s <= t) {
       const TimelineEvent& event = stats.events[event_index];
-      events += "  <-- " + event.kind + " to " +
+      events += "  <-- " + std::string(Name(event.kind)) + " to " +
                 ConfigLabel(event.pipeline_depth, event.data_parallel);
       ++event_index;
     }

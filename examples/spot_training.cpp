@@ -7,6 +7,7 @@
 // Usage: spot_training [hours] [max_vms]     (default: 12 h, 96 VMs)
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "src/varuna/varuna.h"
 
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
   std::printf("events:\n");
   for (const TimelineEvent& event : stats.events) {
     std::printf("  t=%6.2f h  %-10s -> %dx%d  (%d GPUs available)\n", event.time_s / kHour,
-                event.kind.c_str(), event.pipeline_depth, event.data_parallel,
+                std::string(Name(event.kind)).c_str(), event.pipeline_depth, event.data_parallel,
                 event.gpus_available);
   }
   std::printf("\nafter %.0f h: %lld mini-batches (%.2e examples), %d morphs,\n"

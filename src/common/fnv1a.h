@@ -8,7 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
+#include <string_view>
 
 namespace varuna {
 
@@ -27,7 +27,7 @@ class Fnv1a {
     U64(bits);
   }
 
-  void Str(const std::string& value) {
+  void Str(std::string_view value) {
     U64(value.size());
     for (const char c : value) {
       Byte(static_cast<unsigned char>(c));

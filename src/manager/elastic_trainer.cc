@@ -43,7 +43,23 @@ constexpr double kPremigrateCostRatio = 3.0;
 // (and the projected gain must also pay for the restore stall).
 constexpr double kLiveputGainThreshold = 0.5;
 
+// Decisions that lost the job's state, which a checkpoint restores.
+bool LosesState(DecisionKind kind) {
+  return kind == DecisionKind::kPreemptionMorph || kind == DecisionKind::kHeartbeatTimeout;
+}
+
 }  // namespace
+
+std::string_view Name(DecisionKind kind) {
+  // Indexed by DecisionKind, in declaration order.
+  static constexpr std::string_view kNames[] = {
+      "configure", "morph", "morph", "morph", "proactive-morph",
+      "replace", "heartbeat-timeout", "degraded", "recover"};
+  static_assert(std::size(kNames) == static_cast<size_t>(DecisionKind::kRecover) + 1);
+  return kNames[static_cast<size_t>(kind)];
+}
+
+std::ostream& operator<<(std::ostream& os, DecisionKind kind) { return os << Name(kind); }
 
 Result<std::monostate> TrainerOptions::Validate() const {
   const auto positive = [](double value) { return std::isfinite(value) && value > 0.0; };
@@ -108,22 +124,25 @@ ElasticTrainer::ElasticTrainer(SimEngine* engine, Cluster* cluster, SpotMarket* 
 }
 
 void ElasticTrainer::Start() {
-  // One observer per market signal: it first feeds the availability estimator
-  // (the whole pool's announced stream, never the market's hidden dynamics),
-  // then hands the event to the control path. Feeding the estimator draws no
-  // randomness and schedules no events, so the reactive decision sequence
-  // stays bit-identical.
+  // One observer per market signal, deaf to every other tenant's pool: it
+  // first feeds the availability estimator (the pool's announced stream, never
+  // the market's hidden dynamics), then hands the event to the control path.
+  // Feeding the estimator draws no randomness and schedules no events, so the
+  // reactive decision sequence stays bit-identical.
   market_->AddGrantObserver([this](int pool, SpotMarket::MarketVmId id, const VmType& type) {
     if (pool == market_pool_) {
       predictor_.ObserveGrant(engine_->now());
+      market_to_vm_[id] = cluster_->AddVm(type);
+      if (!running_ && EnsureSearch()) {
+        Apply({DecisionKind::kConfigure});
+      }
     }
-    OnVmGranted(id, type);
   });
   market_->AddPreemptObserver([this](int pool, SpotMarket::MarketVmId id) {
     if (pool == market_pool_) {
       predictor_.ObservePreemption(engine_->now());
+      OnVmPreempted(id);
     }
-    OnVmPreempted(id);
   });
   // Physical-layer bookkeeping for *every* VM death, announced or not: local
   // checkpoint shards die with their VM. The control path deliberately does
@@ -132,7 +151,7 @@ void ElasticTrainer::Start() {
   cluster_->AddPreemptionObserver([this](VmId vm) { checkpoints_.OnVmLost(vm); });
   market_->SetDemand(market_pool_, options_.demand_vms);
   stall_started_ = engine_->now();
-  engine_->Schedule(options_.provision_check_interval_s, [this] { ProvisionTick(); });
+  ScheduleProvisionTick();
 }
 
 SessionStats ElasticTrainer::stats() const {
@@ -155,20 +174,10 @@ SessionStats ElasticTrainer::stats() const {
 }
 
 int ElasticTrainer::AvailableGpus() const {
-  int count = 0;
-  for (const GpuId gpu : cluster_->ActiveGpus()) {
-    if (std::find(blacklist_.begin(), blacklist_.end(), gpu) == blacklist_.end()) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-void ElasticTrainer::OnVmGranted(SpotMarket::MarketVmId id, const VmType& type) {
-  market_to_vm_[id] = cluster_->AddVm(type);
-  if (!running_ && EnsureSearch()) {
-    Reconfigure("configure", /*lost_state=*/false);
-  }
+  // The blacklist holds each GPU at most once.
+  return cluster_->NumActiveGpus() -
+         static_cast<int>(std::count_if(blacklist_.begin(), blacklist_.end(),
+                                        [this](GpuId gpu) { return cluster_->GpuActive(gpu); }));
 }
 
 void ElasticTrainer::OnVmPreempted(SpotMarket::MarketVmId id) {
@@ -180,45 +189,36 @@ void ElasticTrainer::OnVmPreempted(SpotMarket::MarketVmId id) {
   market_to_vm_.erase(it);
   cluster_->Preempt(vm);
 
-  if (!running_ || !placement_.has_value()) {
-    return;
-  }
   // Did the preempted VM host part of the job? The manager notices via the
   // missing heartbeat (one timeout interval later), which naturally coalesces
   // a burst of evictions into a single restore + morph.
-  for (const VmId member : roster_vms_) {
-    if (member == vm) {
-      ++stats_.preemptions_hit;
-      ++unsurvived_preemptions_;
-      if (restore_in_flight_) {
-        // The restore window itself was killed; the coming morph is a retry.
-        ++stats_.morph_retries;
-        ++consecutive_recovery_failures_;
+  if (!running_ || std::find(roster_vms_.begin(), roster_vms_.end(), vm) == roster_vms_.end()) {
+    return;
+  }
+  ++stats_.preemptions_hit;
+  ++unsurvived_preemptions_;
+  if (restore_in_flight_) {
+    // The restore window itself was killed; the coming morph is a retry.
+    ++stats_.morph_retries;
+    ++consecutive_recovery_failures_;
+  }
+  StopJob();
+  if (!preemption_morph_pending_) {
+    preemption_morph_pending_ = true;
+    // Within the retry budget, re-morph quickly; past it, assume the market is
+    // churning faster than we can restore and back off.
+    const double delay =
+        consecutive_recovery_failures_ >= kMaxMorphAttempts ? BackoffDelay() : 30.0;
+    engine_->Schedule(delay, [this] {
+      preemption_morph_pending_ = false;
+      if (!running_) {  // Else something else already reconfigured.
+        Apply({DecisionKind::kPreemptionMorph});
       }
-      StopJob();
-      if (!preemption_morph_pending_) {
-        preemption_morph_pending_ = true;
-        // Within the retry budget, re-morph quickly; past it, assume the
-        // market is churning faster than we can restore and back off.
-        const double delay =
-            consecutive_recovery_failures_ >= kMaxMorphAttempts ? BackoffDelay() : 30.0;
-        engine_->Schedule(delay, [this] { DeferredPreemptionMorph(); });
-      }
-      return;
-    }
+    });
   }
 }
 
-void ElasticTrainer::DeferredPreemptionMorph() {
-  preemption_morph_pending_ = false;
-  if (running_) {
-    return;  // Something else already reconfigured.
-  }
-  RollbackToCheckpoint();
-  Reconfigure("morph", /*lost_state=*/true);
-}
-
-int64_t ElasticTrainer::RollbackToCheckpoint() {
+void ElasticTrainer::RollbackToCheckpoint() {
   // Per-shard tracking makes LatestUsable() the true resume frontier: shards
   // whose owners died mid-flush were already demoted by OnVmLost, so this
   // falls back to the newest checkpoint with no holes.
@@ -243,7 +243,6 @@ int64_t ElasticTrainer::RollbackToCheckpoint() {
   }
   // The next checkpoint must re-cover everything after the restore point.
   last_checkpointed_minibatch_ = std::min(last_checkpointed_minibatch_, restorable);
-  return restorable;
 }
 
 bool ElasticTrainer::EnsureSearch() {
@@ -286,9 +285,6 @@ SearchConstraints ElasticTrainer::MakeConstraints(bool degraded) const {
 }
 
 int ElasticTrainer::PlacementVmsUsed() const {
-  if (!config_.has_value()) {
-    return 0;
-  }
   const int gpus_per_vm = std::max(1, vm_type_.node.num_gpus);
   return (config_->gpus_used + gpus_per_vm - 1) / gpus_per_vm;
 }
@@ -303,15 +299,11 @@ double ElasticTrainer::EstimatedRestoreSeconds(int data_parallel) const {
 }
 
 double ElasticTrainer::RecoveryCostS() const {
-  double cost = 0.0;
-  if (config_.has_value()) {
-    cost += EstimatedRestoreSeconds(config_->data_parallel);
-  }
-  if (cached_minibatch_s_ > 0.0) {
-    cost += 0.5 * static_cast<double>(options_.checkpoint_every_minibatches) *
-            cached_minibatch_s_;
-  }
-  return cost;
+  // Zero rework until the first measurement, zero restore before any config.
+  const double rework_s =
+      0.5 * static_cast<double>(options_.checkpoint_every_minibatches) * cached_minibatch_s_;
+  return config_.has_value() ? rework_s + EstimatedRestoreSeconds(config_->data_parallel)
+                             : rework_s;
 }
 
 LiveputObjective ElasticTrainer::Objective() const {
@@ -331,14 +323,12 @@ Result<JobConfig> ElasticTrainer::ChooseConfig(int gpus, const SearchConstraints
     return Result<JobConfig>::Error("no feasible configuration");
   }
   const JobConfig* liveput_best = Objective().BestLiveput(sweep.value());
-  // Throughput argmax with the same tie-break (strict >, earliest (P, m)
-  // wins) — what Best() would have picked.
-  const JobConfig* throughput_best = &sweep.value().front();
-  for (const JobConfig& config : sweep.value()) {
-    if (config.est_examples_per_s > throughput_best->est_examples_per_s) {
-      throughput_best = &config;
-    }
-  }
+  // Throughput argmax with the same tie-break (the earliest (P, m) of the
+  // fastest wins) — what Best() would have picked.
+  const JobConfig* throughput_best = &*std::max_element(
+      sweep.value().begin(), sweep.value().end(), [](const JobConfig& a, const JobConfig& b) {
+        return a.est_examples_per_s < b.est_examples_per_s;
+      });
   if (!(*liveput_best == *throughput_best)) {
     ++stats_.liveput_wins;
   }
@@ -379,7 +369,47 @@ void ElasticTrainer::ForecastStorm(double at_s, int vms) {
   predictor_.ForecastStorm(at_s, vms);
 }
 
-void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state) {
+void ElasticTrainer::Apply(const Decision& decision) {
+  const DecisionKind kind = decision.kind;
+  for (const GpuId gpu : decision.gpus) {
+    BlacklistVm(cluster_->VmOfGpu(gpu));
+  }
+  stats_.stutters_detected += static_cast<int>(decision.gpus.size());
+  for (const VmId vm : decision.vms) {
+    missed_heartbeats_[static_cast<size_t>(vm)] = 0;
+    // A VM the manager cannot reach is a VM whose local shards it cannot
+    // read; treat them as lost even if the VM is merely partitioned.
+    checkpoints_.OnVmLost(vm);
+    BlacklistVm(vm);
+    ++stats_.heartbeat_timeouts;
+    ++unsurvived_preemptions_;
+  }
+  if (kind == DecisionKind::kHeartbeatTimeout && restore_in_flight_) {
+    ++stats_.morph_retries;
+    ++consecutive_recovery_failures_;
+  }
+  if (kind == DecisionKind::kProactiveMorph) {
+    ++stats_.proactive_morphs;
+  }
+  // A configure and a preemption morph are decided while the job is stopped.
+  if (kind != DecisionKind::kConfigure && kind != DecisionKind::kPreemptionMorph) {
+    StopJob();
+  }
+  if (LosesState(kind)) {
+    RollbackToCheckpoint();
+  }
+  Reconfigure(kind);
+}
+
+void ElasticTrainer::BlacklistVm(VmId vm) {
+  for (const GpuId gpu : cluster_->topology().GpusOfNode(cluster_->Vm(vm).node)) {
+    if (std::find(blacklist_.begin(), blacklist_.end(), gpu) == blacklist_.end()) {
+      blacklist_.push_back(gpu);
+    }
+  }
+}
+
+void ElasticTrainer::Reconfigure(DecisionKind kind) {
   if (!EnsureSearch()) {
     ScheduleReprovisionRetry();  // Not even enough capacity to calibrate.
     return;
@@ -409,7 +439,6 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
   if (!normal && !attempt(/*degraded=*/true)) {
     // Not enough capacity for any configuration, even degraded: stay stalled
     // and retry with backoff (grants and ProvisionTick also retry).
-    running_ = false;
     ++consecutive_recovery_failures_;
     ScheduleReprovisionRetry();
     return;
@@ -423,7 +452,7 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
   cached_slow_factors_.clear();
 
   double restore_delay = 0.0;
-  if (lost_state || stats_.minibatches_done > 0) {
+  if (LosesState(kind) || stats_.minibatches_done > 0) {
     // Every morph, voluntary or not, restores from the newest usable
     // checkpoint chain; VMs carried across the morph count as warm.
     const std::vector<VmId> incoming_vms = PlacementVms();
@@ -456,12 +485,12 @@ void ElasticTrainer::Reconfigure(const std::string& event_kind, bool lost_state)
   running_ = true;
   restore_in_flight_ = true;
   if (was_degraded && !degraded_) {
-    RecordEvent("recover");
+    RecordEvent(DecisionKind::kRecover);
   } else if (!was_degraded && degraded_) {
     ++stats_.degraded_intervals;
-    RecordEvent("degraded");
+    RecordEvent(DecisionKind::kDegraded);
   }
-  RecordEvent(event_kind);
+  RecordEvent(kind);
   if (morph_observer_) {
     morph_observer_(restore_delay);
   }
@@ -484,10 +513,9 @@ void ElasticTrainer::ScheduleReprovisionRetry() {
   ++stats_.reprovision_retries;
   engine_->Schedule(BackoffDelay(), [this] {
     reprovision_retry_pending_ = false;
-    if (running_) {
-      return;  // A grant or provision tick already recovered the job.
+    if (!running_) {  // Else a grant or provision tick already recovered the job.
+      Apply({DecisionKind::kConfigure});
     }
-    Reconfigure("configure", /*lost_state=*/false);
   });
 }
 
@@ -548,7 +576,6 @@ void ElasticTrainer::ScheduleNextMinibatch(double extra_delay) {
   if (options_.minibatch_noise_sigma > 0.0) {
     duration = rng_.LogNormalMedian(duration, options_.minibatch_noise_sigma);
   }
-  bool checkpointing = false;
   bool checkpoint_due = stats_.minibatches_done - last_checkpointed_minibatch_ >=
                         options_.checkpoint_every_minibatches;
   bool premigration = false;
@@ -590,7 +617,6 @@ void ElasticTrainer::ScheduleNextMinibatch(double extra_delay) {
                                              premigration);
     last_checkpointed_minibatch_ = stats_.minibatches_done;
     ++stats_.checkpoints;
-    checkpointing = true;
     if (premigration) {
       stats_.premigrated_shards += config_->data_parallel;
       // A premigrated delta record moves only the changed fraction.
@@ -598,7 +624,7 @@ void ElasticTrainer::ScheduleNextMinibatch(double extra_delay) {
     }
   }
   minibatch_in_flight_ = true;
-  RecordSample(config_->ActualBatch() / duration, checkpointing);
+  RecordSample(config_->ActualBatch() / duration, /*checkpointing=*/checkpoint_due);
   engine_->Schedule(extra_delay + duration,
                     [this, epoch = epoch_] { OnMinibatchDone(epoch); });
 }
@@ -627,9 +653,9 @@ void ElasticTrainer::OnMinibatchDone(int64_t epoch) {
     stats_.preemptions_survived += unsurvived_preemptions_;
     unsurvived_preemptions_ = 0;
   }
-  ProcessHeartbeats();
-  if (epoch != epoch_ || !running_) {
-    return;  // Heartbeat processing replaced the configuration.
+  if (const std::optional<Decision> decision = EvaluateHeartbeats()) {
+    Apply(*decision);  // Replaces the configuration.
+    return;
   }
   ScheduleNextMinibatch(0.0);
 }
@@ -660,14 +686,11 @@ std::vector<VmId> ElasticTrainer::PlacementVms() const {
   return vms;
 }
 
-void ElasticTrainer::ProcessHeartbeats() {
+std::optional<Decision> ElasticTrainer::EvaluateHeartbeats() {
   // Each task reports its per-micro-batch compute time; with identical
   // stages+replicas, outliers against the median expose fail-stutter VMs.
   // VMs that died unannounced (or whose heartbeats chaos dropped) report
   // nothing at all and accumulate missed beats toward the timeout.
-  if (!running_ || !placement_.has_value()) {
-    return;
-  }
   heartbeat_gpus_.clear();
   heartbeat_times_.clear();
   std::vector<VmId> silent;
@@ -715,18 +738,17 @@ void ElasticTrainer::ProcessHeartbeats() {
   }
   if (!dead.empty()) {
     std::sort(dead.begin(), dead.end());
-    HandleHeartbeatTimeout(dead);
-    return;
+    return Decision{DecisionKind::kHeartbeatTimeout, {}, std::move(dead)};
   }
   if (quiet) {
-    return;
+    return std::nullopt;
   }
   // Every time lies in [min, max] and the median is at least min, so when
   // max <= threshold * min nobody can exceed threshold * median.
   const auto [min_time, max_time] =
       std::minmax_element(heartbeat_times_.begin(), heartbeat_times_.end());
   if (*max_time <= kStutterThreshold * *min_time) {
-    return;
+    return std::nullopt;
   }
   const double median = Percentile(heartbeat_times_, 0.5);
   std::vector<GpuId> stutterers;
@@ -736,48 +758,22 @@ void ElasticTrainer::ProcessHeartbeats() {
     }
   }
   if (stutterers.empty()) {
-    return;
+    return std::nullopt;
   }
-  // Omit the slow VMs' GPUs from future placements and re-place.
-  for (const GpuId gpu : stutterers) {
-    const VmId vm = cluster_->VmOfGpu(gpu);
-    for (const GpuId sibling : cluster_->ActiveGpus()) {
-      if (cluster_->VmOfGpu(sibling) == vm &&
-          std::find(blacklist_.begin(), blacklist_.end(), sibling) == blacklist_.end()) {
-        blacklist_.push_back(sibling);
-      }
-    }
-  }
-  stats_.stutters_detected += static_cast<int>(stutterers.size());
-  StopJob();
-  Reconfigure("replace", /*lost_state=*/false);
+  // Omit the slow VMs from future placements and re-place.
+  return Decision{DecisionKind::kReplace, std::move(stutterers)};
 }
 
-void ElasticTrainer::HandleHeartbeatTimeout(const std::vector<VmId>& dead) {
-  for (const VmId vm : dead) {
-    missed_heartbeats_[static_cast<size_t>(vm)] = 0;
-    // A VM the manager cannot reach is a VM whose local shards it cannot
-    // read; treat them as lost even if the VM is merely partitioned.
-    checkpoints_.OnVmLost(vm);
-    for (const GpuId gpu : cluster_->topology().GpusOfNode(cluster_->Vm(vm).node)) {
-      if (std::find(blacklist_.begin(), blacklist_.end(), gpu) == blacklist_.end()) {
-        blacklist_.push_back(gpu);
-      }
+void ElasticTrainer::ScheduleProvisionTick() {
+  engine_->Schedule(options_.provision_check_interval_s, [this] {
+    ScheduleProvisionTick();
+    if (const std::optional<Decision> decision = ProvisionTick()) {
+      Apply(*decision);
     }
-    ++stats_.heartbeat_timeouts;
-    ++unsurvived_preemptions_;
-  }
-  if (restore_in_flight_) {
-    ++stats_.morph_retries;
-    ++consecutive_recovery_failures_;
-  }
-  StopJob();
-  RollbackToCheckpoint();
-  Reconfigure("heartbeat-timeout", /*lost_state=*/true);
+  });
 }
 
-void ElasticTrainer::ProvisionTick() {
-  engine_->Schedule(options_.provision_check_interval_s, [this] { ProvisionTick(); });
+std::optional<Decision> ElasticTrainer::ProvisionTick() {
   // Exposure accrues between market events too (a quiet market is evidence of
   // stability). Pure counter arithmetic: no draws, no events.
   predictor_.ObserveQuiet(engine_->now());
@@ -794,18 +790,13 @@ void ElasticTrainer::ProvisionTick() {
   });
 
   if (!running_) {
-    if (EnsureSearch()) {
-      Reconfigure("configure", /*lost_state=*/false);
-    }
-    return;
+    return EnsureSearch() ? std::optional(Decision{DecisionKind::kConfigure}) : std::nullopt;
   }
   const int available = AvailableGpus();
   if (degraded_ && search_->Best(available, MakeConstraints(false)).ok()) {
     // Degraded mode is a stopgap: leave it the moment the normal memory model
     // fits again (the sweep is memoized, so re-asking is cheap).
-    StopJob();
-    Reconfigure("morph", /*lost_state=*/false);
-    return;
+    return Decision{DecisionKind::kDegradedExit};
   }
   // The proactive check reruns every tick, because the predictor state moves
   // even when capacity does not. The growth check reruns only when
@@ -816,31 +807,28 @@ void ElasticTrainer::ProvisionTick() {
   const bool capacity_moved = std::abs(available - last_growth_check_gpus_) >=
                               std::max(4, last_growth_check_gpus_ / 12);
   if (!engaged && !capacity_moved) {
-    return;
+    return std::nullopt;
   }
   const Result<JobConfig> best = ChooseConfig(available, MakeConstraints(degraded_));
   const bool reshapes = best.ok() && (best.value().pipeline_depth != config_->pipeline_depth ||
                                       best.value().data_parallel != config_->data_parallel);
   if (engaged && reshapes && ProactiveMorphPays(best.value())) {
-    ++stats_.proactive_morphs;
-    StopJob();
-    Reconfigure("proactive-morph", /*lost_state=*/false);
-    return;
+    return Decision{DecisionKind::kProactiveMorph};
   }
   // Growth: if spare capacity admits a materially better configuration,
   // checkpoint and morph into it. A declined proactive check falls through to
   // here — liveput must never *slow down* regrowth after a storm drains the
   // placement.
   if (!capacity_moved) {
-    return;
+    return std::nullopt;
   }
   last_growth_check_gpus_ = available;
   const double current_rate = config_->ActualBatch() / std::max(1e-9, cached_minibatch_s_);
   if (reshapes &&
       best.value().est_examples_per_s > (1.0 + kMorphImprovementThreshold) * current_rate) {
-    StopJob();
-    Reconfigure("morph", /*lost_state=*/false);
+    return Decision{DecisionKind::kGrowthMorph};
   }
+  return std::nullopt;
 }
 
 void ElasticTrainer::CheckInvariants() const {
@@ -870,28 +858,17 @@ void ElasticTrainer::CheckInvariants() const {
   }
 }
 
+// Both record the running configuration, so config_ is set.
 void ElasticTrainer::RecordSample(double examples_per_s, bool checkpointing) {
-  TimelineSample sample;
-  sample.time_s = engine_->now();
-  sample.examples_per_s = examples_per_s;
-  sample.pipeline_depth = config_.has_value() ? config_->pipeline_depth : 0;
-  sample.data_parallel = config_.has_value() ? config_->data_parallel : 0;
-  sample.gpus_in_use = config_.has_value() ? config_->gpus_used : 0;
-  sample.examples_per_s_per_gpu =
-      sample.gpus_in_use > 0 ? examples_per_s / sample.gpus_in_use : 0.0;
-  sample.gpus_available = cluster_->NumActiveGpus();
-  sample.checkpointing = checkpointing;
-  stats_.samples.push_back(sample);
+  stats_.samples.push_back({engine_->now(), examples_per_s,
+                            examples_per_s / config_->gpus_used, config_->pipeline_depth,
+                            config_->data_parallel, config_->gpus_used,
+                            cluster_->NumActiveGpus(), checkpointing});
 }
 
-void ElasticTrainer::RecordEvent(const std::string& kind) {
-  TimelineEvent event;
-  event.time_s = engine_->now();
-  event.kind = kind;
-  event.pipeline_depth = config_.has_value() ? config_->pipeline_depth : 0;
-  event.data_parallel = config_.has_value() ? config_->data_parallel : 0;
-  event.gpus_available = cluster_->NumActiveGpus();
-  stats_.events.push_back(event);
+void ElasticTrainer::RecordEvent(DecisionKind kind) {
+  stats_.events.push_back({engine_->now(), kind, config_->pipeline_depth, config_->data_parallel,
+                           cluster_->NumActiveGpus()});
 }
 
 }  // namespace varuna

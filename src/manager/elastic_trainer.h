@@ -1,15 +1,15 @@
 // The Varuna manager (§4.6) driving an elastic training session on the
-// simulated cluster: it wires the spot market to the cluster, calibrates once
-// before its first configuration, picks configurations with the O(G) search,
-// runs mini-batches on the DES testbed, checkpoints continuously, watches
-// heartbeats for fail-stutter outliers and timeouts, morphs on preemptions and
-// on growth opportunities, and records the Figure-8 timeline.
+// simulated cluster: it wires its own spot-market pool to the cluster,
+// calibrates once before its first configuration, picks configurations with
+// the O(G) search, runs mini-batches on the DES testbed, checkpoints
+// continuously, watches heartbeats for fail-stutter outliers and timeouts,
+// morphs on preemptions and on growth opportunities, and records the Figure-8
+// timeline.
 //
-// Every decision that stops the running job (preemption, heartbeat timeout,
-// stutter replace, degraded exit, growth, proactive morph) goes through
-// StopJob and then Reconfigure. A provision tick makes at most one config
-// choice (one sweep, one argmax); the proactive and growth checks both read
-// it.
+// Each evaluation (grant, heartbeats, provision tick, deferred preemption
+// morph, backoff retry) yields one typed Decision, and Apply alone carries a
+// decision out. A provision tick makes at most one config choice (one sweep,
+// one argmax); the proactive and growth checks both read it.
 //
 // Recovery paths (hardened against the src/chaos campaigns):
 //  * Heartbeat timeout — a VM that misses `kHeartbeatTimeoutBeats`
@@ -33,10 +33,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -92,11 +93,33 @@ struct TrainerOptions {
   Result<std::monostate> Validate() const;
 };
 
+// What the manager decided, or (kDegraded, kRecover) which memory model a
+// reconfiguration moved it to. Name() is hashed into every trace fingerprint,
+// so the names are part of the replay contract; three kinds share "morph".
+enum class DecisionKind {
+  kConfigure,         // "configure": place the stopped job on current capacity.
+  kPreemptionMorph,   // "morph": coalesced recovery from preemption hits.
+  kGrowthMorph,       // "morph": spare capacity admits a faster config.
+  kDegradedExit,      // "morph": the normal memory model fits again.
+  kProactiveMorph,    // "proactive-morph": the liveput objective pays.
+  kReplace,           // "replace": fail-stutter VMs leave the placement.
+  kHeartbeatTimeout,  // "heartbeat-timeout": silent VMs are declared dead.
+  kDegraded,          // "degraded": entered the CPU-offload memory model.
+  kRecover,           // "recover": left it.
+};
+std::string_view Name(DecisionKind kind);
+std::ostream& operator<<(std::ostream& os, DecisionKind kind);
+
+// One manager decision and what it removes from the placement.
+struct Decision {
+  DecisionKind kind = DecisionKind::kConfigure;
+  std::vector<GpuId> gpus = {};  // kReplace: the stuttering GPUs.
+  std::vector<VmId> vms = {};    // kHeartbeatTimeout: the VMs declared dead.
+};
+
 struct TimelineEvent {
   double time_s = 0.0;
-  // "configure", "morph", "replace", "heartbeat-timeout", "degraded",
-  // "recover".
-  std::string kind;
+  DecisionKind kind = DecisionKind::kConfigure;
   int pipeline_depth = 0;
   int data_parallel = 0;
   int gpus_available = 0;
@@ -246,7 +269,6 @@ class ElasticTrainer {
   // SessionStats) read from those owners now.
   SessionStats stats() const;
   bool job_running() const { return running_; }
-  bool degraded() const { return degraded_; }
   const std::optional<JobConfig>& current_config() const { return config_; }
   const CheckpointStore& checkpoints() const { return checkpoints_; }
 
@@ -277,7 +299,6 @@ class ElasticTrainer {
   void CheckInvariants() const;
 
  private:
-  void OnVmGranted(SpotMarket::MarketVmId id, const VmType& type);
   void OnVmPreempted(SpotMarket::MarketVmId id);
 
   // The one bring-up step: calibrates once (from a fork of the session Rng)
@@ -285,24 +306,25 @@ class ElasticTrainer {
   // config search. Returns whether the search exists; every configure path
   // asks it first.
   bool EnsureSearch();
-  // Coalesces a burst of preemptions into one restore+morph (the manager
-  // notices missing heartbeats, which batches naturally).
-  void DeferredPreemptionMorph();
+  // Blacklists what `decision` removes, stops the job unless it was decided
+  // while stopped, rolls back if it lost state, and reconfigures.
+  void Apply(const Decision& decision);
   // Picks the best config for current capacity and (re)starts the job.
-  // `lost_state` true when restoring from a checkpoint after a preemption.
-  void Reconfigure(const std::string& event_kind, bool lost_state);
+  void Reconfigure(DecisionKind kind);
   void ScheduleNextMinibatch(double extra_delay);
   void OnMinibatchDone(int64_t epoch);
-  void ProcessHeartbeats();
-  // Declares `dead` (ordered, deduplicated) lost after missed heartbeats:
-  // blacklists them, rolls back, reconfigures.
-  void HandleHeartbeatTimeout(const std::vector<VmId>& dead);
-  void ProvisionTick();
+  // A heartbeat timeout (silent VMs sorted) or a stutter replace, if due.
+  std::optional<Decision> EvaluateHeartbeats();
+  // The tick reschedules itself, then applies ProvisionTick's decision.
+  void ScheduleProvisionTick();
+  // Heals the blacklist; decides configure, degraded exit, proactive morph
+  // or growth.
+  std::optional<Decision> ProvisionTick();
+  void BlacklistVm(VmId vm);
 
   // Rolls the session back to the newest usable checkpoint; updates the
-  // conservation ledger. Returns the checkpoint step restored (-1 = from
-  // scratch).
-  int64_t RollbackToCheckpoint();
+  // conservation ledger.
+  void RollbackToCheckpoint();
   // Schedules a jittered exponential-backoff reconfiguration retry (no-op if
   // one is already pending).
   void ScheduleReprovisionRetry();
@@ -348,7 +370,7 @@ class ElasticTrainer {
 
   int AvailableGpus() const;
   void RecordSample(double examples_per_s, bool checkpointing);
-  void RecordEvent(const std::string& kind);
+  void RecordEvent(DecisionKind kind);
 
   SimEngine* engine_;
   Cluster* cluster_;

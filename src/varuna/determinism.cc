@@ -36,7 +36,7 @@ void HashReplayRecord(const ReplayRecord& record, Fnv1a* fnv) {
     fnv->F64(event.time_s);
   }
   for (const TimelineEvent& event : events) {
-    fnv->Str(event.kind);
+    fnv->Str(Name(event.kind));
   }
   fnv->U64(samples.size());
   for (const TimelineSample& sample : samples) {

@@ -135,7 +135,7 @@ TEST(ChaosScriptedTest, HeartbeatLossTriggersTimeoutRecovery) {
   EXPECT_GT(report.stats.minibatches_done, 0);
   bool saw_timeout_event = false;
   for (const TimelineEvent& event : report.trace.events) {
-    saw_timeout_event = saw_timeout_event || event.kind == "heartbeat-timeout";
+    saw_timeout_event = saw_timeout_event || event.kind == DecisionKind::kHeartbeatTimeout;
   }
   EXPECT_TRUE(saw_timeout_event);
 }
@@ -220,9 +220,9 @@ TEST(ChaosScriptedTest, CapacityCrashFallsBackToDegradedModeAndRecovers) {
   bool saw_degraded = false;
   bool saw_recover_after = false;
   for (const TimelineEvent& event : report.trace.events) {
-    if (event.kind == "degraded") {
+    if (event.kind == DecisionKind::kDegraded) {
       saw_degraded = true;
-    } else if (event.kind == "recover" && saw_degraded) {
+    } else if (event.kind == DecisionKind::kRecover && saw_degraded) {
       saw_recover_after = true;
     }
   }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/chaos/chaos.h"
+#include "src/common/fnv1a.h"
 #include "src/common/rng.h"
 
 namespace varuna {
@@ -330,6 +331,62 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCampaign{"ReactiveFastRecovery1", FastRecoveryStormCampaign, 1,
                        MorphPolicy::kReactive, 0xd367351051c0de81ULL}),
     [](const ::testing::TestParamInfo<GoldenCampaign>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+// --- Session-set digests. -----------------------------------------------------
+//
+// Every seeded campaign of the three families under every policy: 1,560
+// sessions, each row folding its sessions' trace fingerprints in seed order
+// into one FNV-1a digest. A manager change that claims to move no result must
+// hold all nine rows; a change that moves one session moves its row.
+
+struct SessionSet {
+  const char* name;
+  ChaosCampaignSpec (*factory)(uint64_t seed);
+  uint64_t seeds;  // Campaign seeds 1..seeds.
+  MorphPolicy policy;
+  uint64_t digest;
+};
+
+void PrintTo(const SessionSet& row, std::ostream* os) { *os << row.name; }
+
+class SessionSetDigestTest : public ::testing::TestWithParam<SessionSet> {};
+
+TEST_P(SessionSetDigestTest, IsPinned) {
+  const SessionSet& row = GetParam();
+  Fnv1a digest;
+  for (uint64_t seed = 1; seed <= row.seeds; ++seed) {
+    ChaosCampaignSpec spec = row.factory(seed);
+    spec.options.morph_policy = row.policy;
+    digest.U64(RunChaosCampaign(spec).fingerprint);
+  }
+  EXPECT_EQ(digest.hash(), row.digest)
+      << row.name << " session set changed: new digest 0x" << std::hex << digest.hash();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, SessionSetDigestTest,
+    ::testing::Values(
+        SessionSet{"ReactiveRandom", RandomChaosCampaign, 200, MorphPolicy::kReactive,
+                   0x05dcfb10d9044edbULL},
+        SessionSet{"ProactiveRandom", RandomChaosCampaign, 200, MorphPolicy::kProactive,
+                   0x9d9194b0a245837eULL},
+        SessionSet{"OracleRandom", RandomChaosCampaign, 200, MorphPolicy::kOracleProactive,
+                   0xe72690ef51186545ULL},
+        SessionSet{"ReactiveStormy", StormyChaosCampaign, 200, MorphPolicy::kReactive,
+                   0xc854ea331f34fe26ULL},
+        SessionSet{"ProactiveStormy", StormyChaosCampaign, 200, MorphPolicy::kProactive,
+                   0x48d9eacf5d85a4a4ULL},
+        SessionSet{"OracleStormy", StormyChaosCampaign, 200, MorphPolicy::kOracleProactive,
+                   0x30ac752a1cf2d210ULL},
+        SessionSet{"ReactiveFastRecovery", FastRecoveryStormCampaign, 120,
+                   MorphPolicy::kReactive, 0xc412fa1be66a2720ULL},
+        SessionSet{"ProactiveFastRecovery", FastRecoveryStormCampaign, 120,
+                   MorphPolicy::kProactive, 0x8a5b67a1987936c9ULL},
+        SessionSet{"OracleFastRecovery", FastRecoveryStormCampaign, 120,
+                   MorphPolicy::kOracleProactive, 0x53e1a10ee389832cULL}),
+    [](const ::testing::TestParamInfo<SessionSet>& param_info) {
       return std::string(param_info.param.name);
     });
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -130,7 +133,7 @@ TEST(ElasticTrainerTest, DetectsFailStutter) {
   EXPECT_GT(fx.trainer->stats().stutters_detected, 0);
   bool replaced = false;
   for (const auto& event : fx.trainer->stats().events) {
-    replaced |= event.kind == "replace";
+    replaced |= event.kind == DecisionKind::kReplace;
   }
   EXPECT_TRUE(replaced);
 }
@@ -169,7 +172,7 @@ TEST(ElasticTrainerTest, SlowFactorChangeForcesRemeasure) {
   EXPECT_GT(fx.trainer->stats().stutters_detected, 0);
   bool replaced = false;
   for (const auto& event : fx.trainer->stats().events) {
-    replaced |= event.kind == "replace";
+    replaced |= event.kind == DecisionKind::kReplace;
   }
   EXPECT_TRUE(replaced);
 }
@@ -201,10 +204,73 @@ TEST(ElasticTrainerTest, TimelineRecordsSamplesAndEvents) {
   const auto& stats = fx.trainer->stats();
   ASSERT_FALSE(stats.samples.empty());
   ASSERT_FALSE(stats.events.empty());
-  EXPECT_EQ(stats.events.front().kind, "configure");
+  EXPECT_EQ(stats.events.front().kind, DecisionKind::kConfigure);
   for (const auto& sample : stats.samples) {
     EXPECT_GT(sample.examples_per_s, 0.0);
     EXPECT_GT(sample.gpus_in_use, 0);
+  }
+}
+
+// Two tenants share one market. Throughout the session the trainer's cluster
+// holds only the VMs its own pool granted, and the job is placed on them.
+TEST(ElasticTrainerTest, OwnsOnlyItsOwnPool) {
+  SimEngine engine;
+  Cluster cluster(CommodityFabric());
+  SpotMarket market(&engine, Rng(17), 60.0);
+  const int own_pool = market.AddPool(Nc6V3(), 8, StableDynamics());
+  const int other_pool = market.AddPool(Nc24V3(), 8, StableDynamics());
+  TrainerOptions options;
+  options.total_batch = 1024;
+  options.demand_vms = 8;
+  ElasticTrainer trainer(&engine, &cluster, &market, own_pool, Nc6V3(), Gpt2Medium(), options);
+  trainer.Start();
+  market.SetDemand(other_pool, 4);
+  int own_grants = 0;
+  const auto expect_own_vms_only = [&] {
+    ASSERT_EQ(cluster.num_vms(), own_grants);  // The pools are stable: nothing is reclaimed.
+    for (VmId vm = 0; vm < cluster.num_vms(); ++vm) {
+      EXPECT_EQ(cluster.Vm(vm).type.name, Nc6V3().name);
+    }
+    for (const VmId vm : trainer.PlacementVms()) {
+      EXPECT_LT(vm, cluster.num_vms());
+      EXPECT_TRUE(cluster.IsActive(vm));
+    }
+  };
+  // Registered after Start(), so it sees each grant after the trainer has.
+  market.AddGrantObserver([&](int pool, SpotMarket::MarketVmId, const VmType&) {
+    own_grants += pool == own_pool ? 1 : 0;
+    expect_own_vms_only();
+  });
+  market.Start();
+  engine.RunUntil(2.0 * kHour);
+  expect_own_vms_only();
+  EXPECT_TRUE(trainer.job_running());
+  EXPECT_EQ(market.GrantedVms(other_pool), 4);
+  EXPECT_EQ(cluster.num_vms(), 8);
+  EXPECT_EQ(cluster.NumActiveGpus(), 8);
+}
+
+// Each kind's Name(), byte for byte. The names are hashed into every trace
+// fingerprint, so renaming one moves every pinned digest; the three morph
+// kinds share one name, and the replay input streams it through operator<<.
+TEST(DecisionKindTest, NamesArePinned) {
+  const std::pair<DecisionKind, std::string_view> names[] = {
+      {DecisionKind::kConfigure, "configure"},
+      {DecisionKind::kPreemptionMorph, "morph"},
+      {DecisionKind::kGrowthMorph, "morph"},
+      {DecisionKind::kDegradedExit, "morph"},
+      {DecisionKind::kProactiveMorph, "proactive-morph"},
+      {DecisionKind::kReplace, "replace"},
+      {DecisionKind::kHeartbeatTimeout, "heartbeat-timeout"},
+      {DecisionKind::kDegraded, "degraded"},
+      {DecisionKind::kRecover, "recover"},
+  };
+  static_assert(std::size(names) == static_cast<size_t>(DecisionKind::kRecover) + 1);
+  for (const auto& [kind, name] : names) {
+    EXPECT_EQ(Name(kind), name);
+    std::ostringstream streamed;
+    streamed << kind;
+    EXPECT_EQ(streamed.str(), name);
   }
 }
 
