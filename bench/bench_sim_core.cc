@@ -12,8 +12,10 @@
 //     sampling on, then off. The gap is the cost of the Rng draws; what is
 //     left when they are off is the engine and the executor's dispatch.
 //   * calibration — ns per Percentile(0.5) of a calibration-shaped
-//     200-sample transfer batch (row percentile_200), and µs per Calibrate
-//     of GPT-2 Medium on 20 NC6 VMs (row calibrate_gpt2_medium). The median
+//     200-sample transfer batch (row percentile_200), ns per sample of one
+//     such 200-sample SampleTransferTimes batch (row transfer_batch_200),
+//     and µs per Calibrate of GPT-2 Medium on 20 NC6 VMs (row
+//     calibrate_gpt2_medium). The median
 //     row walks a pool of pre-drawn batches and never revisits one, so
 //     neither the draws nor a branch predictor that has learned the batches
 //     enter the figure (a loop over one repeated batch flatters a branchy
@@ -158,18 +160,38 @@ void Run(int argc, char** argv) {
   });
   const double percentile_ns =
       percentile_wall.median_ms * 1e6 / CalibrationJob::kMediansPerRepeat;
+  const CalibrationOptions calibration_options;
+  const size_t transfer_batch = static_cast<size_t>(calibration_options.network_samples);
+  const int transfer_batches = mode.smoke ? 20 : 2000;
+  std::vector<double> transfer_times(transfer_batch);
+  Rng transfer_rng(17);
+  double transfer_sink = 0.0;
+  const BenchStats transfer_wall = TimeIt(mode.Warmup(1), mode.Repeats(15), [&] {
+    for (int i = 0; i < transfer_batches; ++i) {
+      const size_t section =
+          static_cast<size_t>(i % calibration_job.sections.num_sections());
+      calibration_job.cluster.network().SampleTransferTimes(
+          0, 1, calibration_job.sections.boundary_activation_bytes[section], 1, &transfer_rng,
+          transfer_times);
+      transfer_sink += transfer_times[0];
+    }
+  });
+  const double transfer_ns =
+      transfer_wall.median_ms * 1e6 / (static_cast<double>(transfer_batches) * transfer_batch);
   const int calibrate_runs = mode.smoke ? 2 : 50;
   Rng calibrate_rng(13);
   const BenchStats calibrate_wall = TimeIt(mode.Warmup(1), mode.Repeats(5), [&] {
     for (int i = 0; i < calibrate_runs; ++i) {
-      (void)Calibrate(calibration_job.sections, calibration_job.cluster, CalibrationOptions(),
+      (void)Calibrate(calibration_job.sections, calibration_job.cluster, calibration_options,
                       &calibrate_rng)
           .value();
     }
   });
   const double calibrate_us = calibrate_wall.median_ms * 1e3 / calibrate_runs;
-  std::printf("ns per 200-sample median %.0f   us per Calibrate %.1f   (median sum %.6g)\n\n",
-              percentile_ns, calibrate_us, median_sink);
+  std::printf(
+      "ns per 200-sample median %.0f   ns per transfer sample (200-sample batch) %.1f   "
+      "us per Calibrate %.1f   (sums %.6g %.6g)\n\n",
+      percentile_ns, transfer_ns, calibrate_us, median_sink, transfer_sink);
 
   std::printf("=== Chaos campaign sweep (%d campaigns) ===\n\n", campaigns);
   int64_t executor_events = 0;
@@ -204,6 +226,7 @@ void Run(int argc, char** argv) {
     json.AddScalar("executor_run_us_noise_on", noisy_us);
     json.AddScalar("executor_run_us_noise_off", quiet_us);
     json.AddScalar("percentile_200_ns", percentile_ns);
+    json.AddScalar("transfer_batch_200_ns_per_sample", transfer_ns);
     json.AddScalar("calibrate_gpt2_medium_us", calibrate_us);
     json.AddScalar("campaigns", n);
     json.AddScalar("campaign_ms", sweep_wall.mean_ms / n);
@@ -213,6 +236,7 @@ void Run(int argc, char** argv) {
     json.AddResult("executor_noise_on", noisy_wall);
     json.AddResult("executor_noise_off", quiet_wall);
     json.AddResult("percentile_200", percentile_wall);
+    json.AddResult("transfer_batch_200", transfer_wall);
     json.AddResult("calibrate_gpt2_medium", calibrate_wall);
     json.AddResult("chaos_sweep", sweep_wall);
     json.WriteTo(json_path);

@@ -18,9 +18,25 @@ uint64_t SplitMix64(uint64_t* state) {
 // many times over while rejecting only a vanishing sliver of admissible pairs.
 constexpr double kSkipFloorSafety = 1.0 + 1e-9;
 
-// A Box-Muller pair is (radius * cos(angle), radius * sin(angle)).
+// Angle buckets of GaussianBatch::Evaluate: pi/8 wide, so each lies inside
+// one octant and libm's sin/cos take the same range branch across most of it.
+constexpr int kAngleBuckets = 16;
+
+// The one Box-Muller definition: a pair's radius from its first uniform, and
+// its two values (radius * cos(angle), radius * sin(angle)) from the radius
+// and its second uniform. GaussianPair, SkipGaussiansWithin's trailing pair
+// and GaussianBatch all compute through these.
 double PairRadius(double u1) { return std::sqrt(-2.0 * std::log(u1)); }
-double PairAngle(double u2) { return 2.0 * M_PI * u2; }
+
+struct PairValues {
+  double cos_value;
+  double sin_value;
+};
+
+PairValues BoxMuller(double radius, double u2) {
+  const double theta = 2.0 * M_PI * u2;
+  return {radius * std::cos(theta), radius * std::sin(theta)};
+}
 
 }  // namespace
 
@@ -49,25 +65,67 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) & {
 
 double Rng::Uniform(double lo, double hi) & { return lo + (hi - lo) * NextDouble(); }
 
-double Rng::NextPairU1() & {
-  double u1 = NextDouble();
-  while (u1 <= 1e-300) {
-    u1 = NextDouble();
-  }
-  return u1;
-}
-
 double Rng::GaussianPair() & {
-  const double u1 = NextPairU1();
+  const double u1 = NextLogUniform();
   const double u2 = NextDouble();
-  const double radius = PairRadius(u1);
-  const double theta = PairAngle(u2);
-  cached_gaussian_ = radius * std::sin(theta);
+  const PairValues pair = BoxMuller(PairRadius(u1), u2);
+  cached_gaussian_ = pair.sin_value;
   has_cached_gaussian_ = true;
-  return radius * std::cos(theta);
+  return pair.cos_value;
 }
 
 double Rng::Gaussian(double mean, double stddev) & { return mean + stddev * Gaussian(); }
+
+void Rng::Gaussians(std::span<double> out) & {
+  GaussianBatch batch;
+  for (size_t begin = 0; begin < out.size(); begin += GaussianBatch::kCapacity) {
+    const size_t count = std::min<size_t>(GaussianBatch::kCapacity, out.size() - begin);
+    for (size_t i = 0; i < count; ++i) {
+      batch.Draw(*this);
+    }
+    const std::span<const double> values = batch.Evaluate(*this);
+    std::copy(values.begin(), values.end(), out.begin() + static_cast<std::ptrdiff_t>(begin));
+  }
+}
+
+std::span<const double> GaussianBatch::Evaluate(Rng& rng) {
+  const size_t pairs = static_cast<size_t>(pairs_);
+  std::array<double, kMaxPairs> radius;
+  for (size_t p = 0; p < pairs; ++p) {
+    radius[p] = PairRadius(u1_[p]);
+  }
+  // Counting sort of the pairs by angle bucket; u2 < 1, so every bucket index
+  // is below kAngleBuckets.
+  std::array<uint8_t, kMaxPairs> bucket;
+  std::array<int, kAngleBuckets + 1> next{};
+  for (size_t p = 0; p < pairs; ++p) {
+    bucket[p] = static_cast<uint8_t>(u2_[p] * kAngleBuckets);
+    ++next[bucket[p] + 1u];
+  }
+  for (int b = 1; b < kAngleBuckets; ++b) {
+    next[static_cast<size_t>(b)] += next[static_cast<size_t>(b - 1)];
+  }
+  std::array<uint8_t, kMaxPairs> order;
+  for (size_t p = 0; p < pairs; ++p) {
+    order[static_cast<size_t>(next[bucket[p]]++)] = static_cast<uint8_t>(p);
+  }
+  const size_t first = static_cast<size_t>(first_pair_slot_);
+  for (size_t i = 0; i < pairs; ++i) {
+    const size_t p = order[i];
+    const PairValues pair = BoxMuller(radius[p], u2_[p]);
+    values_[first + 2 * p] = pair.cos_value;
+    values_[first + 2 * p + 1] = pair.sin_value;
+  }
+  const size_t count = static_cast<size_t>(count_);
+  if (first + 2 * pairs > count) {
+    rng.cached_gaussian_ = values_[count];
+    rng.has_cached_gaussian_ = true;
+  }
+  count_ = 0;
+  pairs_ = 0;
+  first_pair_slot_ = 0;
+  return std::span<const double>(values_.data(), count);
+}
 
 bool Rng::SkipGaussiansWithin(int n, double bound) & {
   VARUNA_CHECK_GE(n, 0);
@@ -91,7 +149,7 @@ bool Rng::SkipGaussiansWithin(int n, double bound) & {
     --remaining;
   }
   for (; remaining >= 2; remaining -= 2) {
-    const double u1 = NextPairU1();
+    const double u1 = NextLogUniform();
     NextDouble();  // u2: only the angle, and |cos|, |sin| <= 1 either way.
     if (!(u1 >= u1_floor)) {
       return rejected();
@@ -99,24 +157,15 @@ bool Rng::SkipGaussiansWithin(int n, double bound) & {
   }
   if (remaining == 1) {
     // The last draw opens a pair whose partner Gaussian() would cache.
-    const double u1 = NextPairU1();
+    const double u1 = NextLogUniform();
     const double u2 = NextDouble();
     if (!(u1 >= u1_floor)) {
       return rejected();
     }
-    cached_gaussian_ = PairRadius(u1) * std::sin(PairAngle(u2));
+    cached_gaussian_ = BoxMuller(PairRadius(u1), u2).sin_value;
     has_cached_gaussian_ = true;
   }
   return true;
-}
-
-double Rng::Exponential(double mean) & {
-  VARUNA_CHECK_GT(mean, 0.0);
-  double u = NextDouble();
-  while (u <= 1e-300) {
-    u = NextDouble();
-  }
-  return -mean * std::log(u);
 }
 
 Rng Rng::Fork() & { return Rng(NextUint64()); }

@@ -11,11 +11,19 @@
 // The per-draw functions are defined here so the hot loops that call them
 // (calibration, heartbeats, transfer jitter) inline them; the out-of-line
 // Box-Muller pair lives in rng.cc.
+//
+// Batch samplers draw in two passes (GaussianBatch): they walk the stream in
+// the per-draw order first, with no libm call, then evaluate the values. The
+// values are the per-draw ones bit for bit: the same uniforms in the same
+// order feed the same expression (LogNormalOf, ExponentialOf, one Box-Muller
+// definition), and only the order of independent evaluations changes.
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "src/common/check.h"
 
@@ -61,6 +69,9 @@ class Rng {
     return GaussianPair();
   }
   double Gaussian(double mean, double stddev) &;
+  // Fills `out` with out.size() Gaussian() draws, in order and bit for bit,
+  // in two passes (GaussianBatch).
+  void Gaussians(std::span<double> out) &;
 
   // Advances the stream exactly as `n` Gaussian() calls would, but only if
   // every one of those `n` values has |value| <= `bound`; otherwise leaves the
@@ -70,15 +81,34 @@ class Rng {
   // Requires n >= 0 and bound >= 0.
   bool SkipGaussiansWithin(int n, double bound) &;
 
+  // Uniform in (1e-300, 1): redrawn while it would overflow a log. Each
+  // Box-Muller pair's first uniform and each Exponential() draw one.
+  double NextLogUniform() & {
+    double u = NextDouble();
+    while (u <= 1e-300) {
+      u = NextDouble();
+    }
+    return u;
+  }
+
   // Exponential with the given mean (not rate). Requires mean > 0.
-  double Exponential(double mean) &;
+  double Exponential(double mean) & {
+    VARUNA_CHECK_GT(mean, 0.0);
+    return ExponentialOf(mean, NextLogUniform());
+  }
+  // The Exponential(mean) value of one NextLogUniform() draw `u`.
+  static double ExponentialOf(double mean, double u) { return -mean * std::log(u); }
 
   // Log-normal such that the *median* of the distribution is `median` and the
   // underlying normal has standard deviation `sigma`. Used for heavy-tailed
   // network jitter.
   double LogNormalMedian(double median, double sigma) & {
     VARUNA_CHECK_GT(median, 0.0);
-    return median * std::exp(sigma * Gaussian());
+    return LogNormalOf(median, sigma, Gaussian());
+  }
+  // The LogNormalMedian(median, sigma) value of one Gaussian() draw `g`.
+  static double LogNormalOf(double median, double sigma, double g) {
+    return median * std::exp(sigma * g);
   }
 
   // True with probability p.
@@ -89,16 +119,61 @@ class Rng {
   Rng Fork() &;
 
  private:
+  friend class GaussianBatch;
+
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-  // A Box-Muller pair's first uniform, redrawn while it would overflow the log.
-  double NextPairU1() &;
   // Draws a fresh Box-Muller pair: returns the cosine value, caches the sine.
   double GaussianPair() &;
 
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
+};
+
+// Gaussian() draws in two passes, bit for bit. Pass 1, Draw(), advances the
+// stream exactly as one Gaussian() call: it takes the cached value or draws a
+// Box-Muller pair's two uniforms, and calls no libm function. Between Draws
+// the caller may draw uniforms (Bernoulli, NextLogUniform) from the same Rng,
+// but no Gaussian. Pass 2, Evaluate(), computes every radius, then the
+// sines and cosines with the pairs grouped by angle, so that libm's range
+// branches stay predictable, and hands a pair left open back to the Rng's
+// cache, where Gaussian() would have left it. Holds up to kCapacity draws and
+// never allocates; default-constructed arrays stay uninitialized on purpose.
+class GaussianBatch {
+ public:
+  static constexpr int kCapacity = 128;
+
+  // Pass 1: one Gaussian() worth of stream. Requires fewer than kCapacity
+  // Draws since the last Evaluate.
+  void Draw(Rng& rng) {
+    if (count_ == 0 && rng.has_cached_gaussian_) {
+      rng.has_cached_gaussian_ = false;
+      values_[0] = rng.cached_gaussian_;
+      first_pair_slot_ = 1;
+    } else if (((count_ - first_pair_slot_) & 1) == 0) {
+      u1_[static_cast<size_t>(pairs_)] = rng.NextLogUniform();
+      u2_[static_cast<size_t>(pairs_)] = rng.NextDouble();
+      ++pairs_;
+    }
+    ++count_;
+  }
+
+  // Pass 2: the drawn values in draw order, valid until the next Draw. The
+  // batch is empty afterwards.
+  std::span<const double> Evaluate(Rng& rng);
+
+ private:
+  static constexpr int kMaxPairs = (kCapacity + 1) / 2;
+
+  int count_ = 0;
+  int pairs_ = 0;
+  // Slot of the first pair's cosine: 1 when the first draw took the cache.
+  int first_pair_slot_ = 0;
+  std::array<double, kMaxPairs> u1_;
+  std::array<double, kMaxPairs> u2_;
+  // One slot past kCapacity for the sine of a pair left open.
+  std::array<double, kCapacity + 1> values_;
 };
 
 }  // namespace varuna

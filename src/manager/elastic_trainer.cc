@@ -103,14 +103,15 @@ ElasticTrainer::ElasticTrainer(SimEngine* engine, Cluster* cluster, SpotMarket* 
       options_(options),
       rng_(options.seed),
       executor_(cluster, &rng_),
-      graph_(BuildTransformerOpGraph(spec)),
-      sections_(IdentifyCutPoints(graph_, spec.num_layers).value()),
       checkpoints_(engine, options.checkpoint, cluster),
       predictor_(options.predictor) {
   const Result<std::monostate> valid = options_.Validate();
   VARUNA_CHECK(valid.ok()) << "invalid TrainerOptions: " << valid.error();
-  const TraceReport trace = TraceCrossPartitionState(graph_, sections_, TraceOptions());
-  shared_sync_bytes_ = trace.TotalSyncBytes();
+  // Only the cut points and the cross-partition state need the op graph, so
+  // it lives for the constructor alone.
+  const OpGraph graph = BuildTransformerOpGraph(spec);
+  sections_ = IdentifyCutPoints(graph, spec.num_layers).value();
+  shared_sync_bytes_ = TraceCrossPartitionState(graph, sections_, TraceOptions()).TotalSyncBytes();
   if (options_.budget.gpu_memory_bytes <= 0.0) {
     options_.budget.gpu_memory_bytes = vm_type.gpu.memory_bytes;
   }

@@ -384,7 +384,6 @@ class ElasticTrainer {
   // is reused across every measurement of the session.
   PipelineExecutor executor_;
 
-  OpGraph graph_;
   ModelSections sections_;
   double shared_sync_bytes_ = 0.0;
   std::optional<Calibration> calibration_;

@@ -131,6 +131,11 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
   std::vector<double> stall_threshold(num_sizes);
   std::vector<double> body_mean(num_sizes);
   std::vector<int64_t> body_count(num_sizes);
+  // One section's compute-noise Gaussians, in draw order: per size, per run,
+  // the forward then the backward draw.
+  const double sigma = options.compute_noise_sigma;
+  const size_t runs = static_cast<size_t>(options.samples);
+  std::vector<double> noise(sigma > 0.0 ? num_sizes * runs * 2 : 0);
 
   // --- F_i(m), B_i(m): run a few mocked micro-batches per section (random
   // inputs standing in for the previous stage, §4.3) and average. These are
@@ -142,20 +147,23 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
     section.backward_s.resize(num_sizes);
     section.send_intra_s.resize(num_sizes);
     section.send_inter_s.resize(num_sizes);
+    rng->Gaussians(noise);
     for (size_t k = 0; k < num_sizes; ++k) {
       const int m = microbatch_sizes[k];
+      const double fwd_base = gpu.ComputeTime(sections.fwd_flops[static_cast<size_t>(i)] * m);
+      const double bwd_base =
+          gpu.ComputeTime(2.0 * sections.fwd_flops[static_cast<size_t>(i)] * m);
+      if (sigma > 0.0) {
+        // LogNormalMedian's precondition, once per size instead of per draw.
+        VARUNA_CHECK_GT(fwd_base, 0.0);
+        VARUNA_CHECK_GT(bwd_base, 0.0);
+      }
       RunningStats fwd;
       RunningStats bwd;
-      for (int run = 0; run < options.samples; ++run) {
-        const double fwd_base = gpu.ComputeTime(sections.fwd_flops[static_cast<size_t>(i)] * m);
-        const double bwd_base =
-            gpu.ComputeTime(2.0 * sections.fwd_flops[static_cast<size_t>(i)] * m);
-        fwd.Add(options.compute_noise_sigma > 0.0
-                    ? rng->LogNormalMedian(fwd_base, options.compute_noise_sigma)
-                    : fwd_base);
-        bwd.Add(options.compute_noise_sigma > 0.0
-                    ? rng->LogNormalMedian(bwd_base, options.compute_noise_sigma)
-                    : bwd_base);
+      for (size_t run = 0; run < runs; ++run) {
+        const double* g = noise.data() + (k * runs + run) * 2;
+        fwd.Add(sigma > 0.0 ? Rng::LogNormalOf(fwd_base, sigma, g[0]) : fwd_base);
+        bwd.Add(sigma > 0.0 ? Rng::LogNormalOf(bwd_base, sigma, g[1]) : bwd_base);
       }
       section.forward_s[k] = fwd.mean();
       section.backward_s[k] = bwd.mean();

@@ -1,15 +1,122 @@
 #include "src/net/network.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "src/common/check.h"
 
 namespace varuna {
+namespace {
 
 // Fraction of a tail stall that a chunk-pipelined ring collective cannot
-// hide (the rest overlaps with other chunks' transfers).
+// hide (the rest overlaps with other chunks' transfers). A point-to-point
+// transfer waits out its whole stall.
 constexpr double kRingStallExposure = 0.35;
+constexpr double kTransferStallExposure = 1.0;
+
+// Latency batches shorter than this draw one message at a time: the two-pass
+// bookkeeping costs more than grouping the libm work saves on a few draws
+// (measured on commodity-fabric draws: per draw wins at 4, two passes at 8).
+constexpr size_t kMinBatchLatencies = 8;
+
+// The per-message latency expression, shared by the per-draw and two-pass
+// paths: the fabric's base latency with log-normal jitter from the Gaussian
+// `g`, and a stall of `stall_exposure` times Exponential(stall_mean_s) from
+// the NextLogUniform() draw `stall_u`.
+double JitteredLatency(const FabricSpec& fabric, double g) {
+  return Rng::LogNormalOf(fabric.base_latency_s, fabric.jitter_sigma, g);
+}
+double StallDelay(const FabricSpec& fabric, double stall_exposure, double stall_u) {
+  return stall_exposure * Rng::ExponentialOf(fabric.stall_mean_s, stall_u);
+}
+
+// One cross-node message's latency, drawn in stream order: the jitter's
+// Gaussian (when jitter_sigma > 0), the stall's Bernoulli (when
+// stall_probability > 0) and, when it stalls, the stall's uniform.
+double SampleLatency(const FabricSpec& fabric, double stall_exposure, Rng* rng) {
+  double latency =
+      fabric.jitter_sigma > 0.0 ? JitteredLatency(fabric, rng->Gaussian()) : fabric.base_latency_s;
+  if (fabric.stall_probability > 0.0 && rng->Bernoulli(fabric.stall_probability)) {
+    latency += StallDelay(fabric, stall_exposure, rng->NextLogUniform());
+  }
+  return latency;
+}
+
+// SampleLatency for `count` <= GaussianBatch::kCapacity messages, in two
+// passes: the first walks the stream in SampleLatency's order and records the
+// draws; the second evaluates the jitter and stall terms in flat loops and
+// hands each latency, in order, to `sink`. kJittered and kStalling say
+// whether jitter_sigma and stall_probability are positive; as template
+// arguments they keep the per-draw loop free of tests.
+template <bool kJittered, bool kStalling, typename Sink>
+void SampleLatencyChunk(const FabricSpec& shared_fabric, double stall_exposure, Rng* rng,
+                        size_t count, Sink& sink) {
+  // A local copy: no store through the sink can alias it, so its fields stay
+  // in registers.
+  const FabricSpec fabric = shared_fabric;
+  GaussianBatch jitter;
+  std::array<uint8_t, GaussianBatch::kCapacity> stalled;
+  std::array<double, GaussianBatch::kCapacity> stall_u;
+  size_t stalls = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if constexpr (kJittered) {
+      jitter.Draw(*rng);
+    }
+    if constexpr (kStalling) {
+      if (rng->Bernoulli(fabric.stall_probability)) {
+        stalled[stalls] = static_cast<uint8_t>(i);
+        stall_u[stalls++] = rng->NextLogUniform();
+      }
+    }
+  }
+  std::array<double, GaussianBatch::kCapacity> latency;
+  if constexpr (kJittered) {
+    const std::span<const double> g = jitter.Evaluate(*rng);
+    for (size_t i = 0; i < count; ++i) {
+      latency[i] = JitteredLatency(fabric, g[i]);
+    }
+  } else {
+    std::fill_n(latency.begin(), count, fabric.base_latency_s);
+  }
+  for (size_t s = 0; s < stalls; ++s) {
+    latency[stalled[s]] += StallDelay(fabric, stall_exposure, stall_u[s]);
+  }
+  for (size_t i = 0; i < count; ++i) {
+    sink(latency[i]);
+  }
+}
+
+// Draws `count` SampleLatency values, in order and bit for bit, and hands
+// each to `sink`: one at a time below kMinBatchLatencies, else in two-pass
+// chunks of GaussianBatch::kCapacity.
+template <typename Sink>
+void SampleLatencies(const FabricSpec& fabric, double stall_exposure, Rng* rng, size_t count,
+                     Sink&& sink) {
+  if (count < kMinBatchLatencies) {
+    for (size_t i = 0; i < count; ++i) {
+      sink(SampleLatency(fabric, stall_exposure, rng));
+    }
+    return;
+  }
+  const bool jittered = fabric.jitter_sigma > 0.0;
+  const bool stalling = fabric.stall_probability > 0.0;
+  for (size_t left = count; left > 0;) {
+    const size_t chunk = std::min<size_t>(GaussianBatch::kCapacity, left);
+    if (jittered && stalling) {
+      SampleLatencyChunk<true, true>(fabric, stall_exposure, rng, chunk, sink);
+    } else if (jittered) {
+      SampleLatencyChunk<true, false>(fabric, stall_exposure, rng, chunk, sink);
+    } else if (stalling) {
+      SampleLatencyChunk<false, true>(fabric, stall_exposure, rng, chunk, sink);
+    } else {
+      SampleLatencyChunk<false, false>(fabric, stall_exposure, rng, chunk, sink);
+    }
+    left -= chunk;
+  }
+}
+
+}  // namespace
 
 double Network::FlowBandwidth(GpuId src, GpuId dst, int concurrent_flows) const {
   VARUNA_CHECK_GE(concurrent_flows, 1);
@@ -69,16 +176,9 @@ void Network::SampleTransferTimes(GpuId src, GpuId dst, double bytes, int concur
   const double bandwidth =
       std::min(link.bandwidth_bps / concurrent_flows, topology_->fabric().per_flow_bandwidth_bps);
   const double serialization = bytes / bandwidth;
-  const FabricSpec& fabric = topology_->fabric();
-  for (double& time : out) {
-    double latency = fabric.jitter_sigma > 0.0
-                         ? rng->LogNormalMedian(fabric.base_latency_s, fabric.jitter_sigma)
-                         : fabric.base_latency_s;
-    if (fabric.stall_probability > 0.0 && rng->Bernoulli(fabric.stall_probability)) {
-      latency += rng->Exponential(fabric.stall_mean_s);
-    }
-    time = latency + serialization;
-  }
+  double* time = out.data();
+  SampleLatencies(topology_->fabric(), kTransferStallExposure, rng, out.size(),
+                  [&](double latency) { *time++ = latency + serialization; });
 }
 
 Network::RingStep Network::SlowestHop(const std::vector<GpuId>& members,
@@ -175,20 +275,20 @@ double Network::SampleAllReduceTime(const std::vector<GpuId>& members, double by
   if (d > 64.0) {
     return MeanAllReduceTime(members, bytes, concurrent_rings);
   }
+  // Step-major hop latencies: each step adds its slowest hop, in step order.
+  const size_t hops = members.size();
   double total = 0.0;
-  for (int step = 0; step < steps; ++step) {
-    double slowest = 0.0;
-    for (int hop_index = 0; hop_index < static_cast<int>(d); ++hop_index) {
-      double latency = fabric.jitter_sigma > 0.0
-                           ? rng->LogNormalMedian(fabric.base_latency_s, fabric.jitter_sigma)
-                           : fabric.base_latency_s;
-      if (fabric.stall_probability > 0.0 && rng->Bernoulli(fabric.stall_probability)) {
-        latency += kRingStallExposure * rng->Exponential(fabric.stall_mean_s);
-      }
-      slowest = std::max(slowest, latency);
-    }
-    total += bytes_term + slowest;
-  }
+  double slowest = 0.0;
+  size_t hop_index = 0;
+  SampleLatencies(fabric, kRingStallExposure, rng, static_cast<size_t>(steps) * hops,
+                  [&](double latency) {
+                    slowest = std::max(slowest, latency);
+                    if (++hop_index == hops) {
+                      total += bytes_term + slowest;
+                      slowest = 0.0;
+                      hop_index = 0;
+                    }
+                  });
   return total;
 }
 

@@ -45,7 +45,9 @@ class Network {
   double SampleTransferTime(GpuId src, GpuId dst, double bytes, int concurrent_flows,
                             Rng* rng) const;
   // Fills `out` with out.size() SampleTransferTime draws, in order and bit for
-  // bit, resolving the link class and serialization time once.
+  // bit, resolving the link class and serialization time once. Batches of
+  // eight or more cross-node draws walk the stream first and evaluate libm
+  // after (GaussianBatch, src/common/rng.h); so do SampleAllReduceTime's hops.
   void SampleTransferTimes(GpuId src, GpuId dst, double bytes, int concurrent_flows, Rng* rng,
                            std::span<double> out) const;
 

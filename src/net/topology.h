@@ -16,9 +16,11 @@
 #ifndef SRC_NET_TOPOLOGY_H_
 #define SRC_NET_TOPOLOGY_H_
 
+#include <variant>
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/result.h"
 
 namespace varuna {
 
@@ -46,6 +48,13 @@ struct FabricSpec {
   // retransmits / incast on oversubscribed switches.
   double stall_probability = 0.0;
   double stall_mean_s = 0.0;
+
+  // Rejects a negative or non-finite `jitter_sigma`, a `stall_probability`
+  // outside [0, 1], stalls without a positive finite `stall_mean_s`, and
+  // jitter around a non-positive `base_latency_s`; each message starts with
+  // the field it constrains. The samplers rely on these instead of checking
+  // every draw.
+  Result<std::monostate> Validate() const;
 };
 
 // Link-class parameters of one (node, node) pair, resolved for the cost
@@ -62,10 +71,8 @@ struct LinkClass {
 
 class Topology {
  public:
-  explicit Topology(FabricSpec fabric)
-      : fabric_(fabric),
-        fabric_mean_latency_s_(fabric.base_latency_s +
-                               fabric.stall_probability * fabric.stall_mean_s) {}
+  // Requires a fabric that FabricSpec::Validate accepts.
+  explicit Topology(FabricSpec fabric);
 
   // Adds a node; returns its id. GPUs get consecutive global ids.
   NodeId AddNode(const NodeSpec& spec);

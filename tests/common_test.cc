@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -153,6 +154,92 @@ TEST(RngTest, SkipGaussiansWithinMatchesDrawing) {
   EXPECT_GT(refused, 200);
 }
 
+// Gaussians() is Gaussian() in a loop, bit for bit, for lengths around the
+// two-pass chunk, entered with and without a cached value; the Gaussian()
+// after it checks the cache hand-back.
+TEST(RngTest, GaussiansMatchDrawing) {
+  Rng params(606);
+  for (const int n : {0, 1, 2, 15, 16, 17, 127, 128, 129, 200, 255, 256, 257, 1000}) {
+    for (const bool cached : {false, true}) {
+      const uint64_t seed = params.NextUint64();
+      Rng batched(seed);
+      Rng drawer(seed);
+      if (cached) {
+        (void)batched.Gaussian();
+        (void)drawer.Gaussian();
+      }
+      std::vector<double> values(static_cast<size_t>(n));
+      batched.Gaussians(values);
+      for (const double value : values) {
+        ASSERT_EQ(value, drawer.Gaussian()) << "n " << n << " cached " << cached;
+      }
+      ASSERT_EQ(batched.Gaussian(), drawer.Gaussian()) << "n " << n << " cached " << cached;
+      ASSERT_EQ(batched.NextUint64(), drawer.NextUint64());
+    }
+  }
+}
+
+// GaussianBatch's first pass advances the stream as Gaussian() does, so other
+// draws may interleave with it: a random mix of Draws, uniforms and
+// NextLogUniforms, evaluated at random points, matches drawing in order.
+TEST(RngTest, GaussianBatchInterleavesWithOtherDraws) {
+  Rng params(9);
+  for (int trial = 0; trial < 300; ++trial) {
+    const uint64_t seed = params.NextUint64();
+    Rng batched(seed);
+    Rng drawer(seed);
+    const int prefix = static_cast<int>(params.UniformInt(0, 1));
+    for (int i = 0; i < prefix; ++i) {
+      ASSERT_EQ(batched.Gaussian(), drawer.Gaussian());
+    }
+    GaussianBatch batch;
+    int drawn = 0;  // Draws since the last Evaluate.
+    std::vector<double> expected;
+    std::vector<double> others;
+    std::vector<double> expected_others;
+    const int steps = static_cast<int>(params.UniformInt(1, 400));
+    for (int step = 0; step < steps; ++step) {
+      switch (params.UniformInt(0, 3)) {
+        case 0:
+        case 1:
+          batch.Draw(batched);
+          ++drawn;
+          expected.push_back(drawer.Gaussian());
+          break;
+        case 2:
+          others.push_back(batched.NextDouble());
+          expected_others.push_back(drawer.NextDouble());
+          break;
+        default:
+          others.push_back(batched.NextLogUniform());
+          expected_others.push_back(drawer.NextLogUniform());
+          break;
+      }
+      if (drawn == GaussianBatch::kCapacity || params.UniformInt(0, 40) == 0) {
+        const std::span<const double> values = batch.Evaluate(batched);
+        ASSERT_EQ(std::vector<double>(values.begin(), values.end()), expected) << trial;
+        expected.clear();
+        drawn = 0;
+      }
+    }
+    const std::span<const double> values = batch.Evaluate(batched);
+    ASSERT_EQ(std::vector<double>(values.begin(), values.end()), expected) << trial;
+    EXPECT_EQ(others, expected_others);
+    ASSERT_EQ(batched.Gaussian(), drawer.Gaussian()) << trial;
+    ASSERT_EQ(batched.NextUint64(), drawer.NextUint64()) << trial;
+  }
+}
+
+// The value halves of the two-pass draws are the per-draw expressions.
+TEST(RngTest, ValueExpressionsMatchTheDraws) {
+  Rng drawer(12);
+  Rng replay(12);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(drawer.LogNormalMedian(3e-4, 0.35), Rng::LogNormalOf(3e-4, 0.35, replay.Gaussian()));
+    EXPECT_EQ(drawer.Exponential(0.25), Rng::ExponentialOf(0.25, replay.NextLogUniform()));
+  }
+}
+
 // The stream contract, enforced by the type: an Rng is never copied, so a
 // stream cannot fork silently; it moves (to a sink) or forks via Fork().
 TEST(RngContract, IsMoveOnly) {
@@ -192,8 +279,11 @@ struct Draws {
   static constexpr bool kUniform = requires { std::declval<R>().Uniform(0.0, 1.0); };
   static constexpr bool kGaussian = requires { std::declval<R>().Gaussian(); };
   static constexpr bool kGaussianScaled = requires { std::declval<R>().Gaussian(0.0, 1.0); };
+  static constexpr bool kGaussians =
+      requires(std::span<double> out) { std::declval<R>().Gaussians(out); };
   static constexpr bool kSkipGaussiansWithin =
       requires { std::declval<R>().SkipGaussiansWithin(1, 1.0); };
+  static constexpr bool kNextLogUniform = requires { std::declval<R>().NextLogUniform(); };
   static constexpr bool kExponential = requires { std::declval<R>().Exponential(1.0); };
   static constexpr bool kLogNormalMedian =
       requires { std::declval<R>().LogNormalMedian(1.0, 1.0); };
@@ -207,7 +297,8 @@ TEST(RngContract, DrawsNeedANamedStream) {
   using Named = Draws<Rng&>;
   static_assert(Named::kNextUint64 && Named::kNextDouble && Named::kUniformInt &&
                 Named::kUniform && Named::kGaussian && Named::kGaussianScaled &&
-                Named::kSkipGaussiansWithin && Named::kExponential &&
+                Named::kGaussians && Named::kSkipGaussiansWithin &&
+                Named::kNextLogUniform && Named::kExponential &&
                 Named::kLogNormalMedian && Named::kBernoulli && Named::kFork);
   using Temporary = Draws<Rng>;
   static_assert(!Temporary::kNextUint64);
@@ -216,7 +307,9 @@ TEST(RngContract, DrawsNeedANamedStream) {
   static_assert(!Temporary::kUniform);
   static_assert(!Temporary::kGaussian);
   static_assert(!Temporary::kGaussianScaled);
+  static_assert(!Temporary::kGaussians);
   static_assert(!Temporary::kSkipGaussiansWithin);
+  static_assert(!Temporary::kNextLogUniform);
   static_assert(!Temporary::kExponential);
   static_assert(!Temporary::kLogNormalMedian);
   static_assert(!Temporary::kBernoulli);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/cluster/vm.h"
@@ -15,6 +18,9 @@
 
 namespace varuna {
 namespace {
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 Topology TwoNodeTopology(int gpus_per_node) {
   FabricSpec fabric;
@@ -41,6 +47,67 @@ TEST(TopologyTest, GpuToNodeMapping) {
   EXPECT_TRUE(topology.SameNode(0, 3));
   EXPECT_FALSE(topology.SameNode(3, 4));
   EXPECT_EQ(topology.GpusOfNode(1), (std::vector<GpuId>{4, 5, 6, 7}));
+}
+
+TEST(FabricSpecTest, AcceptsTheShippedFabrics) {
+  EXPECT_TRUE(FabricSpec().Validate().ok());
+  EXPECT_TRUE(CommodityFabric().Validate().ok());
+  EXPECT_TRUE(HyperclusterFabric().Validate().ok());
+}
+
+TEST(FabricSpecTest, RejectsNegativeOrNonFiniteJitterSigma) {
+  for (const double sigma : {-0.1, kNan, kInf}) {
+    FabricSpec fabric = CommodityFabric();
+    fabric.jitter_sigma = sigma;
+    const Result<std::monostate> valid = fabric.Validate();
+    ASSERT_FALSE(valid.ok()) << sigma;
+    EXPECT_EQ(valid.error().rfind("jitter_sigma", 0), 0u) << valid.error();
+  }
+}
+
+TEST(FabricSpecTest, RejectsStallProbabilityOutsideTheUnitInterval) {
+  for (const double probability : {-0.01, 1.01, kNan}) {
+    FabricSpec fabric = CommodityFabric();
+    fabric.stall_probability = probability;
+    const Result<std::monostate> valid = fabric.Validate();
+    ASSERT_FALSE(valid.ok()) << probability;
+    EXPECT_EQ(valid.error().rfind("stall_probability", 0), 0u) << valid.error();
+  }
+  FabricSpec certain = CommodityFabric();
+  certain.stall_probability = 1.0;
+  EXPECT_TRUE(certain.Validate().ok());
+}
+
+TEST(FabricSpecTest, RejectsStallsWithoutAPositiveMean) {
+  for (const double mean : {0.0, -0.25, kNan, kInf}) {
+    FabricSpec fabric = CommodityFabric();
+    fabric.stall_mean_s = mean;
+    const Result<std::monostate> valid = fabric.Validate();
+    ASSERT_FALSE(valid.ok()) << mean;
+    EXPECT_EQ(valid.error().rfind("stall_mean_s", 0), 0u) << valid.error();
+  }
+  // Without stalls the mean is never read.
+  FabricSpec quiet = CommodityFabric();
+  quiet.stall_probability = 0.0;
+  quiet.stall_mean_s = 0.0;
+  EXPECT_TRUE(quiet.Validate().ok());
+}
+
+TEST(FabricSpecTest, RejectsJitterWithoutABaseLatency) {
+  FabricSpec fabric = CommodityFabric();
+  fabric.base_latency_s = 0.0;
+  const Result<std::monostate> valid = fabric.Validate();
+  ASSERT_FALSE(valid.ok());
+  EXPECT_EQ(valid.error().rfind("base_latency_s", 0), 0u) << valid.error();
+  // Without jitter a zero base latency is a plain (ideal) fabric.
+  fabric.jitter_sigma = 0.0;
+  EXPECT_TRUE(fabric.Validate().ok());
+}
+
+TEST(FabricSpecTest, TopologyRefusesAnInvalidFabric) {
+  FabricSpec fabric = CommodityFabric();
+  fabric.stall_mean_s = 0.0;
+  EXPECT_DEATH(Topology topology(fabric), "invalid FabricSpec: stall_mean_s");
 }
 
 TEST(NetworkTest, IntraNodeUsesFastLink) {
@@ -107,6 +174,134 @@ TEST(NetworkTest, SampleTransferTimesMatchesSingleDraws) {
       EXPECT_EQ(batched.Gaussian(), single.Gaussian());
       EXPECT_EQ(batched.NextUint64(), single.NextUint64());
     }
+  }
+}
+
+// The per-draw stream contract, written out here independently of
+// src/net: one cross-node message's latency is base * e^(sigma g) from one
+// Gaussian() draw (when jitter_sigma > 0), then a Bernoulli(stall_probability)
+// draw (when stalls are on) and, when it fires, `exposure` times one
+// Exponential(stall_mean_s) draw.
+double PerDrawLatency(const FabricSpec& fabric, double exposure, Rng& rng) {
+  double latency = fabric.jitter_sigma > 0.0
+                       ? rng.LogNormalMedian(fabric.base_latency_s, fabric.jitter_sigma)
+                       : fabric.base_latency_s;
+  if (fabric.stall_probability > 0.0 && rng.Bernoulli(fabric.stall_probability)) {
+    latency += exposure * rng.Exponential(fabric.stall_mean_s);
+  }
+  return latency;
+}
+
+// A random fabric; jitter off, stalls off and stalls on half the messages
+// each come up in about a third of the draws.
+FabricSpec RandomFabric(Rng& params) {
+  FabricSpec fabric;
+  fabric.per_flow_bandwidth_bps = GbpsToBytesPerSec(params.Uniform(1.0, 40.0));
+  fabric.base_latency_s = params.Uniform(1e-6, 1e-3);
+  fabric.jitter_sigma = params.UniformInt(0, 2) == 0 ? 0.0 : params.Uniform(0.01, 1.0);
+  const int64_t stall_kind = params.UniformInt(0, 2);
+  fabric.stall_probability =
+      stall_kind == 0 ? 0.0 : stall_kind == 1 ? 0.5 : params.Uniform(0.001, 0.1);
+  fabric.stall_mean_s = params.Uniform(1e-3, 0.5);
+  return fabric;
+}
+
+// One GPU per node, every node alike.
+Topology RandomTopology(const FabricSpec& fabric, int nodes, Rng& params) {
+  Topology topology(fabric);
+  NodeSpec node;
+  node.num_gpus = 1;
+  node.intra_bandwidth_bps = GbpsToBytesPerSec(96.0);
+  node.intra_latency_s = 10e-6;
+  node.nic_bandwidth_bps = GbpsToBytesPerSec(params.Uniform(1.0, 40.0));
+  for (int i = 0; i < nodes; ++i) {
+    topology.AddNode(node);
+  }
+  return topology;
+}
+
+// Batched transfer draws against the per-draw contract, bit for bit, over
+// random fabrics, batch lengths around the two-pass chunk (128) and the
+// per-draw threshold (8), and entry with and without a cached Gaussian; the
+// Gaussian() after the batch checks the cache hand-back.
+TEST(NetworkTest, RandomizedTransferBatchesMatchPerDrawLoop) {
+  Rng params(4242);
+  for (int trial = 0; trial < 60; ++trial) {
+    const FabricSpec fabric = RandomFabric(params);
+    Topology topology = RandomTopology(fabric, 2, params);
+    Network network(&topology);
+    const double bytes = params.Uniform(0.0, 1e8);
+    const int flows = static_cast<int>(params.UniformInt(1, 8));
+    const double serialization =
+        bytes / std::min(topology.Node(0).nic_bandwidth_bps / flows,
+                         fabric.per_flow_bandwidth_bps);
+    for (const int count : {1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 200, 256, 257}) {
+      for (const bool cached : {false, true}) {
+        const uint64_t seed = params.NextUint64();
+        Rng batched(seed);
+        Rng single(seed);
+        if (cached) {
+          (void)batched.Gaussian();
+          (void)single.Gaussian();
+        }
+        std::vector<double> times(static_cast<size_t>(count), -1.0);
+        network.SampleTransferTimes(0, 1, bytes, flows, &batched, times);
+        for (size_t i = 0; i < times.size(); ++i) {
+          ASSERT_EQ(times[i], PerDrawLatency(fabric, 1.0, single) + serialization)
+              << "trial " << trial << " count " << count << " cached " << cached << " sample "
+              << i;
+        }
+        ASSERT_EQ(batched.Gaussian(), single.Gaussian()) << "trial " << trial;
+        ASSERT_EQ(batched.NextUint64(), single.NextUint64()) << "trial " << trial;
+      }
+    }
+  }
+}
+
+// Sampled ring allreduces against the per-draw contract: 2(D-1) steps, each
+// the slowest of D hop latencies whose stalls count 35 % (the ring's stall
+// exposure). Rings of 2-64 members on random fabrics, entry with and without
+// a cached Gaussian; a 65-member ring draws nothing.
+TEST(NetworkTest, RandomizedRingSamplesMatchPerDrawLoop) {
+  Rng params(77);
+  for (int members = 2; members <= 65; ++members) {
+    const FabricSpec ring_fabric = RandomFabric(params);
+    Topology topology = RandomTopology(ring_fabric, members, params);
+    Network network(&topology);
+    std::vector<GpuId> ring(static_cast<size_t>(members));
+    for (int i = 0; i < members; ++i) {
+      ring[static_cast<size_t>(i)] = i;
+    }
+    const double bytes = params.Uniform(1e6, 1e9);
+    const int rings = static_cast<int>(params.UniformInt(1, 4));
+    const bool cached = members % 2 == 1;
+    const uint64_t seed = params.NextUint64();
+    Rng sampled(seed);
+    Rng single(seed);
+    if (cached) {
+      (void)sampled.Gaussian();
+      (void)single.Gaussian();
+    }
+    const double time = network.SampleAllReduceTime(ring, bytes, rings, &sampled);
+    if (members > 64) {
+      EXPECT_EQ(time, network.MeanAllReduceTime(ring, bytes, rings));
+    } else {
+      const double d = members;
+      const double bandwidth = std::min(topology.Node(0).nic_bandwidth_bps / rings,
+                                        ring_fabric.per_flow_bandwidth_bps);
+      const double bytes_term = bytes / d / bandwidth;
+      double expected = 0.0;
+      for (int step = 0; step < 2 * (members - 1); ++step) {
+        double slowest = 0.0;
+        for (int hop = 0; hop < members; ++hop) {
+          slowest = std::max(slowest, PerDrawLatency(ring_fabric, 0.35, single));
+        }
+        expected += bytes_term + slowest;
+      }
+      ASSERT_EQ(time, expected) << members << " members";
+    }
+    ASSERT_EQ(sampled.Gaussian(), single.Gaussian()) << members << " members";
+    ASSERT_EQ(sampled.NextUint64(), single.NextUint64()) << members << " members";
   }
 }
 
