@@ -16,7 +16,7 @@ void FailStutterInjector::Start() {
 }
 
 void FailStutterInjector::ScheduleNextOnset() {
-  engine_->Schedule(rng_.Exponential(options_.mean_onset_interval_s), [this] { Onset(); });
+  engine_->Schedule(rng_.Exponential(kMeanStutterOnsetIntervalS), [this] { Onset(); });
 }
 
 VmId FailStutterInjector::PickVictim() {
@@ -65,7 +65,7 @@ void FailStutterInjector::Onset() {
   const VmId victim = PickVictim();
   if (victim >= 0) {
     const double factor = rng_.Uniform(kMinSlowFactor, kMaxSlowFactor);
-    BeginEpisode(victim, factor, rng_.Exponential(options_.mean_duration_s));
+    BeginEpisode(victim, factor, rng_.Exponential(kMeanStutterDurationS));
   }
   ScheduleNextOnset();
 }

@@ -25,12 +25,12 @@ namespace varuna {
 // Autonomous episodes draw their slow factor uniformly in [kMinSlowFactor, kMaxSlowFactor].
 constexpr double kMinSlowFactor = 1.15;
 constexpr double kMaxSlowFactor = 1.35;
+// Autonomous onsets arrive across the whole cluster with exponential gaps of
+// this mean, and each episode lasts Exponential(kMeanStutterDurationS).
+constexpr double kMeanStutterOnsetIntervalS = 2.0 * kHour;
+constexpr double kMeanStutterDurationS = 30.0 * kMinute;
 
 struct FailStutterOptions {
-  // Expected time between stutter onsets across the whole cluster.
-  double mean_onset_interval_s = 2.0 * kHour;
-  // Episode duration is Exponential(mean_duration_s).
-  double mean_duration_s = 30.0 * kMinute;
   // false disables the autonomous onset process (chaos campaigns then drive
   // episodes exclusively through Burst()).
   bool autonomous_onsets = true;

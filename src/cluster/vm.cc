@@ -9,7 +9,6 @@ VmType Nc6V3() {
   vm.node.intra_bandwidth_bps = GbpsToBytesPerSec(96.0);  // PCIe 3.0 x16 ~ 12 GB/s
   vm.node.intra_latency_s = 10.0 * kMicrosecond;
   vm.node.nic_bandwidth_bps = GbpsToBytesPerSec(10.0);
-  vm.price_per_gpu_hour = 1.0;
   return vm;
 }
 
@@ -28,7 +27,6 @@ VmType Dgx2() {
   vm.node.intra_bandwidth_bps = GbpsToBytesPerSec(2400.0);
   vm.node.intra_latency_s = 3.0 * kMicrosecond;
   vm.node.nic_bandwidth_bps = GbpsToBytesPerSec(200.0);  // Infiniband.
-  vm.price_per_gpu_hour = 5.0;  // Dedicated VMs cost ~5x low-priority (§1).
   return vm;
 }
 

@@ -14,19 +14,17 @@ namespace varuna {
 
 struct VmType {
   std::string name;
-  NodeSpec node;              // Network characteristics contributed to the topology.
-  GpuSpec gpu;                // All GPUs of a VM are identical.
-  double price_per_gpu_hour = 0.0;  // Relative cost units; low-pri ~ 1, dedicated ~ 5.
+  NodeSpec node;  // Network characteristics contributed to the topology.
+  GpuSpec gpu;    // All GPUs of a VM are identical.
 };
 
-// Azure NC6_v3: 1x V100, 10 Gbps NIC. Low-priority price normalised to 1.
+// Azure NC6_v3: 1x V100, 10 Gbps NIC.
 VmType Nc6V3();
 
 // Azure NC24_v3: 4x V100 on PCIe, 10 Gbps NIC shared by the 4 GPUs.
 VmType Nc24V3();
 
 // DGX-2: 16x V100 on NVLink (2.4 Tbps all-to-all), 200 Gbps Infiniband.
-// Dedicated pricing (~5x the low-priority rate per the paper).
 VmType Dgx2();
 
 // Fabric presets.

@@ -42,6 +42,9 @@ constexpr double kPremigrateCostRatio = 3.0;
 // Proactive morphs need this relative liveput gain over the current config
 // (and the projected gain must also pay for the restore stall).
 constexpr double kLiveputGainThreshold = 0.5;
+// Log-normal sigma of each mini-batch's duration around the cached executor
+// measurement it replays.
+constexpr double kMinibatchNoiseSigma = 0.02;
 
 // Decisions that lost the job's state, which a checkpoint restores.
 bool LosesState(DecisionKind kind) {
@@ -70,9 +73,6 @@ Result<std::monostate> TrainerOptions::Validate() const {
       {checkpoint_every_minibatches >= 1, "checkpoint_every_minibatches must be >= 1"},
       // A zero interval would reschedule ProvisionTick at `now` forever.
       {positive(provision_check_interval_s), "provision_check_interval_s must be > 0 and finite"},
-      {std::isfinite(minibatch_noise_sigma) && minibatch_noise_sigma >= 0.0,
-       "minibatch_noise_sigma must be >= 0 and finite"},
-      {search_threads >= 1, "search_threads must be >= 1"},
       {positive(liveput_horizon_s), "liveput_horizon_s must be > 0 and finite"},
       {positive(predictor.window_s), "predictor.window_s must be > 0 and finite"},
       {checkpoint.full_checkpoint_every >= 1, "checkpoint.full_checkpoint_every must be >= 1"},
@@ -260,11 +260,9 @@ bool ElasticTrainer::EnsureSearch() {
     return false;
   }
   calibration_ = std::move(calibration).value();
-  if (options_.search_threads > 1) {
-    search_pool_ = std::make_unique<ThreadPool>(options_.search_threads);
-  }
-  search_ = std::make_unique<ConfigSearch>(&spec_, &sections_, &calibration_.value(),
-                                           search_pool_.get());
+  // No pool: a session searches on its own thread, so parallelism belongs at
+  // campaign grain, one session per worker.
+  search_ = std::make_unique<ConfigSearch>(&spec_, &sections_, &calibration_.value());
   return true;
 }
 
@@ -573,10 +571,7 @@ void ElasticTrainer::ScheduleNextMinibatch(double extra_delay) {
   if (!running_ || minibatch_in_flight_) {
     return;
   }
-  double duration = MeasuredMinibatchSeconds();
-  if (options_.minibatch_noise_sigma > 0.0) {
-    duration = rng_.LogNormalMedian(duration, options_.minibatch_noise_sigma);
-  }
+  double duration = rng_.LogNormalMedian(MeasuredMinibatchSeconds(), kMinibatchNoiseSigma);
   bool checkpoint_due = stats_.minibatches_done - last_checkpointed_minibatch_ >=
                         options_.checkpoint_every_minibatches;
   bool premigration = false;

@@ -47,7 +47,6 @@
 #include "src/cluster/spot_market.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/manager/checkpoint.h"
 #include "src/model/cutpoints.h"
 #include "src/model/op_graph.h"
@@ -70,13 +69,6 @@ struct TrainerOptions {
   CalibrationOptions calibration;
   CheckpointOptions checkpoint;
   MemoryBudget budget;
-  // Mini-batch-to-mini-batch duration noise when replaying the cached
-  // executor measurement.
-  double minibatch_noise_sigma = 0.02;
-  // Workers for the pooled config search (§4.4 parallelises the sweep over
-  // candidate configs). 1 keeps the sweep serial; pooled and serial sweeps
-  // are bit-identical, so this never changes the training trace.
-  int search_threads = 1;
   // --- Liveput policy (src/morph/liveput.h). -------------------------------
   // kReactive reproduces the paper's recover-after-preemption behavior
   // exactly; the proactive modes add liveput-weighted config selection and
@@ -387,8 +379,6 @@ class ElasticTrainer {
   ModelSections sections_;
   double shared_sync_bytes_ = 0.0;
   std::optional<Calibration> calibration_;
-  // Fan-out/join pool for the config sweep (null when search_threads <= 1).
-  std::unique_ptr<ThreadPool> search_pool_;
   std::unique_ptr<ConfigSearch> search_;
   CheckpointStore checkpoints_;
   // Availability estimator for the liveput policy. Always fed (cheap counts,

@@ -1,16 +1,20 @@
 #include "src/morph/calibration.h"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/fnv1a.h"
 #include "src/common/stats.h"
+#include "src/pipeline/executor.h"
 
 namespace varuna {
 namespace {
+
+// Profiling runs averaged per compute and intra-node measurement ("a few
+// micro-batches", §4.3).
+constexpr int kProfilingRuns = 5;
 
 // Piecewise-linear lookup over the profiled (sizes[k], seconds[k]) points;
 // linear extrapolation from the outermost segment.
@@ -43,11 +47,7 @@ Result<std::monostate> CalibrationOptions::Validate() const {
       {sizes.empty() || sizes.front() > 0, "microbatch_sizes must be positive"},
       {std::adjacent_find(sizes.begin(), sizes.end()) == sizes.end(),
        "microbatch_sizes must be distinct"},
-      {samples >= 1, "samples must be >= 1"},
       {network_samples >= 1, "network_samples must be >= 1"},
-      // A negative or NaN sigma would silently mean "no noise".
-      {std::isfinite(compute_noise_sigma) && compute_noise_sigma >= 0.0,
-       "compute_noise_sigma must be >= 0 and finite"},
   };
   for (const auto& [holds, message] : rules) {
     if (!holds) {
@@ -133,9 +133,9 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
   std::vector<int64_t> body_count(num_sizes);
   // One section's compute-noise Gaussians, in draw order: per size, per run,
   // the forward then the backward draw.
-  const double sigma = options.compute_noise_sigma;
-  const size_t runs = static_cast<size_t>(options.samples);
-  std::vector<double> noise(sigma > 0.0 ? num_sizes * runs * 2 : 0);
+  constexpr double sigma = kTestbedComputeNoiseSigma;
+  constexpr size_t runs = kProfilingRuns;
+  std::vector<double> noise(num_sizes * runs * 2);
 
   // --- F_i(m), B_i(m): run a few mocked micro-batches per section (random
   // inputs standing in for the previous stage, §4.3) and average. These are
@@ -153,17 +153,15 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
       const double fwd_base = gpu.ComputeTime(sections.fwd_flops[static_cast<size_t>(i)] * m);
       const double bwd_base =
           gpu.ComputeTime(2.0 * sections.fwd_flops[static_cast<size_t>(i)] * m);
-      if (sigma > 0.0) {
-        // LogNormalMedian's precondition, once per size instead of per draw.
-        VARUNA_CHECK_GT(fwd_base, 0.0);
-        VARUNA_CHECK_GT(bwd_base, 0.0);
-      }
+      // LogNormalMedian's precondition, once per size instead of per draw.
+      VARUNA_CHECK_GT(fwd_base, 0.0);
+      VARUNA_CHECK_GT(bwd_base, 0.0);
       RunningStats fwd;
       RunningStats bwd;
       for (size_t run = 0; run < runs; ++run) {
         const double* g = noise.data() + (k * runs + run) * 2;
-        fwd.Add(sigma > 0.0 ? Rng::LogNormalOf(fwd_base, sigma, g[0]) : fwd_base);
-        bwd.Add(sigma > 0.0 ? Rng::LogNormalOf(bwd_base, sigma, g[1]) : bwd_base);
+        fwd.Add(Rng::LogNormalOf(fwd_base, sigma, g[0]));
+        bwd.Add(Rng::LogNormalOf(bwd_base, sigma, g[1]));
       }
       section.forward_s[k] = fwd.mean();
       section.backward_s[k] = bwd.mean();
@@ -180,7 +178,7 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
                                             std::span(samples).subspan(k * batch, batch));
       if (neighbor >= 0) {
         RunningStats intra;
-        for (int run = 0; run < options.samples; ++run) {
+        for (int run = 0; run < kProfilingRuns; ++run) {
           intra.Add(cluster.network().SampleTransferTime(local, neighbor, act_bytes * m,
                                                          gpus_per_node, rng));
         }
@@ -251,7 +249,7 @@ Result<Calibration> Calibrate(const ModelSections& sections, const Cluster& clus
       ring.push_back(cross_node_pool[static_cast<size_t>(i) % cross_node_pool.size()]);
     }
     RunningStats stats;
-    for (int run = 0; run < options.samples; ++run) {
+    for (int run = 0; run < kProfilingRuns; ++run) {
       stats.Add(cluster.network().SampleAllReduceTime(ring, probe_bytes, gpus_per_node, rng));
     }
     return stats.mean();

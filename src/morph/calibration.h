@@ -82,18 +82,15 @@ struct SendStallModel {
   double scale_s = 0.0;
 };
 
+// Both knobs stay options because CalibrationGoldenTest's small rows profile
+// fewer sizes with fewer network samples.
 struct CalibrationOptions {
   std::vector<int> microbatch_sizes = {1, 2, 4, 8, 16};
-  // Profiling runs averaged per measurement ("a few micro-batches", §4.3).
-  int samples = 5;
   // Network micro-benchmarks are cheap; more samples pin down the tail.
   int network_samples = 200;
-  // Compute-noise the testbed exhibits; profiled times inherit it.
-  double compute_noise_sigma = 0.01;
 
-  // Rejects an empty, duplicated or non-positive `microbatch_sizes`,
-  // `samples < 1`, `network_samples < 1` and a negative or non-finite
-  // `compute_noise_sigma`; each message starts with the field's name.
+  // Rejects an empty, duplicated or non-positive `microbatch_sizes` and
+  // `network_samples < 1`; each message starts with the field's name.
   Result<std::monostate> Validate() const;
 };
 

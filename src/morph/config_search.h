@@ -206,8 +206,6 @@ class ConfigSearch {
                const Calibration* calibration, ThreadPool* pool = nullptr)
       : spec_(spec), sections_(sections), calibration_(calibration), pool_(pool) {}
 
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
   // Lowest profiled m whose per-example forward time is within `tolerance` of
   // the next profiled size's. Done once; reused across morphs.
   int PickMicrobatchSize(double tolerance) const;

@@ -7,44 +7,45 @@
 
 namespace varuna {
 
+FastSimulator::StageScalars FastSimulator::Stage(const FastSimConfig& config, int s) const {
+  const int depth = config.partition->depth();
+  const int begin = config.partition->stage_begin[static_cast<size_t>(s)];
+  const int end = config.partition->stage_begin[static_cast<size_t>(s) + 1];
+  const int m = config.microbatch_size;
+  StageScalars stage;
+  for (int section = begin; section < end; ++section) {
+    stage.fwd += calibration_->ForwardTime(section, m);
+    stage.bwd += calibration_->BackwardTime(section, m);
+    stage.allreduce += calibration_->allreduce().Predict(
+        2.0 * config.sections->params[static_cast<size_t>(section)], config.data_parallel);
+  }
+  if (s + 1 < depth) {
+    stage.cross_node = ((s + 1) % std::max(1, config.gpus_per_node)) == 0;
+    stage.send = calibration_->SendTime(end - 1, m, stage.cross_node);
+  }
+  return stage;
+}
+
 double FastSimulator::LowerBoundMinibatch(const FastSimConfig& config,
                                           int num_microbatches) const {
   VARUNA_CHECK(config.sections != nullptr && config.partition != nullptr);
   const int depth = config.partition->depth();
-  const int m = config.microbatch_size;
   const double microbatches = static_cast<double>(num_microbatches);
-  // Per-stage scalars are computed exactly as EstimateMinibatch's prologue
-  // computes them (same calls, same ascending-section sums), so they are
-  // bit-equal to the simulator's. Each stage's critical path is fill + serial
-  // work + drain (see the header); the drain's max over j <= s folds into one
-  // pass as drain_s = max(allreduce_s, drain_{s-1} + send_{s-1} + b_{s-1}).
+  // Each stage's critical path is fill + serial work + drain (see the
+  // header); the drain's max over j <= s folds into one pass as
+  // drain_s = max(allreduce_s, drain_{s-1} + send_{s-1} + b_{s-1}).
   double fill = 0.0;
   double drain = 0.0;
   double prev_send_bwd = 0.0;  // send_{s-1} + b_{s-1}.
   double bound = 0.0;
   for (int s = 0; s < depth; ++s) {
-    const int begin = config.partition->stage_begin[static_cast<size_t>(s)];
-    const int end = config.partition->stage_begin[static_cast<size_t>(s) + 1];
-    double fwd = 0.0;
-    double bwd = 0.0;
-    double allreduce = 0.0;
-    for (int section = begin; section < end; ++section) {
-      fwd += calibration_->ForwardTime(section, m);
-      bwd += calibration_->BackwardTime(section, m);
-      allreduce += calibration_->allreduce().Predict(
-          2.0 * config.sections->params[static_cast<size_t>(section)], config.data_parallel);
-    }
-    const bool last = s + 1 == depth;
-    double send = 0.0;
-    if (!last) {
-      const bool cross_node = ((s + 1) % std::max(1, config.gpus_per_node)) == 0;
-      send = calibration_->SendTime(end - 1, m, cross_node);
-    }
-    drain = s == 0 ? allreduce : std::max(allreduce, drain + prev_send_bwd);
-    const double recompute = last ? 0.0 : (microbatches - 1.0) * fwd;
-    bound = std::max(bound, fill + (microbatches * (fwd + bwd) + recompute) + drain);
-    fill += fwd + send;
-    prev_send_bwd = send + bwd;
+    const StageScalars stage = Stage(config, s);
+    drain = s == 0 ? stage.allreduce : std::max(stage.allreduce, drain + prev_send_bwd);
+    const double recompute = s + 1 == depth ? 0.0 : (microbatches - 1.0) * stage.fwd;
+    bound = std::max(bound,
+                     fill + (microbatches * (stage.fwd + stage.bwd) + recompute) + drain);
+    fill += stage.fwd + stage.send;
+    prev_send_bwd = stage.send + stage.bwd;
   }
   if (config.shared_sync_bytes > 0.0 && depth > 1) {
     bound += calibration_->allreduce().Predict(config.shared_sync_bytes, 2);
@@ -66,34 +67,27 @@ FastSimResult FastSimulator::EstimateMinibatch(const Schedule& schedule,
   VARUNA_CHECK_EQ(schedule.eval_order.size(), ScheduleOpCount(schedule))
       << "schedule has no compiled eval_order";
   const int microbatches = schedule.num_microbatches;
-  const int m = config.microbatch_size;
   const size_t stages = static_cast<size_t>(depth);
   const size_t cells = stages * static_cast<size_t>(microbatches);
   const auto at = [microbatches](int s, int mb) {
     return static_cast<size_t>(s) * static_cast<size_t>(microbatches) + static_cast<size_t>(mb);
   };
 
-  // Per-stage primitives assembled from the calibrated cut-point parameters.
-  // assign() both sizes the scratch and erases any previous candidate's state.
-  fwd_.assign(stages, 0.0);
-  bwd_.assign(stages, 0.0);
-  send_.assign(stages, 0.0);
-  allreduce_.assign(stages, 0.0);
-  hop_cross_node_.assign(stages, 0);
+  // Per-stage primitives assembled from the calibrated cut-point parameters;
+  // every entry is overwritten below.
+  fwd_.resize(stages);
+  bwd_.resize(stages);
+  send_.resize(stages);
+  allreduce_.resize(stages);
+  hop_cross_node_.resize(stages);
   for (int s = 0; s < depth; ++s) {
-    const int begin = config.partition->stage_begin[static_cast<size_t>(s)];
-    const int end = config.partition->stage_begin[static_cast<size_t>(s) + 1];
-    for (int section = begin; section < end; ++section) {
-      fwd_[static_cast<size_t>(s)] += calibration_->ForwardTime(section, m);
-      bwd_[static_cast<size_t>(s)] += calibration_->BackwardTime(section, m);
-      allreduce_[static_cast<size_t>(s)] += calibration_->allreduce().Predict(
-          2.0 * config.sections->params[static_cast<size_t>(section)], config.data_parallel);
-    }
-    if (s + 1 < depth) {
-      const bool cross_node = ((s + 1) % std::max(1, config.gpus_per_node)) == 0;
-      hop_cross_node_[static_cast<size_t>(s)] = cross_node ? 1 : 0;
-      send_[static_cast<size_t>(s)] = calibration_->SendTime(end - 1, m, cross_node);
-    }
+    const StageScalars stage = Stage(config, s);
+    const size_t i = static_cast<size_t>(s);
+    fwd_[i] = stage.fwd;
+    bwd_[i] = stage.bwd;
+    send_[i] = stage.send;
+    allreduce_[i] = stage.allreduce;
+    hop_cross_node_[i] = stage.cross_node ? 1 : 0;
   }
 
   // Replay the profiled transfer tail (§4.3: profiled times "include mean

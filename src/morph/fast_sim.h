@@ -76,6 +76,19 @@ class FastSimulator {
   double LowerBoundMinibatch(const FastSimConfig& config, int num_microbatches) const;
 
  private:
+  // Stage s's calibrated scalars: forward, backward and allreduce summed over
+  // its sections in ascending order, and the send to stage s + 1 (0 on the
+  // last stage). EstimateMinibatch and LowerBoundMinibatch both read them
+  // here, so the bound's scalars are bit-equal to the simulator's.
+  struct StageScalars {
+    double fwd = 0.0;
+    double bwd = 0.0;
+    double allreduce = 0.0;
+    double send = 0.0;
+    bool cross_node = false;  // The hop to stage s + 1 leaves the node.
+  };
+  StageScalars Stage(const FastSimConfig& config, int s) const;
+
   const Calibration* calibration_;
 
   // Per-stage primitives, length `depth`.

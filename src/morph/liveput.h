@@ -48,6 +48,8 @@ enum class MorphPolicy : uint8_t {
   kOracleProactive = 2,  // Same policy, predictor fed the true hazard/storms.
 };
 
+// Every field stays an option: the predictor's convergence and cold-gate
+// tests (tests/liveput_test.cc) construct predictors with non-default values.
 struct PredictorOptions {
   // Discretization of the Markov chain: one "window" of exposure.
   double window_s = 60.0;

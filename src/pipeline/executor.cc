@@ -14,18 +14,16 @@ namespace varuna {
 struct ExecutorScratch {
   // State of one (replica, stage) worker following its per-stage op list.
   // The per-op / per-micro-batch flags are byte spans carved out of `flags`
-  // (one shared arena instead of five vector<bool> per worker).
+  // (one shared arena instead of three vector<bool> per worker).
   struct Worker {
     int replica = 0;
     int stage = 0;
     GpuId gpu = -1;
     double slow_factor = 1.0;  // Snapshot: cluster state is frozen during Run().
     const std::vector<PipeOp>* ops = nullptr;
-    unsigned char* done = nullptr;              // ops->size() entries
-    unsigned char* act_arrived = nullptr;       // num_microbatches entries
-    unsigned char* grad_arrived = nullptr;      // num_microbatches entries
-    unsigned char* recompute_needed = nullptr;  // Per micro-batch: list contains R(m).
-    unsigned char* recompute_done = nullptr;    // num_microbatches entries
+    unsigned char* done = nullptr;          // ops->size() entries
+    unsigned char* act_arrived = nullptr;   // num_microbatches entries
+    unsigned char* grad_arrived = nullptr;  // num_microbatches entries
     size_t cursor = 0;
     bool busy = false;
     // Rule 2: after a recompute completes the stage is committed to that
@@ -175,13 +173,11 @@ bool MinibatchRun::Runnable(const Worker& worker, const PipeOp& op) const {
       return worker.stage == 0 || worker.act_arrived[static_cast<size_t>(op.microbatch)] != 0;
     case PipeOpType::kRecompute:
       return true;  // Stashed input activation is local (list order guarantees F ran).
-    case PipeOpType::kBackward: {
-      const size_t m = static_cast<size_t>(op.microbatch);
-      if (worker.recompute_needed[m] != 0 && worker.recompute_done[m] == 0) {
-        return false;
-      }
-      return worker.grad_arrived[m] != 0;
-    }
+    case PipeOpType::kBackward:
+      // A backward runs only from the cursor (opportunistic dispatch starts
+      // forwards alone), so every op before it, its R(m) included (the
+      // validator's R-then-B rule), has finished.
+      return worker.grad_arrived[static_cast<size_t>(op.microbatch)] != 0;
     case PipeOpType::kIdleForward:
     case PipeOpType::kIdleBackward:
       return true;
@@ -219,7 +215,6 @@ void MinibatchRun::FinishOp(Worker* worker, size_t index) {
       if (IsLast(worker->stage)) {
         // Loss gradient is local; backward is ready and activations are live.
         worker->grad_arrived[static_cast<size_t>(op.microbatch)] = 1;
-        worker->recompute_done[static_cast<size_t>(op.microbatch)] = 1;
       } else {
         // Ship the activation to the next stage (overlapped with compute).
         Worker* next = &WorkerAt(worker->replica, worker->stage + 1);
@@ -236,7 +231,6 @@ void MinibatchRun::FinishOp(Worker* worker, size_t index) {
       break;
     }
     case PipeOpType::kRecompute:
-      worker->recompute_done[static_cast<size_t>(op.microbatch)] = 1;
       worker->committed_backward = op.microbatch;  // Rule 2.
       break;
     case PipeOpType::kBackward: {
@@ -356,7 +350,7 @@ void MinibatchRun::PrepareScratch() {
   const size_t microbatches = static_cast<size_t>(schedule_.num_microbatches);
   size_t flag_bytes = 0;
   for (int s = 0; s < depth(); ++s) {
-    flag_bytes += schedule_.ops[static_cast<size_t>(s)].size() + 4 * microbatches;
+    flag_bytes += schedule_.ops[static_cast<size_t>(s)].size() + 2 * microbatches;
   }
   flag_bytes *= static_cast<size_t>(replicas());
   if (scratch_.flags.size() < flag_bytes) {
@@ -381,15 +375,6 @@ void MinibatchRun::PrepareScratch() {
       arena += microbatches;
       worker.grad_arrived = arena;
       arena += microbatches;
-      worker.recompute_needed = arena;
-      arena += microbatches;
-      worker.recompute_done = arena;
-      arena += microbatches;
-      for (const PipeOp& op : *worker.ops) {
-        if (op.type == PipeOpType::kRecompute) {
-          worker.recompute_needed[static_cast<size_t>(op.microbatch)] = 1;
-        }
-      }
     }
   }
 

@@ -26,9 +26,16 @@
 
 namespace varuna {
 
+// Log-normal sigma of the testbed's per-op compute-time noise (kernel timing
+// variance). The executor applies it by default, and calibration's profiled
+// compute times inherit it.
+inline constexpr double kTestbedComputeNoiseSigma = 0.01;
+
+// Each field stays an option: the benches, directly or through the experiment
+// driver (src/varuna/experiment.h), set every one to a non-default value.
 struct ExecutorOptions {
-  // Log-normal sigma of per-op compute-time noise (kernel timing variance).
-  double compute_noise_sigma = 0.01;
+  // Log-normal sigma of per-op compute-time noise; 0 switches it off.
+  double compute_noise_sigma = kTestbedComputeNoiseSigma;
   // Sample network jitter/stalls (true) or use means only (false).
   bool sample_network = true;
   // Varuna overlaps activation/gradient sends with compute via dedicated

@@ -551,6 +551,11 @@ struct ScratchRoot {
   }
 };
 
+// Text under which an allowlist entry is not stale: pool users use the pool.
+std::string LiveEntryText(const Allowlist& list) {
+  return list.name == "kPoolUserFiles" ? "#include \"src/common/thread_pool.h\"\n" : "";
+}
+
 TEST(Allowlists, MissingFileIsReported) {
   const ScratchRoot root;
   std::string gone;
@@ -559,7 +564,7 @@ TEST(Allowlists, MissingFileIsReported) {
       if (gone.empty() && list.name == "kHotPathFiles") {
         gone = std::string(list.name) + " names missing file " + std::string(rel);
       } else {
-        root.Write(std::string(rel), "");
+        root.Write(std::string(rel), LiveEntryText(list));
       }
     }
   }
@@ -568,6 +573,35 @@ TEST(Allowlists, MissingFileIsReported) {
   ASSERT_EQ(findings.size(), 1u) << Dump(findings);
   EXPECT_EQ(findings[0].rule, "stale-allowlist");
   EXPECT_NE(findings[0].message.find(gone), std::string::npos) << findings[0].message;
+}
+
+// A kPoolUserFiles entry whose code no longer names ThreadPool nor includes
+// thread_pool.h is stale; a comment or a string literal is not a use.
+TEST(Allowlists, PoolEntryWithoutPoolUseIsReported) {
+  const ScratchRoot root;
+  std::string stale;
+  bool token_user_written = false;
+  for (const Allowlist& list : Allowlists()) {
+    for (const std::string_view rel : list.files) {
+      std::string text = LiveEntryText(list);
+      if (list.name == "kPoolUserFiles" && stale.empty()) {
+        stale = std::string(rel);
+        text = "// Used ThreadPool once.\nconst char* kWhat = \"ThreadPool\";\n";
+      } else if (list.name == "kPoolUserFiles" && !token_user_written) {
+        token_user_written = true;
+        text = "class ThreadPool;\n";
+      }
+      root.Write(std::string(rel), text);
+    }
+  }
+  ASSERT_TRUE(token_user_written);
+  std::vector<Finding> findings;
+  CheckAllowlists(root.path.string(), &findings);
+  ASSERT_EQ(findings.size(), 1u) << Dump(findings);
+  EXPECT_EQ(findings[0].rule, "stale-allowlist");
+  EXPECT_NE(findings[0].message.find("kPoolUserFiles names " + stale + ", which no longer uses"),
+            std::string::npos)
+      << findings[0].message;
 }
 
 TEST(Allowlists, EveryListIsChecked) {

@@ -305,28 +305,32 @@ TEST(SpotMarketTest, ObserversFireOncePerEventInRegistrationOrder) {
   EXPECT_EQ(market.GrantedVms(pool_b), 1);
 }
 
+// The default injector starts episodes on its own and ends them: over 48 mean
+// onset gaps episodes start and end, every degraded VM's slow factor stays in
+// the autonomous range, and healed VMs return to full speed.
 TEST(FailStutterTest, InjectsAndRecovers) {
   SimEngine engine;
   Cluster cluster(CommodityFabric());
   cluster.AddVms(Nc6V3(), 8);
-  FailStutterOptions options;
-  options.mean_onset_interval_s = 600.0;
-  options.mean_duration_s = 1200.0;
-  FailStutterInjector injector(&engine, &cluster, Rng(3), options);
+  FailStutterInjector injector(&engine, &cluster, Rng(3), FailStutterOptions());
   injector.Start();
-  engine.RunUntil(1.0 * kHour);
+  engine.RunUntil(48.0 * kMeanStutterOnsetIntervalS);
+  EXPECT_GT(injector.episodes_started(), 1);
+  EXPECT_GT(injector.episodes_ended(), 0);
+  EXPECT_EQ(injector.episodes_started() - injector.episodes_ended(),
+            injector.active_episodes());
   int slowed = 0;
   for (VmId vm = 0; vm < cluster.num_vms(); ++vm) {
-    if (cluster.Vm(vm).slow_factor > 1.0) {
+    const double factor = cluster.Vm(vm).slow_factor;
+    if (injector.IsDegraded(vm)) {
       ++slowed;
+      EXPECT_GE(factor, kMinSlowFactor - 1e-9);
+      EXPECT_LE(factor, kMaxSlowFactor + 1e-9);
+    } else {
+      EXPECT_EQ(factor, 1.0);
     }
   }
-  EXPECT_GT(slowed, 0);
-  // All episodes eventually end if injection stops (advance far without new
-  // onsets is impossible here, so just sanity-check the factor bounds).
-  for (VmId vm = 0; vm < cluster.num_vms(); ++vm) {
-    EXPECT_LE(cluster.Vm(vm).slow_factor, kMaxSlowFactor + 1e-9);
-  }
+  EXPECT_EQ(slowed, injector.active_episodes());
 }
 
 // Regression: a VM preempted mid-episode must leave the injector's exclusion

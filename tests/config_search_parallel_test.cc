@@ -14,8 +14,6 @@
 #include "src/morph/calibration.h"
 #include "src/morph/config_search.h"
 #include "src/pipeline/schedule_cache.h"
-#include "src/varuna/determinism.h"
-#include "tests/seeded_session.h"
 
 namespace varuna {
 namespace {
@@ -295,22 +293,6 @@ TEST(ConfigSearchParallelTest, SweepReusesCandidatesAcrossClusterSizes) {
   // Only freshly simulated candidates may generate schedules.
   const ScheduleCacheStats schedules_warm = search.schedule_cache()->stats();
   EXPECT_LE(schedules_warm.misses - schedules_cold.misses, resimulated);
-}
-
-// End-to-end: an elastic session whose morph decisions run on a 4-worker pool
-// produces the *same* training trace, event for event at full precision, as
-// the serial session — pooled search must never alter behaviour.
-TEST(ConfigSearchParallelTest, ElasticTrainerTraceUnchangedByPooledSearch) {
-  ChaosCampaignSpec serial_session = SeededSession(7);
-  serial_session.options.search_threads = 1;
-  ChaosCampaignSpec pooled_session = SeededSession(7);
-  pooled_session.options.search_threads = 4;
-
-  const ElasticTrace serial_trace = RunChaosCampaign(serial_session).trace;
-  const ElasticTrace pooled_trace = RunChaosCampaign(pooled_session).trace;
-  EXPECT_TRUE(serial_trace == pooled_trace);
-  EXPECT_EQ(serial_trace.Fingerprint(), pooled_trace.Fingerprint());
-  EXPECT_GT(serial_trace.minibatches_done, 0);
 }
 
 }  // namespace

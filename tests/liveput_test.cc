@@ -208,21 +208,6 @@ TEST(LiveputReplayTest, ProactivePoliciesReplayBitIdentically) {
   }
 }
 
-TEST(LiveputReplayTest, PooledSearchMatchesSerialUnderProactivePolicy) {
-  // The liveput argmax runs over the (possibly pooled) sweep: thread count
-  // must never leak into the decision sequence.
-  for (const MorphPolicy policy :
-       {MorphPolicy::kProactive, MorphPolicy::kOracleProactive}) {
-    SCOPED_TRACE(static_cast<int>(policy));
-    ChaosCampaignSpec serial = StormySpec(11, policy);
-    serial.options.search_threads = 1;
-    ChaosCampaignSpec pooled = StormySpec(11, policy);
-    pooled.options.search_threads = 3;
-    EXPECT_EQ(RunChaosCampaign(serial).fingerprint,
-              RunChaosCampaign(pooled).fingerprint);
-  }
-}
-
 // --- The head-to-head: does prediction actually pay? -------------------------
 
 struct PolicyTotals {

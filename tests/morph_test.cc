@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -118,27 +117,9 @@ TEST_F(CalibrationOptionsTest, RejectsNonPositiveMicrobatchSizes) {
   EXPECT_FALSE(Accepts(options));
 }
 
-TEST_F(CalibrationOptionsTest, RejectsZeroSamples) {
-  CalibrationOptions options;
-  options.samples = 0;
-  EXPECT_FALSE(Accepts(options));
-}
-
 TEST_F(CalibrationOptionsTest, RejectsZeroNetworkSamples) {
   CalibrationOptions options;
   options.network_samples = 0;
-  EXPECT_FALSE(Accepts(options));
-}
-
-TEST_F(CalibrationOptionsTest, RejectsNegativeComputeNoiseSigma) {
-  CalibrationOptions options;
-  options.compute_noise_sigma = -0.01;
-  EXPECT_FALSE(Accepts(options));
-}
-
-TEST_F(CalibrationOptionsTest, RejectsNanComputeNoiseSigma) {
-  CalibrationOptions options;
-  options.compute_noise_sigma = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(Accepts(options));
 }
 

@@ -192,6 +192,58 @@ TEST(VarunaScheduleTest, UnitMakespanClosedForm) {
   }
 }
 
+// The unit-time makespans of the other three kinds are closed forms too:
+//   GPipe:     4 Nm + 3(P-1) - 1. Every stage but the last recomputes all but
+//              the newest micro-batch, so even P = 1 pays Nm - 1 recomputes.
+//   1F1B:      3 Nm at P = 1, else 4 Nm + 3(P-1) - min(Nm, 2).
+//   DeepSpeed: 3 Nm at P = 1, else 4 Nm + 4(P-1); its slot loop adds one
+//              idle unit per stage of fill.
+// The grid is every shape with P <= 16 and Nm <= 3P + 16 for each kind, plus
+// sampled deep ones; the three kinds' cached ops together stay near the
+// Varuna grid's 16 MB.
+TEST(ScheduleUnitMakespanTest, ClosedFormsForGpipeOneFOneBAndDeepSpeed) {
+  const struct {
+    ScheduleKind kind;
+    double (*expected)(int depth, int microbatches);
+  } kinds[] = {
+      {ScheduleKind::kGpipe,
+       [](int depth, int microbatches) {
+         return 4.0 * microbatches + 3.0 * (depth - 1) - 1.0;
+       }},
+      {ScheduleKind::kOneFOneB,
+       [](int depth, int microbatches) {
+         if (depth == 1) {
+           return 3.0 * microbatches;
+         }
+         return 4.0 * microbatches + 3.0 * (depth - 1) - std::min(microbatches, 2);
+       }},
+      {ScheduleKind::kDeepSpeed,
+       [](int depth, int microbatches) {
+         if (depth == 1) {
+           return 3.0 * microbatches;
+         }
+         return 4.0 * microbatches + 4.0 * (depth - 1);
+       }},
+  };
+  for (const auto& [kind, expected] : kinds) {
+    const auto check = [&](int depth, int microbatches) {
+      const double makespan = ScheduleMakespanUnits(GenerateSchedule(kind, depth, microbatches));
+      EXPECT_EQ(makespan, expected(depth, microbatches))
+          << ToString(kind) << " P=" << depth << " Nm=" << microbatches;
+    };
+    for (int depth = 1; depth <= 16; ++depth) {
+      for (int microbatches = 1; microbatches <= 3 * depth + 16; ++microbatches) {
+        check(depth, microbatches);
+      }
+    }
+    for (const int depth : {24, 48, 104}) {
+      for (const int microbatches : {1, 2, 3, 3 * depth - 2, 512}) {
+        check(depth, microbatches);
+      }
+    }
+  }
+}
+
 TEST(GpipeScheduleTest, AllForwardsBeforeBackwards) {
   const Schedule schedule = GenerateSchedule(ScheduleKind::kGpipe, 4, 5);
   for (int s = 0; s < 4; ++s) {

@@ -252,14 +252,13 @@ constexpr std::array<std::string_view, 2> kThreadPoolFiles = {"src/common/thread
                                                                "src/common/thread_pool.cc"};
 // Files allowed to use the pool. Deterministic fan-out requires
 // pure-function-of-index work items with a fixed merge order, so every new
-// user is a deliberate, reviewed addition.
-constexpr std::array<std::string_view, 8> kPoolUserFiles = {
+// user is a deliberate, reviewed addition, and an entry whose file no longer
+// uses the pool is stale (CheckAllowlists).
+constexpr std::array<std::string_view, 6> kPoolUserFiles = {
     "src/common/thread_pool.h",
     "src/common/thread_pool.cc",
-    "src/morph/config_search.h",      // parallel candidate evaluation
-    "src/manager/elastic_trainer.h",  // morph planning off the step loop
-    "src/manager/elastic_trainer.cc",
-    "src/train/trainers.h",  // pooled micro-batch execution
+    "src/morph/config_search.h",  // parallel candidate evaluation
+    "src/train/trainers.h",       // pooled micro-batch execution
     "src/train/trainers.cc",
     "src/varuna/varuna.h",  // umbrella header re-export
 };
@@ -648,22 +647,6 @@ std::span<const Allowlist> Allowlists() { return kAllowlists; }
 // Pass 3: stale allowlist entries
 // ---------------------------------------------------------------------------
 
-void CheckAllowlists(const std::string& root, std::vector<Finding>* findings) {
-  for (const Allowlist& list : kAllowlists) {
-    for (const std::string_view rel : list.files) {
-      std::error_code ec;
-      if (std::filesystem::is_regular_file(std::filesystem::path(root) / rel, ec)) continue;
-      Report(findings, "tools/analyze/analyzer.cc", 0, "stale-allowlist",
-             std::string(list.name) + " names missing file " + std::string(rel) +
-                 "; delete the entry");
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Driver
-// ---------------------------------------------------------------------------
-
 namespace {
 
 bool ReadFile(const std::string& path, std::string* out) {
@@ -674,6 +657,45 @@ bool ReadFile(const std::string& path, std::string* out) {
   *out = buffer.str();
   return true;
 }
+
+// True when the file's code (not its comments) names ThreadPool or includes
+// src/common/thread_pool.h; an unreadable file counts as a user.
+bool UsesPool(const std::string& path, std::string_view rel) {
+  std::string text;
+  if (!ReadFile(path, &text)) return true;
+  const LexedFile file = Lex(path, std::string(rel), text);
+  const std::vector<const Token*> code = CodeTokens(file);
+  for (size_t i = 0; i < code.size(); ++i) {
+    if (IsPoolUse(code, i)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+void CheckAllowlists(const std::string& root, std::vector<Finding>* findings) {
+  for (const Allowlist& list : kAllowlists) {
+    for (const std::string_view rel : list.files) {
+      const std::filesystem::path path = std::filesystem::path(root) / rel;
+      std::error_code ec;
+      if (!std::filesystem::is_regular_file(path, ec)) {
+        Report(findings, "tools/analyze/analyzer.cc", 0, "stale-allowlist",
+               std::string(list.name) + " names missing file " + std::string(rel) +
+                   "; delete the entry");
+      } else if (list.name == "kPoolUserFiles" && !UsesPool(path.string(), rel)) {
+        Report(findings, "tools/analyze/analyzer.cc", 0, "stale-allowlist",
+               std::string(list.name) + " names " + std::string(rel) +
+                   ", which no longer uses ThreadPool; delete the entry");
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Driver
+// ---------------------------------------------------------------------------
+
+namespace {
 
 bool HasSourceExtension(const std::filesystem::path& path) {
   const std::string ext = path.extension().string();

@@ -24,7 +24,9 @@
 //       node-based containers.
 //     global-state (src): static, thread_local and namespace-scope variables
 //       are const or constexpr.
-//     stale-allowlist: every allowlist entry names a file under --root.
+//     stale-allowlist: every allowlist entry names a file under --root, and
+//       every kPoolUserFiles entry still uses the pool (a ThreadPool token or
+//       a src/common/thread_pool.h include in its code).
 //
 // Three contracts need no pass because the types enforce them at compile time
 // in every tree. What joins the replay contract is the ReplayRecord type
@@ -90,7 +92,8 @@ struct Allowlist {
 };
 std::span<const Allowlist> Allowlists();
 
-// Pass 3 (stale-allowlist): every allowlist entry names a file under `root`.
+// Pass 3 (stale-allowlist): every allowlist entry names a file under `root`,
+// and every kPoolUserFiles entry's file still uses the pool.
 void CheckAllowlists(const std::string& root, std::vector<Finding>* findings);
 
 struct AnalyzerOptions {
