@@ -27,7 +27,8 @@
 // reference instead of generating and validating them; so does every
 // from-scratch spot-trace sweep, because the winner check sweeps each G first.
 // Pass --no-prune to run the pruned variant as an unpruned oracle instead.
-// Writes BENCH_config_search.json (override with --json <path>).
+// Writes its rows only when given --json <path>, as BENCH_config_search.json is
+// recorded.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -82,10 +83,7 @@ double Median(std::vector<double> values) {
 }
 
 int Run(int argc, char** argv) {
-  std::string json_path = JsonPathFromArgs(argc, argv);
-  if (json_path.empty()) {
-    json_path = "BENCH_config_search.json";
-  }
+  const std::string json_path = JsonPathFromArgs(argc, argv);
   const BenchMode mode = ModeFromArgs(argc, argv);
   const bool prune = !FlagInArgs(argc, argv, "--no-prune");
   const int threads = ThreadPool::DefaultThreadCount();
@@ -324,6 +322,9 @@ int Run(int argc, char** argv) {
   json.AddScalar("trace_candidates_pruned",
                  static_cast<double>(trace_after.candidates_pruned -
                                      trace_before.candidates_pruned));
+  if (json_path.empty()) {
+    return 0;
+  }
   if (!json.WriteTo(json_path)) {
     return 1;
   }

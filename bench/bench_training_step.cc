@@ -10,8 +10,9 @@
 //                     deterministic thread pool (N = hardware threads).
 // An equivalence gate runs before any timing: every GEMM the step issues must
 // be bit-identical to the naive reference loops, and the three variants must
-// produce bit-identical loss and gradients. Writes BENCH_training_step.json
-// (--json <path> overrides; --smoke for 1x1 CI runs).
+// produce bit-identical loss and gradients. Writes its rows only when given
+// --json <path> (BENCH_training_step.json is recorded through
+// tools/bench_median.py); --smoke for 1x1 CI runs.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -87,10 +88,7 @@ int CheckStepGemms(const std::vector<Tensor*>& params) {
 }
 
 int Run(int argc, char** argv) {
-  std::string json_path = JsonPathFromArgs(argc, argv);
-  if (json_path.empty()) {
-    json_path = "BENCH_training_step.json";
-  }
+  const std::string json_path = JsonPathFromArgs(argc, argv);
   const BenchMode mode = ModeFromArgs(argc, argv);
   const int threads = ThreadPool::DefaultThreadCount();
 
@@ -171,6 +169,9 @@ int Run(int argc, char** argv) {
   json.AddResult("blocked_by_value", blocked_stats);
   json.AddResult("blocked_arena_trainstep", arena_stats);
   json.AddResult("pooled_trainstep", pooled_stats);
+  if (json_path.empty()) {
+    return 0;
+  }
   if (!json.WriteTo(json_path)) {
     return 1;
   }

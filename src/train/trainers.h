@@ -42,8 +42,9 @@ namespace varuna {
 // Knobs shared by all trainers.
 struct MathOptions {
   // Workers for micro-batch / stage-wavefront math (1 = serial inline). It
-  // pays: on a shared 4-thread x86-64 host fig9_convergence took 8.1–10.8 s at
-  // --math-threads 4 against 11.5–13.1 s at 1, with identical output.
+  // pays: on a shared 4-thread x86-64 host fig9_convergence took 8.7–10.3 s at
+  // --math-threads 4 against 11.2–12.7 s at 1, with identical output (four
+  // alternating pairs, listed in EXPERIMENTS.md under Figure 9).
   int math_threads = 1;
 };
 
