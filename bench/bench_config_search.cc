@@ -2,7 +2,8 @@
 // path. The paper quotes 660/376/391 ms per simulated configuration for
 // P=36/24/18 on a 128-GPU, batch-8192 GPT-2 8.3B job, and parallelizes the
 // config search over candidate configs (§4.4): morphing agility is bounded by
-// how fast this loop runs at every preemption/arrival event.
+// how fast this loop runs at every preemption/arrival event. Here one
+// simulation costs about a millisecond, and the sweep runs on one thread.
 //
 // Measures, with warmup + repeated runs (median/min):
 //   * one FastSimulator::EstimateMinibatch call at P=36/24/18 (the paper's
@@ -10,8 +11,7 @@
 //   * one schedule miss at P=36, Nm=2048 (a morph to an unseen shape):
 //     ValidateSchedule on the cached schedule, and GenerateSchedule
 //     (generate, validate, compile) on a fresh Nm every repeat;
-//   * the full joint P x m sweep at G=128, cold caches, serial vs pooled
-//     (ThreadPool with one worker per hardware thread);
+//   * the full joint P x m sweep at G=128, cold caches;
 //   * an exact revisit of G=128 served from the candidate table (the
 //     repeated-cluster-size morph case: hash probes, no simulation);
 //   * a spot trace: sweeps at previously-unseen GPU counts, where speed
@@ -149,52 +149,27 @@ int Run(int argc, char** argv) {
   json.AddResult("validate_P36", validate);
   json.AddResult("schedule_miss_P36", miss);
 
-  // --- Full sweep: serial vs pooled, cold caches each repeat. ---------------
-  ConfigSearch serial_search(&prepared.spec, &prepared.sections, &prepared.calibration);
-  ThreadPool pool(threads);
-  ConfigSearch pooled_search(&prepared.spec, &prepared.sections, &prepared.calibration, &pool);
+  // --- Full sweep, cold caches each repeat. ---------------------------------
+  ConfigSearch search(&prepared.spec, &prepared.sections, &prepared.calibration);
+  const auto configs = search.Sweep(gpus, constraints).value();
+  std::printf("joint P x m sweep: %zu feasible configs (depths x %d micro-batch candidates)\n\n",
+              configs.size(), constraints.microbatch_candidates);
 
-  // Pooled must be bit-identical to serial (the determinism contract the
-  // property tests pin); refuse to report numbers for divergent results.
-  const auto serial_configs = serial_search.Sweep(gpus, constraints).value();
-  const auto pooled_configs = pooled_search.Sweep(gpus, constraints).value();
-  VARUNA_CHECK_EQ(serial_configs.size(), pooled_configs.size());
-  for (size_t i = 0; i < serial_configs.size(); ++i) {
-    VARUNA_CHECK(serial_configs[i] == pooled_configs[i])
-        << "pooled sweep diverged from serial at config " << i;
-  }
-  std::printf("joint P x m sweep: %zu feasible configs (depths x %d micro-batch candidates), "
-              "pooled == serial verified\n\n",
-              serial_configs.size(), constraints.microbatch_candidates);
-
-  const BenchStats serial_cold = TimeIt(mode.Warmup(1), mode.Repeats(7), [&] {
-    serial_search.ClearCaches();
-    (void)serial_search.Sweep(gpus, constraints);
-  });
-  const BenchStats pooled_cold = TimeIt(mode.Warmup(1), mode.Repeats(7), [&] {
-    pooled_search.ClearCaches();
-    (void)pooled_search.Sweep(gpus, constraints);
+  const BenchStats cold_sweep = TimeIt(mode.Warmup(1), mode.Repeats(7), [&] {
+    search.ClearCaches();
+    (void)search.Sweep(gpus, constraints);
   });
   // Revisit: the table path a spot trace takes when a cluster size recurs.
   const BenchStats revisit = TimeIt(mode.Warmup(1), mode.Repeats(15), [&] {
-    (void)serial_search.Sweep(gpus, constraints);
+    (void)search.Sweep(gpus, constraints);
   });
 
   Table sweep_table({"variant", "median (ms)", "min (ms)", "mean (ms)"});
-  sweep_table.AddRow({"cold sweep, serial", Table::Num(serial_cold.median_ms, 2),
-                      Table::Num(serial_cold.min_ms, 2), Table::Num(serial_cold.mean_ms, 2)});
-  sweep_table.AddRow({"cold sweep, pooled x" + std::to_string(threads),
-                      Table::Num(pooled_cold.median_ms, 2), Table::Num(pooled_cold.min_ms, 2),
-                      Table::Num(pooled_cold.mean_ms, 2)});
+  sweep_table.AddRow({"cold sweep", Table::Num(cold_sweep.median_ms, 2),
+                      Table::Num(cold_sweep.min_ms, 2), Table::Num(cold_sweep.mean_ms, 2)});
   sweep_table.AddRow({"exact revisit (candidate table)", Table::Num(revisit.median_ms, 4),
                       Table::Num(revisit.min_ms, 4), Table::Num(revisit.mean_ms, 4)});
   std::printf("%s\n", sweep_table.Render().c_str());
-
-  const double speedup = serial_cold.median_ms / pooled_cold.median_ms;
-  std::printf("pooled speedup: %.2fx on %d hardware thread(s)"
-              "%s\n\n",
-              speedup, threads,
-              threads < 4 ? " (the >=2x target applies on >=4 cores)" : "");
 
   // --- Spot trace: previously-unseen G, incremental vs from-scratch. --------
   // An elastic session never re-decides the same cluster size twice in a row;
@@ -293,16 +268,9 @@ int Run(int argc, char** argv) {
               static_cast<unsigned long long>(trace_after.candidates_pruned -
                                               trace_before.candidates_pruned));
 
-  json.AddResult("sweep_cold_serial", serial_cold);
-  json.AddResult("sweep_cold_pooled", pooled_cold);
+  json.AddResult("sweep_cold_serial", cold_sweep);
   json.AddResult("sweep_revisit_table", revisit);
-  json.AddScalar("pool_threads", threads);
-  if (threads < 2) {
-    json.AddString("pooled_caveat",
-                   "1 hardware thread: pooled == serial + dispatch, speedup is noise");
-  }
-  json.AddScalar("feasible_configs", static_cast<double>(serial_configs.size()));
-  json.AddScalar("speedup_pooled_vs_serial", speedup);
+  json.AddScalar("feasible_configs", static_cast<double>(configs.size()));
   json.AddScalar("prune_enabled", prune ? 1.0 : 0.0);
   json.AddScalar("trace_points", trace_points);
   json.AddScalar("trace_cold_median_ms", Median(cold_ms));

@@ -68,7 +68,9 @@ Result<std::monostate> TrainerOptions::Validate() const {
   const auto positive = [](double value) { return std::isfinite(value) && value > 0.0; };
   // (holds, message); each message starts with the field it constrains.
   const std::pair<bool, const char*> rules[] = {
-      {positive(total_batch), "total_batch must be > 0 and finite"},
+      // ConfigSearch::Sweep refuses the same range.
+      {total_batch > 0.0 && total_batch <= kMaxTotalBatch,
+       "total_batch must be > 0 and at most 2^30 - 1"},
       {demand_vms >= 1, "demand_vms must be >= 1"},
       {checkpoint_every_minibatches >= 1, "checkpoint_every_minibatches must be >= 1"},
       // A zero interval would reschedule ProvisionTick at `now` forever.

@@ -294,9 +294,8 @@ class ElasticTrainer {
   void OnVmPreempted(SpotMarket::MarketVmId id);
 
   // The one bring-up step: calibrates once (from a fork of the session Rng)
-  // when at least 4 GPUs are active, then builds the search pool and the
-  // config search. Returns whether the search exists; every configure path
-  // asks it first.
+  // when at least 4 GPUs are active, then builds the config search. Returns
+  // whether the search exists; every configure path asks it first.
   bool EnsureSearch();
   // Blacklists what `decision` removes, stops the job unless it was decided
   // while stopped, rolls back if it lost state, and reconfigures.

@@ -12,13 +12,6 @@ namespace varuna {
 
 namespace {
 
-// Un-memoized candidates are simulated in rounds of this many (after a first
-// round of one when pruning), with pruning re-evaluated against the incumbent
-// between rounds. A compile-time constant — never the pool size — so which
-// candidates get pruned is a pure function of the sweep inputs, and pooled
-// sweeps stay bit-identical to serial ones.
-constexpr size_t kSimulationRound = 16;
-
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -166,7 +159,6 @@ Partition ConfigSearch::CopyPartition(int depth) const {
 
 Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
                                                    const SearchConstraints& constraints) const {
-  VARUNA_CHECK_GT(constraints.total_batch, 0.0);
   const auto infeasible = [&] {
     std::ostringstream message;
     message << "no feasible configuration for " << gpus << " GPUs (model " << spec_->name
@@ -176,12 +168,12 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
   if (gpus < 1) {
     return Result<std::vector<JobConfig>>::Error("no GPUs available");
   }
+  // Also refuses NaN and +inf, whose Nm would not fit an int.
+  if (!(constraints.total_batch > 0.0 && constraints.total_batch <= kMaxTotalBatch)) {
+    return Result<std::vector<JobConfig>>::Error("total_batch must be > 0 and at most 2^30 - 1");
+  }
   std::unique_lock<std::mutex> lock(sweep_mutex_);
   ++stats_.sweeps;
-  const int workers = (pool_ != nullptr) ? pool_->num_threads() : 1;
-  if (static_cast<int>(simulators_.size()) < workers) {
-    simulators_.resize(static_cast<size_t>(workers), FastSimulator(calibration_));
-  }
 
   // The candidate table survives across G but not across a change to what
   // make_sim_config feeds the simulator — a stale hit would be a silent wrong
@@ -197,11 +189,10 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
   const int max_depth = std::min(gpus, sections_->num_sections());
 
   // Enumerate every memory-feasible candidate in ascending (P, m) order —
-  // the output order. Table probes resolve here, serially and lock-free
-  // (sweep_mutex_ already excludes other sweeps): feasibility and bounds are
-  // computed once per entry, and simulated candidates seed the incumbent. At
-  // a previously-unseen G most candidates resolve here, so pruning has a
-  // strong incumbent before the first simulation round.
+  // the output order. Feasibility and bounds are computed once per table
+  // entry, and simulated candidates seed the incumbent. At a previously-unseen
+  // G most candidates resolve here, so pruning has a strong incumbent before
+  // the first simulation.
   struct Candidate {
     CandidateKey key;
     const Partition* partition = nullptr;
@@ -262,7 +253,7 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
       } else {
         if (!entry.bounded) {
           // Cheap: O(P) in calibrated scalars, no schedule.
-          entry.lower_bound_s = simulators_[0].LowerBoundMinibatch(
+          entry.lower_bound_s = simulator_.LowerBoundMinibatch(
               make_sim_config(candidate), num_microbatches);
           entry.bounded = true;
         }
@@ -281,12 +272,9 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
   // lowest (P, m), which Best()'s strict > already guarantees for the
   // survivors). With pruning on, the misses the incumbent already rules out
   // are dropped first, and the rest are ordered best bound first (ties by
-  // enumeration index), so the first simulation — a round of one — sets the
-  // strongest incumbent the bounds can point to, and the first loser ends the
-  // search: no later bound is higher. Unpruned sweeps simulate every miss and
-  // keep enumeration order. Within a round the fan-out writes results into
-  // item-indexed slots and the merge walks them in round order, so worker
-  // interleaving never shows: pooled == serial, bit for bit.
+  // enumeration index); each simulation raises the incumbent before the next
+  // bound is checked, and the first loser ends the search: no later bound is
+  // higher. Unpruned sweeps simulate every miss in enumeration order.
   const uint64_t unsimulated = pending.size();
   const auto loses = [&](size_t index) { return candidates[index].bound_throughput < incumbent; };
   if (constraints.prune) {
@@ -298,47 +286,20 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
     });
   }
   uint64_t simulated = 0;
-  std::vector<size_t> round;
-  size_t round_size = constraints.prune ? 1 : kSimulationRound;
-  size_t next_pending = 0;
-  while (next_pending < pending.size()) {
-    round.clear();
-    while (next_pending < pending.size() && round.size() < round_size) {
-      if (constraints.prune && loses(pending[next_pending])) {
-        next_pending = pending.size();  // Best-first: every later candidate loses too.
-        break;
-      }
-      round.push_back(pending[next_pending++]);
+  for (const size_t index : pending) {
+    if (constraints.prune && loses(index)) {
+      break;  // Best-first: every later candidate loses too.
     }
-    if (round.empty()) {
-      break;
-    }
-    const auto simulate = [&](int item, int worker) {
-      Candidate& candidate = candidates[round[static_cast<size_t>(item)]];
-      const Schedule& schedule = GenerateSchedule(
-          ScheduleKind::kVaruna, candidate.key.depth, candidate.key.num_microbatches);
-      candidate.sim = simulators_[static_cast<size_t>(worker)].EstimateMinibatch(
-          schedule, make_sim_config(candidate));
-    };
-    if (pool_ != nullptr && pool_->num_threads() > 1 && round.size() > 1) {
-      pool_->ParallelFor(static_cast<int>(round.size()), simulate);
-    } else {
-      // 1-worker pools short-circuit to the serial path: same code, no
-      // dispatch overhead, and trivially identical results.
-      for (int item = 0; item < static_cast<int>(round.size()); ++item) {
-        simulate(item, 0);
-      }
-    }
-    simulated += round.size();
-    round_size = kSimulationRound;
-    for (const size_t index : round) {
-      Candidate& candidate = candidates[index];
-      candidate.resolved = true;
-      CandidateEntry& entry = candidate_memo_.FindOrInsert(candidate.key);
-      entry.sim = candidate.sim;
-      entry.simulated = true;
-      incumbent = std::max(incumbent, actual_batch(candidate) / candidate.sim.minibatch_s);
-    }
+    Candidate& candidate = candidates[index];
+    const Schedule& schedule = GenerateSchedule(ScheduleKind::kVaruna, candidate.key.depth,
+                                                candidate.key.num_microbatches);
+    candidate.sim = simulator_.EstimateMinibatch(schedule, make_sim_config(candidate));
+    candidate.resolved = true;
+    ++simulated;
+    CandidateEntry& entry = candidate_memo_.FindOrInsert(candidate.key);
+    entry.sim = candidate.sim;
+    entry.simulated = true;
+    incumbent = std::max(incumbent, actual_batch(candidate) / candidate.sim.minibatch_s);
   }
 
   // Assemble the result in enumeration order (ascending (P, m)).
@@ -379,7 +340,7 @@ Result<JobConfig> ConfigSearch::Best(int gpus, const SearchConstraints& constrai
   for (const JobConfig& candidate : configs) {
     // M_total is fixed, so maximising throughput == minimising the time to
     // process one mini-batch's worth of examples. Strict > keeps the first
-    // (lowest (P, m)) of exact ties, independent of pool interleaving.
+    // (lowest (P, m)) of exact ties.
     if (candidate.est_examples_per_s > best->est_examples_per_s) {
       best = &candidate;
     }

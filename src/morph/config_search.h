@@ -33,16 +33,14 @@
 //     bound-optimistic throughput strictly loses to the incumbent best is
 //     pruned before it gets a schedule or a simulation. The sweep drops the
 //     candidates the table's simulated entries already rule out, orders the
-//     rest best bound first, simulates the best-bounded one alone, and stops
-//     at the first loser. Pruning never changes Best(); it thins Sweep()'s
-//     list. With pruning off nothing is ordered: every candidate is
-//     simulated.
-//   * Simulations fan out over the optional ThreadPool in rounds (one
-//     FastSimulator per worker, stall RNG seeded per candidate). Round
-//     composition is a pure function of the inputs — never the worker count
-//     — so pruning decisions, and therefore the full result vector, are
-//     bit-identical across serial and pooled sweeps (property-tested). The
-//     list is returned in ascending (P, m) order.
+//     rest best bound first, and simulates them one at a time, each raising
+//     the incumbent before the next bound is checked, until the first loser.
+//     Pruning never changes Best(); it thins Sweep()'s list. With pruning
+//     off nothing is ordered: every candidate is simulated, in enumeration
+//     order. The list is returned in ascending (P, m) order.
+//   * One sweep runs on the calling thread with one FastSimulator. A
+//     simulation costs about a millisecond here (BENCH_config_search.json),
+//     so parallelism belongs at campaign grain, one search per session.
 // Best() and an unpruned Sweep() are pure functions of (G, calibration,
 // constraints) whatever the table holds; only a pruned list depends on which
 // candidates earlier sweeps simulated. Availability and restore pricing are
@@ -60,7 +58,6 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/common/thread_pool.h"
 #include "src/model/cutpoints.h"
 #include "src/model/transformer.h"
 #include "src/morph/calibration.h"
@@ -83,13 +80,17 @@ struct JobConfig {
     return static_cast<double>(microbatch_size) * num_microbatches * data_parallel;
   }
 
-  // Exact comparison (doubles included): the parallel-sweep property tests
-  // assert pooled results are bit-identical to serial ones.
+  // Exact comparison (doubles included): the property tests assert that warm
+  // and pruned sweeps return bit-identical configs to cold, unpruned ones.
   bool operator==(const JobConfig&) const = default;
 };
 
+// The largest total_batch Sweep() accepts: Nm <= ceil(M_total), and the
+// schedule memo packs Nm into 30 bits (ScheduleCache::PackKey).
+inline constexpr double kMaxTotalBatch = (1 << 30) - 1;
+
 struct SearchConstraints {
-  double total_batch = 0.0;           // M_total, fixed by the user.
+  double total_batch = 0.0;           // M_total in (0, kMaxTotalBatch], fixed by the user.
   MemoryBudget budget;                // Per-GPU memory.
   int gpus_per_node = 1;              // Placement packing for the fast sim.
   double shared_sync_bytes = 0.0;     // From the tracer.
@@ -164,9 +165,8 @@ struct CandidateEntry {
 };
 
 // Flat open-addressing (linear-probe, power-of-two capacity) table from
-// CandidateKey to CandidateEntry. Not thread-safe: ConfigSearch only touches
-// it from the serial phases of a sweep (enumeration before the fan-out,
-// stores after each round's join), which is what keeps the probes lock-free.
+// CandidateKey to CandidateEntry. Not thread-safe: ConfigSearch touches it
+// only under its sweep_mutex_.
 class CandidateMemo {
  public:
   // Clears the table when `context` differs from the stored one
@@ -200,11 +200,9 @@ class CandidateMemo {
 
 class ConfigSearch {
  public:
-  // `pool` is optional: null (or a 1-worker pool) keeps the sweep serial.
-  // Pooled and serial sweeps return bit-identical results.
   ConfigSearch(const TransformerSpec* spec, const ModelSections* sections,
-               const Calibration* calibration, ThreadPool* pool = nullptr)
-      : spec_(spec), sections_(sections), calibration_(calibration), pool_(pool) {}
+               const Calibration* calibration)
+      : spec_(spec), sections_(sections), calibration_(calibration), simulator_(calibration) {}
 
   // Lowest profiled m whose per-example forward time is within `tolerance` of
   // the next profiled size's. Done once; reused across morphs.
@@ -215,14 +213,15 @@ class ConfigSearch {
   std::vector<int> PickMicrobatchCandidates(double tolerance, int max_candidates) const;
 
   // Best configuration for `gpus` available GPUs. Returns an error when even
-  // the deepest pipeline cannot fit (too few GPUs or memory).
+  // the deepest pipeline cannot fit (too few GPUs or memory), or when
+  // constraints.total_batch is not in (0, kMaxTotalBatch].
   Result<JobConfig> Best(int gpus, const SearchConstraints& constraints) const;
 
   // The feasible configurations evaluated during the sweep (for diagnostics
   // and the Table 3 bench), ascending by (P, m). With constraints.prune set,
   // bound-pruned candidates are omitted (they are provably not the best), and
   // which ones depends on what earlier sweeps simulated; disable pruning for
-  // the exhaustive list, a pure function of the inputs.
+  // the exhaustive list, a pure function of the inputs. Fails as Best() does.
   Result<std::vector<JobConfig>> Sweep(int gpus, const SearchConstraints& constraints) const;
 
   // A copy of the balanced partition the sweep evaluates at `depth` (every
@@ -252,17 +251,13 @@ class ConfigSearch {
   const TransformerSpec* spec_;
   const ModelSections* sections_;
   const Calibration* calibration_;
-  ThreadPool* pool_;
 
-  // Serialises whole sweeps and guards all of the mutable state below: the
-  // per-worker simulators, the candidate memo, the partition cache and the
-  // counters are shared, so two externally concurrent Sweep() calls on one
-  // instance must not overlap (the internal fan-out is unaffected).
+  // Serialises whole sweeps and guards all of the mutable state below, so
+  // callers that share one instance across threads never overlap in it.
   mutable std::mutex sweep_mutex_;
   mutable ConfigSearchStats stats_;
-  // One simulator per worker, constructed once and reused across sweeps so
-  // the scratch buffers amortise (hoisted out of the per-candidate loop).
-  mutable std::vector<FastSimulator> simulators_;
+  // Reused across sweeps so its scratch buffers amortise.
+  mutable FastSimulator simulator_;
   mutable CandidateMemo candidate_memo_;
   // (*partitions_)[depth - 1] for every depth 1..K, from one DP on first use.
   mutable std::optional<std::vector<Partition>> partitions_;

@@ -13,9 +13,8 @@
 // walk over the schedule's compiled eval_order, and every value it reads was
 // written earlier in the same call. Estimates are a pure function of (schedule,
 // config, calibration): the stall RNG is seeded per candidate, never carried
-// across calls, which is what lets ConfigSearch evaluate candidates on
-// ThreadPool workers (one simulator per worker) with bit-identical results to a
-// serial sweep.
+// across calls, so a ConfigSearch reuses one simulator for every candidate and
+// a candidate's estimate never depends on which candidates came before it.
 #ifndef SRC_MORPH_FAST_SIM_H_
 #define SRC_MORPH_FAST_SIM_H_
 

@@ -51,8 +51,8 @@ class ScheduleCache {
     std::unique_ptr<Schedule> schedule;
   };
 
-  // depth and num_microbatches are bounded far below 2^30 (depth <= cut-point
-  // count, Nm <= M_total), so the packing is collision-free.
+  // depth and num_microbatches are bounded below 2^30 (depth <= cut-point
+  // count, Nm <= M_total <= kMaxTotalBatch), so the packing is collision-free.
   static uint64_t PackKey(ScheduleKind kind, int depth, int num_microbatches);
 
   // The miss path (generate, validate, compile eval_order); defined beside the

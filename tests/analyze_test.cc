@@ -396,7 +396,7 @@ TEST(Threading, SpawningOutsideThePoolIsFlagged) {
 TEST(Threading, PoolUsersAreAReviewedList) {
   const std::string text = "#include \"src/common/thread_pool.h\"\nvoid F(ThreadPool* pool);\n";
   EXPECT_EQ(HouseLines("src/x.cc", text, "threading"), (Lines{1, 2}));
-  EXPECT_EQ(HouseLines("src/morph/config_search.h", text, "threading"), Lines{});
+  EXPECT_EQ(HouseLines("src/train/trainers.h", text, "threading"), Lines{});
 }
 
 TEST(HotPath, NodeContainersAndStdFunctionAreFlagged) {

@@ -3,10 +3,10 @@
 //   * Over seeded spot traces that also flip the budget, CPU offload and
 //     pruning, the incremental sweep's chosen JobConfig at every point is
 //     bit-identical (operator==, doubles included) to a from-scratch cold
-//     sweep's, serial and pooled, and every unpruned list equals the cold
-//     list: Best() and unpruned sweeps do not depend on the table's history.
-//   * Pruned sweeps are bit-identical across serial and pooled execution
-//     (pruning rounds are a fixed size, never the worker count).
+//     sweep's, and every unpruned list equals the cold list: Best() and
+//     unpruned sweeps do not depend on the table's history.
+//   * A cold pruned sweep simulates exactly the candidates a best-first walk
+//     over the analytic bounds reaches before its first loser.
 //   * The analytic lower bound never exceeds the simulated time (the
 //     pruning-soundness invariant), and a pruned candidate never gets a
 //     schedule.
@@ -21,8 +21,11 @@
 //     instance returns. A budget change forgets only the feasibility bits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -30,7 +33,6 @@
 #include "src/cluster/cluster.h"
 #include "src/cluster/vm.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/model/op_graph.h"
 #include "src/morph/calibration.h"
 #include "src/morph/config_search.h"
@@ -102,15 +104,13 @@ TEST(ConfigSearchIncrementalTest, SpotTraceWinnersBitIdenticalToColdSweeps) {
     return oracle.emplace(key, std::move(result)).first->second;
   };
 
-  ThreadPool pool(4);
   Rng rng(0x5707ULL);
   constexpr int kTraces = 50;
   constexpr int kPointsPerTrace = 5;
   for (int trace = 0; trace < kTraces; ++trace) {
     // One incremental searcher per trace: its candidate table accumulates
     // across the trace's morph events, exactly like a live session's.
-    ConfigSearch serial(&fx.spec, &fx.sections, &fx.calibration);
-    ConfigSearch pooled(&fx.spec, &fx.sections, &fx.calibration, &pool);
+    ConfigSearch search(&fx.spec, &fx.sections, &fx.calibration);
     for (int point = 0; point < kPointsPerTrace; ++point) {
       const int gpus = static_cast<int>(rng.UniformInt(12, 40));
       const int budget = static_cast<int>(rng.UniformInt(0, 1));
@@ -126,44 +126,80 @@ TEST(ConfigSearchIncrementalTest, SpotTraceWinnersBitIdenticalToColdSweeps) {
       if (!constraints.prune) {
         // An unpruned list is history-free: whatever the table holds, it is
         // the cold instance's list.
-        const auto serial_sweep = serial.Sweep(gpus, constraints);
-        const auto pooled_sweep = pooled.Sweep(gpus, constraints);
-        ASSERT_TRUE(serial_sweep.ok()) << where.str();
-        ASSERT_TRUE(pooled_sweep.ok()) << where.str();
-        EXPECT_EQ(serial_sweep.value(), expected.sweep) << where.str();
-        EXPECT_EQ(pooled_sweep.value(), expected.sweep) << where.str();
+        const auto sweep = search.Sweep(gpus, constraints);
+        ASSERT_TRUE(sweep.ok()) << where.str();
+        EXPECT_EQ(sweep.value(), expected.sweep) << where.str();
       }
-      const auto serial_best = serial.Best(gpus, constraints);
-      const auto pooled_best = pooled.Best(gpus, constraints);
-      ASSERT_TRUE(serial_best.ok()) << where.str();
-      ASSERT_TRUE(pooled_best.ok()) << where.str();
-      EXPECT_TRUE(serial_best.value() == expected.best)
-          << where.str() << " serial winner diverged from cold sweep";
-      EXPECT_TRUE(pooled_best.value() == expected.best)
-          << where.str() << " pooled winner diverged from cold sweep";
+      const auto best = search.Best(gpus, constraints);
+      ASSERT_TRUE(best.ok()) << where.str();
+      EXPECT_TRUE(best.value() == expected.best)
+          << where.str() << " winner diverged from cold sweep";
     }
     // The traces genuinely exercise the incremental path, not 50 cold runs.
     if (trace == 0) {
-      EXPECT_GT(serial.stats().candidate_memo_hits, 0u);
+      EXPECT_GT(search.stats().candidate_memo_hits, 0u);
     }
   }
 }
 
-TEST(ConfigSearchIncrementalTest, PrunedSweepBitIdenticalSerialVsPooled) {
-  const SearchConstraints constraints = DefaultConstraints();  // prune on.
-  Fixture fx(7);
-  for (const int gpus : {16, 36, 100}) {
-    ConfigSearch serial(&fx.spec, &fx.sections, &fx.calibration);
-    const auto serial_sweep = serial.Sweep(gpus, constraints);
-    ASSERT_TRUE(serial_sweep.ok());
-    for (const int threads : {1, 2, 4}) {
-      ThreadPool pool(threads);
-      ConfigSearch pooled(&fx.spec, &fx.sections, &fx.calibration, &pool);
-      const auto pooled_sweep = pooled.Sweep(gpus, constraints);
-      ASSERT_TRUE(pooled_sweep.ok());
-      EXPECT_EQ(pooled_sweep.value(), serial_sweep.value())
-          << "G=" << gpus << " threads=" << threads;
+// The pruned sweep's work, reproduced from outside: a cold instance simulates
+// exactly the candidates a best-first walk reaches before its first loser,
+// where each simulated candidate raises the incumbent before the next bound is
+// checked. The walk orders the unpruned list by bound-optimistic throughput
+// (ties by enumeration order) and reads each candidate's simulated throughput
+// from that list.
+TEST(ConfigSearchIncrementalTest, ColdPrunedSweepSimulatesUpToTheFirstLoser) {
+  Fixture fx;
+  const SearchConstraints pruned = DefaultConstraints();
+  SearchConstraints unpruned = pruned;
+  unpruned.prune = false;
+  FastSimulator simulator(&fx.calibration);
+  for (const int gpus : {16, 36, 48, 64, 100}) {
+    ConfigSearch exhaustive(&fx.spec, &fx.sections, &fx.calibration);
+    const auto all = exhaustive.Sweep(gpus, unpruned);
+    ASSERT_TRUE(all.ok()) << "G=" << gpus;
+    const std::vector<JobConfig>& configs = all.value();
+    std::vector<double> bound_throughput;
+    for (const JobConfig& config : configs) {
+      const Partition partition = exhaustive.CopyPartition(config.pipeline_depth);
+      FastSimConfig sim_config;
+      sim_config.sections = &fx.sections;
+      sim_config.partition = &partition;
+      sim_config.data_parallel = config.data_parallel;
+      sim_config.microbatch_size = config.microbatch_size;
+      sim_config.gpus_per_node = pruned.gpus_per_node;
+      sim_config.shared_sync_bytes = pruned.shared_sync_bytes;
+      const double bound = simulator.LowerBoundMinibatch(sim_config, config.num_microbatches);
+      bound_throughput.push_back(bound > 0.0 ? config.ActualBatch() / bound
+                                             : std::numeric_limits<double>::infinity());
     }
+    std::vector<size_t> order(configs.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return bound_throughput[a] > bound_throughput[b];
+    });
+    std::vector<bool> reached(configs.size(), false);
+    double incumbent = 0.0;
+    for (const size_t index : order) {
+      if (bound_throughput[index] < incumbent) {
+        break;
+      }
+      reached[index] = true;
+      incumbent = std::max(incumbent, configs[index].est_examples_per_s);
+    }
+    std::vector<JobConfig> expected;
+    for (size_t index = 0; index < configs.size(); ++index) {
+      if (reached[index]) {
+        expected.push_back(configs[index]);
+      }
+    }
+
+    ConfigSearch cold(&fx.spec, &fx.sections, &fx.calibration);
+    const auto sweep = cold.Sweep(gpus, pruned);
+    ASSERT_TRUE(sweep.ok()) << "G=" << gpus;
+    EXPECT_EQ(sweep.value(), expected) << "G=" << gpus;
+    EXPECT_EQ(cold.stats().candidates_simulated, expected.size()) << "G=" << gpus;
+    EXPECT_EQ(cold.stats().candidates_pruned, configs.size() - expected.size()) << "G=" << gpus;
   }
 }
 
@@ -176,9 +212,7 @@ TEST(ConfigSearchIncrementalTest, PrunedWinnerEqualsUnprunedWinner) {
   MemoryBudget budgets[2];
   budgets[0].gpu_memory_bytes = Nc6V3().gpu.memory_bytes;
   budgets[1].gpu_memory_bytes = 2.0 * Nc6V3().gpu.memory_bytes;
-  ThreadPool pool(4);
-  ConfigSearch serial(&fx.spec, &fx.sections, &fx.calibration);
-  ConfigSearch pooled(&fx.spec, &fx.sections, &fx.calibration, &pool);
+  ConfigSearch search(&fx.spec, &fx.sections, &fx.calibration);
   ConfigSearch unpruned_search(&fx.spec, &fx.sections, &fx.calibration);
   Rng rng(0xb0b0ULL);
   const int fixed_gpus[] = {12, 16, 36, 64, 100};
@@ -200,21 +234,17 @@ TEST(ConfigSearchIncrementalTest, PrunedWinnerEqualsUnprunedWinner) {
           << " budget=" << pruned.budget.gpu_memory_bytes
           << " offload=" << pruned.cpu_offload_optimizer;
     const auto expected = unpruned_search.Best(gpus, unpruned);
-    const auto serial_best = serial.Best(gpus, pruned);
-    const auto pooled_best = pooled.Best(gpus, pruned);
-    ASSERT_EQ(expected.ok(), serial_best.ok()) << where.str();
-    ASSERT_EQ(expected.ok(), pooled_best.ok()) << where.str();
+    const auto best = search.Best(gpus, pruned);
+    ASSERT_EQ(expected.ok(), best.ok()) << where.str();
     if (expected.ok()) {
-      EXPECT_TRUE(serial_best.value() == expected.value()) << where.str() << " serial";
-      EXPECT_TRUE(pooled_best.value() == expected.value()) << where.str() << " pooled";
+      EXPECT_TRUE(best.value() == expected.value()) << where.str();
     }
   }
   // And pruning actually pruned something somewhere, or the test is vacuous.
-  EXPECT_GT(serial.stats().candidates_pruned, 0u);
-  EXPECT_EQ(pooled.stats().candidates_pruned, serial.stats().candidates_pruned);
+  EXPECT_GT(search.stats().candidates_pruned, 0u);
   // The pruned list is a subset containing the winner; the unpruned list is
   // exhaustive.
-  EXPECT_LT(serial.stats().candidates_simulated, unpruned_search.stats().candidates_simulated);
+  EXPECT_LT(search.stats().candidates_simulated, unpruned_search.stats().candidates_simulated);
 }
 
 // Pruning happens before simulation, so a losing candidate never asks the

@@ -295,6 +295,8 @@ TEST(TrainerOptionsTest, ValidateRejectsEachOutOfRangeKnob) {
       {"total_batch", [](TrainerOptions& o) { o.total_batch = 0.0; }},
       {"total_batch", [](TrainerOptions& o) { o.total_batch = kInf; }},
       {"total_batch", [](TrainerOptions& o) { o.total_batch = kNan; }},
+      {"total_batch", [](TrainerOptions& o) { o.total_batch = 1e12; }},
+      {"total_batch", [](TrainerOptions& o) { o.total_batch = kMaxTotalBatch + 1.0; }},
       {"provision_check_interval_s",
        [](TrainerOptions& o) { o.provision_check_interval_s = 0.0; }},
       {"provision_check_interval_s",
@@ -354,8 +356,9 @@ TEST(TrainerOptionsTest, EveryCannedOptionSetValidates) {
   spot.checkpoint_every_minibatches = 10;
   spot.provision_check_interval_s = 1200.0;
   canned.emplace_back("spot_training", spot);
-  // The inclusive edge of every integer rule.
+  // The inclusive edge of every integer rule, and total_batch's upper bound.
   TrainerOptions edges;
+  edges.total_batch = kMaxTotalBatch;
   edges.demand_vms = 1;
   edges.checkpoint_every_minibatches = 1;
   edges.checkpoint.full_checkpoint_every = 1;

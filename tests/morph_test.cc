@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -545,6 +546,31 @@ TEST(ConfigSearchTest, ErrorsWhenNothingFits) {
   constraints.total_batch = 512;
   constraints.budget.gpu_memory_bytes = Nc6V3().gpu.memory_bytes;
   EXPECT_FALSE(search.Best(4, constraints).ok());
+}
+
+// Nm = ceil(M_total / (m * D)) becomes an int and then 30 bits of a schedule
+// memo key, so a sweep refuses a total batch outside (0, kMaxTotalBatch]
+// instead of overflowing.
+TEST(ConfigSearchTest, RejectsTotalBatchOutOfRange) {
+  Fixture fx(Gpt2_2_5B());
+  ConfigSearch search(&fx.spec, &fx.sections, &fx.calibration);
+  SearchConstraints constraints;
+  constraints.budget.gpu_memory_bytes = Nc6V3().gpu.memory_bytes;
+  for (const double total_batch : {std::numeric_limits<double>::infinity(), 1e12,
+                                   kMaxTotalBatch + 1.0,
+                                   std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0}) {
+    constraints.total_batch = total_batch;
+    const auto best = search.Best(16, constraints);
+    ASSERT_FALSE(best.ok()) << total_batch;
+    EXPECT_EQ(best.error().rfind("total_batch must be", 0), 0u) << best.error();
+  }
+  // The bound itself is accepted: with nothing fitting in memory, the sweep
+  // gets as far as feasibility without simulating a billion micro-batches.
+  constraints.total_batch = kMaxTotalBatch;
+  constraints.budget.gpu_memory_bytes = 1.0;
+  const auto edge = search.Best(16, constraints);
+  ASSERT_FALSE(edge.ok());
+  EXPECT_EQ(edge.error().rfind("no feasible configuration", 0), 0u) << edge.error();
 }
 
 }  // namespace

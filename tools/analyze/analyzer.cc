@@ -254,11 +254,10 @@ constexpr std::array<std::string_view, 2> kThreadPoolFiles = {"src/common/thread
 // pure-function-of-index work items with a fixed merge order, so every new
 // user is a deliberate, reviewed addition, and an entry whose file no longer
 // uses the pool is stale (CheckAllowlists).
-constexpr std::array<std::string_view, 6> kPoolUserFiles = {
+constexpr std::array<std::string_view, 5> kPoolUserFiles = {
     "src/common/thread_pool.h",
     "src/common/thread_pool.cc",
-    "src/morph/config_search.h",  // parallel candidate evaluation
-    "src/train/trainers.h",       // pooled micro-batch execution
+    "src/train/trainers.h",  // pooled micro-batch execution
     "src/train/trainers.cc",
     "src/varuna/varuna.h",  // umbrella header re-export
 };
