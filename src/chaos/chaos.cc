@@ -121,7 +121,6 @@ void ChaosEngine::ForecastAction(const ChaosAction& action) {
 }
 
 void ChaosEngine::Fire(const ChaosAction& action) {
-  ++actions_fired_;
   switch (action.kind) {
     case ChaosActionKind::kPreemptionStorm: {
       // Spread the kills over the window; each is a separate announced
@@ -319,8 +318,6 @@ ChaosReport RunChaosCampaign(const ChaosCampaignSpec& spec) {
   report.trace = CaptureElasticTrace(engine, trainer);
   report.fingerprint = report.trace.Fingerprint();
   report.stats = trainer.stats();
-  report.latest_usable_checkpoint = trainer.checkpoints().LatestUsable();
-  report.latest_complete_checkpoint = trainer.checkpoints().LatestComplete();
   report.vms_killed_by_chaos = chaos.vms_killed();
   report.shards_corrupted_by_chaos = chaos.shards_corrupted();
   return report;

@@ -81,7 +81,6 @@ class ChaosEngine {
   // kMidMorphPreempt). Call once before running the engine.
   void Start();
 
-  int64_t actions_fired() const { return actions_fired_; }
   int64_t vms_killed() const { return vms_killed_; }
   int64_t shards_corrupted() const { return shards_corrupted_; }
 
@@ -106,7 +105,6 @@ class ChaosEngine {
   ChaosPlan plan_;
   bool started_ = false;
   int armed_mid_morph_ = 0;
-  int64_t actions_fired_ = 0;
   int64_t vms_killed_ = 0;
   int64_t shards_corrupted_ = 0;
 };
@@ -144,8 +142,6 @@ struct ChaosReport {
   ElasticTrace trace;
   uint64_t fingerprint = 0;
   SessionStats stats;
-  int64_t latest_usable_checkpoint = -1;
-  int64_t latest_complete_checkpoint = -1;
   int64_t vms_killed_by_chaos = 0;
   int64_t shards_corrupted_by_chaos = 0;
 };

@@ -212,7 +212,6 @@ double CheckpointStore::RestoreSeconds(int64_t minibatch_id, double total_params
     out.setup_s = kRestoreSetupS;
     out.cloud_s = duration - kRestoreSetupS;
     if (record != nullptr) {
-      out.chain_records = 1;
       out.shards_cloud = static_cast<int>(record->shards.size());
     }
     return duration;
@@ -235,7 +234,6 @@ double CheckpointStore::RestoreSeconds(int64_t minibatch_id, double total_params
   enum class Tier : uint8_t { kSsd, kPeer, kCloud };
   std::vector<Tier> tiers;
   for (const CheckpointRecord* rec : chain) {
-    ++out.chain_records;
     if (rec->premigrated) {
       // Premigration already moved this record toward the new placement.
       out.shards_premigrated += static_cast<int>(rec->shards.size());

@@ -117,7 +117,6 @@ struct RestoreBreakdown {
   double ssd_s = 0.0;    // Shards read from a surviving owner inside the placement.
   double peer_s = 0.0;   // Shards pulled from an alive owner outside the placement.
   double cloud_s = 0.0;  // Shards (re-)read from cloud storage.
-  int chain_records = 0;  // Records resolved: 1 full base + trailing deltas.
   int shards_ssd = 0;
   int shards_peer = 0;
   int shards_cloud = 0;
@@ -196,10 +195,7 @@ class CheckpointStore {
 
   const CheckpointRecord* Record(int64_t minibatch_id) const;
 
-  int checkpoints_written() const { return checkpoints_written_; }
   int64_t shards_lost() const { return shards_lost_; }
-  int64_t shards_corrupted() const { return shards_corrupted_; }
-  int64_t flushes_completed() const { return flushes_completed_; }
   int64_t delta_checkpoints_written() const { return delta_checkpoints_written_; }
   int64_t records_pruned() const { return records_pruned_; }
   // Total bytes (all shards) the most recent BeginCheckpoint wrote.

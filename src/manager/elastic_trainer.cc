@@ -77,6 +77,15 @@ Result<std::monostate> TrainerOptions::Validate() const {
       {positive(provision_check_interval_s), "provision_check_interval_s must be > 0 and finite"},
       {positive(liveput_horizon_s), "liveput_horizon_s must be > 0 and finite"},
       {positive(predictor.window_s), "predictor.window_s must be > 0 and finite"},
+      // NaN would switch decay off while ElevatedRisk() still gates on the
+      // decayed count; <= 0 is the documented "no decay".
+      {!std::isnan(predictor.decay_tau_s),
+       "predictor.decay_tau_s must be a number (<= 0 means no decay)"},
+      // NaN would switch the exposure warm-up gate off.
+      {!std::isnan(predictor.min_exposure_windows),
+       "predictor.min_exposure_windows must be a number"},
+      // <= 0 means the VM's GPU memory; NaN fits no stage and +inf fits all.
+      {std::isfinite(budget.gpu_memory_bytes), "budget.gpu_memory_bytes must be finite"},
       {checkpoint.full_checkpoint_every >= 1, "checkpoint.full_checkpoint_every must be >= 1"},
   };
   for (const auto& [holds, message] : rules) {
@@ -117,7 +126,6 @@ ElasticTrainer::ElasticTrainer(SimEngine* engine, Cluster* cluster, SpotMarket* 
   if (options_.budget.gpu_memory_bytes <= 0.0) {
     options_.budget.gpu_memory_bytes = vm_type.gpu.memory_bytes;
   }
-  predictor_.SetDemandHint(options_.demand_vms);
   if (options_.morph_policy == MorphPolicy::kOracleProactive) {
     // Upper-bound mode: the predictor is handed the pool's true hazard (the
     // one thing the online estimator has to learn) plus any storm forecasts
@@ -467,15 +475,10 @@ void ElasticTrainer::Reconfigure(DecisionKind kind) {
     restore_delay = checkpoints_.RestoreSeconds(checkpoints_.LatestUsable(), spec_.TotalParams(),
                                                 config_->data_parallel, incoming_vms, warm_vms,
                                                 &breakdown);
-    stats_.restore_chain_records += breakdown.chain_records;
     stats_.restore_setup_s += breakdown.setup_s;
     stats_.restore_ssd_s += breakdown.ssd_s;
     stats_.restore_peer_s += breakdown.peer_s;
     stats_.restore_cloud_s += breakdown.cloud_s;
-    stats_.restore_shards_ssd += breakdown.shards_ssd;
-    stats_.restore_shards_peer += breakdown.shards_peer;
-    stats_.restore_shards_cloud += breakdown.shards_cloud;
-    stats_.restore_shards_premigrated += breakdown.shards_premigrated;
   }
   if (stall_started_ >= 0.0) {
     stats_.stalled_s += engine_->now() - stall_started_;

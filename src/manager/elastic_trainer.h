@@ -68,7 +68,7 @@ struct TrainerOptions {
   double provision_check_interval_s = 900.0;
   CalibrationOptions calibration;
   CheckpointOptions checkpoint;
-  MemoryBudget budget;
+  MemoryBudget budget;  // gpu_memory_bytes <= 0: the VM's GPU memory.
   // --- Liveput policy (src/morph/liveput.h). -------------------------------
   // kReactive reproduces the paper's recover-after-preemption behavior
   // exactly; the proactive modes add liveput-weighted config selection and
@@ -232,20 +232,13 @@ struct SessionStats : ReplayRecord {
   int64_t delta_checkpoints = 0;
   // Superseded/inert records garbage-collected by the store.
   int64_t checkpoint_records_pruned = 0;
-  // Chain records resolved across all priced restores (one full base +
-  // trailing deltas each) — the delta-chain-length telemetry.
-  int64_t restore_chain_records = 0;
   // Restore seconds by source, summed over restores — derivable from the
-  // event timeline and cluster state.
+  // event timeline and cluster state. e2ebench and bench_chaos_campaigns
+  // read them.
   double restore_setup_s = 0.0;
   double restore_ssd_s = 0.0;    // Surviving-owner SSD reads.
   double restore_peer_s = 0.0;   // Peer transfers over the fabric.
   double restore_cloud_s = 0.0;  // Cloud object reads.
-  // Shards priced per source tier across all restores.
-  int64_t restore_shards_ssd = 0;
-  int64_t restore_shards_peer = 0;
-  int64_t restore_shards_cloud = 0;
-  int64_t restore_shards_premigrated = 0;  // Restored free.
 };
 
 class ElasticTrainer {

@@ -8,7 +8,7 @@
 namespace varuna {
 namespace {
 
-// Laplace pseudo-counts smoothing both transition estimates.
+// Laplace pseudo-counts smoothing the preemption estimate.
 constexpr double kLaplaceAlpha = 1.0;
 // ElevatedRisk() (the pre-migration storm gate) needs at least this many
 // decayed kills in the recency window — roughly "a multi-kill storm is
@@ -35,18 +35,11 @@ void AvailabilityPredictor::Advance(double now_s) {
     if (options_.decay_tau_s > 0.0) {
       const double keep = std::exp(-dt / options_.decay_tau_s);
       decayed_up_exposure_ *= keep;
-      decayed_down_exposure_ *= keep;
       decayed_preemptions_ *= keep;
-      decayed_grants_ *= keep;
     }
-    const double windows = dt / options_.window_s;
-    const double up_windows = static_cast<double>(up_) * windows;
-    const double down_windows =
-        static_cast<double>(std::max(0, demand_hint_ - up_)) * windows;
+    const double up_windows = static_cast<double>(up_) * (dt / options_.window_s);
     up_exposure_windows_ += up_windows;
-    down_exposure_windows_ += down_windows;
     decayed_up_exposure_ += up_windows;
-    decayed_down_exposure_ += down_windows;
     last_now_s_ = now_s;
   }
   // Storms that already fired are history, not forecast.
@@ -58,8 +51,6 @@ void AvailabilityPredictor::Advance(double now_s) {
 void AvailabilityPredictor::ObserveGrant(double now_s) {
   Advance(now_s);
   ++up_;
-  ++grants_;
-  decayed_grants_ += 1.0;
   ++updates_;
 }
 
@@ -74,11 +65,6 @@ void AvailabilityPredictor::ObservePreemption(double now_s) {
 void AvailabilityPredictor::ObserveQuiet(double now_s) {
   Advance(now_s);
   ++updates_;
-}
-
-void AvailabilityPredictor::SetDemandHint(int vms) {
-  VARUNA_CHECK_GE(vms, 0);
-  demand_hint_ = vms;
 }
 
 void AvailabilityPredictor::ForecastStorm(double at_s, int vms) {
@@ -114,10 +100,6 @@ bool AvailabilityPredictor::ElevatedRisk() const {
 
 double AvailabilityPredictor::PreemptProbabilityPerWindow() const {
   return (decayed_preemptions_ + kLaplaceAlpha) / (decayed_up_exposure_ + 2.0 * kLaplaceAlpha);
-}
-
-double AvailabilityPredictor::RestoreProbabilityPerWindow() const {
-  return (decayed_grants_ + kLaplaceAlpha) / (decayed_down_exposure_ + 2.0 * kLaplaceAlpha);
 }
 
 double AvailabilityPredictor::ForecastKills(double horizon_s) const {

@@ -4,9 +4,10 @@
 // throughput × P(the placement survives the next horizon H).
 //
 // Two pieces, both policy-side (no simulation changes):
-//   * AvailabilityPredictor — an online estimator of the spot pool's 2-state
-//     (up/down) Markov transition probabilities, learned from the *observed*
-//     grant/preemption stream with Laplace smoothing. The contract: it never
+//   * AvailabilityPredictor — an online estimator of the spot pool's per-window
+//     up→down (preemption) probability, learned from the *observed*
+//     grant/preemption stream with Laplace smoothing. Survival needs only that
+//     rate, so the predictor learns no down→up rate. The contract: it never
 //     reads SpotMarket's hidden SpotPoolDynamics (this header deliberately
 //     includes nothing from src/cluster); everything it knows arrives through
 //     Observe*() calls fed by the manager's market observers. An oracle mode
@@ -51,24 +52,24 @@ enum class MorphPolicy : uint8_t {
 // Every field stays an option: the predictor's convergence and cold-gate
 // tests (tests/liveput_test.cc) construct predictors with non-default values.
 struct PredictorOptions {
-  // Discretization of the Markov chain: one "window" of exposure.
+  // Discretization of the preemption rate: one "window" of up-node exposure.
   double window_s = 60.0;
   // Warm-up gates: below either, Cold() is true and the manager must stay on
   // the reactive path (the estimate is noise, not signal).
   double min_exposure_windows = 30.0;
   int min_preemption_events = 3;
-  // Recency half-life of the transition estimates: counts and exposure decay
+  // Recency half-life of the preemption estimate: counts and exposure decay
   // by exp(-dt/tau), so risk spikes while a storm is landing and relaxes in
   // calm stretches instead of smearing storm kills over the whole session.
-  // For a stationary chain the decayed ratio stays an unbiased estimate of
-  // the same transition probability (just higher-variance). <= 0 disables
+  // For a stationary pool the decayed ratio stays an unbiased estimate of
+  // the same preemption probability (just higher-variance). <= 0 disables
   // decay (the pure cumulative estimator, used by the convergence test).
   double decay_tau_s = 120.0;
 };
 
-// Online 2-state Markov availability estimator. Feed it every announced
-// grant/preemption (ObserveGrant/ObservePreemption) plus periodic quiet
-// ticks (ObserveQuiet) so exposure time accrues between events.
+// Online up→down rate estimator. Feed it every announced grant/preemption
+// (ObserveGrant/ObservePreemption) plus periodic quiet ticks (ObserveQuiet)
+// so up-node exposure accrues between events.
 class AvailabilityPredictor {
  public:
   AvailabilityPredictor() = default;
@@ -80,15 +81,12 @@ class AvailabilityPredictor {
   void EnableOracle(double true_hazard_per_s);
   bool oracle() const { return oracle_; }
 
-  // One node joined (down -> up transition observed).
+  // One node joined.
   void ObserveGrant(double now_s);
   // One node was reclaimed (up -> down transition observed).
   void ObservePreemption(double now_s);
   // Nothing happened; accrue exposure up to now_s.
   void ObserveQuiet(double now_s);
-  // Standing demand: bounds the down-state population (demand - up) whose
-  // exposure feeds the restore-probability estimate.
-  void SetDemandHint(int vms);
 
   // Oracle storm forecast: `vms` expected kills at absolute time at_s.
   // Forecasts in the past are dropped as time advances.
@@ -104,12 +102,9 @@ class AvailabilityPredictor {
   bool ElevatedRisk() const;
   int up_vms() const { return up_; }
   int64_t updates() const { return updates_; }
-  int64_t preemptions_observed() const { return preemptions_; }
 
-  // The estimated transition matrix, smoothed. Row "up": [1-p, p]; row
-  // "down": [q, 1-q]. Exposed for the convergence property test.
-  double PreemptProbabilityPerWindow() const;   // p: P(up -> down in a window)
-  double RestoreProbabilityPerWindow() const;   // q: P(down -> up in a window)
+  // p: P(an up node is preempted within one window), smoothed.
+  double PreemptProbabilityPerWindow() const;
 
   // P(one currently-up node is still up horizon_s from now). In oracle mode
   // exp(-hazard * h) discounted by forecast storms inside the horizon.
@@ -118,8 +113,8 @@ class AvailabilityPredictor {
   double PlacementSurvival(int vms_used, double horizon_s) const;
 
  private:
-  // Accrues exposure windows for the up and down populations up to now_s and
-  // drops stale forecasts. Time never runs backwards on the DES.
+  // Accrues up-node exposure windows up to now_s and drops stale forecasts.
+  // Time never runs backwards on the DES.
   void Advance(double now_s);
   // Expected storm kills scheduled within (now, now + horizon_s].
   double ForecastKills(double horizon_s) const;
@@ -130,20 +125,15 @@ class AvailabilityPredictor {
   bool have_now_ = false;
   double last_now_s_ = 0.0;
   int up_ = 0;
-  int demand_hint_ = 0;
-  // Raw cumulative tallies: warm-up gates + instrumentation.
+  // Raw cumulative tallies: the warm-up gates.
   double up_exposure_windows_ = 0.0;
-  double down_exposure_windows_ = 0.0;
   int64_t preemptions_ = 0;  // Observed up -> down transitions.
-  int64_t grants_ = 0;       // Observed down -> up transitions.
-  int64_t updates_ = 0;      // Every Observe* call.
-  // Recency-decayed shadows of the four tallies above — what the transition
-  // estimates actually consult (identical to the raw tallies when decay is
+  int64_t updates_ = 0;      // Every Observe* call (instrumentation).
+  // Recency-decayed shadows of the two tallies above — what the estimate and
+  // the storm gate consult (identical to the raw tallies when decay is
   // disabled).
   double decayed_up_exposure_ = 0.0;
-  double decayed_down_exposure_ = 0.0;
   double decayed_preemptions_ = 0.0;
-  double decayed_grants_ = 0.0;
   // (at_s, expected kills), sorted ascending by time. Flat per the hot-path
   // rule; a campaign scripts at most a handful of storms.
   std::vector<std::pair<double, int>> forecasts_;

@@ -48,8 +48,6 @@ class SgdOptimizer : public Optimizer {
   std::vector<Tensor> ExportState() const override { return velocity_; }
   void ImportState(const std::vector<Tensor>& state) override;
 
-  void set_learning_rate(float lr) { learning_rate_ = lr; }
-
  private:
   float learning_rate_;
   float momentum_;
@@ -66,8 +64,6 @@ class AdamOptimizer : public Optimizer {
   // holding the step count.
   std::vector<Tensor> ExportState() const override;
   void ImportState(const std::vector<Tensor>& state) override;
-
-  void set_learning_rate(float lr) { learning_rate_ = lr; }
 
  private:
   float learning_rate_;

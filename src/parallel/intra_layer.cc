@@ -73,7 +73,6 @@ Result<IntraLayerResult> EvaluateIntraLayer(const TransformerSpec& spec,
 
   result.compute_s = steps * step_compute;
   result.tensor_comm_s = steps * step_comm;
-  result.dp_allreduce_s = dp_allreduce;
   result.minibatch_s = result.compute_s + result.tensor_comm_s + dp_allreduce;
   result.examples_per_s = config.total_batch / result.minibatch_s;
   result.examples_per_s_per_gpu = result.examples_per_s / result.gpus_used;

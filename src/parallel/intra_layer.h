@@ -25,7 +25,6 @@ struct IntraLayerResult {
   double minibatch_s = 0.0;
   double compute_s = 0.0;        // GPU compute on the critical path.
   double tensor_comm_s = 0.0;    // Synchronous intra-layer allreduces.
-  double dp_allreduce_s = 0.0;   // End-of-mini-batch gradient allreduce.
   double examples_per_s = 0.0;
   double examples_per_s_per_gpu = 0.0;
   int gpus_used = 0;

@@ -531,15 +531,6 @@ void AccumulateRowSumsInto(Tensor* row_sum, const Tensor& m) {
   }
 }
 
-Tensor Hadamard(const Tensor& a, const Tensor& b) {
-  VARUNA_CHECK(a.shape() == b.shape());
-  Tensor c(a);
-  for (int64_t i = 0; i < c.size(); ++i) {
-    c[i] *= b[i];
-  }
-  return c;
-}
-
 Tensor RowSoftmax(const Tensor& logits) {
   Tensor out;
   RowSoftmaxInto(&out, logits);

@@ -111,7 +111,6 @@ void AddRowVectorInPlace(Tensor* m, const Tensor& row);
 // row_sum([n]) += column sums of m([r,n]), accumulating row by row in
 // ascending row order (the bias-gradient reduction of the hot path).
 void AccumulateRowSumsInto(Tensor* row_sum, const Tensor& m);
-Tensor Hadamard(const Tensor& a, const Tensor& b);
 
 // Row-wise softmax of a [m,n] matrix.
 Tensor RowSoftmax(const Tensor& logits);

@@ -129,7 +129,7 @@ TEST(ReplayRecordTest, ObservabilityFieldsStayOutOfTheTrace) {
   noisy.premigrated_bytes += 1e9;
   noisy.liveput_wins += 2;
   noisy.restore_cloud_s += 4.0;
-  noisy.restore_shards_premigrated += 1;
+  noisy.checkpoint_records_pruned += 1;
 
   const ElasticTrace a{quiet, base.events_processed, base.final_now_s};
   const ElasticTrace b{noisy, base.events_processed, base.final_now_s};

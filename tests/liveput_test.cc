@@ -1,7 +1,7 @@
 // Liveput policy battery (src/morph/liveput.h): the online availability
-// predictor converges to the true Markov transition parameters of a
-// synthetic chain, the oracle mode reproduces the true hazard, the liveput
-// objective is monotone in survival, and — the headline — every policy mode
+// predictor converges to the true preemption probability of a synthetic
+// Markov chain and its decayed outputs are pinned, the oracle mode reproduces
+// the true hazard, the liveput objective is monotone in survival, and — the headline — every policy mode
 // (reactive, proactive, oracle-proactive) is bit-replayable on seeded chaos
 // campaigns, with a ≥20-campaign head-to-head asserting the proactive policy
 // actually pays: at least as many mini-batches as reactive, strictly fewer
@@ -31,8 +31,8 @@ namespace {
 TEST(AvailabilityPredictorTest, ConvergesToTrueMarkovParameters) {
   // True 2-state chain, discretized at the predictor's window: each window an
   // up node dies w.p. p and a down node restores w.p. q. The predictor sees
-  // only the event stream; decay is disabled so the cumulative estimator's
-  // convergence is what is on trial.
+  // only the event stream and estimates p alone; decay is disabled so the
+  // cumulative estimator's convergence is what is on trial.
   constexpr int kNodes = 24;
   constexpr double kTrueP = 0.04;
   constexpr double kTrueQ = 0.30;
@@ -42,7 +42,6 @@ TEST(AvailabilityPredictorTest, ConvergesToTrueMarkovParameters) {
   options.window_s = 60.0;
   options.decay_tau_s = 0.0;  // Pure cumulative estimator.
   AvailabilityPredictor predictor(options);
-  predictor.SetDemandHint(kNodes);
 
   Rng rng(0x11fe);
   int up = 0;
@@ -69,7 +68,6 @@ TEST(AvailabilityPredictorTest, ConvergesToTrueMarkovParameters) {
   EXPECT_FALSE(predictor.Cold());
   EXPECT_EQ(predictor.up_vms(), up);
   EXPECT_NEAR(predictor.PreemptProbabilityPerWindow(), kTrueP, 0.15 * kTrueP);
-  EXPECT_NEAR(predictor.RestoreProbabilityPerWindow(), kTrueQ, 0.15 * kTrueQ);
   // Survival over a horizon is the per-window estimate compounded.
   const double horizon_s = 10.0 * options.window_s;
   EXPECT_NEAR(predictor.NodeSurvival(horizon_s),
@@ -81,7 +79,6 @@ TEST(AvailabilityPredictorTest, EmptyHistoryIsColdWithPriorEstimates) {
   EXPECT_TRUE(predictor.Cold());
   // Laplace priors: alpha / 2 alpha = 0.5 per window — pure prior, no data.
   EXPECT_DOUBLE_EQ(predictor.PreemptProbabilityPerWindow(), 0.5);
-  EXPECT_DOUBLE_EQ(predictor.RestoreProbabilityPerWindow(), 0.5);
   const double survival = predictor.NodeSurvival(600.0);
   EXPECT_GE(survival, 0.0);
   EXPECT_LE(survival, 1.0);
@@ -93,7 +90,6 @@ TEST(AvailabilityPredictorTest, WarmupGatesRequireBothEventsAndExposure) {
   options.min_exposure_windows = 10.0;
   options.min_preemption_events = 3;
   AvailabilityPredictor predictor(options);
-  predictor.SetDemandHint(4);
   for (int i = 0; i < 4; ++i) {
     predictor.ObserveGrant(static_cast<double>(i));
   }
@@ -105,6 +101,56 @@ TEST(AvailabilityPredictorTest, WarmupGatesRequireBothEventsAndExposure) {
   EXPECT_TRUE(predictor.Cold());  // Two events < the three required.
   predictor.ObservePreemption(4.0 + 23.0 * options.window_s);
   EXPECT_FALSE(predictor.Cold());
+}
+
+// Every output the policy reads, pinned bit for bit over a scripted stream with
+// decay on: warm-up (cold, no storm), a three-kill storm (warm, elevated) and
+// the calm after it (the decay relaxes the gate). Observations that feed none
+// of these outputs may change freely; these constants may not.
+TEST(AvailabilityPredictorTest, DecayedOutputsArePinned) {
+  struct Pin {
+    double p;
+    double node_survival;
+    double placement_survival;
+    bool elevated;
+    bool cold;
+  };
+  const auto expect_pinned = [](const AvailabilityPredictor& predictor, const Pin& pin) {
+    EXPECT_EQ(predictor.PreemptProbabilityPerWindow(), pin.p);
+    EXPECT_EQ(predictor.NodeSurvival(900.0), pin.node_survival);
+    EXPECT_EQ(predictor.PlacementSurvival(8, 900.0), pin.placement_survival);
+    EXPECT_EQ(predictor.ElevatedRisk(), pin.elevated);
+    EXPECT_EQ(predictor.Cold(), pin.cold);
+  };
+  AvailabilityPredictor predictor;  // Default options: decay_tau_s = 120.
+  for (int i = 0; i < 8; ++i) {
+    predictor.ObserveGrant(static_cast<double>(i));
+  }
+  for (int k = 1; k <= 10; ++k) {
+    predictor.ObserveQuiet(60.0 * k);
+  }
+  {
+    SCOPED_TRACE("warm-up");
+    expect_pinned(predictor, {0x1.7135f676518cap-5, 0x1.005b6619a0136p-1,
+                              0x1.02dec50b72fp-8, false, true});
+  }
+  predictor.ObservePreemption(610.0);
+  predictor.ObservePreemption(615.0);
+  predictor.ObservePreemption(620.0);
+  {
+    SCOPED_TRACE("storm");
+    expect_pinned(predictor, {0x1.73ae987dbc1f8p-3, 0x1.963e68ace1c71p-5,
+                              0x1.41b5ac420182cp-35, true, false});
+  }
+  predictor.ObserveGrant(700.0);
+  for (int k = 13; k <= 20; ++k) {
+    predictor.ObserveQuiet(60.0 * k);
+  }
+  {
+    SCOPED_TRACE("calm");
+    expect_pinned(predictor, {0x1.e4b982d5e7b4dp-5, 0x1.9a2b86fc18699p-2,
+                              0x1.5b7103d5915c6p-11, false, false});
+  }
 }
 
 // --- Oracle mode. ------------------------------------------------------------
@@ -124,7 +170,6 @@ TEST(AvailabilityPredictorTest, OracleReproducesTrueHazard) {
 TEST(AvailabilityPredictorTest, OracleForecastStormsDiscountSurvival) {
   AvailabilityPredictor predictor;
   predictor.EnableOracle(1.0 / 3600.0);
-  predictor.SetDemandHint(8);
   for (int i = 0; i < 8; ++i) {
     predictor.ObserveGrant(0.0);
   }
@@ -170,7 +215,6 @@ TEST(LiveputObjectiveTest, LiveputAndScoreAreMonotoneInSurvival) {
 
 TEST(LiveputObjectiveTest, PlacementSurvivalIsMonotoneInVmsUsed) {
   AvailabilityPredictor predictor;
-  predictor.SetDemandHint(8);
   predictor.ObserveGrant(0.0);
   predictor.ObservePreemption(3600.0);
   double previous = 2.0;

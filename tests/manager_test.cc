@@ -308,6 +308,11 @@ TEST(TrainerOptionsTest, ValidateRejectsEachOutOfRangeKnob) {
        [](TrainerOptions& o) { o.checkpoint_every_minibatches = 0; }},
       {"liveput_horizon_s", [](TrainerOptions& o) { o.liveput_horizon_s = 0.0; }},
       {"predictor.window_s", [](TrainerOptions& o) { o.predictor.window_s = 0.0; }},
+      {"predictor.decay_tau_s", [](TrainerOptions& o) { o.predictor.decay_tau_s = kNan; }},
+      {"predictor.min_exposure_windows",
+       [](TrainerOptions& o) { o.predictor.min_exposure_windows = kNan; }},
+      {"budget.gpu_memory_bytes", [](TrainerOptions& o) { o.budget.gpu_memory_bytes = kNan; }},
+      {"budget.gpu_memory_bytes", [](TrainerOptions& o) { o.budget.gpu_memory_bytes = kInf; }},
       {"checkpoint.full_checkpoint_every",
        [](TrainerOptions& o) { o.checkpoint.full_checkpoint_every = 0; }},
       {"calibration.microbatch_sizes",
@@ -356,12 +361,15 @@ TEST(TrainerOptionsTest, EveryCannedOptionSetValidates) {
   spot.checkpoint_every_minibatches = 10;
   spot.provision_check_interval_s = 1200.0;
   canned.emplace_back("spot_training", spot);
-  // The inclusive edge of every integer rule, and total_batch's upper bound.
+  // The inclusive edge of every integer rule, total_batch's upper bound, and
+  // the <= 0 values that mean "the VM's GPU memory" and "no decay".
   TrainerOptions edges;
   edges.total_batch = kMaxTotalBatch;
   edges.demand_vms = 1;
   edges.checkpoint_every_minibatches = 1;
   edges.checkpoint.full_checkpoint_every = 1;
+  edges.budget.gpu_memory_bytes = -1.0;
+  edges.predictor.decay_tau_s = -1.0;
   canned.emplace_back("edges", edges);
   for (const auto& [name, options] : canned) {
     const Result<std::monostate> valid = options.Validate();
